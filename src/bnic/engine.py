@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .clustertree import ClusterTree
-from .errors import InconsistencyError, InvalidEditError, UnknownVariableError
+from .errors import InconsistencyError, InvalidEditError
 from .graph import Dag, Link, UndirectedGraph
 from .mpd import MpdIndex, aggregate_cliques
 from .pipeline import Triangulation, construct_join_tree, perfect_elimination_order
@@ -273,6 +273,24 @@ def mark_remove_link(
                     _remove_link_walk(model, deleted, host, None, rec)
 
 
+def _walk(tree: ClusterTree, start: int, parent: int | None, step) -> None:
+    """Depth-first walk of tree from start, never back into parent.
+
+    ``step(ci, ck)`` is called for each neighbour ck of a visited cluster ci,
+    in the order a recursive walk would call it, and the walk descends into
+    ck when it returns True.  The explicit stack keeps deep trees clear of
+    the recursion limit.
+    """
+    stack = [(start, parent, iter(tree.neighbors(start)))]
+    while stack:
+        ci, cj, nbrs = stack[-1]
+        ck = next(nbrs, None)
+        if ck is None:
+            stack.pop()
+        elif ck != cj and step(ci, ck):
+            stack.append((ck, ci, iter(tree.neighbors(ck))))
+
+
 def _remove_link_walk(
     model: CompiledModel,
     deleted: list[frozenset[int]],
@@ -281,40 +299,42 @@ def _remove_link_walk(
     rec: ModTrace | None,
 ) -> None:
     mpd = model.mpd
+
+    def step(m: int, m_k: int) -> bool:
+        sep = mpd.separator(m, m_k)
+        if not any(pair <= sep for pair in deleted):
+            return False
+        _mark(mpd, m_k, rec)
+        return True
+
     _mark(mpd, m_y, rec)
-    for m_k in mpd.neighbors(m_y):
-        if m_k == m_z:
-            continue
-        sep = mpd.separator(m_y, m_k)
-        if any(pair <= sep for pair in deleted):
-            _remove_link_walk(model, deleted, m_k, m_y, rec)
+    _walk(mpd, m_y, m_z, step)
 
 
-def mark_remove_node(
-    model: CompiledModel,
-    x: int,
-    m_x: int,
-    m_y: int | None = None,
-    rec: ModTrace | None = None,
-) -> None:
+def mark_remove_node(model: CompiledModel, x: int, m_x: int, rec: ModTrace | None = None) -> None:
     """Strip an isolated variable out of every cluster and separator hosting it.
 
-    Walks the MPS subtree containing x (separators containing x guide the
-    recursion), marking the visited clusters; on return from the top-level
-    call the junction tree is swept the same way.
+    Walks the MPS subtree containing x from m_x (separators containing x
+    guide the walk), marking the visited clusters; the junction tree is
+    then swept the same way.
     """
     mpd = model.mpd
-    mpd.replace_cluster(m_x, mpd.cluster(m_x) - {x})
-    _mark(mpd, m_x, rec)
-    for m_z in mpd.neighbors(m_x):
-        if m_z == m_y:
-            continue
-        sep = mpd.separator(m_x, m_z)
-        if x in sep:
-            mpd.set_separator(m_x, m_z, sep - {x})
-            mark_remove_node(model, x, m_z, m_x, rec)
-    if m_y is None:
-        _strip_variable(model.jt, x)
+
+    def strip(m: int) -> None:
+        mpd.replace_cluster(m, mpd.cluster(m) - {x})
+        _mark(mpd, m, rec)
+
+    def step(m: int, m_z: int) -> bool:
+        sep = mpd.separator(m, m_z)
+        if x not in sep:
+            return False
+        mpd.set_separator(m, m_z, sep - {x})
+        strip(m_z)
+        return True
+
+    strip(m_x)
+    _walk(mpd, m_x, None, step)
+    _strip_variable(model.jt, x)
 
 
 def _strip_variable(tree: ClusterTree, x: int) -> None:
@@ -475,27 +495,25 @@ def connect(
     reattachment records and the set of marked clusters visited.
     """
     records: list[tuple[int, int, frozenset[int], int]] = []
-    visited: set[int] = set()
+    visited = {c_i}
 
-    def walk(ci: int, cj: int | None) -> None:
-        visited.add(ci)
-        for ck in tree.neighbors(ci):
-            if ck == cj:
-                continue
-            if tree.is_marked(ck):
-                if ck not in visited:
-                    walk(ck, ci)
-            else:
-                sep = tree.separator(ci, ck)
-                target = _best_attachment(tree, replacement_ids, sep, tree.cluster(ck))
-                if target is None:
-                    raise InconsistencyError(
-                        f"no replacement cluster covers boundary separator {sorted(sep)}"
-                    )
-                tree.add_edge(target, ck, sep)
-                records.append((ci, ck, sep, target))
+    def step(ci: int, ck: int) -> bool:
+        if tree.is_marked(ck):
+            if ck in visited:
+                return False
+            visited.add(ck)
+            return True
+        sep = tree.separator(ci, ck)
+        target = _best_attachment(tree, replacement_ids, sep, tree.cluster(ck))
+        if target is None:
+            raise InconsistencyError(
+                f"no replacement cluster covers boundary separator {sorted(sep)}"
+            )
+        tree.add_edge(target, ck, sep)
+        records.append((ci, ck, sep, target))
+        return False
 
-    walk(c_i, c_j)
+    _walk(tree, c_i, c_j, step)
     return records, visited
 
 
@@ -703,36 +721,6 @@ def derive_triangulation(moral: UndirectedGraph, jt: ClusterTree) -> Triangulati
     return Triangulation(moral, order, fill)
 
 
-def _validate_modification(model: CompiledModel, mod: Modification) -> None:
-    dag = model.dag
-    match mod:
-        case AddNode(name):
-            if not isinstance(name, str) or not name:
-                raise InvalidEditError("add-node needs a non-empty name")
-            if dag.table.has_name(name):
-                raise InvalidEditError(f"variable name already in use: {name!r}")
-        case RemoveNode(node):
-            if node not in dag.table:
-                raise UnknownVariableError(f"unknown variable id {node}")
-            if dag.parents(node) or dag.children(node):
-                raise InvalidEditError(
-                    f"remove-node requires an isolated node, {dag.table.name(node)!r} has arcs"
-                )
-        case AddArc(parent, child):
-            for v in (parent, child):
-                if v not in dag.table:
-                    raise UnknownVariableError(f"unknown variable id {v}")
-            if parent == child:
-                raise InvalidEditError("add-arc endpoints must differ")
-            if dag.has_arc(parent, child):
-                raise InvalidEditError("duplicate arc")
-        case RemoveArc(parent, child):
-            if not dag.has_arc(parent, child):
-                raise InvalidEditError(f"no such arc {parent} -> {child}")
-        case _:
-            raise TypeError(f"unknown modification {mod!r}")
-
-
 def incremental_compile(
     model: CompiledModel,
     mods: Sequence[Modification],
@@ -741,12 +729,15 @@ def incremental_compile(
     """Re-establish the compiled structures after a batch of edits.
 
     The model is updated in place (and returned); unmarked clusters survive
-    with identical vertex sets.  Invalid modifications raise before any
-    marking happens for them; internal inconsistencies raise
-    InconsistencyError and are never silently repaired.
+    with identical vertex sets.  The whole batch is first replayed on a copy
+    of the dag, so an invalid modification raises before the model is
+    touched; internal inconsistencies raise InconsistencyError and are never
+    silently repaired.
     """
+    scratch = model.dag.copy()
     for mod in mods:
-        _validate_modification(model, mod)
+        apply_modification(scratch, mod)
+    for mod in mods:
         rec = ModTrace(mod=mod, description=describe(mod, model.dag))
         apply_modification(model.dag, mod)
         links = modify_moral_graph(model, mod)
@@ -756,7 +747,7 @@ def incremental_compile(
                 add_node(model, model.dag.table.id(name), rec)
             case RemoveNode(node):
                 m_x = model.index.mps_of[node]
-                mark_remove_node(model, node, m_x, None, rec)
+                mark_remove_node(model, node, m_x, rec)
                 model.index.mps_of.pop(node, None)
                 model.index.clique_of.pop(node, None)
             case RemoveArc(_, child):

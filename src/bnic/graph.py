@@ -294,6 +294,7 @@ class UndirectedGraph:
                     return False
         return True
 
+    # Unused by the package; kept because the benchmark's tracer binds it.
     def to_dense(self) -> tuple[np.ndarray, list[int]]:
         """Dense boolean adjacency plus the index -> vertex-id mapping."""
         idx = self.vertices()
@@ -364,9 +365,5 @@ def is_chordal(g: UndirectedGraph) -> tuple[bool, tuple[int, int] | None]:
     """
     if len(g) <= 2:
         return True, None
-    dense, idx = g.to_dense()
-    _, mu, mv = kernels.mcs(dense)
-    if mu < 0:
-        return True, None
-    a, b = idx[mu], idx[mv]
-    return False, (min(a, b), max(a, b))
+    _, witness = kernels.mcs(g)
+    return witness is None, witness

@@ -1,220 +1,120 @@
-"""Dense-adjacency kernels for elimination-order search and chordality tests.
+"""Adjacency-set kernels for elimination-order search and chordality tests.
 
 The greedy minimum-fill elimination search and maximum cardinality search
 are the hot inner loops of compilation; everything else in the package is
-set and tree manipulation.  Both kernels exist in two interchangeable
-backends with bit-identical outputs (same ascending-index tie-breaking):
-
-* scalar loops compiled with numba ``@njit`` (the default), and
-* a vectorized pure-numpy fallback.
-
-Set ``BNIC_NUMBA=0`` to force the numpy path; the flag is read per call, so
-it can be flipped at runtime.  ``benchmarks/backend_bench.py`` compares the
-two backends.
+set and tree manipulation.  Both kernels read an :class:`UndirectedGraph`
+and return vertex ids; ties are broken by ascending vertex id, so their
+outputs are deterministic.
 """
 
 from __future__ import annotations
 
-import os
+import heapq
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAS_NUMBA = False
+if TYPE_CHECKING:
+    from .graph import UndirectedGraph
 
 
 def numba_enabled() -> bool:
-    """True when the njit backend is importable and not disabled via env."""
-    if not HAS_NUMBA:
-        return False
-    flag = os.environ.get("BNIC_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "no", "off")
+    # Always False: kept because the benchmark records it in its environment.
+    return False
 
 
-def _min_fill_impl(adj):
-    # Greedy minimum-fill elimination.  Ties broken by ascending index.
-    # Returns the elimination order and the fill edges (parallel u/v arrays)
-    # in insertion order.
-    n = adj.shape[0]
-    work = adj.copy()
-    alive = np.ones(n, np.bool_)
-    order = np.empty(n, np.int64)
-    cap = n * (n - 1) // 2 + 1
-    fill_u = np.empty(cap, np.int64)
-    fill_v = np.empty(cap, np.int64)
-    nf = 0
-    for step in range(n):
-        best = -1
-        best_cost = -1
-        for v in range(n):
-            if not alive[v]:
-                continue
-            cost = 0
-            for i in range(n):
-                if alive[i] and work[v, i]:
-                    for j in range(i + 1, n):
-                        if alive[j] and work[v, j] and not work[i, j]:
-                            cost += 1
-            if best == -1 or cost < best_cost:
-                best = v
-                best_cost = cost
-        order[step] = best
-        for i in range(n):
-            if alive[i] and work[best, i]:
-                for j in range(i + 1, n):
-                    if alive[j] and work[best, j] and not work[i, j]:
-                        work[i, j] = True
-                        work[j, i] = True
-                        fill_u[nf] = i
-                        fill_v[nf] = j
-                        nf += 1
-        alive[best] = False
-    return order, fill_u[:nf].copy(), fill_v[:nf].copy()
+def _fill_cost(adj: dict[int, set[int]], v: int) -> int:
+    """The number of non-adjacent pairs among the neighbours of v."""
+    nbrs = adj[v]
+    d = len(nbrs)
+    linked = sum(len(nbrs & adj[u]) for u in nbrs)  # each adjacent pair twice
+    return (d * (d - 1) - linked) // 2
 
 
-def _mcs_impl(adj):
-    # Maximum cardinality search with an inline zero-fill check.  Returns the
-    # visit order plus one missing edge among the already-visited neighbours
-    # of some vertex; (-1, -1) when the graph is chordal.
-    n = adj.shape[0]
-    weight = np.zeros(n, np.int64)
-    numbered = np.zeros(n, np.bool_)
-    order = np.empty(n, np.int64)
-    miss_u = -1
-    miss_v = -1
-    for step in range(n):
-        best = -1
-        best_w = -1
-        for v in range(n):
-            if not numbered[v] and weight[v] > best_w:
-                best = v
-                best_w = weight[v]
-        order[step] = best
-        numbered[best] = True
-        if miss_u < 0:
-            done = False
-            for i in range(n):
-                if numbered[i] and i != best and adj[best, i]:
-                    for j in range(i + 1, n):
-                        if numbered[j] and j != best and adj[best, j] and not adj[i, j]:
-                            miss_u = i
-                            miss_v = j
-                            done = True
-                            break
-                    if done:
-                        break
-        for v in range(n):
-            if not numbered[v] and adj[best, v]:
-                weight[v] += 1
-    return order, miss_u, miss_v
+def min_fill(g: "UndirectedGraph") -> tuple[list[int], list[tuple[int, int]]]:
+    """Greedy minimum-fill elimination order.
 
-
-if HAS_NUMBA:
-    _min_fill_nb = njit(cache=True)(_min_fill_impl)
-    _mcs_nb = njit(cache=True)(_mcs_impl)
-
-
-def _min_fill_np(adj):
-    n = adj.shape[0]
-    work = adj.copy()
-    alive = np.ones(n, dtype=bool)
-    order = np.empty(n, np.int64)
-    fill_u: list[int] = []
-    fill_v: list[int] = []
-    big = np.iinfo(np.int64).max
-    for step in range(n):
-        costs = np.full(n, big, dtype=np.int64)
-        for v in np.flatnonzero(alive):
-            nbrs = np.flatnonzero(work[v] & alive)
-            m = nbrs.size
-            if m < 2:
-                costs[v] = 0
-                continue
-            sub = work[np.ix_(nbrs, nbrs)]
-            costs[v] = (m * (m - 1)) // 2 - int(np.triu(sub, 1).sum())
-        best = int(np.argmin(costs))  # first minimum: ascending-index ties
-        order[step] = best
-        nbrs = np.flatnonzero(work[best] & alive)
-        if nbrs.size >= 2:
-            sub = work[np.ix_(nbrs, nbrs)]
-            iu, ju = np.triu_indices(nbrs.size, 1)
-            missing = ~sub[iu, ju]
-            for a, b in zip(nbrs[iu[missing]], nbrs[ju[missing]]):
-                work[a, b] = True
-                work[b, a] = True
-                fill_u.append(int(a))
-                fill_v.append(int(b))
-        alive[best] = False
-    return order, np.asarray(fill_u, np.int64), np.asarray(fill_v, np.int64)
-
-
-def _mcs_np(adj):
-    n = adj.shape[0]
-    weight = np.zeros(n, np.int64)
-    numbered = np.zeros(n, dtype=bool)
-    order = np.empty(n, np.int64)
-    miss_u = -1
-    miss_v = -1
-    for step in range(n):
-        w = np.where(numbered, np.int64(-1), weight)
-        best = int(np.argmax(w))  # first maximum: ascending-index ties
-        order[step] = best
-        numbered[best] = True
-        if miss_u < 0:
-            prev = np.flatnonzero(adj[best] & numbered)
-            prev = prev[prev != best]
-            if prev.size >= 2:
-                sub = adj[np.ix_(prev, prev)]
-                iu, ju = np.triu_indices(prev.size, 1)
-                bad = np.flatnonzero(~sub[iu, ju])
-                if bad.size:
-                    k = int(bad[0])
-                    miss_u = int(prev[iu[k]])
-                    miss_v = int(prev[ju[k]])
-        weight[adj[best] & ~numbered] += 1
-    return order, miss_u, miss_v
-
-
-def _as_dense(adj) -> np.ndarray:
-    a = np.ascontiguousarray(adj, dtype=np.bool_)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("adjacency matrix must be square")
-    return a
-
-
-def min_fill(adj) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Greedy minimum-fill elimination order over a dense adjacency matrix.
-
-    Returns ``(order, fill_u, fill_v)`` where the fill arrays list the edges
-    added during elimination, in insertion order.
+    Returns ``(order, fill)`` where ``fill`` lists the added edges ``(u, v)``
+    with ``u < v`` in insertion order: per elimination, by ascending u and
+    then ascending v.  Each vertex's fill cost is kept; an elimination
+    recomputes it for the eliminated vertex's neighbours and lowers it by
+    one for each other common neighbour of a new fill edge.  A lazy heap
+    keyed on ``(cost, id)`` picks the next vertex.
     """
-    a = _as_dense(adj)
-    if a.shape[0] == 0:
-        empty = np.empty(0, np.int64)
-        return empty, empty.copy(), empty.copy()
-    if numba_enabled():
-        order, fu, fv = _min_fill_nb(a)
-    else:
-        order, fu, fv = _min_fill_np(a)
-    return order, fu, fv
+    adj = {v: set(g.neighbors(v)) for v in g.vertices()}
+    cost = {v: _fill_cost(adj, v) for v in adj}
+    heap = [(c, v) for v, c in cost.items()]
+    heapq.heapify(heap)
+    order: list[int] = []
+    fill: list[tuple[int, int]] = []
+    while heap:
+        c, x = heapq.heappop(heap)
+        if x not in adj or cost[x] != c:
+            continue  # eliminated, or a stale cost
+        order.append(x)
+        nbrs = adj.pop(x)
+        for u in nbrs:
+            adj[u].discard(x)
+        changed = set()
+        if c:
+            for u in sorted(nbrs):
+                for v in sorted(w for w in nbrs - adj[u] if w > u):
+                    fill.append((u, v))
+                    for w in adj[u] & adj[v] - nbrs:
+                        cost[w] -= 1
+                        changed.add(w)
+                    adj[u].add(v)
+                    adj[v].add(u)
+        for u in nbrs:
+            new = _fill_cost(adj, u)
+            if new != cost[u]:
+                cost[u] = new
+                changed.add(u)
+        for u in changed:
+            heapq.heappush(heap, (cost[u], u))
+    return order, fill
 
 
-def mcs(adj) -> tuple[np.ndarray, int, int]:
+def mcs(g: "UndirectedGraph") -> tuple[list[int], tuple[int, int] | None]:
     """Maximum cardinality search with a zero-fill chordality check.
 
-    Returns ``(order, miss_u, miss_v)``; ``miss_u == miss_v == -1`` means the
-    graph is chordal, otherwise ``{miss_u, miss_v}`` is a missing edge whose
-    absence violates the perfect-elimination condition.
+    Returns ``(order, witness)``.  ``witness`` is None when the graph is
+    chordal.  Otherwise it is the first missing pair ``(u, v)``, ``u < v``,
+    among the earlier-visited neighbours of the first vertex whose
+    earlier-visited neighbours are not a clique.
     """
-    a = _as_dense(adj)
-    if a.shape[0] == 0:
-        return np.empty(0, np.int64), -1, -1
-    if numba_enabled():
-        order, mu, mv = _mcs_nb(a)
-    else:
-        order, mu, mv = _mcs_np(a)
-    return order, int(mu), int(mv)
+    adj = {v: g.neighbors(v) for v in g.vertices()}
+    weight = dict.fromkeys(adj, 0)
+    heap = [(0, v) for v in adj]  # sorted, hence already a heap
+    visited: set[int] = set()
+    last: dict[int, int] = {}  # the latest-visited neighbour, per vertex
+    order: list[int] = []
+    witness = None
+    while heap:
+        negw, x = heapq.heappop(heap)
+        if x in visited or -negw != weight[x]:
+            continue
+        order.append(x)
+        visited.add(x)
+        if witness is None:
+            # While every earlier-visited set was a clique, x's is one iff
+            # it lies in the closed neighbourhood of its latest-visited member
+            # f (whose own earlier-visited set is a clique holding the rest).
+            prev = adj[x] & visited
+            f = last.get(x)
+            if f is not None and len(prev - adj[f]) > 1:
+                witness = _first_missing_pair(adj, prev)
+        for v in adj[x]:
+            if v not in visited:
+                weight[v] += 1
+                last[v] = x
+                heapq.heappush(heap, (-weight[v], v))
+    return order, witness
+
+
+def _first_missing_pair(adj: dict[int, set[int]], vs: set[int]) -> tuple[int, int]:
+    for u in sorted(vs):
+        # any missing partner below u would have been reported at its turn
+        missing = vs - adj[u]
+        missing.discard(u)
+        if missing:
+            return u, min(missing)
+    raise ValueError("vertex set is a clique")

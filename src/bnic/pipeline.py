@@ -41,12 +41,8 @@ def triangulate_min_fill(g: UndirectedGraph) -> Triangulation:
 
     Ties are broken by ascending vertex id, so the result is deterministic.
     """
-    if len(g) == 0:
-        return Triangulation(g.copy(), (), frozenset())
-    dense, idx = g.to_dense()
-    order, fu, fv = kernels.min_fill(dense)
-    fill = frozenset(frozenset((idx[int(a)], idx[int(b)])) for a, b in zip(fu, fv))
-    return Triangulation(g.copy(), tuple(idx[int(i)] for i in order), fill)
+    order, fill = kernels.min_fill(g)
+    return Triangulation(g.copy(), tuple(order), frozenset(frozenset(p) for p in fill))
 
 
 def recursive_thinning(t: Triangulation) -> Triangulation:
@@ -78,31 +74,21 @@ def recursive_thinning(t: Triangulation) -> Triangulation:
 
 def perfect_elimination_order(g: UndirectedGraph) -> tuple[int, ...]:
     """A perfect elimination order of a chordal graph (reversed MCS order)."""
-    if len(g) == 0:
-        return ()
-    dense, idx = g.to_dense()
-    order, mu, _ = kernels.mcs(dense)
-    if mu >= 0:
+    order, witness = kernels.mcs(g)
+    if witness is not None:
         raise NotChordalError("graph is not chordal")
-    return tuple(idx[int(i)] for i in order[::-1])
+    return tuple(reversed(order))
 
 
 def extract_cliques(g: UndirectedGraph) -> list[frozenset[int]]:
     """The maximal cliques of a chordal graph, in a deterministic order."""
-    if len(g) == 0:
-        return []
-    dense, idx = g.to_dense()
-    order, mu, mv = kernels.mcs(dense)
-    if mu >= 0:
-        raise NotChordalError(
-            f"graph is not chordal (missing edge {tuple(sorted((idx[mu], idx[mv])))})"
-        )
-    pos = {int(v): i for i, v in enumerate(order)}
-    candidates: list[frozenset[int]] = []
-    for i, v in enumerate(order):
-        v = int(v)
-        prev = [int(u) for u in range(len(idx)) if dense[v, u] and pos[u] < i]
-        candidates.append(frozenset(idx[u] for u in prev) | {idx[v]})
+    order, witness = kernels.mcs(g)
+    if witness is not None:
+        raise NotChordalError(f"graph is not chordal (missing edge {witness})")
+    pos = {v: i for i, v in enumerate(order)}
+    candidates = [
+        frozenset(u for u in g.neighbors(v) if pos[u] < i) | {v} for i, v in enumerate(order)
+    ]
     cliques = [c for c in candidates if not any(c < other for other in candidates)]
     return cliques
 

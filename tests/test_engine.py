@@ -1,3 +1,4 @@
+import sys
 from random import Random
 
 import pytest
@@ -465,6 +466,65 @@ def test_rewiring_never_severs_marked_subtrees():
             incremental_compile(model, script)
             ref = full_recompile(model.dag.copy())
             assert mpd_equal(model.mpd, ref.mpd) and validate(model).passed
+
+
+def test_rejected_batch_leaves_the_model_untouched():
+    # the cycle only shows at the second edit; the first must not stay
+    # applied or leave its mark behind
+    dag = Dag()
+    a, b, c, d = (dag.add_node(name) for name in "ABCD")
+    for p, ch in [(a, d), (b, c), (c, d)]:
+        dag.add_arc(p, ch)
+    model = full_recompile(dag.copy())
+    clusters = model.jt.cluster_multiset()
+    with pytest.raises(CycleError):
+        incremental_compile(model, [RemoveArc(a, d), AddArc(c, b)])
+    assert model.dag == dag
+    assert not model.mpd.marked_ids() and not model.jt.marked_ids()
+    assert model.jt.cluster_multiset() == clusters
+    assert validate(model).passed
+
+
+def _stack_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def _compile_under_low_recursion_limit(model, mods):
+    # the limit sits far above the engine's ordinary call depth but below
+    # the number of clusters each walk crosses (about 300)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 150)
+    try:
+        incremental_compile(model, mods)
+    finally:
+        sys.setrecursionlimit(old)
+    assert mpd_equal(model.mpd, full_recompile(model.dag.copy()).mpd)
+
+
+def test_closing_a_long_chain_needs_no_recursion():
+    # connect walks every clique of the chain's rebuilt region
+    dag = Dag()
+    v = [dag.add_node(f"v{i}") for i in range(300)]
+    for p, c in zip(v, v[1:]):
+        dag.add_arc(p, c)
+    model = full_recompile(dag)
+    _compile_under_low_recursion_limit(model, [AddArc(v[0], v[-1])])
+
+
+def test_removing_a_hub_of_a_long_chain_needs_no_recursion():
+    # the hub sits in every MPS {hub, v_i, v_i+1}; its removal walks them all
+    dag = Dag()
+    v = [dag.add_node(f"v{i}") for i in range(300)]
+    hub = dag.add_node("hub")
+    for p, c in zip(v, v[1:]):
+        dag.add_arc(p, c)
+    for c in v:
+        dag.add_arc(hub, c)
+    model = full_recompile(dag)
+    _compile_under_low_recursion_limit(model, expand_remove_node(model.dag, hub))
 
 
 # -- batch vs simple ----------------------------------------------------------

@@ -1,7 +1,87 @@
 import numpy as np
 import pytest
 
-from bnic import kernels
+from bnic import UndirectedGraph, kernels
+
+
+# -- dense scalar reference loops --------------------------------------------
+
+
+def _min_fill_reference(adj):
+    # Greedy minimum-fill elimination over a dense matrix.  Ties broken by
+    # ascending index.  Returns the elimination order and the fill edges
+    # (parallel u/v lists) in insertion order.
+    n = adj.shape[0]
+    work = adj.copy()
+    alive = np.ones(n, np.bool_)
+    order = []
+    fill_u, fill_v = [], []
+    for _ in range(n):
+        best = -1
+        best_cost = -1
+        for v in range(n):
+            if not alive[v]:
+                continue
+            cost = 0
+            for i in range(n):
+                if alive[i] and work[v, i]:
+                    for j in range(i + 1, n):
+                        if alive[j] and work[v, j] and not work[i, j]:
+                            cost += 1
+            if best == -1 or cost < best_cost:
+                best = v
+                best_cost = cost
+        order.append(best)
+        for i in range(n):
+            if alive[i] and work[best, i]:
+                for j in range(i + 1, n):
+                    if alive[j] and work[best, j] and not work[i, j]:
+                        work[i, j] = True
+                        work[j, i] = True
+                        fill_u.append(i)
+                        fill_v.append(j)
+        alive[best] = False
+    return order, fill_u, fill_v
+
+
+def _mcs_reference(adj):
+    # Maximum cardinality search with an inline zero-fill check.  Returns the
+    # visit order plus the first missing edge among the already-visited
+    # neighbours of some vertex; (-1, -1) when the graph is chordal.
+    n = adj.shape[0]
+    weight = np.zeros(n, np.int64)
+    numbered = np.zeros(n, np.bool_)
+    order = []
+    miss_u = -1
+    miss_v = -1
+    for _ in range(n):
+        best = -1
+        best_w = -1
+        for v in range(n):
+            if not numbered[v] and weight[v] > best_w:
+                best = v
+                best_w = weight[v]
+        order.append(best)
+        numbered[best] = True
+        if miss_u < 0:
+            done = False
+            for i in range(n):
+                if numbered[i] and i != best and adj[best, i]:
+                    for j in range(i + 1, n):
+                        if numbered[j] and j != best and adj[best, j] and not adj[i, j]:
+                            miss_u = i
+                            miss_v = j
+                            done = True
+                            break
+                    if done:
+                        break
+        for v in range(n):
+            if not numbered[v] and adj[best, v]:
+                weight[v] += 1
+    return order, miss_u, miss_v
+
+
+# -- helpers ---------------------------------------------------------------------
 
 
 def _random_adj(rng, n, p):
@@ -11,37 +91,43 @@ def _random_adj(rng, n, p):
     return np.ascontiguousarray(a, dtype=np.bool_)
 
 
+def _graph(adj, ids):
+    """The graph of a dense matrix whose index i stands for vertex ids[i]."""
+    n = adj.shape[0]
+    edges = [(ids[i], ids[j]) for i in range(n) for j in range(i + 1, n) if adj[i, j]]
+    return UndirectedGraph.from_edges(ids, edges)
+
+
+def _spaced_ids(n):
+    # ascending but not contiguous, so index and id differ
+    return [3 * i + 1 for i in range(n)]
+
+
+# -- tests ---------------------------------------------------------------------
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 12, 20])
-def test_backends_produce_identical_min_fill(monkeypatch, n):
+def test_backends_produce_identical_min_fill(n):
+    # the adjacency-set kernel against the dense reference loop
     rng = np.random.default_rng(n)
     adj = _random_adj(rng, n, 0.3)
-    order_nb, fu_nb, fv_nb = kernels.min_fill(adj)
-    monkeypatch.setenv("BNIC_NUMBA", "0")
-    order_np, fu_np, fv_np = kernels.min_fill(adj)
-    assert np.array_equal(order_nb, order_np)
-    assert np.array_equal(fu_nb, fu_np)
-    assert np.array_equal(fv_nb, fv_np)
+    ids = _spaced_ids(n)
+    order, fill = kernels.min_fill(_graph(adj, ids))
+    ref_order, ref_u, ref_v = _min_fill_reference(adj)
+    assert order == [ids[i] for i in ref_order]
+    assert fill == [(ids[u], ids[v]) for u, v in zip(ref_u, ref_v)]
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 12, 20])
-def test_backends_produce_identical_mcs(monkeypatch, n):
+def test_backends_produce_identical_mcs(n):
+    # the adjacency-set kernel against the dense reference loop
     rng = np.random.default_rng(100 + n)
     adj = _random_adj(rng, n, 0.3)
-    res_nb = kernels.mcs(adj)
-    monkeypatch.setenv("BNIC_NUMBA", "0")
-    res_np = kernels.mcs(adj)
-    assert np.array_equal(res_nb[0], res_np[0])
-    assert res_nb[1:] == res_np[1:]
-
-
-def test_env_flag_disables_numba(monkeypatch):
-    if not kernels.HAS_NUMBA:
-        pytest.skip("numba not installed")
-    assert kernels.numba_enabled()
-    monkeypatch.setenv("BNIC_NUMBA", "0")
-    assert not kernels.numba_enabled()
-    monkeypatch.setenv("BNIC_NUMBA", "off")
-    assert not kernels.numba_enabled()
+    ids = _spaced_ids(n)
+    order, witness = kernels.mcs(_graph(adj, ids))
+    ref_order, mu, mv = _mcs_reference(adj)
+    assert order == [ids[i] for i in ref_order]
+    assert witness == (None if mu < 0 else (ids[mu], ids[mv]))
 
 
 def test_min_fill_triangulates():
@@ -49,21 +135,21 @@ def test_min_fill_triangulates():
     for _ in range(20):
         n = int(rng.integers(2, 12))
         adj = _random_adj(rng, n, 0.3)
-        order, fu, fv = kernels.min_fill(adj)
+        g = _graph(adj, list(range(n)))
+        order, fill = kernels.min_fill(g)
         assert sorted(order) == list(range(n))
-        filled = adj.copy()
-        for u, v in zip(fu, fv):
-            assert not filled[u, v]
-            filled[u, v] = filled[v, u] = True
-        _, mu, mv = kernels.mcs(filled)
-        assert (mu, mv) == (-1, -1)
+        for u, v in fill:
+            assert u < v and not g.has_edge(u, v)
+            g.add_edge(u, v)
+            adj[u, v] = adj[v, u] = True
+        order, witness = kernels.mcs(g)
+        assert witness is None
+        assert order == _mcs_reference(adj)[0]
 
 
 def test_mcs_witness_is_a_missing_edge():
     # 4-cycle: not chordal, witness must be one of the two diagonals
-    adj = np.zeros((4, 4), dtype=np.bool_)
-    for u, v in [(0, 1), (1, 2), (2, 3), (3, 0)]:
-        adj[u, v] = adj[v, u] = True
-    _, mu, mv = kernels.mcs(adj)
-    assert {mu, mv} in ({0, 2}, {1, 3})
-    assert not adj[mu, mv]
+    g = UndirectedGraph.from_edges(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)])
+    _, witness = kernels.mcs(g)
+    assert witness in ((0, 2), (1, 3))
+    assert not g.has_edge(*witness)
