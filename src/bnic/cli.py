@@ -129,9 +129,11 @@ def _print_trace(model: CompiledModel, trace: BatchTrace) -> None:
 
 
 def _verify(model: CompiledModel) -> str | None:
+    """None when the model is valid, else the failing check's name and detail."""
     report = validate(model)
     if not report.passed:
-        return report.first_failure
+        failed = next(c for c in report.checks if not c.passed)
+        return f"{failed.name}: {failed.detail}" if failed.detail else failed.name
     reference = full_recompile(model.dag)
     if not mpd_equal(model.mpd, reference.mpd):
         return "mpd_equality_vs_full_recompile"

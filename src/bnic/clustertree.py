@@ -51,8 +51,13 @@ class ClusterTree:
     def cluster_ids(self) -> list[int]:
         return sorted(self._clusters)
 
-    def clusters_containing(self, v: int) -> list[int]:
-        return sorted(c for c, vs in self._clusters.items() if v in vs)
+    def vertex_index(self) -> dict[int, list[int]]:
+        """For every vertex, the ids of the clusters holding it, ascending."""
+        index: dict[int, list[int]] = {}
+        for cid in sorted(self._clusters):
+            for v in self._clusters[cid]:
+                index.setdefault(v, []).append(cid)
+        return index
 
     def vertices(self) -> set[int]:
         out: set[int] = set()

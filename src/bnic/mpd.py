@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from random import Random
 
 from .clustertree import ClusterTree
 from .graph import UndirectedGraph
@@ -39,35 +38,32 @@ class MpdIndex:
         )
 
 
-def aggregate_cliques(
-    jt: ClusterTree, gm: UndirectedGraph, rng: Random | None = None
-) -> tuple[ClusterTree, MpdIndex]:
+def aggregate_cliques(jt: ClusterTree, gm: UndirectedGraph) -> tuple[ClusterTree, MpdIndex]:
     """Merge adjacent clusters across separators incomplete in the moral graph.
 
-    The scan runs over edges in ascending id-pair order and restarts after
-    every merge; the merged cluster keeps the smaller id.  The resulting
-    cluster multiset is independent of merge order (pass rng to randomise
-    the order, used by the shuffle-order tests).  Requires a junction tree
-    built from a minimal triangulation of gm.
+    The maximal prime subgraphs are the connected components of the junction
+    tree cut down to its incomplete separators (Olesen & Madsen, IEEE SMC-B
+    2002).  Contracting an edge never changes another edge's separator, so
+    one pass finds every group: each MPS keeps the smallest id of its group
+    and the union of its vertex sets, and the complete separators become
+    the MPS tree's edges.  Requires a junction tree built from a minimal
+    triangulation of gm.
     """
     mpd = jt.copy()
     mpd.clear_marks()
-    groups: dict[int, set[int]] = {cid: {cid} for cid in mpd.cluster_ids()}
-    while True:
-        incomplete = [
-            (a, b) for a, b, sep in mpd.edges() if not gm.is_complete(sep)
-        ]
-        if not incomplete:
-            break
-        a, b = incomplete[0] if rng is None else rng.choice(incomplete)
-        keep, gone = (a, b) if a < b else (b, a)
-        merged = mpd.cluster(keep) | mpd.cluster(gone)
-        groups[keep] |= groups.pop(gone)
-        mpd.merge_into(gone, keep)
-        mpd.replace_cluster(keep, merged)
+    complete = [(a, b, sep) for a, b, sep in jt.edges() if gm.is_complete(sep)]
+    for a, b, _ in complete:
+        mpd.remove_edge(a, b)
+    groups = {min(comp): comp for comp in mpd.components()}
+    root = {c: r for r, comp in groups.items() for c in comp}
+    for r, comp in groups.items():
+        for c in comp - {r}:
+            mpd.remove_cluster(c)
+        mpd.replace_cluster(r, frozenset().union(*(jt.cluster(c) for c in comp)))
+    for a, b, sep in complete:
+        mpd.add_edge(root[a], root[b], sep)
 
     index = MpdIndex(cliques_of=groups, clique_of=dict(jt.family))
-    owner = index.owner_map()
-    index.mps_of = {v: owner[c] for v, c in index.clique_of.items()}
+    index.mps_of = {v: root[c] for v, c in index.clique_of.items()}
     mpd.family = index.mps_of
     return mpd, index

@@ -6,7 +6,7 @@ independent of the incremental engine's bookkeeping.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from random import Random
 
@@ -60,6 +60,14 @@ class ValidityReport:
                 return c.name
         return None
 
+    def to_dict(self) -> dict:
+        """A JSON-ready form: every check in order, the verdict and the first failure."""
+        return {
+            "passed": self.passed,
+            "first_failure": self.first_failure,
+            "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in self.checks],
+        }
+
     def __str__(self) -> str:
         lines = [
             f"  {'PASS' if c.passed else 'FAIL'}  {c.name}" + (f": {c.detail}" if c.detail and not c.passed else "")
@@ -85,7 +93,18 @@ def _connected_within(tree: ClusterTree, ids: list[int]) -> bool:
 
 
 def validate(model: CompiledModel) -> ValidityReport:
-    """Run every structural check against independently re-derived facts."""
+    """Run every structural check against independently re-derived facts.
+
+    Each check's detail is empty when it passes.  Two facts keep the checks
+    close to linear.  Removing an edge from a chordal graph keeps it chordal
+    iff the edge lies in exactly one maximal clique (Heggernes, "Minimal
+    triangulations of graphs: a survey", Discrete Math. 2006), so
+    minimality counts, per fill edge, the maximal cliques holding both ends.
+    In a tree, the clusters holding a variable induce a forest whose
+    component count is the number of those clusters less the number of tree
+    edges both of whose ends hold it, so running intersection is one count
+    per variable.
+    """
     checks: list[Check] = []
     dag, moral, jt, mpd, index, tri = (
         model.dag,
@@ -96,70 +115,72 @@ def validate(model: CompiledModel) -> ValidityReport:
         model.tri,
     )
 
-    expected_moral = moralize(dag)
-    checks.append(
-        Check(
-            "moral_graph",
-            moral == expected_moral,
-            "stored moral graph differs from moralize(dag)",
-        )
-    )
+    def check(name: str, passed: bool, detail: str) -> None:
+        checks.append(Check(name, passed, "" if passed else detail))
+
+    check("moral_graph", moral == moralize(dag), "stored moral graph differs from moralize(dag)")
 
     gt = tri.graph()
     chordal, witness = is_chordal(gt)
-    checks.append(
-        Check("triangulation_chordal", chordal, f"missing chord at {witness}")
-    )
+    check("triangulation_chordal", chordal, f"missing chord at {witness}")
 
-    minimal = chordal
-    offender = None
+    cliques, redundant = [], None
     if chordal:
+        cliques = extract_cliques(gt)
+        holders: dict[int, list[frozenset[int]]] = defaultdict(list)
+        for c in cliques:
+            for v in c:
+                holders[v].append(c)
         for pair in sorted(tri.fill, key=sorted):
             u, v = sorted(pair)
-            probe = gt.copy()
-            probe.remove_edge(u, v)
-            if is_chordal(probe)[0]:
-                minimal = False
-                offender = (u, v)
+            if sum(v in c for c in holders[u]) == 1:
+                redundant = (u, v)
                 break
-    checks.append(
-        Check("triangulation_minimal", minimal, f"fill edge {offender} is redundant")
+    check(
+        "triangulation_minimal",
+        chordal and redundant is None,
+        f"fill edge {redundant} is redundant" if chordal else "not checked: triangulation is not chordal",
     )
 
-    rip = jt.is_tree() and jt.vertices() == set(dag.nodes())
-    if rip:
-        for v in dag.nodes():
-            if not _connected_within(jt, jt.clusters_containing(v)):
-                rip = False
-                offender = v
-                break
-    checks.append(
-        Check("running_intersection", rip, f"violated for variable {offender}")
+    nodes = set(dag.nodes())
+    rip_detail = ""
+    if not jt.is_tree():
+        rip_detail = "the junction tree is not a tree"
+    elif jt.vertices() != nodes:
+        rip_detail = "junction tree variables differ from the dag's"
+    else:
+        held = Counter(v for c in jt.cluster_ids() for v in jt.cluster(c))
+        linked = Counter(v for a, b, _ in jt.edges() for v in jt.cluster(a) & jt.cluster(b))
+        broken = next((v for v in dag.nodes() if held[v] - linked[v] != 1), None)
+        if broken is not None:
+            rip_detail = f"violated for variable {broken}"
+    rip = not rip_detail
+    check("running_intersection", rip, rip_detail)
+
+    check(
+        "separator_intersection",
+        all(sep == jt.cluster(a) & jt.cluster(b) for a, b, sep in jt.edges()),
+        "a junction separator is not the endpoint intersection",
     )
 
-    sep_ok = all(sep == jt.cluster(a) & jt.cluster(b) for a, b, sep in jt.edges())
-    checks.append(
-        Check("separator_intersection", sep_ok, "a junction separator is not the endpoint intersection")
+    check(
+        "cluster_completeness",
+        all(gt.is_complete(jt.cluster(c)) for c in jt.cluster_ids()),
+        "a cluster is incomplete in the triangulated graph",
     )
 
-    complete_ok = all(gt.is_complete(jt.cluster(c)) for c in jt.cluster_ids())
-    checks.append(
-        Check("cluster_completeness", complete_ok, "a cluster is incomplete in the triangulated graph")
+    check(
+        "cluster_maximality",
+        not chordal or Counter(cliques) == jt.cluster_multiset(),
+        "clusters are not exactly the maximal cliques of the triangulated graph",
     )
 
-    maximal_ok = True
-    if chordal:
-        maximal_ok = Counter(extract_cliques(gt)) == jt.cluster_multiset()
-    checks.append(
-        Check(
-            "cluster_maximality",
-            maximal_ok,
-            "clusters are not exactly the maximal cliques of the triangulated graph",
-        )
-    )
-
-    fam_ok = set(index.clique_of) == set(dag.nodes()) and set(index.mps_of) == set(dag.nodes())
-    if fam_ok:
+    fam_detail = ""
+    if set(index.clique_of) != nodes or set(index.mps_of) != nodes:
+        unhosted = sorted(nodes - (set(index.clique_of) & set(index.mps_of)))
+        extra = sorted((set(index.clique_of) | set(index.mps_of)) - nodes)
+        fam_detail = f"family map variables differ from the dag's: missing {unhosted}, unknown {extra}"
+    else:
         for v in dag.nodes():
             fam = dag.family(v)
             if not (
@@ -168,16 +189,14 @@ def validate(model: CompiledModel) -> ValidityReport:
                 and fam <= jt.cluster(index.clique_of[v])
                 and fam <= mpd.cluster(index.mps_of[v])
             ):
-                fam_ok = False
-                offender = v
+                fam_detail = f"family of {v} is not hosted"
                 break
-    checks.append(Check("family_coverage", fam_ok, f"family of {offender} is not hosted"))
+    check("family_coverage", not fam_detail, fam_detail)
 
-    mpd_sep_ok = mpd.is_tree() and all(
-        moral.is_complete(sep) for _, _, sep in mpd.edges()
-    )
-    checks.append(
-        Check("mpd_separators", mpd_sep_ok, "an MPS separator is incomplete in the moral graph")
+    check(
+        "mpd_separators",
+        mpd.is_tree() and all(moral.is_complete(sep) for _, _, sep in mpd.edges()),
+        "an MPS separator is incomplete in the moral graph",
     )
 
     mpd_multiset_ok = False
@@ -187,12 +206,10 @@ def validate(model: CompiledModel) -> ValidityReport:
             reference.cluster_multiset() == mpd.cluster_multiset()
             and reference.separator_multiset() == mpd.separator_multiset()
         )
-    checks.append(
-        Check(
-            "mpd_multiset",
-            mpd_multiset_ok,
-            "MPS clusters/separators differ from re-aggregating the junction tree",
-        )
+    check(
+        "mpd_multiset",
+        mpd_multiset_ok,
+        "MPS clusters/separators differ from re-aggregating the junction tree",
     )
 
     idx_ok = sorted(c for cs in index.cliques_of.values() for c in cs) == jt.cluster_ids()
@@ -206,9 +223,7 @@ def validate(model: CompiledModel) -> ValidityReport:
     if idx_ok:
         owner = index.owner_map()
         idx_ok = all(index.mps_of[v] == owner[index.clique_of[v]] for v in index.clique_of)
-    checks.append(
-        Check("mpd_index", idx_ok, "clique/MPS index is inconsistent with the trees")
-    )
+    check("mpd_index", idx_ok, "clique/MPS index is inconsistent with the trees")
 
     return ValidityReport(tuple(checks))
 

@@ -8,6 +8,7 @@ assignment.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from . import kernels
@@ -81,7 +82,14 @@ def perfect_elimination_order(g: UndirectedGraph) -> tuple[int, ...]:
 
 
 def extract_cliques(g: UndirectedGraph) -> list[frozenset[int]]:
-    """The maximal cliques of a chordal graph, in a deterministic order."""
+    """The maximal cliques of a chordal graph, in maximum-cardinality-search order.
+
+    Each vertex together with its earlier-visited neighbours is a clique,
+    and every maximal clique is one of these candidates.  Under MCS on a
+    chordal graph a candidate is maximal iff it is not contained in the
+    next candidate (Blair & Peyton 1993), so one pass over consecutive
+    pairs keeps exactly the maximal ones.
+    """
     order, witness = kernels.mcs(g)
     if witness is not None:
         raise NotChordalError(f"graph is not chordal (missing edge {witness})")
@@ -89,8 +97,7 @@ def extract_cliques(g: UndirectedGraph) -> list[frozenset[int]]:
     candidates = [
         frozenset(u for u in g.neighbors(v) if pos[u] < i) | {v} for i, v in enumerate(order)
     ]
-    cliques = [c for c in candidates if not any(c < other for other in candidates)]
-    return cliques
+    return [c for c, nxt in zip(candidates, candidates[1:] + [frozenset()]) if not c < nxt]
 
 
 def build_join_tree(cliques: list[frozenset[int]]) -> ClusterTree:
@@ -98,18 +105,19 @@ def build_join_tree(cliques: list[frozenset[int]]) -> ClusterTree:
 
     Kruskal over the clique graph with weight |Ci ∩ Cj|, ties by ascending
     cluster-id pair; disconnected components are afterwards joined by empty
-    separators so the result is always a single tree.
+    separators so the result is always a single tree.  Only pairs that
+    share a vertex have positive weight, so the candidates are gathered
+    through a vertex -> cluster index, with each weight counted there.
     """
     tree = ClusterTree()
     ids = [tree.add_cluster(c) for c in cliques]
     if not ids:
         return tree
+    holders = tree.vertex_index()
     candidates = []
-    for i, a in enumerate(ids):
-        for b in ids[i + 1 :]:
-            w = len(tree.cluster(a) & tree.cluster(b))
-            if w > 0:
-                candidates.append((-w, a, b))
+    for a in ids:
+        shared = Counter(b for v in tree.cluster(a) for b in holders[v] if b > a)
+        candidates.extend((-w, a, b) for b, w in shared.items())
     candidates.sort()
     comp = {c: c for c in ids}
 
@@ -124,28 +132,30 @@ def build_join_tree(cliques: list[frozenset[int]]) -> ClusterTree:
         if ra != rb:
             comp[ra] = rb
             tree.add_edge(a, b, tree.cluster(a) & tree.cluster(b))
-    roots = sorted({find(c) for c in ids})
-    if len(roots) > 1:
-        anchors = [min(c for c in ids if find(c) == r) for r in roots]
-        for other in anchors[1:]:
-            tree.add_edge(anchors[0], other, frozenset())
+    anchor_of: dict[int, int] = {}  # component root -> its smallest cluster id
+    for c in ids:
+        anchor_of.setdefault(find(c), c)
+    anchors = [anchor_of[r] for r in sorted(anchor_of)]
+    for other in anchors[1:]:
+        tree.add_edge(anchors[0], other, frozenset())
     return tree
 
 
-def assign_families(dag: Dag, tree: ClusterTree, variables=None) -> None:
-    """Point each variable's family map entry at its smallest covering cluster."""
-    for vid in sorted(variables) if variables is not None else dag.nodes():
+def assign_families(dag: Dag, tree: ClusterTree) -> None:
+    """Point each variable's family map entry at its smallest covering cluster.
+
+    Ties go to the smaller cluster id.  Only clusters holding the variable
+    itself can cover its family, so only those are scanned.
+    """
+    holders = tree.vertex_index()
+    for vid in dag.nodes():
         fam = dag.family(vid)
-        best = None
-        for cid in tree.cluster_ids():
-            vs = tree.cluster(cid)
-            if fam <= vs and (best is None or (len(vs), cid) < best[0]):
-                best = ((len(vs), cid), cid)
-        if best is None:
+        hosts = [(len(tree.cluster(c)), c) for c in holders.get(vid, ()) if fam <= tree.cluster(c)]
+        if not hosts:
             raise InconsistencyError(
                 f"no cluster contains the family of variable {vid}: triangulation bug"
             )
-        tree.family[vid] = best[1]
+        tree.family[vid] = min(hosts)[1]
 
 
 def construct_join_tree(gm: UndirectedGraph, dag: Dag | None = None) -> tuple[ClusterTree, Triangulation]:

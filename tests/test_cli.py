@@ -99,6 +99,20 @@ def test_apply_verification_failure_exits_2(tmp_path, capsys, monkeypatch):
     assert "running_intersection" in err
 
 
+def test_apply_verification_failure_prints_the_detail(tmp_path, capsys, monkeypatch):
+    from bnic.oracle import Check, ValidityReport
+
+    failing = Check("family_coverage", False, "family of 3 is not hosted")
+    monkeypatch.setattr(
+        cli, "validate", lambda model: ValidityReport((Check("moral_graph", True), failing))
+    )
+    script = tmp_path / "edit.script"
+    script.write_text("remove-arc L E\n")
+    code, _, err = run(capsys, "apply", str(DATA / "asia.bn"), str(script), "--verify")
+    assert code == 2
+    assert "after flush 1: family_coverage: family of 3 is not hosted" in err
+
+
 def test_apply_only_compile_marker_is_a_verified_noop(tmp_path, capsys):
     script = tmp_path / "edit.script"
     script.write_text("compile\n")

@@ -48,15 +48,36 @@ def test_aggregate_is_identity_when_all_separators_complete(asia):
     assert all(cs and len(cs) == 1 for cs in index.cliques_of.values())
 
 
+def _aggregate_by_restart_scan(jt, gm, rng):
+    # Reference: contract one incomplete separator at a time, drawn by rng
+    # from those left after rescanning the whole tree; the merged cluster
+    # keeps the smaller id.
+    mpd = jt.copy()
+    mpd.clear_marks()
+    while True:
+        incomplete = [(a, b) for a, b, sep in mpd.edges() if not gm.is_complete(sep)]
+        if not incomplete:
+            return mpd
+        a, b = rng.choice(incomplete)
+        keep, gone = min(a, b), max(a, b)
+        merged = mpd.cluster(keep) | mpd.cluster(gone)
+        mpd.merge_into(gone, keep)
+        mpd.replace_cluster(keep, merged)
+
+
 def test_aggregate_result_is_merge_order_independent():
-    dag = random_dag(10, Random(11), edge_prob=0.3)
-    gm = moralize(dag)
-    tree, _ = construct_join_tree(gm, dag)
-    reference, _ = aggregate_cliques(tree, gm)
-    for shuffle_seed in range(20):
-        shuffled, _ = aggregate_cliques(tree, gm, rng=Random(shuffle_seed))
-        assert shuffled.cluster_multiset() == reference.cluster_multiset()
-        assert shuffled.separator_multiset() == reference.separator_multiset()
+    for seed in (11, 12, 13):
+        dag = random_dag(24, Random(seed), edge_prob=0.25)
+        gm = moralize(dag)
+        tree, _ = construct_join_tree(gm, dag)
+        one_pass, _ = aggregate_cliques(tree, gm)
+        assert len(tree) - len(one_pass) >= 5
+        clusters = {c: one_pass.cluster(c) for c in one_pass.cluster_ids()}
+        for shuffle_seed in range(20):
+            scanned = _aggregate_by_restart_scan(tree, gm, Random(shuffle_seed))
+            assert {c: scanned.cluster(c) for c in scanned.cluster_ids()} == clusters
+            assert scanned.edges() == one_pass.edges()
+            assert scanned.family == one_pass.family
 
 
 def test_mpd_separators_complete_and_rip(asia_model):
@@ -64,8 +85,8 @@ def test_mpd_separators_complete_and_rip(asia_model):
     assert mpd.is_tree()
     for _, _, sep in mpd.edges():
         assert moral.is_complete(sep)
-    for v in mpd.vertices():
-        members = set(mpd.clusters_containing(v))
+    for members in mpd.vertex_index().values():
+        members = set(members)
         start = next(iter(members))
         seen, stack = {start}, [start]
         while stack:

@@ -1,4 +1,7 @@
+import json
 from random import Random
+
+import pytest
 
 from bnic import (
     CompiledModel,
@@ -11,6 +14,7 @@ from bnic import (
     extract_cliques,
     full_recompile,
     incremental_compile,
+    is_chordal,
     moralize,
     mpd_equal,
     random_dag,
@@ -55,26 +59,202 @@ def test_validate_passes_on_fresh_compilations():
         assert validate(full_recompile(dag)).passed
 
 
-def test_validate_flags_redundant_fill(asia):
-    # build a model whose triangulation carries one fill edge too many
-    t = asia.table
-    gm = moralize(asia)
+def _with_fill(dag, fill):
+    # A model over dag whose triangulation is the moral graph plus fill,
+    # with every other structure derived from that triangulation.
+    gm = moralize(dag)
     gt = gm.copy()
-    fill = frozenset({frozenset((t.id("L"), t.id("B"))), frozenset((t.id("S"), t.id("E")))})
     for pair in fill:
         u, v = sorted(pair)
         gt.add_edge(u, v)
     tree = build_join_tree(extract_cliques(gt))
-    assign_families(asia, tree)
+    assign_families(dag, tree)
     mpd, index = aggregate_cliques(tree, gm)
-    model = CompiledModel(
-        asia, gm, tree, mpd, index, Triangulation(gm, perfect_elimination_order(gt), fill)
+    return CompiledModel(
+        dag, gm, tree, mpd, index, Triangulation(gm, perfect_elimination_order(gt), frozenset(fill))
     )
-    report = validate(model)
+
+
+def _asia_with_both_diagonals(asia):
+    t = asia.table
+    fill = {frozenset((t.id("L"), t.id("B"))), frozenset((t.id("S"), t.id("E")))}
+    return _with_fill(asia, fill)
+
+
+def test_validate_flags_redundant_fill(asia):
+    # the triangulation carries one fill edge too many
+    report = validate(_asia_with_both_diagonals(asia))
     assert not report.passed
     assert report.first_failure == "triangulation_minimal"
     names = [c.name for c in report.checks]
     assert names.count("triangulation_minimal") == 1
+
+
+def _redundant_fill_reference(tri):
+    # One chordality test per fill edge, in sorted pair order: the first
+    # edge whose removal leaves the triangulated graph chordal.
+    gt = tri.graph()
+    for pair in sorted(tri.fill, key=sorted):
+        u, v = sorted(pair)
+        probe = gt.copy()
+        probe.remove_edge(u, v)
+        if is_chordal(probe)[0]:
+            return (u, v)
+    return None
+
+
+def _rip_offender_reference(jt, variables):
+    # One search per variable over the clusters holding it.
+    for v in variables:
+        members = [c for c in jt.cluster_ids() if v in jt.cluster(c)]
+        seen, stack = {members[0]}, [members[0]]
+        while stack:
+            for nb in jt.neighbors(stack.pop()):
+                if nb in members and nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+        if seen != set(members):
+            return v
+    return None
+
+
+CHECK_NAMES = [
+    "moral_graph",
+    "triangulation_chordal",
+    "triangulation_minimal",
+    "running_intersection",
+    "separator_intersection",
+    "cluster_completeness",
+    "cluster_maximality",
+    "family_coverage",
+    "mpd_separators",
+    "mpd_multiset",
+    "mpd_index",
+]
+
+
+def test_minimality_matches_single_edge_removal_probe():
+    # Models built from a thinned triangulation plus up to two extra edges
+    # that keep it chordal: every check but minimality passes, and
+    # minimality names the reference's first redundant fill edge.
+    rng = Random(23)
+    flagged = 0
+    for _ in range(60):
+        dag = random_dag(rng.randint(2, 25), rng, edge_prob=rng.choice([0.1, 0.2, 0.35]))
+        base = full_recompile(dag).tri
+        fill, gt = set(base.fill), base.graph()
+        vs = gt.vertices()
+        for _ in range(rng.randint(0, 2)):
+            for _ in range(50):
+                u, v = sorted(rng.sample(vs, 2))
+                probe = gt.copy()
+                probe.add_edge(u, v)
+                if not gt.has_edge(u, v) and is_chordal(probe)[0]:
+                    gt = probe
+                    fill.add(frozenset((u, v)))
+                    break
+        model = _with_fill(dag, fill)
+        redundant = _redundant_fill_reference(model.tri)
+        flagged += redundant is not None
+        expected = [
+            {"name": name, "passed": True, "detail": ""} for name in CHECK_NAMES
+        ]
+        if redundant is not None:
+            expected[2] = {
+                "name": "triangulation_minimal",
+                "passed": False,
+                "detail": f"fill edge {redundant} is redundant",
+            }
+        assert validate(model).to_dict()["checks"] == expected
+    assert flagged >= 20
+
+
+def test_running_intersection_matches_per_variable_search():
+    # Adding one variable to one cluster may disconnect that variable's
+    # clusters; the check must name the same first variable as a search.
+    rng = Random(31)
+    broken = 0
+    for _ in range(60):
+        dag = random_dag(rng.randint(3, 20), rng, edge_prob=0.25)
+        model = full_recompile(dag)
+        jt = model.jt
+        cid = rng.choice(jt.cluster_ids())
+        jt.replace_cluster(cid, jt.cluster(cid) | {rng.choice(dag.nodes())})
+        offender = _rip_offender_reference(jt, dag.nodes())
+        broken += offender is not None
+        rip = validate(model).checks[3]
+        assert rip.name == "running_intersection"
+        assert rip.passed == (offender is None)
+        assert rip.detail == ("" if offender is None else f"violated for variable {offender}")
+    assert broken >= 10
+
+
+def test_running_intersection_reports_a_broken_tree(asia):
+    model = _asia_with_both_diagonals(asia)
+    a, b, _ = model.jt.edges()[0]
+    model.jt.remove_edge(a, b)
+    rip = validate(model).checks[3]
+    assert (rip.name, rip.passed) == ("running_intersection", False)
+    assert rip.detail == "the junction tree is not a tree"
+
+
+def test_family_coverage_names_the_unhosted_variable(asia):
+    model = _asia_with_both_diagonals(asia)
+    d = asia.table.id("D")
+    del model.index.clique_of[d]
+    fam = validate(model).checks[7]
+    assert (fam.name, fam.passed) == ("family_coverage", False)
+    assert fam.detail == f"family map variables differ from the dag's: missing [{d}], unknown []"
+
+
+def test_report_to_dict_is_json_ready(asia):
+    report = validate(_asia_with_both_diagonals(asia))
+    d = json.loads(json.dumps(report.to_dict()))
+    assert d["passed"] is False
+    assert d["first_failure"] == "triangulation_minimal"
+    assert [c["name"] for c in d["checks"]] == CHECK_NAMES
+    failing = [c for c in d["checks"] if not c["passed"]]
+    assert [c["name"] for c in failing] == ["triangulation_minimal"]
+    assert failing[0]["detail"].startswith("fill edge (")
+    assert all(c["detail"] == "" for c in d["checks"] if c["passed"])
+    assert validate(full_recompile(asia)).to_dict()["passed"] is True
+
+
+def _chain(n):
+    dag = Dag()
+    ids = [dag.add_node(f"c{i}") for i in range(n)]
+    for p, c in zip(ids, ids[1:]):
+        dag.add_arc(p, c)
+    return dag
+
+
+def _redundant_extra_edge(model):
+    # u: the smallest vertex with a single neighbour x in the triangulated
+    # graph; v: x's smallest other neighbour.  With {u, v} added u stays
+    # simplicial, so the graph stays chordal, and {u, v} becomes the only
+    # fill edge held by a single maximal clique.
+    gt = model.tri.graph()
+    for u in gt.vertices():
+        if len(gt.neighbors(u)) == 1:
+            (x,) = gt.neighbors(u)
+            others = sorted(gt.neighbors(x) - {u})
+            if others:
+                return tuple(sorted((u, others[0])))
+    raise AssertionError("no vertex of degree one with a neighbour of degree two or more")
+
+
+@pytest.mark.parametrize(
+    "dag",
+    [_chain(1500), random_dag(300, Random(42), edge_prob=3 / 299)],
+    ids=["chain-1500", "random-300"],
+)
+def test_validate_at_scale_flags_one_injected_fill_edge(dag):
+    model = full_recompile(dag)
+    assert validate(model).passed
+    u, v = _redundant_extra_edge(model)
+    report = validate(_with_fill(dag, set(model.tri.fill) | {frozenset((u, v))}))
+    assert report.first_failure == "triangulation_minimal"
+    assert report.checks[2].detail == f"fill edge {(u, v)} is redundant"
 
 
 def test_mpd_equal_examples(asia, asia_model):

@@ -4,6 +4,7 @@ from random import Random
 import pytest
 
 from bnic import (
+    ClusterTree,
     NotChordalError,
     Triangulation,
     UndirectedGraph,
@@ -15,6 +16,7 @@ from bnic import (
     moralize,
     random_dag,
     recursive_thinning,
+    kernels,
     triangulate_min_fill,
 )
 
@@ -147,8 +149,8 @@ def test_extract_cliques_matches_brute_force_on_random_chordal_graphs():
 
 
 def _rip_holds(tree):
-    for v in tree.vertices():
-        members = set(tree.clusters_containing(v))
+    for members in tree.vertex_index().values():
+        members = set(members)
         start = next(iter(members))
         seen = {start}
         stack = [start]
@@ -223,6 +225,99 @@ def test_assign_families_contain_families_on_random_dags():
     tree, _ = construct_join_tree(moralize(dag), dag)
     for v in dag.nodes():
         assert dag.family(v) <= tree.cluster(tree.family[v])
+
+
+# -- quadratic reference versions of the structure layer ---------------------
+
+
+def _extract_cliques_reference(g):
+    # Every MCS candidate that lies strictly inside no other candidate.
+    order, witness = kernels.mcs(g)
+    assert witness is None
+    pos = {v: i for i, v in enumerate(order)}
+    candidates = [
+        frozenset(u for u in g.neighbors(v) if pos[u] < i) | {v} for i, v in enumerate(order)
+    ]
+    return [c for c in candidates if not any(c < other for other in candidates)]
+
+
+def _build_join_tree_reference(cliques):
+    # Kruskal over every clique pair, weight |Ci ∩ Cj|, then empty separators
+    # from the smallest component anchor to every other one.
+    tree = ClusterTree()
+    ids = [tree.add_cluster(c) for c in cliques]
+    if not ids:
+        return tree
+    candidates = []
+    for i, a in enumerate(ids):
+        for b in ids[i + 1 :]:
+            w = len(tree.cluster(a) & tree.cluster(b))
+            if w > 0:
+                candidates.append((-w, a, b))
+    candidates.sort()
+    comp = {c: c for c in ids}
+
+    def find(c):
+        while comp[c] != c:
+            comp[c] = comp[comp[c]]
+            c = comp[c]
+        return c
+
+    for _, a, b in candidates:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            comp[ra] = rb
+            tree.add_edge(a, b, tree.cluster(a) & tree.cluster(b))
+    roots = sorted({find(c) for c in ids})
+    anchors = [min(c for c in ids if find(c) == r) for r in roots]
+    for other in anchors[1:]:
+        tree.add_edge(anchors[0], other, frozenset())
+    return tree
+
+
+def _family_hosts_reference(dag, tree):
+    # Every cluster is scanned for every variable; the smallest host wins,
+    # ties by ascending id.
+    hosts = {}
+    for vid in dag.nodes():
+        fam = dag.family(vid)
+        hosts[vid] = min(
+            (len(tree.cluster(c)), c) for c in tree.cluster_ids() if fam <= tree.cluster(c)
+        )[1]
+    return hosts
+
+
+def _chordal_cases(seed, count):
+    # Thinned triangulations of random moral graphs; every other one also
+    # carries one extra edge that keeps it chordal (a redundant fill edge).
+    rng = Random(seed)
+    for k in range(count):
+        dag = random_dag(rng.randint(1, 30), rng, edge_prob=rng.choice([0.05, 0.15, 0.3]))
+        gt = recursive_thinning(triangulate_min_fill(moralize(dag))).graph()
+        if k % 2:
+            vs = gt.vertices()
+            for _ in range(50 if len(vs) > 2 else 0):
+                u, v = rng.sample(vs, 2)
+                probe = gt.copy()
+                probe.add_edge(u, v)
+                if not gt.has_edge(u, v) and is_chordal(probe)[0]:
+                    gt = probe
+                    break
+        yield dag, gt
+
+
+def test_structure_layer_matches_quadratic_references():
+    for dag, gt in _chordal_cases(41, 80):
+        cliques = extract_cliques(gt)
+        assert cliques == _extract_cliques_reference(gt)
+        tree = build_join_tree(cliques)
+        reference = _build_join_tree_reference(cliques)
+        assert [tree.cluster(c) for c in tree.cluster_ids()] == [
+            reference.cluster(c) for c in reference.cluster_ids()
+        ]
+        assert tree.edges() == reference.edges()
+        assign_families(dag, tree)
+        assert tree.family == _family_hosts_reference(dag, reference)
 
 
 # -- full construction ------------------------------------------------------
