@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 usage or parse failure, 2 verification failure.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 from random import Random
@@ -19,16 +18,6 @@ from .graph import Dag
 from .oracle import full_recompile, mpd_equal, random_dag, validate
 
 DEFAULT_SEED = 42
-
-
-def _default_seed() -> int:
-    env = os.environ.get("BNIC_SEED")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ParseError(f"BNIC_SEED must be an integer, got {env!r}")
-    return DEFAULT_SEED
 
 
 class _Parser(argparse.ArgumentParser):
@@ -204,7 +193,7 @@ def _cmd_bench(args) -> int:
         if len(args.random) not in (2, 3):
             raise ParseError("--random takes N EDITS [SEED]")
         n, n_edits = args.random[0], args.random[1]
-        seed = args.random[2] if len(args.random) == 3 else _default_seed()
+        seed = args.random[2] if len(args.random) == 3 else DEFAULT_SEED
         rng = Random(seed)
         dag = random_dag(n, rng, edge_prob=min(1.0, 3.0 / max(n - 1, 1)))
         edits = _random_arc_edits(dag, n_edits, rng)

@@ -19,13 +19,17 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .clustertree import ClusterTree
 from .errors import InconsistencyError, InvalidEditError
 from .graph import Dag, Link, UndirectedGraph
 from .mpd import MpdIndex, aggregate_cliques
-from .pipeline import Triangulation, construct_join_tree, perfect_elimination_order
+from .pipeline import Triangulation, construct_join_tree
+
+# Unused by the package; kept because the benchmark's tracer binds it.
+from .pipeline import perfect_elimination_order
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +147,7 @@ class CompiledModel:
         jt = self.jt.copy()
         mpd = self.mpd.copy()
         index = self.index.copy()
-        tri = None
-        if self._tri is not None:
-            tri = Triangulation(moral, self._tri.order, self._tri.fill)
+        tri = None if self._tri is None else Triangulation(moral, self._tri.fill)
         return CompiledModel(dag, moral, jt, mpd, index, tri)
 
     def triangulated(self) -> UndirectedGraph:
@@ -360,7 +362,7 @@ def add_node(model: CompiledModel, x: int, rec: ModTrace | None = None) -> None:
     m = mpd.add_cluster({x}, marked=True)
     if anchor is not None:
         jt.add_edge(c, anchor, frozenset())
-        mpd.add_edge(m, index.owner(anchor), frozenset())
+        mpd.add_edge(m, index.owner_map()[anchor], frozenset())
     index.cliques_of[m] = {c}
     index.clique_of[x] = c
     index.mps_of[x] = m
@@ -517,11 +519,13 @@ def connect(
     return records, visited
 
 
-def absorb_non_maximal(tree: ClusterTree, on_merge=None) -> ClusterTree:
+# Unused by the package; kept because the benchmark's tracer binds it.
+def absorb_non_maximal(tree: ClusterTree) -> ClusterTree:
     """Merge every cluster contained in an adjacent neighbour into it.
 
-    Scans in ascending id order and restarts after each merge; on_merge is
-    called with (src, dst) before each contraction.  Returns the tree.
+    Scans in ascending id order and restarts after each merge.  Returns the
+    tree.  The engine never needs this scan: a rebuild can only leave a
+    non-maximal cluster where :func:`_amalgamate` already merges it.
     """
     changed = True
     while changed:
@@ -529,8 +533,6 @@ def absorb_non_maximal(tree: ClusterTree, on_merge=None) -> ClusterTree:
         for cid in tree.cluster_ids():
             for nb in tree.neighbors(cid):
                 if tree.cluster(cid) <= tree.cluster(nb):
-                    if on_merge is not None:
-                        on_merge(cid, nb)
                     tree.merge_into(cid, nb)
                     changed = True
                     break
@@ -539,18 +541,23 @@ def absorb_non_maximal(tree: ClusterTree, on_merge=None) -> ClusterTree:
     return tree
 
 
-def _mirror_clique_merge(model: CompiledModel, src: int, dst: int, trace: BatchTrace | None) -> None:
-    """Index and MPS-tree bookkeeping for merging junction cluster src into dst."""
+def _amalgamate(
+    model: CompiledModel, src: int, dst: int, m_src: int, m_dst: int, trace: BatchTrace | None
+) -> None:
+    """Merge the new clique src, equal to its boundary separator, into dst.
+
+    :func:`connect` hung the boundary separator S of the unmarked cluster dst
+    on the new clique src, with src ⊇ S.  Running intersection on the old
+    tree gives src ∩ dst = S, so src ⊆ dst iff src = S: this is the only
+    place a rebuild leaves a non-maximal cluster, since the new cliques are
+    maximal among themselves and unmarked clusters keep their vertex sets.
+    S is complete in the moral graph, so src is the only clique of its new
+    MPS m_src, which the mirrored boundary edge joins to dst's MPS m_dst;
+    the MPS merge mirrors the clique merge one to one.
+    """
     index = model.index
-    owner = index.owner_map()
-    m_src, m_dst = owner[src], owner[dst]
     if trace is not None:
         trace.absorbed.append((model.jt.cluster(src), model.jt.cluster(dst)))
-    if m_src == m_dst:
-        index.cliques_of[m_src].discard(src)
-        return
-    # A cluster swallowed by a neighbour of another MPS is a complete
-    # separator, hence always a singleton MPS; the merge mirrors 1:1.
     if index.cliques_of[m_src] != {src}:
         raise InconsistencyError(
             f"absorbed cluster {src} is not the only clique of its MPS {m_src}"
@@ -559,12 +566,6 @@ def _mirror_clique_merge(model: CompiledModel, src: int, dst: int, trace: BatchT
         raise InconsistencyError(f"MPSs {m_src} and {m_dst} are not adjacent")
     model.mpd.merge_into(m_src, m_dst)
     del index.cliques_of[m_src]
-
-
-def _amalgamate(model: CompiledModel, src: int, dst: int, trace: BatchTrace | None) -> None:
-    if src not in model.jt:
-        return
-    _mirror_clique_merge(model, src, dst, trace)
     model.jt.merge_into(src, dst)
 
 
@@ -668,7 +669,7 @@ def _rebuild_subtree(model: CompiledModel, comp: list[int], trace: BatchTrace | 
 
     for _k, c_k, sep, target in records:
         if target in jt and jt.cluster(target) == sep:
-            _amalgamate(model, target, c_k, trace)
+            _amalgamate(model, target, c_k, owner_global[target], owner_old[c_k], trace)
 
 
 def _rejoin_fragments(model: CompiledModel) -> None:
@@ -705,20 +706,17 @@ def _marked_components(mpd: ClusterTree, marked: set[int]) -> list[list[int]]:
 def derive_triangulation(moral: UndirectedGraph, jt: ClusterTree) -> Triangulation:
     """The triangulation record implied by a junction tree over a moral graph.
 
-    The triangulated graph is the union of the cluster completions; the fill
-    is its edge surplus over the moral graph, and the order is a perfect
-    elimination order of the union (which must be chordal).
+    The triangulated graph is the union of the cluster completions, so the
+    fill is every pair inside a cluster that is not a moral edge.  Its
+    chordality is ``validate``'s to check, not this function's.
     """
-    gt = moral.copy()
-    for cid in jt.cluster_ids():
-        vs = sorted(jt.cluster(cid))
-        for i, u in enumerate(vs):
-            for v in vs[i + 1 :]:
-                if not gt.has_edge(u, v):
-                    gt.add_edge(u, v)
-    fill = frozenset(gt.edge_set() - moral.edge_set())
-    order = perfect_elimination_order(gt)
-    return Triangulation(moral, order, fill)
+    fill = frozenset(
+        frozenset((u, v))
+        for cid in jt.cluster_ids()
+        for u, v in combinations(sorted(jt.cluster(cid)), 2)
+        if not moral.has_edge(u, v)
+    )
+    return Triangulation(moral, fill)
 
 
 def incremental_compile(
@@ -761,9 +759,6 @@ def incremental_compile(
     if marked:
         for comp in _marked_components(model.mpd, marked):
             _rebuild_subtree(model, comp, trace)
-        absorb_non_maximal(
-            model.jt, on_merge=lambda s, d: _mirror_clique_merge(model, s, d, trace)
-        )
         _rejoin_fragments(model)
         if model.mpd.marked_ids() or model.jt.marked_ids():
             raise InconsistencyError("marks survived the rebuild phase")

@@ -21,12 +21,6 @@ class MpdIndex:
     mps_of: dict[int, int] = field(default_factory=dict)
     clique_of: dict[int, int] = field(default_factory=dict)
 
-    def owner(self, clique_id: int) -> int:
-        for mps, cliques in self.cliques_of.items():
-            if clique_id in cliques:
-                return mps
-        raise KeyError(f"clique {clique_id} belongs to no MPS")
-
     def owner_map(self) -> dict[int, int]:
         return {c: m for m, cs in self.cliques_of.items() for c in cs}
 

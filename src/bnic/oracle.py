@@ -30,7 +30,7 @@ def full_recompile(dag: Dag) -> CompiledModel:
     gm = moralize(dag)
     jt, tri = construct_join_tree(gm, dag)
     mpd, index = aggregate_cliques(jt, gm)
-    return CompiledModel(dag, gm, jt, mpd, index, Triangulation(gm, tri.order, tri.fill))
+    return CompiledModel(dag, gm, jt, mpd, index, Triangulation(gm, tri.fill))
 
 
 # ---------------------------------------------------------------------------

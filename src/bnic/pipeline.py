@@ -19,14 +19,16 @@ from .graph import Dag, UndirectedGraph, is_chordal
 
 @dataclass(frozen=True)
 class Triangulation:
-    """An elimination order over a base graph plus the fill edges it added.
+    """A base graph plus the fill edges that make it chordal.
 
     Invariant: ``base + fill`` is chordal, and after thinning no single fill
-    edge can be dropped without breaking chordality.
+    edge can be dropped without breaking chordality.  The junction and MPS
+    trees keep only the cliques of ``base + fill`` (Olesen & Madsen, IEEE
+    SMC-B 2002), and those cliques determine the fill again, so no
+    elimination order is recorded.
     """
 
     base: UndirectedGraph
-    order: tuple[int, ...]
     fill: frozenset[frozenset[int]]
 
     def graph(self) -> UndirectedGraph:
@@ -42,8 +44,8 @@ def triangulate_min_fill(g: UndirectedGraph) -> Triangulation:
 
     Ties are broken by ascending vertex id, so the result is deterministic.
     """
-    order, fill = kernels.min_fill(g)
-    return Triangulation(g.copy(), tuple(order), frozenset(frozenset(p) for p in fill))
+    _order, fill = kernels.min_fill(g)
+    return Triangulation(g.copy(), frozenset(frozenset(p) for p in fill))
 
 
 def recursive_thinning(t: Triangulation) -> Triangulation:
@@ -51,7 +53,10 @@ def recursive_thinning(t: Triangulation) -> Triangulation:
 
     A fill edge {u, v} is removable exactly when the common neighbourhood of
     u and v in the current graph is complete; the scan runs over fill edges
-    in ascending pair order and restarts after every removal.
+    in ascending pair order and restarts after every removal.  The input
+    is checked for chordality first: the removal test is only sound on a
+    chordal graph, and the argument of this public function may be any
+    triangulation record.
     """
     work = t.graph()
     ok, witness = is_chordal(work)
@@ -69,10 +74,10 @@ def recursive_thinning(t: Triangulation) -> Triangulation:
                 fill.remove(pair)
                 changed = True
                 break
-    order = perfect_elimination_order(work)
-    return Triangulation(t.base, order, frozenset(fill))
+    return Triangulation(t.base, frozenset(fill))
 
 
+# Unused by the package; kept because the benchmark's tracer binds it.
 def perfect_elimination_order(g: UndirectedGraph) -> tuple[int, ...]:
     """A perfect elimination order of a chordal graph (reversed MCS order)."""
     order, witness = kernels.mcs(g)

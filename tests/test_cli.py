@@ -151,9 +151,8 @@ def test_bench_empty_script_gives_empty_report(tmp_path, capsys):
     assert "edit" in out  # header only
 
 
-def test_bench_random_mode(capsys, monkeypatch):
-    monkeypatch.setenv("BNIC_SEED", "7")
-    code, out, _ = run(capsys, "bench", "--random", "24", "4")
+def test_bench_random_mode(capsys):
+    code, out, _ = run(capsys, "bench", "--random", "24", "4", "7")
     assert code == 0
     assert out.count("yes") == 4
 

@@ -28,6 +28,7 @@ from bnic import (
     stability,
     validate,
 )
+from bnic.engine import derive_triangulation
 
 from conftest import cluster_names, name_set
 
@@ -380,8 +381,8 @@ def test_remove_node_scenario_absorbs_nonmaximal_cluster(asia_model):
 
 
 def test_locality_on_random_edits():
-    # every clique of an unmarked MPS survives with its vertex set intact
-    # (or, in rare corner cases, is absorbed into a strict superset)
+    # every clique of an unmarked MPS survives with its vertex set intact:
+    # the splice only ever merges a new clique into an old one
     rng = Random(77)
     for _ in range(15):
         dag = random_dag(rng.randint(3, 16), rng, edge_prob=0.25)
@@ -397,11 +398,8 @@ def test_locality_on_random_edits():
             if m in marked:
                 continue
             for k in old.index.cliques_of[m]:
-                vs = old.jt.cluster(k)
-                if vs in after:
-                    survivors += 1
-                else:
-                    assert any(vs < other for other in after)
+                assert old.jt.cluster(k) in after
+                survivors += 1
         if len(model.jt):
             assert stability(old.jt, model.jt) >= survivors / len(model.jt)
 
@@ -542,3 +540,49 @@ def test_batch_and_simple_mode_agree():
             incremental_compile(simple, [mod])
         assert mpd_equal(batch.mpd, simple.mpd)
         assert validate(batch).passed and validate(simple).passed
+
+
+# -- the triangulation read off the clusters ----------------------------------
+
+
+def _derive_fill_reference(moral, jt):
+    # The former copy-and-diff derivation: complete every cluster in a copy
+    # of the moral graph and take its edge surplus over the moral graph.
+    gt = moral.copy()
+    for cid in jt.cluster_ids():
+        vs = sorted(jt.cluster(cid))
+        for i, u in enumerate(vs):
+            for v in vs[i + 1 :]:
+                if not gt.has_edge(u, v):
+                    gt.add_edge(u, v)
+    return frozenset(gt.edge_set() - moral.edge_set())
+
+
+def test_derived_fill_matches_copy_and_diff_reference():
+    rng = Random(2024)
+    removals = fills = 0
+    for _ in range(25):
+        dag = random_dag(rng.randint(4, 18), rng, edge_prob=0.3)
+        script = random_script(dag, 10, rng)
+        removals += sum(isinstance(mod, RemoveNode) for mod in script)
+        batch = full_recompile(dag.copy())
+        incremental_compile(batch, script)
+        simple = full_recompile(dag.copy())
+        flushed = [batch]
+        for mod in script:
+            incremental_compile(simple, [mod])
+            flushed.append(simple.copy())
+        for model in flushed:
+            assert model.tri.fill == _derive_fill_reference(model.moral, model.jt)
+            # the splice leaves no cluster inside a neighbour for a scan to absorb
+            assert len(absorb_non_maximal(model.jt.copy())) == len(model.jt)
+            fills += bool(model.tri.fill)
+    assert removals > 0 and fills > 0
+
+
+def test_compiled_fill_is_the_cluster_implied_fill():
+    rng = Random(31)
+    for _ in range(30):
+        dag = random_dag(rng.randint(0, 20), rng, edge_prob=0.3)
+        model = full_recompile(dag)
+        assert model.tri.fill == derive_triangulation(model.moral, model.jt).fill

@@ -22,7 +22,6 @@ from bnic import (
     stability,
     validate,
 )
-from bnic.pipeline import perfect_elimination_order
 
 from conftest import cluster_names
 
@@ -70,9 +69,7 @@ def _with_fill(dag, fill):
     tree = build_join_tree(extract_cliques(gt))
     assign_families(dag, tree)
     mpd, index = aggregate_cliques(tree, gm)
-    return CompiledModel(
-        dag, gm, tree, mpd, index, Triangulation(gm, perfect_elimination_order(gt), frozenset(fill))
-    )
+    return CompiledModel(dag, gm, tree, mpd, index, Triangulation(gm, frozenset(fill)))
 
 
 def _asia_with_both_diagonals(asia):
