@@ -14,15 +14,9 @@ from .engine import (
     Modification,
     RemoveArc,
     RemoveNode,
-    absorb_non_maximal,
     apply_modification,
-    connect,
     expand_remove_node,
     incremental_compile,
-    mark_add_link,
-    mark_remove_link,
-    mark_remove_node,
-    modify_moral_graph,
 )
 from .errors import (
     BnicError,
@@ -79,22 +73,16 @@ __all__ = [
     "UnknownVariableError",
     "ValidityReport",
     "VariableTable",
-    "absorb_non_maximal",
     "aggregate_cliques",
     "apply_modification",
     "assign_families",
     "build_join_tree",
-    "connect",
     "construct_join_tree",
     "expand_remove_node",
     "extract_cliques",
     "full_recompile",
     "incremental_compile",
     "is_chordal",
-    "mark_add_link",
-    "mark_remove_link",
-    "mark_remove_node",
-    "modify_moral_graph",
     "moralize",
     "mpd_equal",
     "random_dag",

@@ -117,9 +117,6 @@ class ClusterTree:
             raise KeyError(cid)
         self._marked.add(cid)
 
-    def unmark(self, cid: int) -> None:
-        self._marked.discard(cid)
-
     def is_marked(self, cid: int) -> bool:
         return cid in self._marked
 
@@ -152,10 +149,15 @@ class ClusterTree:
             queue = nxt
         return None
 
-    def components(self) -> list[set[int]]:
+    def components(self, ids: Iterable[int] | None = None) -> list[set[int]]:
+        """The components of the forest induced by ids (default: every cluster).
+
+        Components come in ascending order of their least member.
+        """
+        members = self._clusters if ids is None else set(ids)
         seen: set[int] = set()
         comps: list[set[int]] = []
-        for start in self.cluster_ids():
+        for start in sorted(members):
             if start in seen:
                 continue
             comp = {start}
@@ -163,7 +165,7 @@ class ClusterTree:
             while stack:
                 c = stack.pop()
                 for nb in self._adj[c]:
-                    if nb not in comp:
+                    if nb in members and nb not in comp:
                         comp.add(nb)
                         stack.append(nb)
             seen |= comp

@@ -150,9 +150,6 @@ class CompiledModel:
         tri = None if self._tri is None else Triangulation(moral, self._tri.fill)
         return CompiledModel(dag, moral, jt, mpd, index, tri)
 
-    def triangulated(self) -> UndirectedGraph:
-        return self.tri.graph()
-
 
 @dataclass
 class ModTrace:
@@ -252,101 +249,48 @@ def mark_remove_link(
     model: CompiledModel,
     links: Sequence[Link],
     m_y: int,
-    m_z: int | None = None,
     rec: ModTrace | None = None,
 ) -> None:
     """Mark the MPSs invalidated by deleted moral links.
 
-    Starts at the host of the removed arc's child and spreads across every
-    separator containing both endpoints of some deleted link.  In batch mode
-    the host can be stale (an earlier edit may have grown the family without
-    a rebuild yet), so on the top-level call any cluster still containing a
-    deleted pair that the walk missed seeds a further walk; every cluster
-    holding a dead pair must be rebuilt or its boundary separators could
-    stay incomplete.
+    These are the host m_y of the removed arc's child and every MPS holding
+    both endpoints of a deleted link; the rebuild must cover each of them or
+    its boundary separators could stay incomplete.  Membership is read off
+    the current vertex sets, so a host gone stale inside a batch (an earlier
+    edit grew the family without a rebuild yet) changes nothing.
     """
+    mpd = model.mpd
     deleted = [l.pair for l in links if not l.added]
-    _remove_link_walk(model, deleted, m_y, m_z, rec)
-    if m_z is None:
-        mpd = model.mpd
-        for pair in deleted:
-            for host in mpd.cluster_ids():
-                if pair <= mpd.cluster(host) and not mpd.is_marked(host):
-                    _remove_link_walk(model, deleted, host, None, rec)
-
-
-def _walk(tree: ClusterTree, start: int, parent: int | None, step) -> None:
-    """Depth-first walk of tree from start, never back into parent.
-
-    ``step(ci, ck)`` is called for each neighbour ck of a visited cluster ci,
-    in the order a recursive walk would call it, and the walk descends into
-    ck when it returns True.  The explicit stack keeps deep trees clear of
-    the recursion limit.
-    """
-    stack = [(start, parent, iter(tree.neighbors(start)))]
-    while stack:
-        ci, cj, nbrs = stack[-1]
-        ck = next(nbrs, None)
-        if ck is None:
-            stack.pop()
-        elif ck != cj and step(ci, ck):
-            stack.append((ck, ci, iter(tree.neighbors(ck))))
-
-
-def _remove_link_walk(
-    model: CompiledModel,
-    deleted: list[frozenset[int]],
-    m_y: int,
-    m_z: int | None,
-    rec: ModTrace | None,
-) -> None:
-    mpd = model.mpd
-
-    def step(m: int, m_k: int) -> bool:
-        sep = mpd.separator(m, m_k)
-        if not any(pair <= sep for pair in deleted):
-            return False
-        _mark(mpd, m_k, rec)
-        return True
-
     _mark(mpd, m_y, rec)
-    _walk(mpd, m_y, m_z, step)
+    for m in mpd.cluster_ids():
+        vs = mpd.cluster(m)
+        for pair in deleted:
+            if pair <= vs:
+                _mark(mpd, m, rec)
+                break
 
 
-def mark_remove_node(model: CompiledModel, x: int, m_x: int, rec: ModTrace | None = None) -> None:
-    """Strip an isolated variable out of every cluster and separator hosting it.
+def mark_remove_node(model: CompiledModel, x: int, rec: ModTrace | None = None) -> None:
+    """Strip an isolated variable out of both trees and mark its former MPSs.
 
-    Walks the MPS subtree containing x from m_x (separators containing x
-    guide the walk), marking the visited clusters; the junction tree is
-    then swept the same way.
+    Every cluster and separator of the junction and MPS trees loses x; the
+    MPSs that held it are marked after the strip, so a trace records their
+    stripped vertex sets.
     """
-    mpd = model.mpd
-
-    def strip(m: int) -> None:
-        mpd.replace_cluster(m, mpd.cluster(m) - {x})
-        _mark(mpd, m, rec)
-
-    def step(m: int, m_z: int) -> bool:
-        sep = mpd.separator(m, m_z)
-        if x not in sep:
-            return False
-        mpd.set_separator(m, m_z, sep - {x})
-        strip(m_z)
-        return True
-
-    strip(m_x)
-    _walk(mpd, m_x, None, step)
+    for m in _strip_variable(model.mpd, x):
+        _mark(model.mpd, m, rec)
     _strip_variable(model.jt, x)
 
 
-def _strip_variable(tree: ClusterTree, x: int) -> None:
-    for cid in tree.cluster_ids():
-        vs = tree.cluster(cid)
-        if x in vs:
-            tree.replace_cluster(cid, vs - {x})
+def _strip_variable(tree: ClusterTree, x: int) -> list[int]:
+    """Remove x from every cluster and separator; returns the clusters that held it."""
+    holders = [cid for cid in tree.cluster_ids() if x in tree.cluster(cid)]
+    for cid in holders:
+        tree.replace_cluster(cid, tree.cluster(cid) - {x})
     for a, b, sep in tree.edges():
         if x in sep:
             tree.set_separator(a, b, sep - {x})
+    return holders
 
 
 def add_node(model: CompiledModel, x: int, rec: ModTrace | None = None) -> None:
@@ -483,39 +427,38 @@ def _best_attachment(
 
 
 def connect(
-    tree: ClusterTree,
-    replacement_ids: set[int],
-    c_i: int,
-    c_j: int | None = None,
+    tree: ClusterTree, replacement_ids: set[int], c_i: int
 ) -> tuple[list[tuple[int, int, frozenset[int], int]], set[int]]:
     """Reattach the boundary of the marked subtree around c_i to new clusters.
 
-    Walks marked clusters starting from c_i, avoiding the caller c_j.  Every
-    separator S leading to an unmarked neighbour C_k is re-hung onto the
-    replacement cluster chosen by :func:`_best_attachment`; a record where
-    the chosen cluster equals S flags a later amalgamation.  Returns the
-    reattachment records and the set of marked clusters visited.
+    Walks the marked clusters depth first from c_i.  Every separator S
+    leading to an unmarked neighbour C_k is re-hung onto the replacement
+    cluster chosen by :func:`_best_attachment`; a record where the chosen
+    cluster equals S flags a later amalgamation.  Returns the reattachment
+    records and the set of marked clusters visited.  The explicit stack of
+    neighbour iterators keeps deep trees clear of the recursion limit.
     """
     records: list[tuple[int, int, frozenset[int], int]] = []
     visited = {c_i}
-
-    def step(ci: int, ck: int) -> bool:
-        if tree.is_marked(ck):
-            if ck in visited:
-                return False
-            visited.add(ck)
-            return True
-        sep = tree.separator(ci, ck)
-        target = _best_attachment(tree, replacement_ids, sep, tree.cluster(ck))
-        if target is None:
-            raise InconsistencyError(
-                f"no replacement cluster covers boundary separator {sorted(sep)}"
-            )
-        tree.add_edge(target, ck, sep)
-        records.append((ci, ck, sep, target))
-        return False
-
-    _walk(tree, c_i, c_j, step)
+    stack = [(c_i, iter(tree.neighbors(c_i)))]
+    while stack:
+        ci, nbrs = stack[-1]
+        ck = next(nbrs, None)
+        if ck is None:
+            stack.pop()
+        elif tree.is_marked(ck):
+            if ck not in visited:
+                visited.add(ck)
+                stack.append((ck, iter(tree.neighbors(ck))))
+        else:
+            sep = tree.separator(ci, ck)
+            target = _best_attachment(tree, replacement_ids, sep, tree.cluster(ck))
+            if target is None:
+                raise InconsistencyError(
+                    f"no replacement cluster covers boundary separator {sorted(sep)}"
+                )
+            tree.add_edge(target, ck, sep)
+            records.append((ci, ck, sep, target))
     return records, visited
 
 
@@ -626,7 +569,7 @@ def _rebuild_subtree(model: CompiledModel, comp: list[int], trace: BatchTrace | 
             )
         )
 
-    records, visited = connect(jt, new_clique_ids, doomed[0], None)
+    records, visited = connect(jt, new_clique_ids, doomed[0])
     if visited != set(doomed):
         raise InconsistencyError(
             "marked cliques do not form one connected junction subtree"
@@ -673,7 +616,7 @@ def _rebuild_subtree(model: CompiledModel, comp: list[int], trace: BatchTrace | 
 
 
 def _rejoin_fragments(model: CompiledModel) -> None:
-    comps = sorted(model.jt.components(), key=min)
+    comps = model.jt.components()
     if len(comps) <= 1:
         return
     owner = model.index.owner_map()
@@ -682,25 +625,6 @@ def _rejoin_fragments(model: CompiledModel) -> None:
         other = min(comp)
         model.jt.add_edge(anchor, other, frozenset())
         model.mpd.add_edge(owner[anchor], owner[other], frozenset())
-
-
-def _marked_components(mpd: ClusterTree, marked: set[int]) -> list[list[int]]:
-    comps: list[list[int]] = []
-    seen: set[int] = set()
-    for start in sorted(marked):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            c = stack.pop()
-            for nb in mpd.neighbors(c):
-                if nb in marked and nb not in comp:
-                    comp.add(nb)
-                    stack.append(nb)
-        seen |= comp
-        comps.append(sorted(comp))
-    return comps
 
 
 def derive_triangulation(moral: UndirectedGraph, jt: ClusterTree) -> Triangulation:
@@ -744,20 +668,19 @@ def incremental_compile(
             case AddNode(name):
                 add_node(model, model.dag.table.id(name), rec)
             case RemoveNode(node):
-                m_x = model.index.mps_of[node]
-                mark_remove_node(model, node, m_x, rec)
+                mark_remove_node(model, node, rec)
                 model.index.mps_of.pop(node, None)
                 model.index.clique_of.pop(node, None)
             case RemoveArc(_, child):
-                mark_remove_link(model, links, model.index.mps_of[child], None, rec)
+                mark_remove_link(model, links, model.index.mps_of[child], rec)
             case AddArc(parent, child):
                 mark_add_link(model, parent, child, links, rec)
         if trace is not None:
             trace.mods.append(rec)
 
-    marked = set(model.mpd.marked_ids())
+    marked = model.mpd.marked_ids()
     if marked:
-        for comp in _marked_components(model.mpd, marked):
+        for comp in map(sorted, model.mpd.components(marked)):
             _rebuild_subtree(model, comp, trace)
         _rejoin_fragments(model)
         if model.mpd.marked_ids() or model.jt.marked_ids():

@@ -20,6 +20,7 @@ from .engine import (
     apply_modification,
     expand_remove_node,
 )
+from .errors import NotChordalError
 from .graph import Dag, is_chordal, moralize
 from .mpd import aggregate_cliques
 from .pipeline import Triangulation, construct_join_tree, extract_cliques
@@ -77,21 +78,6 @@ class ValidityReport:
         return "\n".join(lines + [f"  => model is {verdict}"])
 
 
-def _connected_within(tree: ClusterTree, ids: list[int]) -> bool:
-    if len(ids) <= 1:
-        return True
-    members = set(ids)
-    seen = {ids[0]}
-    stack = [ids[0]]
-    while stack:
-        c = stack.pop()
-        for nb in tree.neighbors(c):
-            if nb in members and nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return seen == members
-
-
 def validate(model: CompiledModel) -> ValidityReport:
     """Run every structural check against independently re-derived facts.
 
@@ -121,12 +107,17 @@ def validate(model: CompiledModel) -> ValidityReport:
     check("moral_graph", moral == moralize(dag), "stored moral graph differs from moralize(dag)")
 
     gt = tri.graph()
-    chordal, witness = is_chordal(gt)
+    chordal, witness = True, None
+    try:
+        cliques = extract_cliques(gt)
+    except NotChordalError:
+        # only a failure pays for a second MCS, which names the witness
+        cliques = []
+        chordal, witness = is_chordal(gt)
     check("triangulation_chordal", chordal, f"missing chord at {witness}")
 
-    cliques, redundant = [], None
+    redundant = None
     if chordal:
-        cliques = extract_cliques(gt)
         holders: dict[int, list[frozenset[int]]] = defaultdict(list)
         for c in cliques:
             for v in c:
@@ -217,7 +208,7 @@ def validate(model: CompiledModel) -> ValidityReport:
     if idx_ok:
         for m, cs in index.cliques_of.items():
             union = frozenset().union(*(jt.cluster(c) for c in cs)) if cs else frozenset()
-            if union != mpd.cluster(m) or not _connected_within(jt, sorted(cs)):
+            if union != mpd.cluster(m) or len(jt.components(cs)) > 1:
                 idx_ok = False
                 break
     if idx_ok:

@@ -13,14 +13,10 @@ from bnic import (
     InvalidEditError,
     RemoveArc,
     RemoveNode,
-    absorb_non_maximal,
     apply_modification,
-    connect,
     expand_remove_node,
     full_recompile,
     incremental_compile,
-    mark_remove_link,
-    modify_moral_graph,
     moralize,
     mpd_equal,
     random_dag,
@@ -28,7 +24,17 @@ from bnic import (
     stability,
     validate,
 )
-from bnic.engine import derive_triangulation
+from bnic.engine import (
+    ModTrace,
+    absorb_non_maximal,
+    add_node,
+    connect,
+    derive_triangulation,
+    mark_add_link,
+    mark_remove_link,
+    mark_remove_node,
+    modify_moral_graph,
+)
 
 from conftest import cluster_names, name_set
 
@@ -104,10 +110,8 @@ def test_mark_remove_link_spreads_across_affected_separators(asia_model):
     mod = RemoveArc(t.id("L"), t.id("E"))
     apply_modification(m.dag, mod)
     links = modify_moral_graph(m, mod)
-    from bnic.engine import ModTrace
-
     rec = ModTrace(mod=mod, description="x")
-    mark_remove_link(m, links, m.index.mps_of[t.id("E")], None, rec)
+    mark_remove_link(m, links, m.index.mps_of[t.id("E")], rec)
     assert _marked_names(t, rec) == {frozenset("TLE"), frozenset("SLBE")}
 
 
@@ -121,10 +125,8 @@ def test_mark_remove_link_stays_local_without_separator_hits():
     mod = RemoveArc(b, c)
     apply_modification(m.dag, mod)
     links = modify_moral_graph(m, mod)
-    from bnic.engine import ModTrace
-
     rec = ModTrace(mod=mod, description="x")
-    mark_remove_link(m, links, m.index.mps_of[c], None, rec)
+    mark_remove_link(m, links, m.index.mps_of[c], rec)
     assert len(rec.touched) == 1
 
 
@@ -164,7 +166,7 @@ def test_mark_remove_link_equals_brute_force_closure():
         start = m.index.mps_of[c]
         expected = _closure_marks(m, links, start)
         rec = ModTrace(mod=mod, description="x")
-        mark_remove_link(m, links, start, None, rec)
+        mark_remove_link(m, links, start, rec)
         assert set(rec.touched) == expected
         checked += 1
     assert checked > 20
@@ -211,6 +213,134 @@ def test_remove_node_in_single_cluster_marks_once():
     incremental_compile(m, expand_remove_node(m.dag, b), trace)
     assert len(trace.mods[-1].touched) == 1
     assert validate(m).passed
+
+
+# -- marking in a batch, against the former tree walks ------------------------
+
+
+def _walk_reference(tree, start, step):
+    # the former depth-first walk: step(ci, ck) decides whether to descend
+    stack = [(start, None, iter(tree.neighbors(start)))]
+    while stack:
+        ci, cj, nbrs = stack[-1]
+        ck = next(nbrs, None)
+        if ck is None:
+            stack.pop()
+        elif ck != cj and step(ci, ck):
+            stack.append((ck, ci, iter(tree.neighbors(ck))))
+
+
+def _mark_remove_link_reference(model, links, m_y):
+    # the former walk from the child's host across separators holding a
+    # deleted pair, re-seeded from every holder it missed; returns the
+    # number of re-seeded walks
+    mpd = model.mpd
+    deleted = [l.pair for l in links if not l.added]
+
+    def walk_from(start):
+        mpd.mark(start)
+
+        def step(m, m_k):
+            if not any(pair <= mpd.separator(m, m_k) for pair in deleted):
+                return False
+            mpd.mark(m_k)
+            return True
+
+        _walk_reference(mpd, start, step)
+
+    walk_from(m_y)
+    reseeded = 0
+    for pair in deleted:
+        for host in mpd.cluster_ids():
+            if pair <= mpd.cluster(host) and not mpd.is_marked(host):
+                walk_from(host)
+                reseeded += 1
+    return reseeded
+
+
+def _mark_remove_node_reference(model, x, m_x):
+    # the former walk from x's host across separators holding x, stripping
+    # as it goes, followed by a sweep of the junction tree
+    mpd = model.mpd
+
+    def strip(m):
+        mpd.replace_cluster(m, mpd.cluster(m) - {x})
+        mpd.mark(m)
+
+    def step(m, m_z):
+        sep = mpd.separator(m, m_z)
+        if x not in sep:
+            return False
+        mpd.set_separator(m, m_z, sep - {x})
+        strip(m_z)
+        return True
+
+    strip(m_x)
+    _walk_reference(mpd, m_x, step)
+    for cid in model.jt.cluster_ids():
+        model.jt.replace_cluster(cid, model.jt.cluster(cid) - {x})
+    for a, b, sep in model.jt.edges():
+        model.jt.set_separator(a, b, sep - {x})
+
+
+def _phase_one(model, mod, rec, reference):
+    # one modification's phase one, as incremental_compile runs it; returns
+    # the number of walks the reference re-seeded
+    apply_modification(model.dag, mod)
+    links = modify_moral_graph(model, mod)
+    match mod:
+        case AddNode(name):
+            add_node(model, model.dag.table.id(name), rec)
+        case RemoveNode(node):
+            if reference:
+                _mark_remove_node_reference(model, node, model.index.mps_of[node])
+            else:
+                mark_remove_node(model, node, rec)
+            model.index.mps_of.pop(node)
+            model.index.clique_of.pop(node)
+        case RemoveArc(_, child):
+            if reference:
+                return _mark_remove_link_reference(model, links, model.index.mps_of[child])
+            mark_remove_link(model, links, model.index.mps_of[child], rec)
+        case AddArc(parent, child):
+            mark_add_link(model, parent, child, links, rec)
+    return 0
+
+
+def _tree_state(tree):
+    clusters = {c: tree.cluster(c) for c in tree.cluster_ids()}
+    return clusters, tree.edges(), tree.marked_ids()
+
+
+def test_batch_marks_match_walk_reference():
+    # phase one by membership marks what the former walks marked, after
+    # every modification of a batch; the pinned batch is the stale-host case
+    # of test_stale_family_host_still_spreads_marks, where the walk alone
+    # misses a holder and the scan re-seeds it
+    rng = Random(5150)
+    batches = []
+    for _ in range(60):
+        dag = random_dag(rng.randint(3, 16), rng, edge_prob=rng.choice([0.1, 0.2, 0.3]))
+        batches.append((dag, random_script(dag, rng.randint(4, 12), rng)))
+    dag = Dag()
+    v = [dag.add_node(f"v{i}") for i in range(6)]
+    for p, c in [(2, 1), (3, 1), (4, 1), (0, 2), (0, 3), (0, 4), (5, 4), (2, 5)]:
+        dag.add_arc(v[p], v[c])
+    batches.append((dag, [AddArc(v[0], v[1]), RemoveArc(v[0], v[2]), RemoveArc(v[0], v[1])]))
+
+    removals = rewired = reseeded = 0
+    for dag, script in batches:
+        model = full_recompile(dag.copy())
+        reference = model.copy()
+        for mod in script:
+            rec = ModTrace(mod=mod, description="")
+            _phase_one(model, mod, rec, reference=False)
+            reseeded += _phase_one(reference, mod, None, reference=True)
+            for tree, ref_tree in ((model.mpd, reference.mpd), (model.jt, reference.jt)):
+                assert _tree_state(tree) == _tree_state(ref_tree)
+            removals += isinstance(mod, RemoveNode)
+            rewired += bool(rec.rewired)
+    assert removals > 0 and rewired > 0 and reseeded > 0
 
 
 def test_remove_last_node_leaves_empty_model():
@@ -305,7 +435,7 @@ def test_connect_reattaches_boundary_to_best_cover():
     outside = tree.add_cluster({2, 3, 9})
     tree.add_edge(doomed, outside, {2, 3})
     fresh = [tree.add_cluster(vs) for vs in ({1, 2}, {2, 3}, {3, 4})]
-    records, visited = connect(tree, set(fresh), doomed, None)
+    records, visited = connect(tree, set(fresh), doomed)
     assert visited == {doomed}
     ((_, ck, sep, target),) = records
     assert (ck, sep) == (outside, frozenset({2, 3}))
@@ -319,7 +449,7 @@ def test_connect_with_everything_marked_makes_no_records():
     b = tree.add_cluster({2, 3}, marked=True)
     tree.add_edge(a, b, {2})
     fresh = tree.add_cluster({1, 2, 3})
-    records, visited = connect(tree, {fresh}, a, None)
+    records, visited = connect(tree, {fresh}, a)
     assert records == [] and visited == {a, b}
 
 
@@ -513,7 +643,8 @@ def test_closing_a_long_chain_needs_no_recursion():
 
 
 def test_removing_a_hub_of_a_long_chain_needs_no_recursion():
-    # the hub sits in every MPS {hub, v_i, v_i+1}; its removal walks them all
+    # the hub sits in every MPS {hub, v_i, v_i+1}; its removal rebuilds them
+    # all, so connect walks a region of about 300 cliques
     dag = Dag()
     v = [dag.add_node(f"v{i}") for i in range(300)]
     hub = dag.add_node("hub")

@@ -87,6 +87,23 @@ def test_validate_flags_redundant_fill(asia):
     assert names.count("triangulation_minimal") == 1
 
 
+def test_validate_names_the_missing_chord(asia):
+    # the triangulation record lost its fill edge {L, B}: the 4-cycle
+    # S-L-E-B has no chord, and the first missing pair is {S, E}
+    model = full_recompile(asia)
+    t = asia.table
+    assert model.tri.fill == {frozenset((t.id("L"), t.id("B")))}
+    bare = Triangulation(model.moral, frozenset())
+    model = CompiledModel(model.dag, model.moral, model.jt, model.mpd, model.index, bare)
+    failing = {c["name"]: c["detail"] for c in validate(model).to_dict()["checks"] if not c["passed"]}
+    assert failing == {
+        "triangulation_chordal": f"missing chord at {(t.id('S'), t.id('E'))}",
+        "triangulation_minimal": "not checked: triangulation is not chordal",
+        "cluster_completeness": "a cluster is incomplete in the triangulated graph",
+        "mpd_multiset": "MPS clusters/separators differ from re-aggregating the junction tree",
+    }
+
+
 def _redundant_fill_reference(tri):
     # One chordality test per fill edge, in sorted pair order: the first
     # edge whose removal leaves the triangulated graph chordal.
