@@ -592,11 +592,11 @@ def _rebuild_subtree(model: CompiledModel, comp: list[int], trace: BatchTrace | 
         mpd.remove_cluster(m)
         del index.cliques_of[m]
 
-    # re-host families whose clique died; their families always sit inside
-    # the rebuilt region
+    # re-host families whose clique died; a dead host is a doomed clique,
+    # which holds its variable, so only the region's variables can need it
     dead = set(doomed)
-    for var, host in sorted(index.clique_of.items()):
-        if host in dead:
+    for var in sorted(variables):
+        if index.clique_of.get(var) in dead:
             fam = model.dag.family(var)
             best = None
             for cid in sorted(new_clique_ids):
@@ -616,15 +616,19 @@ def _rebuild_subtree(model: CompiledModel, comp: list[int], trace: BatchTrace | 
 
 
 def _rejoin_fragments(model: CompiledModel) -> None:
+    # hang every fragment left by emptied subtrees on the first by an empty
+    # separator; the junction tree is then connected, so it is a tree iff it
+    # has one edge fewer than clusters
     comps = model.jt.components()
-    if len(comps) <= 1:
-        return
-    owner = model.index.owner_map()
-    anchor = min(comps[0])
-    for comp in comps[1:]:
-        other = min(comp)
-        model.jt.add_edge(anchor, other, frozenset())
-        model.mpd.add_edge(owner[anchor], owner[other], frozenset())
+    if len(comps) > 1:
+        owner = model.index.owner_map()
+        anchor = min(comps[0])
+        for comp in comps[1:]:
+            other = min(comp)
+            model.jt.add_edge(anchor, other, frozenset())
+            model.mpd.add_edge(owner[anchor], owner[other], frozenset())
+    if len(model.jt) and model.jt.edge_count() != len(model.jt) - 1:
+        raise InconsistencyError("rebuild left a cycle in the junction tree")
 
 
 def derive_triangulation(moral: UndirectedGraph, jt: ClusterTree) -> Triangulation:
@@ -685,7 +689,7 @@ def incremental_compile(
         _rejoin_fragments(model)
         if model.mpd.marked_ids() or model.jt.marked_ids():
             raise InconsistencyError("marks survived the rebuild phase")
-        if not (model.jt.is_tree() and model.mpd.is_tree()):
+        if not model.mpd.is_tree():
             raise InconsistencyError("rebuild left a disconnected cluster structure")
     model._tri = None
     return model

@@ -1,16 +1,21 @@
-"""Adjacency-set kernels for elimination-order search and chordality tests.
+"""Kernels for elimination-order search and chordality tests.
 
 The greedy minimum-fill elimination search and maximum cardinality search
 are the hot inner loops of compilation; everything else in the package is
 set and tree manipulation.  Both kernels read an :class:`UndirectedGraph`
 and return vertex ids; ties are broken by ascending vertex id, so their
 outputs are deterministic.
+
+Min-fill and :func:`bnic.pipeline.recursive_thinning` hold adjacency as
+one int bitmask per vertex position, the vertex's rank among the graph's
+ids, so ties broken by position are ties broken by id.  MCS keeps
+adjacency sets: a bitmask MCS was slower on the benchmark's networks.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:
     from .graph import UndirectedGraph
@@ -21,12 +26,23 @@ def numba_enabled() -> bool:
     return False
 
 
-def _fill_cost(adj: dict[int, set[int]], v: int) -> int:
-    """The number of non-adjacent pairs among the neighbours of v."""
-    nbrs = adj[v]
-    d = len(nbrs)
-    linked = sum(len(nbrs & adj[u]) for u in nbrs)  # each adjacent pair twice
-    return (d * (d - 1) - linked) // 2
+def vertex_masks(g: "UndirectedGraph") -> tuple[list[int], list[int]]:
+    """The vertex ids, ascending, and each one's neighbours as a bitmask.
+
+    Bit i stands for ``ids[i]``: ids can be large and far apart after node
+    removals and in a rebuild's induced subgraph.
+    """
+    ids = g.vertices()
+    pos = {v: i for i, v in enumerate(ids)}
+    return ids, [sum(1 << pos[u] for u in g.neighbors(v)) for v in ids]
+
+
+def _bits(m: int) -> Iterator[int]:
+    """The positions of the set bits of m, ascending."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
 
 
 def min_fill(g: "UndirectedGraph") -> tuple[list[int], list[tuple[int, int]]]:
@@ -37,34 +53,50 @@ def min_fill(g: "UndirectedGraph") -> tuple[list[int], list[tuple[int, int]]]:
     then ascending v.  Each vertex's fill cost is kept; an elimination
     recomputes it for the eliminated vertex's neighbours and lowers it by
     one for each other common neighbour of a new fill edge.  A lazy heap
-    keyed on ``(cost, id)`` picks the next vertex.
+    keyed on ``(cost, position)`` picks the next vertex.  Adjacency is kept
+    both as sets, to iterate over, and as bitmasks, to intersect.
     """
-    adj = {v: set(g.neighbors(v)) for v in g.vertices()}
-    cost = {v: _fill_cost(adj, v) for v in adj}
-    heap = [(c, v) for v, c in cost.items()]
+    ids, masks = vertex_masks(g)
+    adj = [set(_bits(m)) for m in masks]
+
+    def fill_cost(i: int) -> int:
+        # non-adjacent pairs among i's neighbours; linked pairs count twice
+        m = masks[i]
+        d = m.bit_count()
+        return (d * (d - 1) - sum((masks[j] & m).bit_count() for j in adj[i])) // 2
+
+    cost = [fill_cost(i) for i in range(len(ids))]
+    heap = list(zip(cost, range(len(ids))))
     heapq.heapify(heap)
     order: list[int] = []
     fill: list[tuple[int, int]] = []
     while heap:
         c, x = heapq.heappop(heap)
-        if x not in adj or cost[x] != c:
-            continue  # eliminated, or a stale cost
-        order.append(x)
-        nbrs = adj.pop(x)
+        if cost[x] != c:
+            continue  # eliminated (cost -1), or a stale cost
+        cost[x] = -1
+        order.append(ids[x])
+        nx = masks[x]
+        nbrs = adj[x]
+        keep = ~(1 << x)
         for u in nbrs:
             adj[u].discard(x)
+            masks[u] &= keep
         changed = set()
         if c:
-            for u in sorted(nbrs):
-                for v in sorted(w for w in nbrs - adj[u] if w > u):
-                    fill.append((u, v))
-                    for w in adj[u] & adj[v] - nbrs:
+            for u in _bits(nx):
+                # partners above u, fixed before u gains any of them
+                for v in _bits(nx & ~masks[u] & -(2 << u)):
+                    fill.append((ids[u], ids[v]))
+                    for w in _bits(masks[u] & masks[v] & ~nx):
                         cost[w] -= 1
                         changed.add(w)
+                    masks[u] |= 1 << v
+                    masks[v] |= 1 << u
                     adj[u].add(v)
                     adj[v].add(u)
         for u in nbrs:
-            new = _fill_cost(adj, u)
+            new = fill_cost(u)
             if new != cost[u]:
                 cost[u] = new
                 changed.add(u)

@@ -3,6 +3,7 @@ from random import Random
 
 import pytest
 
+import bnic.engine
 from bnic import (
     AddArc,
     AddNode,
@@ -10,6 +11,7 @@ from bnic import (
     ClusterTree,
     CycleError,
     Dag,
+    InconsistencyError,
     InvalidEditError,
     RemoveArc,
     RemoveNode,
@@ -611,6 +613,23 @@ def test_rejected_batch_leaves_the_model_untouched():
     assert not model.mpd.marked_ids() and not model.jt.marked_ids()
     assert model.jt.cluster_multiset() == clusters
     assert validate(model).passed
+
+
+def test_junction_cycle_after_rejoin_raises(asia_model, monkeypatch):
+    # the rejoin's edge count is the only junction-tree check of a flush
+    rejoin = bnic.engine._rejoin_fragments
+
+    def rejoin_with_extra_edge(model):
+        jt = model.jt
+        ids = jt.cluster_ids()
+        a, b = next((a, b) for a in ids for b in ids if a < b and not jt.has_edge(a, b))
+        jt.add_edge(a, b, frozenset())
+        rejoin(model)
+
+    monkeypatch.setattr(bnic.engine, "_rejoin_fragments", rejoin_with_extra_edge)
+    t = asia_model.dag.table
+    with pytest.raises(InconsistencyError, match="cycle in the junction tree"):
+        incremental_compile(asia_model, [RemoveArc(t.id("A"), t.id("T"))])
 
 
 def _stack_depth() -> int:

@@ -1,7 +1,20 @@
+import heapq
+from random import Random
+
 import numpy as np
 import pytest
 
-from bnic import UndirectedGraph, kernels
+import bnic.engine
+from bnic import (
+    AddNode,
+    RemoveNode,
+    UndirectedGraph,
+    full_recompile,
+    incremental_compile,
+    kernels,
+    random_dag,
+    random_script,
+)
 
 
 # -- dense scalar reference loops --------------------------------------------
@@ -81,6 +94,52 @@ def _mcs_reference(adj):
     return order, miss_u, miss_v
 
 
+# -- the former adjacency-set min-fill kernel ----------------------------------
+
+
+def _fill_cost_sets(adj, v):
+    nbrs = adj[v]
+    d = len(nbrs)
+    linked = sum(len(nbrs & adj[u]) for u in nbrs)  # each adjacent pair twice
+    return (d * (d - 1) - linked) // 2
+
+
+def _min_fill_sets_reference(g):
+    # The former adjacency-set kernel: fill costs kept per vertex id, a lazy
+    # (cost, id) heap, and set intersections for every cost and decrement.
+    adj = {v: set(g.neighbors(v)) for v in g.vertices()}
+    cost = {v: _fill_cost_sets(adj, v) for v in adj}
+    heap = [(c, v) for v, c in cost.items()]
+    heapq.heapify(heap)
+    order, fill = [], []
+    while heap:
+        c, x = heapq.heappop(heap)
+        if x not in adj or cost[x] != c:
+            continue
+        order.append(x)
+        nbrs = adj.pop(x)
+        for u in nbrs:
+            adj[u].discard(x)
+        changed = set()
+        if c:
+            for u in sorted(nbrs):
+                for v in sorted(w for w in nbrs - adj[u] if w > u):
+                    fill.append((u, v))
+                    for w in adj[u] & adj[v] - nbrs:
+                        cost[w] -= 1
+                        changed.add(w)
+                    adj[u].add(v)
+                    adj[v].add(u)
+        for u in nbrs:
+            new = _fill_cost_sets(adj, u)
+            if new != cost[u]:
+                cost[u] = new
+                changed.add(u)
+        for u in changed:
+            heapq.heappush(heap, (cost[u], u))
+    return order, fill
+
+
 # -- helpers ---------------------------------------------------------------------
 
 
@@ -101,6 +160,12 @@ def _graph(adj, ids):
 def _spaced_ids(n):
     # ascending but not contiguous, so index and id differ
     return [3 * i + 1 for i in range(n)]
+
+
+def _gapped_ids(n):
+    # distinct, far apart and not in index order, so position, index and id
+    # all differ and ids exceed n
+    return [1000 * (i % 3) + 7 * i for i in range(n)]
 
 
 # -- tests ---------------------------------------------------------------------
@@ -128,6 +193,45 @@ def test_backends_produce_identical_mcs(n):
     ref_order, mu, mv = _mcs_reference(adj)
     assert order == [ids[i] for i in ref_order]
     assert witness == (None if mu < 0 else (ids[mu], ids[mv]))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 30, 64, 65, 120, 200])
+def test_min_fill_matches_adjacency_set_kernel(n):
+    # the bitmask kernel against the former adjacency-set kernel, on graphs
+    # of mean degree 2 to 8 whose ids are gapped and out of index order
+    rng = np.random.default_rng(300 + n)
+    for degree in (2, 4, 8):
+        g = _graph(_random_adj(rng, n, degree / max(n - 1, 1) / 2), _gapped_ids(n))
+        assert kernels.min_fill(g) == _min_fill_sets_reference(g)
+
+
+def test_min_fill_matches_adjacency_set_kernel_on_rebuilt_regions(monkeypatch):
+    # the induced moral subgraphs that real rebuilds triangulate, over ids
+    # left gapped by node additions and removals
+    regions = []
+    construct = bnic.engine.construct_join_tree
+
+    def capture(g, dag=None):
+        regions.append(g.copy())
+        return construct(g, dag)
+
+    monkeypatch.setattr(bnic.engine, "construct_join_tree", capture)
+    node_edits = 0
+    for seed in range(12):
+        rng = Random(seed)
+        model = full_recompile(random_dag(rng.randint(10, 40), rng, edge_prob=0.2))
+        for _ in range(4):
+            mods = random_script(model.dag, 12, rng)
+            node_edits += sum(isinstance(m, (AddNode, RemoveNode)) for m in mods)
+            incremental_compile(model, mods)
+    assert node_edits > 0
+    assert any(g.vertices() != list(range(len(g))) for g in regions)
+    filled = 0
+    for g in regions:
+        order, fill = kernels.min_fill(g)
+        assert (order, fill) == _min_fill_sets_reference(g)
+        filled += bool(fill)
+    assert filled > 0
 
 
 def test_min_fill_triangulates():

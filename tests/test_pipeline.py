@@ -82,6 +82,78 @@ def test_thinning_requires_chordal_input():
         recursive_thinning(Triangulation(square, frozenset()))
 
 
+def _thinning_reference(t):
+    # The former set-based loop: scan the fill edges in ascending pair
+    # order, drop the first whose common neighbourhood is complete, restart.
+    work = t.graph()
+    assert is_chordal(work)[0]
+    fill = set(t.fill)
+    changed = True
+    while changed:
+        changed = False
+        for pair in sorted(fill, key=sorted):
+            u, v = sorted(pair)
+            if work.is_complete(work.neighbors(u) & work.neighbors(v)):
+                work.remove_edge(u, v)
+                fill.remove(pair)
+                changed = True
+                break
+    return Triangulation(t.base, frozenset(fill))
+
+
+def _banded_moral(n, rng, ids):
+    # node j takes each of the 5 nodes before it as a parent with odds 0.3
+    g = UndirectedGraph(ids)
+    for j in range(n):
+        parents = [i for i in range(max(0, j - 5), j) if rng.random() < 0.3]
+        for k, i in enumerate(parents):
+            g.add_edge(ids[i], ids[j])
+            for h in parents[k + 1 :]:
+                g.add_edge(ids[i], ids[h])
+    return g
+
+
+def _with_redundant_fill(t, rng, extra):
+    # the triangulation plus up to `extra` more fill edges that keep it chordal
+    gt = t.graph()
+    fill = set(t.fill)
+    vs = gt.vertices()
+    for _ in range(40 * extra):
+        if len(fill) - len(t.fill) == extra or len(vs) < 2:
+            break
+        u, v = rng.sample(vs, 2)
+        if not gt.has_edge(u, v):
+            gt.add_edge(u, v)
+            if is_chordal(gt)[0]:
+                fill.add(frozenset((u, v)))
+            else:
+                gt.remove_edge(u, v)
+    return Triangulation(t.base, frozenset(fill))
+
+
+def test_thinning_matches_set_based_loop():
+    # banded nets, where min-fill leaves redundant fill edges, and thinned
+    # triangulations with injected redundant fill; ids gapped on every
+    # second case so that bit positions differ from ids
+    removed = {"banded": 0, "injected": 0}
+
+    def check(kind, t):
+        thin = recursive_thinning(t)
+        assert thin.fill == _thinning_reference(t).fill
+        removed[kind] += len(t.fill) - len(thin.fill)
+
+    for k, n in enumerate([300, 100, 60, 200]):
+        ids = list(range(n)) if k % 2 == 0 else [1000 * (i % 3) + 7 * i for i in range(n)]
+        tri = triangulate_min_fill(_banded_moral(n, Random(42 + k), ids))
+        check("banded", tri)
+        check("injected", _with_redundant_fill(_thinning_reference(tri), Random(k), 6))
+    for seed in range(30):
+        rng = Random(seed)
+        gm = moralize(random_dag(rng.randint(2, 30), rng, edge_prob=0.2))
+        check("injected", _with_redundant_fill(recursive_thinning(triangulate_min_fill(gm)), rng, 3))
+    assert removed["banded"] > 0 and removed["injected"] > 0
+
+
 def test_thinned_triangulations_pass_single_edge_removal_probe():
     gm = moralize(random_dag(10, Random(3), edge_prob=0.3))
     thin = recursive_thinning(triangulate_min_fill(gm))
