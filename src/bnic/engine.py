@@ -576,11 +576,16 @@ def _rebuild_subtree(model: CompiledModel, comp: list[int], trace: BatchTrace | 
         )
 
     # mirror each junction reattachment as an MPS-tree edge; the boundary
-    # must match the old MPS boundary one-to-one
-    owner_old = index.owner_map()
+    # must match the old MPS boundary one-to-one, so only the cliques of the
+    # boundary MPSs can be reattached
+    owner_old = {c: nb for _, nb, _ in old_boundary for c in index.cliques_of[nb]}
     mirrored = Counter()
     for _k, c_k, sep, target in records:
-        m_out = owner_old[c_k]
+        m_out = owner_old.get(c_k)
+        if m_out is None:
+            raise InconsistencyError(
+                f"reattached cluster {c_k} lies outside the MPS boundary of the subtree"
+            )
         mpd.add_edge(owner_global[target], m_out, sep)
         mirrored[(m_out, sep)] += 1
     if mirrored != Counter((nb, sep) for _, nb, sep in old_boundary):

@@ -6,10 +6,11 @@ set and tree manipulation.  Both kernels read an :class:`UndirectedGraph`
 and return vertex ids; ties are broken by ascending vertex id, so their
 outputs are deterministic.
 
-Min-fill and :func:`bnic.pipeline.recursive_thinning` hold adjacency as
-one int bitmask per vertex position, the vertex's rank among the graph's
-ids, so ties broken by position are ties broken by id.  MCS keeps
-adjacency sets: a bitmask MCS was slower on the benchmark's networks.
+Min-fill holds adjacency as one int bitmask per vertex position, the
+vertex's rank among the graph's ids, so ties broken by position are ties
+broken by id; it counts each fill cost once and then keeps it exact by
+deltas from each elimination.  MCS keeps adjacency sets: a bitmask MCS was
+slower on the benchmark's networks.
 """
 
 from __future__ import annotations
@@ -26,17 +27,6 @@ def numba_enabled() -> bool:
     return False
 
 
-def vertex_masks(g: "UndirectedGraph") -> tuple[list[int], list[int]]:
-    """The vertex ids, ascending, and each one's neighbours as a bitmask.
-
-    Bit i stands for ``ids[i]``: ids can be large and far apart after node
-    removals and in a rebuild's induced subgraph.
-    """
-    ids = g.vertices()
-    pos = {v: i for i, v in enumerate(ids)}
-    return ids, [sum(1 << pos[u] for u in g.neighbors(v)) for v in ids]
-
-
 def _bits(m: int) -> Iterator[int]:
     """The positions of the set bits of m, ascending."""
     while m:
@@ -50,20 +40,28 @@ def min_fill(g: "UndirectedGraph") -> tuple[list[int], list[tuple[int, int]]]:
 
     Returns ``(order, fill)`` where ``fill`` lists the added edges ``(u, v)``
     with ``u < v`` in insertion order: per elimination, by ascending u and
-    then ascending v.  Each vertex's fill cost is kept; an elimination
-    recomputes it for the eliminated vertex's neighbours and lowers it by
-    one for each other common neighbour of a new fill edge.  A lazy heap
-    keyed on ``(cost, position)`` picks the next vertex.  Adjacency is kept
-    both as sets, to iterate over, and as bitmasks, to intersect.
+    then ascending v.  Each vertex's fill cost is counted once and then
+    kept exact by deltas: eliminating x with neighbour mask N, and with
+    ``old`` the masks with x cleared but before any fill is added,
+
+    * each u in N loses ``|old[u] & ~N|``, its pairs through x;
+    * each fill edge {u, v} takes one from every w in ``old[u] & old[v]``
+      (inside N or not), and gives u the ``|old[u] & ~N & ~old[v]|`` new
+      non-adjacent pairs through v, and v the mirror term.
+
+    A lazy heap keyed on ``(cost, position)`` picks the next vertex.
     """
-    ids, masks = vertex_masks(g)
-    adj = [set(_bits(m)) for m in masks]
+    # bit i of a mask stands for ids[i]: ids can be large and far apart
+    # after node removals and in a rebuild's induced subgraph
+    ids = g.vertices()
+    pos = {v: i for i, v in enumerate(ids)}
+    masks = [sum(1 << pos[u] for u in g.neighbors(v)) for v in ids]
 
     def fill_cost(i: int) -> int:
         # non-adjacent pairs among i's neighbours; linked pairs count twice
         m = masks[i]
         d = m.bit_count()
-        return (d * (d - 1) - sum((masks[j] & m).bit_count() for j in adj[i])) // 2
+        return (d * (d - 1) - sum((masks[j] & m).bit_count() for j in _bits(m))) // 2
 
     cost = [fill_cost(i) for i in range(len(ids))]
     heap = list(zip(cost, range(len(ids))))
@@ -77,30 +75,25 @@ def min_fill(g: "UndirectedGraph") -> tuple[list[int], list[tuple[int, int]]]:
         cost[x] = -1
         order.append(ids[x])
         nx = masks[x]
-        nbrs = adj[x]
         keep = ~(1 << x)
-        for u in nbrs:
-            adj[u].discard(x)
-            masks[u] &= keep
-        changed = set()
-        if c:
-            for u in _bits(nx):
-                # partners above u, fixed before u gains any of them
-                for v in _bits(nx & ~masks[u] & -(2 << u)):
-                    fill.append((ids[u], ids[v]))
-                    for w in _bits(masks[u] & masks[v] & ~nx):
-                        cost[w] -= 1
-                        changed.add(w)
-                    masks[u] |= 1 << v
-                    masks[v] |= 1 << u
-                    adj[u].add(v)
-                    adj[v].add(u)
-        for u in nbrs:
-            new = fill_cost(u)
-            if new != cost[u]:
-                cost[u] = new
-                changed.add(u)
-        for u in changed:
+        changed = nx  # the vertices whose cost may move, as a mask
+        for u in _bits(nx):
+            ou = masks[u] & keep  # old[u]: a mask changes only at its own turn
+            out_u = ou & ~nx
+            cost[u] -= out_u.bit_count()
+            for v in _bits(nx & ~ou & -(2 << u)):
+                fill.append((ids[u], ids[v]))
+                ov = masks[v] & keep  # old[v], as v > u
+                common = ou & ov
+                changed |= common
+                while common:
+                    low = common & -common
+                    cost[low.bit_length() - 1] -= 1
+                    common ^= low
+                cost[u] += (out_u & ~ov).bit_count()
+                cost[v] += (ov & ~nx & ~ou).bit_count()
+            masks[u] = ou | (nx ^ (1 << u))
+        for u in _bits(changed):
             heapq.heappush(heap, (cost[u], u))
     return order, fill
 

@@ -3,7 +3,9 @@
 The pipeline is: greedy minimum-fill triangulation, recursive thinning down
 to a minimal triangulation, maximal-clique extraction via maximum
 cardinality search, maximum-weight spanning-tree assembly, and family
-assignment.
+assignment.  Thinning and clique extraction share one step: the cliques of
+the min-fill triangulation decide which fill edges can go, and MCS runs a
+second time only if some did.
 """
 
 from __future__ import annotations
@@ -14,7 +16,10 @@ from dataclasses import dataclass
 from . import kernels
 from .clustertree import ClusterTree
 from .errors import InconsistencyError, NotChordalError
-from .graph import Dag, UndirectedGraph, is_chordal
+from .graph import Dag, UndirectedGraph
+
+# Unused by the package; kept because the benchmark's tracer binds it.
+from .graph import is_chordal
 
 
 @dataclass(frozen=True)
@@ -51,45 +56,65 @@ def triangulate_min_fill(g: UndirectedGraph) -> Triangulation:
 def recursive_thinning(t: Triangulation) -> Triangulation:
     """Drop redundant fill edges until the triangulation is minimal.
 
-    A fill edge {u, v} is removable exactly when the common neighbourhood of
-    u and v in the current graph is complete; the scan runs over fill edges
-    in ascending pair order and restarts after every removal.  The input
-    is checked for chordality first: the removal test is only sound on a
-    chordal graph, and the argument of this public function may be any
-    triangulation record.  The scan runs on the bitmasks of
-    :func:`kernels.vertex_masks`.
+    Raises :class:`NotChordalError` if ``t`` is not chordal: the removal
+    test is only sound on a chordal graph, and the argument of this public
+    function may be any triangulation record.  See :func:`_thin` for the
+    removal rule and the scan order.
+    """
+    return _thin(t)[0]
+
+
+def _thin(t: Triangulation) -> tuple[Triangulation, list[frozenset[int]]]:
+    """Thin ``t`` to a minimal triangulation; also return its maximal cliques.
+
+    One :func:`extract_cliques` pass on ``base + fill`` doubles as the
+    chordality guard.  Each vertex then gets an int mask of the cliques
+    holding it.  In a chordal graph an edge {u, v} can be dropped, keeping
+    the graph chordal, iff exactly one maximal clique C holds it (Rose,
+    Tarjan & Lueker 1976), i.e. iff ``cm[u] & cm[v]`` has one bit.  The
+    fill edges are scanned in ascending pair order and the scan restarts
+    after every removal.  A removal replaces C by C−u and C−v, each kept
+    only if no other live clique contains it (Ibarra, ACM TALG 2008).  If
+    anything was removed, the cliques are extracted once more, so their
+    order is the MCS order of the thinned graph.
     """
     work = t.graph()
-    ok, witness = is_chordal(work)
-    if not ok:
-        raise NotChordalError(f"input triangulation is not chordal (missing edge {witness})")
-    ids, masks = kernels.vertex_masks(work)
-    pos = {v: i for i, v in enumerate(ids)}
-    pending = sorted(sorted((pos[u], pos[v])) for u, v in t.fill)
-    fill = set(t.fill)
+    cliques = extract_cliques(work)
+    pending = sorted(sorted(pair) for pair in t.fill)
+    live = list(cliques)  # clique of bit k; None once replaced
+    cm = dict.fromkeys(work.vertices(), 0)
+    for k, c in enumerate(live):
+        for w in c:
+            cm[w] |= 1 << k
+    removed = []
     changed = True
     while changed:
         changed = False
-        for k, (u, v) in enumerate(pending):
-            if _is_clique(masks[u] & masks[v], masks):
-                masks[u] &= ~(1 << v)
-                masks[v] &= ~(1 << u)
-                fill.remove(frozenset((ids[u], ids[v])))
-                del pending[k]
-                changed = True
-                break
-    return Triangulation(t.base, frozenset(fill))
-
-
-def _is_clique(c: int, masks: list[int]) -> bool:
-    """True iff every w in the position set c sees all of c but itself."""
-    rest = c
-    while rest:
-        low = rest & -rest  # the bit of the next w
-        if c & ~masks[low.bit_length() - 1] != low:
-            return False
-        rest ^= low
-    return True
+        for i, (u, v) in enumerate(pending):
+            shared = cm[u] & cm[v]
+            if shared & (shared - 1):
+                continue  # two or more cliques hold {u, v}
+            k = shared.bit_length() - 1
+            c = live[k]
+            live[k] = None
+            for w in c:
+                cm[w] &= ~shared
+            for part in (c - {u}, c - {v}):
+                holders = -1
+                for w in part:
+                    holders &= cm[w]
+                if not holders:
+                    for w in part:
+                        cm[w] |= 1 << len(live)
+                    live.append(part)
+            work.remove_edge(u, v)
+            removed.append(frozenset((u, v)))
+            del pending[i]
+            changed = True
+            break
+    if removed:
+        cliques = extract_cliques(work)
+    return Triangulation(t.base, t.fill.difference(removed)), cliques
 
 
 # Unused by the package; kept because the benchmark's tracer binds it.
@@ -185,8 +210,7 @@ def construct_join_tree(gm: UndirectedGraph, dag: Dag | None = None) -> tuple[Cl
     rebuilds inside the incremental engine skip that step and reassign
     hosts after splicing.
     """
-    tri = recursive_thinning(triangulate_min_fill(gm))
-    cliques = extract_cliques(tri.graph())
+    tri, cliques = _thin(triangulate_min_fill(gm))
     tree = build_join_tree(cliques)
     if dag is not None:
         assign_families(dag, tree)

@@ -632,6 +632,23 @@ def test_junction_cycle_after_rejoin_raises(asia_model, monkeypatch):
         incremental_compile(asia_model, [RemoveArc(t.id("A"), t.id("T"))])
 
 
+def test_reattachment_outside_the_mps_boundary_raises(asia_model, monkeypatch):
+    # the splice maps reattached cliques to their MPS through the boundary
+    # MPSs only; a record naming any other clique is an inconsistency
+    model = asia_model
+    t = model.dag.table
+    far = next(c for c in model.jt.cluster_ids() if name_set(t, model.jt.cluster(c)) == frozenset("EX"))
+    splice = bnic.engine.connect
+
+    def connect_with_far_record(tree, replacement_ids, c_i):
+        records, visited = splice(tree, replacement_ids, c_i)
+        return records + [(c_i, far, frozenset(), records[0][3])], visited
+
+    monkeypatch.setattr(bnic.engine, "connect", connect_with_far_record)
+    with pytest.raises(InconsistencyError, match="outside the MPS boundary"):
+        incremental_compile(model, [RemoveArc(t.id("A"), t.id("T"))])
+
+
 def _stack_depth() -> int:
     depth, frame = 0, sys._getframe()
     while frame is not None:

@@ -157,6 +157,35 @@ def _graph(adj, ids):
     return UndirectedGraph.from_edges(ids, edges)
 
 
+def _clique_chain(n, k, closed=False):
+    # cliques of k vertices, each sharing k // 2 with the next; closed, the
+    # last one also overlaps the first, which forces fill between cliques
+    a = np.zeros((n, n), np.bool_)
+    step = max(k - k // 2, 1)
+    for s in range(0, n, step):
+        members = [(s + i) % n for i in range(k)] if closed else list(range(s, min(s + k, n)))
+        for i in members:
+            for j in members:
+                a[i, j] = i != j
+    return a
+
+
+def _dense_cases(rng, n):
+    # mean degree n/4 and n/2, the complete graph, the complete graph minus
+    # a perfect matching, and open and closed chains of overlapping cliques:
+    # graphs where most fill lies inside the eliminated vertex's neighbours
+    for degree in (n / 4, n / 2):
+        yield _random_adj(rng, n, degree / max(n - 1, 1) / 2)
+    complete = ~np.eye(n, dtype=np.bool_)
+    yield complete
+    matched = complete.copy()
+    for i in range(0, n - 1, 2):
+        matched[i, i + 1] = matched[i + 1, i] = False
+    yield matched
+    yield _clique_chain(n, 4)
+    yield _clique_chain(n, 6, closed=True)
+
+
 def _spaced_ids(n):
     # ascending but not contiguous, so index and id differ
     return [3 * i + 1 for i in range(n)]
@@ -175,12 +204,12 @@ def _gapped_ids(n):
 def test_backends_produce_identical_min_fill(n):
     # the adjacency-set kernel against the dense reference loop
     rng = np.random.default_rng(n)
-    adj = _random_adj(rng, n, 0.3)
     ids = _spaced_ids(n)
-    order, fill = kernels.min_fill(_graph(adj, ids))
-    ref_order, ref_u, ref_v = _min_fill_reference(adj)
-    assert order == [ids[i] for i in ref_order]
-    assert fill == [(ids[u], ids[v]) for u, v in zip(ref_u, ref_v)]
+    for adj in [_random_adj(rng, n, 0.3), *_dense_cases(rng, n)]:
+        order, fill = kernels.min_fill(_graph(adj, ids))
+        ref_order, ref_u, ref_v = _min_fill_reference(adj)
+        assert order == [ids[i] for i in ref_order]
+        assert fill == [(ids[u], ids[v]) for u, v in zip(ref_u, ref_v)]
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 12, 20])
@@ -198,10 +227,14 @@ def test_backends_produce_identical_mcs(n):
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 30, 64, 65, 120, 200])
 def test_min_fill_matches_adjacency_set_kernel(n):
     # the bitmask kernel against the former adjacency-set kernel, on graphs
-    # of mean degree 2 to 8 whose ids are gapped and out of index order
+    # from mean degree 2 to n/2 whose ids are gapped and out of index order;
+    # the reference's from-scratch costs make dense cases too slow above 65
     rng = np.random.default_rng(300 + n)
-    for degree in (2, 4, 8):
-        g = _graph(_random_adj(rng, n, degree / max(n - 1, 1) / 2), _gapped_ids(n))
+    cases = [_random_adj(rng, n, degree / max(n - 1, 1) / 2) for degree in (2, 4, 8)]
+    if n <= 65:
+        cases += _dense_cases(rng, n)
+    for adj in cases:
+        g = _graph(adj, _gapped_ids(n))
         assert kernels.min_fill(g) == _min_fill_sets_reference(g)
 
 

@@ -20,6 +20,7 @@ from bnic import (
     triangulate_min_fill,
 )
 
+from bnic.pipeline import _thin
 from conftest import cluster_names, name_set, separator_names
 
 
@@ -80,6 +81,10 @@ def test_thinning_requires_chordal_input():
     square = UndirectedGraph.from_edges(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)])
     with pytest.raises(NotChordalError):
         recursive_thinning(Triangulation(square, frozenset()))
+    # one chord of a 5-cycle leaves a chordless 4-cycle
+    pentagon = UndirectedGraph.from_edges(range(5), [(i, (i + 1) % 5) for i in range(5)])
+    with pytest.raises(NotChordalError):
+        recursive_thinning(Triangulation(pentagon, frozenset({frozenset((0, 2))})))
 
 
 def _thinning_reference(t):
@@ -138,8 +143,12 @@ def test_thinning_matches_set_based_loop():
     removed = {"banded": 0, "injected": 0}
 
     def check(kind, t):
-        thin = recursive_thinning(t)
-        assert thin.fill == _thinning_reference(t).fill
+        # the fused step against the reference loop followed by a fresh
+        # clique extraction: same fill, same cliques in the same order
+        thin, cliques = _thin(t)
+        reference = _thinning_reference(t)
+        assert thin.fill == reference.fill == recursive_thinning(t).fill
+        assert cliques == extract_cliques(reference.graph())
         removed[kind] += len(t.fill) - len(thin.fill)
 
     for k, n in enumerate([300, 100, 60, 200]):
