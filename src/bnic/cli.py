@@ -11,11 +11,10 @@ from pathlib import Path
 from random import Random
 
 from .bench import run_bench
-from .engine import BatchTrace, CompiledModel, incremental_compile
+from .engine import BatchTrace, CompiledModel, describe, incremental_compile
 from .errors import BnicError, ParseError
 from .fileio import dag_dot, parse_edits, parse_network, parse_script, tree_dot, undirected_dot
-from .graph import Dag
-from .oracle import full_recompile, mpd_equal, random_dag, validate
+from .oracle import full_recompile, mpd_equal, random_arc_edits, random_dag, validate
 
 DEFAULT_SEED = 42
 
@@ -193,10 +192,12 @@ def _cmd_bench(args) -> int:
         if len(args.random) not in (2, 3):
             raise ParseError("--random takes N EDITS [SEED]")
         n, n_edits = args.random[0], args.random[1]
+        if n < 0 or n_edits < 0:
+            raise ParseError("--random N and EDITS must not be negative")
         seed = args.random[2] if len(args.random) == 3 else DEFAULT_SEED
         rng = Random(seed)
         dag = random_dag(n, rng, edge_prob=min(1.0, 3.0 / max(n - 1, 1)))
-        edits = _random_arc_edits(dag, n_edits, rng)
+        edits = [(describe(mod, dag), [mod]) for mod in random_arc_edits(dag, n_edits, rng)]
     else:
         if args.network is None or args.script is None:
             raise ParseError("bench needs a network and script, or --random N EDITS [SEED]")
@@ -211,36 +212,6 @@ def _cmd_bench(args) -> int:
         print("bench verification failed", file=sys.stderr)
         return 2
     return 0
-
-
-def _random_arc_edits(dag: Dag, n_edits: int, rng: Random):
-    from .engine import AddArc, RemoveArc, apply_modification
-
-    scratch = dag.copy()
-    edits = []
-    guard = 0
-    while len(edits) < n_edits and guard < 50 * n_edits + 50:
-        guard += 1
-        add = rng.random() < 0.5
-        if add:
-            nodes = scratch.nodes()
-            for _ in range(30):
-                u, v = rng.sample(nodes, 2)
-                if not scratch.has_arc(u, v) and not scratch.has_path(v, u):
-                    mod = AddArc(u, v)
-                    apply_modification(scratch, mod)
-                    name = f"add-arc {scratch.table.name(u)} {scratch.table.name(v)}"
-                    edits.append((name, [mod]))
-                    break
-        else:
-            arcs = scratch.arcs()
-            if arcs:
-                p, c = rng.choice(arcs)
-                mod = RemoveArc(p, c)
-                name = f"remove-arc {scratch.table.name(p)} {scratch.table.name(c)}"
-                apply_modification(scratch, mod)
-                edits.append((name, [mod]))
-    return edits
 
 
 def main(argv=None) -> int:

@@ -26,7 +26,7 @@ from .clustertree import ClusterTree
 from .errors import InconsistencyError, InvalidEditError
 from .graph import Dag, Link, UndirectedGraph
 from .mpd import MpdIndex, aggregate_cliques
-from .pipeline import Triangulation, construct_join_tree
+from .pipeline import Triangulation, assign_families, construct_join_tree
 
 # Unused by the package; kept because the benchmark's tracer binds it.
 from .pipeline import perfect_elimination_order
@@ -111,10 +111,10 @@ def expand_remove_node(dag: Dag, node: int) -> list[Modification]:
 class CompiledModel:
     """The mutually consistent bundle of structures kept up to date by edits.
 
-    ``jt.family`` aliases ``index.clique_of`` and ``mpd.family`` aliases
-    ``index.mps_of``: there is a single source of truth for family hosting.
-    The triangulation record is derived from the clusters on demand and
-    cached; edits invalidate the cache.
+    Each hosting fact is kept once: ``jt.family`` maps a variable to the
+    clique hosting its family, and ``index.owner`` maps that clique to its
+    MPS (``mpd.family`` stays empty).  The triangulation record is derived
+    from the clusters on demand and cached; edits invalidate the cache.
     """
 
     def __init__(
@@ -132,8 +132,6 @@ class CompiledModel:
         self.mpd = mpd
         self.index = index
         self._tri = tri
-        jt.family = index.clique_of
-        mpd.family = index.mps_of
 
     @property
     def tri(self) -> Triangulation:
@@ -287,9 +285,12 @@ def _strip_variable(tree: ClusterTree, x: int) -> list[int]:
     holders = [cid for cid in tree.cluster_ids() if x in tree.cluster(cid)]
     for cid in holders:
         tree.replace_cluster(cid, tree.cluster(cid) - {x})
-    for a, b, sep in tree.edges():
-        if x in sep:
-            tree.set_separator(a, b, sep - {x})
+        # a separator holding x is the intersection of its ends or a rewired
+        # {parent} hung on a holder of the parent, so one of its ends holds x
+        for nb in tree.neighbors(cid):
+            sep = tree.separator(cid, nb)
+            if x in sep:
+                tree.set_separator(cid, nb, sep - {x})
     return holders
 
 
@@ -306,10 +307,10 @@ def add_node(model: CompiledModel, x: int, rec: ModTrace | None = None) -> None:
     m = mpd.add_cluster({x}, marked=True)
     if anchor is not None:
         jt.add_edge(c, anchor, frozenset())
-        mpd.add_edge(m, index.owner_map()[anchor], frozenset())
+        mpd.add_edge(m, index.owner[anchor], frozenset())
     index.cliques_of[m] = {c}
-    index.clique_of[x] = c
-    index.mps_of[x] = m
+    index.owner[c] = m
+    jt.family[x] = c
     if rec is not None:
         rec.touched[m] = mpd.cluster(m)
 
@@ -329,7 +330,7 @@ def mark_add_link(
     separator {parent}, shrinking the region to re-triangulate.
     """
     mpd, jt, index = model.mpd, model.jt, model.index
-    m_y = index.mps_of[child]
+    m_y = index.owner[jt.family[child]]
     for _link in links:
         m_x = _nearest_containing(mpd, m_y, parent)
         path = mpd.path(m_x, m_y)
@@ -484,9 +485,7 @@ def absorb_non_maximal(tree: ClusterTree) -> ClusterTree:
     return tree
 
 
-def _amalgamate(
-    model: CompiledModel, src: int, dst: int, m_src: int, m_dst: int, trace: BatchTrace | None
-) -> None:
+def _amalgamate(model: CompiledModel, src: int, dst: int, trace: BatchTrace | None) -> None:
     """Merge the new clique src, equal to its boundary separator, into dst.
 
     :func:`connect` hung the boundary separator S of the unmarked cluster dst
@@ -499,6 +498,7 @@ def _amalgamate(
     the MPS merge mirrors the clique merge one to one.
     """
     index = model.index
+    m_src, m_dst = index.owner[src], index.owner[dst]
     if trace is not None:
         trace.absorbed.append((model.jt.cluster(src), model.jt.cluster(dst)))
     if index.cliques_of[m_src] != {src}:
@@ -509,6 +509,7 @@ def _amalgamate(
         raise InconsistencyError(f"MPSs {m_src} and {m_dst} are not adjacent")
     model.mpd.merge_into(m_src, m_dst)
     del index.cliques_of[m_src]
+    del index.owner[src]
     model.jt.merge_into(src, dst)
 
 
@@ -528,96 +529,85 @@ def _rebuild_subtree(model: CompiledModel, comp: list[int], trace: BatchTrace | 
         if nb not in comp
     )
 
+    records = []
     if not variables:
         # every cluster of the subtree was emptied by node removals: the
         # boundary separators are necessarily empty, so drop the clusters
         # and leave reconnection to the end-of-batch fragment rejoin
         if any(sep for _, _, sep in old_boundary):
             raise InconsistencyError("emptied subtree has a non-empty boundary separator")
-        for k in doomed:
-            jt.remove_cluster(k)
-        for m in comp:
-            mpd.remove_cluster(m)
-            del index.cliques_of[m]
         if trace is not None:
             trace.subtrees.append(SubtreeTrace(tuple(comp), frozenset(), (), ()))
-        return
+    else:
+        g_sub = model.moral.induced(variables)
+        t, _tri = construct_join_tree(g_sub)
+        t_mpd, t_index = aggregate_cliques(t, g_sub)
 
-    g_sub = model.moral.induced(variables)
-    t, _tri = construct_join_tree(g_sub)
-    t_mpd, t_index = aggregate_cliques(t, g_sub)
-
-    jt_map = {lid: jt.add_cluster(t.cluster(lid)) for lid in t.cluster_ids()}
-    for a, b, sep in t.edges():
-        jt.add_edge(jt_map[a], jt_map[b], sep)
-    mpd_map = {lid: mpd.add_cluster(t_mpd.cluster(lid)) for lid in t_mpd.cluster_ids()}
-    for a, b, sep in t_mpd.edges():
-        mpd.add_edge(mpd_map[a], mpd_map[b], sep)
-    for m_local, cliques in t_index.cliques_of.items():
-        index.cliques_of[mpd_map[m_local]] = {jt_map[c] for c in cliques}
-    owner_global = {jt_map[c]: mpd_map[m] for c, m in t_index.owner_map().items()}
-    new_clique_ids = set(jt_map.values())
-    if trace is not None:
-        trace.new_jt_ids |= new_clique_ids
-        trace.new_mpd_ids |= set(mpd_map.values())
-        trace.subtrees.append(
-            SubtreeTrace(
-                tuple(comp),
-                frozenset(variables),
-                tuple(t.cluster(l) for l in t.cluster_ids()),
-                tuple(t_mpd.cluster(l) for l in t_mpd.cluster_ids()),
+        jt_map = {lid: jt.add_cluster(t.cluster(lid)) for lid in t.cluster_ids()}
+        for a, b, sep in t.edges():
+            jt.add_edge(jt_map[a], jt_map[b], sep)
+        mpd_map = {lid: mpd.add_cluster(t_mpd.cluster(lid)) for lid in t_mpd.cluster_ids()}
+        for a, b, sep in t_mpd.edges():
+            mpd.add_edge(mpd_map[a], mpd_map[b], sep)
+        for m_local, cliques in t_index.cliques_of.items():
+            index.cliques_of[mpd_map[m_local]] = {jt_map[c] for c in cliques}
+        for c, m_local in t_index.owner.items():
+            index.owner[jt_map[c]] = mpd_map[m_local]
+        new_clique_ids = set(jt_map.values())
+        if trace is not None:
+            trace.new_jt_ids |= new_clique_ids
+            trace.new_mpd_ids |= set(mpd_map.values())
+            trace.subtrees.append(
+                SubtreeTrace(
+                    tuple(comp),
+                    frozenset(variables),
+                    tuple(t.cluster(l) for l in t.cluster_ids()),
+                    tuple(t_mpd.cluster(l) for l in t_mpd.cluster_ids()),
+                )
             )
-        )
 
-    records, visited = connect(jt, new_clique_ids, doomed[0])
-    if visited != set(doomed):
-        raise InconsistencyError(
-            "marked cliques do not form one connected junction subtree"
-        )
-
-    # mirror each junction reattachment as an MPS-tree edge; the boundary
-    # must match the old MPS boundary one-to-one, so only the cliques of the
-    # boundary MPSs can be reattached
-    owner_old = {c: nb for _, nb, _ in old_boundary for c in index.cliques_of[nb]}
-    mirrored = Counter()
-    for _k, c_k, sep, target in records:
-        m_out = owner_old.get(c_k)
-        if m_out is None:
+        records, visited = connect(jt, new_clique_ids, doomed[0])
+        if visited != set(doomed):
             raise InconsistencyError(
-                f"reattached cluster {c_k} lies outside the MPS boundary of the subtree"
+                "marked cliques do not form one connected junction subtree"
             )
-        mpd.add_edge(owner_global[target], m_out, sep)
-        mirrored[(m_out, sep)] += 1
-    if mirrored != Counter((nb, sep) for _, nb, sep in old_boundary):
-        raise InconsistencyError("junction and MPS boundaries disagree")
+
+        # mirror each junction reattachment as an MPS-tree edge; the boundary
+        # must match the old MPS boundary one-to-one, so only the cliques of
+        # the boundary MPSs can be reattached
+        boundary_mps = {nb for _, nb, _ in old_boundary}
+        mirrored = Counter()
+        for _k, c_k, sep, target in records:
+            m_out = index.owner.get(c_k)
+            if m_out not in boundary_mps:
+                raise InconsistencyError(
+                    f"reattached cluster {c_k} lies outside the MPS boundary of the subtree"
+                )
+            mpd.add_edge(index.owner[target], m_out, sep)
+            mirrored[(m_out, sep)] += 1
+        if mirrored != Counter((nb, sep) for _, nb, sep in old_boundary):
+            raise InconsistencyError("junction and MPS boundaries disagree")
+
+        # re-host families whose clique died; a dead host is a doomed clique,
+        # which holds its variable, so only the region's variables can need
+        # it.  jt_map is increasing, so the local (size, id) choice is the
+        # global one.
+        dead = set(doomed)
+        orphans = [v for v in sorted(variables) if jt.family.get(v) in dead]
+        assign_families(model.dag, t, orphans)
+        for v in orphans:
+            jt.family[v] = jt_map[t.family[v]]
 
     for k in doomed:
         jt.remove_cluster(k)
+        del index.owner[k]
     for m in comp:
         mpd.remove_cluster(m)
         del index.cliques_of[m]
 
-    # re-host families whose clique died; a dead host is a doomed clique,
-    # which holds its variable, so only the region's variables can need it
-    dead = set(doomed)
-    for var in sorted(variables):
-        if index.clique_of.get(var) in dead:
-            fam = model.dag.family(var)
-            best = None
-            for cid in sorted(new_clique_ids):
-                vs = jt.cluster(cid)
-                if fam <= vs and (best is None or (len(vs), cid) < best):
-                    best = (len(vs), cid)
-            if best is None:
-                raise InconsistencyError(
-                    f"family of variable {var} not covered by the rebuilt subtree"
-                )
-            index.clique_of[var] = best[1]
-            index.mps_of[var] = owner_global[best[1]]
-
     for _k, c_k, sep, target in records:
         if target in jt and jt.cluster(target) == sep:
-            _amalgamate(model, target, c_k, owner_global[target], owner_old[c_k], trace)
+            _amalgamate(model, target, c_k, trace)
 
 
 def _rejoin_fragments(model: CompiledModel) -> None:
@@ -626,7 +616,7 @@ def _rejoin_fragments(model: CompiledModel) -> None:
     # has one edge fewer than clusters
     comps = model.jt.components()
     if len(comps) > 1:
-        owner = model.index.owner_map()
+        owner = model.index.owner
         anchor = min(comps[0])
         for comp in comps[1:]:
             other = min(comp)
@@ -678,10 +668,9 @@ def incremental_compile(
                 add_node(model, model.dag.table.id(name), rec)
             case RemoveNode(node):
                 mark_remove_node(model, node, rec)
-                model.index.mps_of.pop(node, None)
-                model.index.clique_of.pop(node, None)
+                model.jt.family.pop(node, None)
             case RemoveArc(_, child):
-                mark_remove_link(model, links, model.index.mps_of[child], rec)
+                mark_remove_link(model, links, model.index.owner[model.jt.family[child]], rec)
             case AddArc(parent, child):
                 mark_add_link(model, parent, child, links, rec)
         if trace is not None:

@@ -13,23 +13,16 @@ class MpdIndex:
     """Bookkeeping tying the MPS tree to the junction tree.
 
     ``cliques_of`` partitions the junction clusters among the MPS clusters;
-    each MPS vertex set equals the union of its cliques.  ``clique_of`` and
-    ``mps_of`` record the hosting clique and MPS of every variable's family.
+    each MPS vertex set equals the union of its cliques.  ``owner`` is its
+    inverse, the MPS of every junction cluster, so a variable's family is
+    hosted in the MPS ``owner[jt.family[v]]``.
     """
 
     cliques_of: dict[int, set[int]] = field(default_factory=dict)
-    mps_of: dict[int, int] = field(default_factory=dict)
-    clique_of: dict[int, int] = field(default_factory=dict)
-
-    def owner_map(self) -> dict[int, int]:
-        return {c: m for m, cs in self.cliques_of.items() for c in cs}
+    owner: dict[int, int] = field(default_factory=dict)
 
     def copy(self) -> "MpdIndex":
-        return MpdIndex(
-            cliques_of={m: set(cs) for m, cs in self.cliques_of.items()},
-            mps_of=dict(self.mps_of),
-            clique_of=dict(self.clique_of),
-        )
+        return MpdIndex({m: set(cs) for m, cs in self.cliques_of.items()}, dict(self.owner))
 
 
 def aggregate_cliques(jt: ClusterTree, gm: UndirectedGraph) -> tuple[ClusterTree, MpdIndex]:
@@ -41,10 +34,12 @@ def aggregate_cliques(jt: ClusterTree, gm: UndirectedGraph) -> tuple[ClusterTree
     one pass finds every group: each MPS keeps the smallest id of its group
     and the union of its vertex sets, and the complete separators become
     the MPS tree's edges.  Requires a junction tree built from a minimal
-    triangulation of gm.
+    triangulation of gm.  The MPS tree's family map is left empty: family
+    hosting lives in the junction tree and the index's owner map.
     """
     mpd = jt.copy()
     mpd.clear_marks()
+    mpd.family = {}
     complete = [(a, b, sep) for a, b, sep in jt.edges() if gm.is_complete(sep)]
     for a, b, _ in complete:
         mpd.remove_edge(a, b)
@@ -56,8 +51,4 @@ def aggregate_cliques(jt: ClusterTree, gm: UndirectedGraph) -> tuple[ClusterTree
         mpd.replace_cluster(r, frozenset().union(*(jt.cluster(c) for c in comp)))
     for a, b, sep in complete:
         mpd.add_edge(root[a], root[b], sep)
-
-    index = MpdIndex(cliques_of=groups, clique_of=dict(jt.family))
-    index.mps_of = {v: root[c] for v, c in index.clique_of.items()}
-    mpd.family = index.mps_of
-    return mpd, index
+    return mpd, MpdIndex(groups, root)

@@ -167,19 +167,16 @@ def validate(model: CompiledModel) -> ValidityReport:
     )
 
     fam_detail = ""
-    if set(index.clique_of) != nodes or set(index.mps_of) != nodes:
-        unhosted = sorted(nodes - (set(index.clique_of) & set(index.mps_of)))
-        extra = sorted((set(index.clique_of) | set(index.mps_of)) - nodes)
+    if set(jt.family) != nodes:
+        unhosted = sorted(nodes - set(jt.family))
+        extra = sorted(set(jt.family) - nodes)
         fam_detail = f"family map variables differ from the dag's: missing {unhosted}, unknown {extra}"
     else:
         for v in dag.nodes():
             fam = dag.family(v)
-            if not (
-                index.clique_of[v] in jt
-                and index.mps_of[v] in mpd
-                and fam <= jt.cluster(index.clique_of[v])
-                and fam <= mpd.cluster(index.mps_of[v])
-            ):
+            c = jt.family[v]
+            m = index.owner.get(c)
+            if not (c in jt and m in mpd and fam <= jt.cluster(c) and fam <= mpd.cluster(m)):
                 fam_detail = f"family of {v} is not hosted"
                 break
     check("family_coverage", not fam_detail, fam_detail)
@@ -212,8 +209,7 @@ def validate(model: CompiledModel) -> ValidityReport:
                 idx_ok = False
                 break
     if idx_ok:
-        owner = index.owner_map()
-        idx_ok = all(index.mps_of[v] == owner[index.clique_of[v]] for v in index.clique_of)
+        idx_ok = index.owner == {c: m for m, cs in index.cliques_of.items() for c in cs}
     check("mpd_index", idx_ok, "clique/MPS index is inconsistent with the trees")
 
     return ValidityReport(tuple(checks))
@@ -268,20 +264,9 @@ def random_script(dag: Dag, n_mods: int, rng: Random) -> list[Modification]:
         guard += 1
         kind = rng.choices(kinds, weights=weights)[0]
         nodes = scratch.nodes()
-        if kind == "add-arc" and len(nodes) >= 2:
-            for _ in range(30):
-                u, v = rng.sample(nodes, 2)
-                if not scratch.has_arc(u, v) and not scratch.has_path(v, u):
-                    mod: Modification = AddArc(u, v)
-                    apply_modification(scratch, mod)
-                    mods.append(mod)
-                    break
-        elif kind == "remove-arc":
-            arcs = scratch.arcs()
-            if arcs:
-                p, c = rng.choice(arcs)
-                mod = RemoveArc(p, c)
-                apply_modification(scratch, mod)
+        if kind in ("add-arc", "remove-arc"):
+            mod = _draw_arc_edit(scratch, kind == "add-arc", rng)
+            if mod is not None:
                 mods.append(mod)
         elif kind == "add-node":
             mod = AddNode(f"r{scratch.table.next_id}")
@@ -295,3 +280,42 @@ def random_script(dag: Dag, n_mods: int, rng: Random) -> list[Modification]:
                     apply_modification(scratch, mod)
                 mods.extend(expansion)
     return mods
+
+
+def random_arc_edits(dag: Dag, n_edits: int, rng: Random) -> list[Modification]:
+    """At most n_edits single-arc edits, each an addition or a removal with odds 1/2."""
+    scratch = dag.copy()
+    mods: list[Modification] = []
+    guard = 0
+    while len(mods) < n_edits and guard < 50 * n_edits + 50:
+        guard += 1
+        mod = _draw_arc_edit(scratch, rng.random() < 0.5, rng)
+        if mod is not None:
+            mods.append(mod)
+    return mods
+
+
+def _draw_arc_edit(scratch: Dag, add: bool, rng: Random) -> Modification | None:
+    """Draw one valid arc addition or removal and apply it to scratch.
+
+    An addition tries 30 random ordered pairs for one that is neither an arc
+    nor closes a cycle.  Returns None when nothing valid was drawn.
+    """
+    if add:
+        nodes = scratch.nodes()
+        if len(nodes) < 2:
+            return None
+        for _ in range(30):
+            u, v = rng.sample(nodes, 2)
+            if not scratch.has_arc(u, v) and not scratch.has_path(v, u):
+                mod: Modification = AddArc(u, v)
+                break
+        else:
+            return None
+    else:
+        arcs = scratch.arcs()
+        if not arcs:
+            return None
+        mod = RemoveArc(*rng.choice(arcs))
+    apply_modification(scratch, mod)
+    return mod

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable
 
 from . import kernels
 from .clustertree import ClusterTree
@@ -186,14 +187,15 @@ def build_join_tree(cliques: list[frozenset[int]]) -> ClusterTree:
     return tree
 
 
-def assign_families(dag: Dag, tree: ClusterTree) -> None:
-    """Point each variable's family map entry at its smallest covering cluster.
+def assign_families(dag: Dag, tree: ClusterTree, variables: Iterable[int]) -> None:
+    """Point the family map entry of each given variable at its smallest covering cluster.
 
     Ties go to the smaller cluster id.  Only clusters holding the variable
-    itself can cover its family, so only those are scanned.
+    itself can cover its family, so only those are scanned.  Entries of
+    other variables are left alone.
     """
     holders = tree.vertex_index()
-    for vid in dag.nodes():
+    for vid in variables:
         fam = dag.family(vid)
         hosts = [(len(tree.cluster(c)), c) for c in holders.get(vid, ()) if fam <= tree.cluster(c)]
         if not hosts:
@@ -207,11 +209,11 @@ def construct_join_tree(gm: UndirectedGraph, dag: Dag | None = None) -> tuple[Cl
     """Full pipeline from an undirected graph to a junction tree.
 
     When a dag is supplied its families are assigned into the tree; subtree
-    rebuilds inside the incremental engine skip that step and reassign
-    hosts after splicing.
+    rebuilds inside the incremental engine skip that step and host only the
+    families whose clique they replaced.
     """
     tri, cliques = _thin(triangulate_min_fill(gm))
     tree = build_join_tree(cliques)
     if dag is not None:
-        assign_families(dag, tree)
+        assign_families(dag, tree, dag.nodes())
     return tree, tri

@@ -26,7 +26,8 @@ from bnic import (
     validate,
 )
 from bnic.bench import run_bench
-from bnic.cli import _random_arc_edits
+from bnic.engine import describe
+from bnic.oracle import random_arc_edits
 
 from conftest import build_asia, cluster_names, name_set
 
@@ -227,7 +228,7 @@ def test_criterion_7_performance_expectation():
     n = 120
     dag = random_dag(n, rng, edge_prob=3.0 / (n - 1))
     model = full_recompile(dag.copy())
-    edits = _random_arc_edits(dag, 20, rng)
+    edits = [(describe(mod, dag), [mod]) for mod in random_arc_edits(dag, 20, rng)]
     report = run_bench(model, edits, repeats=5)
     print()
     print(report.to_text())

@@ -157,6 +157,21 @@ def test_bench_random_mode(capsys):
     assert out.count("yes") == 4
 
 
+def test_bench_random_mode_with_fewer_than_two_nodes_gives_empty_report(capsys):
+    code, out, _ = run(capsys, "bench", "--random", "1", "3")
+    assert code == 0
+    assert len(out.splitlines()) == 2  # the header and its rule
+    assert out.startswith("  #  edit")
+
+
+def test_bench_random_mode_rejects_negative_counts(capsys):
+    code, _, err = run(capsys, "bench", "--random", "-1", "2")
+    assert code == 1
+    assert "must not be negative" in err
+    code, _, _ = run(capsys, "bench", "--random", "5", "-2")
+    assert code == 1
+
+
 def test_bench_usage_errors(capsys):
     code, _, err = run(capsys, "bench")
     assert code == 1

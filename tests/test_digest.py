@@ -6,6 +6,8 @@ edges) of seeded random networks, both after a full compile and after a
 few incremental flushes.  Every set is written as a sorted list and every
 id is an int, so the digest does not depend on the string hash seed.  A
 change that claims identical outputs must leave ``DIGEST`` as it is.
+``HOST_DIGEST`` pins, for the same models, the MPS hosting each variable's
+family: the owner of its junction-tree host clique.
 """
 
 import hashlib
@@ -15,6 +17,7 @@ from random import Random
 from bnic import Dag, full_recompile, incremental_compile, kernels, moralize, random_dag, random_script
 
 DIGEST = "1da17a819a7894a334efe9725fbeceecbf72077fe58ba1c91c2d8a8174b446eb"
+HOST_DIGEST = "e5d1f2c06d3b6fc0e206077770f63e6c726734a9642489ec1389475d1f206f87"
 
 
 def _banded_dag(n, rng):
@@ -43,8 +46,13 @@ def _model(model):
     return {"jt": _tree(model.jt, True), "mpd": _tree(model.mpd, False)}
 
 
+def _mps_hosts(model):
+    return sorted([v, model.index.owner[c]] for v, c in model.jt.family.items())
+
+
 def _records():
-    records = []
+    """The digest records and, model by model, the MPS host of every variable."""
+    records, hosts = [], []
     dags = [
         random_dag(n, Random(seed), edge_prob=p)
         for seed, n, p in [(1, 12, 0.3), (2, 30, 0.2), (3, 60, 0.1), (4, 90, 0.06), (5, 120, 0.025), (6, 40, 0.35)]
@@ -61,6 +69,7 @@ def _records():
                 **_model(model),
             }
         )
+        hosts.append(_mps_hosts(model))
     for seed in range(5):
         rng = Random(100 + seed)
         dag = _banded_dag(80, rng) if seed == 4 else random_dag(rng.randint(15, 40), rng, edge_prob=0.15)
@@ -68,9 +77,15 @@ def _records():
         for _ in range(3):
             incremental_compile(model, random_script(model.dag, 6, rng))
             records.append(_model(model))
-    return records
+            hosts.append(_mps_hosts(model))
+    return records, hosts
+
+
+def _sha256(obj):
+    return hashlib.sha256(json.dumps(obj, separators=(",", ":")).encode()).hexdigest()
 
 
 def test_pipeline_outputs_match_the_committed_digest():
-    blob = json.dumps(_records(), separators=(",", ":")).encode()
-    assert hashlib.sha256(blob).hexdigest() == DIGEST
+    records, hosts = _records()
+    assert _sha256(records) == DIGEST
+    assert _sha256(hosts) == HOST_DIGEST

@@ -113,7 +113,7 @@ def test_mark_remove_link_spreads_across_affected_separators(asia_model):
     apply_modification(m.dag, mod)
     links = modify_moral_graph(m, mod)
     rec = ModTrace(mod=mod, description="x")
-    mark_remove_link(m, links, m.index.mps_of[t.id("E")], rec)
+    mark_remove_link(m, links, m.index.owner[m.jt.family[t.id("E")]], rec)
     assert _marked_names(t, rec) == {frozenset("TLE"), frozenset("SLBE")}
 
 
@@ -128,7 +128,7 @@ def test_mark_remove_link_stays_local_without_separator_hits():
     apply_modification(m.dag, mod)
     links = modify_moral_graph(m, mod)
     rec = ModTrace(mod=mod, description="x")
-    mark_remove_link(m, links, m.index.mps_of[c], rec)
+    mark_remove_link(m, links, m.index.owner[m.jt.family[c]], rec)
     assert len(rec.touched) == 1
 
 
@@ -165,7 +165,7 @@ def test_mark_remove_link_equals_brute_force_closure():
         mod = RemoveArc(p, c)
         apply_modification(m.dag, mod)
         links = modify_moral_graph(m, mod)
-        start = m.index.mps_of[c]
+        start = m.index.owner[m.jt.family[c]]
         expected = _closure_marks(m, links, start)
         rec = ModTrace(mod=mod, description="x")
         mark_remove_link(m, links, start, rec)
@@ -295,15 +295,14 @@ def _phase_one(model, mod, rec, reference):
             add_node(model, model.dag.table.id(name), rec)
         case RemoveNode(node):
             if reference:
-                _mark_remove_node_reference(model, node, model.index.mps_of[node])
+                _mark_remove_node_reference(model, node, model.index.owner[model.jt.family[node]])
             else:
                 mark_remove_node(model, node, rec)
-            model.index.mps_of.pop(node)
-            model.index.clique_of.pop(node)
+            model.jt.family.pop(node)
         case RemoveArc(_, child):
             if reference:
-                return _mark_remove_link_reference(model, links, model.index.mps_of[child])
-            mark_remove_link(model, links, model.index.mps_of[child], rec)
+                return _mark_remove_link_reference(model, links, model.index.owner[model.jt.family[child]])
+            mark_remove_link(model, links, model.index.owner[model.jt.family[child]], rec)
         case AddArc(parent, child):
             mark_add_link(model, parent, child, links, rec)
     return 0

@@ -70,14 +70,14 @@ def test_aggregate_result_is_merge_order_independent():
         dag = random_dag(24, Random(seed), edge_prob=0.25)
         gm = moralize(dag)
         tree, _ = construct_join_tree(gm, dag)
-        one_pass, _ = aggregate_cliques(tree, gm)
+        one_pass, index = aggregate_cliques(tree, gm)
         assert len(tree) - len(one_pass) >= 5
         clusters = {c: one_pass.cluster(c) for c in one_pass.cluster_ids()}
         for shuffle_seed in range(20):
             scanned = _aggregate_by_restart_scan(tree, gm, Random(shuffle_seed))
             assert {c: scanned.cluster(c) for c in scanned.cluster_ids()} == clusters
             assert scanned.edges() == one_pass.edges()
-            assert scanned.family == one_pass.family
+            assert scanned.family == {v: index.owner[c] for v, c in tree.family.items()}
 
 
 def test_mpd_separators_complete_and_rip(asia_model):
@@ -109,7 +109,7 @@ def test_decomposition_invariant_across_minimal_triangulations(asia):
         gt.add_edge(t.id(u), t.id(v))
         assert is_chordal(gt) == (True, None)
         tree = build_join_tree(extract_cliques(gt))
-        assign_families(asia, tree)
+        assign_families(asia, tree, asia.nodes())
         mpd, _ = aggregate_cliques(tree, gm)
         return mpd
 

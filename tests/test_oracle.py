@@ -67,7 +67,7 @@ def _with_fill(dag, fill):
         u, v = sorted(pair)
         gt.add_edge(u, v)
     tree = build_join_tree(extract_cliques(gt))
-    assign_families(dag, tree)
+    assign_families(dag, tree, dag.nodes())
     mpd, index = aggregate_cliques(tree, gm)
     return CompiledModel(dag, gm, tree, mpd, index, Triangulation(gm, frozenset(fill)))
 
@@ -215,10 +215,26 @@ def test_running_intersection_reports_a_broken_tree(asia):
 def test_family_coverage_names_the_unhosted_variable(asia):
     model = _asia_with_both_diagonals(asia)
     d = asia.table.id("D")
-    del model.index.clique_of[d]
+    del model.jt.family[d]
     fam = validate(model).checks[7]
     assert (fam.name, fam.passed) == ("family_coverage", False)
     assert fam.detail == f"family map variables differ from the dag's: missing [{d}], unknown []"
+
+
+def _failed(model):
+    return [c.name for c in validate(model).checks if not c.passed]
+
+
+def test_mpd_index_flags_a_remapped_owner(asia_model):
+    owner = asia_model.index.owner
+    c = min(owner)
+    owner[c] = next(m for m in asia_model.mpd.cluster_ids() if m != owner[c])
+    assert "mpd_index" in _failed(asia_model)
+
+
+def test_a_missing_owner_entry_fails_a_check_without_raising(asia_model):
+    del asia_model.index.owner[asia_model.jt.family[asia_model.dag.table.id("D")]]
+    assert {"family_coverage", "mpd_index"} <= set(_failed(asia_model))
 
 
 def test_report_to_dict_is_json_ready(asia):

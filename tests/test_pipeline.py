@@ -394,7 +394,7 @@ def test_structure_layer_matches_quadratic_references():
             reference.cluster(c) for c in reference.cluster_ids()
         ]
         assert tree.edges() == reference.edges()
-        assign_families(dag, tree)
+        assign_families(dag, tree, dag.nodes())
         assert tree.family == _family_hosts_reference(dag, reference)
 
 
