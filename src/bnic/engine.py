@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .clustertree import ClusterTree
 from .errors import InconsistencyError, InvalidEditError
@@ -410,23 +410,6 @@ def _crossing_edge(model: CompiledModel, m_a: int, m_b: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _best_attachment(
-    tree: ClusterTree, candidates: Iterable[int], sep: frozenset[int], ck: frozenset[int]
-) -> int | None:
-    """The replacement cluster covering sep with maximal overlap with ck.
-
-    Ties go to the smaller cluster, then the lower id.
-    """
-    best = None
-    for cid in sorted(candidates):
-        vs = tree.cluster(cid)
-        if sep <= vs:
-            key = (-len(vs & ck), len(vs), cid)
-            if best is None or key < best[0]:
-                best = (key, cid)
-    return None if best is None else best[1]
-
-
 def connect(
     tree: ClusterTree, replacement_ids: set[int], c_i: int
 ) -> tuple[list[tuple[int, int, frozenset[int], int]], set[int]]:
@@ -434,11 +417,17 @@ def connect(
 
     Walks the marked clusters depth first from c_i.  Every separator S
     leading to an unmarked neighbour C_k is re-hung onto the replacement
-    cluster chosen by :func:`_best_attachment`; a record where the chosen
-    cluster equals S flags a later amalgamation.  Returns the reattachment
-    records and the set of marked clusters visited.  The explicit stack of
-    neighbour iterators keeps deep trees clear of the recursion limit.
+    cluster covering S with the largest overlap with C_k (ties: smaller,
+    then lower id), looked up among those holding one vertex of S; a record
+    where the chosen cluster equals S flags a later amalgamation.  Returns
+    the reattachment records and the set of marked clusters visited.  The
+    explicit stack of neighbour iterators keeps deep trees clear of the
+    recursion limit.
     """
+    holders: dict[int, list[int]] = {}
+    for cid in replacement_ids:
+        for v in tree.cluster(cid):
+            holders.setdefault(v, []).append(cid)
     records: list[tuple[int, int, frozenset[int], int]] = []
     visited = {c_i}
     stack = [(c_i, iter(tree.neighbors(c_i)))]
@@ -452,12 +441,14 @@ def connect(
                 visited.add(ck)
                 stack.append((ck, iter(tree.neighbors(ck))))
         else:
-            sep = tree.separator(ci, ck)
-            target = _best_attachment(tree, replacement_ids, sep, tree.cluster(ck))
-            if target is None:
+            sep, vk = tree.separator(ci, ck), tree.cluster(ck)
+            candidates = min((holders.get(v, ()) for v in sep), key=len) if sep else replacement_ids
+            keys = [(-len(vs & vk), len(vs), c) for c in candidates if sep <= (vs := tree.cluster(c))]
+            if not keys:
                 raise InconsistencyError(
                     f"no replacement cluster covers boundary separator {sorted(sep)}"
                 )
+            target = min(keys)[2]
             tree.add_edge(target, ck, sep)
             records.append((ci, ck, sep, target))
     return records, visited

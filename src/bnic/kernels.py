@@ -16,7 +16,7 @@ slower on the benchmark's networks.
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .graph import UndirectedGraph
@@ -25,14 +25,6 @@ if TYPE_CHECKING:
 def numba_enabled() -> bool:
     # Always False: kept because the benchmark records it in its environment.
     return False
-
-
-def _bits(m: int) -> Iterator[int]:
-    """The positions of the set bits of m, ascending."""
-    while m:
-        low = m & -m
-        yield low.bit_length() - 1
-        m ^= low
 
 
 def min_fill(g: "UndirectedGraph") -> tuple[list[int], list[tuple[int, int]]]:
@@ -57,13 +49,12 @@ def min_fill(g: "UndirectedGraph") -> tuple[list[int], list[tuple[int, int]]]:
     pos = {v: i for i, v in enumerate(ids)}
     masks = [sum(1 << pos[u] for u in g.neighbors(v)) for v in ids]
 
-    def fill_cost(i: int) -> int:
-        # non-adjacent pairs among i's neighbours; linked pairs count twice
-        m = masks[i]
-        d = m.bit_count()
-        return (d * (d - 1) - sum((masks[j] & m).bit_count() for j in _bits(m))) // 2
-
-    cost = [fill_cost(i) for i in range(len(ids))]
+    # the non-adjacent pairs among each vertex's neighbours; linked pairs
+    # count twice in the sum
+    cost = [
+        (len(nb) * (len(nb) - 1) - sum((masks[pos[u]] & m).bit_count() for u in nb)) // 2
+        for nb, m in zip(map(g.neighbors, ids), masks)
+    ]
     heap = list(zip(cost, range(len(ids))))
     heapq.heapify(heap)
     order: list[int] = []
@@ -77,11 +68,20 @@ def min_fill(g: "UndirectedGraph") -> tuple[list[int], list[tuple[int, int]]]:
         nx = masks[x]
         keep = ~(1 << x)
         changed = nx  # the vertices whose cost may move, as a mask
-        for u in _bits(nx):
+        # set bits lowest first, by inline loops: faster here than a generator
+        rest_u = nx
+        while rest_u:
+            bit_u = rest_u & -rest_u
+            rest_u ^= bit_u
+            u = bit_u.bit_length() - 1
             ou = masks[u] & keep  # old[u]: a mask changes only at its own turn
             out_u = ou & ~nx
             cost[u] -= out_u.bit_count()
-            for v in _bits(nx & ~ou & -(2 << u)):
+            rest_v = nx & ~ou & -(bit_u << 1)
+            while rest_v:
+                bit_v = rest_v & -rest_v
+                rest_v ^= bit_v
+                v = bit_v.bit_length() - 1
                 fill.append((ids[u], ids[v]))
                 ov = masks[v] & keep  # old[v], as v > u
                 common = ou & ov
@@ -92,8 +92,11 @@ def min_fill(g: "UndirectedGraph") -> tuple[list[int], list[tuple[int, int]]]:
                     common ^= low
                 cost[u] += (out_u & ~ov).bit_count()
                 cost[v] += (ov & ~nx & ~ou).bit_count()
-            masks[u] = ou | (nx ^ (1 << u))
-        for u in _bits(changed):
+            masks[u] = ou | (nx ^ bit_u)
+        while changed:
+            low = changed & -changed
+            changed ^= low
+            u = low.bit_length() - 1
             heapq.heappush(heap, (cost[u], u))
     return order, fill
 

@@ -2,15 +2,15 @@
 
 The pipeline is: greedy minimum-fill triangulation, recursive thinning down
 to a minimal triangulation, maximal-clique extraction via maximum
-cardinality search, maximum-weight spanning-tree assembly, and family
-assignment.  Thinning and clique extraction share one step: the cliques of
-the min-fill triangulation decide which fill edges can go, and MCS runs a
-second time only if some did.
+cardinality search (MCS), a junction tree read off the MCS order (each
+clique hangs on the first one holding its overlap with those before it,
+as in Kruskal's maximum-weight tree), and family assignment.  Thinning and
+clique extraction share one step: the min-fill triangulation's cliques
+decide which fill edges can go, and MCS runs again only if some did.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -40,18 +40,18 @@ class Triangulation:
     def graph(self) -> UndirectedGraph:
         g = self.base.copy()
         for pair in self.fill:
-            u, v = sorted(pair)
-            g.add_edge(u, v)
+            g.add_edge(*pair)
         return g
 
 
-def triangulate_min_fill(g: UndirectedGraph) -> Triangulation:
+def triangulate_min_fill(g: UndirectedGraph, *, pairs: bool = False) -> Triangulation | list[tuple[int, int]]:
     """Triangulate by greedily eliminating the vertex adding fewest fill edges.
 
     Ties are broken by ascending vertex id, so the result is deterministic.
+    With ``pairs`` it returns only the fill, as sorted ``(u, v)``, ``u < v``.
     """
     _order, fill = kernels.min_fill(g)
-    return Triangulation(g.copy(), frozenset(frozenset(p) for p in fill))
+    return sorted(fill) if pairs else Triangulation(g.copy(), frozenset(map(frozenset, fill)))
 
 
 def recursive_thinning(t: Triangulation) -> Triangulation:
@@ -62,32 +62,36 @@ def recursive_thinning(t: Triangulation) -> Triangulation:
     function may be any triangulation record.  See :func:`_thin` for the
     removal rule and the scan order.
     """
-    return _thin(t)[0]
+    kept, _cliques = _thin(t.base, sorted(tuple(sorted(pair)) for pair in t.fill))
+    return Triangulation(t.base, frozenset(map(frozenset, kept)))
 
 
-def _thin(t: Triangulation) -> tuple[Triangulation, list[frozenset[int]]]:
-    """Thin ``t`` to a minimal triangulation; also return its maximal cliques.
+def _thin(
+    base: UndirectedGraph, pending: list[tuple[int, int]]
+) -> tuple[list[tuple[int, int]], list[frozenset[int]]]:
+    """Thin ``base`` plus fill, the ascending pairs ``pending``, to a minimal triangulation.
 
-    One :func:`extract_cliques` pass on ``base + fill`` doubles as the
-    chordality guard.  Each vertex then gets an int mask of the cliques
-    holding it.  In a chordal graph an edge {u, v} can be dropped, keeping
-    the graph chordal, iff exactly one maximal clique C holds it (Rose,
-    Tarjan & Lueker 1976), i.e. iff ``cm[u] & cm[v]`` has one bit.  The
-    fill edges are scanned in ascending pair order and the scan restarts
-    after every removal.  A removal replaces C by C−u and C−v, each kept
-    only if no other live clique contains it (Ibarra, ACM TALG 2008).  If
-    anything was removed, the cliques are extracted once more, so their
-    order is the MCS order of the thinned graph.
+    Returns ``pending``, thinned in place, and the maximal cliques.  One
+    :func:`extract_cliques` pass on a copy of ``base`` with the fill added
+    doubles as the chordality guard.  Each vertex then gets an int mask of
+    the cliques holding it.  In a chordal graph an edge {u, v} can be
+    dropped, keeping the graph chordal, iff exactly one maximal clique C
+    holds it (Rose, Tarjan & Lueker 1976), i.e. iff ``cm[u] & cm[v]`` has
+    one bit.  The fill is scanned in order and the scan restarts after every
+    removal.  A removal replaces C by C−u and C−v, each kept only if no
+    other live clique contains it (Ibarra, ACM TALG 2008).  If anything was
+    removed, the cliques are extracted once more, in the thinned graph's
+    MCS order.
     """
-    work = t.graph()
+    work = base.copy()
+    for u, v in pending:
+        work.add_edge(u, v)
     cliques = extract_cliques(work)
-    pending = sorted(sorted(pair) for pair in t.fill)
     live = list(cliques)  # clique of bit k; None once replaced
     cm = dict.fromkeys(work.vertices(), 0)
     for k, c in enumerate(live):
         for w in c:
             cm[w] |= 1 << k
-    removed = []
     changed = True
     while changed:
         changed = False
@@ -109,13 +113,12 @@ def _thin(t: Triangulation) -> tuple[Triangulation, list[frozenset[int]]]:
                         cm[w] |= 1 << len(live)
                     live.append(part)
             work.remove_edge(u, v)
-            removed.append(frozenset((u, v)))
             del pending[i]
             changed = True
             break
-    if removed:
+    if None in live:  # some fill edge went
         cliques = extract_cliques(work)
-    return Triangulation(t.base, t.fill.difference(removed)), cliques
+    return pending, cliques
 
 
 # Unused by the package; kept because the benchmark's tracer binds it.
@@ -147,43 +150,45 @@ def extract_cliques(g: UndirectedGraph) -> list[frozenset[int]]:
 
 
 def build_join_tree(cliques: list[frozenset[int]]) -> ClusterTree:
-    """Assemble cliques into one tree maximising total separator size.
+    """Join cliques, given in :func:`extract_cliques`' order, into a junction tree.
 
-    Kruskal over the clique graph with weight |Ci ∩ Cj|, ties by ascending
-    cluster-id pair; disconnected components are afterwards joined by empty
-    separators so the result is always a single tree.  Only pairs that
-    share a vertex have positive weight, so the candidates are gathered
-    through a vertex -> cluster index, with each weight counted there.
+    Cluster i is C_i.  If S_i = C_i ∩ (C_0 ∪ … ∪ C_{i−1}) is not empty, i
+    hangs by S_i on p(i), the lowest j < i with S_i ⊆ C_j: the lowest bit of
+    the AND of the earlier holder masks of S_i's vertices.  MCS order has
+    running intersection (Tarjan & Yannakakis 1984; Blair & Peyton 1993),
+    so j exists; if not, :class:`InconsistencyError`.  An i with S_i = ∅
+    starts a component and hangs on cluster 0 by an empty separator.
+
+    This is the tree of Kruskal over the clique graph with weight
+    |C_a ∩ C_b|, ties by ascending pair, whose components are then joined
+    from the anchor (least id) of the one with the least union-find root.
+    Kruskal's forest is unique, as its order is strict.  By the cycle
+    property each other pair a < b with X = C_a ∩ C_b ≠ ∅ must sort after
+    every edge (p(k), k) on the tree path from a to b, whose separator is
+    ⊇ X.  If equal, S_k = X: k ≤ a gives p(k) < a, else X ⊆ C_a gives
+    p(k) ≤ a, and p(k) = a means the path enters k's subtree, holding b, so
+    k < b as ids grow away from the root.  MCS finishes a component of the
+    graph before it starts the next, so each component's cliques are
+    consecutive and hold its root: the hub is cluster 0 and the other
+    anchors are the i with S_i = ∅.
     """
     tree = ClusterTree()
-    ids = [tree.add_cluster(c) for c in cliques]
-    if not ids:
-        return tree
-    holders = tree.vertex_index()
-    candidates = []
-    for a in ids:
-        shared = Counter(b for v in tree.cluster(a) for b in holders[v] if b > a)
-        candidates.extend((-w, a, b) for b, w in shared.items())
-    candidates.sort()
-    comp = {c: c for c in ids}
-
-    def find(c: int) -> int:
-        while comp[c] != c:
-            comp[c] = comp[comp[c]]
-            c = comp[c]
-        return c
-
-    for negw, a, b in candidates:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            comp[ra] = rb
-            tree.add_edge(a, b, tree.cluster(a) & tree.cluster(b))
-    anchor_of: dict[int, int] = {}  # component root -> its smallest cluster id
-    for c in ids:
-        anchor_of.setdefault(find(c), c)
-    anchors = [anchor_of[r] for r in sorted(anchor_of)]
-    for other in anchors[1:]:
-        tree.add_edge(anchors[0], other, frozenset())
+    holders: dict[int, int] = {}  # vertex -> mask of the clusters so far holding it
+    for i, c in enumerate(cliques):
+        tree.add_cluster(c)
+        common = -1
+        for v in c:
+            m = holders.get(v, 0)
+            common &= m or -1  # a vertex new in C_i is not in S_i
+            holders[v] = m | (1 << i)
+        if common == -1:
+            if i:
+                tree.add_edge(0, i, frozenset())
+        elif not common:
+            raise InconsistencyError(f"no earlier clique holds the separator of clique {i}")
+        else:
+            p = (common & -common).bit_length() - 1
+            tree.add_edge(p, i, cliques[p] & c)
     return tree
 
 
@@ -210,10 +215,10 @@ def construct_join_tree(gm: UndirectedGraph, dag: Dag | None = None) -> tuple[Cl
 
     When a dag is supplied its families are assigned into the tree; subtree
     rebuilds inside the incremental engine skip that step and host only the
-    families whose clique they replaced.
+    families whose clique they replaced.  The triangulation's base is ``gm``.
     """
-    tri, cliques = _thin(triangulate_min_fill(gm))
+    kept, cliques = _thin(gm, triangulate_min_fill(gm, pairs=True))
     tree = build_join_tree(cliques)
     if dag is not None:
         assign_families(dag, tree, dag.nodes())
-    return tree, tri
+    return tree, Triangulation(gm, frozenset(map(frozenset, kept)))

@@ -2,11 +2,18 @@
 
 ``perfbench/spans.py`` wraps module-level names of ``bnic`` by looking each
 up in its owner's ``__dict__``; a missing name only shows when a traced
-benchmark run fails.  This test makes it fail the test suite instead.
+benchmark run fails.  These tests make it fail the test suite instead, and
+check that compiles and rebuilds still call the wrapped names, so that no
+per-layer metric silently reads nothing.
 """
 
 import importlib.util
 from pathlib import Path
+from random import Random
+
+import bnic.kernels
+import bnic.pipeline
+from bnic import RemoveArc, full_recompile, incremental_compile, random_dag
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -26,3 +33,37 @@ def test_every_tracer_binding_resolves():
         if attr not in owner.__dict__
     ]
     assert spans.BINDINGS and missing == []
+
+
+# The layers whose per-layer metrics the tracer records through these names.
+TRACED_LAYERS = [
+    ("pipeline", "triangulate_min_fill"),
+    ("pipeline", "extract_cliques"),
+    ("pipeline", "build_join_tree"),
+    ("kernels", "min_fill"),
+    ("kernels", "mcs"),
+]
+
+
+def test_compile_and_rebuild_call_every_traced_layer(monkeypatch):
+    # wrap the module attributes, as the tracer does, and count the calls
+    # that go through them in a full compile and in one subtree rebuild
+    modules = {"pipeline": bnic.pipeline, "kernels": bnic.kernels}
+    calls = dict.fromkeys(TRACED_LAYERS, 0)
+    for key in TRACED_LAYERS:
+        original = modules[key[0]].__dict__[key[1]]
+
+        def counted(*args, _key=key, _original=original, **kwargs):
+            calls[_key] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(modules[key[0]], key[1], counted)
+
+    dag = random_dag(30, Random(5), edge_prob=0.15)
+    model = full_recompile(dag)
+    assert [k for k, n in calls.items() if n == 0] == []
+
+    calls.update(dict.fromkeys(TRACED_LAYERS, 0))
+    parent, child = dag.arcs()[0]
+    incremental_compile(model, [RemoveArc(parent, child)])
+    assert [k for k, n in calls.items() if n == 0] == []

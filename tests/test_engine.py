@@ -454,6 +454,57 @@ def test_connect_with_everything_marked_makes_no_records():
     assert records == [] and visited == {a, b}
 
 
+def _connect_reference(tree, replacement_ids, c_i):
+    # The former splice: the same depth-first walk, with every replacement
+    # cluster scanned in ascending id order for each boundary separator.
+    records, visited = [], {c_i}
+    stack = [(c_i, iter(tree.neighbors(c_i)))]
+    while stack:
+        ci, nbrs = stack[-1]
+        ck = next(nbrs, None)
+        if ck is None:
+            stack.pop()
+        elif tree.is_marked(ck):
+            if ck not in visited:
+                visited.add(ck)
+                stack.append((ck, iter(tree.neighbors(ck))))
+        else:
+            sep, best = tree.separator(ci, ck), None
+            for cid in sorted(replacement_ids):
+                vs = tree.cluster(cid)
+                if sep <= vs:
+                    key = (-len(vs & tree.cluster(ck)), len(vs), cid)
+                    if best is None or key < best[0]:
+                        best = (key, cid)
+            tree.add_edge(best[1], ck, sep)
+            records.append((ci, ck, sep, best[1]))
+    return records, visited
+
+
+def test_connect_matches_full_scan_reference(monkeypatch):
+    real = bnic.engine.connect
+    seen = {"records": 0, "empty": 0}
+
+    def checked(tree, replacement_ids, c_i):
+        expected_tree = tree.copy()
+        expected = _connect_reference(expected_tree, replacement_ids, c_i)
+        got = real(tree, replacement_ids, c_i)
+        assert got == expected
+        assert tree.edges() == expected_tree.edges()
+        seen["records"] += len(got[0])
+        seen["empty"] += sum(not sep for _, _, sep, _ in got[0])
+        return got
+
+    monkeypatch.setattr(bnic.engine, "connect", checked)
+    rng = Random(4242)
+    for _ in range(40):
+        dag = random_dag(rng.randint(2, 30), rng, edge_prob=rng.choice([0.05, 0.15, 0.3]))
+        model = full_recompile(dag)
+        for _ in range(3):
+            incremental_compile(model, random_script(model.dag, rng.randint(1, 8), rng))
+    assert seen["records"] > 0 and seen["empty"] > 0
+
+
 def test_absorb_collapses_subset_chain():
     tree = ClusterTree()
     ab = tree.add_cluster({0, 1})

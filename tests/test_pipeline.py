@@ -5,6 +5,7 @@ import pytest
 
 from bnic import (
     ClusterTree,
+    InconsistencyError,
     NotChordalError,
     Triangulation,
     UndirectedGraph,
@@ -145,11 +146,13 @@ def test_thinning_matches_set_based_loop():
     def check(kind, t):
         # the fused step against the reference loop followed by a fresh
         # clique extraction: same fill, same cliques in the same order
-        thin, cliques = _thin(t)
+        fill = sorted(tuple(sorted(pair)) for pair in t.fill)
+        kept, cliques = _thin(t.base, list(fill))
         reference = _thinning_reference(t)
-        assert thin.fill == reference.fill == recursive_thinning(t).fill
+        assert kept == [p for p in fill if frozenset(p) in reference.fill]
+        assert reference.fill == recursive_thinning(t).fill
         assert cliques == extract_cliques(reference.graph())
-        removed[kind] += len(t.fill) - len(thin.fill)
+        removed[kind] += len(fill) - len(kept)
 
     for k, n in enumerate([300, 100, 60, 200]):
         ids = list(range(n)) if k % 2 == 0 else [1000 * (i % 3) + 7 * i for i in range(n)]
@@ -396,6 +399,55 @@ def test_structure_layer_matches_quadratic_references():
         assert tree.edges() == reference.edges()
         assign_families(dag, tree, dag.nodes())
         assert tree.family == _family_hosts_reference(dag, reference)
+
+
+def _assert_same_tree(tree, reference):
+    assert [tree.cluster(c) for c in tree.cluster_ids()] == [
+        reference.cluster(c) for c in reference.cluster_ids()
+    ]
+    assert tree.edges() == reference.edges()
+
+
+def _relabeled(g, ids):
+    out = UndirectedGraph(ids[v] for v in g.vertices())
+    for u, v in g.edges():
+        out.add_edge(ids[u], ids[v])
+    return out
+
+
+def test_join_tree_matches_kruskal_on_forests_gapped_ids_and_thinned_cliques():
+    # sparse moral graphs fall apart into components, so the empty-separator
+    # anchors and their hub matter; every other graph has gapped ids; banded
+    # nets lose fill to thinning, so their cliques come from the second MCS
+    seen = {"empty": 0, "gapped": 0, "thinned": 0}
+    rng = Random(73)
+    for k in range(200):
+        gm = moralize(random_dag(rng.randint(1, 45), rng, edge_prob=rng.choice([0.02, 0.05, 0.1])))
+        if k % 2:
+            gm = _relabeled(gm, {v: 1000 * (v % 3) + 7 * v + 5 for v in gm.vertices()})
+            seen["gapped"] += 1
+        tree, tri = construct_join_tree(gm)
+        assert tri.base is gm
+        cliques = extract_cliques(tri.graph())
+        _assert_same_tree(tree, _build_join_tree_reference(cliques))
+        seen["empty"] += sum(not sep for _, _, sep in tree.edges())
+    for k, n in enumerate([40, 80, 120, 160]):
+        ids = list(range(n)) if k % 2 == 0 else [1000 * (i % 3) + 7 * i for i in range(n)]
+        gm = _banded_moral(n, Random(500 + k), ids)
+        fill = triangulate_min_fill(gm, pairs=True)
+        assert fill == sorted(tuple(sorted(p)) for p in triangulate_min_fill(gm).fill)
+        kept, cliques = _thin(gm, list(fill))
+        seen["thinned"] += len(kept) < len(fill)
+        tree = build_join_tree(cliques)
+        _assert_same_tree(tree, _build_join_tree_reference(cliques))
+        _assert_same_tree(construct_join_tree(gm)[0], tree)
+    assert seen["empty"] > 0 and seen["gapped"] > 0 and seen["thinned"] > 0
+
+
+def test_join_tree_rejects_cliques_out_of_mcs_order():
+    # {1, 2} meets the cliques before it in {1, 2}, which no earlier one holds
+    with pytest.raises(InconsistencyError):
+        build_join_tree([frozenset({0, 1}), frozenset({2, 3}), frozenset({1, 2})])
 
 
 # -- full construction ------------------------------------------------------
