@@ -387,25 +387,22 @@ def _chordal_cases(seed, count):
         yield dag, gt
 
 
+def _assert_same_tree(tree, reference):
+    assert [tree.cluster(c) for c in tree.cluster_ids()] == [
+        reference.cluster(c) for c in reference.cluster_ids()
+    ]
+    assert tree.edges() == reference.edges()
+
+
 def test_structure_layer_matches_quadratic_references():
     for dag, gt in _chordal_cases(41, 80):
         cliques = extract_cliques(gt)
         assert cliques == _extract_cliques_reference(gt)
         tree = build_join_tree(cliques)
         reference = _build_join_tree_reference(cliques)
-        assert [tree.cluster(c) for c in tree.cluster_ids()] == [
-            reference.cluster(c) for c in reference.cluster_ids()
-        ]
-        assert tree.edges() == reference.edges()
+        _assert_same_tree(tree, reference)
         assign_families(dag, tree, dag.nodes())
         assert tree.family == _family_hosts_reference(dag, reference)
-
-
-def _assert_same_tree(tree, reference):
-    assert [tree.cluster(c) for c in tree.cluster_ids()] == [
-        reference.cluster(c) for c in reference.cluster_ids()
-    ]
-    assert tree.edges() == reference.edges()
 
 
 def _relabeled(g, ids):
