@@ -418,9 +418,9 @@ def connect(
     Walks the marked clusters depth first from c_i.  Every separator S
     leading to an unmarked neighbour C_k is re-hung onto the replacement
     cluster covering S with the largest overlap with C_k (ties: smaller,
-    then lower id), looked up among those holding one vertex of S; a record
-    where the chosen cluster equals S flags a later amalgamation.  Returns
-    the reattachment records and the set of marked clusters visited.  The
+    then lower id), looked up among those holding min(S); a record where
+    the chosen cluster equals S flags a later amalgamation.  Returns the
+    reattachment records and the set of marked clusters visited.  The
     explicit stack of neighbour iterators keeps deep trees clear of the
     recursion limit.
     """
@@ -442,13 +442,16 @@ def connect(
                 stack.append((ck, iter(tree.neighbors(ck))))
         else:
             sep, vk = tree.separator(ci, ck), tree.cluster(ck)
-            candidates = min((holders.get(v, ()) for v in sep), key=len) if sep else replacement_ids
-            keys = [(-len(vs & vk), len(vs), c) for c in candidates if sep <= (vs := tree.cluster(c))]
-            if not keys:
-                raise InconsistencyError(
-                    f"no replacement cluster covers boundary separator {sorted(sep)}"
-                )
-            target = min(keys)[2]
+            best = None
+            for c in holders.get(min(sep), ()) if sep else replacement_ids:
+                vs = tree.cluster(c)
+                if sep <= vs:
+                    key = (-len(vs & vk), len(vs), c)
+                    if best is None or key < best:
+                        best = key
+            if best is None:
+                raise InconsistencyError(f"no replacement cluster covers boundary separator {sorted(sep)}")
+            target = best[2]
             tree.add_edge(target, ck, sep)
             records.append((ci, ck, sep, target))
     return records, visited

@@ -49,8 +49,7 @@ def min_fill(g: "UndirectedGraph") -> tuple[list[int], list[tuple[int, int]]]:
     pos = {v: i for i, v in enumerate(ids)}
     masks = [sum(1 << pos[u] for u in g.neighbors(v)) for v in ids]
 
-    # the non-adjacent pairs among each vertex's neighbours; linked pairs
-    # count twice in the sum
+    # non-adjacent pairs among each vertex's neighbours (linked pairs count twice in the sum)
     cost = [
         (len(nb) * (len(nb) - 1) - sum((masks[pos[u]] & m).bit_count() for u in nb)) // 2
         for nb, m in zip(map(g.neighbors, ids), masks)

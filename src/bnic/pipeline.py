@@ -66,9 +66,7 @@ def recursive_thinning(t: Triangulation) -> Triangulation:
     return Triangulation(t.base, frozenset(map(frozenset, kept)))
 
 
-def _thin(
-    base: UndirectedGraph, pending: list[tuple[int, int]]
-) -> tuple[list[tuple[int, int]], list[frozenset[int]]]:
+def _thin(base: UndirectedGraph, pending: list[tuple[int, int]]) -> tuple[list[tuple[int, int]], list[frozenset[int]]]:
     """Thin ``base`` plus fill, the ascending pairs ``pending``, to a minimal triangulation.
 
     Returns ``pending``, thinned in place, and the maximal cliques.  One
