@@ -534,7 +534,7 @@ def _rebuild_subtree(model: CompiledModel, comp: list[int], trace: BatchTrace | 
             trace.subtrees.append(SubtreeTrace(tuple(comp), frozenset(), (), ()))
     else:
         g_sub = model.moral.induced(variables)
-        t, _tri = construct_join_tree(g_sub)
+        t, _kept = construct_join_tree(g_sub)
         t_mpd, t_index = aggregate_cliques(t, g_sub)
 
         jt_map = {lid: jt.add_cluster(t.cluster(lid)) for lid in t.cluster_ids()}

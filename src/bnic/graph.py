@@ -365,5 +365,5 @@ def is_chordal(g: UndirectedGraph) -> tuple[bool, tuple[int, int] | None]:
     """
     if len(g) <= 2:
         return True, None
-    _, witness = kernels.mcs(g)
+    _, witness, _ = kernels.mcs(g)
     return witness is None, witness

@@ -6,11 +6,14 @@ set and tree manipulation.  Both kernels read an :class:`UndirectedGraph`
 and return vertex ids; ties are broken by ascending vertex id, so their
 outputs are deterministic.
 
-Min-fill holds adjacency as one int bitmask per vertex position, the
-vertex's rank among the graph's ids, so ties broken by position are ties
-broken by id; it counts each fill cost once and then keeps it exact by
-deltas from each elimination.  MCS keeps adjacency sets: a bitmask MCS was
-slower on the benchmark's networks.
+Both index vertices by rank, the position of the id among the graph's
+sorted ids, so ties broken by position are ties broken by id.  Min-fill
+holds adjacency as one int bitmask per position; it counts each fill cost
+once and then keeps it exact by deltas from each elimination, summing the
+per-vertex decrements of a whole elimination in bit-sliced counters.  MCS
+reads the graph's own adjacency sets (copying them into position masks
+was slower) and keeps its weight classes as position masks; it emits the
+maximal cliques of a chordal graph in the same pass.
 """
 
 from __future__ import annotations
@@ -37,11 +40,18 @@ def min_fill(g: "UndirectedGraph") -> tuple[list[int], list[tuple[int, int]]]:
     ``old`` the masks with x cleared but before any fill is added,
 
     * each u in N loses ``|old[u] & ~N|``, its pairs through x;
-    * each fill edge {u, v} takes one from every w in ``old[u] & old[v]``
-      (inside N or not), and gives u the ``|old[u] & ~N & ~old[v]|`` new
-      non-adjacent pairs through v, and v the mirror term.
+    * each fill edge {u, v} gives u the ``|old[u] & ~N & ~old[v]|`` new
+      non-adjacent pairs through v, and v the mirror term;
+    * each w loses the number of fill edges {u, v} with u and v both in
+      ``old[w]`` (inside N or not), now linked pairs among its neighbours.
 
-    A lazy heap keyed on ``(cost, position)`` picks the next vertex.
+    The last count is kept for all vertices at once in bit-sliced counters:
+    ``planes[k]`` holds bit k of every vertex's count, and each fill edge
+    adds the mask ``old[u] & old[v]`` with a ripple carry.  Once x is
+    eliminated, each set bit w of ``planes[k]`` takes ``2**k`` from w's
+    cost.  A lazy heap of int keys ``cost << shift | position`` picks the
+    next vertex; a live cost is never negative, so the keys sort as the
+    ``(cost, position)`` pairs.
     """
     # bit i of a mask stands for ids[i]: ids can be large and far apart
     # after node removals and in a rebuild's induced subgraph
@@ -54,19 +64,23 @@ def min_fill(g: "UndirectedGraph") -> tuple[list[int], list[tuple[int, int]]]:
         (len(nb) * (len(nb) - 1) - sum((masks[pos[u]] & m).bit_count() for u in nb)) // 2
         for nb, m in zip(map(g.neighbors, ids), masks)
     ]
-    heap = list(zip(cost, range(len(ids))))
+    shift = len(ids).bit_length()
+    position = (1 << shift) - 1
+    heap = [c << shift | i for i, c in enumerate(cost)]
     heapq.heapify(heap)
     order: list[int] = []
     fill: list[tuple[int, int]] = []
     while heap:
-        c, x = heapq.heappop(heap)
-        if cost[x] != c:
+        key = heapq.heappop(heap)
+        x = key & position
+        if cost[x] != key >> shift:
             continue  # eliminated (cost -1), or a stale cost
         cost[x] = -1
         order.append(ids[x])
         nx = masks[x]
         keep = ~(1 << x)
         changed = nx  # the vertices whose cost may move, as a mask
+        planes: list[int] = []  # bit k of each vertex's count of pairs linked by fill
         # set bits lowest first, by inline loops: faster here than a generator
         rest_u = nx
         while rest_u:
@@ -83,44 +97,73 @@ def min_fill(g: "UndirectedGraph") -> tuple[list[int], list[tuple[int, int]]]:
                 v = bit_v.bit_length() - 1
                 fill.append((ids[u], ids[v]))
                 ov = masks[v] & keep  # old[v], as v > u
-                common = ou & ov
-                changed |= common
-                while common:
-                    low = common & -common
-                    cost[low.bit_length() - 1] -= 1
-                    common ^= low
+                carry = ou & ov
+                changed |= carry
+                k = 0
+                while carry:
+                    if k == len(planes):
+                        planes.append(carry)
+                        break
+                    p = planes[k]
+                    planes[k] = p ^ carry
+                    carry &= p
+                    k += 1
                 cost[u] += (out_u & ~ov).bit_count()
                 cost[v] += (ov & ~nx & ~ou).bit_count()
             masks[u] = ou | (nx ^ bit_u)
+        for k, p in enumerate(planes):
+            step = 1 << k
+            while p:
+                low = p & -p
+                p ^= low
+                cost[low.bit_length() - 1] -= step
         while changed:
             low = changed & -changed
             changed ^= low
             u = low.bit_length() - 1
-            heapq.heappush(heap, (cost[u], u))
+            heapq.heappush(heap, cost[u] << shift | u)
     return order, fill
 
 
-def mcs(g: "UndirectedGraph") -> tuple[list[int], tuple[int, int] | None]:
+def mcs(g: "UndirectedGraph") -> tuple[list[int], tuple[int, int] | None, list[frozenset[int]]]:
     """Maximum cardinality search with a zero-fill chordality check.
 
-    Returns ``(order, witness)``.  ``witness`` is None when the graph is
-    chordal.  Otherwise it is the first missing pair ``(u, v)``, ``u < v``,
-    among the earlier-visited neighbours of the first vertex whose
-    earlier-visited neighbours are not a clique.
+    Returns ``(order, witness, cliques)``.  ``witness`` is None when the
+    graph is chordal.  Otherwise it is the first missing pair ``(u, v)``,
+    ``u < v``, among the earlier-visited neighbours of the first vertex
+    whose earlier-visited neighbours are not a clique, and ``cliques`` is
+    empty.  On a chordal graph ``cliques`` lists its maximal cliques in
+    visit order.
+
+    ``buckets[w]`` is an int mask over the id ranks of the unvisited
+    vertices of weight w; the next vertex is the lowest bit of the top
+    non-empty bucket, so ties go to the lowest id.  Each visited x with its
+    earlier-visited neighbours forms a candidate clique, and every maximal
+    clique is one of them.  Under MCS on a chordal graph x's candidate is
+    maximal iff the next visited vertex's weight is not larger than x's
+    (Blair & Peyton 1993), so it is emitted when that vertex is picked.
     """
-    adj = {v: g.neighbors(v) for v in g.vertices()}
-    weight = dict.fromkeys(adj, 0)
-    heap = [(0, v) for v in adj]  # sorted, hence already a heap
+    ids = g.vertices()
+    adj = {v: g.neighbors(v) for v in ids}
+    bit = {v: 1 << i for i, v in enumerate(ids)}
+    weight = dict.fromkeys(ids, 0)
+    buckets = [(1 << len(ids)) - 1]
+    top = 0  # the highest weight an unvisited vertex may have
     visited: set[int] = set()
     last: dict[int, int] = {}  # the latest-visited neighbour, per vertex
     order: list[int] = []
+    cliques: list[frozenset[int]] = []
     witness = None
-    while heap:
-        negw, x = heapq.heappop(heap)
-        if x in visited or -negw != weight[x]:
-            continue
+    candidate: set[int] = set()  # the previous vertex's, while chordal
+    previous_weight = 0
+    for _ in ids:
+        while not buckets[top]:
+            top -= 1
+        b = buckets[top]
+        low = b & -b
+        buckets[top] = b ^ low
+        x = ids[low.bit_length() - 1]
         order.append(x)
-        visited.add(x)
         if witness is None:
             # While every earlier-visited set was a clique, x's is one iff
             # it lies in the closed neighbourhood of its latest-visited member
@@ -129,12 +172,31 @@ def mcs(g: "UndirectedGraph") -> tuple[list[int], tuple[int, int] | None]:
             f = last.get(x)
             if f is not None and len(prev - adj[f]) > 1:
                 witness = _first_missing_pair(adj, prev)
+                cliques = []
+            else:
+                if candidate and top <= previous_weight:
+                    cliques.append(frozenset(candidate))
+                prev.add(x)
+                candidate = prev
+                previous_weight = top
+        visited.add(x)
         for v in adj[x]:
             if v not in visited:
-                weight[v] += 1
+                w = weight[v]
+                b = bit[v]
+                buckets[w] ^= b
+                w += 1
+                weight[v] = w
+                if w == len(buckets):
+                    buckets.append(b)
+                else:
+                    buckets[w] |= b
                 last[v] = x
-                heapq.heappush(heap, (-weight[v], v))
-    return order, witness
+        if top + 1 < len(buckets) and buckets[top + 1]:
+            top += 1
+    if witness is None and candidate:
+        cliques.append(frozenset(candidate))
+    return order, witness, cliques
 
 
 def _first_missing_pair(adj: dict[int, set[int]], vs: set[int]) -> tuple[int, int]:

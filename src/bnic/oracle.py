@@ -23,15 +23,15 @@ from .engine import (
 from .errors import NotChordalError
 from .graph import Dag, is_chordal, moralize
 from .mpd import aggregate_cliques
-from .pipeline import construct_join_tree, extract_cliques
+from .pipeline import Triangulation, construct_join_tree, extract_cliques
 
 
 def full_recompile(dag: Dag) -> CompiledModel:
     """Compile the whole model from scratch; deterministic for a fixed dag."""
     gm = moralize(dag)
-    jt, tri = construct_join_tree(gm, dag)
+    jt, kept = construct_join_tree(gm, dag)
     mpd, index = aggregate_cliques(jt, gm)
-    return CompiledModel(dag, gm, jt, mpd, index, tri)
+    return CompiledModel(dag, gm, jt, mpd, index, Triangulation(gm, frozenset(map(frozenset, kept))))
 
 
 # ---------------------------------------------------------------------------

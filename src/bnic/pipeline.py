@@ -122,7 +122,7 @@ def _thin(base: UndirectedGraph, pending: list[tuple[int, int]]) -> tuple[list[t
 # Unused by the package; kept because the benchmark's tracer binds it.
 def perfect_elimination_order(g: UndirectedGraph) -> tuple[int, ...]:
     """A perfect elimination order of a chordal graph (reversed MCS order)."""
-    order, witness = kernels.mcs(g)
+    order, witness, _cliques = kernels.mcs(g)
     if witness is not None:
         raise NotChordalError("graph is not chordal")
     return tuple(reversed(order))
@@ -131,20 +131,13 @@ def perfect_elimination_order(g: UndirectedGraph) -> tuple[int, ...]:
 def extract_cliques(g: UndirectedGraph) -> list[frozenset[int]]:
     """The maximal cliques of a chordal graph, in maximum-cardinality-search order.
 
-    Each vertex together with its earlier-visited neighbours is a clique,
-    and every maximal clique is one of these candidates.  Under MCS on a
-    chordal graph a candidate is maximal iff it is not contained in the
-    next candidate (Blair & Peyton 1993), so one pass over consecutive
-    pairs keeps exactly the maximal ones.
+    :func:`kernels.mcs` emits them in its one pass; a witness of
+    non-chordality raises :class:`NotChordalError`.
     """
-    order, witness = kernels.mcs(g)
+    _order, witness, cliques = kernels.mcs(g)
     if witness is not None:
         raise NotChordalError(f"graph is not chordal (missing edge {witness})")
-    pos = {v: i for i, v in enumerate(order)}
-    candidates = [
-        frozenset(u for u in g.neighbors(v) if pos[u] < i) | {v} for i, v in enumerate(order)
-    ]
-    return [c for c, nxt in zip(candidates, candidates[1:] + [frozenset()]) if not c < nxt]
+    return cliques
 
 
 def build_join_tree(cliques: list[frozenset[int]]) -> ClusterTree:
@@ -208,15 +201,16 @@ def assign_families(dag: Dag, tree: ClusterTree, variables: Iterable[int]) -> No
         tree.family[vid] = min(hosts)[1]
 
 
-def construct_join_tree(gm: UndirectedGraph, dag: Dag | None = None) -> tuple[ClusterTree, Triangulation]:
+def construct_join_tree(gm: UndirectedGraph, dag: Dag | None = None) -> tuple[ClusterTree, list[tuple[int, int]]]:
     """Full pipeline from an undirected graph to a junction tree.
 
-    When a dag is supplied its families are assigned into the tree; subtree
-    rebuilds inside the incremental engine skip that step and host only the
-    families whose clique they replaced.  The triangulation's base is ``gm``.
+    Returns the tree and the kept fill of ``gm``, as sorted ``(u, v)``,
+    ``u < v``.  When a dag is supplied its families are assigned into the
+    tree; subtree rebuilds inside the incremental engine skip that step and
+    host only the families whose clique they replaced.
     """
     kept, cliques = _thin(gm, triangulate_min_fill(gm, pairs=True))
     tree = build_join_tree(cliques)
     if dag is not None:
         assign_families(dag, tree, dag.nodes())
-    return tree, Triangulation(gm, frozenset(map(frozenset, kept)))
+    return tree, kept

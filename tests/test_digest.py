@@ -7,7 +7,9 @@ few incremental flushes.  Every set is written as a sorted list and every
 id is an int, so the digest does not depend on the string hash seed.  A
 change that claims identical outputs must leave ``DIGEST`` as it is.
 ``HOST_DIGEST`` pins, for the same models, the MPS hosting each variable's
-family: the owner of its junction-tree host clique.
+family: the owner of its junction-tree host clique.  ``MIN_FILL_600_DIGEST``
+pins min-fill's ``(order, fill)`` on the benchmark's 600-node random
+network, whose eliminations carry the fill counters deepest.
 """
 
 import hashlib
@@ -18,6 +20,7 @@ from bnic import Dag, full_recompile, incremental_compile, kernels, moralize, ra
 
 DIGEST = "1da17a819a7894a334efe9725fbeceecbf72077fe58ba1c91c2d8a8174b446eb"
 HOST_DIGEST = "e5d1f2c06d3b6fc0e206077770f63e6c726734a9642489ec1389475d1f206f87"
+MIN_FILL_600_DIGEST = "9d7c92b1cad9680afd0f1a93c18a64978e15a2eff99e8b499b06d4cc4b1af9f5"
 
 
 def _banded_dag(n, rng):
@@ -89,3 +92,9 @@ def test_pipeline_outputs_match_the_committed_digest():
     records, hosts = _records()
     assert _sha256(records) == DIGEST
     assert _sha256(hosts) == HOST_DIGEST
+
+
+def test_min_fill_on_the_600_node_network_matches_the_committed_digest():
+    order, fill = kernels.min_fill(moralize(random_dag(600, Random(42), edge_prob=3 / 599)))
+    assert len(fill) == 6981
+    assert _sha256([order, [list(e) for e in fill]]) == MIN_FILL_600_DIGEST

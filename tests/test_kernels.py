@@ -140,6 +140,22 @@ def _min_fill_sets_reference(g):
     return order, fill
 
 
+# -- the former clique pass -----------------------------------------------------
+
+
+def _clique_pass_reference(g):
+    # The former second pass over the MCS order: one candidate per vertex,
+    # itself with its earlier-visited neighbours, kept iff it is not a
+    # proper subset of the next candidate.
+    order, witness, _ = kernels.mcs(g)
+    assert witness is None
+    pos = {v: i for i, v in enumerate(order)}
+    candidates = [
+        frozenset(u for u in g.neighbors(v) if pos[u] < i) | {v} for i, v in enumerate(order)
+    ]
+    return [c for c, nxt in zip(candidates, candidates[1:] + [frozenset()]) if not c < nxt]
+
+
 # -- helpers ---------------------------------------------------------------------
 
 
@@ -212,16 +228,33 @@ def test_backends_produce_identical_min_fill(n):
         assert fill == [(ids[u], ids[v]) for u, v in zip(ref_u, ref_v)]
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 12, 20])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 12, 20, 50, 120, 200])
 def test_backends_produce_identical_mcs(n):
-    # the adjacency-set kernel against the dense reference loop
+    # the bucketed kernel against the dense reference loop, on graphs from
+    # forests to mean degree n/4 and on a min-fill triangulation of each,
+    # with spaced ids and with gapped ids out of index order; the reference
+    # breaks ties by index, so it runs on the matrix in ascending id order
     rng = np.random.default_rng(100 + n)
-    adj = _random_adj(rng, n, 0.3)
-    ids = _spaced_ids(n)
-    order, witness = kernels.mcs(_graph(adj, ids))
-    ref_order, mu, mv = _mcs_reference(adj)
-    assert order == [ids[i] for i in ref_order]
-    assert witness == (None if mu < 0 else (ids[mu], ids[mv]))
+    cases = [_random_adj(rng, n, 0.3)]
+    cases += [_random_adj(rng, n, degree / max(n - 1, 1) / 2) for degree in (0.8, 3, n / 4)]
+    for adj in cases:
+        for ids in (_spaced_ids(n), _gapped_ids(n)):
+            g = _graph(adj, ids)
+            _, fill = kernels.min_fill(g)
+            t = g.copy()
+            for u, v in fill:
+                t.add_edge(u, v)
+            for h in (g, t):
+                by_id = sorted(h.vertices())
+                rank = {v: i for i, v in enumerate(by_id)}
+                dense = np.zeros((n, n), np.bool_)
+                for u, v in h.edges():
+                    dense[rank[u], rank[v]] = dense[rank[v], rank[u]] = True
+                order, witness, _ = kernels.mcs(h)
+                ref_order, mu, mv = _mcs_reference(dense)
+                assert order == [by_id[i] for i in ref_order]
+                assert witness == (None if mu < 0 else (by_id[mu], by_id[mv]))
+                assert witness is None or h is g
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 30, 64, 65, 120, 200])
@@ -279,14 +312,48 @@ def test_min_fill_triangulates():
             assert u < v and not g.has_edge(u, v)
             g.add_edge(u, v)
             adj[u, v] = adj[v, u] = True
-        order, witness = kernels.mcs(g)
+        order, witness, cliques = kernels.mcs(g)
         assert witness is None
         assert order == _mcs_reference(adj)[0]
+        assert cliques == _clique_pass_reference(g)
 
 
 def test_mcs_witness_is_a_missing_edge():
     # 4-cycle: not chordal, witness must be one of the two diagonals
     g = UndirectedGraph.from_edges(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)])
-    _, witness = kernels.mcs(g)
+    _, witness, cliques = kernels.mcs(g)
     assert witness in ((0, 2), (1, 3))
     assert not g.has_edge(*witness)
+    assert cliques == []
+
+
+def test_mcs_cliques_match_the_former_clique_pass():
+    # seeded graphs with 0 to 60 vertices, half with gapped ids: the sparse
+    # ones include forests of several trees, most others are not chordal
+    # and must give a witness and no cliques; the min-fill triangulation of
+    # each graph is chordal and must give the former pass's cliques
+    rng = Random(7)
+    seen = {"forest": 0, "not chordal": 0, "gapped": 0}
+    for k in range(1500):
+        n = rng.randint(0, 60)
+        ids = _gapped_ids(n) if k % 2 else list(range(n))
+        seen["gapped"] += k % 2
+        p = rng.choice([0.02, 0.05, 0.1, 0.2, 0.4])
+        edges = [(ids[i], ids[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+        g = UndirectedGraph.from_edges(ids, edges)
+        _, witness, cliques = kernels.mcs(g)
+        if witness is None:
+            assert cliques == _clique_pass_reference(g)
+            if len(edges) < n - 1 and all(len(c) <= 2 for c in cliques):
+                seen["forest"] += 1
+        else:
+            assert cliques == []
+            assert not g.has_edge(*witness) and witness[0] < witness[1]
+            seen["not chordal"] += 1
+        t = g.copy()
+        for u, v in kernels.min_fill(g)[1]:
+            t.add_edge(u, v)
+        _, witness, cliques = kernels.mcs(t)
+        assert witness is None
+        assert cliques == _clique_pass_reference(t)
+    assert min(seen.values()) > 100

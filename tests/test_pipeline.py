@@ -313,7 +313,7 @@ def test_assign_families_contain_families_on_random_dags():
 
 def _extract_cliques_reference(g):
     # Every MCS candidate that lies strictly inside no other candidate.
-    order, witness = kernels.mcs(g)
+    order, witness, _cliques = kernels.mcs(g)
     assert witness is None
     pos = {v: i for i, v in enumerate(order)}
     candidates = [
@@ -423,9 +423,13 @@ def test_join_tree_matches_kruskal_on_forests_gapped_ids_and_thinned_cliques():
         if k % 2:
             gm = _relabeled(gm, {v: 1000 * (v % 3) + 7 * v + 5 for v in gm.vertices()})
             seen["gapped"] += 1
-        tree, tri = construct_join_tree(gm)
-        assert tri.base is gm
-        cliques = extract_cliques(tri.graph())
+        tree, kept = construct_join_tree(gm)
+        assert kept == sorted(kept)
+        gt = gm.copy()
+        for u, v in kept:
+            assert u < v and not gm.has_edge(u, v)
+            gt.add_edge(u, v)
+        cliques = extract_cliques(gt)
         _assert_same_tree(tree, _build_join_tree_reference(cliques))
         seen["empty"] += sum(not sep for _, _, sep in tree.edges())
     for k, n in enumerate([40, 80, 120, 160]):
@@ -456,8 +460,8 @@ def test_construct_on_projection_graph(asia):
     gm.remove_edge(t.id("L"), t.id("E"))
     gm.remove_edge(t.id("T"), t.id("L"))
     sub = gm.induced({t.id(n) for n in "TLEBS"})
-    tree, tri = construct_join_tree(sub)
-    assert tri.fill == frozenset()
+    tree, kept = construct_join_tree(sub)
+    assert kept == []
     assert set(cluster_names(tree, t)) == {
         frozenset("TE"),
         frozenset("EB"),
@@ -472,15 +476,15 @@ def test_construct_on_projection_graph(asia):
 
 
 def test_construct_empty_graph():
-    tree, tri = construct_join_tree(UndirectedGraph())
+    tree, kept = construct_join_tree(UndirectedGraph())
     assert len(tree) == 0
-    assert tri.fill == frozenset()
+    assert kept == []
 
 
 def test_construct_asia_covers_families_and_rip(asia):
-    tree, tri = construct_join_tree(moralize(asia), asia)
+    tree, kept = construct_join_tree(moralize(asia), asia)
     assert _rip_holds(tree)
-    assert len(tri.fill) == 1
+    assert len(kept) == 1
     for v in asia.nodes():
         assert asia.family(v) <= tree.cluster(tree.family[v])
 
@@ -490,9 +494,9 @@ def test_construction_is_deterministic():
     for _ in range(10):
         dag = random_dag(rng.randint(1, 14), rng, edge_prob=0.3)
         gm = moralize(dag)
-        first_tree, first_tri = construct_join_tree(gm.copy(), dag)
-        second_tree, second_tri = construct_join_tree(gm.copy(), dag)
-        assert first_tri.fill == second_tri.fill
+        first_tree, first_kept = construct_join_tree(gm.copy(), dag)
+        second_tree, second_kept = construct_join_tree(gm.copy(), dag)
+        assert first_kept == second_kept
         assert {c: first_tree.cluster(c) for c in first_tree.cluster_ids()} == {
             c: second_tree.cluster(c) for c in second_tree.cluster_ids()
         }
