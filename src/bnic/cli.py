@@ -227,9 +227,6 @@ def main(argv=None) -> int:
             return _cmd_apply(args)
         if args.command == "bench":
             return _cmd_bench(args)
-    except ParseError as exc:
-        print(f"bnic: {exc}", file=sys.stderr)
-        return 1
     except BnicError as exc:
         print(f"bnic: {exc}", file=sys.stderr)
         return 1

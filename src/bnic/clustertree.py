@@ -15,12 +15,14 @@ from .errors import InconsistencyError
 
 
 class ClusterTree:
-    def __init__(self):
-        self._clusters: dict[int, frozenset[int]] = {}
-        self._adj: dict[int, dict[int, frozenset[int]]] = {}
+    def __init__(self, clusters: dict[int, frozenset[int]] | None = None, next_id: int = 0):
+        """An edgeless tree of the given clusters under their ids; fresh ids start at next_id."""
+        self._clusters: dict[int, frozenset[int]] = dict(clusters or {})
+        self._adj: dict[int, dict[int, frozenset[int]]] = {c: {} for c in self._clusters}
         self._marked: set[int] = set()
         self.family: dict[int, int] = {}
-        self._next = 0
+        self._next = next_id
+        self._edges = 0
 
     # -- clusters ---------------------------------------------------------
 
@@ -34,9 +36,9 @@ class ClusterTree:
         return cid
 
     def remove_cluster(self, cid: int) -> None:
-        for nb in list(self._adj[cid]):
+        for nb in self._adj[cid]:
             del self._adj[nb][cid]
-        del self._adj[cid]
+        self._edges -= len(self._adj.pop(cid))
         del self._clusters[cid]
         self._marked.discard(cid)
 
@@ -50,6 +52,11 @@ class ClusterTree:
 
     def cluster_ids(self) -> list[int]:
         return sorted(self._clusters)
+
+    @property
+    def next_id(self) -> int:
+        """The id the next added cluster will receive."""
+        return self._next
 
     def vertex_index(self) -> dict[int, list[int]]:
         """For every vertex, the ids of the clusters holding it, ascending."""
@@ -83,10 +90,12 @@ class ClusterTree:
         sep = frozenset(separator)
         self._adj[a][b] = sep
         self._adj[b][a] = sep
+        self._edges += 1
 
     def remove_edge(self, a: int, b: int) -> None:
         del self._adj[a][b]
         del self._adj[b][a]
+        self._edges -= 1
 
     def has_edge(self, a: int, b: int) -> bool:
         return b in self._adj.get(a, ())
@@ -108,7 +117,7 @@ class ClusterTree:
         return sorted((a, b, sep) for a in self._adj for b, sep in self._adj[a].items() if a < b)
 
     def edge_count(self) -> int:
-        return sum(len(ns) for ns in self._adj.values()) // 2
+        return self._edges
 
     # -- marks ------------------------------------------------------------
 
@@ -182,7 +191,8 @@ class ClusterTree:
         """Contract src into an adjacent (or disjoint) dst cluster.
 
         Edges incident to src move to dst with their separators; the family
-        map is rehosted.  Vertex sets are left to the caller.
+        map is rehosted from src's vertices (a host holds its variable).
+        Vertex sets are left to the caller.
         """
         if src == dst:
             raise InconsistencyError("cannot merge a cluster into itself")
@@ -197,8 +207,8 @@ class ClusterTree:
             self._adj[nb][dst] = sep
             del self._adj[nb][src]
         self._adj[src] = {k: v for k, v in self._adj[src].items() if k == dst}
-        for var, host in self.family.items():
-            if host == src:
+        for var in self._clusters[src]:
+            if self.family.get(var) == src:
                 self.family[var] = dst
         self.remove_cluster(src)
 
@@ -217,6 +227,7 @@ class ClusterTree:
         t._marked = set(self._marked)
         t.family = dict(self.family)
         t._next = self._next
+        t._edges = self._edges
         return t
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -252,20 +252,20 @@ def mark_remove_link(
     """Mark the MPSs invalidated by deleted moral links.
 
     These are the host m_y of the removed arc's child and every MPS holding
-    both endpoints of a deleted link; the rebuild must cover each of them or
-    its boundary separators could stay incomplete.  Membership is read off
-    the current vertex sets, so a host gone stale inside a batch (an earlier
-    edit grew the family without a rebuild yet) changes nothing.
+    both endpoints of a deleted link {u, v}, found among the holders of u
+    walked from the MPS of u's family host; the rebuild must cover each of
+    them or its boundary separators could stay incomplete.  Membership is
+    read off the current vertex sets, so a host gone stale inside a batch
+    (an earlier edit grew the family without a rebuild yet) changes nothing.
     """
-    mpd = model.mpd
-    deleted = [l.pair for l in links if not l.added]
+    mpd, jt, owner = model.mpd, model.jt, model.index.owner
+    hit: set[int] = set()
+    for l in links:
+        if not l.added:
+            hit.update(m for m in _holders(mpd, owner[jt.family[l.u]], l.u) if l.v in mpd.cluster(m))
     _mark(mpd, m_y, rec)
-    for m in mpd.cluster_ids():
-        vs = mpd.cluster(m)
-        for pair in deleted:
-            if pair <= vs:
-                _mark(mpd, m, rec)
-                break
+    for m in sorted(hit):
+        _mark(mpd, m, rec)
 
 
 def mark_remove_node(model: CompiledModel, x: int, rec: ModTrace | None = None) -> None:
@@ -275,14 +275,33 @@ def mark_remove_node(model: CompiledModel, x: int, rec: ModTrace | None = None) 
     MPSs that held it are marked after the strip, so a trace records their
     stripped vertex sets.
     """
-    for m in _strip_variable(model.mpd, x):
+    host = model.jt.family[x]
+    for m in _strip_variable(model.mpd, x, model.index.owner[host]):
         _mark(model.mpd, m, rec)
-    _strip_variable(model.jt, x)
+    _strip_variable(model.jt, x, host)
 
 
-def _strip_variable(tree: ClusterTree, x: int) -> list[int]:
-    """Remove x from every cluster and separator; returns the clusters that held it."""
-    holders = [cid for cid in tree.cluster_ids() if x in tree.cluster(cid)]
+def _holders(tree: ClusterTree, start: int, x: int) -> set[int]:
+    """The clusters holding x, walked from start, which holds x.
+
+    Running intersection makes them a connected subtree, and a batch keeps
+    it so until the rebuild: strips take a variable out everywhere, new
+    nodes get singletons, and rewiring only cuts empty separators, whose
+    ends share nothing (as do the ends it joins).
+    """
+    found = {start}
+    stack = [start]
+    while stack:
+        for nb in tree.neighbors(stack.pop()):
+            if nb not in found and x in tree.cluster(nb):
+                found.add(nb)
+                stack.append(nb)
+    return found
+
+
+def _strip_variable(tree: ClusterTree, x: int, start: int) -> list[int]:
+    """Remove x from its holders, walked from start, and their separators; returns them."""
+    holders = sorted(_holders(tree, start, x))
     for cid in holders:
         tree.replace_cluster(cid, tree.cluster(cid) - {x})
         # a separator holding x is the intersection of its ends or a rewired
@@ -605,19 +624,24 @@ def _rebuild_subtree(model: CompiledModel, comp: list[int], trace: BatchTrace | 
 
 
 def _rejoin_fragments(model: CompiledModel) -> None:
-    # hang every fragment left by emptied subtrees on the first by an empty
-    # separator; the junction tree is then connected, so it is a tree iff it
-    # has one edge fewer than clusters
-    comps = model.jt.components()
-    if len(comps) > 1:
+    # hang every fragment left by emptied subtrees (only they leave fewer
+    # edges than clusters less one) on the first by an empty separator; both
+    # trees are then trees iff they have one edge fewer than clusters, bar
+    # the cases in incremental_compile's docstring
+    jt, mpd = model.jt, model.mpd
+    rejoined = jt.edge_count() < len(jt) - 1
+    if rejoined:
+        comps = jt.components()
         owner = model.index.owner
         anchor = min(comps[0])
         for comp in comps[1:]:
             other = min(comp)
-            model.jt.add_edge(anchor, other, frozenset())
-            model.mpd.add_edge(owner[anchor], owner[other], frozenset())
-    if len(model.jt) and model.jt.edge_count() != len(model.jt) - 1:
+            jt.add_edge(anchor, other, frozenset())
+            mpd.add_edge(owner[anchor], owner[other], frozenset())
+    if len(jt) and jt.edge_count() != len(jt) - 1:
         raise InconsistencyError("rebuild left a cycle in the junction tree")
+    if not (mpd.is_tree() if rejoined else not mpd or mpd.edge_count() == len(mpd) - 1):
+        raise InconsistencyError("rebuild left a disconnected cluster structure")
 
 
 def derive_triangulation(moral: UndirectedGraph, jt: ClusterTree) -> Triangulation:
@@ -644,19 +668,25 @@ def incremental_compile(
     """Re-establish the compiled structures after a batch of edits.
 
     The model is updated in place (and returned); unmarked clusters survive
-    with identical vertex sets.  The whole batch is first replayed on a copy
-    of the dag, so an invalid modification raises before the model is
-    touched; internal inconsistencies raise InconsistencyError and are never
-    silently repaired.
+    with identical vertex sets.  The whole batch is first replayed on the
+    dag and rolled back (:meth:`Dag.rollback`), so an invalid modification
+    raises before the model is touched; internal inconsistencies raise
+    InconsistencyError and are never silently repaired.
+
+    The closing tree checks count edges.  Unless a subtree emptied, each
+    splice swaps one connected marked subtree (``connect`` walked exactly
+    the doomed cliques) for a tree carrying every old boundary edge (the
+    mirrored-boundary check), so both trees stay trees; after a rejoin the
+    MPS tree gets the full ``is_tree()``.  A count misses only a cycle beside
+    a detached fragment, which ``validate``'s ``is_tree()`` still catches.
     """
-    scratch = model.dag.copy()
+    with model.dag.rollback():
+        for mod in mods:
+            apply_modification(model.dag, mod)
     for mod in mods:
-        apply_modification(scratch, mod)
-    for mod in mods:
-        rec = ModTrace(mod=mod, description=describe(mod, model.dag))
+        rec = None if trace is None else ModTrace(mod=mod, description=describe(mod, model.dag))
         apply_modification(model.dag, mod)
         links = modify_moral_graph(model, mod)
-        rec.links = list(links)
         match mod:
             case AddNode(name):
                 add_node(model, model.dag.table.id(name), rec)
@@ -667,7 +697,8 @@ def incremental_compile(
                 mark_remove_link(model, links, model.index.owner[model.jt.family[child]], rec)
             case AddArc(parent, child):
                 mark_add_link(model, parent, child, links, rec)
-        if trace is not None:
+        if rec is not None:
+            rec.links = list(links)
             trace.mods.append(rec)
 
     marked = model.mpd.marked_ids()
@@ -677,7 +708,5 @@ def incremental_compile(
         _rejoin_fragments(model)
         if model.mpd.marked_ids() or model.jt.marked_ids():
             raise InconsistencyError("marks survived the rebuild phase")
-        if not model.mpd.is_tree():
-            raise InconsistencyError("rebuild left a disconnected cluster structure")
     model._tri = None
     return model

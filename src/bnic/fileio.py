@@ -65,20 +65,13 @@ def _parse_edit(tokens: list[str], scratch: Dag, lineno: int) -> list[Modificati
     raise ParseError(f"unrecognized edit: {' '.join(tokens)!r}", lineno)
 
 
-def parse_script(text: str, dag: Dag) -> list[list[Modification]]:
-    """Parse an edit script into batches split at ``compile`` markers.
-
-    Names are resolved against the network state at their position (a
-    scratch copy of the dag is replayed while parsing), and ``remove-node``
-    expands into its incident arc removals first.
-    """
+def _script_lines(text: str, dag: Dag):
+    # each line's tokens and modifications (None for ``compile``), with names
+    # resolved against a scratch copy of the dag replayed line by line
     scratch = dag.copy()
-    batches: list[list[Modification]] = []
-    batch: list[Modification] = []
     for lineno, tokens in _content_lines(text):
         if tokens == ["compile"]:
-            batches.append(batch)
-            batch = []
+            yield tokens, None
             continue
         mods = _parse_edit(tokens, scratch, lineno)
         for mod in mods:
@@ -86,27 +79,27 @@ def parse_script(text: str, dag: Dag) -> list[list[Modification]]:
                 apply_modification(scratch, mod)
             except BnicError as exc:
                 raise ParseError(str(exc), lineno) from exc
-        batch.extend(mods)
-    if batch:
-        batches.append(batch)
-    return batches
+        yield tokens, mods
+
+
+def parse_script(text: str, dag: Dag) -> list[list[Modification]]:
+    """Parse an edit script into batches split at ``compile`` markers.
+
+    Names are resolved against the network state at their position, and
+    ``remove-node`` expands into its incident arc removals first.
+    """
+    batches: list[list[Modification]] = [[]]
+    for _tokens, mods in _script_lines(text, dag):
+        if mods is None:
+            batches.append([])
+        else:
+            batches[-1].extend(mods)
+    return batches if batches[-1] else batches[:-1]
 
 
 def parse_edits(text: str, dag: Dag) -> list[tuple[str, list[Modification]]]:
     """Like parse_script but one entry per edit line, ignoring ``compile``."""
-    scratch = dag.copy()
-    edits: list[tuple[str, list[Modification]]] = []
-    for lineno, tokens in _content_lines(text):
-        if tokens == ["compile"]:
-            continue
-        mods = _parse_edit(tokens, scratch, lineno)
-        for mod in mods:
-            try:
-                apply_modification(scratch, mod)
-            except BnicError as exc:
-                raise ParseError(str(exc), lineno) from exc
-        edits.append((" ".join(tokens), mods))
-    return edits
+    return [(" ".join(tokens), mods) for tokens, mods in _script_lines(text, dag) if mods is not None]
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,15 @@ tie-breaking elsewhere in the package is by ascending id.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import kernels
 from .errors import CycleError, InvalidEditError, UnknownVariableError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class VariableTable:
@@ -54,9 +56,6 @@ class VariableTable:
         except KeyError:
             raise UnknownVariableError(f"unknown variable name {name!r}") from None
 
-    def has_name(self, name: str) -> bool:
-        return name in self._id_of
-
     @property
     def next_id(self) -> int:
         """The id the next added variable will receive."""
@@ -90,10 +89,41 @@ class Dag:
     removals) reproducible.
     """
 
-    def __init__(self, table: VariableTable | None = None):
-        self.table = table if table is not None else VariableTable()
-        self._parents: dict[int, dict[int, None]] = {v: {} for v in self.table.ids()}
-        self._children: dict[int, dict[int, None]] = {v: {} for v in self.table.ids()}
+    def __init__(self):
+        self.table = VariableTable()
+        self._parents: dict[int, dict[int, None]] = {}
+        self._children: dict[int, dict[int, None]] = {}
+        self._journal: dict[int, tuple[str, dict[int, None], dict[int, None]]] | None = None
+
+    @contextmanager
+    def rollback(self) -> Iterator[None]:
+        """Undo every edit made inside the block on leaving it, raised or not.
+
+        Each node's name and arc maps are saved before their first change and
+        put back afterwards, insertion order and removed nodes included; added
+        nodes are dropped and their ids unissued.  Costs O(nodes touched).
+        """
+        self._journal = journal = {}
+        table, next_id = self.table, self.table.next_id
+        try:
+            yield
+        finally:
+            self._journal = None
+            for v in range(next_id, table.next_id):
+                if v in table:
+                    table.remove(v)
+                    del self._parents[v], self._children[v]
+            table._next = next_id
+            for v, (name, ps, cs) in journal.items():
+                if v < next_id:
+                    table._name_of[v], table._id_of[name] = name, v
+                    self._parents[v], self._children[v] = ps, cs
+
+    def _save(self, *vs: int) -> None:
+        if self._journal is not None:
+            for v in vs:
+                if v not in self._journal:
+                    self._journal[v] = (self.table.name(v), dict(self._parents[v]), dict(self._children[v]))
 
     def add_node(self, name: str) -> int:
         vid = self.table.add(name)
@@ -108,6 +138,7 @@ class Dag:
             raise InvalidEditError(
                 f"cannot remove {self.table.name(vid)!r}: node still has incident arcs"
             )
+        self._save(vid)
         self.table.remove(vid)
         del self._parents[vid]
         del self._children[vid]
@@ -126,12 +157,14 @@ class Dag:
             raise CycleError(
                 f"arc {self.table.name(parent)} -> {self.table.name(child)} would create a cycle"
             )
+        self._save(parent, child)
         self._children[parent][child] = None
         self._parents[child][parent] = None
 
     def remove_arc(self, parent: int, child: int) -> None:
         if child not in self._children.get(parent, ()):
             raise InvalidEditError(f"no such arc {parent} -> {child}")
+        self._save(parent, child)
         del self._children[parent][child]
         del self._parents[child][parent]
 
@@ -193,7 +226,8 @@ class Dag:
         return self.has_arc(u, v) or self.has_arc(v, u) or self.common_child(u, v)
 
     def copy(self) -> "Dag":
-        d = Dag(self.table.copy())
+        d = Dag()
+        d.table = self.table.copy()
         d._parents = {v: dict(ps) for v, ps in self._parents.items()}
         d._children = {v: dict(cs) for v, cs in self._children.items()}
         return d
@@ -297,6 +331,8 @@ class UndirectedGraph:
     # Unused by the package; kept because the benchmark's tracer binds it.
     def to_dense(self) -> tuple[np.ndarray, list[int]]:
         """Dense boolean adjacency plus the index -> vertex-id mapping."""
+        import numpy as np
+
         idx = self.vertices()
         pos = {v: i for i, v in enumerate(idx)}
         a = np.zeros((len(idx), len(idx)), dtype=np.bool_)

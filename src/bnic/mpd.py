@@ -30,25 +30,33 @@ def aggregate_cliques(jt: ClusterTree, gm: UndirectedGraph) -> tuple[ClusterTree
 
     The maximal prime subgraphs are the connected components of the junction
     tree cut down to its incomplete separators (Olesen & Madsen, IEEE SMC-B
-    2002).  Contracting an edge never changes another edge's separator, so
-    one pass finds every group: each MPS keeps the smallest id of its group
+    2002).  One union-find over those separators finds every group; each
+    MPS keeps the smallest id of its group (the root of its union-find set)
     and the union of its vertex sets, and the complete separators become
-    the MPS tree's edges.  Requires a junction tree built from a minimal
-    triangulation of gm.  The MPS tree's family map is left empty: family
-    hosting lives in the junction tree and the index's owner map.
+    the MPS tree's edges.  Fresh MPS ids continue after the junction tree's.
+    Requires a junction tree built from a minimal triangulation of gm.  The
+    MPS tree's family map is left empty: family hosting lives in the
+    junction tree and the index's owner map.
     """
-    mpd = jt.copy()
-    mpd.clear_marks()
-    mpd.family = {}
-    complete = [(a, b, sep) for a, b, sep in jt.edges() if gm.is_complete(sep)]
-    for a, b, _ in complete:
-        mpd.remove_edge(a, b)
-    groups = {min(comp): comp for comp in mpd.components()}
-    root = {c: r for r, comp in groups.items() for c in comp}
-    for r, comp in groups.items():
-        for c in comp - {r}:
-            mpd.remove_cluster(c)
-        mpd.replace_cluster(r, frozenset().union(*(jt.cluster(c) for c in comp)))
+    owner = {c: c for c in jt.cluster_ids()}
+
+    def find(c: int) -> int:
+        while owner[c] != c:
+            owner[c] = c = owner[owner[c]]
+        return c
+
+    complete = []
+    for a, b, sep in jt.edges():
+        if gm.is_complete(sep):
+            complete.append((a, b, sep))
+        else:
+            ra, rb = find(a), find(b)
+            owner[max(ra, rb)] = min(ra, rb)
+    cliques_of: dict[int, set[int]] = {}
+    for c in owner:
+        r = owner[c] = find(c)
+        cliques_of.setdefault(r, set()).add(c)
+    mpd = ClusterTree({r: frozenset().union(*map(jt.cluster, cs)) for r, cs in cliques_of.items()}, jt.next_id)
     for a, b, sep in complete:
-        mpd.add_edge(root[a], root[b], sep)
-    return mpd, MpdIndex(groups, root)
+        mpd.add_edge(owner[a], owner[b], sep)
+    return mpd, MpdIndex(cliques_of, owner)

@@ -665,6 +665,76 @@ def test_rejected_batch_leaves_the_model_untouched():
     assert validate(model).passed
 
 
+def _dag_state(dag):
+    # everything a rollback must restore, insertion orders included
+    t = dag.table
+    return (
+        t.next_id,
+        dict(t._name_of),
+        dict(t._id_of),
+        {v: list(ps) for v, ps in dag._parents.items()},
+        {v: list(cs) for v, cs in dag._children.items()},
+    )
+
+
+def test_rejected_batch_restores_ids_and_arc_order():
+    # the dry run replays the batch on the model's own dag and rolls it back
+    dag = Dag()
+    a, b, c, d = (dag.add_node(name) for name in "ABCD")
+    for p, ch in [(d, b), (a, b), (b, c), (a, c), (d, c)]:
+        dag.add_arc(p, ch)
+    model = full_recompile(dag.copy())
+    before = _dag_state(model.dag)
+    order = {v: expand_remove_node(model.dag, v) for v in (a, b, d)}
+    batches = [
+        [AddNode("E"), RemoveArc(a, b), AddArc(c, a)],
+        # a removed node comes back with its id, and its name is not kept
+        # by the node that took it over inside the batch
+        expand_remove_node(model.dag, d) + [AddNode("D"), RemoveArc(a, b), AddArc(c, a)],
+    ]
+    for mods in batches:
+        with pytest.raises(CycleError):
+            incremental_compile(model, mods)
+        assert _dag_state(model.dag) == before
+        assert {v: expand_remove_node(model.dag, v) for v in (a, b, d)} == order
+        assert model.dag == dag and validate(model).passed
+    assert model.dag.add_node("F") == 4
+
+
+def test_local_flush_walks_no_whole_tree_and_copies_no_dag(monkeypatch):
+    dag = Dag()
+    v = [dag.add_node(f"b{j}") for j in range(2000)]
+    rng = Random(3)
+    for j in range(2000):
+        for i in range(max(0, j - 5), j):
+            if rng.random() < 0.3:
+                dag.add_arc(v[i], v[j])
+    model = full_recompile(dag)
+    p, c = next((p, c) for p, c in dag.arcs() if p > 1000)
+    u, w = next((v[i], v[i + 2]) for i in range(1500, 2000) if not dag.has_arc(v[i], v[i + 2]))
+    mods = [RemoveArc(p, c), AddArc(u, w)]
+
+    calls = {"components": 0, "copy": 0}
+    components, copy = ClusterTree.components, Dag.copy
+
+    def counted_components(self, ids=None):
+        calls["components"] += ids is None
+        return components(self, ids)
+
+    def counted_copy(self):
+        calls["copy"] += 1
+        return copy(self)
+
+    monkeypatch.setattr(ClusterTree, "components", counted_components)
+    monkeypatch.setattr(Dag, "copy", counted_copy)
+    trace = BatchTrace()
+    incremental_compile(model, mods, trace)
+    assert calls == {"components": 0, "copy": 0}
+    assert trace.subtrees and all(s.variables for s in trace.subtrees)
+    monkeypatch.undo()
+    assert validate(model).passed
+
+
 def test_junction_cycle_after_rejoin_raises(asia_model, monkeypatch):
     # the rejoin's edge count is the only junction-tree check of a flush
     rejoin = bnic.engine._rejoin_fragments

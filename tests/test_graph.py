@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -211,3 +215,15 @@ def test_is_chordal_agrees_with_chordless_cycle_enumeration():
                 if rng.random() < 0.35:
                     g.add_edge(u, v)
         assert is_chordal(g)[0] == (not _has_chordless_cycle(g))
+
+
+def test_importing_the_package_does_not_load_numpy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, bnic, bnic.cli; print('numpy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -8,9 +8,12 @@ from bnic import (
     build_join_tree,
     construct_join_tree,
     extract_cliques,
+    full_recompile,
+    incremental_compile,
     is_chordal,
     moralize,
     random_dag,
+    random_script,
 )
 
 from conftest import cluster_names, name_set
@@ -126,3 +129,50 @@ def test_decomposition_invariant_across_minimal_triangulations(asia):
             frozenset("EX"),
         ]
     )
+
+
+def _aggregate_by_copy_and_components(jt, gm):
+    # Reference: the former aggregation.  Copy the junction tree, cut its
+    # complete separators, contract each remaining component into its
+    # least id and join the groups by the complete separators.
+    mpd = jt.copy()
+    mpd.clear_marks()
+    mpd.family = {}
+    complete = [(a, b, sep) for a, b, sep in jt.edges() if gm.is_complete(sep)]
+    for a, b, _ in complete:
+        mpd.remove_edge(a, b)
+    groups = {min(comp): comp for comp in mpd.components()}
+    root = {c: r for r, comp in groups.items() for c in comp}
+    for r, comp in groups.items():
+        for c in comp - {r}:
+            mpd.remove_cluster(c)
+        mpd.replace_cluster(r, frozenset().union(*(jt.cluster(c) for c in comp)))
+    for a, b, sep in complete:
+        mpd.add_edge(root[a], root[b], sep)
+    return mpd, groups, root
+
+
+def _assert_aggregates_like_the_reference(jt, gm):
+    mpd, index = aggregate_cliques(jt, gm)
+    ref, groups, root = _aggregate_by_copy_and_components(jt, gm)
+    assert {c: mpd.cluster(c) for c in mpd.cluster_ids()} == {c: ref.cluster(c) for c in ref.cluster_ids()}
+    assert mpd.edges() == ref.edges() and mpd.edge_count() == ref.edge_count()
+    assert mpd.family == {} and not mpd.marked_ids()
+    assert index.cliques_of == groups and index.owner == root
+    # fresh ids continue where the reference's do
+    assert mpd.add_cluster(()) == ref.add_cluster(())
+    return len(jt) - len(mpd)
+
+
+def test_aggregate_matches_the_copy_and_components_reference():
+    merges = spliced = 0
+    rng = Random(2024)
+    for _ in range(40):
+        dag = random_dag(rng.randint(1, 40), rng, edge_prob=rng.choice([0.05, 0.15, 0.3]))
+        model = full_recompile(dag)
+        merges += _assert_aggregates_like_the_reference(model.jt, model.moral)
+        for _ in range(3):
+            incremental_compile(model, random_script(model.dag, rng.randint(1, 8), rng))
+            merges += _assert_aggregates_like_the_reference(model.jt, model.moral)
+            spliced += 1
+    assert merges > 100 and spliced == 120
