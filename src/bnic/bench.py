@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .engine import BatchTrace, CompiledModel, Modification, apply_modification, incremental_compile
 from .oracle import full_recompile, mpd_equal, stability, validate
@@ -69,6 +70,18 @@ class BenchReport:
                  f"{r.speedup:.4f}", f"{r.stability:.6f}", r.marked_mps, int(r.verified)]
             )
         return buf.getvalue()
+
+    def to_json(self) -> str:
+        return json.dumps(
+            {
+                "rows": [asdict(r) for r in self.rows],
+                "median_incremental_s": self.median_incremental(),
+                "median_full_s": self.median_full(),
+                "median_stability": self.median_stability(),
+                "all_verified": self.all_verified(),
+            },
+            indent=1,
+        )
 
 
 def _median_time(fn, repeats: int) -> float:

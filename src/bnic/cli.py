@@ -55,6 +55,7 @@ def _build_parser() -> _Parser:
         help="N EDITS [SEED]: random network of N nodes, EDITS single-arc edits",
     )
     p_bench.add_argument("--csv", metavar="FILE", help="also write the report as CSV")
+    p_bench.add_argument("--json", metavar="FILE", help="also write the report and its medians as JSON")
     return parser
 
 
@@ -208,6 +209,8 @@ def _cmd_bench(args) -> int:
     print(report.to_text())
     if args.csv:
         Path(args.csv).write_text(report.to_csv(), encoding="utf-8")
+    if args.json:
+        Path(args.json).write_text(report.to_json(), encoding="utf-8")
     if not report.all_verified():
         print("bench verification failed", file=sys.stderr)
         return 2

@@ -14,6 +14,19 @@ from typing import Iterable
 from .errors import InconsistencyError
 
 
+def covering(holders: dict[int, int], ids: list[int], vs: Iterable[int]) -> list[int]:
+    """The ids, in the order of ``ids``, whose clusters contain vs, given their holder masks."""
+    common = (1 << len(ids)) - 1
+    for v in vs:
+        common &= holders.get(v, 0)
+    out = []
+    while common:
+        low = common & -common
+        common ^= low
+        out.append(ids[low.bit_length() - 1])
+    return out
+
+
 class ClusterTree:
     def __init__(self, clusters: dict[int, frozenset[int]] | None = None, next_id: int = 0):
         """An edgeless tree of the given clusters under their ids; fresh ids start at next_id."""
@@ -58,13 +71,14 @@ class ClusterTree:
         """The id the next added cluster will receive."""
         return self._next
 
-    def vertex_index(self) -> dict[int, list[int]]:
-        """For every vertex, the ids of the clusters holding it, ascending."""
-        index: dict[int, list[int]] = {}
-        for cid in sorted(self._clusters):
+    def holder_masks(self, ids: list[int]) -> dict[int, int]:
+        """For every vertex of the clusters ``ids``: bit i is set iff ``ids[i]`` holds it."""
+        masks: dict[int, int] = {}
+        for i, cid in enumerate(ids):
+            bit = 1 << i
             for v in self._clusters[cid]:
-                index.setdefault(v, []).append(cid)
-        return index
+                masks[v] = masks.get(v, 0) | bit
+        return masks
 
     def vertices(self) -> set[int]:
         out: set[int] = set()

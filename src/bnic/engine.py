@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Sequence
 
-from .clustertree import ClusterTree
+from .clustertree import ClusterTree, covering
 from .errors import InconsistencyError, InvalidEditError
 from .graph import Dag, Link, UndirectedGraph
 from .mpd import MpdIndex, aggregate_cliques
@@ -437,16 +437,14 @@ def connect(
     Walks the marked clusters depth first from c_i.  Every separator S
     leading to an unmarked neighbour C_k is re-hung onto the replacement
     cluster covering S with the largest overlap with C_k (ties: smaller,
-    then lower id), looked up among those holding min(S); a record where
-    the chosen cluster equals S flags a later amalgamation.  Returns the
-    reattachment records and the set of marked clusters visited.  The
+    then lower id), found from the replacements' holder masks; a record
+    where the chosen cluster equals S flags a later amalgamation.  Returns
+    the reattachment records and the set of marked clusters visited.  The
     explicit stack of neighbour iterators keeps deep trees clear of the
     recursion limit.
     """
-    holders: dict[int, list[int]] = {}
-    for cid in replacement_ids:
-        for v in tree.cluster(cid):
-            holders.setdefault(v, []).append(cid)
+    ids = sorted(replacement_ids)
+    holders = tree.holder_masks(ids)
     records: list[tuple[int, int, frozenset[int], int]] = []
     visited = {c_i}
     stack = [(c_i, iter(tree.neighbors(c_i)))]
@@ -461,16 +459,12 @@ def connect(
                 stack.append((ck, iter(tree.neighbors(ck))))
         else:
             sep, vk = tree.separator(ci, ck), tree.cluster(ck)
-            best = None
-            for c in holders.get(min(sep), ()) if sep else replacement_ids:
-                vs = tree.cluster(c)
-                if sep <= vs:
-                    key = (-len(vs & vk), len(vs), c)
-                    if best is None or key < best:
-                        best = key
-            if best is None:
+            covers = covering(holders, ids, sep)
+            if not covers:
                 raise InconsistencyError(f"no replacement cluster covers boundary separator {sorted(sep)}")
-            target = best[2]
+            target = covers[0] if len(covers) == 1 else min(
+                covers, key=lambda c: (-len(tree.cluster(c) & vk), len(tree.cluster(c)))
+            )
             tree.add_edge(target, ck, sep)
             records.append((ci, ck, sep, target))
     return records, visited

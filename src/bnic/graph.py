@@ -306,13 +306,11 @@ class UndirectedGraph:
     def induced(self, vs: Iterable[int]) -> "UndirectedGraph":
         """The subgraph induced by the vertex set vs."""
         vs = set(vs)
-        missing = vs - set(self._adj)
+        missing = vs - self._adj.keys()
         if missing:
             raise UnknownVariableError(f"unknown vertices {sorted(missing)}")
-        g = UndirectedGraph(vs)
-        for v in vs:
-            for nb in self._adj[v] & vs:
-                g._adj[v].add(nb)
+        g = UndirectedGraph()
+        g._adj = {v: self._adj[v] & vs for v in vs}
         return g
 
     def is_complete(self, vs: Iterable[int]) -> bool:
@@ -382,14 +380,14 @@ class Link:
 def moralize(dag: Dag) -> UndirectedGraph:
     """Moral graph: the skeleton plus an edge between every two co-parents."""
     g = UndirectedGraph(dag.nodes())
-    for parent, child in dag.arcs():
-        g.add_edge(parent, child)
-    for child in dag.nodes():
-        ps = dag.parents(child)
-        for i, u in enumerate(ps):
-            for v in ps[i + 1 :]:
-                if u != v:
-                    g.add_edge(u, v)
+    adj = g._adj
+    for child, ps in dag._parents.items():
+        adj[child].update(ps)
+        for p in ps:
+            nb = adj[p]
+            nb.update(ps)  # p itself among them
+            nb.discard(p)
+            nb.add(child)
     return g
 
 

@@ -10,10 +10,12 @@ Both index vertices by rank, the position of the id among the graph's
 sorted ids, so ties broken by position are ties broken by id.  Min-fill
 holds adjacency as one int bitmask per position; it counts each fill cost
 once and then keeps it exact by deltas from each elimination, summing the
-per-vertex decrements of a whole elimination in bit-sliced counters.  MCS
-reads the graph's own adjacency sets (copying them into position masks
-was slower) and keeps its weight classes as position masks; it emits the
-maximal cliques of a chordal graph in the same pass.
+per-vertex decrements of a whole elimination in bit-sliced counters; its
+lazy heap keeps each live vertex queued at or below its cost, so the first
+current key popped is the minimum.  MCS reads the graph's own adjacency
+sets (copying them into position masks was slower) and keeps its weight
+classes as position masks; it emits the maximal cliques of a chordal graph
+in the same pass.
 """
 
 from __future__ import annotations
@@ -51,30 +53,44 @@ def min_fill(g: "UndirectedGraph") -> tuple[list[int], list[tuple[int, int]]]:
     eliminated, each set bit w of ``planes[k]`` takes ``2**k`` from w's
     cost.  A lazy heap of int keys ``cost << shift | position`` picks the
     next vertex; a live cost is never negative, so the keys sort as the
-    ``(cost, position)`` pairs.
+    ``(cost, position)`` pairs.  ``queued[x]`` is the smallest cost queued
+    for x.  A changed vertex is pushed only if its cost fell below it; a
+    popped stale key is pushed again at the risen live cost only if it was
+    ``queued[x]``.  So every live vertex keeps a queued key no larger than
+    its cost, and the first popped key equal to its vertex's live cost is
+    the ``(cost, position)`` minimum: order and fill are those of an exact
+    heap.
     """
     # bit i of a mask stands for ids[i]: ids can be large and far apart
     # after node removals and in a rebuild's induced subgraph
     ids = g.vertices()
-    pos = {v: i for i, v in enumerate(ids)}
-    masks = [sum(1 << pos[u] for u in g.neighbors(v)) for v in ids]
+    bit = {v: 1 << i for i, v in enumerate(ids)}
+    neighbours = list(map(g.neighbors, ids))
+    masks = [sum(map(bit.__getitem__, nb)) for nb in neighbours]
+    mask_of = dict(zip(ids, masks)).__getitem__
 
     # non-adjacent pairs among each vertex's neighbours (linked pairs count twice in the sum)
     cost = [
-        (len(nb) * (len(nb) - 1) - sum((masks[pos[u]] & m).bit_count() for u in nb)) // 2
-        for nb, m in zip(map(g.neighbors, ids), masks)
+        (len(nb) * (len(nb) - 1) - sum(map(int.bit_count, map(m.__and__, map(mask_of, nb))))) // 2
+        for nb, m in zip(neighbours, masks)
     ]
+    queued = cost[:]
     shift = len(ids).bit_length()
     position = (1 << shift) - 1
     heap = [c << shift | i for i, c in enumerate(cost)]
     heapq.heapify(heap)
     order: list[int] = []
-    fill: list[tuple[int, int]] = []
+    fill: list[int] = []  # u << shift | v, by position
     while heap:
         key = heapq.heappop(heap)
         x = key & position
-        if cost[x] != key >> shift:
-            continue  # eliminated (cost -1), or a stale cost
+        c = key >> shift
+        if cost[x] != c:
+            # eliminated (cost -1), or stale: the live cost rose above c
+            if c == queued[x] and cost[x] > c:
+                queued[x] = cost[x]
+                heapq.heappush(heap, cost[x] << shift | x)
+            continue
         cost[x] = -1
         order.append(ids[x])
         nx = masks[x]
@@ -95,7 +111,7 @@ def min_fill(g: "UndirectedGraph") -> tuple[list[int], list[tuple[int, int]]]:
                 bit_v = rest_v & -rest_v
                 rest_v ^= bit_v
                 v = bit_v.bit_length() - 1
-                fill.append((ids[u], ids[v]))
+                fill.append(u << shift | v)
                 ov = masks[v] & keep  # old[v], as v > u
                 carry = ou & ov
                 changed |= carry
@@ -121,8 +137,10 @@ def min_fill(g: "UndirectedGraph") -> tuple[list[int], list[tuple[int, int]]]:
             low = changed & -changed
             changed ^= low
             u = low.bit_length() - 1
-            heapq.heappush(heap, cost[u] << shift | u)
-    return order, fill
+            if cost[u] < queued[u]:
+                queued[u] = cost[u]
+                heapq.heappush(heap, cost[u] << shift | u)
+    return order, [(ids[f >> shift], ids[f & position]) for f in fill]
 
 
 def mcs(g: "UndirectedGraph") -> tuple[list[int], tuple[int, int] | None, list[frozenset[int]]]:

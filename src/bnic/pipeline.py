@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import kernels
-from .clustertree import ClusterTree
-from .errors import InconsistencyError, NotChordalError
+from .clustertree import ClusterTree, covering
+from .errors import InconsistencyError, NotChordalError, UnknownVariableError
 from .graph import Dag, UndirectedGraph
 
 # Unused by the package; kept because the benchmark's tracer binds it.
@@ -82,8 +82,13 @@ def _thin(base: UndirectedGraph, pending: list[tuple[int, int]]) -> tuple[list[t
     MCS order.
     """
     work = base.copy()
-    for u, v in pending:
-        work.add_edge(u, v)
+    adj = work._adj
+    try:
+        for u, v in pending:
+            adj[u].add(v)
+            adj[v].add(u)
+    except KeyError:
+        raise UnknownVariableError(f"unknown vertex in edge ({u}, {v})") from None
     cliques = extract_cliques(work)
     live = list(cliques)  # clique of bit k; None once replaced
     cm = dict.fromkeys(work.vertices(), 0)
@@ -186,19 +191,19 @@ def build_join_tree(cliques: list[frozenset[int]]) -> ClusterTree:
 def assign_families(dag: Dag, tree: ClusterTree, variables: Iterable[int]) -> None:
     """Point the family map entry of each given variable at its smallest covering cluster.
 
-    Ties go to the smaller cluster id.  Only clusters holding the variable
-    itself can cover its family, so only those are scanned.  Entries of
-    other variables are left alone.
+    Ties go to the smaller cluster id.  The clusters covering a family are
+    the common bits of its vertices' holder masks.  Entries of other
+    variables are left alone.
     """
-    holders = tree.vertex_index()
+    ids = tree.cluster_ids()
+    holders = tree.holder_masks(ids)
     for vid in variables:
-        fam = dag.family(vid)
-        hosts = [(len(tree.cluster(c)), c) for c in holders.get(vid, ()) if fam <= tree.cluster(c)]
+        hosts = covering(holders, ids, dag.family(vid))
         if not hosts:
             raise InconsistencyError(
                 f"no cluster contains the family of variable {vid}: triangulation bug"
             )
-        tree.family[vid] = min(hosts)[1]
+        tree.family[vid] = hosts[0] if len(hosts) == 1 else min(hosts, key=lambda c: len(tree.cluster(c)))
 
 
 def construct_join_tree(gm: UndirectedGraph, dag: Dag | None = None) -> tuple[ClusterTree, list[tuple[int, int]]]:

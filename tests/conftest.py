@@ -28,6 +28,15 @@ def name_set(table, vertices) -> frozenset:
     return frozenset(table.name(v) for v in vertices)
 
 
+def holders_of(tree) -> dict:
+    """For every vertex, the set of ids of the clusters holding it."""
+    holders = {}
+    for c in tree.cluster_ids():
+        for v in tree.cluster(c):
+            holders.setdefault(v, set()).add(c)
+    return holders
+
+
 def cluster_names(tree, table):
     """Multiset of cluster vertex sets, as frozensets of names."""
     from collections import Counter

@@ -1,5 +1,11 @@
+import csv
+import json
+import statistics
 from pathlib import Path
 
+import pytest
+
+import bnic.bench
 import bnic.cli as cli
 
 DATA = Path(__file__).parent / "data"
@@ -141,6 +147,31 @@ def test_bench_script_and_csv(tmp_path, capsys):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0].startswith("index,description")
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("verified", [True, False])
+def test_bench_json_matches_the_csv_rows(tmp_path, capsys, monkeypatch, verified):
+    if not verified:
+        monkeypatch.setattr(bnic.bench, "mpd_equal", lambda a, b: False)
+    script = tmp_path / "edit.script"
+    script.write_text("remove-arc L E\nadd-arc A S\nremove-arc E X\n")
+    csv_path, json_path = tmp_path / "report.csv", tmp_path / "report.json"
+    code, _, _ = run(
+        capsys, "bench", str(DATA / "asia.bn"), str(script), "--csv", str(csv_path), "--json", str(json_path)
+    )
+    assert code == (0 if verified else 2)
+    report = json.loads(json_path.read_text())
+    rows = list(csv.DictReader(csv_path.read_text().splitlines()))
+    assert len(report["rows"]) == len(rows) == 3
+    for got, want in zip(report["rows"], rows):
+        assert got["index"] == int(want["index"]) and got["description"] == want["description"]
+        assert got["marked_mps"] == int(want["marked_mps"]) and got["verified"] == bool(int(want["verified"]))
+        for key, places in (("incremental_s", 9), ("full_s", 9), ("speedup", 4), ("stability", 6)):
+            assert f"{got[key]:.{places}f}" == want[key]
+    assert report["all_verified"] is verified
+    assert report["median_incremental_s"] == statistics.median(r["incremental_s"] for r in report["rows"])
+    assert report["median_full_s"] == statistics.median(r["full_s"] for r in report["rows"])
+    assert report["median_stability"] == statistics.median(r["stability"] for r in report["rows"])
 
 
 def test_bench_empty_script_gives_empty_report(tmp_path, capsys):

@@ -102,10 +102,40 @@ def _brute_force_moral(dag):
     return edges
 
 
+def _strip(dag, v):
+    for p in dag.parents(v):
+        dag.remove_arc(p, v)
+    for c in dag.children(v):
+        dag.remove_arc(v, c)
+    dag.remove_node(v)
+
+
 def test_moralize_matches_pairwise_scan_on_random_dag():
     dag = random_dag(8, Random(7), edge_prob=0.3)
     gm = moralize(dag)
     assert gm.edge_set() == _brute_force_moral(dag)
+    # ids gapped by node removals, arcs re-added in shuffled order so parent
+    # order is not id order, and nodes a rollback put back after the rest
+    gapped = unordered = 0
+    for seed in range(30):
+        rng = Random(seed)
+        dag = random_dag(rng.randint(4, 30), rng, edge_prob=rng.choice([0.1, 0.3, 0.6]))
+        arcs = dag.arcs()
+        for a in arcs:
+            dag.remove_arc(*a)
+        rng.shuffle(arcs)
+        for a in arcs:
+            dag.add_arc(*a)
+        for v in rng.sample(dag.nodes(), len(dag) // 3):
+            _strip(dag, v)
+        with dag.rollback():
+            _strip(dag, dag.nodes()[0])
+        gm = moralize(dag)
+        assert gm.vertices() == dag.nodes()
+        assert gm.edge_set() == _brute_force_moral(dag)
+        gapped += dag.nodes() != list(range(len(dag)))
+        unordered += any(list(dag.parents(v)) != sorted(dag.parents(v)) for v in dag.nodes())
+    assert gapped > 20 and unordered > 20
 
 
 def test_moralize_is_a_fixpoint():

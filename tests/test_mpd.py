@@ -16,7 +16,7 @@ from bnic import (
     random_script,
 )
 
-from conftest import cluster_names, name_set
+from conftest import cluster_names, holders_of, name_set
 
 
 def test_aggregate_asia(asia, asia_model):
@@ -88,8 +88,7 @@ def test_mpd_separators_complete_and_rip(asia_model):
     assert mpd.is_tree()
     for _, _, sep in mpd.edges():
         assert moral.is_complete(sep)
-    for members in mpd.vertex_index().values():
-        members = set(members)
+    for members in holders_of(mpd).values():
         start = next(iter(members))
         seen, stack = {start}, [start]
         while stack:

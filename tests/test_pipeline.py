@@ -9,20 +9,24 @@ from bnic import (
     NotChordalError,
     Triangulation,
     UndirectedGraph,
+    UnknownVariableError,
     assign_families,
     build_join_tree,
     construct_join_tree,
     extract_cliques,
+    full_recompile,
+    incremental_compile,
     is_chordal,
     moralize,
     random_dag,
+    random_script,
     recursive_thinning,
     kernels,
     triangulate_min_fill,
 )
 
 from bnic.pipeline import _thin
-from conftest import cluster_names, name_set, separator_names
+from conftest import cluster_names, holders_of, name_set, separator_names
 
 
 def _fill_names(table, tri):
@@ -76,6 +80,14 @@ def test_thinning_drops_one_redundant_diagonal():
     thin = recursive_thinning(both)
     assert len(thin.fill) == 1
     assert is_chordal(thin.graph()) == (True, None)
+
+
+def test_thinning_rejects_fill_outside_the_base():
+    path = UndirectedGraph.from_edges(range(3), [(0, 1), (1, 2)])
+    for pair in ((0, 7), (-1, 2)):  # the unknown end second, then first
+        with pytest.raises(UnknownVariableError):
+            recursive_thinning(Triangulation(path, frozenset({frozenset(pair), frozenset((0, 2))})))
+    assert path.edges() == [(0, 1), (1, 2)]
 
 
 def test_thinning_requires_chordal_input():
@@ -230,8 +242,7 @@ def test_extract_cliques_matches_brute_force_on_random_chordal_graphs():
 
 
 def _rip_holds(tree):
-    for members in tree.vertex_index().values():
-        members = set(members)
+    for members in holders_of(tree).values():
         start = next(iter(members))
         seen = {start}
         stack = [start]
@@ -403,6 +414,21 @@ def test_structure_layer_matches_quadratic_references():
         _assert_same_tree(tree, reference)
         assign_families(dag, tree, dag.nodes())
         assert tree.family == _family_hosts_reference(dag, reference)
+
+
+def test_assign_families_matches_the_reference_on_spliced_trees():
+    # flushes leave the junction tree's cluster ids gapped and out of clique order
+    gapped = 0
+    rng = Random(12)
+    for _ in range(30):
+        model = full_recompile(random_dag(rng.randint(2, 35), rng, edge_prob=rng.choice([0.05, 0.15, 0.3])))
+        for _ in range(3):
+            incremental_compile(model, random_script(model.dag, rng.randint(1, 8), rng))
+            tree = model.jt.copy()
+            assign_families(model.dag, tree, model.dag.nodes())
+            assert tree.family == _family_hosts_reference(model.dag, model.jt)
+            gapped += tree.cluster_ids() != list(range(len(tree)))
+    assert gapped > 60
 
 
 def _relabeled(g, ids):
