@@ -10,7 +10,7 @@ import time
 from dataclasses import asdict, dataclass
 
 from .engine import BatchTrace, CompiledModel, Modification, apply_modification, incremental_compile
-from .oracle import full_recompile, mpd_equal, stability, validate
+from .oracle import full_recompile, oracle, stability
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,6 @@ def run_bench(
     model: CompiledModel,
     edits: list[tuple[str, list[Modification]]],
     repeats: int = 5,
-    verify: bool = True,
 ) -> BenchReport:
     """Per edit: median wall time of the incremental path vs a full recompile.
 
@@ -118,10 +117,7 @@ def run_bench(
 
         trace = BatchTrace()
         result = incremental_compile(model.copy(), list(mods), trace)
-        verified = True
-        if verify:
-            reference = full_recompile(dag2)
-            verified = validate(result).passed and mpd_equal(result.mpd, reference.mpd)
+        verified = oracle(result, dag2) is None
 
         rows.append(
             BenchRow(

@@ -14,7 +14,7 @@ from .bench import run_bench
 from .engine import BatchTrace, CompiledModel, describe, incremental_compile
 from .errors import BnicError, ParseError
 from .fileio import dag_dot, parse_edits, parse_network, parse_script, tree_dot, undirected_dot
-from .oracle import full_recompile, mpd_equal, random_arc_edits, random_dag, validate
+from .oracle import full_recompile, oracle, random_arc_edits, random_dag
 
 DEFAULT_SEED = 42
 
@@ -117,18 +117,6 @@ def _print_trace(model: CompiledModel, trace: BatchTrace) -> None:
         print(f"  absorbed non-maximal {names(absorbed)} into {names(into)}")
 
 
-def _verify(model: CompiledModel) -> str | None:
-    """None when the model is valid, else the failing check's name and detail."""
-    report = validate(model)
-    if not report.passed:
-        failed = next(c for c in report.checks if not c.passed)
-        return f"{failed.name}: {failed.detail}" if failed.detail else failed.name
-    reference = full_recompile(model.dag)
-    if not mpd_equal(model.mpd, reference.mpd):
-        return "mpd_equality_vs_full_recompile"
-    return None
-
-
 def _cmd_compile(args) -> int:
     dag = parse_network(_read(args.network))
     model = full_recompile(dag)
@@ -178,7 +166,7 @@ def _cmd_apply(args) -> int:
                 },
             )
         if args.verify:
-            failed = _verify(model)
+            failed = oracle(model, model.dag)
             if failed is not None:
                 print(f"verification failed after flush {i}: {failed}", file=sys.stderr)
                 return 2

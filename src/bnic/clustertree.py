@@ -1,9 +1,9 @@
 """Trees of vertex-set clusters with separator-labelled edges.
 
 One structure serves both the junction tree and the MPS tree: clusters have
-stable integer ids and a boolean mark, edges carry a separator vertex set
-(possibly empty), and a family map records which cluster hosts each
-variable's family.
+stable integer ids and a boolean mark (only the engine's MPS tree sets it),
+edges carry a separator vertex set (possibly empty), and a family map
+records which cluster hosts each variable's family.
 """
 
 from __future__ import annotations
@@ -146,31 +146,7 @@ class ClusterTree:
     def marked_ids(self) -> list[int]:
         return sorted(self._marked)
 
-    def clear_marks(self) -> None:
-        self._marked.clear()
-
     # -- structure --------------------------------------------------------
-
-    def path(self, a: int, b: int) -> list[int] | None:
-        """Cluster ids along the unique path from a to b, inclusive."""
-        if a == b:
-            return [a]
-        parent: dict[int, int] = {a: a}
-        queue = [a]
-        while queue:
-            nxt: list[int] = []
-            for c in queue:
-                for nb in sorted(self._adj[c]):
-                    if nb not in parent:
-                        parent[nb] = c
-                        if nb == b:
-                            out = [b]
-                            while out[-1] != a:
-                                out.append(parent[out[-1]])
-                            return out[::-1]
-                        nxt.append(nb)
-            queue = nxt
-        return None
 
     def components(self, ids: Iterable[int] | None = None) -> list[set[int]]:
         """The components of the forest induced by ids (default: every cluster).

@@ -222,14 +222,10 @@ def modify_moral_graph(model: CompiledModel, mod: Modification) -> list[Link]:
             links = [Link(parent, child, True)]
             if not moral.has_edge(parent, child):
                 moral.add_edge(parent, child)
-            fam = sorted(dag.family(child))
-            for i, u in enumerate(fam):
-                for v in fam[i + 1 :]:
-                    if not moral.has_edge(u, v):
-                        moral.add_edge(u, v)
-                        link = Link(u, v, True)
-                        if link not in links:
-                            links.append(link)
+            for u, v in combinations(sorted(dag.family(child)), 2):
+                if not moral.has_edge(u, v):
+                    moral.add_edge(u, v)
+                    links.append(Link(u, v, True))
             return links
         case RemoveArc(parent, child):
             candidates = [(parent, child)]
@@ -245,27 +241,29 @@ def modify_moral_graph(model: CompiledModel, mod: Modification) -> list[Link]:
 
 def mark_remove_link(
     model: CompiledModel,
+    parent: int,
+    child: int,
     links: Sequence[Link],
-    m_y: int,
     rec: ModTrace | None = None,
 ) -> None:
-    """Mark the MPSs invalidated by deleted moral links.
+    """Mark the MPSs invalidated by removing the arc parent → child.
 
-    These are the host m_y of the removed arc's child and every MPS holding
-    both endpoints of a deleted link {u, v}, found among the holders of u
-    walked from the MPS of u's family host; the rebuild must cover each of
-    them or its boundary separators could stay incomplete.  Membership is
-    read off the current vertex sets, so a host gone stale inside a batch
-    (an earlier edit grew the family without a rebuild yet) changes nothing.
+    These are the host m_y of the child's family and every MPS holding both
+    ends of a deleted moral link; the rebuild must cover each of them or its
+    boundary separators could stay incomplete.  Every deleted link is
+    {parent, w}, so one walk over the holders of parent, from the MPS of
+    parent's family host, finds them all: the holders that contain any
+    deleted partner w.  Membership is read off the current vertex sets, so a
+    host gone stale inside a batch (an earlier edit grew the family without
+    a rebuild yet) changes nothing.
     """
     mpd, jt, owner = model.mpd, model.jt, model.index.owner
-    hit: set[int] = set()
-    for l in links:
-        if not l.added:
-            hit.update(m for m in _holders(mpd, owner[jt.family[l.u]], l.u) if l.v in mpd.cluster(m))
-    _mark(mpd, m_y, rec)
-    for m in sorted(hit):
-        _mark(mpd, m, rec)
+    _mark(mpd, owner[jt.family[child]], rec)
+    partners = {l.u if l.v == parent else l.v for l in links}
+    if partners:
+        for m in sorted(_holders(mpd, owner[jt.family[parent]], parent)):
+            if partners & mpd.cluster(m):
+                _mark(mpd, m, rec)
 
 
 def mark_remove_node(model: CompiledModel, x: int, rec: ModTrace | None = None) -> None:
@@ -338,72 +336,66 @@ def mark_add_link(
     model: CompiledModel,
     parent: int,
     child: int,
-    links: Sequence[Link],
     rec: ModTrace | None = None,
 ) -> None:
     """Mark the MPS path that must host a new arc and its induced moral links.
 
-    For each link the nearest MPS containing the new parent is located from
-    the child's family host; if an empty separator lies on the path between
-    them it is deleted and the two MPSs are joined directly by an artificial
-    separator {parent}, shrinking the region to re-triangulate.
+    One breadth-first walk from m_y, the MPS hosting the child's family,
+    stops at the first layer holding parent and takes its lowest id as m_x;
+    the path [m_x … m_y] is read back along the walk's parents.  If an empty
+    separator lies on the path, it is deleted and the two MPSs are joined
+    directly by an artificial separator {parent}, shrinking the region to
+    re-triangulate.
+
+    One path serves every link the arc induces: each joins parent to a
+    member w of the child's family.  An old member lies in m_y; a parent
+    added earlier in the batch has already marked its own path to the same
+    m_y.  So the marked component holding this path holds both ends of
+    every new link.
     """
     mpd, jt, index = model.mpd, model.jt, model.index
     m_y = index.owner[jt.family[child]]
-    for _link in links:
-        m_x = _nearest_containing(mpd, m_y, parent)
-        path = mpd.path(m_x, m_y)
-        if path is None:
-            raise InconsistencyError("MPS tree is disconnected")
-        # an empty separator between two already-marked clusters must stay:
-        # deleting it would sever a pending rebuild obligation (marks are
-        # rebuilt together only while they stay connected)
-        empty = [
-            (path[i], path[i + 1])
-            for i in range(len(path) - 1)
-            if not mpd.separator(path[i], path[i + 1])
-            and not (mpd.is_marked(path[i]) and mpd.is_marked(path[i + 1]))
-        ]
-        if empty:
-            a, b = empty[0]
-            ca, cb = _crossing_edge(model, a, b)
-            mpd.remove_edge(a, b)
-            jt.remove_edge(ca, cb)
-            sep = frozenset({parent})
-            mpd.add_edge(m_x, m_y, sep)
-            cx = min(c for c in index.cliques_of[m_x] if parent in jt.cluster(c))
-            cy = min(index.cliques_of[m_y])
-            jt.add_edge(cx, cy, sep)
-            if rec is not None:
-                rec.rewired.append(
-                    {"removed": (a, b), "added": (m_x, m_y), "separator": sep}
-                )
-            path = [m_x, m_y]
-        for m in path:
-            _mark(mpd, m, rec)
-
-
-def _nearest_containing(tree: ClusterTree, start: int, x: int) -> int:
-    """The cluster containing x closest to start (ties: lowest id)."""
-    if x in tree.cluster(start):
-        return start
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        found = []
+    up = {m_y: m_y}
+    layer = [m_y]
+    found = [m_y] if parent in mpd.cluster(m_y) else []
+    while not found:
+        if not layer:
+            raise InconsistencyError(f"no cluster contains variable {parent}")
         nxt = []
-        for c in frontier:
-            for nb in tree.neighbors(c):
-                if nb in seen:
-                    continue
-                seen.add(nb)
-                nxt.append(nb)
-                if x in tree.cluster(nb):
-                    found.append(nb)
-        if found:
-            return min(found)
-        frontier = nxt
-    raise InconsistencyError(f"no cluster contains variable {x}")
+        for c in layer:
+            for nb in mpd.neighbors(c):
+                if nb not in up:
+                    up[nb] = c
+                    nxt.append(nb)
+        found = [c for c in nxt if parent in mpd.cluster(c)]
+        layer = nxt
+    m_x = min(found)
+    path = [m_x]
+    while path[-1] != m_y:
+        path.append(up[path[-1]])
+    # an empty separator between two already-marked clusters must stay:
+    # deleting it would sever a pending rebuild obligation (marks are
+    # rebuilt together only while they stay connected)
+    empty = [
+        (a, b)
+        for a, b in zip(path, path[1:])
+        if not mpd.separator(a, b) and not (mpd.is_marked(a) and mpd.is_marked(b))
+    ]
+    if empty:
+        a, b = empty[0]
+        ca, cb = _crossing_edge(model, a, b)
+        mpd.remove_edge(a, b)
+        jt.remove_edge(ca, cb)
+        sep = frozenset({parent})
+        mpd.add_edge(m_x, m_y, sep)
+        cx = min(c for c in index.cliques_of[m_x] if parent in jt.cluster(c))
+        cy = min(index.cliques_of[m_y])
+        jt.add_edge(cx, cy, sep)
+        if rec is not None:
+            rec.rewired.append({"removed": (a, b), "added": (m_x, m_y), "separator": sep})
+        path = [m_x, m_y]
+    for m in path:
+        _mark(mpd, m, rec)
 
 
 def _crossing_edge(model: CompiledModel, m_a: int, m_b: int) -> tuple[int, int]:
@@ -430,41 +422,41 @@ def _crossing_edge(model: CompiledModel, m_a: int, m_b: int) -> tuple[int, int]:
 
 
 def connect(
-    tree: ClusterTree, replacement_ids: set[int], c_i: int
+    tree: ClusterTree, replacement_ids: set[int], doomed: list[int]
 ) -> tuple[list[tuple[int, int, frozenset[int], int]], set[int]]:
-    """Reattach the boundary of the marked subtree around c_i to new clusters.
+    """Reattach the boundary of the doomed subtree to new clusters.
 
-    Walks the marked clusters depth first from c_i.  Every separator S
-    leading to an unmarked neighbour C_k is re-hung onto the replacement
-    cluster covering S with the largest overlap with C_k (ties: smaller,
-    then lower id), found from the replacements' holder masks; a record
-    where the chosen cluster equals S flags a later amalgamation.  Returns
-    the reattachment records and the set of marked clusters visited.  The
-    explicit stack of neighbour iterators keeps deep trees clear of the
-    recursion limit.
+    Walks the doomed clusters depth first from doomed[0].  Every separator S
+    leading to a cluster C_k outside them is re-hung onto the smallest
+    replacement cluster covering S (ties: lower id), found from the
+    replacements' holder masks.  Every cover meets C_k in exactly S, since
+    C_k meets the rebuilt region only in S, so overlap with C_k cannot rank
+    them.  A record where the chosen cluster equals S flags a later
+    amalgamation.  Returns the reattachment records and the set of doomed
+    clusters visited.  The explicit stack of neighbour iterators keeps deep
+    trees clear of the recursion limit.
     """
     ids = sorted(replacement_ids)
     holders = tree.holder_masks(ids)
+    inside = set(doomed)
     records: list[tuple[int, int, frozenset[int], int]] = []
-    visited = {c_i}
-    stack = [(c_i, iter(tree.neighbors(c_i)))]
+    visited = {doomed[0]}
+    stack = [(doomed[0], iter(tree.neighbors(doomed[0])))]
     while stack:
         ci, nbrs = stack[-1]
         ck = next(nbrs, None)
         if ck is None:
             stack.pop()
-        elif tree.is_marked(ck):
+        elif ck in inside:
             if ck not in visited:
                 visited.add(ck)
                 stack.append((ck, iter(tree.neighbors(ck))))
         else:
-            sep, vk = tree.separator(ci, ck), tree.cluster(ck)
+            sep = tree.separator(ci, ck)
             covers = covering(holders, ids, sep)
             if not covers:
                 raise InconsistencyError(f"no replacement cluster covers boundary separator {sorted(sep)}")
-            target = covers[0] if len(covers) == 1 else min(
-                covers, key=lambda c: (-len(tree.cluster(c) & vk), len(tree.cluster(c)))
-            )
+            target = min(covers, key=lambda c: len(tree.cluster(c)))
             tree.add_edge(target, ck, sep)
             records.append((ci, ck, sep, target))
     return records, visited
@@ -526,8 +518,6 @@ def _rebuild_subtree(model: CompiledModel, comp: list[int], trace: BatchTrace | 
     for m in comp:
         variables |= mpd.cluster(m)
     doomed = sorted(set().union(*(index.cliques_of[m] for m in comp)))
-    for k in doomed:
-        jt.mark(k)
 
     old_boundary = sorted(
         (m, nb, mpd.separator(m, nb))
@@ -573,10 +563,11 @@ def _rebuild_subtree(model: CompiledModel, comp: list[int], trace: BatchTrace | 
                 )
             )
 
-        records, visited = connect(jt, new_clique_ids, doomed[0])
-        if visited != set(doomed):
+        records, visited = connect(jt, new_clique_ids, doomed)
+        dead = set(doomed)
+        if visited != dead:
             raise InconsistencyError(
-                "marked cliques do not form one connected junction subtree"
+                "doomed cliques do not form one connected junction subtree"
             )
 
         # mirror each junction reattachment as an MPS-tree edge; the boundary
@@ -599,7 +590,6 @@ def _rebuild_subtree(model: CompiledModel, comp: list[int], trace: BatchTrace | 
         # which holds its variable, so only the region's variables can need
         # it.  jt_map is increasing, so the local (size, id) choice is the
         # global one.
-        dead = set(doomed)
         orphans = [v for v in sorted(variables) if jt.family.get(v) in dead]
         assign_families(model.dag, t, orphans)
         for v in orphans:
@@ -668,7 +658,7 @@ def incremental_compile(
     InconsistencyError and are never silently repaired.
 
     The closing tree checks count edges.  Unless a subtree emptied, each
-    splice swaps one connected marked subtree (``connect`` walked exactly
+    splice swaps one connected doomed subtree (``connect`` walked exactly
     the doomed cliques) for a tree carrying every old boundary edge (the
     mirrored-boundary check), so both trees stay trees; after a rejoin the
     MPS tree gets the full ``is_tree()``.  A count misses only a cycle beside
@@ -687,10 +677,10 @@ def incremental_compile(
             case RemoveNode(node):
                 mark_remove_node(model, node, rec)
                 model.jt.family.pop(node, None)
-            case RemoveArc(_, child):
-                mark_remove_link(model, links, model.index.owner[model.jt.family[child]], rec)
+            case RemoveArc(parent, child):
+                mark_remove_link(model, parent, child, links, rec)
             case AddArc(parent, child):
-                mark_add_link(model, parent, child, links, rec)
+                mark_add_link(model, parent, child, rec)
         if rec is not None:
             rec.links = list(links)
             trace.mods.append(rec)
@@ -700,7 +690,7 @@ def incremental_compile(
         for comp in map(sorted, model.mpd.components(marked)):
             _rebuild_subtree(model, comp, trace)
         _rejoin_fragments(model)
-        if model.mpd.marked_ids() or model.jt.marked_ids():
+        if model.mpd.marked_ids():
             raise InconsistencyError("marks survived the rebuild phase")
     model._tri = None
     return model

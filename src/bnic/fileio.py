@@ -107,10 +107,16 @@ def parse_edits(text: str, dag: Dag) -> list[tuple[str, list[Modification]]]:
 # ---------------------------------------------------------------------------
 
 
+def _label(names) -> str:
+    """The names, space-separated, as a quoted DOT string (``\\`` and ``"`` escaped)."""
+    text = " ".join(names).replace("\\", "\\\\").replace('"', '\\"')
+    return f'"{text}"'
+
+
 def dag_dot(dag: Dag, name: str = "network") -> str:
     lines = [f"digraph {name} {{"]
     for vid in dag.nodes():
-        lines.append(f'  n{vid} [label="{dag.table.name(vid)}"];')
+        lines.append(f"  n{vid} [label={_label([dag.table.name(vid)])}];")
     for p, c in dag.arcs():
         lines.append(f"  n{p} -> n{c};")
     lines.append("}")
@@ -120,7 +126,7 @@ def dag_dot(dag: Dag, name: str = "network") -> str:
 def undirected_dot(g: UndirectedGraph, table: VariableTable, name: str = "moral") -> str:
     lines = [f"graph {name} {{"]
     for vid in g.vertices():
-        lines.append(f'  n{vid} [label="{table.name(vid)}"];')
+        lines.append(f"  n{vid} [label={_label([table.name(vid)])}];")
     for u, v in g.edges():
         lines.append(f"  n{u} -- n{v};")
     lines.append("}")
@@ -136,11 +142,10 @@ def tree_dot(
     """A cluster tree in DOT; freshly replaced clusters get a distinct fill."""
     lines = [f"graph {name} {{", "  node [shape=ellipse];"]
     for cid in tree.cluster_ids():
-        label = " ".join(table.name(v) for v in sorted(tree.cluster(cid)))
+        label = _label(table.name(v) for v in sorted(tree.cluster(cid)))
         style = ' style=filled fillcolor="lightgrey"' if cid in highlight else ""
-        lines.append(f'  c{cid} [label="{label}"{style}];')
+        lines.append(f"  c{cid} [label={label}{style}];")
     for a, b, sep in tree.edges():
-        label = " ".join(table.name(v) for v in sorted(sep))
-        lines.append(f'  c{a} -- c{b} [label="{label}"];')
+        lines.append(f"  c{a} -- c{b} [label={_label(table.name(v) for v in sorted(sep))}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -223,6 +223,18 @@ def mpd_equal(a: ClusterTree, b: ClusterTree) -> bool:
     )
 
 
+def oracle(model: CompiledModel, dag: Dag) -> str | None:
+    """None when the model passes ``validate`` and its MPS tree equals that of
+    a full recompile of dag; otherwise the name and detail of the failing check."""
+    report = validate(model)
+    if not report.passed:
+        failed = next(c for c in report.checks if not c.passed)
+        return f"{failed.name}: {failed.detail}" if failed.detail else failed.name
+    if not mpd_equal(model.mpd, full_recompile(dag).mpd):
+        return "mpd_equality_vs_full_recompile"
+    return None
+
+
 def stability(old: ClusterTree, new: ClusterTree) -> float:
     """Fraction of the new tree's clusters reused verbatim from the old tree."""
     if len(new) == 0:

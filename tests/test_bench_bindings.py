@@ -11,9 +11,10 @@ import importlib.util
 from pathlib import Path
 from random import Random
 
+import bnic.engine
 import bnic.kernels
 import bnic.pipeline
-from bnic import RemoveArc, full_recompile, incremental_compile, random_dag
+from bnic import AddArc, RemoveArc, full_recompile, incremental_compile, random_dag
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -43,14 +44,19 @@ TRACED_LAYERS = [
     ("kernels", "min_fill"),
     ("kernels", "mcs"),
 ]
+# The engine's marking and splice layers, as each kind of flush calls them.
+ADD_ARC_LAYERS = [("engine", "mark_add_link"), ("engine", "connect")]
+REMOVE_ARC_LAYERS = [("engine", "mark_remove_link"), ("engine", "connect")]
 
 
 def test_compile_and_rebuild_call_every_traced_layer(monkeypatch):
     # wrap the module attributes, as the tracer does, and count the calls
-    # that go through them in a full compile and in one subtree rebuild
-    modules = {"pipeline": bnic.pipeline, "kernels": bnic.kernels}
-    calls = dict.fromkeys(TRACED_LAYERS, 0)
-    for key in TRACED_LAYERS:
+    # that go through them in a full compile and in one subtree rebuild per
+    # kind of arc edit
+    modules = {"pipeline": bnic.pipeline, "kernels": bnic.kernels, "engine": bnic.engine}
+    layers = TRACED_LAYERS + ADD_ARC_LAYERS + REMOVE_ARC_LAYERS
+    calls = dict.fromkeys(layers, 0)
+    for key in calls:
         original = modules[key[0]].__dict__[key[1]]
 
         def counted(*args, _key=key, _original=original, **kwargs):
@@ -59,11 +65,18 @@ def test_compile_and_rebuild_call_every_traced_layer(monkeypatch):
 
         monkeypatch.setattr(modules[key[0]], key[1], counted)
 
+    def uncalled(expected):
+        missing = [k for k in expected if calls[k] == 0]
+        calls.update(dict.fromkeys(calls, 0))
+        return missing
+
     dag = random_dag(30, Random(5), edge_prob=0.15)
     model = full_recompile(dag)
-    assert [k for k, n in calls.items() if n == 0] == []
+    assert uncalled(TRACED_LAYERS) == []
 
-    calls.update(dict.fromkeys(TRACED_LAYERS, 0))
     parent, child = dag.arcs()[0]
     incremental_compile(model, [RemoveArc(parent, child)])
-    assert [k for k, n in calls.items() if n == 0] == []
+    assert uncalled(TRACED_LAYERS + REMOVE_ARC_LAYERS) == []
+
+    incremental_compile(model, [AddArc(parent, child)])
+    assert uncalled(TRACED_LAYERS + ADD_ARC_LAYERS) == []

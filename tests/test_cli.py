@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-import bnic.bench
 import bnic.cli as cli
+import bnic.oracle
 
 DATA = Path(__file__).parent / "data"
 
@@ -96,7 +96,7 @@ def test_apply_verification_failure_exits_2(tmp_path, capsys, monkeypatch):
     from bnic.oracle import Check, ValidityReport
 
     monkeypatch.setattr(
-        cli, "validate", lambda model: ValidityReport((Check("running_intersection", False),))
+        bnic.oracle, "validate", lambda model: ValidityReport((Check("running_intersection", False),))
     )
     script = tmp_path / "edit.script"
     script.write_text("remove-arc L E\n")
@@ -110,7 +110,7 @@ def test_apply_verification_failure_prints_the_detail(tmp_path, capsys, monkeypa
 
     failing = Check("family_coverage", False, "family of 3 is not hosted")
     monkeypatch.setattr(
-        cli, "validate", lambda model: ValidityReport((Check("moral_graph", True), failing))
+        bnic.oracle, "validate", lambda model: ValidityReport((Check("moral_graph", True), failing))
     )
     script = tmp_path / "edit.script"
     script.write_text("remove-arc L E\n")
@@ -152,7 +152,7 @@ def test_bench_script_and_csv(tmp_path, capsys):
 @pytest.mark.parametrize("verified", [True, False])
 def test_bench_json_matches_the_csv_rows(tmp_path, capsys, monkeypatch, verified):
     if not verified:
-        monkeypatch.setattr(bnic.bench, "mpd_equal", lambda a, b: False)
+        monkeypatch.setattr(bnic.oracle, "mpd_equal", lambda a, b: False)
     script = tmp_path / "edit.script"
     script.write_text("remove-arc L E\nadd-arc A S\nremove-arc E X\n")
     csv_path, json_path = tmp_path / "report.csv", tmp_path / "report.json"

@@ -9,12 +9,16 @@ from bnic import (
     AddNode,
     BatchTrace,
     ClusterTree,
+    CompiledModel,
     CycleError,
     Dag,
     InconsistencyError,
     InvalidEditError,
+    Link,
+    MpdIndex,
     RemoveArc,
     RemoveNode,
+    UndirectedGraph,
     apply_modification,
     expand_remove_node,
     full_recompile,
@@ -113,7 +117,7 @@ def test_mark_remove_link_spreads_across_affected_separators(asia_model):
     apply_modification(m.dag, mod)
     links = modify_moral_graph(m, mod)
     rec = ModTrace(mod=mod, description="x")
-    mark_remove_link(m, links, m.index.owner[m.jt.family[t.id("E")]], rec)
+    mark_remove_link(m, t.id("L"), t.id("E"), links, rec)
     assert _marked_names(t, rec) == {frozenset("TLE"), frozenset("SLBE")}
 
 
@@ -128,7 +132,7 @@ def test_mark_remove_link_stays_local_without_separator_hits():
     apply_modification(m.dag, mod)
     links = modify_moral_graph(m, mod)
     rec = ModTrace(mod=mod, description="x")
-    mark_remove_link(m, links, m.index.owner[m.jt.family[c]], rec)
+    mark_remove_link(m, b, c, links, rec)
     assert len(rec.touched) == 1
 
 
@@ -168,7 +172,7 @@ def test_mark_remove_link_equals_brute_force_closure():
         start = m.index.owner[m.jt.family[c]]
         expected = _closure_marks(m, links, start)
         rec = ModTrace(mod=mod, description="x")
-        mark_remove_link(m, links, start, rec)
+        mark_remove_link(m, p, c, links, rec)
         assert set(rec.touched) == expected
         checked += 1
     assert checked > 20
@@ -285,6 +289,70 @@ def _mark_remove_node_reference(model, x, m_x):
         model.jt.set_separator(a, b, sep - {x})
 
 
+def _nearest_containing_reference(tree, start, x):
+    # the former search, layer by layer, for the cluster holding x nearest
+    # to start (ties: lowest id)
+    if x in tree.cluster(start):
+        return start
+    seen, frontier = {start}, [start]
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for nb in tree.neighbors(c):
+                if nb not in seen:
+                    seen.add(nb)
+                    nxt.append(nb)
+        found = [c for c in nxt if x in tree.cluster(c)]
+        if found:
+            return min(found)
+        frontier = nxt
+    raise AssertionError(f"no cluster contains {x}")
+
+
+def _tree_path_reference(tree, a, b):
+    # the former ClusterTree.path: breadth first from a until b is reached
+    parent, queue = {a: a}, [a]
+    while b not in parent:
+        nxt = []
+        for c in queue:
+            for nb in tree.neighbors(c):
+                if nb not in parent:
+                    parent[nb] = c
+                    nxt.append(nb)
+        queue = nxt
+    out = [b]
+    while out[-1] != a:
+        out.append(parent[out[-1]])
+    return out[::-1]
+
+
+def _mark_add_link_reference(model, parent, child, links):
+    # the former marking: for every induced link, the nearest holder of
+    # parent from the child's host, the tree path to it and the rewiring of
+    # the first empty separator on that path
+    mpd, jt, index = model.mpd, model.jt, model.index
+    m_y = index.owner[jt.family[child]]
+    for _link in links:
+        m_x = _nearest_containing_reference(mpd, m_y, parent)
+        path = _tree_path_reference(mpd, m_x, m_y)
+        empty = [
+            (a, b)
+            for a, b in zip(path, path[1:])
+            if not mpd.separator(a, b) and not (mpd.is_marked(a) and mpd.is_marked(b))
+        ]
+        if empty:
+            a, b = empty[0]
+            ca, cb = bnic.engine._crossing_edge(model, a, b)
+            mpd.remove_edge(a, b)
+            jt.remove_edge(ca, cb)
+            mpd.add_edge(m_x, m_y, {parent})
+            cx = min(c for c in index.cliques_of[m_x] if parent in jt.cluster(c))
+            jt.add_edge(cx, min(index.cliques_of[m_y]), {parent})
+            path = [m_x, m_y]
+        for m in path:
+            mpd.mark(m)
+
+
 def _phase_one(model, mod, rec, reference):
     # one modification's phase one, as incremental_compile runs it; returns
     # the number of walks the reference re-seeded
@@ -299,12 +367,15 @@ def _phase_one(model, mod, rec, reference):
             else:
                 mark_remove_node(model, node, rec)
             model.jt.family.pop(node)
-        case RemoveArc(_, child):
+        case RemoveArc(parent, child):
             if reference:
                 return _mark_remove_link_reference(model, links, model.index.owner[model.jt.family[child]])
-            mark_remove_link(model, links, model.index.owner[model.jt.family[child]], rec)
+            mark_remove_link(model, parent, child, links, rec)
         case AddArc(parent, child):
-            mark_add_link(model, parent, child, links, rec)
+            if reference:
+                _mark_add_link_reference(model, parent, child, links)
+            else:
+                mark_add_link(model, parent, child, rec)
     return 0
 
 
@@ -427,16 +498,37 @@ def test_add_link_marks_the_path_between_hosts(asia_model):
     assert mpd_equal(m.mpd, ref.mpd) and validate(m).passed
 
 
+def test_add_link_walk_breaks_ties_by_lowest_id():
+    # two MPSs one step from the child's host both hold the parent; running
+    # intersection rules this out in a compiled model, so the tie rule is
+    # pinned on a hand-built one, against the former nearest-holder search
+    p, c, a, b = range(4)
+    clusters = {0: frozenset({c, a, b}), 1: frozenset({p, a}), 2: frozenset({p, b})}
+    trees = []
+    for _ in range(2):
+        jt, mpd = ClusterTree(clusters, next_id=3), ClusterTree(clusters, next_id=3)
+        for tree in (jt, mpd):
+            tree.add_edge(0, 1, {a})
+            tree.add_edge(0, 2, {b})
+        jt.family[c] = 0
+        index = MpdIndex({k: {k} for k in clusters}, {k: k for k in clusters})
+        trees.append(CompiledModel(Dag(), UndirectedGraph(), jt, mpd, index))
+    model, reference = trees
+    mark_add_link(model, p, c)
+    _mark_add_link_reference(reference, p, c, [Link(p, c, True)])
+    assert model.mpd.marked_ids() == reference.mpd.marked_ids() == [0, 1]
+
+
 # -- connect and absorb -------------------------------------------------------
 
 
 def test_connect_reattaches_boundary_to_best_cover():
     tree = ClusterTree()
-    doomed = tree.add_cluster({1, 2, 3}, marked=True)
+    doomed = tree.add_cluster({1, 2, 3})
     outside = tree.add_cluster({2, 3, 9})
     tree.add_edge(doomed, outside, {2, 3})
     fresh = [tree.add_cluster(vs) for vs in ({1, 2}, {2, 3}, {3, 4})]
-    records, visited = connect(tree, set(fresh), doomed)
+    records, visited = connect(tree, set(fresh), [doomed])
     assert visited == {doomed}
     ((_, ck, sep, target),) = records
     assert (ck, sep) == (outside, frozenset({2, 3}))
@@ -446,25 +538,27 @@ def test_connect_reattaches_boundary_to_best_cover():
 
 def test_connect_with_everything_marked_makes_no_records():
     tree = ClusterTree()
-    a = tree.add_cluster({1, 2}, marked=True)
-    b = tree.add_cluster({2, 3}, marked=True)
+    a = tree.add_cluster({1, 2})
+    b = tree.add_cluster({2, 3})
     tree.add_edge(a, b, {2})
     fresh = tree.add_cluster({1, 2, 3})
-    records, visited = connect(tree, {fresh}, a)
+    records, visited = connect(tree, {fresh}, [a, b])
     assert records == [] and visited == {a, b}
 
 
-def _connect_reference(tree, replacement_ids, c_i):
+def _connect_reference(tree, replacement_ids, doomed):
     # The former splice: the same depth-first walk, with every replacement
-    # cluster scanned in ascending id order for each boundary separator.
-    records, visited = [], {c_i}
-    stack = [(c_i, iter(tree.neighbors(c_i)))]
+    # cluster scanned in ascending id order for each boundary separator and
+    # ranked first by its overlap with the outside cluster, which connect
+    # leaves out because every cover meets it in the separator alone.
+    records, visited = [], {doomed[0]}
+    stack = [(doomed[0], iter(tree.neighbors(doomed[0])))]
     while stack:
         ci, nbrs = stack[-1]
         ck = next(nbrs, None)
         if ck is None:
             stack.pop()
-        elif tree.is_marked(ck):
+        elif ck in doomed:
             if ck not in visited:
                 visited.add(ck)
                 stack.append((ck, iter(tree.neighbors(ck))))
@@ -485,10 +579,10 @@ def test_connect_matches_full_scan_reference(monkeypatch):
     real = bnic.engine.connect
     seen = {"records": 0, "empty": 0}
 
-    def checked(tree, replacement_ids, c_i):
+    def checked(tree, replacement_ids, doomed):
         expected_tree = tree.copy()
-        expected = _connect_reference(expected_tree, replacement_ids, c_i)
-        got = real(tree, replacement_ids, c_i)
+        expected = _connect_reference(expected_tree, replacement_ids, doomed)
+        got = real(tree, replacement_ids, doomed)
         assert got == expected
         assert tree.edges() == expected_tree.edges()
         seen["records"] += len(got[0])
@@ -760,9 +854,9 @@ def test_reattachment_outside_the_mps_boundary_raises(asia_model, monkeypatch):
     far = next(c for c in model.jt.cluster_ids() if name_set(t, model.jt.cluster(c)) == frozenset("EX"))
     splice = bnic.engine.connect
 
-    def connect_with_far_record(tree, replacement_ids, c_i):
-        records, visited = splice(tree, replacement_ids, c_i)
-        return records + [(c_i, far, frozenset(), records[0][3])], visited
+    def connect_with_far_record(tree, replacement_ids, doomed):
+        records, visited = splice(tree, replacement_ids, doomed)
+        return records + [(doomed[0], far, frozenset(), records[0][3])], visited
 
     monkeypatch.setattr(bnic.engine, "connect", connect_with_far_record)
     with pytest.raises(InconsistencyError, match="outside the MPS boundary"):

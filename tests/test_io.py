@@ -134,3 +134,9 @@ def test_dot_outputs():
     assert "fillcolor" in t and "--" in t
     t2 = tree_dot(model.jt, dag.table)
     assert "fillcolor" not in t2
+    # quotes and backslashes in names are escaped inside DOT's quoted labels
+    odd = parse_network('node a"b\nnode c\\d\narc a"b c\\d\n')
+    odd_model = full_recompile(odd.copy())
+    assert 'label="a\\"b"' in dag_dot(odd) and 'label="c\\\\d"' in dag_dot(odd)
+    assert 'label="a\\"b"' in undirected_dot(odd_model.moral, odd.table)
+    assert 'label="a\\"b c\\\\d"' in tree_dot(odd_model.jt, odd.table)

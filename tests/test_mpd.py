@@ -56,7 +56,6 @@ def _aggregate_by_restart_scan(jt, gm, rng):
     # from those left after rescanning the whole tree; the merged cluster
     # keeps the smaller id.
     mpd = jt.copy()
-    mpd.clear_marks()
     while True:
         incomplete = [(a, b) for a, b, sep in mpd.edges() if not gm.is_complete(sep)]
         if not incomplete:
@@ -135,7 +134,6 @@ def _aggregate_by_copy_and_components(jt, gm):
     # complete separators, contract each remaining component into its
     # least id and join the groups by the complete separators.
     mpd = jt.copy()
-    mpd.clear_marks()
     mpd.family = {}
     complete = [(a, b, sep) for a, b, sep in jt.edges() if gm.is_complete(sep)]
     for a, b, _ in complete:

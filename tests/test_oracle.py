@@ -23,6 +23,7 @@ from bnic import (
     validate,
 )
 
+from bnic.oracle import oracle
 from conftest import cluster_names
 
 
@@ -293,6 +294,17 @@ def test_mpd_equal_examples(asia, asia_model):
     t = asia.table
     incremental_compile(other, [RemoveArc(t.id("L"), t.id("E"))])
     assert not mpd_equal(asia_model.mpd, other.mpd)
+
+
+def test_oracle_checks_validity_then_the_expected_dag(asia, asia_model):
+    t = asia.table
+    assert oracle(asia_model, asia_model.dag) is None
+    edited = asia_model.copy()
+    incremental_compile(edited, [RemoveArc(t.id("L"), t.id("E"))])
+    assert oracle(edited, edited.dag) is None
+    assert oracle(edited, asia_model.dag) == "mpd_equality_vs_full_recompile"
+    edited.index.owner[edited.jt.cluster_ids()[0]] = -1
+    assert oracle(edited, edited.dag) == "family_coverage: family of 0 is not hosted"
 
 
 def test_stability_bounds(asia_model):
