@@ -1,9 +1,7 @@
 """Trees of vertex-set clusters with separator-labelled edges.
 
 One structure serves both the junction tree and the MPS tree: clusters have
-stable integer ids and a boolean mark (only the engine's MPS tree sets it),
-edges carry a separator vertex set (possibly empty), and a family map
-records which cluster hosts each variable's family.
+stable integer ids, and edges carry a separator vertex set (possibly empty).
 """
 
 from __future__ import annotations
@@ -32,20 +30,16 @@ class ClusterTree:
         """An edgeless tree of the given clusters under their ids; fresh ids start at next_id."""
         self._clusters: dict[int, frozenset[int]] = dict(clusters or {})
         self._adj: dict[int, dict[int, frozenset[int]]] = {c: {} for c in self._clusters}
-        self._marked: set[int] = set()
-        self.family: dict[int, int] = {}
         self._next = next_id
         self._edges = 0
 
     # -- clusters ---------------------------------------------------------
 
-    def add_cluster(self, vertices: Iterable[int], marked: bool = False) -> int:
+    def add_cluster(self, vertices: Iterable[int]) -> int:
         cid = self._next
         self._next += 1
         self._clusters[cid] = frozenset(vertices)
         self._adj[cid] = {}
-        if marked:
-            self._marked.add(cid)
         return cid
 
     def remove_cluster(self, cid: int) -> None:
@@ -53,7 +47,6 @@ class ClusterTree:
             del self._adj[nb][cid]
         self._edges -= len(self._adj.pop(cid))
         del self._clusters[cid]
-        self._marked.discard(cid)
 
     def replace_cluster(self, cid: int, vertices: Iterable[int]) -> None:
         if cid not in self._clusters:
@@ -133,19 +126,6 @@ class ClusterTree:
     def edge_count(self) -> int:
         return self._edges
 
-    # -- marks ------------------------------------------------------------
-
-    def mark(self, cid: int) -> None:
-        if cid not in self._clusters:
-            raise KeyError(cid)
-        self._marked.add(cid)
-
-    def is_marked(self, cid: int) -> bool:
-        return cid in self._marked
-
-    def marked_ids(self) -> list[int]:
-        return sorted(self._marked)
-
     # -- structure --------------------------------------------------------
 
     def components(self, ids: Iterable[int] | None = None) -> list[set[int]]:
@@ -180,9 +160,8 @@ class ClusterTree:
     def merge_into(self, src: int, dst: int) -> None:
         """Contract src into an adjacent (or disjoint) dst cluster.
 
-        Edges incident to src move to dst with their separators; the family
-        map is rehosted from src's vertices (a host holds its variable).
-        Vertex sets are left to the caller.
+        Edges incident to src move to dst with their separators.  Vertex
+        sets are left to the caller.
         """
         if src == dst:
             raise InconsistencyError("cannot merge a cluster into itself")
@@ -197,9 +176,6 @@ class ClusterTree:
             self._adj[nb][dst] = sep
             del self._adj[nb][src]
         self._adj[src] = {k: v for k, v in self._adj[src].items() if k == dst}
-        for var in self._clusters[src]:
-            if self.family.get(var) == src:
-                self.family[var] = dst
         self.remove_cluster(src)
 
     # -- summaries --------------------------------------------------------
@@ -214,8 +190,6 @@ class ClusterTree:
         t = ClusterTree()
         t._clusters = dict(self._clusters)
         t._adj = {c: dict(ns) for c, ns in self._adj.items()}
-        t._marked = set(self._marked)
-        t.family = dict(self.family)
         t._next = self._next
         t._edges = self._edges
         return t

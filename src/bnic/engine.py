@@ -2,10 +2,10 @@
 
 A batch of modifications is processed in two phases.  Phase one applies each
 edit to the dag, patches the moral graph, and marks the MPS clusters whose
-internal structure may have changed.  Phase two rebuilds each connected
-marked subtree from its induced moral subgraph and splices the fresh
-junction / MPS subtrees into the existing trees, leaving every unmarked
-cluster untouched.
+internal structure may have changed; the marks are a set owned by the batch.
+Phase two rebuilds each connected marked subtree from its induced moral
+subgraph and splices the fresh junction / MPS subtrees into the existing
+trees, leaving every unmarked cluster untouched.
 
 Throughout, the engine maintains the refinement invariant between the two
 trees: each MPS aggregates a connected set of junction clusters, and every
@@ -111,10 +111,10 @@ def expand_remove_node(dag: Dag, node: int) -> list[Modification]:
 class CompiledModel:
     """The mutually consistent bundle of structures kept up to date by edits.
 
-    Each hosting fact is kept once: ``jt.family`` maps a variable to the
-    clique hosting its family, and ``index.owner`` maps that clique to its
-    MPS (``mpd.family`` stays empty).  The triangulation record is derived
-    from the clusters on demand and cached; edits invalidate the cache.
+    Each hosting fact is kept once: ``family`` maps a variable to the clique
+    hosting its family, and ``index.owner`` maps that clique to its MPS.
+    The triangulation record is derived from the clusters on demand and
+    cached; edits invalidate the cache.
     """
 
     def __init__(
@@ -124,6 +124,7 @@ class CompiledModel:
         jt: ClusterTree,
         mpd: ClusterTree,
         index: MpdIndex,
+        family: dict[int, int],
         tri: Triangulation | None = None,
     ):
         self.dag = dag
@@ -131,6 +132,7 @@ class CompiledModel:
         self.jt = jt
         self.mpd = mpd
         self.index = index
+        self.family = family
         self._tri = tri
 
     @property
@@ -146,7 +148,7 @@ class CompiledModel:
         mpd = self.mpd.copy()
         index = self.index.copy()
         tri = None if self._tri is None else Triangulation(moral, self._tri.fill)
-        return CompiledModel(dag, moral, jt, mpd, index, tri)
+        return CompiledModel(dag, moral, jt, mpd, index, dict(self.family), tri)
 
 
 @dataclass
@@ -170,7 +172,6 @@ class SubtreeTrace:
     mps_ids: tuple[int, ...]
     variables: frozenset[int]
     new_cliques: tuple[frozenset[int], ...]
-    new_mps: tuple[frozenset[int], ...]
 
 
 @dataclass
@@ -190,8 +191,8 @@ class BatchTrace:
         return out
 
 
-def _mark(tree: ClusterTree, cid: int, rec: ModTrace | None) -> None:
-    tree.mark(cid)
+def _mark(marked: set[int], tree: ClusterTree, cid: int, rec: ModTrace | None) -> None:
+    marked.add(cid)
     if rec is not None:
         rec.touched[cid] = tree.cluster(cid)
 
@@ -219,10 +220,8 @@ def modify_moral_graph(model: CompiledModel, mod: Modification) -> list[Link]:
             moral.remove_vertex(node)
             return []
         case AddArc(parent, child):
-            links = [Link(parent, child, True)]
-            if not moral.has_edge(parent, child):
-                moral.add_edge(parent, child)
-            for u, v in combinations(sorted(dag.family(child)), 2):
+            links = []
+            for u, v in [(parent, child), *combinations(sorted(dag.family(child)), 2)]:
                 if not moral.has_edge(u, v):
                     moral.add_edge(u, v)
                     links.append(Link(u, v, True))
@@ -244,6 +243,7 @@ def mark_remove_link(
     parent: int,
     child: int,
     links: Sequence[Link],
+    marked: set[int],
     rec: ModTrace | None = None,
 ) -> None:
     """Mark the MPSs invalidated by removing the arc parent → child.
@@ -257,25 +257,25 @@ def mark_remove_link(
     host gone stale inside a batch (an earlier edit grew the family without
     a rebuild yet) changes nothing.
     """
-    mpd, jt, owner = model.mpd, model.jt, model.index.owner
-    _mark(mpd, owner[jt.family[child]], rec)
+    mpd, family, owner = model.mpd, model.family, model.index.owner
+    _mark(marked, mpd, owner[family[child]], rec)
     partners = {l.u if l.v == parent else l.v for l in links}
     if partners:
-        for m in sorted(_holders(mpd, owner[jt.family[parent]], parent)):
+        for m in sorted(_holders(mpd, owner[family[parent]], parent)):
             if partners & mpd.cluster(m):
-                _mark(mpd, m, rec)
+                _mark(marked, mpd, m, rec)
 
 
-def mark_remove_node(model: CompiledModel, x: int, rec: ModTrace | None = None) -> None:
+def mark_remove_node(model: CompiledModel, x: int, marked: set[int], rec: ModTrace | None = None) -> None:
     """Strip an isolated variable out of both trees and mark its former MPSs.
 
-    Every cluster and separator of the junction and MPS trees loses x; the
-    MPSs that held it are marked after the strip, so a trace records their
-    stripped vertex sets.
+    Every cluster and separator of the junction and MPS trees loses x, and
+    so does the family map; the MPSs that held it are marked after the
+    strip, so a trace records their stripped vertex sets.
     """
-    host = model.jt.family[x]
+    host = model.family.pop(x)
     for m in _strip_variable(model.mpd, x, model.index.owner[host]):
-        _mark(model.mpd, m, rec)
+        _mark(marked, model.mpd, m, rec)
     _strip_variable(model.jt, x, host)
 
 
@@ -311,7 +311,7 @@ def _strip_variable(tree: ClusterTree, x: int, start: int) -> list[int]:
     return holders
 
 
-def add_node(model: CompiledModel, x: int, rec: ModTrace | None = None) -> None:
+def add_node(model: CompiledModel, x: int, marked: set[int], rec: ModTrace | None = None) -> None:
     """Host a brand-new isolated variable in singleton clusters of both trees.
 
     The clusters attach by empty separators: the clique to the lowest-id
@@ -321,21 +321,21 @@ def add_node(model: CompiledModel, x: int, rec: ModTrace | None = None) -> None:
     jt, mpd, index = model.jt, model.mpd, model.index
     anchor = min(jt.cluster_ids()) if len(jt) else None
     c = jt.add_cluster({x})
-    m = mpd.add_cluster({x}, marked=True)
+    m = mpd.add_cluster({x})
     if anchor is not None:
         jt.add_edge(c, anchor, frozenset())
         mpd.add_edge(m, index.owner[anchor], frozenset())
     index.cliques_of[m] = {c}
     index.owner[c] = m
-    jt.family[x] = c
-    if rec is not None:
-        rec.touched[m] = mpd.cluster(m)
+    model.family[x] = c
+    _mark(marked, mpd, m, rec)
 
 
 def mark_add_link(
     model: CompiledModel,
     parent: int,
     child: int,
+    marked: set[int],
     rec: ModTrace | None = None,
 ) -> None:
     """Mark the MPS path that must host a new arc and its induced moral links.
@@ -354,7 +354,7 @@ def mark_add_link(
     every new link.
     """
     mpd, jt, index = model.mpd, model.jt, model.index
-    m_y = index.owner[jt.family[child]]
+    m_y = index.owner[model.family[child]]
     up = {m_y: m_y}
     layer = [m_y]
     found = [m_y] if parent in mpd.cluster(m_y) else []
@@ -379,7 +379,7 @@ def mark_add_link(
     empty = [
         (a, b)
         for a, b in zip(path, path[1:])
-        if not mpd.separator(a, b) and not (mpd.is_marked(a) and mpd.is_marked(b))
+        if not mpd.separator(a, b) and not (a in marked and b in marked)
     ]
     if empty:
         a, b = empty[0]
@@ -395,7 +395,7 @@ def mark_add_link(
             rec.rewired.append({"removed": (a, b), "added": (m_x, m_y), "separator": sep})
         path = [m_x, m_y]
     for m in path:
-        _mark(mpd, m, rec)
+        _mark(marked, mpd, m, rec)
 
 
 def _crossing_edge(model: CompiledModel, m_a: int, m_b: int) -> tuple[int, int]:
@@ -494,7 +494,8 @@ def _amalgamate(model: CompiledModel, src: int, dst: int, trace: BatchTrace | No
     maximal among themselves and unmarked clusters keep their vertex sets.
     S is complete in the moral graph, so src is the only clique of its new
     MPS m_src, which the mirrored boundary edge joins to dst's MPS m_dst;
-    the MPS merge mirrors the clique merge one to one.
+    the MPS merge mirrors the clique merge one to one, and the families
+    src hosted move to dst.
     """
     index = model.index
     m_src, m_dst = index.owner[src], index.owner[dst]
@@ -509,6 +510,9 @@ def _amalgamate(model: CompiledModel, src: int, dst: int, trace: BatchTrace | No
     model.mpd.merge_into(m_src, m_dst)
     del index.cliques_of[m_src]
     del index.owner[src]
+    for v in model.jt.cluster(src):
+        if model.family.get(v) == src:
+            model.family[v] = dst
     model.jt.merge_into(src, dst)
 
 
@@ -534,7 +538,7 @@ def _rebuild_subtree(model: CompiledModel, comp: list[int], trace: BatchTrace | 
         if any(sep for _, _, sep in old_boundary):
             raise InconsistencyError("emptied subtree has a non-empty boundary separator")
         if trace is not None:
-            trace.subtrees.append(SubtreeTrace(tuple(comp), frozenset(), (), ()))
+            trace.subtrees.append(SubtreeTrace(tuple(comp), frozenset(), ()))
     else:
         g_sub = model.moral.induced(variables)
         t, _kept = construct_join_tree(g_sub)
@@ -555,12 +559,7 @@ def _rebuild_subtree(model: CompiledModel, comp: list[int], trace: BatchTrace | 
             trace.new_jt_ids |= new_clique_ids
             trace.new_mpd_ids |= set(mpd_map.values())
             trace.subtrees.append(
-                SubtreeTrace(
-                    tuple(comp),
-                    frozenset(variables),
-                    tuple(t.cluster(l) for l in t.cluster_ids()),
-                    tuple(t_mpd.cluster(l) for l in t_mpd.cluster_ids()),
-                )
+                SubtreeTrace(tuple(comp), frozenset(variables), tuple(t.cluster(l) for l in t.cluster_ids()))
             )
 
         records, visited = connect(jt, new_clique_ids, doomed)
@@ -590,10 +589,10 @@ def _rebuild_subtree(model: CompiledModel, comp: list[int], trace: BatchTrace | 
         # which holds its variable, so only the region's variables can need
         # it.  jt_map is increasing, so the local (size, id) choice is the
         # global one.
-        orphans = [v for v in sorted(variables) if jt.family.get(v) in dead]
-        assign_families(model.dag, t, orphans)
-        for v in orphans:
-            jt.family[v] = jt_map[t.family[v]]
+        family = model.family
+        orphans = [v for v in sorted(variables) if family.get(v) in dead]
+        for v, c in assign_families(model.dag, t, orphans).items():
+            family[v] = jt_map[c]
 
     for k in doomed:
         jt.remove_cluster(k)
@@ -667,30 +666,27 @@ def incremental_compile(
     with model.dag.rollback():
         for mod in mods:
             apply_modification(model.dag, mod)
+    marked: set[int] = set()
     for mod in mods:
         rec = None if trace is None else ModTrace(mod=mod, description=describe(mod, model.dag))
         apply_modification(model.dag, mod)
         links = modify_moral_graph(model, mod)
         match mod:
             case AddNode(name):
-                add_node(model, model.dag.table.id(name), rec)
+                add_node(model, model.dag.table.id(name), marked, rec)
             case RemoveNode(node):
-                mark_remove_node(model, node, rec)
-                model.jt.family.pop(node, None)
+                mark_remove_node(model, node, marked, rec)
             case RemoveArc(parent, child):
-                mark_remove_link(model, parent, child, links, rec)
+                mark_remove_link(model, parent, child, links, marked, rec)
             case AddArc(parent, child):
-                mark_add_link(model, parent, child, rec)
+                mark_add_link(model, parent, child, marked, rec)
         if rec is not None:
             rec.links = list(links)
             trace.mods.append(rec)
 
-    marked = model.mpd.marked_ids()
     if marked:
         for comp in map(sorted, model.mpd.components(marked)):
             _rebuild_subtree(model, comp, trace)
         _rejoin_fragments(model)
-        if model.mpd.marked_ids():
-            raise InconsistencyError("marks survived the rebuild phase")
     model._tri = None
     return model

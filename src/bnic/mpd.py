@@ -15,7 +15,7 @@ class MpdIndex:
     ``cliques_of`` partitions the junction clusters among the MPS clusters;
     each MPS vertex set equals the union of its cliques.  ``owner`` is its
     inverse, the MPS of every junction cluster, so a variable's family is
-    hosted in the MPS ``owner[jt.family[v]]``.
+    hosted in the MPS ``owner[model.family[v]]``.
     """
 
     cliques_of: dict[int, set[int]] = field(default_factory=dict)
@@ -34,9 +34,7 @@ def aggregate_cliques(jt: ClusterTree, gm: UndirectedGraph) -> tuple[ClusterTree
     MPS keeps the smallest id of its group (the root of its union-find set)
     and the union of its vertex sets, and the complete separators become
     the MPS tree's edges.  Fresh MPS ids continue after the junction tree's.
-    Requires a junction tree built from a minimal triangulation of gm.  The
-    MPS tree's family map is left empty: family hosting lives in the
-    junction tree and the index's owner map.
+    Requires a junction tree built from a minimal triangulation of gm.
     """
     owner = {c: c for c in jt.cluster_ids()}
 

@@ -10,6 +10,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from random import Random
 
+from . import pipeline
 from .clustertree import ClusterTree
 from .engine import (
     AddArc,
@@ -20,7 +21,7 @@ from .engine import (
     apply_modification,
     expand_remove_node,
 )
-from .errors import NotChordalError
+from .errors import NotChordalError, UnknownVariableError
 from .graph import Dag, is_chordal, moralize
 from .mpd import aggregate_cliques
 from .pipeline import Triangulation, construct_join_tree, extract_cliques
@@ -29,9 +30,11 @@ from .pipeline import Triangulation, construct_join_tree, extract_cliques
 def full_recompile(dag: Dag) -> CompiledModel:
     """Compile the whole model from scratch; deterministic for a fixed dag."""
     gm = moralize(dag)
-    jt, kept = construct_join_tree(gm, dag)
+    jt, kept = construct_join_tree(gm)
+    # through the module, whose binding the benchmark's tracer wraps
+    family = pipeline.assign_families(dag, jt, dag.nodes())
     mpd, index = aggregate_cliques(jt, gm)
-    return CompiledModel(dag, gm, jt, mpd, index, Triangulation(gm, frozenset(map(frozenset, kept))))
+    return CompiledModel(dag, gm, jt, mpd, index, family, Triangulation(gm, frozenset(map(frozenset, kept))))
 
 
 # ---------------------------------------------------------------------------
@@ -104,17 +107,25 @@ def validate(model: CompiledModel) -> ValidityReport:
     def check(name: str, passed: bool, detail: str) -> None:
         checks.append(Check(name, passed, "" if passed else detail))
 
+    def complete(g, vs) -> bool:
+        try:
+            return g.is_complete(vs)
+        except UnknownVariableError:  # a vertex g lacks makes vs incomplete
+            return False
+
     check("moral_graph", moral == moralize(dag), "stored moral graph differs from moralize(dag)")
 
-    gt = tri.graph()
-    chordal, witness = True, None
+    gt, chordal, witness, cliques, stray = None, False, None, [], ""
     try:
+        gt = tri.graph()
         cliques = extract_cliques(gt)
+        chordal = True
+    except UnknownVariableError as e:  # a fill edge on a variable the moral graph lacks
+        stray = f"not checked: {e}"
     except NotChordalError:
         # only a failure pays for a second MCS, which names the witness
-        cliques = []
         chordal, witness = is_chordal(gt)
-    check("triangulation_chordal", chordal, f"missing chord at {witness}")
+    check("triangulation_chordal", chordal, stray or f"missing chord at {witness}")
 
     redundant = None
     if chordal:
@@ -130,7 +141,7 @@ def validate(model: CompiledModel) -> ValidityReport:
     check(
         "triangulation_minimal",
         chordal and redundant is None,
-        f"fill edge {redundant} is redundant" if chordal else "not checked: triangulation is not chordal",
+        f"fill edge {redundant} is redundant" if chordal else stray or "not checked: triangulation is not chordal",
     )
 
     nodes = set(dag.nodes())
@@ -148,17 +159,11 @@ def validate(model: CompiledModel) -> ValidityReport:
     rip = not rip_detail
     check("running_intersection", rip, rip_detail)
 
-    check(
-        "separator_intersection",
-        all(sep == jt.cluster(a) & jt.cluster(b) for a, b, sep in jt.edges()),
-        "a junction separator is not the endpoint intersection",
-    )
+    sep_ok = all(sep == jt.cluster(a) & jt.cluster(b) for a, b, sep in jt.edges())
+    check("separator_intersection", sep_ok, "a junction separator is not the endpoint intersection")
 
-    check(
-        "cluster_completeness",
-        all(gt.is_complete(jt.cluster(c)) for c in jt.cluster_ids()),
-        "a cluster is incomplete in the triangulated graph",
-    )
+    complete_ok = gt is not None and all(complete(gt, jt.cluster(c)) for c in jt.cluster_ids())
+    check("cluster_completeness", complete_ok, stray or "a cluster is incomplete in the triangulated graph")
 
     check(
         "cluster_maximality",
@@ -167,14 +172,14 @@ def validate(model: CompiledModel) -> ValidityReport:
     )
 
     fam_detail = ""
-    if set(jt.family) != nodes:
-        unhosted = sorted(nodes - set(jt.family))
-        extra = sorted(set(jt.family) - nodes)
+    if set(model.family) != nodes:
+        unhosted = sorted(nodes - set(model.family))
+        extra = sorted(set(model.family) - nodes)
         fam_detail = f"family map variables differ from the dag's: missing {unhosted}, unknown {extra}"
     else:
         for v in dag.nodes():
             fam = dag.family(v)
-            c = jt.family[v]
+            c = model.family[v]
             m = index.owner.get(c)
             if not (c in jt and m in mpd and fam <= jt.cluster(c) and fam <= mpd.cluster(m)):
                 fam_detail = f"family of {v} is not hosted"
@@ -183,12 +188,14 @@ def validate(model: CompiledModel) -> ValidityReport:
 
     check(
         "mpd_separators",
-        mpd.is_tree() and all(moral.is_complete(sep) for _, _, sep in mpd.edges()),
+        mpd.is_tree() and all(complete(moral, sep) for _, _, sep in mpd.edges()),
         "an MPS separator is incomplete in the moral graph",
     )
 
     mpd_multiset_ok = False
-    if chordal and rip:
+    # re-aggregation needs a junction tree of the triangulation, whose
+    # variables are then all in the moral graph
+    if chordal and rip and sep_ok and complete_ok:
         reference, _ = aggregate_cliques(jt, moral)
         mpd_multiset_ok = (
             reference.cluster_multiset() == mpd.cluster_multiset()

@@ -188,34 +188,30 @@ def build_join_tree(cliques: list[frozenset[int]]) -> ClusterTree:
     return tree
 
 
-def assign_families(dag: Dag, tree: ClusterTree, variables: Iterable[int]) -> None:
-    """Point the family map entry of each given variable at its smallest covering cluster.
+def assign_families(dag: Dag, tree: ClusterTree, variables: Iterable[int]) -> dict[int, int]:
+    """Map each given variable to the smallest cluster covering its family.
 
     Ties go to the smaller cluster id.  The clusters covering a family are
-    the common bits of its vertices' holder masks.  Entries of other
-    variables are left alone.
+    the common bits of its vertices' holder masks.
     """
     ids = tree.cluster_ids()
     holders = tree.holder_masks(ids)
+    family: dict[int, int] = {}
     for vid in variables:
         hosts = covering(holders, ids, dag.family(vid))
         if not hosts:
             raise InconsistencyError(
                 f"no cluster contains the family of variable {vid}: triangulation bug"
             )
-        tree.family[vid] = hosts[0] if len(hosts) == 1 else min(hosts, key=lambda c: len(tree.cluster(c)))
+        family[vid] = hosts[0] if len(hosts) == 1 else min(hosts, key=lambda c: len(tree.cluster(c)))
+    return family
 
 
-def construct_join_tree(gm: UndirectedGraph, dag: Dag | None = None) -> tuple[ClusterTree, list[tuple[int, int]]]:
+def construct_join_tree(gm: UndirectedGraph) -> tuple[ClusterTree, list[tuple[int, int]]]:
     """Full pipeline from an undirected graph to a junction tree.
 
     Returns the tree and the kept fill of ``gm``, as sorted ``(u, v)``,
-    ``u < v``.  When a dag is supplied its families are assigned into the
-    tree; subtree rebuilds inside the incremental engine skip that step and
-    host only the families whose clique they replaced.
+    ``u < v``.  Family hosting is the caller's: see :func:`assign_families`.
     """
     kept, cliques = _thin(gm, triangulate_min_fill(gm, pairs=True))
-    tree = build_join_tree(cliques)
-    if dag is not None:
-        assign_families(dag, tree, dag.nodes())
-    return tree, kept
+    return build_join_tree(cliques), kept

@@ -14,7 +14,7 @@ from random import Random
 import bnic.engine
 import bnic.kernels
 import bnic.pipeline
-from bnic import AddArc, RemoveArc, full_recompile, incremental_compile, random_dag
+from bnic import AddArc, RemoveArc, expand_remove_node, full_recompile, incremental_compile, random_dag
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -44,17 +44,20 @@ TRACED_LAYERS = [
     ("kernels", "min_fill"),
     ("kernels", "mcs"),
 ]
+# Family hosting, which a full compile runs after the junction tree.
+COMPILE_LAYERS = [("pipeline", "assign_families")]
 # The engine's marking and splice layers, as each kind of flush calls them.
-ADD_ARC_LAYERS = [("engine", "mark_add_link"), ("engine", "connect")]
-REMOVE_ARC_LAYERS = [("engine", "mark_remove_link"), ("engine", "connect")]
+ADD_ARC_LAYERS = [("engine", "modify_moral_graph"), ("engine", "mark_add_link"), ("engine", "connect")]
+REMOVE_ARC_LAYERS = [("engine", "modify_moral_graph"), ("engine", "mark_remove_link"), ("engine", "connect")]
+REMOVE_NODE_LAYERS = REMOVE_ARC_LAYERS + [("engine", "mark_remove_node")]
 
 
 def test_compile_and_rebuild_call_every_traced_layer(monkeypatch):
     # wrap the module attributes, as the tracer does, and count the calls
-    # that go through them in a full compile and in one subtree rebuild per
-    # kind of arc edit
+    # that go through them in a full compile and in one flush per kind of
+    # arc edit and per node removal
     modules = {"pipeline": bnic.pipeline, "kernels": bnic.kernels, "engine": bnic.engine}
-    layers = TRACED_LAYERS + ADD_ARC_LAYERS + REMOVE_ARC_LAYERS
+    layers = TRACED_LAYERS + COMPILE_LAYERS + ADD_ARC_LAYERS + REMOVE_NODE_LAYERS
     calls = dict.fromkeys(layers, 0)
     for key in calls:
         original = modules[key[0]].__dict__[key[1]]
@@ -72,7 +75,7 @@ def test_compile_and_rebuild_call_every_traced_layer(monkeypatch):
 
     dag = random_dag(30, Random(5), edge_prob=0.15)
     model = full_recompile(dag)
-    assert uncalled(TRACED_LAYERS) == []
+    assert uncalled(TRACED_LAYERS + COMPILE_LAYERS) == []
 
     parent, child = dag.arcs()[0]
     incremental_compile(model, [RemoveArc(parent, child)])
@@ -80,3 +83,6 @@ def test_compile_and_rebuild_call_every_traced_layer(monkeypatch):
 
     incremental_compile(model, [AddArc(parent, child)])
     assert uncalled(TRACED_LAYERS + ADD_ARC_LAYERS) == []
+
+    incremental_compile(model, expand_remove_node(model.dag, parent))
+    assert uncalled(TRACED_LAYERS + REMOVE_NODE_LAYERS) == []

@@ -35,7 +35,7 @@ from bnic import (
 
 DIGEST = "1da17a819a7894a334efe9725fbeceecbf72077fe58ba1c91c2d8a8174b446eb"
 HOST_DIGEST = "e5d1f2c06d3b6fc0e206077770f63e6c726734a9642489ec1389475d1f206f87"
-TRACE_DIGEST = "38c53fb6916bc527706d536e47acadd94b9cf62214819ea597832753a6ba6bcd"
+TRACE_DIGEST = "76d9dd9496f3670c49a60e32bd9a3167ad38f32c190e1932f77898ca099d9b85"
 MIN_FILL_600_DIGEST = "9d7c92b1cad9680afd0f1a93c18a64978e15a2eff99e8b499b06d4cc4b1af9f5"
 
 
@@ -51,22 +51,19 @@ def _banded_dag(n, rng):
     return dag
 
 
-def _tree(tree, with_family):
-    rec = {
+def _tree(tree):
+    return {
         "clusters": [[c, sorted(tree.cluster(c))] for c in tree.cluster_ids()],
         "edges": sorted([a, b, sorted(sep)] for a, b, sep in tree.edges()),
     }
-    if with_family:
-        rec["family"] = sorted(tree.family.items())
-    return rec
 
 
 def _model(model):
-    return {"jt": _tree(model.jt, True), "mpd": _tree(model.mpd, False)}
+    return {"jt": {**_tree(model.jt), "family": sorted(model.family.items())}, "mpd": _tree(model.mpd)}
 
 
 def _mps_hosts(model):
-    return sorted([v, model.index.owner[c]] for v, c in model.jt.family.items())
+    return sorted([v, model.index.owner[c]] for v, c in model.family.items())
 
 
 def _trace(trace):

@@ -94,6 +94,32 @@ def test_add_arc_completes_the_family(asia_model):
     assert m.moral == moralize(m.dag)
 
 
+def test_added_arc_lists_only_new_moral_links(monkeypatch):
+    # an arc between parents already married through a common child adds
+    # no edge between them, so it must not list one
+    real = bnic.engine.modify_moral_graph
+    seen = {"arcs": 0, "married": 0}
+
+    def checked(model, mod):
+        before = model.moral.copy()
+        links = real(model, mod)
+        if isinstance(mod, AddArc):
+            seen["arcs"] += 1
+            seen["married"] += before.has_edge(mod.parent, mod.child)
+            assert all(l.added and not before.has_edge(l.u, l.v) for l in links)
+            assert model.moral.edge_set() - before.edge_set() == {l.pair for l in links}
+            assert len({l.pair for l in links}) == len(links)
+        return links
+
+    monkeypatch.setattr(bnic.engine, "modify_moral_graph", checked)
+    rng = Random(606)
+    for _ in range(40):
+        model = full_recompile(random_dag(rng.randint(3, 20), rng, edge_prob=rng.choice([0.15, 0.3])))
+        for _ in range(3):
+            incremental_compile(model, random_script(model.dag, rng.randint(1, 8), rng))
+    assert seen["arcs"] > 100 and seen["married"] > 0
+
+
 def test_add_and_remove_node_touch_only_the_vertex(asia_model):
     m = asia_model
     mod = AddNode("Q")
@@ -117,7 +143,7 @@ def test_mark_remove_link_spreads_across_affected_separators(asia_model):
     apply_modification(m.dag, mod)
     links = modify_moral_graph(m, mod)
     rec = ModTrace(mod=mod, description="x")
-    mark_remove_link(m, t.id("L"), t.id("E"), links, rec)
+    mark_remove_link(m, t.id("L"), t.id("E"), links, set(), rec)
     assert _marked_names(t, rec) == {frozenset("TLE"), frozenset("SLBE")}
 
 
@@ -132,7 +158,7 @@ def test_mark_remove_link_stays_local_without_separator_hits():
     apply_modification(m.dag, mod)
     links = modify_moral_graph(m, mod)
     rec = ModTrace(mod=mod, description="x")
-    mark_remove_link(m, b, c, links, rec)
+    mark_remove_link(m, b, c, links, set(), rec)
     assert len(rec.touched) == 1
 
 
@@ -169,11 +195,12 @@ def test_mark_remove_link_equals_brute_force_closure():
         mod = RemoveArc(p, c)
         apply_modification(m.dag, mod)
         links = modify_moral_graph(m, mod)
-        start = m.index.owner[m.jt.family[c]]
+        start = m.index.owner[m.family[c]]
         expected = _closure_marks(m, links, start)
         rec = ModTrace(mod=mod, description="x")
-        mark_remove_link(m, p, c, links, rec)
-        assert set(rec.touched) == expected
+        marked = set()
+        mark_remove_link(m, p, c, links, marked, rec)
+        assert set(rec.touched) == marked == expected
         checked += 1
     assert checked > 20
 
@@ -236,7 +263,7 @@ def _walk_reference(tree, start, step):
             stack.append((ck, ci, iter(tree.neighbors(ck))))
 
 
-def _mark_remove_link_reference(model, links, m_y):
+def _mark_remove_link_reference(model, links, m_y, marked):
     # the former walk from the child's host across separators holding a
     # deleted pair, re-seeded from every holder it missed; returns the
     # number of re-seeded walks
@@ -244,12 +271,12 @@ def _mark_remove_link_reference(model, links, m_y):
     deleted = [l.pair for l in links if not l.added]
 
     def walk_from(start):
-        mpd.mark(start)
+        marked.add(start)
 
         def step(m, m_k):
             if not any(pair <= mpd.separator(m, m_k) for pair in deleted):
                 return False
-            mpd.mark(m_k)
+            marked.add(m_k)
             return True
 
         _walk_reference(mpd, start, step)
@@ -258,20 +285,20 @@ def _mark_remove_link_reference(model, links, m_y):
     reseeded = 0
     for pair in deleted:
         for host in mpd.cluster_ids():
-            if pair <= mpd.cluster(host) and not mpd.is_marked(host):
+            if pair <= mpd.cluster(host) and host not in marked:
                 walk_from(host)
                 reseeded += 1
     return reseeded
 
 
-def _mark_remove_node_reference(model, x, m_x):
+def _mark_remove_node_reference(model, x, m_x, marked):
     # the former walk from x's host across separators holding x, stripping
     # as it goes, followed by a sweep of the junction tree
     mpd = model.mpd
 
     def strip(m):
         mpd.replace_cluster(m, mpd.cluster(m) - {x})
-        mpd.mark(m)
+        marked.add(m)
 
     def step(m, m_z):
         sep = mpd.separator(m, m_z)
@@ -326,19 +353,20 @@ def _tree_path_reference(tree, a, b):
     return out[::-1]
 
 
-def _mark_add_link_reference(model, parent, child, links):
+def _mark_add_link_reference(model, parent, child, links, marked):
     # the former marking: for every induced link, the nearest holder of
     # parent from the child's host, the tree path to it and the rewiring of
-    # the first empty separator on that path
+    # the first empty separator on that path; an arc between moral
+    # neighbours that induces no link still marks that path once
     mpd, jt, index = model.mpd, model.jt, model.index
-    m_y = index.owner[jt.family[child]]
-    for _link in links:
+    m_y = index.owner[model.family[child]]
+    for _link in links or [None]:
         m_x = _nearest_containing_reference(mpd, m_y, parent)
         path = _tree_path_reference(mpd, m_x, m_y)
         empty = [
             (a, b)
             for a, b in zip(path, path[1:])
-            if not mpd.separator(a, b) and not (mpd.is_marked(a) and mpd.is_marked(b))
+            if not mpd.separator(a, b) and not (a in marked and b in marked)
         ]
         if empty:
             a, b = empty[0]
@@ -350,38 +378,37 @@ def _mark_add_link_reference(model, parent, child, links):
             jt.add_edge(cx, min(index.cliques_of[m_y]), {parent})
             path = [m_x, m_y]
         for m in path:
-            mpd.mark(m)
+            marked.add(m)
 
 
-def _phase_one(model, mod, rec, reference):
+def _phase_one(model, mod, marked, rec, reference):
     # one modification's phase one, as incremental_compile runs it; returns
     # the number of walks the reference re-seeded
     apply_modification(model.dag, mod)
     links = modify_moral_graph(model, mod)
     match mod:
         case AddNode(name):
-            add_node(model, model.dag.table.id(name), rec)
+            add_node(model, model.dag.table.id(name), marked, rec)
         case RemoveNode(node):
             if reference:
-                _mark_remove_node_reference(model, node, model.index.owner[model.jt.family[node]])
+                _mark_remove_node_reference(model, node, model.index.owner[model.family.pop(node)], marked)
             else:
-                mark_remove_node(model, node, rec)
-            model.jt.family.pop(node)
+                mark_remove_node(model, node, marked, rec)
         case RemoveArc(parent, child):
             if reference:
-                return _mark_remove_link_reference(model, links, model.index.owner[model.jt.family[child]])
-            mark_remove_link(model, parent, child, links, rec)
+                return _mark_remove_link_reference(model, links, model.index.owner[model.family[child]], marked)
+            mark_remove_link(model, parent, child, links, marked, rec)
         case AddArc(parent, child):
             if reference:
-                _mark_add_link_reference(model, parent, child, links)
+                _mark_add_link_reference(model, parent, child, links, marked)
             else:
-                mark_add_link(model, parent, child, rec)
+                mark_add_link(model, parent, child, marked, rec)
     return 0
 
 
 def _tree_state(tree):
     clusters = {c: tree.cluster(c) for c in tree.cluster_ids()}
-    return clusters, tree.edges(), tree.marked_ids()
+    return clusters, tree.edges()
 
 
 def test_batch_marks_match_walk_reference():
@@ -404,10 +431,12 @@ def test_batch_marks_match_walk_reference():
     for dag, script in batches:
         model = full_recompile(dag.copy())
         reference = model.copy()
+        marked, ref_marked = set(), set()
         for mod in script:
             rec = ModTrace(mod=mod, description="")
-            _phase_one(model, mod, rec, reference=False)
-            reseeded += _phase_one(reference, mod, None, reference=True)
+            _phase_one(model, mod, marked, rec, reference=False)
+            reseeded += _phase_one(reference, mod, ref_marked, None, reference=True)
+            assert marked == ref_marked and model.family == reference.family
             for tree, ref_tree in ((model.mpd, reference.mpd), (model.jt, reference.jt)):
                 assert _tree_state(tree) == _tree_state(ref_tree)
             removals += isinstance(mod, RemoveNode)
@@ -510,13 +539,13 @@ def test_add_link_walk_breaks_ties_by_lowest_id():
         for tree in (jt, mpd):
             tree.add_edge(0, 1, {a})
             tree.add_edge(0, 2, {b})
-        jt.family[c] = 0
         index = MpdIndex({k: {k} for k in clusters}, {k: k for k in clusters})
-        trees.append(CompiledModel(Dag(), UndirectedGraph(), jt, mpd, index))
+        trees.append(CompiledModel(Dag(), UndirectedGraph(), jt, mpd, index, {c: 0}))
     model, reference = trees
-    mark_add_link(model, p, c)
-    _mark_add_link_reference(reference, p, c, [Link(p, c, True)])
-    assert model.mpd.marked_ids() == reference.mpd.marked_ids() == [0, 1]
+    marked, ref_marked = set(), set()
+    mark_add_link(model, p, c, marked)
+    _mark_add_link_reference(reference, p, c, [Link(p, c, True)], ref_marked)
+    assert marked == ref_marked == {0, 1}
 
 
 # -- connect and absorb -------------------------------------------------------
@@ -744,7 +773,7 @@ def test_rewiring_never_severs_marked_subtrees():
 
 def test_rejected_batch_leaves_the_model_untouched():
     # the cycle only shows at the second edit; the first must not stay
-    # applied or leave its mark behind
+    # applied
     dag = Dag()
     a, b, c, d = (dag.add_node(name) for name in "ABCD")
     for p, ch in [(a, d), (b, c), (c, d)]:
@@ -754,7 +783,6 @@ def test_rejected_batch_leaves_the_model_untouched():
     with pytest.raises(CycleError):
         incremental_compile(model, [RemoveArc(a, d), AddArc(c, b)])
     assert model.dag == dag
-    assert not model.mpd.marked_ids() and not model.jt.marked_ids()
     assert model.jt.cluster_multiset() == clusters
     assert validate(model).passed
 

@@ -51,35 +51,37 @@ def test_aggregate_is_identity_when_all_separators_complete(asia):
     assert all(cs and len(cs) == 1 for cs in index.cliques_of.values())
 
 
-def _aggregate_by_restart_scan(jt, gm, rng):
+def _aggregate_by_restart_scan(jt, gm, family, rng):
     # Reference: contract one incomplete separator at a time, drawn by rng
     # from those left after rescanning the whole tree; the merged cluster
-    # keeps the smaller id.
+    # keeps the smaller id, and the family map follows each merge.
     mpd = jt.copy()
     while True:
         incomplete = [(a, b) for a, b, sep in mpd.edges() if not gm.is_complete(sep)]
         if not incomplete:
-            return mpd
+            return mpd, family
         a, b = rng.choice(incomplete)
         keep, gone = min(a, b), max(a, b)
         merged = mpd.cluster(keep) | mpd.cluster(gone)
         mpd.merge_into(gone, keep)
         mpd.replace_cluster(keep, merged)
+        family = {v: keep if c == gone else c for v, c in family.items()}
 
 
 def test_aggregate_result_is_merge_order_independent():
     for seed in (11, 12, 13):
         dag = random_dag(24, Random(seed), edge_prob=0.25)
         gm = moralize(dag)
-        tree, _ = construct_join_tree(gm, dag)
+        tree, _ = construct_join_tree(gm)
+        family = assign_families(dag, tree, dag.nodes())
         one_pass, index = aggregate_cliques(tree, gm)
         assert len(tree) - len(one_pass) >= 5
         clusters = {c: one_pass.cluster(c) for c in one_pass.cluster_ids()}
         for shuffle_seed in range(20):
-            scanned = _aggregate_by_restart_scan(tree, gm, Random(shuffle_seed))
+            scanned, scanned_family = _aggregate_by_restart_scan(tree, gm, family, Random(shuffle_seed))
             assert {c: scanned.cluster(c) for c in scanned.cluster_ids()} == clusters
             assert scanned.edges() == one_pass.edges()
-            assert scanned.family == {v: index.owner[c] for v, c in tree.family.items()}
+            assert scanned_family == {v: index.owner[c] for v, c in family.items()}
 
 
 def test_mpd_separators_complete_and_rip(asia_model):
@@ -110,7 +112,6 @@ def test_decomposition_invariant_across_minimal_triangulations(asia):
         gt.add_edge(t.id(u), t.id(v))
         assert is_chordal(gt) == (True, None)
         tree = build_join_tree(extract_cliques(gt))
-        assign_families(asia, tree, asia.nodes())
         mpd, _ = aggregate_cliques(tree, gm)
         return mpd
 
@@ -134,7 +135,6 @@ def _aggregate_by_copy_and_components(jt, gm):
     # complete separators, contract each remaining component into its
     # least id and join the groups by the complete separators.
     mpd = jt.copy()
-    mpd.family = {}
     complete = [(a, b, sep) for a, b, sep in jt.edges() if gm.is_complete(sep)]
     for a, b, _ in complete:
         mpd.remove_edge(a, b)
@@ -154,7 +154,6 @@ def _assert_aggregates_like_the_reference(jt, gm):
     ref, groups, root = _aggregate_by_copy_and_components(jt, gm)
     assert {c: mpd.cluster(c) for c in mpd.cluster_ids()} == {c: ref.cluster(c) for c in ref.cluster_ids()}
     assert mpd.edges() == ref.edges() and mpd.edge_count() == ref.edge_count()
-    assert mpd.family == {} and not mpd.marked_ids()
     assert index.cliques_of == groups and index.owner == root
     # fresh ids continue where the reference's do
     assert mpd.add_cluster(()) == ref.add_cluster(())

@@ -68,9 +68,9 @@ def _with_fill(dag, fill):
         u, v = sorted(pair)
         gt.add_edge(u, v)
     tree = build_join_tree(extract_cliques(gt))
-    assign_families(dag, tree, dag.nodes())
+    family = assign_families(dag, tree, dag.nodes())
     mpd, index = aggregate_cliques(tree, gm)
-    return CompiledModel(dag, gm, tree, mpd, index, Triangulation(gm, frozenset(fill)))
+    return CompiledModel(dag, gm, tree, mpd, index, family, Triangulation(gm, frozenset(fill)))
 
 
 def _asia_with_both_diagonals(asia):
@@ -95,7 +95,7 @@ def test_validate_names_the_missing_chord(asia):
     t = asia.table
     assert model.tri.fill == {frozenset((t.id("L"), t.id("B")))}
     bare = Triangulation(model.moral, frozenset())
-    model = CompiledModel(model.dag, model.moral, model.jt, model.mpd, model.index, bare)
+    model = CompiledModel(model.dag, model.moral, model.jt, model.mpd, model.index, model.family, bare)
     failing = {c["name"]: c["detail"] for c in validate(model).to_dict()["checks"] if not c["passed"]}
     assert failing == {
         "triangulation_chordal": f"missing chord at {(t.id('S'), t.id('E'))}",
@@ -216,7 +216,7 @@ def test_running_intersection_reports_a_broken_tree(asia):
 def test_family_coverage_names_the_unhosted_variable(asia):
     model = _asia_with_both_diagonals(asia)
     d = asia.table.id("D")
-    del model.jt.family[d]
+    del model.family[d]
     fam = validate(model).checks[7]
     assert (fam.name, fam.passed) == ("family_coverage", False)
     assert fam.detail == f"family map variables differ from the dag's: missing [{d}], unknown []"
@@ -234,8 +234,43 @@ def test_mpd_index_flags_a_remapped_owner(asia_model):
 
 
 def test_a_missing_owner_entry_fails_a_check_without_raising(asia_model):
-    del asia_model.index.owner[asia_model.jt.family[asia_model.dag.table.id("D")]]
+    del asia_model.index.owner[asia_model.family[asia_model.dag.table.id("D")]]
     assert {"family_coverage", "mpd_index"} <= set(_failed(asia_model))
+
+
+def _with_stray_id(where, derived):
+    # a model one of whose vertex sets holds id 999, which no structure knows
+    model = full_recompile(random_dag(10, Random(3), edge_prob=0.4))
+    tree = model.mpd if where == "mps separator" else model.jt
+    if where == "cluster":
+        c = tree.cluster_ids()[0]
+        tree.replace_cluster(c, tree.cluster(c) | {999})
+    else:
+        a, b, sep = tree.edges()[0]
+        tree.set_separator(a, b, sep | {999})
+    if derived:
+        model._tri = None  # the triangulation is read off the clusters again
+    return model
+
+
+@pytest.mark.parametrize(
+    "where, derived, failing",
+    [
+        ("cluster", False, "running_intersection"),
+        ("cluster", True, "triangulation_chordal"),
+        ("junction separator", False, "separator_intersection"),
+        ("mps separator", False, "mpd_separators"),
+    ],
+)
+def test_an_unknown_id_fails_a_check_without_raising(where, derived, failing):
+    report = validate(_with_stray_id(where, derived)).to_dict()
+    assert [c["name"] for c in report["checks"]] == CHECK_NAMES
+    assert report["passed"] is False
+    assert failing in [c["name"] for c in report["checks"] if not c["passed"]]
+    if derived:
+        details = {c["name"]: c["detail"] for c in report["checks"]}
+        assert details["triangulation_chordal"].startswith("not checked: unknown vertex")
+        assert details["cluster_completeness"].startswith("not checked: unknown vertex")
 
 
 def test_report_to_dict_is_json_ready(asia):

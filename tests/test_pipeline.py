@@ -299,24 +299,26 @@ def test_join_tree_rip_on_random_graphs():
 
 
 def test_assign_families_asia(asia):
-    tree, _ = construct_join_tree(moralize(asia), asia)
+    tree, _ = construct_join_tree(moralize(asia))
+    family = assign_families(asia, tree, asia.nodes())
     t = asia.table
-    d_host = tree.cluster(tree.family[t.id("D")])
+    d_host = tree.cluster(family[t.id("D")])
     assert name_set(t, d_host) == frozenset("EBD")
-    a_host = tree.cluster(tree.family[t.id("A")])
+    a_host = tree.cluster(family[t.id("A")])
     assert t.id("A") in a_host
     smallest = min(
         (len(tree.cluster(c)), c) for c in tree.cluster_ids() if t.id("A") in tree.cluster(c)
     )
-    assert tree.family[t.id("A")] == smallest[1]
+    assert family[t.id("A")] == smallest[1]
 
 
 def test_assign_families_contain_families_on_random_dags():
     rng = Random(8)
     dag = random_dag(8, rng, edge_prob=0.35)
-    tree, _ = construct_join_tree(moralize(dag), dag)
+    tree, _ = construct_join_tree(moralize(dag))
+    family = assign_families(dag, tree, dag.nodes())
     for v in dag.nodes():
-        assert dag.family(v) <= tree.cluster(tree.family[v])
+        assert dag.family(v) <= tree.cluster(family[v])
 
 
 # -- quadratic reference versions of the structure layer ---------------------
@@ -412,8 +414,7 @@ def test_structure_layer_matches_quadratic_references():
         tree = build_join_tree(cliques)
         reference = _build_join_tree_reference(cliques)
         _assert_same_tree(tree, reference)
-        assign_families(dag, tree, dag.nodes())
-        assert tree.family == _family_hosts_reference(dag, reference)
+        assert assign_families(dag, tree, dag.nodes()) == _family_hosts_reference(dag, reference)
 
 
 def test_assign_families_matches_the_reference_on_spliced_trees():
@@ -424,9 +425,8 @@ def test_assign_families_matches_the_reference_on_spliced_trees():
         model = full_recompile(random_dag(rng.randint(2, 35), rng, edge_prob=rng.choice([0.05, 0.15, 0.3])))
         for _ in range(3):
             incremental_compile(model, random_script(model.dag, rng.randint(1, 8), rng))
-            tree = model.jt.copy()
-            assign_families(model.dag, tree, model.dag.nodes())
-            assert tree.family == _family_hosts_reference(model.dag, model.jt)
+            tree = model.jt
+            assert assign_families(model.dag, tree, model.dag.nodes()) == _family_hosts_reference(model.dag, tree)
             gapped += tree.cluster_ids() != list(range(len(tree)))
     assert gapped > 60
 
@@ -508,11 +508,12 @@ def test_construct_empty_graph():
 
 
 def test_construct_asia_covers_families_and_rip(asia):
-    tree, kept = construct_join_tree(moralize(asia), asia)
+    tree, kept = construct_join_tree(moralize(asia))
+    family = assign_families(asia, tree, asia.nodes())
     assert _rip_holds(tree)
     assert len(kept) == 1
     for v in asia.nodes():
-        assert asia.family(v) <= tree.cluster(tree.family[v])
+        assert asia.family(v) <= tree.cluster(family[v])
 
 
 def test_construction_is_deterministic():
@@ -520,11 +521,11 @@ def test_construction_is_deterministic():
     for _ in range(10):
         dag = random_dag(rng.randint(1, 14), rng, edge_prob=0.3)
         gm = moralize(dag)
-        first_tree, first_kept = construct_join_tree(gm.copy(), dag)
-        second_tree, second_kept = construct_join_tree(gm.copy(), dag)
+        first_tree, first_kept = construct_join_tree(gm.copy())
+        second_tree, second_kept = construct_join_tree(gm.copy())
         assert first_kept == second_kept
         assert {c: first_tree.cluster(c) for c in first_tree.cluster_ids()} == {
             c: second_tree.cluster(c) for c in second_tree.cluster_ids()
         }
         assert first_tree.edges() == second_tree.edges()
-        assert first_tree.family == second_tree.family
+        assert assign_families(dag, first_tree, dag.nodes()) == assign_families(dag, second_tree, dag.nodes())
