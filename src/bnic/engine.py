@@ -423,43 +423,39 @@ def _crossing_edge(model: CompiledModel, m_a: int, m_b: int) -> tuple[int, int]:
 
 def connect(
     tree: ClusterTree, replacement_ids: set[int], doomed: list[int]
-) -> tuple[list[tuple[int, int, frozenset[int], int]], set[int]]:
-    """Reattach the boundary of the doomed subtree to new clusters.
+) -> list[tuple[int, int, frozenset[int], int]]:
+    """Reattach the boundary of the doomed clusters to new clusters.
 
-    Walks the doomed clusters depth first from doomed[0].  Every separator S
-    leading to a cluster C_k outside them is re-hung onto the smallest
-    replacement cluster covering S (ties: lower id), found from the
-    replacements' holder masks.  Every cover meets C_k in exactly S, since
-    C_k meets the rebuilt region only in S, so overlap with C_k cannot rank
-    them.  A record where the chosen cluster equals S flags a later
-    amalgamation.  Returns the reattachment records and the set of doomed
-    clusters visited.  The explicit stack of neighbour iterators keeps deep
-    trees clear of the recursion limit.
+    Scans the doomed clusters C_i and their neighbours in ascending order.
+    Every separator S leading to a cluster C_k outside them is re-hung onto
+    the smallest replacement cluster covering S (ties: lower id), found
+    from the replacements' holder masks.  Every cover meets C_k in exactly
+    S, since C_k meets the rebuilt region only in S, so overlap with C_k
+    cannot rank them.  With no replacements (an emptied subtree, whose
+    separators are all empty) every C_k hangs on the first record's C_k,
+    which itself gets no edge.  Returns the records (C_i, C_k, S, target);
+    one whose target equals S flags a later amalgamation.
     """
     ids = sorted(replacement_ids)
     holders = tree.holder_masks(ids)
     inside = set(doomed)
     records: list[tuple[int, int, frozenset[int], int]] = []
-    visited = {doomed[0]}
-    stack = [(doomed[0], iter(tree.neighbors(doomed[0])))]
-    while stack:
-        ci, nbrs = stack[-1]
-        ck = next(nbrs, None)
-        if ck is None:
-            stack.pop()
-        elif ck in inside:
-            if ck not in visited:
-                visited.add(ck)
-                stack.append((ck, iter(tree.neighbors(ck))))
-        else:
+    for ci in sorted(inside):
+        for ck in tree.neighbors(ci):
+            if ck in inside:
+                continue
             sep = tree.separator(ci, ck)
-            covers = covering(holders, ids, sep)
-            if not covers:
-                raise InconsistencyError(f"no replacement cluster covers boundary separator {sorted(sep)}")
-            target = min(covers, key=lambda c: len(tree.cluster(c)))
-            tree.add_edge(target, ck, sep)
+            if ids:
+                covers = covering(holders, ids, sep)
+                if not covers:
+                    raise InconsistencyError(f"no replacement cluster covers boundary separator {sorted(sep)}")
+                target = min(covers, key=lambda c: len(tree.cluster(c)))
+            else:
+                target = records[0][1] if records else ck
+            if target != ck:
+                tree.add_edge(target, ck, sep)
             records.append((ci, ck, sep, target))
-    return records, visited
+    return records
 
 
 # Unused by the package; kept because the benchmark's tracer binds it.
@@ -522,77 +518,50 @@ def _rebuild_subtree(model: CompiledModel, comp: list[int], trace: BatchTrace | 
     for m in comp:
         variables |= mpd.cluster(m)
     doomed = sorted(set().union(*(index.cliques_of[m] for m in comp)))
-
-    old_boundary = sorted(
-        (m, nb, mpd.separator(m, nb))
-        for m in comp
-        for nb in mpd.neighbors(m)
-        if nb not in comp
+    old_boundary = Counter(
+        (nb, mpd.separator(m, nb)) for m in comp for nb in mpd.neighbors(m) if nb not in comp
     )
+    if not variables and any(sep for _, sep in old_boundary):
+        raise InconsistencyError("emptied subtree has a non-empty boundary separator")
 
-    records = []
-    if not variables:
-        # every cluster of the subtree was emptied by node removals: the
-        # boundary separators are necessarily empty, so drop the clusters
-        # and leave reconnection to the end-of-batch fragment rejoin
-        if any(sep for _, _, sep in old_boundary):
-            raise InconsistencyError("emptied subtree has a non-empty boundary separator")
-        if trace is not None:
-            trace.subtrees.append(SubtreeTrace(tuple(comp), frozenset(), ()))
-    else:
-        g_sub = model.moral.induced(variables)
-        t, _kept = construct_join_tree(g_sub)
-        t_mpd, t_index = aggregate_cliques(t, g_sub)
+    g_sub = model.moral.induced(variables)
+    t, _kept = construct_join_tree(g_sub)
+    t_mpd, t_index = aggregate_cliques(t, g_sub)
 
-        jt_map = {lid: jt.add_cluster(t.cluster(lid)) for lid in t.cluster_ids()}
-        for a, b, sep in t.edges():
-            jt.add_edge(jt_map[a], jt_map[b], sep)
-        mpd_map = {lid: mpd.add_cluster(t_mpd.cluster(lid)) for lid in t_mpd.cluster_ids()}
-        for a, b, sep in t_mpd.edges():
-            mpd.add_edge(mpd_map[a], mpd_map[b], sep)
-        for m_local, cliques in t_index.cliques_of.items():
-            index.cliques_of[mpd_map[m_local]] = {jt_map[c] for c in cliques}
-        for c, m_local in t_index.owner.items():
-            index.owner[jt_map[c]] = mpd_map[m_local]
-        new_clique_ids = set(jt_map.values())
-        if trace is not None:
-            trace.new_jt_ids |= new_clique_ids
-            trace.new_mpd_ids |= set(mpd_map.values())
-            trace.subtrees.append(
-                SubtreeTrace(tuple(comp), frozenset(variables), tuple(t.cluster(l) for l in t.cluster_ids()))
-            )
+    jt_map = {lid: jt.add_cluster(t.cluster(lid)) for lid in t.cluster_ids()}
+    for a, b, sep in t.edges():
+        jt.add_edge(jt_map[a], jt_map[b], sep)
+    mpd_map = {lid: mpd.add_cluster(t_mpd.cluster(lid)) for lid in t_mpd.cluster_ids()}
+    for a, b, sep in t_mpd.edges():
+        mpd.add_edge(mpd_map[a], mpd_map[b], sep)
+    for m_local, cliques in t_index.cliques_of.items():
+        index.cliques_of[mpd_map[m_local]] = {jt_map[c] for c in cliques}
+    for c, m_local in t_index.owner.items():
+        index.owner[jt_map[c]] = mpd_map[m_local]
+    if trace is not None:
+        trace.new_jt_ids |= set(jt_map.values())
+        trace.new_mpd_ids |= set(mpd_map.values())
+        trace.subtrees.append(
+            SubtreeTrace(tuple(comp), frozenset(variables), tuple(t.cluster(l) for l in t.cluster_ids()))
+        )
 
-        records, visited = connect(jt, new_clique_ids, doomed)
-        dead = set(doomed)
-        if visited != dead:
-            raise InconsistencyError(
-                "doomed cliques do not form one connected junction subtree"
-            )
+    # the junction boundary must mirror the old MPS boundary one to one;
+    # each reattachment then becomes the MPS edge it mirrors
+    records = connect(jt, set(jt_map.values()), doomed)
+    if Counter((index.owner.get(c_k), sep) for _, c_k, sep, _ in records) != old_boundary:
+        raise InconsistencyError("junction and MPS boundaries of the rebuilt subtree disagree")
+    for _k, c_k, sep, target in records:
+        if target != c_k:
+            mpd.add_edge(index.owner[target], index.owner[c_k], sep)
 
-        # mirror each junction reattachment as an MPS-tree edge; the boundary
-        # must match the old MPS boundary one-to-one, so only the cliques of
-        # the boundary MPSs can be reattached
-        boundary_mps = {nb for _, nb, _ in old_boundary}
-        mirrored = Counter()
-        for _k, c_k, sep, target in records:
-            m_out = index.owner.get(c_k)
-            if m_out not in boundary_mps:
-                raise InconsistencyError(
-                    f"reattached cluster {c_k} lies outside the MPS boundary of the subtree"
-                )
-            mpd.add_edge(index.owner[target], m_out, sep)
-            mirrored[(m_out, sep)] += 1
-        if mirrored != Counter((nb, sep) for _, nb, sep in old_boundary):
-            raise InconsistencyError("junction and MPS boundaries disagree")
-
-        # re-host families whose clique died; a dead host is a doomed clique,
-        # which holds its variable, so only the region's variables can need
-        # it.  jt_map is increasing, so the local (size, id) choice is the
-        # global one.
-        family = model.family
-        orphans = [v for v in sorted(variables) if family.get(v) in dead]
-        for v, c in assign_families(model.dag, t, orphans).items():
-            family[v] = jt_map[c]
+    # re-host families whose clique died; a dead host is a doomed clique,
+    # which holds its variable, so only the region's variables can need
+    # it.  jt_map is increasing, so the local (size, id) choice is the
+    # global one.
+    dead = set(doomed)
+    orphans = [v for v in sorted(variables) if model.family.get(v) in dead]
+    for v, c in assign_families(model.dag, t, orphans).items():
+        model.family[v] = jt_map[c]
 
     for k in doomed:
         jt.remove_cluster(k)
@@ -604,27 +573,6 @@ def _rebuild_subtree(model: CompiledModel, comp: list[int], trace: BatchTrace | 
     for _k, c_k, sep, target in records:
         if target in jt and jt.cluster(target) == sep:
             _amalgamate(model, target, c_k, trace)
-
-
-def _rejoin_fragments(model: CompiledModel) -> None:
-    # hang every fragment left by emptied subtrees (only they leave fewer
-    # edges than clusters less one) on the first by an empty separator; both
-    # trees are then trees iff they have one edge fewer than clusters, bar
-    # the cases in incremental_compile's docstring
-    jt, mpd = model.jt, model.mpd
-    rejoined = jt.edge_count() < len(jt) - 1
-    if rejoined:
-        comps = jt.components()
-        owner = model.index.owner
-        anchor = min(comps[0])
-        for comp in comps[1:]:
-            other = min(comp)
-            jt.add_edge(anchor, other, frozenset())
-            mpd.add_edge(owner[anchor], owner[other], frozenset())
-    if len(jt) and jt.edge_count() != len(jt) - 1:
-        raise InconsistencyError("rebuild left a cycle in the junction tree")
-    if not (mpd.is_tree() if rejoined else not mpd or mpd.edge_count() == len(mpd) - 1):
-        raise InconsistencyError("rebuild left a disconnected cluster structure")
 
 
 def derive_triangulation(moral: UndirectedGraph, jt: ClusterTree) -> Triangulation:
@@ -656,12 +604,10 @@ def incremental_compile(
     raises before the model is touched; internal inconsistencies raise
     InconsistencyError and are never silently repaired.
 
-    The closing tree checks count edges.  Unless a subtree emptied, each
-    splice swaps one connected doomed subtree (``connect`` walked exactly
-    the doomed cliques) for a tree carrying every old boundary edge (the
-    mirrored-boundary check), so both trees stay trees; after a rejoin the
-    MPS tree gets the full ``is_tree()``.  A count misses only a cycle beside
-    a detached fragment, which ``validate``'s ``is_tree()`` still catches.
+    The closing check counts edges.  A splice re-hangs each boundary edge
+    of the doomed cliques on their replacement tree (or, when none, on one
+    boundary cluster), so a connected doomed set leaves both trees trees,
+    and c disconnected pieces leave c - 1 edges too many.
     """
     with model.dag.rollback():
         for mod in mods:
@@ -687,6 +633,8 @@ def incremental_compile(
     if marked:
         for comp in map(sorted, model.mpd.components(marked)):
             _rebuild_subtree(model, comp, trace)
-        _rejoin_fragments(model)
+        for name, tree in (("junction", model.jt), ("MPS", model.mpd)):
+            if tree and tree.edge_count() != len(tree) - 1:
+                raise InconsistencyError(f"rebuild left {tree.edge_count()} edges on {len(tree)} {name} clusters")
     model._tri = None
     return model

@@ -127,6 +127,7 @@ def validate(model: CompiledModel) -> ValidityReport:
         chordal, witness = is_chordal(gt)
     check("triangulation_chordal", chordal, stray or f"missing chord at {witness}")
 
+    unchecked = stray or "not checked: triangulation is not chordal"
     redundant = None
     if chordal:
         holders: dict[int, list[frozenset[int]]] = defaultdict(list)
@@ -141,7 +142,7 @@ def validate(model: CompiledModel) -> ValidityReport:
     check(
         "triangulation_minimal",
         chordal and redundant is None,
-        f"fill edge {redundant} is redundant" if chordal else stray or "not checked: triangulation is not chordal",
+        f"fill edge {redundant} is redundant" if chordal else unchecked,
     )
 
     nodes = set(dag.nodes())
@@ -156,8 +157,7 @@ def validate(model: CompiledModel) -> ValidityReport:
         broken = next((v for v in dag.nodes() if held[v] - linked[v] != 1), None)
         if broken is not None:
             rip_detail = f"violated for variable {broken}"
-    rip = not rip_detail
-    check("running_intersection", rip, rip_detail)
+    check("running_intersection", not rip_detail, rip_detail)
 
     sep_ok = all(sep == jt.cluster(a) & jt.cluster(b) for a, b, sep in jt.edges())
     check("separator_intersection", sep_ok, "a junction separator is not the endpoint intersection")
@@ -167,8 +167,8 @@ def validate(model: CompiledModel) -> ValidityReport:
 
     check(
         "cluster_maximality",
-        not chordal or Counter(cliques) == jt.cluster_multiset(),
-        "clusters are not exactly the maximal cliques of the triangulated graph",
+        chordal and Counter(cliques) == jt.cluster_multiset(),
+        "clusters are not exactly the maximal cliques of the triangulated graph" if chordal else unchecked,
     )
 
     fam_detail = ""
@@ -186,26 +186,27 @@ def validate(model: CompiledModel) -> ValidityReport:
                 break
     check("family_coverage", not fam_detail, fam_detail)
 
+    mpd_tree = mpd.is_tree()
     check(
         "mpd_separators",
-        mpd.is_tree() and all(complete(moral, sep) for _, _, sep in mpd.edges()),
-        "an MPS separator is incomplete in the moral graph",
+        mpd_tree and all(complete(moral, sep) for _, _, sep in mpd.edges()),
+        "an MPS separator is incomplete in the moral graph" if mpd_tree else "the MPS tree is not a tree",
     )
 
-    mpd_multiset_ok = False
     # re-aggregation needs a junction tree of the triangulation, whose
     # variables are then all in the moral graph
-    if chordal and rip and sep_ok and complete_ok:
+    prerequisites = ("triangulation_chordal", "running_intersection", "separator_intersection", "cluster_completeness")
+    unmet = [c.name for c in checks if c.name in prerequisites and not c.passed]
+    if unmet:
+        check("mpd_multiset", False, f"not checked: {', '.join(unmet)} failed")
+    else:
         reference, _ = aggregate_cliques(jt, moral)
-        mpd_multiset_ok = (
+        check(
+            "mpd_multiset",
             reference.cluster_multiset() == mpd.cluster_multiset()
-            and reference.separator_multiset() == mpd.separator_multiset()
+            and reference.separator_multiset() == mpd.separator_multiset(),
+            "MPS clusters/separators differ from re-aggregating the junction tree",
         )
-    check(
-        "mpd_multiset",
-        mpd_multiset_ok,
-        "MPS clusters/separators differ from re-aggregating the junction tree",
-    )
 
     idx_ok = sorted(c for cs in index.cliques_of.values() for c in cs) == jt.cluster_ids()
     idx_ok = idx_ok and set(index.cliques_of) == set(mpd.cluster_ids())

@@ -1,4 +1,5 @@
 import sys
+from collections import Counter
 from random import Random
 
 import pytest
@@ -557,9 +558,7 @@ def test_connect_reattaches_boundary_to_best_cover():
     outside = tree.add_cluster({2, 3, 9})
     tree.add_edge(doomed, outside, {2, 3})
     fresh = [tree.add_cluster(vs) for vs in ({1, 2}, {2, 3}, {3, 4})]
-    records, visited = connect(tree, set(fresh), [doomed])
-    assert visited == {doomed}
-    ((_, ck, sep, target),) = records
+    ((_, ck, sep, target),) = connect(tree, set(fresh), [doomed])
     assert (ck, sep) == (outside, frozenset({2, 3}))
     assert tree.cluster(target) == frozenset({2, 3})  # = S: amalgamation case
     assert tree.has_edge(target, outside)
@@ -571,12 +570,24 @@ def test_connect_with_everything_marked_makes_no_records():
     b = tree.add_cluster({2, 3})
     tree.add_edge(a, b, {2})
     fresh = tree.add_cluster({1, 2, 3})
-    records, visited = connect(tree, {fresh}, [a, b])
-    assert records == [] and visited == {a, b}
+    assert connect(tree, {fresh}, [a, b]) == []
+
+
+def test_a_disconnected_doomed_set_leaves_one_surplus_edge_per_extra_piece():
+    # the path 0-1-...-6 with doomed {1, 4}: two pieces, one edge too many
+    tree = ClusterTree()
+    path = [tree.add_cluster({i, i + 1}) for i in range(7)]
+    for a, b in zip(path, path[1:]):
+        tree.add_edge(a, b, tree.cluster(a) & tree.cluster(b))
+    fresh = tree.add_cluster(range(8))
+    connect(tree, {fresh}, [1, 4])
+    for k in (1, 4):
+        tree.remove_cluster(k)
+    assert tree.edge_count() - (len(tree) - 1) == 1
 
 
 def _connect_reference(tree, replacement_ids, doomed):
-    # The former splice: the same depth-first walk, with every replacement
+    # The former splice: a depth-first walk from doomed[0], with every replacement
     # cluster scanned in ascending id order for each boundary separator and
     # ranked first by its overlap with the outside cluster, which connect
     # leaves out because every cover meets it in the separator alone.
@@ -601,21 +612,38 @@ def _connect_reference(tree, replacement_ids, doomed):
                         best = (key, cid)
             tree.add_edge(best[1], ck, sep)
             records.append((ci, ck, sep, best[1]))
-    return records, visited
+    return records
+
+
+def _emptied_reference(tree, doomed):
+    # An emptied subtree has no replacements: every boundary cluster hangs
+    # by an empty separator on one of them, the first in (C_i, C_k) order.
+    boundary = sorted((ci, ck) for ci in doomed for ck in tree.neighbors(ci) if ck not in doomed)
+    assert all(not tree.separator(ci, ck) for ci, ck in boundary)
+    hub = boundary[0][1] if boundary else None
+    for _, ck in boundary[1:]:
+        tree.add_edge(hub, ck, frozenset())
+    return [(ci, ck, frozenset(), hub) for ci, ck in boundary]
 
 
 def test_connect_matches_full_scan_reference(monkeypatch):
+    # connect scans in (C_i, C_k) order, the reference depth first, so the
+    # records are compared as multisets; the resulting edges must agree
     real = bnic.engine.connect
-    seen = {"records": 0, "empty": 0}
+    seen = {"records": 0, "empty": 0, "emptied": 0}
 
     def checked(tree, replacement_ids, doomed):
         expected_tree = tree.copy()
-        expected = _connect_reference(expected_tree, replacement_ids, doomed)
+        if replacement_ids:
+            expected = _connect_reference(expected_tree, replacement_ids, doomed)
+        else:
+            expected = _emptied_reference(expected_tree, doomed)
+            seen["emptied"] += len(expected) > 1
         got = real(tree, replacement_ids, doomed)
-        assert got == expected
+        assert Counter(got) == Counter(expected)
         assert tree.edges() == expected_tree.edges()
-        seen["records"] += len(got[0])
-        seen["empty"] += sum(not sep for _, _, sep, _ in got[0])
+        seen["records"] += len(got)
+        seen["empty"] += sum(not sep for _, _, sep, _ in got)
         return got
 
     monkeypatch.setattr(bnic.engine, "connect", checked)
@@ -625,7 +653,13 @@ def test_connect_matches_full_scan_reference(monkeypatch):
         model = full_recompile(dag)
         for _ in range(3):
             incremental_compile(model, random_script(model.dag, rng.randint(1, 8), rng))
-    assert seen["records"] > 0 and seen["empty"] > 0
+    # the isolated h's clique anchors the other three components; removing
+    # h empties its MPS, whose boundary holds one cluster per component
+    dag = Dag()
+    h, a, b, _, _ = (dag.add_node(x) for x in "habcd")
+    dag.add_arc(a, b)
+    incremental_compile(full_recompile(dag), [RemoveNode(h)])
+    assert seen["records"] > 0 and seen["empty"] > 0 and seen["emptied"] > 0
 
 
 def test_absorb_collapses_subset_chain():
@@ -823,55 +857,113 @@ def test_rejected_batch_restores_ids_and_arc_order():
     assert model.dag.add_node("F") == 4
 
 
-def test_local_flush_walks_no_whole_tree_and_copies_no_dag(monkeypatch):
-    dag = Dag()
-    v = [dag.add_node(f"b{j}") for j in range(2000)]
+def _banded(dag, n):
+    # each node takes each of the 5 nodes before it as a parent with odds
+    # 0.3; the chain falls apart into several components
+    v = [dag.add_node(f"b{j}") for j in range(n)]
     rng = Random(3)
-    for j in range(2000):
+    for j in range(n):
         for i in range(max(0, j - 5), j):
             if rng.random() < 0.3:
                 dag.add_arc(v[i], v[j])
-    model = full_recompile(dag)
+    return v
+
+
+def _two_local_arc_edits():
+    dag = Dag()
+    v = _banded(dag, 2000)
     p, c = next((p, c) for p, c in dag.arcs() if p > 1000)
     u, w = next((v[i], v[i + 2]) for i in range(1500, 2000) if not dag.has_arc(v[i], v[i + 2]))
-    mods = [RemoveArc(p, c), AddArc(u, w)]
-
-    calls = {"components": 0, "copy": 0}
-    components, copy = ClusterTree.components, Dag.copy
-
-    def counted_components(self, ids=None):
-        calls["components"] += ids is None
-        return components(self, ids)
-
-    def counted_copy(self):
-        calls["copy"] += 1
-        return copy(self)
-
-    monkeypatch.setattr(ClusterTree, "components", counted_components)
-    monkeypatch.setattr(Dag, "copy", counted_copy)
-    trace = BatchTrace()
-    incremental_compile(model, mods, trace)
-    assert calls == {"components": 0, "copy": 0}
-    assert trace.subtrees and all(s.variables for s in trace.subtrees)
-    monkeypatch.undo()
-    assert validate(model).passed
+    return dag, [RemoveArc(p, c), AddArc(u, w)]
 
 
-def test_junction_cycle_after_rejoin_raises(asia_model, monkeypatch):
-    # the rejoin's edge count is the only junction-tree check of a flush
-    rejoin = bnic.engine._rejoin_fragments
+def _isolated_hub_removal():
+    # the isolated h comes first, so its singleton clique is the hub of a
+    # star of empty separators, one per component; removing h empties it
+    dag = Dag()
+    h = dag.add_node("h")
+    _banded(dag, 2000)
+    return dag, [RemoveNode(h)]
 
-    def rejoin_with_extra_edge(model):
+
+def test_local_flush_walks_no_whole_tree_and_copies_no_dag(monkeypatch):
+    for flush in (_two_local_arc_edits, _isolated_hub_removal):
+        dag, mods = flush()
+        model = full_recompile(dag)
+        emptied = isinstance(mods[0], RemoveNode)
+        if emptied:
+            assert len(model.mpd.neighbors(model.index.owner[model.family[mods[0].node]])) >= 2
+
+        calls = {"components": 0, "copy": 0}
+        components, copy = ClusterTree.components, Dag.copy
+
+        def counted_components(self, ids=None):
+            calls["components"] += ids is None
+            return components(self, ids)
+
+        def counted_copy(self):
+            calls["copy"] += 1
+            return copy(self)
+
+        monkeypatch.setattr(ClusterTree, "components", counted_components)
+        monkeypatch.setattr(Dag, "copy", counted_copy)
+        trace = BatchTrace()
+        incremental_compile(model, mods, trace)
+        assert calls == {"components": 0, "copy": 0}
+        assert trace.subtrees and all(bool(s.variables) != emptied for s in trace.subtrees)
+        monkeypatch.undo()
+        assert model.jt.is_tree() and model.mpd.is_tree()
+        assert validate(model).passed
+        assert mpd_equal(model.mpd, full_recompile(model.dag.copy()).mpd)
+
+
+def test_junction_cycle_after_a_rebuild_raises(asia_model, monkeypatch):
+    # the closing edge count is the only junction-tree check of a flush
+    rebuild = bnic.engine._rebuild_subtree
+
+    def rebuild_with_extra_edge(model, comp, trace):
+        rebuild(model, comp, trace)
         jt = model.jt
         ids = jt.cluster_ids()
         a, b = next((a, b) for a in ids for b in ids if a < b and not jt.has_edge(a, b))
         jt.add_edge(a, b, frozenset())
-        rejoin(model)
 
-    monkeypatch.setattr(bnic.engine, "_rejoin_fragments", rejoin_with_extra_edge)
+    monkeypatch.setattr(bnic.engine, "_rebuild_subtree", rebuild_with_extra_edge)
     t = asia_model.dag.table
-    with pytest.raises(InconsistencyError, match="cycle in the junction tree"):
+    with pytest.raises(InconsistencyError, match="junction clusters"):
         incremental_compile(asia_model, [RemoveArc(t.id("A"), t.id("T"))])
+
+
+def test_a_clique_beside_the_marked_subtree_raises(monkeypatch):
+    # a marked MPS that also lists a clique not adjacent to its own makes
+    # the doomed cliques disconnected; that must raise, never splice
+    rebuild = bnic.engine._rebuild_subtree
+    hit = {"flushes": 0}
+
+    def rebuild_with_a_stray_clique(model, comp, trace):
+        index, jt = model.index, model.jt
+        own = set().union(*(index.cliques_of[m] for m in comp))
+        near = own | {nb for c in own for nb in jt.neighbors(c)}
+        stray = next((c for c in jt.cluster_ids() if c not in near), None)
+        if stray is not None:
+            hit["flushes"] += 1
+            index.cliques_of[comp[0]].add(stray)
+        rebuild(model, comp, trace)
+
+    monkeypatch.setattr(bnic.engine, "_rebuild_subtree", rebuild_with_a_stray_clique)
+    rng = Random(515)
+    raised = 0
+    for _ in range(40):
+        model = full_recompile(random_dag(rng.randint(6, 25), rng, edge_prob=rng.choice([0.1, 0.2, 0.3])))
+        mods = random_script(model.dag, rng.randint(1, 6), rng)
+        before = hit["flushes"]
+        try:
+            incremental_compile(model, mods)
+        except InconsistencyError:
+            raised += 1
+        else:
+            assert hit["flushes"] == before
+    assert raised == hit["flushes"] > 10
 
 
 def test_reattachment_outside_the_mps_boundary_raises(asia_model, monkeypatch):
@@ -883,11 +975,11 @@ def test_reattachment_outside_the_mps_boundary_raises(asia_model, monkeypatch):
     splice = bnic.engine.connect
 
     def connect_with_far_record(tree, replacement_ids, doomed):
-        records, visited = splice(tree, replacement_ids, doomed)
-        return records + [(doomed[0], far, frozenset(), records[0][3])], visited
+        records = splice(tree, replacement_ids, doomed)
+        return records + [(doomed[0], far, frozenset(), records[0][3])]
 
     monkeypatch.setattr(bnic.engine, "connect", connect_with_far_record)
-    with pytest.raises(InconsistencyError, match="outside the MPS boundary"):
+    with pytest.raises(InconsistencyError, match="boundaries of the rebuilt subtree disagree"):
         incremental_compile(model, [RemoveArc(t.id("A"), t.id("T"))])
 
 

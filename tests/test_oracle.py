@@ -101,6 +101,20 @@ def test_validate_names_the_missing_chord(asia):
         "triangulation_chordal": f"missing chord at {(t.id('S'), t.id('E'))}",
         "triangulation_minimal": "not checked: triangulation is not chordal",
         "cluster_completeness": "a cluster is incomplete in the triangulated graph",
+        "cluster_maximality": "not checked: triangulation is not chordal",
+        "mpd_multiset": "not checked: triangulation_chordal, cluster_completeness failed",
+    }
+
+
+def test_mps_checks_say_what_they_checked(asia):
+    # one MPS edge gone: the separator check names the broken tree, and the
+    # multiset check, whose prerequisites all hold, re-aggregates and differs
+    model = full_recompile(asia)
+    a, b, _ = model.mpd.edges()[0]
+    model.mpd.remove_edge(a, b)
+    failing = {c["name"]: c["detail"] for c in validate(model).to_dict()["checks"] if not c["passed"]}
+    assert failing == {
+        "mpd_separators": "the MPS tree is not a tree",
         "mpd_multiset": "MPS clusters/separators differ from re-aggregating the junction tree",
     }
 
@@ -269,8 +283,9 @@ def test_an_unknown_id_fails_a_check_without_raising(where, derived, failing):
     assert failing in [c["name"] for c in report["checks"] if not c["passed"]]
     if derived:
         details = {c["name"]: c["detail"] for c in report["checks"]}
-        assert details["triangulation_chordal"].startswith("not checked: unknown vertex")
-        assert details["cluster_completeness"].startswith("not checked: unknown vertex")
+        for name in ("triangulation_chordal", "cluster_completeness", "cluster_maximality"):
+            assert details[name].startswith("not checked: unknown vertex")
+        assert details["mpd_multiset"].startswith("not checked: triangulation_chordal")
 
 
 def test_report_to_dict_is_json_ready(asia):
