@@ -28,7 +28,6 @@ from .errors import (
     UnknownVariableError,
 )
 from .graph import Dag, Link, UndirectedGraph, VariableTable, is_chordal, moralize
-from .mpd import MpdIndex, aggregate_cliques
 from .oracle import (
     ValidityReport,
     full_recompile,
@@ -37,15 +36,6 @@ from .oracle import (
     random_script,
     stability,
     validate,
-)
-from .pipeline import (
-    Triangulation,
-    assign_families,
-    build_join_tree,
-    construct_join_tree,
-    extract_cliques,
-    recursive_thinning,
-    triangulate_min_fill,
 )
 
 __version__ = "0.1.0"
@@ -63,23 +53,16 @@ __all__ = [
     "InvalidEditError",
     "Link",
     "Modification",
-    "MpdIndex",
     "NotChordalError",
     "ParseError",
     "RemoveArc",
     "RemoveNode",
-    "Triangulation",
     "UndirectedGraph",
     "UnknownVariableError",
     "ValidityReport",
     "VariableTable",
-    "aggregate_cliques",
     "apply_modification",
-    "assign_families",
-    "build_join_tree",
-    "construct_join_tree",
     "expand_remove_node",
-    "extract_cliques",
     "full_recompile",
     "incremental_compile",
     "is_chordal",
@@ -87,8 +70,6 @@ __all__ = [
     "mpd_equal",
     "random_dag",
     "random_script",
-    "recursive_thinning",
     "stability",
-    "triangulate_min_fill",
     "validate",
 ]

@@ -78,7 +78,7 @@ def _summary(model: CompiledModel) -> str:
     lines = [
         f"network: {len(model.dag)} variable(s), {model.dag.arc_count()} arc(s)",
         f"moral graph: {model.moral.edge_count()} edge(s)",
-        f"triangulation: {len(model.tri.fill)} fill edge(s)",
+        f"triangulation: {model.fill.edge_count()} fill edge(s)",
     ]
 
     def tree_lines(tag, tree):

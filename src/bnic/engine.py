@@ -113,8 +113,10 @@ class CompiledModel:
 
     Each hosting fact is kept once: ``family`` maps a variable to the clique
     hosting its family, and ``index.owner`` maps that clique to its MPS.
-    The triangulation record is derived from the clusters on demand and
-    cached; edits invalidate the cache.
+    ``fill`` is the triangulation's fill, a graph over the moral graph's
+    vertices: the moral graph plus ``fill`` is the triangulated graph H,
+    whose maximal cliques are the junction clusters.  Edits keep it (see
+    :func:`_rebuild_subtree`); ``tri`` is a view of both graphs.
     """
 
     def __init__(
@@ -125,7 +127,7 @@ class CompiledModel:
         mpd: ClusterTree,
         index: MpdIndex,
         family: dict[int, int],
-        tri: Triangulation | None = None,
+        fill: UndirectedGraph,
     ):
         self.dag = dag
         self.moral = moral
@@ -133,22 +135,15 @@ class CompiledModel:
         self.mpd = mpd
         self.index = index
         self.family = family
-        self._tri = tri
+        self.fill = fill
 
     @property
     def tri(self) -> Triangulation:
-        if self._tri is None:
-            self._tri = derive_triangulation(self.moral, self.jt)
-        return self._tri
+        return Triangulation(self.moral, self.fill)
 
     def copy(self) -> "CompiledModel":
-        dag = self.dag.copy()
-        moral = self.moral.copy()
-        jt = self.jt.copy()
-        mpd = self.mpd.copy()
-        index = self.index.copy()
-        tri = None if self._tri is None else Triangulation(moral, self._tri.fill)
-        return CompiledModel(dag, moral, jt, mpd, index, dict(self.family), tri)
+        parts = (self.dag, self.moral, self.jt, self.mpd, self.index)
+        return CompiledModel(*(p.copy() for p in parts), dict(self.family), self.fill.copy())
 
 
 @dataclass
@@ -270,10 +265,11 @@ def mark_remove_node(model: CompiledModel, x: int, marked: set[int], rec: ModTra
     """Strip an isolated variable out of both trees and mark its former MPSs.
 
     Every cluster and separator of the junction and MPS trees loses x, and
-    so does the family map; the MPSs that held it are marked after the
-    strip, so a trace records their stripped vertex sets.
+    so do the family map and the fill; the MPSs that held it are marked
+    after the strip, so a trace records their stripped vertex sets.
     """
     host = model.family.pop(x)
+    model.fill.remove_vertex(x)
     for m in _strip_variable(model.mpd, x, model.index.owner[host]):
         _mark(marked, model.mpd, m, rec)
     _strip_variable(model.jt, x, host)
@@ -328,6 +324,7 @@ def add_node(model: CompiledModel, x: int, marked: set[int], rec: ModTrace | Non
     index.cliques_of[m] = {c}
     index.owner[c] = m
     model.family[x] = c
+    model.fill.add_vertex(x)
     _mark(marked, mpd, m, rec)
 
 
@@ -513,6 +510,14 @@ def _amalgamate(model: CompiledModel, src: int, dst: int, trace: BatchTrace | No
 
 
 def _rebuild_subtree(model: CompiledModel, comp: list[int], trace: BatchTrace | None) -> None:
+    """Re-triangulate the union of comp's MPSs and splice it into both trees.
+
+    The fill drops its pairs inside the region and gains the region's kept
+    pairs.  The dropped pairs are the doomed cliques' fill: an outside
+    clique meets the region only inside one boundary MPS separator, complete
+    in the moral graph, and an edit changes moral links only between two
+    vertices of one marked MPS.
+    """
     jt, mpd, index = model.jt, model.mpd, model.index
     variables: set[int] = set()
     for m in comp:
@@ -525,8 +530,11 @@ def _rebuild_subtree(model: CompiledModel, comp: list[int], trace: BatchTrace | 
         raise InconsistencyError("emptied subtree has a non-empty boundary separator")
 
     g_sub = model.moral.induced(variables)
-    t, _kept = construct_join_tree(g_sub)
+    t, kept = construct_join_tree(g_sub)
     t_mpd, t_index = aggregate_cliques(t, g_sub)
+    model.fill.remove_induced(variables)
+    for u, v in kept:
+        model.fill.add_edge(u, v)
 
     jt_map = {lid: jt.add_cluster(t.cluster(lid)) for lid in t.cluster_ids()}
     for a, b, sep in t.edges():
@@ -575,19 +583,14 @@ def _rebuild_subtree(model: CompiledModel, comp: list[int], trace: BatchTrace | 
             _amalgamate(model, target, c_k, trace)
 
 
+# Unused by the package; kept because the benchmark's tracer binds it.
 def derive_triangulation(moral: UndirectedGraph, jt: ClusterTree) -> Triangulation:
-    """The triangulation record implied by a junction tree over a moral graph.
-
-    The triangulated graph is the union of the cluster completions, so the
-    fill is every pair inside a cluster that is not a moral edge.  Its
-    chordality is ``validate``'s to check, not this function's.
-    """
-    fill = frozenset(
-        frozenset((u, v))
-        for cid in jt.cluster_ids()
-        for u, v in combinations(sorted(jt.cluster(cid)), 2)
-        if not moral.has_edge(u, v)
-    )
+    """The triangulation whose fill is every non-moral pair inside a cluster."""
+    fill = UndirectedGraph(moral.vertices())
+    for cid in jt.cluster_ids():
+        for u, v in combinations(sorted(jt.cluster(cid)), 2):
+            if not moral.has_edge(u, v):
+                fill.add_edge(u, v)
     return Triangulation(moral, fill)
 
 
@@ -636,5 +639,4 @@ def incremental_compile(
         for name, tree in (("junction", model.jt), ("MPS", model.mpd)):
             if tree and tree.edge_count() != len(tree) - 1:
                 raise InconsistencyError(f"rebuild left {tree.edge_count()} edges on {len(tree)} {name} clusters")
-    model._tri = None
     return model

@@ -279,6 +279,11 @@ class UndirectedGraph:
         self._adj[u].discard(v)
         self._adj[v].discard(u)
 
+    def remove_induced(self, vs: set[int]) -> None:
+        """Remove every edge with both ends in vs: one set difference per vertex of vs."""
+        for v in vs:
+            self._adj[v] = self._adj[v] - vs
+
     def has_vertex(self, v: int) -> bool:
         return v in self._adj
 

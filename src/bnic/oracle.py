@@ -22,9 +22,9 @@ from .engine import (
     expand_remove_node,
 )
 from .errors import NotChordalError, UnknownVariableError
-from .graph import Dag, is_chordal, moralize
+from .graph import Dag, UndirectedGraph, is_chordal, moralize
 from .mpd import aggregate_cliques
-from .pipeline import Triangulation, construct_join_tree, extract_cliques
+from .pipeline import construct_join_tree, extract_cliques
 
 
 def full_recompile(dag: Dag) -> CompiledModel:
@@ -34,7 +34,7 @@ def full_recompile(dag: Dag) -> CompiledModel:
     # through the module, whose binding the benchmark's tracer wraps
     family = pipeline.assign_families(dag, jt, dag.nodes())
     mpd, index = aggregate_cliques(jt, gm)
-    return CompiledModel(dag, gm, jt, mpd, index, family, Triangulation(gm, frozenset(map(frozenset, kept))))
+    return CompiledModel(dag, gm, jt, mpd, index, family, UndirectedGraph.from_edges(gm.vertices(), kept))
 
 
 # ---------------------------------------------------------------------------
@@ -93,16 +93,15 @@ def validate(model: CompiledModel) -> ValidityReport:
     component count is the number of those clusters less the number of tree
     edges both of whose ends hold it, so running intersection is one count
     per variable.
+
+    H is the moral graph plus the stored fill.  ``cluster_completeness``
+    also requires the fill to share no pair with the moral graph; with the
+    clusters complete in H and exactly its maximal cliques, the fill is
+    then the non-moral pairs inside the clusters, with no scan of them.
     """
     checks: list[Check] = []
-    dag, moral, jt, mpd, index, tri = (
-        model.dag,
-        model.moral,
-        model.jt,
-        model.mpd,
-        model.index,
-        model.tri,
-    )
+    dag, moral, jt, mpd, index = model.dag, model.moral, model.jt, model.mpd, model.index
+    fill = model.fill.edges()
 
     def check(name: str, passed: bool, detail: str) -> None:
         checks.append(Check(name, passed, "" if passed else detail))
@@ -117,10 +116,10 @@ def validate(model: CompiledModel) -> ValidityReport:
 
     gt, chordal, witness, cliques, stray = None, False, None, [], ""
     try:
-        gt = tri.graph()
+        gt = model.tri.graph()
         cliques = extract_cliques(gt)
         chordal = True
-    except UnknownVariableError as e:  # a fill edge on a variable the moral graph lacks
+    except UnknownVariableError as e:  # a fill vertex the moral graph lacks
         stray = f"not checked: {e}"
     except NotChordalError:
         # only a failure pays for a second MCS, which names the witness
@@ -134,8 +133,7 @@ def validate(model: CompiledModel) -> ValidityReport:
         for c in cliques:
             for v in c:
                 holders[v].append(c)
-        for pair in sorted(tri.fill, key=sorted):
-            u, v = sorted(pair)
+        for u, v in fill:
             if sum(v in c for c in holders[u]) == 1:
                 redundant = (u, v)
                 break
@@ -162,8 +160,11 @@ def validate(model: CompiledModel) -> ValidityReport:
     sep_ok = all(sep == jt.cluster(a) & jt.cluster(b) for a, b, sep in jt.edges())
     check("separator_intersection", sep_ok, "a junction separator is not the endpoint intersection")
 
-    complete_ok = gt is not None and all(complete(gt, jt.cluster(c)) for c in jt.cluster_ids())
-    check("cluster_completeness", complete_ok, stray or "a cluster is incomplete in the triangulated graph")
+    moral_pair = next((e for e in fill if moral.has_edge(*e)), None)
+    complete_ok = gt is not None and not moral_pair and all(complete(gt, jt.cluster(c)) for c in jt.cluster_ids())
+    incomplete = "a cluster is incomplete in the triangulated graph"
+    detail = stray or (f"fill pair {moral_pair} is a moral edge" if moral_pair else incomplete)
+    check("cluster_completeness", complete_ok, detail)
 
     check(
         "cluster_maximality",

@@ -25,33 +25,39 @@ from .graph import is_chordal
 
 @dataclass(frozen=True)
 class Triangulation:
-    """A base graph plus the fill edges that make it chordal.
+    """A base graph plus a fill graph over its vertices; ``base + fill`` is chordal.
 
-    Invariant: ``base + fill`` is chordal, and after thinning no single fill
-    edge can be dropped without breaking chordality.  The junction and MPS
-    trees keep only the cliques of ``base + fill`` (Olesen & Madsen, IEEE
-    SMC-B 2002), and those cliques determine the fill again, so no
-    elimination order is recorded.
+    After thinning no single fill edge can be dropped without breaking
+    chordality.  ``CompiledModel.tri`` wraps the model's moral graph and its
+    stored fill this way, copying neither.
     """
 
     base: UndirectedGraph
-    fill: frozenset[frozenset[int]]
+    fill_graph: UndirectedGraph
+
+    @property
+    def fill(self) -> set[frozenset[int]]:
+        return self.fill_graph.edge_set()
 
     def graph(self) -> UndirectedGraph:
-        g = self.base.copy()
-        for pair in self.fill:
-            g.add_edge(*pair)
+        """``base + fill``, one set union per vertex; a fill vertex the base lacks raises."""
+        fill = self.fill_graph._adj
+        stray = fill.keys() - self.base._adj.keys()
+        if stray:
+            raise UnknownVariableError(f"unknown vertex {min(stray)}")
+        g = UndirectedGraph()
+        g._adj = {v: ns.union(fill.get(v, ())) for v, ns in self.base._adj.items()}
         return g
 
 
-def triangulate_min_fill(g: UndirectedGraph, *, pairs: bool = False) -> Triangulation | list[tuple[int, int]]:
+def triangulate_min_fill(g: UndirectedGraph) -> list[tuple[int, int]]:
     """Triangulate by greedily eliminating the vertex adding fewest fill edges.
 
     Ties are broken by ascending vertex id, so the result is deterministic.
-    With ``pairs`` it returns only the fill, as sorted ``(u, v)``, ``u < v``.
+    Returns the fill as sorted ``(u, v)``, ``u < v``.
     """
     _order, fill = kernels.min_fill(g)
-    return sorted(fill) if pairs else Triangulation(g.copy(), frozenset(map(frozenset, fill)))
+    return sorted(fill)
 
 
 def recursive_thinning(t: Triangulation) -> Triangulation:
@@ -62,8 +68,8 @@ def recursive_thinning(t: Triangulation) -> Triangulation:
     function may be any triangulation record.  See :func:`_thin` for the
     removal rule and the scan order.
     """
-    kept, _cliques = _thin(t.base, sorted(tuple(sorted(pair)) for pair in t.fill))
-    return Triangulation(t.base, frozenset(map(frozenset, kept)))
+    kept, _cliques = _thin(t.base, t.fill_graph.edges())
+    return Triangulation(t.base, UndirectedGraph.from_edges(t.base.vertices(), kept))
 
 
 def _thin(base: UndirectedGraph, pending: list[tuple[int, int]]) -> tuple[list[tuple[int, int]], list[frozenset[int]]]:
@@ -213,5 +219,5 @@ def construct_join_tree(gm: UndirectedGraph) -> tuple[ClusterTree, list[tuple[in
     Returns the tree and the kept fill of ``gm``, as sorted ``(u, v)``,
     ``u < v``.  Family hosting is the caller's: see :func:`assign_families`.
     """
-    kept, cliques = _thin(gm, triangulate_min_fill(gm, pairs=True))
+    kept, cliques = _thin(gm, triangulate_min_fill(gm))
     return build_join_tree(cliques), kept

@@ -22,12 +22,12 @@ from bnic import (
     random_dag,
     random_script,
     stability,
-    triangulate_min_fill,
     validate,
 )
 from bnic.bench import run_bench
 from bnic.engine import describe
 from bnic.oracle import random_arc_edits
+from bnic.pipeline import triangulate_min_fill
 
 from conftest import build_asia, cluster_names, name_set
 
@@ -59,8 +59,7 @@ def test_criterion_1_asia_compile():
     added = {name_set(t, e) for e in gm.edge_set() - skeleton}
     assert added == {frozenset("TL"), frozenset("EB")}
 
-    tri = triangulate_min_fill(gm)
-    assert len(tri.fill) == 1
+    assert len(triangulate_min_fill(gm)) == 1
 
     model = full_recompile(asia)
     assert set(cluster_names(model.mpd, t)) == ASIA_MPD

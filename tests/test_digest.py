@@ -13,7 +13,8 @@ network, whose eliminations carry the fill counters deepest.
 ``TRACE_DIGEST`` pins the ``BatchTrace`` of every incremental flush above:
 per modification its links, the marked MPS ids with their vertex sets in
 marking order and the rewirings, then the rebuilt subtrees and the
-amalgamations.
+amalgamations.  ``REPLAY_DIGEST`` pins the per-flush records that
+``tests/replay.py`` writes for its first 20 random models, 100 flushes.
 """
 
 import hashlib
@@ -33,10 +34,13 @@ from bnic import (
     random_script,
 )
 
+import replay
+
 DIGEST = "1da17a819a7894a334efe9725fbeceecbf72077fe58ba1c91c2d8a8174b446eb"
 HOST_DIGEST = "e5d1f2c06d3b6fc0e206077770f63e6c726734a9642489ec1389475d1f206f87"
 TRACE_DIGEST = "76d9dd9496f3670c49a60e32bd9a3167ad38f32c190e1932f77898ca099d9b85"
 MIN_FILL_600_DIGEST = "9d7c92b1cad9680afd0f1a93c18a64978e15a2eff99e8b499b06d4cc4b1af9f5"
+REPLAY_DIGEST = "f32eb79a563314d783c74047909524eaeba0caf80cd9df2e1c6cbdb6c765bed5"
 
 
 def _banded_dag(n, rng):
@@ -143,3 +147,20 @@ def test_min_fill_on_the_600_node_network_matches_the_committed_digest():
     order, fill = kernels.min_fill(moralize(random_dag(600, Random(42), edge_prob=3 / 599)))
     assert len(fill) == 6981
     assert _sha256([order, [list(e) for e in fill]]) == MIN_FILL_600_DIGEST
+
+
+def test_replay_of_twenty_models_matches_the_committed_digest():
+    records = list(replay.random_records(20))
+    assert len(records) == 100
+    assert all(r["valid"] and r["mpd_equal"] for r in records)
+    assert replay.digest_of(records) == REPLAY_DIGEST
+
+
+def test_replay_diff_names_the_first_diverging_flush(capsys):
+    a = list(replay.random_records(2))
+    b = [dict(r) for r in a]
+    b[3]["fill"] = b[7]["jt"] = "0" * 64
+    assert replay.diff(a, a) == 0
+    capsys.readouterr()
+    assert replay.diff(a, b) == 1
+    assert capsys.readouterr().out == "random: 2 of 10 flushes diverge\n  first: case 0 flush 3 (fill)\n"

@@ -16,7 +16,6 @@ from bnic import (
     InconsistencyError,
     InvalidEditError,
     Link,
-    MpdIndex,
     RemoveArc,
     RemoveNode,
     UndirectedGraph,
@@ -42,6 +41,7 @@ from bnic.engine import (
     mark_remove_node,
     modify_moral_graph,
 )
+from bnic.mpd import MpdIndex
 
 from conftest import cluster_names, name_set
 
@@ -541,7 +541,7 @@ def test_add_link_walk_breaks_ties_by_lowest_id():
             tree.add_edge(0, 1, {a})
             tree.add_edge(0, 2, {b})
         index = MpdIndex({k: {k} for k in clusters}, {k: k for k in clusters})
-        trees.append(CompiledModel(Dag(), UndirectedGraph(), jt, mpd, index, {c: 0}))
+        trees.append(CompiledModel(Dag(), UndirectedGraph(), jt, mpd, index, {c: 0}, UndirectedGraph()))
     model, reference = trees
     marked, ref_marked = set(), set()
     mark_add_link(model, p, c, marked)
@@ -1043,7 +1043,7 @@ def test_batch_and_simple_mode_agree():
         assert validate(batch).passed and validate(simple).passed
 
 
-# -- the triangulation read off the clusters ----------------------------------
+# -- the stored fill -----------------------------------------------------------
 
 
 def _derive_fill_reference(moral, jt):
@@ -1060,25 +1060,28 @@ def _derive_fill_reference(moral, jt):
 
 
 def test_derived_fill_matches_copy_and_diff_reference():
+    # the fill the engine keeps through rebuilds and node strips is the
+    # non-moral pairs inside the clusters, after each whole-script batch
+    # and after each single-edit flush
     rng = Random(2024)
-    removals = fills = 0
+    removals = multi = fills = 0
     for _ in range(25):
         dag = random_dag(rng.randint(4, 18), rng, edge_prob=0.3)
         script = random_script(dag, 10, rng)
-        removals += sum(isinstance(mod, RemoveNode) for mod in script)
         batch = full_recompile(dag.copy())
-        incremental_compile(batch, script)
         simple = full_recompile(dag.copy())
-        flushed = [batch]
-        for mod in script:
-            incremental_compile(simple, [mod])
-            flushed.append(simple.copy())
-        for model in flushed:
-            assert model.tri.fill == _derive_fill_reference(model.moral, model.jt)
+        for model, mods in [(batch, script)] + [(simple, [mod]) for mod in script]:
+            trace = BatchTrace()
+            incremental_compile(model, mods, trace)
+            removals += any(isinstance(mod, RemoveNode) for mod in mods)
+            multi += len(trace.subtrees) > 1
+            assert model.fill.vertex_set() == model.moral.vertex_set()
+            assert model.fill.edge_set() == _derive_fill_reference(model.moral, model.jt)
+            assert model.copy().fill == model.fill
             # the splice leaves no cluster inside a neighbour for a scan to absorb
             assert len(absorb_non_maximal(model.jt.copy())) == len(model.jt)
-            fills += bool(model.tri.fill)
-    assert removals > 0 and fills > 0
+            fills += model.fill.edge_count() > 0
+    assert removals > 0 and multi > 0 and fills > 0
 
 
 def test_compiled_fill_is_the_cluster_implied_fill():

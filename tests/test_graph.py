@@ -177,6 +177,14 @@ def test_induced_empty_and_identity(asia):
         gm.induced({999})
 
 
+def test_remove_induced_keeps_the_edges_leaving_the_set(asia):
+    gm = moralize(asia)
+    vs = {asia.table.id(n) for n in "TLEBS"}
+    expected = gm.edge_set() - gm.induced(vs).edge_set()
+    gm.remove_induced(vs)
+    assert gm.edge_set() == expected and gm.vertex_set() == set(asia.nodes())
+
+
 # -- completeness -----------------------------------------------------------
 
 

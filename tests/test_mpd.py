@@ -2,12 +2,6 @@ from collections import Counter
 from random import Random
 
 from bnic import (
-    Triangulation,
-    aggregate_cliques,
-    assign_families,
-    build_join_tree,
-    construct_join_tree,
-    extract_cliques,
     full_recompile,
     incremental_compile,
     is_chordal,
@@ -15,6 +9,8 @@ from bnic import (
     random_dag,
     random_script,
 )
+from bnic.mpd import aggregate_cliques
+from bnic.pipeline import assign_families, build_join_tree, construct_join_tree, extract_cliques
 
 from conftest import cluster_names, holders_of, name_set
 

@@ -7,11 +7,7 @@ from bnic import (
     CompiledModel,
     Dag,
     RemoveArc,
-    Triangulation,
-    aggregate_cliques,
-    assign_families,
-    build_join_tree,
-    extract_cliques,
+    UndirectedGraph,
     full_recompile,
     incremental_compile,
     is_chordal,
@@ -23,7 +19,9 @@ from bnic import (
     validate,
 )
 
+from bnic.mpd import aggregate_cliques
 from bnic.oracle import oracle
+from bnic.pipeline import assign_families, build_join_tree, extract_cliques
 from conftest import cluster_names
 
 
@@ -63,14 +61,14 @@ def _with_fill(dag, fill):
     # A model over dag whose triangulation is the moral graph plus fill,
     # with every other structure derived from that triangulation.
     gm = moralize(dag)
+    fill = UndirectedGraph.from_edges(gm.vertices(), fill)
     gt = gm.copy()
-    for pair in fill:
-        u, v = sorted(pair)
+    for u, v in fill.edges():
         gt.add_edge(u, v)
     tree = build_join_tree(extract_cliques(gt))
     family = assign_families(dag, tree, dag.nodes())
     mpd, index = aggregate_cliques(tree, gm)
-    return CompiledModel(dag, gm, tree, mpd, index, family, Triangulation(gm, frozenset(fill)))
+    return CompiledModel(dag, gm, tree, mpd, index, family, fill)
 
 
 def _asia_with_both_diagonals(asia):
@@ -89,13 +87,12 @@ def test_validate_flags_redundant_fill(asia):
 
 
 def test_validate_names_the_missing_chord(asia):
-    # the triangulation record lost its fill edge {L, B}: the 4-cycle
-    # S-L-E-B has no chord, and the first missing pair is {S, E}
+    # the stored fill lost its edge {L, B}: the 4-cycle S-L-E-B has no
+    # chord, and the first missing pair is {S, E}
     model = full_recompile(asia)
     t = asia.table
     assert model.tri.fill == {frozenset((t.id("L"), t.id("B")))}
-    bare = Triangulation(model.moral, frozenset())
-    model = CompiledModel(model.dag, model.moral, model.jt, model.mpd, model.index, model.family, bare)
+    model.fill.remove_edge(t.id("L"), t.id("B"))
     failing = {c["name"]: c["detail"] for c in validate(model).to_dict()["checks"] if not c["passed"]}
     assert failing == {
         "triangulation_chordal": f"missing chord at {(t.id('S'), t.id('E'))}",
@@ -263,7 +260,10 @@ def _with_stray_id(where, derived):
         a, b, sep = tree.edges()[0]
         tree.set_separator(a, b, sep | {999})
     if derived:
-        model._tri = None  # the triangulation is read off the clusters again
+        # the fill gains the pairs that complete the grown cluster
+        model.fill.add_vertex(999)
+        for v in tree.cluster(c) - {999}:
+            model.fill.add_edge(999, v)
     return model
 
 
@@ -286,6 +286,27 @@ def test_an_unknown_id_fails_a_check_without_raising(where, derived, failing):
         for name in ("triangulation_chordal", "cluster_completeness", "cluster_maximality"):
             assert details[name].startswith("not checked: unknown vertex")
         assert details["mpd_multiset"].startswith("not checked: triangulation_chordal")
+
+
+@pytest.mark.parametrize("case", ["moral-pair-added", "kept-pair-removed", "unheld-pair-added", "unknown-vertex"])
+def test_a_corrupted_fill_fails_a_named_check(case):
+    model = full_recompile(random_dag(40, Random(8), edge_prob=0.12))
+    assert model.fill.edge_count() > 0 and validate(model).passed
+    moral, kept, unheld = model.moral.edges()[0], model.fill.edges()[0], _redundant_extra_edge(model)
+    if case == "moral-pair-added":
+        model.fill.add_edge(*moral)
+        failing, detail = "cluster_completeness", f"fill pair {moral} is a moral edge"
+    elif case == "kept-pair-removed":
+        model.fill.remove_edge(*kept)
+        failing, detail = "triangulation_chordal", "missing chord at ("
+    elif case == "unheld-pair-added":
+        model.fill.add_edge(*unheld)
+        failing, detail = "cluster_maximality", "clusters are not exactly the maximal cliques of the triangulated graph"
+    else:
+        model.fill.add_vertex(999)
+        failing, detail = "triangulation_chordal", "not checked: unknown vertex 999"
+    details = {c.name: c.detail for c in validate(model).checks if not c.passed}
+    assert details[failing].startswith(detail)
 
 
 def test_report_to_dict_is_json_ready(asia):

@@ -7,26 +7,37 @@ from bnic import (
     ClusterTree,
     InconsistencyError,
     NotChordalError,
-    Triangulation,
     UndirectedGraph,
     UnknownVariableError,
-    assign_families,
-    build_join_tree,
-    construct_join_tree,
-    extract_cliques,
     full_recompile,
     incremental_compile,
     is_chordal,
     moralize,
     random_dag,
     random_script,
-    recursive_thinning,
     kernels,
+)
+from bnic.pipeline import (
+    Triangulation,
+    _thin,
+    assign_families,
+    build_join_tree,
+    construct_join_tree,
+    extract_cliques,
+    recursive_thinning,
     triangulate_min_fill,
 )
-
-from bnic.pipeline import _thin
 from conftest import cluster_names, holders_of, name_set, separator_names
+
+
+def _tri(base, pairs):
+    # the triangulation record of base plus the fill pairs
+    pairs = list(pairs)
+    return Triangulation(base, UndirectedGraph.from_edges(set(base.vertices()).union(*pairs), pairs))
+
+
+def _min_fill(g):
+    return _tri(g, triangulate_min_fill(g))
 
 
 def _fill_names(table, tri):
@@ -37,7 +48,7 @@ def _fill_names(table, tri):
 
 
 def test_min_fill_on_asia_adds_one_edge(asia):
-    tri = triangulate_min_fill(moralize(asia))
+    tri = _min_fill(moralize(asia))
     assert len(tri.fill) == 1
     assert _fill_names(asia.table, tri) == {frozenset("LB")}
     assert is_chordal(tri.graph()) == (True, None)
@@ -45,14 +56,14 @@ def test_min_fill_on_asia_adds_one_edge(asia):
 
 def test_min_fill_on_chordal_graph_is_empty():
     g = UndirectedGraph.from_edges(range(4), [(0, 1), (1, 2), (2, 3), (0, 2)])
-    tri = triangulate_min_fill(g)
-    assert tri.fill == frozenset()
+    tri = _min_fill(g)
+    assert tri.fill == set()
 
 
 def test_min_fill_on_five_cycle_is_minimum():
     cycle = [(i, (i + 1) % 5) for i in range(5)]
     g = UndirectedGraph.from_edges(range(5), cycle)
-    tri = triangulate_min_fill(g)
+    tri = _min_fill(g)
     assert len(tri.fill) == 2
     assert is_chordal(tri.graph()) == (True, None)
     # brute force: no single chord triangulates a 5-cycle
@@ -69,14 +80,14 @@ def test_min_fill_on_five_cycle_is_minimum():
 
 
 def test_thinning_keeps_already_minimal_fill(asia):
-    tri = triangulate_min_fill(moralize(asia))
+    tri = _min_fill(moralize(asia))
     thin = recursive_thinning(tri)
     assert thin.fill == tri.fill
 
 
 def test_thinning_drops_one_redundant_diagonal():
     square = UndirectedGraph.from_edges(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)])
-    both = Triangulation(square, frozenset({frozenset((0, 2)), frozenset((1, 3))}))
+    both = _tri(square, [(0, 2), (1, 3)])
     thin = recursive_thinning(both)
     assert len(thin.fill) == 1
     assert is_chordal(thin.graph()) == (True, None)
@@ -86,18 +97,18 @@ def test_thinning_rejects_fill_outside_the_base():
     path = UndirectedGraph.from_edges(range(3), [(0, 1), (1, 2)])
     for pair in ((0, 7), (-1, 2)):  # the unknown end second, then first
         with pytest.raises(UnknownVariableError):
-            recursive_thinning(Triangulation(path, frozenset({frozenset(pair), frozenset((0, 2))})))
+            recursive_thinning(_tri(path, [pair, (0, 2)]))
     assert path.edges() == [(0, 1), (1, 2)]
 
 
 def test_thinning_requires_chordal_input():
     square = UndirectedGraph.from_edges(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)])
     with pytest.raises(NotChordalError):
-        recursive_thinning(Triangulation(square, frozenset()))
+        recursive_thinning(_tri(square, []))
     # one chord of a 5-cycle leaves a chordless 4-cycle
     pentagon = UndirectedGraph.from_edges(range(5), [(i, (i + 1) % 5) for i in range(5)])
     with pytest.raises(NotChordalError):
-        recursive_thinning(Triangulation(pentagon, frozenset({frozenset((0, 2))})))
+        recursive_thinning(_tri(pentagon, [(0, 2)]))
 
 
 def _thinning_reference(t):
@@ -116,7 +127,7 @@ def _thinning_reference(t):
                 fill.remove(pair)
                 changed = True
                 break
-    return Triangulation(t.base, frozenset(fill))
+    return _tri(t.base, fill)
 
 
 def _banded_moral(n, rng, ids):
@@ -146,7 +157,7 @@ def _with_redundant_fill(t, rng, extra):
                 fill.add(frozenset((u, v)))
             else:
                 gt.remove_edge(u, v)
-    return Triangulation(t.base, frozenset(fill))
+    return _tri(t.base, fill)
 
 
 def test_thinning_matches_set_based_loop():
@@ -168,19 +179,19 @@ def test_thinning_matches_set_based_loop():
 
     for k, n in enumerate([300, 100, 60, 200]):
         ids = list(range(n)) if k % 2 == 0 else [1000 * (i % 3) + 7 * i for i in range(n)]
-        tri = triangulate_min_fill(_banded_moral(n, Random(42 + k), ids))
+        tri = _min_fill(_banded_moral(n, Random(42 + k), ids))
         check("banded", tri)
         check("injected", _with_redundant_fill(_thinning_reference(tri), Random(k), 6))
     for seed in range(30):
         rng = Random(seed)
         gm = moralize(random_dag(rng.randint(2, 30), rng, edge_prob=0.2))
-        check("injected", _with_redundant_fill(recursive_thinning(triangulate_min_fill(gm)), rng, 3))
+        check("injected", _with_redundant_fill(recursive_thinning(_min_fill(gm)), rng, 3))
     assert removed["banded"] > 0 and removed["injected"] > 0
 
 
 def test_thinned_triangulations_pass_single_edge_removal_probe():
     gm = moralize(random_dag(10, Random(3), edge_prob=0.3))
-    thin = recursive_thinning(triangulate_min_fill(gm))
+    thin = recursive_thinning(_min_fill(gm))
     gt = thin.graph()
     assert is_chordal(gt) == (True, None)
     for pair in thin.fill:
@@ -234,7 +245,7 @@ def test_extract_cliques_matches_brute_force_on_random_chordal_graphs():
     rng = Random(17)
     for _ in range(25):
         gm = moralize(random_dag(rng.randint(1, 9), rng, edge_prob=0.3))
-        gt = recursive_thinning(triangulate_min_fill(gm)).graph()
+        gt = recursive_thinning(_min_fill(gm)).graph()
         assert set(extract_cliques(gt)) == _brute_force_cliques(gt)
 
 
@@ -288,7 +299,7 @@ def test_join_tree_rip_on_random_graphs():
     rng = Random(29)
     for _ in range(25):
         gm = moralize(random_dag(rng.randint(1, 12), rng, edge_prob=0.25))
-        gt = recursive_thinning(triangulate_min_fill(gm)).graph()
+        gt = recursive_thinning(_min_fill(gm)).graph()
         tree = build_join_tree(extract_cliques(gt))
         assert tree.is_tree()
         assert _rip_holds(tree)
@@ -387,7 +398,7 @@ def _chordal_cases(seed, count):
     rng = Random(seed)
     for k in range(count):
         dag = random_dag(rng.randint(1, 30), rng, edge_prob=rng.choice([0.05, 0.15, 0.3]))
-        gt = recursive_thinning(triangulate_min_fill(moralize(dag))).graph()
+        gt = recursive_thinning(_min_fill(moralize(dag))).graph()
         if k % 2:
             vs = gt.vertices()
             for _ in range(50 if len(vs) > 2 else 0):
@@ -461,8 +472,8 @@ def test_join_tree_matches_kruskal_on_forests_gapped_ids_and_thinned_cliques():
     for k, n in enumerate([40, 80, 120, 160]):
         ids = list(range(n)) if k % 2 == 0 else [1000 * (i % 3) + 7 * i for i in range(n)]
         gm = _banded_moral(n, Random(500 + k), ids)
-        fill = triangulate_min_fill(gm, pairs=True)
-        assert fill == sorted(tuple(sorted(p)) for p in triangulate_min_fill(gm).fill)
+        fill = triangulate_min_fill(gm)
+        assert fill == sorted(fill) and all(u < v for u, v in fill)
         kept, cliques = _thin(gm, list(fill))
         seen["thinned"] += len(kept) < len(fill)
         tree = build_join_tree(cliques)
