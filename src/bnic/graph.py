@@ -318,6 +318,15 @@ class UndirectedGraph:
         g._adj = {v: self._adj[v] & vs for v in vs}
         return g
 
+    def union(self, other: "UndirectedGraph") -> "UndirectedGraph":
+        """This graph plus other's edges, one set union per vertex; a vertex only other has raises."""
+        stray = other._adj.keys() - self._adj.keys()
+        if stray:
+            raise UnknownVariableError(f"unknown vertex {min(stray)}")
+        g = UndirectedGraph()
+        g._adj = {v: ns.union(other._adj.get(v, ())) for v, ns in self._adj.items()}
+        return g
+
     def is_complete(self, vs: Iterable[int]) -> bool:
         """True iff every pair of vs is adjacent (empty and singletons pass)."""
         vs = list(vs)

@@ -127,21 +127,19 @@ def validate(model: CompiledModel) -> ValidityReport:
     check("triangulation_chordal", chordal, stray or f"missing chord at {witness}")
 
     unchecked = stray or "not checked: triangulation is not chordal"
-    redundant = None
-    if chordal:
+    moral_pair = next((e for e in fill if moral.has_edge(*e)), None)
+    if not chordal:
+        minimal_detail = unchecked
+    elif moral_pair:
+        minimal_detail = f"not checked: fill pair {moral_pair} is a moral edge"
+    else:
         holders: dict[int, list[frozenset[int]]] = defaultdict(list)
         for c in cliques:
             for v in c:
                 holders[v].append(c)
-        for u, v in fill:
-            if sum(v in c for c in holders[u]) == 1:
-                redundant = (u, v)
-                break
-    check(
-        "triangulation_minimal",
-        chordal and redundant is None,
-        f"fill edge {redundant} is redundant" if chordal else unchecked,
-    )
+        redundant = next(((u, v) for u, v in fill if sum(v in c for c in holders[u]) == 1), None)
+        minimal_detail = f"fill edge {redundant} is redundant" if redundant else ""
+    check("triangulation_minimal", not minimal_detail, minimal_detail)
 
     nodes = set(dag.nodes())
     rip_detail = ""
@@ -160,7 +158,6 @@ def validate(model: CompiledModel) -> ValidityReport:
     sep_ok = all(sep == jt.cluster(a) & jt.cluster(b) for a, b, sep in jt.edges())
     check("separator_intersection", sep_ok, "a junction separator is not the endpoint intersection")
 
-    moral_pair = next((e for e in fill if moral.has_edge(*e)), None)
     complete_ok = gt is not None and not moral_pair and all(complete(gt, jt.cluster(c)) for c in jt.cluster_ids())
     incomplete = "a cluster is incomplete in the triangulated graph"
     detail = stray or (f"fill pair {moral_pair} is a moral edge" if moral_pair else incomplete)

@@ -40,14 +40,8 @@ class Triangulation:
         return self.fill_graph.edge_set()
 
     def graph(self) -> UndirectedGraph:
-        """``base + fill``, one set union per vertex; a fill vertex the base lacks raises."""
-        fill = self.fill_graph._adj
-        stray = fill.keys() - self.base._adj.keys()
-        if stray:
-            raise UnknownVariableError(f"unknown vertex {min(stray)}")
-        g = UndirectedGraph()
-        g._adj = {v: ns.union(fill.get(v, ())) for v, ns in self.base._adj.items()}
-        return g
+        """``base + fill``; a fill vertex the base lacks raises."""
+        return self.base.union(self.fill_graph)
 
 
 def triangulate_min_fill(g: UndirectedGraph) -> list[tuple[int, int]]:

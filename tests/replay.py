@@ -1,6 +1,6 @@
 """Replay seeded edit streams and record one digest line per flush.
 
-    python3 tests/replay.py [--models N] [--no-perfbench] > run.jsonl
+    python3 tests/replay.py > run.jsonl
     python3 tests/replay.py --diff A.jsonl B.jsonl
 
 A run compiles each seeded model, flushes its edit batches one at a time
@@ -34,6 +34,7 @@ import hashlib
 import json
 import sys
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 from random import Random
 
@@ -50,18 +51,21 @@ BENCH_SEEDS = (1, 2, 3)
 PERFBENCH = ROOT / "perfbench"
 
 
-def _sha(obj) -> str:
+def sha256(obj) -> str:
+    """The sha256 of obj's compact JSON."""
     return hashlib.sha256(json.dumps(obj, separators=(",", ":")).encode()).hexdigest()
 
 
-def _tree(tree) -> list:
-    return [
-        [[c, sorted(tree.cluster(c))] for c in tree.cluster_ids()],
-        [[a, b, sorted(sep)] for a, b, sep in tree.edges()],
-    ]
+def tree_record(tree) -> dict:
+    """A tree's clusters in id order and its edges sorted, every set a sorted list."""
+    return {
+        "clusters": [[c, sorted(tree.cluster(c))] for c in tree.cluster_ids()],
+        "edges": sorted([a, b, sorted(sep)] for a, b, sep in tree.edges()),
+    }
 
 
-def _trace(trace: BatchTrace) -> dict:
+def trace_record(trace: BatchTrace) -> dict:
+    """Per modification its links, marked MPSs and rewirings; then the subtrees and amalgamations."""
     return {
         "mods": [
             [
@@ -72,12 +76,8 @@ def _trace(trace: BatchTrace) -> dict:
             ]
             for rec in trace.mods
         ],
-        "subtrees": [
-            [list(s.mps_ids), sorted(s.variables), [sorted(c) for c in s.new_cliques]] for s in trace.subtrees
-        ],
+        "subtrees": [[list(s.mps_ids), sorted(s.variables)] for s in trace.subtrees],
         "absorbed": [[sorted(a), sorted(b)] for a, b in trace.absorbed],
-        "new_jt_ids": sorted(trace.new_jt_ids),
-        "new_mpd_ids": sorted(trace.new_mpd_ids),
     }
 
 
@@ -87,12 +87,19 @@ def flush_record(stream: str, case: str, flush: int, model, trace: BatchTrace) -
         "stream": stream,
         "case": case,
         "flush": flush,
-        "jt": _sha(_tree(model.jt)),
-        "mpd": _sha(_tree(model.mpd)),
-        "family": _sha(sorted(model.family.items())),
-        "owner": _sha(sorted(model.index.owner.items())),
-        "fill": _sha(sorted(sorted(pair) for pair in model.tri.fill)),
-        "trace": _sha(_trace(trace)),
+        "jt": sha256(tree_record(model.jt)),
+        "mpd": sha256(tree_record(model.mpd)),
+        "family": sha256(sorted(model.family.items())),
+        "owner": sha256(sorted(model.index.owner.items())),
+        "fill": sha256(sorted(sorted(pair) for pair in model.tri.fill)),
+        "trace": sha256(
+            {
+                **trace_record(trace),
+                "new_cliques": [[sorted(c) for c in s.new_cliques] for s in trace.subtrees],
+                "new_jt_ids": sorted(trace.new_jt_ids),
+                "new_mpd_ids": sorted(trace.new_mpd_ids),
+            }
+        ),
         "valid": validate(model).passed,
         "mpd_equal": mpd_equal(model.mpd, full_recompile(model.dag.copy()).mpd),
     }
@@ -127,7 +134,7 @@ def bench_records():
 
 def digest_of(records) -> str:
     """One sha256 over the records, in order."""
-    return _sha(list(records))
+    return sha256(list(records))
 
 
 def _load(path: str) -> list[dict]:
@@ -171,16 +178,11 @@ def diff(a: list[dict], b: list[dict]) -> int:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--diff", nargs=2, metavar=("A", "B"), help="compare two runs' JSON lines")
-    ap.add_argument("--models", type=int, default=RANDOM_MODELS, help="random models to replay")
-    ap.add_argument("--no-perfbench", action="store_true", help="skip the benchmark's edit streams")
     args = ap.parse_args(argv)
     if args.diff:
         return diff(*map(_load, args.diff))
-    for record in random_records(args.models):
+    for record in chain(random_records(), bench_records()):
         print(json.dumps(record, separators=(",", ":")))
-    if not args.no_perfbench:
-        for record in bench_records():
-            print(json.dumps(record, separators=(",", ":")))
     return 0
 
 

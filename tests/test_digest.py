@@ -17,8 +17,6 @@ amalgamations.  ``REPLAY_DIGEST`` pins the per-flush records that
 ``tests/replay.py`` writes for its first 20 random models, 100 flushes.
 """
 
-import hashlib
-import json
 from random import Random
 
 from bnic import (
@@ -40,7 +38,7 @@ DIGEST = "1da17a819a7894a334efe9725fbeceecbf72077fe58ba1c91c2d8a8174b446eb"
 HOST_DIGEST = "e5d1f2c06d3b6fc0e206077770f63e6c726734a9642489ec1389475d1f206f87"
 TRACE_DIGEST = "76d9dd9496f3670c49a60e32bd9a3167ad38f32c190e1932f77898ca099d9b85"
 MIN_FILL_600_DIGEST = "9d7c92b1cad9680afd0f1a93c18a64978e15a2eff99e8b499b06d4cc4b1af9f5"
-REPLAY_DIGEST = "f32eb79a563314d783c74047909524eaeba0caf80cd9df2e1c6cbdb6c765bed5"
+REPLAY_DIGEST = "ea5be18aa57eac25e1a1f3d7df81494d443a30d3b72354d6b65a8a6b143fde1e"
 
 
 def _banded_dag(n, rng):
@@ -55,35 +53,13 @@ def _banded_dag(n, rng):
     return dag
 
 
-def _tree(tree):
-    return {
-        "clusters": [[c, sorted(tree.cluster(c))] for c in tree.cluster_ids()],
-        "edges": sorted([a, b, sorted(sep)] for a, b, sep in tree.edges()),
-    }
-
-
 def _model(model):
-    return {"jt": {**_tree(model.jt), "family": sorted(model.family.items())}, "mpd": _tree(model.mpd)}
+    jt = {**replay.tree_record(model.jt), "family": sorted(model.family.items())}
+    return {"jt": jt, "mpd": replay.tree_record(model.mpd)}
 
 
 def _mps_hosts(model):
     return sorted([v, model.index.owner[c]] for v, c in model.family.items())
-
-
-def _trace(trace):
-    return {
-        "mods": [
-            [
-                rec.description,
-                [[l.u, l.v, l.added] for l in rec.links],
-                [[m, sorted(vs)] for m, vs in rec.touched.items()],
-                [[list(rw["removed"]), list(rw["added"]), sorted(rw["separator"])] for rw in rec.rewired],
-            ]
-            for rec in trace.mods
-        ],
-        "subtrees": [[list(s.mps_ids), sorted(s.variables)] for s in trace.subtrees],
-        "absorbed": [[sorted(a), sorted(b)] for a, b in trace.absorbed],
-    }
 
 
 def _records():
@@ -119,14 +95,10 @@ def _records():
     return records, hosts, traces
 
 
-def _sha256(obj):
-    return hashlib.sha256(json.dumps(obj, separators=(",", ":")).encode()).hexdigest()
-
-
 def test_pipeline_outputs_match_the_committed_digest():
     records, hosts, _traces = _records()
-    assert _sha256(records) == DIGEST
-    assert _sha256(hosts) == HOST_DIGEST
+    assert replay.sha256(records) == DIGEST
+    assert replay.sha256(hosts) == HOST_DIGEST
 
 
 def test_flush_traces_match_the_committed_digest():
@@ -140,13 +112,13 @@ def test_flush_traces_match_the_committed_digest():
         sum(bool(rec.rewired) for rec in mods),
         sum(len(trace.absorbed) for trace in traces),
     ) == (20, 21, 5, 8)
-    assert _sha256([_trace(trace) for trace in traces]) == TRACE_DIGEST
+    assert replay.sha256([replay.trace_record(trace) for trace in traces]) == TRACE_DIGEST
 
 
 def test_min_fill_on_the_600_node_network_matches_the_committed_digest():
     order, fill = kernels.min_fill(moralize(random_dag(600, Random(42), edge_prob=3 / 599)))
     assert len(fill) == 6981
-    assert _sha256([order, [list(e) for e in fill]]) == MIN_FILL_600_DIGEST
+    assert replay.sha256([order, [list(e) for e in fill]]) == MIN_FILL_600_DIGEST
 
 
 def test_replay_of_twenty_models_matches_the_committed_digest():

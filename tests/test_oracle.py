@@ -307,6 +307,8 @@ def test_a_corrupted_fill_fails_a_named_check(case):
         failing, detail = "triangulation_chordal", "not checked: unknown vertex 999"
     details = {c.name: c.detail for c in validate(model).checks if not c.passed}
     assert details[failing].startswith(detail)
+    if case == "moral-pair-added":  # minimality is not blamed for a corrupt fill record
+        assert details["triangulation_minimal"] == f"not checked: fill pair {moral} is a moral edge"
 
 
 def test_report_to_dict_is_json_ready(asia):
