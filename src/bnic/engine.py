@@ -3,9 +3,10 @@
 A batch of modifications is processed in two phases.  Phase one applies each
 edit to the dag, patches the moral graph, and marks the MPS clusters whose
 internal structure may have changed; the marks are a set owned by the batch.
-Phase two rebuilds each connected marked subtree from its induced moral
-subgraph and splices the fresh junction / MPS subtrees into the existing
-trees, leaving every unmarked cluster untouched.
+Phase two rebuilds each connected marked subtree, by thinning its own
+junction subtree when its triangulation still covers the batch's edits and
+else from its induced moral subgraph, and splices the fresh junction / MPS
+subtrees into the existing trees, leaving every unmarked cluster untouched.
 
 Throughout, the engine maintains the refinement invariant between the two
 trees: each MPS aggregates a connected set of junction clusters, and every
@@ -26,7 +27,7 @@ from .clustertree import ClusterTree, covering
 from .errors import InconsistencyError, InvalidEditError
 from .graph import Dag, Link, UndirectedGraph
 from .mpd import MpdIndex, aggregate_cliques
-from .pipeline import Triangulation, assign_families, construct_join_tree
+from .pipeline import Triangulation, assign_families, construct_join_tree, thin_join_tree
 
 # Unused by the package; kept because the benchmark's tracer binds it.
 from .pipeline import perfect_elimination_order
@@ -251,14 +252,20 @@ def mark_remove_link(
     deleted partner w.  Membership is read off the current vertex sets, so a
     host gone stale inside a batch (an earlier edit grew the family without
     a rebuild yet) changes nothing.
+
+    An arc whose removal deletes no moral link (parent and child keep a
+    common child) marks nothing: the moral graph is unchanged, and the
+    child's host still covers its shrunk family.  If an earlier edit of the
+    batch grew that family, it has already marked its path to the host.
     """
+    if not links:
+        return
     mpd, family, owner = model.mpd, model.family, model.index.owner
     _mark(marked, mpd, owner[family[child]], rec)
     partners = {l.u if l.v == parent else l.v for l in links}
-    if partners:
-        for m in sorted(_holders(mpd, owner[family[parent]], parent)):
-            if partners & mpd.cluster(m):
-                _mark(marked, mpd, m, rec)
+    for m in sorted(_holders(mpd, owner[family[parent]], parent)):
+        if partners & mpd.cluster(m):
+            _mark(marked, mpd, m, rec)
 
 
 def mark_remove_node(model: CompiledModel, x: int, marked: set[int], rec: ModTrace | None = None) -> None:
@@ -334,7 +341,7 @@ def mark_add_link(
     child: int,
     marked: set[int],
     rec: ModTrace | None = None,
-) -> None:
+) -> tuple[int, ...]:
     """Mark the MPS path that must host a new arc and its induced moral links.
 
     One breadth-first walk from m_y, the MPS hosting the child's family,
@@ -342,7 +349,7 @@ def mark_add_link(
     the path [m_x … m_y] is read back along the walk's parents.  If an empty
     separator lies on the path, it is deleted and the two MPSs are joined
     directly by an artificial separator {parent}, shrinking the region to
-    re-triangulate.
+    re-triangulate.  Returns the MPSs that separator joins, or ().
 
     One path serves every link the arc induces: each joins parent to a
     member w of the child's family.  An old member lies in m_y; a parent
@@ -393,6 +400,7 @@ def mark_add_link(
         path = [m_x, m_y]
     for m in path:
         _mark(marked, mpd, m, rec)
+    return (m_x, m_y) if empty else ()
 
 
 def _crossing_edge(model: CompiledModel, m_a: int, m_b: int) -> tuple[int, int]:
@@ -509,14 +517,68 @@ def _amalgamate(model: CompiledModel, src: int, dst: int, trace: BatchTrace | No
     model.jt.merge_into(src, dst)
 
 
-def _rebuild_subtree(model: CompiledModel, comp: list[int], trace: BatchTrace | None) -> None:
+def _doomed_tree(jt: ClusterTree, doomed: list[int]) -> ClusterTree:
+    """The doomed cliques and the junction edges among them, under local ids 0, 1, ….
+
+    A cluster that node strips left inside a neighbour is contracted into
+    it: by running intersection, a cluster lies in another iff some
+    neighbour's separator equals it, and a contraction keeps every set.
+    """
+    local = {c: i for i, c in enumerate(doomed)}
+    t = ClusterTree({i: jt.cluster(c) for c, i in local.items()}, len(doomed))
+    for c, i in local.items():
+        for nb in jt.neighbors(c):
+            j = local.get(nb)
+            if j is not None and i < j:
+                t.add_edge(i, j, jt.separator(c, nb))
+    if t.edge_count() != len(t) - 1:
+        raise InconsistencyError("the doomed cliques do not form a subtree")
+    for i in range(len(doomed)):
+        inside = next((nb for nb in t.neighbors(i) if t.separator(i, nb) == t.cluster(i)), None)
+        if inside is not None:
+            t.merge_into(i, inside)
+    return t
+
+
+def _rebuild_subtree(
+    model: CompiledModel,
+    comp: list[int],
+    links: dict[tuple[int, int], bool],
+    rewired: set[int],
+    trace: BatchTrace | None,
+) -> None:
     """Re-triangulate the union of comp's MPSs and splice it into both trees.
 
-    The fill drops its pairs inside the region and gains the region's kept
-    pairs.  The dropped pairs are the doomed cliques' fill: an outside
-    clique meets the region only inside one boundary MPS separator, complete
-    in the moral graph, and an edit changes moral links only between two
-    vertices of one marked MPS.
+    ``links`` holds the batch's net moral link changes, each pair mapped to
+    whether it was added; ``rewired`` holds the MPSs that the batch's
+    rewired separators join.  The region R is the union of comp's MPSs, and
+    H = moral + fill is the triangulation before the batch.
+
+    When every link the batch added inside R is already a fill pair and no
+    rewired separator lies in R, the doomed cliques' own junction subtree is
+    thinned, and min-fill does not run:
+
+    - H minus the stripped nodes is chordal, as an induced subgraph of a
+      chordal graph, and still contains the new moral graph: an added link
+      was fill, a deleted one becomes fill.  Its restriction to R is then a
+      triangulation of the new moral graph on R.
+    - The doomed subtree, with stripped clusters contracted, is a junction
+      tree of that restriction: every separator is the intersection of its
+      two ends (only a rewired one is not), and an outside clique meets R
+      only inside a boundary separator, which a doomed clique holds.
+    - The pending pairs are the fill pairs inside R less the added links,
+      plus the links deleted inside R.  Thinning them leaves a minimal
+      triangulation (see :func:`thin_join_tree`).
+    - A boundary separator is complete in the moral graph, so it holds no
+      pending pair, and each split keeps it inside one half: some new
+      cluster still covers it for :func:`connect`.
+
+    Otherwise min-fill re-triangulates the region's induced moral graph.
+    Either way the fill drops its pairs inside R and gains the region's
+    kept pairs.  The dropped pairs are the doomed cliques' fill: an outside
+    clique meets R only inside one boundary MPS separator, complete in the
+    moral graph, and an edit changes moral links only inside the marked
+    region.
     """
     jt, mpd, index = model.jt, model.mpd, model.index
     variables: set[int] = set()
@@ -530,7 +592,15 @@ def _rebuild_subtree(model: CompiledModel, comp: list[int], trace: BatchTrace | 
         raise InconsistencyError("emptied subtree has a non-empty boundary separator")
 
     g_sub = model.moral.induced(variables)
-    t, kept = construct_join_tree(g_sub)
+    inside = {pair: a for pair, a in links.items() if variables.issuperset(pair)}
+    added = {pair for pair, a in inside.items() if a}
+    # an emptied region keeps no cluster, so it takes the (empty) min-fill path
+    if variables and rewired.isdisjoint(comp) and all(model.fill.has_edge(*pair) for pair in added):
+        t = _doomed_tree(jt, doomed)
+        fill = {(u, w) for u in variables for w in model.fill.neighbors(u) if u < w and w in variables}
+        kept = thin_join_tree(t, sorted(fill.union(inside) - added))
+    else:
+        t, kept = construct_join_tree(g_sub)
     t_mpd, t_index = aggregate_cliques(t, g_sub)
     model.fill.remove_induced(variables)
     for u, v in kept:
@@ -616,10 +686,15 @@ def incremental_compile(
         for mod in mods:
             apply_modification(model.dag, mod)
     marked: set[int] = set()
+    net: dict[tuple[int, int], bool] = {}  # the batch's moral link changes, pair -> added
+    rewired: set[int] = set()  # the MPSs that separators rewired by the batch join
     for mod in mods:
         rec = None if trace is None else ModTrace(mod=mod, description=describe(mod, model.dag))
         apply_modification(model.dag, mod)
         links = modify_moral_graph(model, mod)
+        for l in links:  # a link added and deleted again cancels
+            if net.pop((l.u, l.v), None) is None:
+                net[l.u, l.v] = l.added
         match mod:
             case AddNode(name):
                 add_node(model, model.dag.table.id(name), marked, rec)
@@ -628,14 +703,14 @@ def incremental_compile(
             case RemoveArc(parent, child):
                 mark_remove_link(model, parent, child, links, marked, rec)
             case AddArc(parent, child):
-                mark_add_link(model, parent, child, marked, rec)
+                rewired.update(mark_add_link(model, parent, child, marked, rec))
         if rec is not None:
             rec.links = list(links)
             trace.mods.append(rec)
 
     if marked:
         for comp in map(sorted, model.mpd.components(marked)):
-            _rebuild_subtree(model, comp, trace)
+            _rebuild_subtree(model, comp, net, rewired, trace)
         for name, tree in (("junction", model.jt), ("MPS", model.mpd)):
             if tree and tree.edge_count() != len(tree) - 1:
                 raise InconsistencyError(f"rebuild left {tree.edge_count()} edges on {len(tree)} {name} clusters")

@@ -275,6 +275,16 @@ class UndirectedGraph:
         self._adj[u].add(v)
         self._adj[v].add(u)
 
+    def add_edges(self, pairs: Iterable[tuple[int, int]]) -> None:
+        """Add the edges (u, v), u != v, without add_edge's per-pair checks; an unknown end raises."""
+        adj = self._adj
+        try:
+            for u, v in pairs:
+                adj[u].add(v)
+                adj[v].add(u)
+        except KeyError:
+            raise UnknownVariableError(f"unknown vertex in edge ({u}, {v})") from None
+
     def remove_edge(self, u: int, v: int) -> None:
         self._adj[u].discard(v)
         self._adj[v].discard(u)

@@ -1,12 +1,12 @@
 """From an undirected (moral) graph to a junction tree.
 
-The pipeline is: greedy minimum-fill triangulation, recursive thinning down
-to a minimal triangulation, maximal-clique extraction via maximum
-cardinality search (MCS), a junction tree read off the MCS order (each
-clique hangs on the first one holding its overlap with those before it,
-as in Kruskal's maximum-weight tree), and family assignment.  Thinning and
-clique extraction share one step: the min-fill triangulation's cliques
-decide which fill edges can go, and MCS runs again only if some did.
+The pipeline is: greedy minimum-fill triangulation, maximal-clique
+extraction via maximum cardinality search (MCS), a junction tree read off
+the MCS order (each clique hangs on the first one holding its overlap with
+those before it, as in Kruskal's maximum-weight tree), recursive thinning
+down to a minimal triangulation, and family assignment.  Thinning works on
+the junction tree: a dropped fill edge splits its one clique in place, so
+MCS runs once.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Iterable
 
 from . import kernels
 from .clustertree import ClusterTree, covering
-from .errors import InconsistencyError, NotChordalError, UnknownVariableError
+from .errors import InconsistencyError, NotChordalError
 from .graph import Dag, UndirectedGraph
 
 # Unused by the package; kept because the benchmark's tracer binds it.
@@ -59,69 +59,82 @@ def recursive_thinning(t: Triangulation) -> Triangulation:
 
     Raises :class:`NotChordalError` if ``t`` is not chordal: the removal
     test is only sound on a chordal graph, and the argument of this public
-    function may be any triangulation record.  See :func:`_thin` for the
-    removal rule and the scan order.
+    function may be any triangulation record.  See :func:`thin_join_tree`
+    for the removal rule and the scan order.
     """
-    kept, _cliques = _thin(t.base, t.fill_graph.edges())
+    tree = build_join_tree(extract_cliques(t.graph()))
+    kept = thin_join_tree(tree, t.fill_graph.edges())
     return Triangulation(t.base, UndirectedGraph.from_edges(t.base.vertices(), kept))
 
 
-def _thin(base: UndirectedGraph, pending: list[tuple[int, int]]) -> tuple[list[tuple[int, int]], list[frozenset[int]]]:
-    """Thin ``base`` plus fill, the ascending pairs ``pending``, to a minimal triangulation.
+def thin_join_tree(tree: ClusterTree, pending: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Thin a chordal graph, given by its junction tree, to a minimal triangulation.
 
-    Returns ``pending``, thinned in place, and the maximal cliques.  One
-    :func:`extract_cliques` pass on a copy of ``base`` with the fill added
-    doubles as the chordality guard.  Each vertex then gets an int mask of
-    the cliques holding it.  In a chordal graph an edge {u, v} can be
-    dropped, keeping the graph chordal, iff exactly one maximal clique C
-    holds it (Rose, Tarjan & Lueker 1976), i.e. iff ``cm[u] & cm[v]`` has
-    one bit.  The fill is scanned in order and the scan restarts after every
-    removal.  A removal replaces C by C−u and C−v, each kept only if no
-    other live clique contains it (Ibarra, ACM TALG 2008).  If anything was
-    removed, the cliques are extracted once more, in the thinned graph's
-    MCS order.
+    ``pending`` lists the graph's fill pairs in ascending order; the rest of
+    its edges are the base graph's.  Returns ``pending``, thinned in place,
+    and leaves ``tree`` a junction tree of the thinned graph.  Each vertex
+    gets an int mask of the clusters holding it, bit c for cluster c.  In a
+    chordal graph an edge {u, v} can be dropped, keeping the graph chordal,
+    iff exactly one maximal clique holds it (Rose, Tarjan & Lueker 1976),
+    i.e. iff ``cm[u] & cm[v]`` has one bit.  The pairs are scanned in order
+    and the scan restarts after every removal, which :func:`_split` makes on
+    the tree.  When no pair is left that one clique alone holds, no single
+    fill edge can go, so the triangulation is minimal.
     """
-    work = base.copy()
-    adj = work._adj
-    try:
-        for u, v in pending:
-            adj[u].add(v)
-            adj[v].add(u)
-    except KeyError:
-        raise UnknownVariableError(f"unknown vertex in edge ({u}, {v})") from None
-    cliques = extract_cliques(work)
-    live = list(cliques)  # clique of bit k; None once replaced
-    cm = dict.fromkeys(work.vertices(), 0)
-    for k, c in enumerate(live):
-        for w in c:
-            cm[w] |= 1 << k
+    cm: dict[int, int] = {}
+    for c in tree.cluster_ids():
+        bit = 1 << c
+        for w in tree.cluster(c):
+            cm[w] = cm.get(w, 0) | bit
     changed = True
-    while changed:
-        changed = False
-        for i, (u, v) in enumerate(pending):
-            shared = cm[u] & cm[v]
-            if shared & (shared - 1):
-                continue  # two or more cliques hold {u, v}
-            k = shared.bit_length() - 1
-            c = live[k]
-            live[k] = None
-            for w in c:
-                cm[w] &= ~shared
-            for part in (c - {u}, c - {v}):
-                holders = -1
-                for w in part:
-                    holders &= cm[w]
-                if not holders:
-                    for w in part:
-                        cm[w] |= 1 << len(live)
-                    live.append(part)
-            work.remove_edge(u, v)
-            del pending[i]
-            changed = True
-            break
-    if None in live:  # some fill edge went
-        cliques = extract_cliques(work)
-    return pending, cliques
+    try:
+        while changed:
+            changed = False
+            for i, (u, v) in enumerate(pending):
+                shared = cm[u] & cm[v]
+                if shared & (shared - 1):
+                    continue  # two or more cliques hold {u, v}
+                if not shared:
+                    raise InconsistencyError(f"no cluster holds the fill pair ({u}, {v})")
+                _split(tree, shared.bit_length() - 1, u, v, cm)
+                del pending[i]
+                changed = True
+                break
+    except KeyError as e:
+        raise InconsistencyError(f"no cluster holds vertex {e.args[0]}") from None
+    return pending
+
+
+def _split(tree: ClusterTree, c: int, u: int, v: int, cm: dict[int, int]) -> None:
+    """Drop the edge {u, v} from cluster c, the one clique holding it.
+
+    Without the edge, c's place goes to the cliques c−v and c−u (Ibarra,
+    ACM TALG 2008).  A half that another clique contains is absorbed by the
+    lowest such neighbour: by running intersection, a clique containing it
+    has a neighbour of c on its path whose separator equals the half.  The
+    two halves join by c − {u, v}.  Every other neighbour hangs on the half
+    holding its separator, the one without v when both do; no separator
+    holds both u and v, which no other clique holds.  ``cm`` follows.
+    """
+    vs = tree.cluster(c)
+    bit = 1 << c
+    for w in vs:
+        cm[w] ^= bit
+    neighbours = [(nb, tree.separator(c, nb)) for nb in tree.neighbors(c)]
+    tree.remove_cluster(c)
+    ends = []
+    for half in (vs - {v}, vs - {u}):
+        end = next((nb for nb, sep in neighbours if sep == half), None)
+        if end is None:
+            end = tree.add_cluster(half)
+            bit = 1 << end
+            for w in half:
+                cm[w] |= bit
+        ends.append(end)
+    tree.add_edge(ends[0], ends[1], vs - {u, v})
+    for nb, sep in neighbours:
+        if nb not in ends:
+            tree.add_edge(ends[v in sep], nb, sep)
 
 
 # Unused by the package; kept because the benchmark's tracer binds it.
@@ -210,8 +223,13 @@ def assign_families(dag: Dag, tree: ClusterTree, variables: Iterable[int]) -> di
 def construct_join_tree(gm: UndirectedGraph) -> tuple[ClusterTree, list[tuple[int, int]]]:
     """Full pipeline from an undirected graph to a junction tree.
 
+    Min-fill, then one MCS of the triangulation (the chordality guard and
+    the cliques), the join tree of those cliques, and thinning on the tree.
     Returns the tree and the kept fill of ``gm``, as sorted ``(u, v)``,
     ``u < v``.  Family hosting is the caller's: see :func:`assign_families`.
     """
-    kept, cliques = _thin(gm, triangulate_min_fill(gm))
-    return build_join_tree(cliques), kept
+    fill = triangulate_min_fill(gm)
+    gt = gm.copy()
+    gt.add_edges(fill)
+    tree = build_join_tree(extract_cliques(gt))
+    return tree, thin_join_tree(tree, fill)

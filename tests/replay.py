@@ -6,8 +6,9 @@
 A run compiles each seeded model, flushes its edit batches one at a time
 through ``incremental_compile`` and writes one JSON line per flush.  The
 line names the flush (stream, case, flush index) and holds a sha256 of
-each output the engine keeps: the junction tree, the MPS tree, the family
-map, the clique owners, the fill (``sorted(model.tri.fill)``) and the
+each output the engine keeps: the junction tree, the MPS tree (with its
+ids, and as cluster and separator multisets alone), the family map, the
+clique owners, the fill (``sorted(model.tri.fill)``) and the
 ``BatchTrace``, plus two verdicts: ``validate`` and ``mpd_equal`` against a
 full recompile of the edited dag.
 
@@ -21,8 +22,10 @@ The streams are:
 
 That is 3,600 flushes.  ``--diff`` compares two runs line by line: it
 prints, per stream, the flushes compared and how many diverge, the first
-diverging flush and which of its digests differ, and every flush whose
-verdicts fail.  It exits 1 if anything diverged or failed.  The package
+diverging flush and which of its digests differ, then apart the count and
+first divergence of the junction trees and of the MPS multisets (the part
+that any minimal triangulation shares), and every flush whose verdicts
+fail.  It exits 1 if anything diverged or failed.  The package
 is imported from this checkout's ``src``, so a run at another commit is the
 same command in that commit's checkout.
 """
@@ -64,6 +67,14 @@ def tree_record(tree) -> dict:
     }
 
 
+def mps_record(tree) -> dict:
+    """A tree's cluster and separator multisets, without ids: sorted lists of sorted lists."""
+    return {
+        "clusters": sorted(sorted(tree.cluster(c)) for c in tree.cluster_ids()),
+        "separators": sorted(sorted(sep) for _, _, sep in tree.edges()),
+    }
+
+
 def trace_record(trace: BatchTrace) -> dict:
     """Per modification its links, marked MPSs and rewirings; then the subtrees and amalgamations."""
     return {
@@ -89,6 +100,7 @@ def flush_record(stream: str, case: str, flush: int, model, trace: BatchTrace) -
         "flush": flush,
         "jt": sha256(tree_record(model.jt)),
         "mpd": sha256(tree_record(model.mpd)),
+        "mps": sha256(mps_record(model.mpd)),
         "family": sha256(sorted(model.family.items())),
         "owner": sha256(sorted(model.index.owner.items())),
         "fill": sha256(sorted(sorted(pair) for pair in model.tri.fill)),
@@ -150,22 +162,28 @@ def diff(a: list[dict], b: list[dict]) -> int:
     if [key(r) for r in a] != [key(r) for r in b]:
         print("the runs cover different flushes")
         return 1
-    parts = ("jt", "mpd", "family", "owner", "fill", "trace")
+    parts = ("jt", "mpd", "mps", "family", "owner", "fill", "trace")
+    trees = {"jt": "junction trees", "mps": "MPS trees"}
     total, diverged, first = Counter(), Counter(), {}
     for ra, rb in zip(a, b):
         stream = ra["stream"]
         total[stream] += 1
         differ = [p for p in parts if ra[p] != rb[p]]
-        if differ:
-            diverged[stream] += 1
-            first.setdefault(stream, (key(ra), differ))
+        # "any" counts the flushes with some digest apart, the parts their own
+        for what in ["any", *differ] if differ else []:
+            diverged[stream, what] += 1
+            first.setdefault((stream, what), (ra["case"], ra["flush"], differ))
     status = 0
     for stream in total:
-        print(f"{stream}: {diverged[stream]} of {total[stream]} flushes diverge")
-        if stream in first:
-            (_, case, flush), differ = first[stream]
+        print(f"{stream}: {diverged[stream, 'any']} of {total[stream]} flushes diverge")
+        if (stream, "any") in first:
+            case, flush, differ = first[stream, "any"]
             print(f"  first: case {case} flush {flush} ({', '.join(differ)})")
             status = 1
+        for p, label in trees.items():
+            if (stream, p) in first:
+                case, flush, _ = first[stream, p]
+                print(f"  {label}: {diverged[stream, p]} diverge, the first at case {case} flush {flush}")
     for name, run in (("A", a), ("B", b)):
         for r in run:
             if not (r["valid"] and r["mpd_equal"]):

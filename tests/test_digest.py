@@ -15,6 +15,13 @@ per modification its links, the marked MPS ids with their vertex sets in
 marking order and the rewirings, then the rebuilt subtrees and the
 amalgamations.  ``REPLAY_DIGEST`` pins the per-flush records that
 ``tests/replay.py`` writes for its first 20 random models, 100 flushes.
+``MPS_DIGEST`` pins, for every model above, the MPS tree's cluster and
+separator multisets alone: every minimal triangulation of a moral graph
+has the same maximal prime subgraphs, so these stay fixed when a change
+only moves how a region is triangulated or which ids its clusters get.
+The other digests do move then: a flush may thin a region's own junction
+subtree instead of re-running min-fill, so after a flush the junction
+tree depends on the edit history and not on the dag alone.
 """
 
 from random import Random
@@ -34,11 +41,12 @@ from bnic import (
 
 import replay
 
-DIGEST = "1da17a819a7894a334efe9725fbeceecbf72077fe58ba1c91c2d8a8174b446eb"
-HOST_DIGEST = "e5d1f2c06d3b6fc0e206077770f63e6c726734a9642489ec1389475d1f206f87"
-TRACE_DIGEST = "76d9dd9496f3670c49a60e32bd9a3167ad38f32c190e1932f77898ca099d9b85"
+DIGEST = "6855ea8540959c3f88b39057bee8aee808655451e3b24da448d0ca1cb26491fd"
+HOST_DIGEST = "cbfa4208672d41b73d79bb4f20cc4911004cd1087cd226802d93a49cc5157231"
+TRACE_DIGEST = "3154cd369b391b2ff9726daf2cacb8b7bcf6278da324df5895cac50232844f40"
 MIN_FILL_600_DIGEST = "9d7c92b1cad9680afd0f1a93c18a64978e15a2eff99e8b499b06d4cc4b1af9f5"
-REPLAY_DIGEST = "ea5be18aa57eac25e1a1f3d7df81494d443a30d3b72354d6b65a8a6b143fde1e"
+MPS_DIGEST = "a26c46b230de28bab2407ba995dbb63a8a3f47e57546545b50a11f343eacf32d"
+REPLAY_DIGEST = "7d58809d4cb42051d641de2edbd9637273424d4ad9497b1fc4c10b54d747a6ed"
 
 
 def _banded_dag(n, rng):
@@ -63,8 +71,9 @@ def _mps_hosts(model):
 
 
 def _records():
-    """The digest records, model by model the MPS host of every variable, and the flush traces."""
-    records, hosts, traces = [], [], []
+    """The digest records, model by model the MPS host of every variable and
+    the MPS multisets, and the flush traces."""
+    records, hosts, mps, traces = [], [], [], []
     dags = [
         random_dag(n, Random(seed), edge_prob=p)
         for seed, n, p in [(1, 12, 0.3), (2, 30, 0.2), (3, 60, 0.1), (4, 90, 0.06), (5, 120, 0.025), (6, 40, 0.35)]
@@ -82,6 +91,7 @@ def _records():
             }
         )
         hosts.append(_mps_hosts(model))
+        mps.append(replay.mps_record(model.mpd))
     for seed in range(5):
         rng = Random(100 + seed)
         dag = _banded_dag(80, rng) if seed == 4 else random_dag(rng.randint(15, 40), rng, edge_prob=0.15)
@@ -91,18 +101,24 @@ def _records():
             incremental_compile(model, random_script(model.dag, 6, rng), trace)
             records.append(_model(model))
             hosts.append(_mps_hosts(model))
+            mps.append(replay.mps_record(model.mpd))
             traces.append(trace)
-    return records, hosts, traces
+    return records, hosts, mps, traces
+
+
+def test_mps_trees_match_the_committed_digest():
+    _, _, mps, _ = _records()
+    assert replay.sha256(mps) == MPS_DIGEST
 
 
 def test_pipeline_outputs_match_the_committed_digest():
-    records, hosts, _traces = _records()
+    records, hosts, _mps, _traces = _records()
     assert replay.sha256(records) == DIGEST
     assert replay.sha256(hosts) == HOST_DIGEST
 
 
 def test_flush_traces_match_the_committed_digest():
-    _, _, traces = _records()
+    *_, traces = _records()
     mods = [rec for trace in traces for rec in trace.mods]
     # the flushes reach every marking case: arcs inducing several links,
     # empty separators rewired, and new cliques amalgamated
@@ -111,7 +127,7 @@ def test_flush_traces_match_the_committed_digest():
         sum(isinstance(rec.mod, RemoveArc) and len(rec.links) > 1 for rec in mods),
         sum(bool(rec.rewired) for rec in mods),
         sum(len(trace.absorbed) for trace in traces),
-    ) == (20, 21, 5, 8)
+    ) == (20, 21, 5, 9)
     assert replay.sha256([replay.trace_record(trace) for trace in traces]) == TRACE_DIGEST
 
 
@@ -131,8 +147,13 @@ def test_replay_of_twenty_models_matches_the_committed_digest():
 def test_replay_diff_names_the_first_diverging_flush(capsys):
     a = list(replay.random_records(2))
     b = [dict(r) for r in a]
-    b[3]["fill"] = b[7]["jt"] = "0" * 64
+    b[3]["fill"] = b[7]["jt"] = b[8]["mps"] = "0" * 64
     assert replay.diff(a, a) == 0
     capsys.readouterr()
     assert replay.diff(a, b) == 1
-    assert capsys.readouterr().out == "random: 2 of 10 flushes diverge\n  first: case 0 flush 3 (fill)\n"
+    assert capsys.readouterr().out == (
+        "random: 3 of 10 flushes diverge\n"
+        "  first: case 0 flush 3 (fill)\n"
+        "  junction trees: 1 diverge, the first at case 1 flush 2\n"
+        "  MPS trees: 1 diverge, the first at case 1 flush 3\n"
+    )

@@ -197,13 +197,47 @@ def test_mark_remove_link_equals_brute_force_closure():
         apply_modification(m.dag, mod)
         links = modify_moral_graph(m, mod)
         start = m.index.owner[m.family[c]]
-        expected = _closure_marks(m, links, start)
+        # an arc whose removal deletes no moral link marks nothing
+        expected = _closure_marks(m, links, start) if links else set()
         rec = ModTrace(mod=mod, description="x")
         marked = set()
         mark_remove_link(m, p, c, links, marked, rec)
         assert set(rec.touched) == marked == expected
         checked += 1
     assert checked > 20
+
+
+def _common_child_dag():
+    # p -> c with a common child d, so removing p -> c deletes no moral
+    # link; q -> p makes q a moral neighbour of p as well
+    dag = Dag()
+    p, c, d, q = (dag.add_node(n) for n in "pcdq")
+    for a, b in [(p, c), (p, d), (c, d), (q, p)]:
+        dag.add_arc(a, b)
+    return dag, p, c, q
+
+
+def test_a_remove_arc_deleting_no_moral_link_marks_nothing():
+    dag, p, c, _q = _common_child_dag()
+    model = full_recompile(dag)
+    jt = {cid: model.jt.cluster(cid) for cid in model.jt.cluster_ids()}
+    trace = BatchTrace()
+    incremental_compile(model, [RemoveArc(p, c)], trace)
+    assert trace.mods[0].links == [] and trace.mods[0].touched == {} and trace.subtrees == []
+    assert {cid: model.jt.cluster(cid) for cid in model.jt.cluster_ids()} == jt
+    assert validate(model).passed
+
+
+def test_a_family_grown_earlier_in_the_batch_keeps_its_host_marked():
+    # the added arc grows c's family past its host and marks the path to
+    # that host; the removal after it deletes no link and marks nothing
+    dag, p, c, q = _common_child_dag()
+    model = full_recompile(dag)
+    trace = BatchTrace()
+    incremental_compile(model, [AddArc(q, c), RemoveArc(p, c)], trace)
+    assert trace.mods[1].links == [] and trace.mods[1].touched == {}
+    assert validate(model).passed
+    assert mpd_equal(model.mpd, full_recompile(model.dag.copy()).mpd)
 
 
 # -- marking: node removal ----------------------------------------------------
@@ -270,6 +304,8 @@ def _mark_remove_link_reference(model, links, m_y, marked):
     # number of re-seeded walks
     mpd = model.mpd
     deleted = [l.pair for l in links if not l.added]
+    if not deleted:  # the moral graph is unchanged: nothing to mark
+        return 0
 
     def walk_from(start):
         marked.add(start)
@@ -680,6 +716,82 @@ def test_absorb_leaves_maximal_trees_alone(asia_model):
     assert asia_model.jt.cluster_multiset() == before
 
 
+# -- the region's starting junction tree ---------------------------------------
+
+
+def _forbid_min_fill(monkeypatch):
+    def forbidden(g):
+        raise AssertionError("min-fill ran")
+
+    monkeypatch.setattr(bnic.kernels, "min_fill", forbidden)
+
+
+def test_a_lone_remove_arc_thins_its_region_without_min_fill(monkeypatch):
+    # the benchmark's random-120 network (its generator draws as random_dag
+    # does, seed 42): an arc removed inside the largest MPS rebuilds that
+    # region from its own junction subtree
+    model = full_recompile(random_dag(120, Random(42), edge_prob=3 / 119))
+    largest = max(model.mpd.cluster_ids(), key=lambda m: len(model.mpd.cluster(m)))
+    parent, child = next(
+        (p, c)
+        for p, c in model.dag.arcs()
+        if model.index.owner[model.family[c]] == largest and not model.dag.common_child(p, c)
+    )
+    _forbid_min_fill(monkeypatch)
+    trace = BatchTrace()
+    incremental_compile(model, [RemoveArc(parent, child)], trace)
+    monkeypatch.undo()
+    assert trace.mods[0].links and len(trace.subtrees[0].variables) > 50
+    assert validate(model).passed
+    assert mpd_equal(model.mpd, full_recompile(model.dag.copy()).mpd)
+
+
+def test_arcs_whose_links_are_all_fill_keep_every_cluster(monkeypatch):
+    # H stays a minimal triangulation when the moral graph gains only fill
+    # pairs, so the region is rebuilt from its own subtree unchanged
+    rng = Random(808)
+    checked = 0
+    for _ in range(60):
+        model = full_recompile(random_dag(rng.randint(4, 25), rng, edge_prob=rng.choice([0.1, 0.2, 0.3])))
+        dag, fill = model.dag, model.fill
+        arcs = [
+            (u, v)
+            for u, v in fill.edges() + [(v, u) for u, v in fill.edges()]
+            if not dag.has_path(v, u)
+            and all(fill.has_edge(u, w) or model.moral.has_edge(u, w) for w in dag.parents(v))
+        ]
+        if not arcs:
+            continue
+        before = model.jt.cluster_multiset()
+        _forbid_min_fill(monkeypatch)
+        incremental_compile(model, [AddArc(*rng.choice(arcs))])
+        monkeypatch.undo()
+        assert model.jt.cluster_multiset() == before
+        assert validate(model).passed
+        checked += 1
+    assert checked > 20
+
+
+def test_a_rewired_separator_in_the_region_takes_the_min_fill_path(monkeypatch):
+    # seed 22 of test_property_sweep_small: the batch's net link changes
+    # cancel, but AddArc(1, 4) rewired an empty separator into {1} inside
+    # the region, so its doomed subtree is no junction tree
+    rng = Random(22)
+    dag = random_dag(rng.randint(1, 20), rng, edge_prob=rng.choice([0.1, 0.25, 0.4]))
+    model = full_recompile(dag.copy())
+    script = random_script(dag, rng.randint(1, 8), rng)
+    assert script == [
+        RemoveArc(1, 0), RemoveArc(2, 3), AddArc(1, 4), AddNode("r5"), RemoveArc(1, 4), AddArc(3, 2), RemoveNode(5)
+    ]
+    min_fill, calls = bnic.kernels.min_fill, []
+    monkeypatch.setattr(bnic.kernels, "min_fill", lambda g: calls.append(g) or min_fill(g))
+    trace = BatchTrace()
+    incremental_compile(model, script, trace)
+    monkeypatch.undo()
+    assert trace.mods[2].rewired and len(calls) == 1
+    assert validate(model).passed
+
+
 # -- full scenarios -----------------------------------------------------------
 
 
@@ -921,8 +1033,8 @@ def test_junction_cycle_after_a_rebuild_raises(asia_model, monkeypatch):
     # the closing edge count is the only junction-tree check of a flush
     rebuild = bnic.engine._rebuild_subtree
 
-    def rebuild_with_extra_edge(model, comp, trace):
-        rebuild(model, comp, trace)
+    def rebuild_with_extra_edge(model, comp, *batch):
+        rebuild(model, comp, *batch)
         jt = model.jt
         ids = jt.cluster_ids()
         a, b = next((a, b) for a in ids for b in ids if a < b and not jt.has_edge(a, b))
@@ -940,7 +1052,7 @@ def test_a_clique_beside_the_marked_subtree_raises(monkeypatch):
     rebuild = bnic.engine._rebuild_subtree
     hit = {"flushes": 0}
 
-    def rebuild_with_a_stray_clique(model, comp, trace):
+    def rebuild_with_a_stray_clique(model, comp, *batch):
         index, jt = model.index, model.jt
         own = set().union(*(index.cliques_of[m] for m in comp))
         near = own | {nb for c in own for nb in jt.neighbors(c)}
@@ -948,7 +1060,7 @@ def test_a_clique_beside_the_marked_subtree_raises(monkeypatch):
         if stray is not None:
             hit["flushes"] += 1
             index.cliques_of[comp[0]].add(stray)
-        rebuild(model, comp, trace)
+        rebuild(model, comp, *batch)
 
     monkeypatch.setattr(bnic.engine, "_rebuild_subtree", rebuild_with_a_stray_clique)
     rng = Random(515)

@@ -185,6 +185,14 @@ def test_remove_induced_keeps_the_edges_leaving_the_set(asia):
     assert gm.edge_set() == expected and gm.vertex_set() == set(asia.nodes())
 
 
+def test_add_edges_matches_add_edge_and_rejects_an_unknown_end():
+    g = UndirectedGraph(range(4))
+    g.add_edges([(0, 1), (1, 2), (0, 1)])
+    assert g == UndirectedGraph.from_edges(range(4), [(0, 1), (1, 2)])
+    with pytest.raises(UnknownVariableError):
+        g.add_edges([(2, 3), (3, 9)])
+
+
 # -- completeness -----------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations
 from random import Random
 
@@ -19,12 +20,12 @@ from bnic import (
 )
 from bnic.pipeline import (
     Triangulation,
-    _thin,
     assign_families,
     build_join_tree,
     construct_join_tree,
     extract_cliques,
     recursive_thinning,
+    thin_join_tree,
     triangulate_min_fill,
 )
 from conftest import cluster_names, holders_of, name_set, separator_names
@@ -160,6 +161,68 @@ def _with_redundant_fill(t, rng, extra):
     return _tri(t.base, fill)
 
 
+def _thin_reference(base, pending):
+    # The former thinning on a clique list: one MCS of base plus the fill
+    # for the cliques, int holder masks, the pending pairs scanned in order
+    # with a restart after each removal, a removal replacing its clique C by
+    # C-u and C-v (each kept only if no live clique contains it), and one
+    # more MCS of the thinned graph if anything went.  Returns the kept
+    # pairs and the cliques.
+    work = base.copy()
+    for u, v in pending:
+        work.add_edge(u, v)
+    cliques = extract_cliques(work)
+    live = list(cliques)  # clique of bit k; None once replaced
+    cm = dict.fromkeys(work.vertices(), 0)
+    for k, c in enumerate(live):
+        for w in c:
+            cm[w] |= 1 << k
+    changed = True
+    while changed:
+        changed = False
+        for i, (u, v) in enumerate(pending):
+            shared = cm[u] & cm[v]
+            if shared & (shared - 1):
+                continue
+            k = shared.bit_length() - 1
+            c = live[k]
+            live[k] = None
+            for w in c:
+                cm[w] &= ~shared
+            for part in (c - {u}, c - {v}):
+                holders = -1
+                for w in part:
+                    holders &= cm[w]
+                if not holders:
+                    for w in part:
+                        cm[w] |= 1 << len(live)
+                    live.append(part)
+            work.remove_edge(u, v)
+            del pending[i]
+            changed = True
+            break
+    if None in live:
+        cliques = extract_cliques(work)
+    return pending, cliques
+
+
+def _plus(base, pairs):
+    g = base.copy()
+    for u, v in pairs:
+        g.add_edge(u, v)
+    return g
+
+
+def _assert_junction_tree(tree, cliques):
+    # a junction tree of the given maximal cliques: a tree over exactly
+    # them, with running intersection and every separator the intersection
+    # of its two ends
+    assert tree.is_tree()
+    assert tree.cluster_multiset() == Counter(cliques)
+    assert _rip_holds(tree)
+    assert all(sep == tree.cluster(a) & tree.cluster(b) for a, b, sep in tree.edges())
+
+
 def test_thinning_matches_set_based_loop():
     # banded nets, where min-fill leaves redundant fill edges, and thinned
     # triangulations with injected redundant fill; ids gapped on every
@@ -167,14 +230,15 @@ def test_thinning_matches_set_based_loop():
     removed = {"banded": 0, "injected": 0}
 
     def check(kind, t):
-        # the fused step against the reference loop followed by a fresh
-        # clique extraction: same fill, same cliques in the same order
+        # the tree thinning against the reference loop: the same fill, and
+        # a junction tree of the thinned graph
         fill = sorted(tuple(sorted(pair)) for pair in t.fill)
-        kept, cliques = _thin(t.base, list(fill))
+        tree = build_join_tree(extract_cliques(t.graph()))
+        kept = thin_join_tree(tree, list(fill))
         reference = _thinning_reference(t)
         assert kept == [p for p in fill if frozenset(p) in reference.fill]
         assert reference.fill == recursive_thinning(t).fill
-        assert cliques == extract_cliques(reference.graph())
+        _assert_junction_tree(tree, extract_cliques(reference.graph()))
         removed[kind] += len(fill) - len(kept)
 
     for k, n in enumerate([300, 100, 60, 200]):
@@ -187,6 +251,48 @@ def test_thinning_matches_set_based_loop():
         gm = moralize(random_dag(rng.randint(2, 30), rng, edge_prob=0.2))
         check("injected", _with_redundant_fill(recursive_thinning(_min_fill(gm)), rng, 3))
     assert removed["banded"] > 0 and removed["injected"] > 0
+
+
+def _elimination_fill(g, order):
+    # the fill of the elimination game in the given order: a triangulation,
+    # far from minimal for a random order
+    adj = {v: set(g.neighbors(v)) for v in g.vertices()}
+    fill = []
+    for x in order:
+        nb = adj.pop(x)
+        for u in nb:
+            adj[u].discard(x)
+        for u, v in combinations(sorted(nb), 2):
+            if v not in adj[u]:
+                adj[u].add(v)
+                adj[v].add(u)
+                fill.append((u, v))
+    return sorted(fill)
+
+
+def test_tree_thinning_matches_the_former_clique_list_thinning():
+    # min-fill's fill, which thinning seldom shrinks, and the fill of random
+    # elimination orders, which it shrinks a lot; every second graph has
+    # gapped ids
+    removed = 0
+    rng = Random(2024)
+    for k in range(3000):
+        gm = moralize(random_dag(rng.randint(0, 45), rng, edge_prob=rng.choice([0.02, 0.05, 0.08])))
+        if k % 2:
+            gm = _relabeled(gm, {v: 1000 * (v % 3) + 7 * v + 5 for v in gm.vertices()})
+        if k % 4 < 2:
+            fill = triangulate_min_fill(gm)
+        else:
+            order = gm.vertices()
+            rng.shuffle(order)
+            fill = _elimination_fill(gm, order)
+        tree = build_join_tree(extract_cliques(_plus(gm, fill)))
+        kept = thin_join_tree(tree, list(fill))
+        reference_kept, reference_cliques = _thin_reference(gm, list(fill))
+        assert kept == reference_kept
+        _assert_junction_tree(tree, reference_cliques)
+        removed += len(fill) - len(kept)
+    assert removed > 3000
 
 
 def test_thinned_triangulations_pass_single_edge_removal_probe():
@@ -452,7 +558,8 @@ def _relabeled(g, ids):
 def test_join_tree_matches_kruskal_on_forests_gapped_ids_and_thinned_cliques():
     # sparse moral graphs fall apart into components, so the empty-separator
     # anchors and their hub matter; every other graph has gapped ids; banded
-    # nets lose fill to thinning, so their cliques come from the second MCS
+    # nets lose fill to thinning, which reshapes the tree in place, so their
+    # trees are checked as junction trees of the reference's cliques
     seen = {"empty": 0, "gapped": 0, "thinned": 0}
     rng = Random(73)
     for k in range(200):
@@ -462,23 +569,26 @@ def test_join_tree_matches_kruskal_on_forests_gapped_ids_and_thinned_cliques():
             seen["gapped"] += 1
         tree, kept = construct_join_tree(gm)
         assert kept == sorted(kept)
-        gt = gm.copy()
         for u, v in kept:
             assert u < v and not gm.has_edge(u, v)
-            gt.add_edge(u, v)
-        cliques = extract_cliques(gt)
-        _assert_same_tree(tree, _build_join_tree_reference(cliques))
+        cliques = extract_cliques(_plus(gm, kept))
+        if kept == triangulate_min_fill(gm):
+            _assert_same_tree(tree, _build_join_tree_reference(cliques))
+        else:  # a thinned tree is the former one's only up to its shape
+            seen["thinned"] += 1
+            _assert_junction_tree(tree, cliques)
         seen["empty"] += sum(not sep for _, _, sep in tree.edges())
     for k, n in enumerate([40, 80, 120, 160]):
         ids = list(range(n)) if k % 2 == 0 else [1000 * (i % 3) + 7 * i for i in range(n)]
         gm = _banded_moral(n, Random(500 + k), ids)
         fill = triangulate_min_fill(gm)
         assert fill == sorted(fill) and all(u < v for u, v in fill)
-        kept, cliques = _thin(gm, list(fill))
+        kept, cliques = _thin_reference(gm, list(fill))
         seen["thinned"] += len(kept) < len(fill)
-        tree = build_join_tree(cliques)
-        _assert_same_tree(tree, _build_join_tree_reference(cliques))
-        _assert_same_tree(construct_join_tree(gm)[0], tree)
+        _assert_same_tree(build_join_tree(cliques), _build_join_tree_reference(cliques))
+        tree, tree_kept = construct_join_tree(gm)
+        assert tree_kept == kept
+        _assert_junction_tree(tree, cliques)
     assert seen["empty"] > 0 and seen["gapped"] > 0 and seen["thinned"] > 0
 
 
