@@ -48,11 +48,6 @@ class ClusterTree:
         self._edges -= len(self._adj.pop(cid))
         del self._clusters[cid]
 
-    def replace_cluster(self, cid: int, vertices: Iterable[int]) -> None:
-        if cid not in self._clusters:
-            raise KeyError(cid)
-        self._clusters[cid] = frozenset(vertices)
-
     def cluster(self, cid: int) -> frozenset[int]:
         return self._clusters[cid]
 
@@ -109,13 +104,6 @@ class ClusterTree:
 
     def separator(self, a: int, b: int) -> frozenset[int]:
         return self._adj[a][b]
-
-    def set_separator(self, a: int, b: int, separator: Iterable[int]) -> None:
-        if b not in self._adj[a]:
-            raise KeyError((a, b))
-        sep = frozenset(separator)
-        self._adj[a][b] = sep
-        self._adj[b][a] = sep
 
     def neighbors(self, cid: int) -> list[int]:
         return sorted(self._adj[cid])

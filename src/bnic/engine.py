@@ -2,7 +2,8 @@
 
 A batch of modifications is processed in two phases.  Phase one applies each
 edit to the dag, patches the moral graph, and marks the MPS clusters whose
-internal structure may have changed; the marks are a set owned by the batch.
+internal structure may have changed; the marks are a set owned by the batch,
+and no existing cluster's vertex set changes before phase two.
 Phase two rebuilds each connected marked subtree, by thinning its own
 junction subtree when its triangulation still covers the batch's edits and
 else from its induced moral subgraph, and splices the fresh junction / MPS
@@ -163,11 +164,16 @@ class ModTrace:
 
 @dataclass
 class SubtreeTrace:
-    """One connected marked subtree rebuilt during the splice phase."""
+    """One connected marked subtree rebuilt during the splice phase.
+
+    ``thinned`` says whether its own junction subtree was thinned, rather
+    than its region re-triangulated by min-fill.
+    """
 
     mps_ids: tuple[int, ...]
     variables: frozenset[int]
     new_cliques: tuple[frozenset[int], ...]
+    thinned: bool
 
 
 @dataclass
@@ -269,26 +275,25 @@ def mark_remove_link(
 
 
 def mark_remove_node(model: CompiledModel, x: int, marked: set[int], rec: ModTrace | None = None) -> None:
-    """Strip an isolated variable out of both trees and mark its former MPSs.
+    """Mark the MPSs holding an isolated variable, and drop it from the family map and the fill.
 
-    Every cluster and separator of the junction and MPS trees loses x, and
-    so do the family map and the fill; the MPSs that held it are marked
-    after the strip, so a trace records their stripped vertex sets.
+    The clusters keep x until the rebuild, which leaves out the variables
+    the batch removed; every holder of x is marked, so no boundary
+    separator holds it.
     """
     host = model.family.pop(x)
     model.fill.remove_vertex(x)
-    for m in _strip_variable(model.mpd, x, model.index.owner[host]):
+    for m in sorted(_holders(model.mpd, model.index.owner[host], x)):
         _mark(marked, model.mpd, m, rec)
-    _strip_variable(model.jt, x, host)
 
 
 def _holders(tree: ClusterTree, start: int, x: int) -> set[int]:
     """The clusters holding x, walked from start, which holds x.
 
     Running intersection makes them a connected subtree, and a batch keeps
-    it so until the rebuild: strips take a variable out everywhere, new
-    nodes get singletons, and rewiring only cuts empty separators, whose
-    ends share nothing (as do the ends it joins).
+    it so until the rebuild: new nodes get singletons, and rewiring only
+    cuts empty separators, whose ends share nothing (as do the ends it
+    joins).
     """
     found = {start}
     stack = [start]
@@ -298,20 +303,6 @@ def _holders(tree: ClusterTree, start: int, x: int) -> set[int]:
                 found.add(nb)
                 stack.append(nb)
     return found
-
-
-def _strip_variable(tree: ClusterTree, x: int, start: int) -> list[int]:
-    """Remove x from its holders, walked from start, and their separators; returns them."""
-    holders = sorted(_holders(tree, start, x))
-    for cid in holders:
-        tree.replace_cluster(cid, tree.cluster(cid) - {x})
-        # a separator holding x is the intersection of its ends or a rewired
-        # {parent} hung on a holder of the parent, so one of its ends holds x
-        for nb in tree.neighbors(cid):
-            sep = tree.separator(cid, nb)
-            if x in sep:
-                tree.set_separator(cid, nb, sep - {x})
-    return holders
 
 
 def add_node(model: CompiledModel, x: int, marked: set[int], rec: ModTrace | None = None) -> None:
@@ -341,7 +332,7 @@ def mark_add_link(
     child: int,
     marked: set[int],
     rec: ModTrace | None = None,
-) -> tuple[int, ...]:
+) -> None:
     """Mark the MPS path that must host a new arc and its induced moral links.
 
     One breadth-first walk from m_y, the MPS hosting the child's family,
@@ -349,7 +340,7 @@ def mark_add_link(
     the path [m_x … m_y] is read back along the walk's parents.  If an empty
     separator lies on the path, it is deleted and the two MPSs are joined
     directly by an artificial separator {parent}, shrinking the region to
-    re-triangulate.  Returns the MPSs that separator joins, or ().
+    re-triangulate.
 
     One path serves every link the arc induces: each joins parent to a
     member w of the child's family.  An old member lies in m_y; a parent
@@ -400,7 +391,6 @@ def mark_add_link(
         path = [m_x, m_y]
     for m in path:
         _mark(marked, mpd, m, rec)
-    return (m_x, m_y) if empty else ()
 
 
 def _crossing_edge(model: CompiledModel, m_a: int, m_b: int) -> tuple[int, int]:
@@ -463,13 +453,11 @@ def connect(
     return records
 
 
-# Unused by the package; kept because the benchmark's tracer binds it.
 def absorb_non_maximal(tree: ClusterTree) -> ClusterTree:
     """Merge every cluster contained in an adjacent neighbour into it.
 
     Scans in ascending id order and restarts after each merge.  Returns the
-    tree.  The engine never needs this scan: a rebuild can only leave a
-    non-maximal cluster where :func:`_amalgamate` already merges it.
+    tree.
     """
     changed = True
     while changed:
@@ -517,55 +505,50 @@ def _amalgamate(model: CompiledModel, src: int, dst: int, trace: BatchTrace | No
     model.jt.merge_into(src, dst)
 
 
-def _doomed_tree(jt: ClusterTree, doomed: list[int]) -> ClusterTree:
-    """The doomed cliques and the junction edges among them, under local ids 0, 1, ….
+def _doomed_tree(jt: ClusterTree, doomed: list[int], variables: set[int]) -> ClusterTree:
+    """The doomed cliques cut to variables and the junction edges among them, under local ids 0, 1, ….
 
-    A cluster that node strips left inside a neighbour is contracted into
-    it: by running intersection, a cluster lies in another iff some
-    neighbour's separator equals it, and a contraction keeps every set.
+    Each separator is the intersection of its two ends, so a separator
+    rewired by the batch, whose ends share nothing, becomes empty.  A
+    cluster that lost removed variables can lie inside a neighbour, and
+    :func:`absorb_non_maximal` contracts it: the result is a junction tree.
     """
     local = {c: i for i, c in enumerate(doomed)}
-    t = ClusterTree({i: jt.cluster(c) for c, i in local.items()}, len(doomed))
+    t = ClusterTree({i: jt.cluster(c) & variables for c, i in local.items()}, len(doomed))
     for c, i in local.items():
         for nb in jt.neighbors(c):
             j = local.get(nb)
             if j is not None and i < j:
-                t.add_edge(i, j, jt.separator(c, nb))
+                t.add_edge(i, j, t.cluster(i) & t.cluster(j))
     if t.edge_count() != len(t) - 1:
         raise InconsistencyError("the doomed cliques do not form a subtree")
-    for i in range(len(doomed)):
-        inside = next((nb for nb in t.neighbors(i) if t.separator(i, nb) == t.cluster(i)), None)
-        if inside is not None:
-            t.merge_into(i, inside)
-    return t
+    return absorb_non_maximal(t)
 
 
 def _rebuild_subtree(
     model: CompiledModel,
     comp: list[int],
     links: dict[tuple[int, int], bool],
-    rewired: set[int],
     trace: BatchTrace | None,
 ) -> None:
-    """Re-triangulate the union of comp's MPSs and splice it into both trees.
+    """Rebuild the union of comp's MPSs and splice it into both trees.
 
     ``links`` holds the batch's net moral link changes, each pair mapped to
-    whether it was added; ``rewired`` holds the MPSs that the batch's
-    rewired separators join.  The region R is the union of comp's MPSs, and
-    H = moral + fill is the triangulation before the batch.
+    whether it was added.  The region R is the union of comp's MPSs less
+    the variables the batch removed, and H = moral + fill is the
+    triangulation before the batch.  Every holder of a removed variable is
+    marked, so no boundary separator holds one.
 
-    When every link the batch added inside R is already a fill pair and no
-    rewired separator lies in R, the doomed cliques' own junction subtree is
-    thinned, and min-fill does not run:
+    When every link the batch added inside R is already a fill pair, the
+    doomed cliques' own junction subtree is thinned, and min-fill does not
+    run:
 
-    - H minus the stripped nodes is chordal, as an induced subgraph of a
-      chordal graph, and still contains the new moral graph: an added link
-      was fill, a deleted one becomes fill.  Its restriction to R is then a
-      triangulation of the new moral graph on R.
-    - The doomed subtree, with stripped clusters contracted, is a junction
-      tree of that restriction: every separator is the intersection of its
-      two ends (only a rewired one is not), and an outside clique meets R
-      only inside a boundary separator, which a doomed clique holds.
+    - H restricted to R is chordal, as an induced subgraph of a chordal
+      graph, and contains the new moral graph on R: an added link was
+      fill, a deleted one becomes fill.
+    - The doomed subtree cut to R (:func:`_doomed_tree`) is a junction tree
+      of that restriction: an outside clique meets R only inside a
+      boundary separator, which a doomed clique holds.
     - The pending pairs are the fill pairs inside R less the added links,
       plus the links deleted inside R.  Thinning them leaves a minimal
       triangulation (see :func:`thin_join_tree`).
@@ -581,9 +564,7 @@ def _rebuild_subtree(
     region.
     """
     jt, mpd, index = model.jt, model.mpd, model.index
-    variables: set[int] = set()
-    for m in comp:
-        variables |= mpd.cluster(m)
+    variables = {v for m in comp for v in mpd.cluster(m) if model.moral.has_vertex(v)}
     doomed = sorted(set().union(*(index.cliques_of[m] for m in comp)))
     old_boundary = Counter(
         (nb, mpd.separator(m, nb)) for m in comp for nb in mpd.neighbors(m) if nb not in comp
@@ -595,8 +576,9 @@ def _rebuild_subtree(
     inside = {pair: a for pair, a in links.items() if variables.issuperset(pair)}
     added = {pair for pair, a in inside.items() if a}
     # an emptied region keeps no cluster, so it takes the (empty) min-fill path
-    if variables and rewired.isdisjoint(comp) and all(model.fill.has_edge(*pair) for pair in added):
-        t = _doomed_tree(jt, doomed)
+    thinned = bool(variables) and all(model.fill.has_edge(*pair) for pair in added)
+    if thinned:
+        t = _doomed_tree(jt, doomed, variables)
         fill = {(u, w) for u in variables for w in model.fill.neighbors(u) if u < w and w in variables}
         kept = thin_join_tree(t, sorted(fill.union(inside) - added))
     else:
@@ -620,7 +602,7 @@ def _rebuild_subtree(
         trace.new_jt_ids |= set(jt_map.values())
         trace.new_mpd_ids |= set(mpd_map.values())
         trace.subtrees.append(
-            SubtreeTrace(tuple(comp), frozenset(variables), tuple(t.cluster(l) for l in t.cluster_ids()))
+            SubtreeTrace(tuple(comp), frozenset(variables), tuple(t.cluster(l) for l in t.cluster_ids()), thinned)
         )
 
     # the junction boundary must mirror the old MPS boundary one to one;
@@ -687,7 +669,6 @@ def incremental_compile(
             apply_modification(model.dag, mod)
     marked: set[int] = set()
     net: dict[tuple[int, int], bool] = {}  # the batch's moral link changes, pair -> added
-    rewired: set[int] = set()  # the MPSs that separators rewired by the batch join
     for mod in mods:
         rec = None if trace is None else ModTrace(mod=mod, description=describe(mod, model.dag))
         apply_modification(model.dag, mod)
@@ -703,14 +684,14 @@ def incremental_compile(
             case RemoveArc(parent, child):
                 mark_remove_link(model, parent, child, links, marked, rec)
             case AddArc(parent, child):
-                rewired.update(mark_add_link(model, parent, child, marked, rec))
+                mark_add_link(model, parent, child, marked, rec)
         if rec is not None:
             rec.links = list(links)
             trace.mods.append(rec)
 
     if marked:
         for comp in map(sorted, model.mpd.components(marked)):
-            _rebuild_subtree(model, comp, net, rewired, trace)
+            _rebuild_subtree(model, comp, net, trace)
         for name, tree in (("junction", model.jt), ("MPS", model.mpd)):
             if tree and tree.edge_count() != len(tree) - 1:
                 raise InconsistencyError(f"rebuild left {tree.edge_count()} edges on {len(tree)} {name} clusters")

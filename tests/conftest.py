@@ -1,6 +1,6 @@
 import pytest
 
-from bnic import Dag, full_recompile
+from bnic import ClusterTree, Dag, full_recompile
 
 ASIA_NODES = ["A", "S", "T", "L", "B", "E", "X", "D"]
 ASIA_ARCS = [
@@ -35,6 +35,19 @@ def holders_of(tree) -> dict:
         for v in tree.cluster(c):
             holders.setdefault(v, set()).add(c)
     return holders
+
+
+def edited(tree, clusters=None, separators=None) -> ClusterTree:
+    """A copy of tree under the same ids with some vertex sets replaced.
+
+    ``clusters`` maps an id to its new cluster, ``separators`` an edge
+    ``(a, b)``, a < b as :meth:`ClusterTree.edges` lists it, to its new
+    separator.
+    """
+    out = ClusterTree({c: tree.cluster(c) for c in tree.cluster_ids()} | dict(clusters or {}), tree.next_id)
+    for a, b, sep in tree.edges():
+        out.add_edge(a, b, (separators or {}).get((a, b), sep))
+    return out
 
 
 def cluster_names(tree, table):

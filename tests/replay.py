@@ -22,12 +22,13 @@ The streams are:
 
 That is 3,600 flushes.  ``--diff`` compares two runs line by line: it
 prints, per stream, the flushes compared and how many diverge, the first
-diverging flush and which of its digests differ, then apart the count and
-first divergence of the junction trees and of the MPS multisets (the part
-that any minimal triangulation shares), and every flush whose verdicts
-fail.  It exits 1 if anything diverged or failed.  The package
-is imported from this checkout's ``src``, so a run at another commit is the
-same command in that commit's checkout.
+diverging flush and which of its digests differ, the count of diverging
+flushes per digest, most first, then apart the count and first divergence
+of the junction trees and of the MPS multisets (the part that any minimal
+triangulation shares), and every flush whose verdicts fail.  It exits 1
+if anything diverged or failed.  The package is imported from this
+checkout's ``src``, so a run at another commit is the same command in that
+commit's checkout.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def mps_record(tree) -> dict:
 
 
 def trace_record(trace: BatchTrace) -> dict:
-    """Per modification its links, marked MPSs and rewirings; then the subtrees and amalgamations."""
+    """Per modification its links, marked MPSs and rewirings; then the subtrees (thinned or not) and amalgamations."""
     return {
         "mods": [
             [
@@ -87,7 +88,7 @@ def trace_record(trace: BatchTrace) -> dict:
             ]
             for rec in trace.mods
         ],
-        "subtrees": [[list(s.mps_ids), sorted(s.variables)] for s in trace.subtrees],
+        "subtrees": [[list(s.mps_ids), sorted(s.variables), s.thinned] for s in trace.subtrees],
         "absorbed": [[sorted(a), sorted(b)] for a, b in trace.absorbed],
     }
 
@@ -179,6 +180,8 @@ def diff(a: list[dict], b: list[dict]) -> int:
         if (stream, "any") in first:
             case, flush, differ = first[stream, "any"]
             print(f"  first: case {case} flush {flush} ({', '.join(differ)})")
+            by_field = sorted((p for p in parts if diverged[stream, p]), key=lambda p: -diverged[stream, p])
+            print("  by field: " + ", ".join(f"{p} {diverged[stream, p]}" for p in by_field))
             status = 1
         for p, label in trees.items():
             if (stream, p) in first:

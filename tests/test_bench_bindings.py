@@ -48,7 +48,12 @@ TRACED_LAYERS = [
 COMPILE_LAYERS = [("pipeline", "assign_families")]
 # The engine's marking and splice layers, as each kind of flush calls them.
 ADD_ARC_LAYERS = [("engine", "modify_moral_graph"), ("engine", "mark_add_link"), ("engine", "connect")]
-REMOVE_ARC_LAYERS = [("engine", "modify_moral_graph"), ("engine", "mark_remove_link"), ("engine", "connect")]
+REMOVE_ARC_LAYERS = [
+    ("engine", "modify_moral_graph"),
+    ("engine", "mark_remove_link"),
+    ("engine", "connect"),
+    ("engine", "absorb_non_maximal"),
+]
 REMOVE_NODE_LAYERS = REMOVE_ARC_LAYERS + [("engine", "mark_remove_node")]
 
 
@@ -77,7 +82,8 @@ def test_compile_and_rebuild_call_every_traced_layer(monkeypatch):
     model = full_recompile(dag)
     assert uncalled(TRACED_LAYERS + COMPILE_LAYERS) == []
 
-    # a removal thins its region's own junction subtree: no min-fill
+    # a removal thins its region's own junction subtree, which
+    # absorb_non_maximal contracts: no min-fill
     parent, child = dag.arcs()[0]
     incremental_compile(model, [RemoveArc(parent, child)])
     assert uncalled(REMOVE_ARC_LAYERS) == []

@@ -64,12 +64,24 @@ def test_apply_with_trace_and_verify(tmp_path, capsys):
     assert "marked=[{T L E}, {S L B E}]" in out
 
 
+def test_apply_trace_says_how_each_region_was_rebuilt(tmp_path, capsys):
+    # the removal only deletes links, so its region thins its own junction
+    # subtree; the new arc's link lies outside the triangulation, so min-fill
+    # re-triangulates its region
+    script = tmp_path / "edit.script"
+    script.write_text("remove-arc L E\ncompile\nadd-arc A X\n")
+    code, out, _ = run(capsys, "apply", str(DATA / "asia.bn"), str(script), "--trace")
+    assert code == 0
+    assert "  thinned over {S T L B E} -> 4 clique(s)" in out
+    assert "  re-triangulated over {A T E X} -> 2 clique(s)" in out
+
+
 def test_apply_remove_node_script(tmp_path, capsys):
     script = tmp_path / "edit.script"
     script.write_text("remove-node D\n")
     code, out, _ = run(capsys, "apply", str(DATA / "asia.bn"), str(script), "--verify", "--trace")
     assert code == 0
-    assert "re-triangulated over {S L B E}" in out
+    assert "thinned over {S L B E}" in out
     assert "absorbed non-maximal {L E} into {T L E}" in out
 
 

@@ -12,9 +12,10 @@ pins min-fill's ``(order, fill)`` on the benchmark's 600-node random
 network, whose eliminations carry the fill counters deepest.
 ``TRACE_DIGEST`` pins the ``BatchTrace`` of every incremental flush above:
 per modification its links, the marked MPS ids with their vertex sets in
-marking order and the rewirings, then the rebuilt subtrees and the
-amalgamations.  ``REPLAY_DIGEST`` pins the per-flush records that
-``tests/replay.py`` writes for its first 20 random models, 100 flushes.
+marking order and the rewirings, then the rebuilt subtrees, each thinned
+or re-triangulated, and the amalgamations.  ``REPLAY_DIGEST`` pins the
+per-flush records that ``tests/replay.py`` writes for its first 20 random
+models, 100 flushes.
 ``MPS_DIGEST`` pins, for every model above, the MPS tree's cluster and
 separator multisets alone: every minimal triangulation of a moral graph
 has the same maximal prime subgraphs, so these stay fixed when a change
@@ -43,10 +44,10 @@ import replay
 
 DIGEST = "6855ea8540959c3f88b39057bee8aee808655451e3b24da448d0ca1cb26491fd"
 HOST_DIGEST = "cbfa4208672d41b73d79bb4f20cc4911004cd1087cd226802d93a49cc5157231"
-TRACE_DIGEST = "3154cd369b391b2ff9726daf2cacb8b7bcf6278da324df5895cac50232844f40"
+TRACE_DIGEST = "14e0cf9b32d0c9f733d8c95d41e05de8386a7607b4234661850f105d73d4b86d"
 MIN_FILL_600_DIGEST = "9d7c92b1cad9680afd0f1a93c18a64978e15a2eff99e8b499b06d4cc4b1af9f5"
 MPS_DIGEST = "a26c46b230de28bab2407ba995dbb63a8a3f47e57546545b50a11f343eacf32d"
-REPLAY_DIGEST = "7d58809d4cb42051d641de2edbd9637273424d4ad9497b1fc4c10b54d747a6ed"
+REPLAY_DIGEST = "019a6b2c6e139e2816c0cf1bd7088e4d712523bc2f9c329a77efdb5a3f795641"
 
 
 def _banded_dag(n, rng):
@@ -154,6 +155,7 @@ def test_replay_diff_names_the_first_diverging_flush(capsys):
     assert capsys.readouterr().out == (
         "random: 3 of 10 flushes diverge\n"
         "  first: case 0 flush 3 (fill)\n"
+        "  by field: jt 1, mps 1, fill 1\n"
         "  junction trees: 1 diverge, the first at case 1 flush 2\n"
         "  MPS trees: 1 diverge, the first at case 1 flush 3\n"
     )

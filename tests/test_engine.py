@@ -43,7 +43,7 @@ from bnic.engine import (
 )
 from bnic.mpd import MpdIndex
 
-from conftest import cluster_names, name_set
+from conftest import build_asia, cluster_names, name_set
 
 
 def _link_names(table, links):
@@ -243,15 +243,26 @@ def test_a_family_grown_earlier_in_the_batch_keeps_its_host_marked():
 # -- marking: node removal ----------------------------------------------------
 
 
+def _holds_nowhere(model, x):
+    return all(
+        x not in tree.cluster(c) and all(x not in sep for _, _, sep in tree.edges())
+        for tree in (model.jt, model.mpd)
+        for c in tree.cluster_ids()
+    )
+
+
 def test_remove_node_strips_variable_from_hosting_cluster(asia_model):
     m = asia_model
     t = m.dag.table
+    d = t.id("D")
     trace = BatchTrace()
-    incremental_compile(m, expand_remove_node(m.dag, t.id("D")), trace)
+    incremental_compile(m, expand_remove_node(m.dag, d), trace)
     node_rec = trace.mods[-1]
     assert isinstance(node_rec.mod, RemoveNode)
-    # the hosting MPS lost D before the rebuild
-    assert _marked_names(t, node_rec) == {frozenset("EB")}
+    # the hosting MPS is marked as it stood, and the rebuild leaves D out
+    assert node_rec.marked_sets() == {frozenset({t.id("E"), t.id("B"), d})}
+    assert _holds_nowhere(m, d)
+    assert validate(m).passed
 
 
 def test_remove_node_spanning_three_clusters():
@@ -263,12 +274,8 @@ def test_remove_node_spanning_three_clusters():
     m = full_recompile(dag)
     trace = BatchTrace()
     incremental_compile(m, expand_remove_node(m.dag, x), trace)
-    node_rec = trace.mods[-1]
-    assert len(node_rec.touched) == 3
-    assert all(x not in vs for vs in node_rec.touched.values())
-    for tree in (m.jt, m.mpd):
-        assert all(x not in tree.cluster(c) for c in tree.cluster_ids())
-        assert all(x not in sep for _, _, sep in tree.edges())
+    assert len(trace.mods[-1].touched) == 3
+    assert _holds_nowhere(m, x)
     assert validate(m).passed
 
 
@@ -329,28 +336,16 @@ def _mark_remove_link_reference(model, links, m_y, marked):
 
 
 def _mark_remove_node_reference(model, x, m_x, marked):
-    # the former walk from x's host across separators holding x, stripping
-    # as it goes, followed by a sweep of the junction tree
-    mpd = model.mpd
-
-    def strip(m):
-        mpd.replace_cluster(m, mpd.cluster(m) - {x})
-        marked.add(m)
-
+    # the former walk from x's host across separators holding x, marking
+    # as it goes; no cluster loses x before the rebuild
     def step(m, m_z):
-        sep = mpd.separator(m, m_z)
-        if x not in sep:
+        if x not in model.mpd.separator(m, m_z):
             return False
-        mpd.set_separator(m, m_z, sep - {x})
-        strip(m_z)
+        marked.add(m_z)
         return True
 
-    strip(m_x)
-    _walk_reference(mpd, m_x, step)
-    for cid in model.jt.cluster_ids():
-        model.jt.replace_cluster(cid, model.jt.cluster(cid) - {x})
-    for a, b, sep in model.jt.edges():
-        model.jt.set_separator(a, b, sep - {x})
+    marked.add(m_x)
+    _walk_reference(model.mpd, m_x, step)
 
 
 def _nearest_containing_reference(tree, start, x):
@@ -772,10 +767,11 @@ def test_arcs_whose_links_are_all_fill_keep_every_cluster(monkeypatch):
     assert checked > 20
 
 
-def test_a_rewired_separator_in_the_region_takes_the_min_fill_path(monkeypatch):
-    # seed 22 of test_property_sweep_small: the batch's net link changes
-    # cancel, but AddArc(1, 4) rewired an empty separator into {1} inside
-    # the region, so its doomed subtree is no junction tree
+def test_a_rewired_separator_in_the_region_is_thinned(monkeypatch):
+    # seed 22 of test_property_sweep_small: AddArc(1, 4) rewired an empty
+    # separator into {1} inside the region, and the batch's net link
+    # changes cancel; the doomed subtree, cut to the region, gives that
+    # separator the empty intersection of its ends, so the region thins
     rng = Random(22)
     dag = random_dag(rng.randint(1, 20), rng, edge_prob=rng.choice([0.1, 0.25, 0.4]))
     model = full_recompile(dag.copy())
@@ -783,13 +779,33 @@ def test_a_rewired_separator_in_the_region_takes_the_min_fill_path(monkeypatch):
     assert script == [
         RemoveArc(1, 0), RemoveArc(2, 3), AddArc(1, 4), AddNode("r5"), RemoveArc(1, 4), AddArc(3, 2), RemoveNode(5)
     ]
-    min_fill, calls = bnic.kernels.min_fill, []
-    monkeypatch.setattr(bnic.kernels, "min_fill", lambda g: calls.append(g) or min_fill(g))
+    _forbid_min_fill(monkeypatch)
     trace = BatchTrace()
     incremental_compile(model, script, trace)
     monkeypatch.undo()
-    assert trace.mods[2].rewired and len(calls) == 1
+    assert trace.mods[2].rewired and all(sub.thinned for sub in trace.subtrees)
     assert validate(model).passed
+    assert mpd_equal(model.mpd, full_recompile(model.dag.copy()).mpd)
+
+
+def test_phase_one_leaves_every_cluster_as_it_was():
+    # asia with an isolated Z: removing D and adding A -> Z, which rewires
+    # Z's empty separator, marks MPSs and edits no cluster's vertex set
+    dag = build_asia()
+    z = dag.add_node("Z")
+    t = dag.table
+    batch = [*expand_remove_node(dag, t.id("D")), AddArc(t.id("A"), z)]
+    model = full_recompile(dag.copy())
+    before = [{c: tree.cluster(c) for c in tree.cluster_ids()} for tree in (model.jt, model.mpd)]
+    marked, rec = set(), ModTrace(mod=batch[-1], description="")
+    for mod in batch:
+        _phase_one(model, mod, marked, rec, reference=False)
+    assert rec.rewired and t.id("D") in model.mpd.vertices()
+    assert [{c: tree.cluster(c) for c in tree.cluster_ids()} for tree in (model.jt, model.mpd)] == before
+    model = full_recompile(dag.copy())
+    incremental_compile(model, batch)
+    assert validate(model).passed
+    assert mpd_equal(model.mpd, full_recompile(model.dag.copy()).mpd)
 
 
 # -- full scenarios -----------------------------------------------------------
@@ -1172,7 +1188,7 @@ def _derive_fill_reference(moral, jt):
 
 
 def test_derived_fill_matches_copy_and_diff_reference():
-    # the fill the engine keeps through rebuilds and node strips is the
+    # the fill the engine keeps through rebuilds and node removals is the
     # non-moral pairs inside the clusters, after each whole-script batch
     # and after each single-edit flush
     rng = Random(2024)

@@ -12,7 +12,7 @@ from bnic import (
 from bnic.mpd import aggregate_cliques
 from bnic.pipeline import assign_families, build_join_tree, construct_join_tree, extract_cliques
 
-from conftest import cluster_names, holders_of, name_set
+from conftest import cluster_names, edited, holders_of, name_set
 
 
 def test_aggregate_asia(asia, asia_model):
@@ -60,7 +60,7 @@ def _aggregate_by_restart_scan(jt, gm, family, rng):
         keep, gone = min(a, b), max(a, b)
         merged = mpd.cluster(keep) | mpd.cluster(gone)
         mpd.merge_into(gone, keep)
-        mpd.replace_cluster(keep, merged)
+        mpd = edited(mpd, {keep: merged})
         family = {v: keep if c == gone else c for v, c in family.items()}
 
 
@@ -139,7 +139,7 @@ def _aggregate_by_copy_and_components(jt, gm):
     for r, comp in groups.items():
         for c in comp - {r}:
             mpd.remove_cluster(c)
-        mpd.replace_cluster(r, frozenset().union(*(jt.cluster(c) for c in comp)))
+    mpd = edited(mpd, {r: frozenset().union(*(jt.cluster(c) for c in comp)) for r, comp in groups.items()})
     for a, b, sep in complete:
         mpd.add_edge(root[a], root[b], sep)
     return mpd, groups, root

@@ -22,7 +22,7 @@ from bnic import (
 from bnic.mpd import aggregate_cliques
 from bnic.oracle import oracle
 from bnic.pipeline import assign_families, build_join_tree, extract_cliques
-from conftest import cluster_names
+from conftest import cluster_names, edited
 
 
 def test_full_recompile_asia(asia):
@@ -203,9 +203,8 @@ def test_running_intersection_matches_per_variable_search():
     for _ in range(60):
         dag = random_dag(rng.randint(3, 20), rng, edge_prob=0.25)
         model = full_recompile(dag)
-        jt = model.jt
-        cid = rng.choice(jt.cluster_ids())
-        jt.replace_cluster(cid, jt.cluster(cid) | {rng.choice(dag.nodes())})
+        cid = rng.choice(model.jt.cluster_ids())
+        model.jt = jt = edited(model.jt, {cid: model.jt.cluster(cid) | {rng.choice(dag.nodes())}})
         offender = _rip_offender_reference(jt, dag.nodes())
         broken += offender is not None
         rip = validate(model).checks[3]
@@ -252,13 +251,15 @@ def test_a_missing_owner_entry_fails_a_check_without_raising(asia_model):
 def _with_stray_id(where, derived):
     # a model one of whose vertex sets holds id 999, which no structure knows
     model = full_recompile(random_dag(10, Random(3), edge_prob=0.4))
-    tree = model.mpd if where == "mps separator" else model.jt
+    attr = "mpd" if where == "mps separator" else "jt"
+    tree = getattr(model, attr)
     if where == "cluster":
         c = tree.cluster_ids()[0]
-        tree.replace_cluster(c, tree.cluster(c) | {999})
+        tree = edited(tree, clusters={c: tree.cluster(c) | {999}})
     else:
         a, b, sep = tree.edges()[0]
-        tree.set_separator(a, b, sep | {999})
+        tree = edited(tree, separators={(a, b): sep | {999}})
+    setattr(model, attr, tree)
     if derived:
         # the fill gains the pairs that complete the grown cluster
         model.fill.add_vertex(999)
