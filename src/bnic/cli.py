@@ -154,7 +154,7 @@ def _cmd_apply(args) -> int:
             print(f"flush {i}:")
             _print_trace(model, trace)
         if args.dot:
-            table = model.dag.table
+            table, mpd = model.dag.table, model.mpd
             _write_dot(
                 args.dot,
                 {
@@ -162,7 +162,7 @@ def _cmd_apply(args) -> int:
                         model.jt, table, name="junction", highlight=trace.new_jt_ids & set(model.jt.cluster_ids())
                     ),
                     f"step{i:03d}_mpd.dot": tree_dot(
-                        model.mpd, table, name="mpd", highlight=trace.new_mpd_ids & set(model.mpd.cluster_ids())
+                        mpd, table, name="mpd", highlight=trace.new_mpd_ids & set(mpd.cluster_ids())
                     ),
                 },
             )

@@ -1,25 +1,24 @@
 """Incremental recompilation of a compiled model under structural edits.
 
 A batch of modifications is processed in two phases.  Phase one applies each
-edit to the dag, patches the moral graph, and marks the MPS clusters whose
-internal structure may have changed; the marks are a set owned by the batch,
-and no existing cluster's vertex set changes before phase two.
-Phase two rebuilds each connected marked subtree, by thinning its own
-junction subtree when its triangulation still covers the batch's edits and
-else from its induced moral subgraph, and splices the fresh junction / MPS
-subtrees into the existing trees, leaving every unmarked cluster untouched.
+edit to the dag, patches the moral graph, and marks the MPSs whose internal
+structure may have changed; the marks are a set owned by the batch, and no
+existing cluster's vertex set changes before phase two.
+Phase two rebuilds the cliques of each connected marked region, by thinning
+their own junction subtree when its triangulation still covers the batch's
+edits and else from the region's induced moral subgraph, and splices the
+fresh junction subtree into the tree, leaving every unmarked clique
+untouched.
 
-Throughout, the engine maintains the refinement invariant between the two
-trees: each MPS aggregates a connected set of junction clusters, and every
-MPS-tree edge corresponds to exactly one junction edge crossing the two
-clique groups with the same separator.  That invariant is what makes
-boundary separators complete and the splice well defined; violations raise
-:class:`~bnic.errors.InconsistencyError` rather than being repaired.
+The engine keeps one tree, the junction tree, and an owner map from each
+clique to its MPS (see :class:`CompiledModel`).  The MPSs are connected
+clique groups cut at separators complete in the moral graph, which is what
+makes boundary separators complete and the splice well defined; violations
+raise :class:`~bnic.errors.InconsistencyError` rather than being repaired.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Sequence
@@ -27,7 +26,7 @@ from typing import Sequence
 from .clustertree import ClusterTree, covering
 from .errors import InconsistencyError, InvalidEditError
 from .graph import Dag, Link, UndirectedGraph
-from .mpd import MpdIndex, aggregate_cliques
+from .mpd import aggregate_cliques, mps_tree
 from .pipeline import Triangulation, assign_families, construct_join_tree, thin_join_tree
 
 # Unused by the package; kept because the benchmark's tracer binds it.
@@ -114,11 +113,19 @@ class CompiledModel:
     """The mutually consistent bundle of structures kept up to date by edits.
 
     Each hosting fact is kept once: ``family`` maps a variable to the clique
-    hosting its family, and ``index.owner`` maps that clique to its MPS.
+    hosting its family, and ``owner`` maps every clique to its MPS.
     ``fill`` is the triangulation's fill, a graph over the moral graph's
     vertices: the moral graph plus ``fill`` is the triangulated graph H,
     whose maximal cliques are the junction clusters.  Edits keep it (see
-    :func:`_rebuild_subtree`); ``tri`` is a view of both graphs.
+    :func:`_rebuild_subtree`); ``tri`` is a view of both graphs, and
+    ``mpd`` derives the MPS tree from ``jt`` and ``owner`` on every read.
+
+    Every MPS id is the least clique of its group, and that clique belongs
+    to the group: a full compile takes each union-find root, the minimum; a
+    rebuild maps its local roots through increasing fresh ids; a new node's
+    clique owns itself; and an amalgamated clique is the only one of its
+    group.  Groups change in no other way, so the cliques of MPS m are a
+    walk from clique m over the cliques m owns (:func:`_group`).
     """
 
     def __init__(
@@ -126,16 +133,14 @@ class CompiledModel:
         dag: Dag,
         moral: UndirectedGraph,
         jt: ClusterTree,
-        mpd: ClusterTree,
-        index: MpdIndex,
+        owner: dict[int, int],
         family: dict[int, int],
         fill: UndirectedGraph,
     ):
         self.dag = dag
         self.moral = moral
         self.jt = jt
-        self.mpd = mpd
-        self.index = index
+        self.owner = owner
         self.family = family
         self.fill = fill
 
@@ -143,9 +148,14 @@ class CompiledModel:
     def tri(self) -> Triangulation:
         return Triangulation(self.moral, self.fill)
 
+    @property
+    def mpd(self) -> ClusterTree:
+        return mps_tree(self.jt, self.owner)
+
     def copy(self) -> "CompiledModel":
-        parts = (self.dag, self.moral, self.jt, self.mpd, self.index)
-        return CompiledModel(*(p.copy() for p in parts), dict(self.family), self.fill.copy())
+        return CompiledModel(
+            self.dag.copy(), self.moral.copy(), self.jt.copy(), dict(self.owner), dict(self.family), self.fill.copy()
+        )
 
 
 @dataclass
@@ -193,10 +203,11 @@ class BatchTrace:
         return out
 
 
-def _mark(marked: set[int], tree: ClusterTree, cid: int, rec: ModTrace | None) -> None:
-    marked.add(cid)
+def _mark(marked: set[int], model: CompiledModel, m: int, rec: ModTrace | None) -> None:
+    """Mark MPS m; a trace records it with the union of its cliques."""
+    marked.add(m)
     if rec is not None:
-        rec.touched[cid] = tree.cluster(cid)
+        rec.touched[m] = frozenset().union(*map(model.jt.cluster, _group(model.jt, model.owner, m)))
 
 
 # ---------------------------------------------------------------------------
@@ -250,14 +261,15 @@ def mark_remove_link(
 ) -> None:
     """Mark the MPSs invalidated by removing the arc parent → child.
 
-    These are the host m_y of the child's family and every MPS holding both
-    ends of a deleted moral link; the rebuild must cover each of them or its
-    boundary separators could stay incomplete.  Every deleted link is
-    {parent, w}, so one walk over the holders of parent, from the MPS of
-    parent's family host, finds them all: the holders that contain any
-    deleted partner w.  Membership is read off the current vertex sets, so a
-    host gone stale inside a batch (an earlier edit grew the family without
-    a rebuild yet) changes nothing.
+    These are the MPS m_y of the child's family host and the owner of every
+    clique holding both ends of a deleted moral link.  A boundary separator
+    lies inside a clique, so one holding a deleted pair makes that clique's
+    owner marked, and the rebuild leaves no boundary separator incomplete.
+    Every deleted link is {parent, w}, so one walk over the cliques holding
+    parent, from parent's family host, finds them all: the holders that
+    contain any deleted partner w.  Membership is read off the current
+    vertex sets, so a host gone stale inside a batch (an earlier edit grew
+    the family without a rebuild yet) changes nothing.
 
     An arc whose removal deletes no moral link (parent and child keep a
     common child) marks nothing: the moral graph is unchanged, and the
@@ -266,12 +278,12 @@ def mark_remove_link(
     """
     if not links:
         return
-    mpd, family, owner = model.mpd, model.family, model.index.owner
-    _mark(marked, mpd, owner[family[child]], rec)
+    jt, family, owner = model.jt, model.family, model.owner
+    _mark(marked, model, owner[family[child]], rec)
     partners = {l.u if l.v == parent else l.v for l in links}
-    for m in sorted(_holders(mpd, owner[family[parent]], parent)):
-        if partners & mpd.cluster(m):
-            _mark(marked, mpd, m, rec)
+    hit = {owner[c] for c in _holders(jt, family[parent], parent) if partners & jt.cluster(c)}
+    for m in sorted(hit):
+        _mark(marked, model, m, rec)
 
 
 def mark_remove_node(model: CompiledModel, x: int, marked: set[int], rec: ModTrace | None = None) -> None:
@@ -283,47 +295,57 @@ def mark_remove_node(model: CompiledModel, x: int, marked: set[int], rec: ModTra
     """
     host = model.family.pop(x)
     model.fill.remove_vertex(x)
-    for m in sorted(_holders(model.mpd, model.index.owner[host], x)):
-        _mark(marked, model.mpd, m, rec)
+    for m in sorted({model.owner[c] for c in _holders(model.jt, host, x)}):
+        _mark(marked, model, m, rec)
 
 
-def _holders(tree: ClusterTree, start: int, x: int) -> set[int]:
-    """The clusters holding x, walked from start, which holds x.
+def _walk(jt: ClusterTree, start: int, keep) -> set[int]:
+    """The cliques reached from start over neighbours for which keep holds."""
+    found = {start}
+    stack = [start]
+    while stack:
+        for nb in jt.neighbors(stack.pop()):
+            if nb not in found and keep(nb):
+                found.add(nb)
+                stack.append(nb)
+    return found
+
+
+def _holders(jt: ClusterTree, start: int, x: int) -> set[int]:
+    """The cliques holding x, walked from start, which holds x.
 
     Running intersection makes them a connected subtree, and a batch keeps
     it so until the rebuild: new nodes get singletons, and rewiring only
     cuts empty separators, whose ends share nothing (as do the ends it
     joins).
     """
-    found = {start}
-    stack = [start]
-    while stack:
-        for nb in tree.neighbors(stack.pop()):
-            if nb not in found and x in tree.cluster(nb):
-                found.add(nb)
-                stack.append(nb)
-    return found
+    return _walk(jt, start, lambda c: x in jt.cluster(c))
+
+
+def _group(jt: ClusterTree, owner: dict[int, int], m: int) -> set[int]:
+    """The cliques of MPS m: a walk from clique m over the cliques m owns.
+
+    A group is connected, and a batch keeps it so: rewiring cuts and adds
+    only edges between two groups.
+    """
+    return _walk(jt, m, lambda c: owner[c] == m)
 
 
 def add_node(model: CompiledModel, x: int, marked: set[int], rec: ModTrace | None = None) -> None:
-    """Host a brand-new isolated variable in singleton clusters of both trees.
+    """Host a brand-new isolated variable in a singleton clique, its own MPS.
 
-    The clusters attach by empty separators: the clique to the lowest-id
-    existing clique, the MPS to that clique's owner (keeping the two trees'
-    edges mirrored).  The MPS is marked for rebuild.
+    The clique attaches to the lowest-id existing clique by an empty
+    separator.  Its MPS is marked for rebuild.
     """
-    jt, mpd, index = model.jt, model.mpd, model.index
+    jt = model.jt
     anchor = min(jt.cluster_ids()) if len(jt) else None
     c = jt.add_cluster({x})
-    m = mpd.add_cluster({x})
     if anchor is not None:
         jt.add_edge(c, anchor, frozenset())
-        mpd.add_edge(m, index.owner[anchor], frozenset())
-    index.cliques_of[m] = {c}
-    index.owner[c] = m
+    model.owner[c] = c
     model.family[x] = c
     model.fill.add_vertex(x)
-    _mark(marked, mpd, m, rec)
+    _mark(marked, model, c, rec)
 
 
 def mark_add_link(
@@ -335,12 +357,12 @@ def mark_add_link(
 ) -> None:
     """Mark the MPS path that must host a new arc and its induced moral links.
 
-    One breadth-first walk from m_y, the MPS hosting the child's family,
-    stops at the first layer holding parent and takes its lowest id as m_x;
-    the path [m_x … m_y] is read back along the walk's parents.  If an empty
-    separator lies on the path, it is deleted and the two MPSs are joined
-    directly by an artificial separator {parent}, shrinking the region to
-    re-triangulate.
+    One breadth-first walk over the junction tree from the child's family
+    host stops at the first layer holding parent and takes its lowest id as
+    c_x; the owners along the path [c_x … host] are the MPS path
+    [m_x … m_y].  If an empty separator lies on the path, the junction edge
+    carrying it is cut and c_x is joined to clique m_y directly by an
+    artificial separator {parent}, shrinking the region to re-triangulate.
 
     One path serves every link the arc induces: each joins parent to a
     member w of the child's family.  An old member lies in m_y; a parent
@@ -348,67 +370,45 @@ def mark_add_link(
     m_y.  So the marked component holding this path holds both ends of
     every new link.
     """
-    mpd, jt, index = model.mpd, model.jt, model.index
-    m_y = index.owner[model.family[child]]
-    up = {m_y: m_y}
-    layer = [m_y]
-    found = [m_y] if parent in mpd.cluster(m_y) else []
+    jt, owner = model.jt, model.owner
+    host = model.family[child]
+    up = {host: host}
+    layer = [host]
+    found = [host] if parent in jt.cluster(host) else []
     while not found:
         if not layer:
             raise InconsistencyError(f"no cluster contains variable {parent}")
         nxt = []
         for c in layer:
-            for nb in mpd.neighbors(c):
+            for nb in jt.neighbors(c):
                 if nb not in up:
                     up[nb] = c
                     nxt.append(nb)
-        found = [c for c in nxt if parent in mpd.cluster(c)]
+        found = [c for c in nxt if parent in jt.cluster(c)]
         layer = nxt
-    m_x = min(found)
-    path = [m_x]
-    while path[-1] != m_y:
+    c_x = min(found)
+    path = [c_x]
+    while path[-1] != host:
         path.append(up[path[-1]])
-    # an empty separator between two already-marked clusters must stay:
-    # deleting it would sever a pending rebuild obligation (marks are
+    # an empty separator between two already-marked MPSs must stay:
+    # cutting it would sever a pending rebuild obligation (marks are
     # rebuilt together only while they stay connected)
     empty = [
         (a, b)
         for a, b in zip(path, path[1:])
-        if not mpd.separator(a, b) and not (a in marked and b in marked)
+        if not jt.separator(a, b) and not (owner[a] in marked and owner[b] in marked)
     ]
     if empty:
         a, b = empty[0]
-        ca, cb = _crossing_edge(model, a, b)
-        mpd.remove_edge(a, b)
-        jt.remove_edge(ca, cb)
+        m_x, m_y = owner[c_x], owner[host]
+        jt.remove_edge(a, b)
         sep = frozenset({parent})
-        mpd.add_edge(m_x, m_y, sep)
-        cx = min(c for c in index.cliques_of[m_x] if parent in jt.cluster(c))
-        cy = min(index.cliques_of[m_y])
-        jt.add_edge(cx, cy, sep)
+        jt.add_edge(c_x, m_y, sep)
         if rec is not None:
-            rec.rewired.append({"removed": (a, b), "added": (m_x, m_y), "separator": sep})
-        path = [m_x, m_y]
-    for m in path:
-        _mark(marked, mpd, m, rec)
-
-
-def _crossing_edge(model: CompiledModel, m_a: int, m_b: int) -> tuple[int, int]:
-    """The unique junction edge between the clique groups of two adjacent MPSs."""
-    ga = model.index.cliques_of[m_a]
-    gb = model.index.cliques_of[m_b]
-    found = None
-    for c in sorted(ga):
-        for nb in model.jt.neighbors(c):
-            if nb in gb:
-                if found is not None:
-                    raise InconsistencyError(
-                        f"multiple junction edges cross MPS edge ({m_a}, {m_b})"
-                    )
-                found = (c, nb)
-    if found is None:
-        raise InconsistencyError(f"MPS edge ({m_a}, {m_b}) has no junction counterpart")
-    return found
+            rec.rewired.append({"removed": (owner[a], owner[b]), "added": (m_x, m_y), "separator": sep})
+        path = [c_x, m_y]
+    for m in dict.fromkeys(owner[c] for c in path):
+        _mark(marked, model, m, rec)
 
 
 # ---------------------------------------------------------------------------
@@ -427,9 +427,9 @@ def connect(
     from the replacements' holder masks.  Every cover meets C_k in exactly
     S, since C_k meets the rebuilt region only in S, so overlap with C_k
     cannot rank them.  With no replacements (an emptied subtree, whose
-    separators are all empty) every C_k hangs on the first record's C_k,
-    which itself gets no edge.  Returns the records (C_i, C_k, S, target);
-    one whose target equals S flags a later amalgamation.
+    separators must all be empty) every C_k hangs on the first record's
+    C_k, which itself gets no edge.  Returns the records (C_i, C_k, S,
+    target); one whose target equals S flags a later amalgamation.
     """
     ids = sorted(replacement_ids)
     holders = tree.holder_masks(ids)
@@ -445,6 +445,8 @@ def connect(
                 if not covers:
                     raise InconsistencyError(f"no replacement cluster covers boundary separator {sorted(sep)}")
                 target = min(covers, key=lambda c: len(tree.cluster(c)))
+            elif sep:
+                raise InconsistencyError("emptied subtree has a non-empty boundary separator")
             else:
                 target = records[0][1] if records else ck
             if target != ck:
@@ -482,23 +484,14 @@ def _amalgamate(model: CompiledModel, src: int, dst: int, trace: BatchTrace | No
     place a rebuild leaves a non-maximal cluster, since the new cliques are
     maximal among themselves and unmarked clusters keep their vertex sets.
     S is complete in the moral graph, so src is the only clique of its new
-    MPS m_src, which the mirrored boundary edge joins to dst's MPS m_dst;
-    the MPS merge mirrors the clique merge one to one, and the families
-    src hosted move to dst.
+    MPS, which goes with it; the families src hosted move to dst.
     """
-    index = model.index
-    m_src, m_dst = index.owner[src], index.owner[dst]
+    owner = model.owner
     if trace is not None:
         trace.absorbed.append((model.jt.cluster(src), model.jt.cluster(dst)))
-    if index.cliques_of[m_src] != {src}:
-        raise InconsistencyError(
-            f"absorbed cluster {src} is not the only clique of its MPS {m_src}"
-        )
-    if not model.mpd.has_edge(m_src, m_dst):
-        raise InconsistencyError(f"MPSs {m_src} and {m_dst} are not adjacent")
-    model.mpd.merge_into(m_src, m_dst)
-    del index.cliques_of[m_src]
-    del index.owner[src]
+    if _group(model.jt, owner, owner[src]) != {src}:
+        raise InconsistencyError(f"absorbed cluster {src} is not the only clique of its MPS {owner[src]}")
+    del owner[src]
     for v in model.jt.cluster(src):
         if model.family.get(v) == src:
             model.family[v] = dst
@@ -527,17 +520,18 @@ def _doomed_tree(jt: ClusterTree, doomed: list[int], variables: set[int]) -> Clu
 
 def _rebuild_subtree(
     model: CompiledModel,
-    comp: list[int],
+    doomed: list[int],
     links: dict[tuple[int, int], bool],
     trace: BatchTrace | None,
 ) -> None:
-    """Rebuild the union of comp's MPSs and splice it into both trees.
+    """Rebuild the doomed cliques and splice their replacements into the junction tree.
 
-    ``links`` holds the batch's net moral link changes, each pair mapped to
-    whether it was added.  The region R is the union of comp's MPSs less
-    the variables the batch removed, and H = moral + fill is the
-    triangulation before the batch.  Every holder of a removed variable is
-    marked, so no boundary separator holds one.
+    ``doomed`` lists, ascending, the cliques of a connected set of marked
+    MPSs.  ``links`` holds the batch's net moral link changes, each pair
+    mapped to whether it was added.  The region R is the union of the
+    doomed cliques less the variables the batch removed, and H = moral +
+    fill is the triangulation before the batch.  Every holder of a removed
+    variable is marked, so no boundary separator holds one.
 
     When every link the batch added inside R is already a fill pair, the
     doomed cliques' own junction subtree is thinned, and min-fill does not
@@ -563,15 +557,8 @@ def _rebuild_subtree(
     moral graph, and an edit changes moral links only inside the marked
     region.
     """
-    jt, mpd, index = model.jt, model.mpd, model.index
-    variables = {v for m in comp for v in mpd.cluster(m) if model.moral.has_vertex(v)}
-    doomed = sorted(set().union(*(index.cliques_of[m] for m in comp)))
-    old_boundary = Counter(
-        (nb, mpd.separator(m, nb)) for m in comp for nb in mpd.neighbors(m) if nb not in comp
-    )
-    if not variables and any(sep for _, sep in old_boundary):
-        raise InconsistencyError("emptied subtree has a non-empty boundary separator")
-
+    jt, owner = model.jt, model.owner
+    variables = {v for c in doomed for v in jt.cluster(c) if model.moral.has_vertex(v)}
     g_sub = model.moral.induced(variables)
     inside = {pair: a for pair, a in links.items() if variables.issuperset(pair)}
     added = {pair for pair, a in inside.items() if a}
@@ -583,7 +570,7 @@ def _rebuild_subtree(
         kept = thin_join_tree(t, sorted(fill.union(inside) - added))
     else:
         t, kept = construct_join_tree(g_sub)
-    t_mpd, t_index = aggregate_cliques(t, g_sub)
+    _, t_owner = aggregate_cliques(t, g_sub)
     model.fill.remove_induced(variables)
     for u, v in kept:
         model.fill.add_edge(u, v)
@@ -591,33 +578,23 @@ def _rebuild_subtree(
     jt_map = {lid: jt.add_cluster(t.cluster(lid)) for lid in t.cluster_ids()}
     for a, b, sep in t.edges():
         jt.add_edge(jt_map[a], jt_map[b], sep)
-    mpd_map = {lid: mpd.add_cluster(t_mpd.cluster(lid)) for lid in t_mpd.cluster_ids()}
-    for a, b, sep in t_mpd.edges():
-        mpd.add_edge(mpd_map[a], mpd_map[b], sep)
-    for m_local, cliques in t_index.cliques_of.items():
-        index.cliques_of[mpd_map[m_local]] = {jt_map[c] for c in cliques}
-    for c, m_local in t_index.owner.items():
-        index.owner[jt_map[c]] = mpd_map[m_local]
+    # jt_map is increasing, so each local root, the least clique of its
+    # group, maps to the least clique of the group it becomes
+    for c, m_local in t_owner.items():
+        owner[jt_map[c]] = jt_map[m_local]
     if trace is not None:
         trace.new_jt_ids |= set(jt_map.values())
-        trace.new_mpd_ids |= set(mpd_map.values())
+        trace.new_mpd_ids |= {jt_map[m] for m in t_owner.values()}
+        mps_ids = tuple(sorted({owner[c] for c in doomed}))
         trace.subtrees.append(
-            SubtreeTrace(tuple(comp), frozenset(variables), tuple(t.cluster(l) for l in t.cluster_ids()), thinned)
+            SubtreeTrace(mps_ids, frozenset(variables), tuple(t.cluster(l) for l in t.cluster_ids()), thinned)
         )
 
-    # the junction boundary must mirror the old MPS boundary one to one;
-    # each reattachment then becomes the MPS edge it mirrors
     records = connect(jt, set(jt_map.values()), doomed)
-    if Counter((index.owner.get(c_k), sep) for _, c_k, sep, _ in records) != old_boundary:
-        raise InconsistencyError("junction and MPS boundaries of the rebuilt subtree disagree")
-    for _k, c_k, sep, target in records:
-        if target != c_k:
-            mpd.add_edge(index.owner[target], index.owner[c_k], sep)
 
     # re-host families whose clique died; a dead host is a doomed clique,
     # which holds its variable, so only the region's variables can need
-    # it.  jt_map is increasing, so the local (size, id) choice is the
-    # global one.
+    # it.  The local (size, id) choice is the global one.
     dead = set(doomed)
     orphans = [v for v in sorted(variables) if model.family.get(v) in dead]
     for v, c in assign_families(model.dag, t, orphans).items():
@@ -625,10 +602,7 @@ def _rebuild_subtree(
 
     for k in doomed:
         jt.remove_cluster(k)
-        del index.owner[k]
-    for m in comp:
-        mpd.remove_cluster(m)
-        del index.cliques_of[m]
+        del owner[k]
 
     for _k, c_k, sep, target in records:
         if target in jt and jt.cluster(target) == sep:
@@ -659,10 +633,12 @@ def incremental_compile(
     raises before the model is touched; internal inconsistencies raise
     InconsistencyError and are never silently repaired.
 
-    The closing check counts edges.  A splice re-hangs each boundary edge
-    of the doomed cliques on their replacement tree (or, when none, on one
-    boundary cluster), so a connected doomed set leaves both trees trees,
-    and c disconnected pieces leave c - 1 edges too many.
+    The doomed cliques are the groups of the marked MPSs, and each
+    connected piece of them is rebuilt apart.  The closing check counts
+    edges.  A splice re-hangs each boundary edge of the doomed cliques on
+    their replacement tree (or, when none, on one boundary cluster), so a
+    connected doomed set leaves the junction tree a tree, and c
+    disconnected pieces leave c - 1 edges too many.
     """
     with model.dag.rollback():
         for mod in mods:
@@ -690,9 +666,10 @@ def incremental_compile(
             trace.mods.append(rec)
 
     if marked:
-        for comp in map(sorted, model.mpd.components(marked)):
+        jt = model.jt
+        doomed = set().union(*(_group(jt, model.owner, m) for m in marked))
+        for comp in map(sorted, jt.components(doomed)):
             _rebuild_subtree(model, comp, net, trace)
-        for name, tree in (("junction", model.jt), ("MPS", model.mpd)):
-            if tree and tree.edge_count() != len(tree) - 1:
-                raise InconsistencyError(f"rebuild left {tree.edge_count()} edges on {len(tree)} {name} clusters")
+        if jt and jt.edge_count() != len(jt) - 1:
+            raise InconsistencyError(f"rebuild left {jt.edge_count()} edges on {len(jt)} junction clusters")
     return model

@@ -2,38 +2,40 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .clustertree import ClusterTree
 from .graph import UndirectedGraph
 
 
-@dataclass
-class MpdIndex:
-    """Bookkeeping tying the MPS tree to the junction tree.
+def mps_tree(jt: ClusterTree, owner: dict[int, int]) -> ClusterTree:
+    """The MPS tree that an owner map (clique → MPS) makes of the junction tree.
 
-    ``cliques_of`` partitions the junction clusters among the MPS clusters;
-    each MPS vertex set equals the union of its cliques.  ``owner`` is its
-    inverse, the MPS of every junction cluster, so a variable's family is
-    hosted in the MPS ``owner[model.family[v]]``.
+    Each MPS is the union of its cliques under its own id, and every
+    junction edge between cliques of two MPSs becomes an MPS edge with the
+    same separator.  Fresh ids continue after the junction tree's.
     """
+    members: dict[int, list[int]] = {}
+    for c, m in owner.items():
+        members.setdefault(m, []).append(c)
+    # most MPSs are one clique, whose vertex set needs no copy
+    clusters = {
+        m: jt.cluster(cs[0]) if len(cs) == 1 else frozenset().union(*map(jt.cluster, cs)) for m, cs in members.items()
+    }
+    mpd = ClusterTree(clusters, jt.next_id)
+    for a, b, sep in jt.edges():
+        m_a, m_b = owner[a], owner[b]
+        if m_a != m_b:
+            mpd.add_edge(m_a, m_b, sep)
+    return mpd
 
-    cliques_of: dict[int, set[int]] = field(default_factory=dict)
-    owner: dict[int, int] = field(default_factory=dict)
 
-    def copy(self) -> "MpdIndex":
-        return MpdIndex({m: set(cs) for m, cs in self.cliques_of.items()}, dict(self.owner))
-
-
-def aggregate_cliques(jt: ClusterTree, gm: UndirectedGraph) -> tuple[ClusterTree, MpdIndex]:
+def aggregate_cliques(jt: ClusterTree, gm: UndirectedGraph) -> tuple[ClusterTree, dict[int, int]]:
     """Merge adjacent clusters across separators incomplete in the moral graph.
 
     The maximal prime subgraphs are the connected components of the junction
     tree cut down to its incomplete separators (Olesen & Madsen, IEEE SMC-B
-    2002).  One union-find over those separators finds every group; each
-    MPS keeps the smallest id of its group (the root of its union-find set)
-    and the union of its vertex sets, and the complete separators become
-    the MPS tree's edges.  Fresh MPS ids continue after the junction tree's.
+    2002).  One union-find over those separators finds every group and maps
+    each clique to the smallest id of its group, the root of its set.
+    Returns the MPS tree (see :func:`mps_tree`) and that owner map.
     Requires a junction tree built from a minimal triangulation of gm.
     """
     owner = {c: c for c in jt.cluster_ids()}
@@ -43,18 +45,10 @@ def aggregate_cliques(jt: ClusterTree, gm: UndirectedGraph) -> tuple[ClusterTree
             owner[c] = c = owner[owner[c]]
         return c
 
-    complete = []
     for a, b, sep in jt.edges():
-        if gm.is_complete(sep):
-            complete.append((a, b, sep))
-        else:
+        if not gm.is_complete(sep):
             ra, rb = find(a), find(b)
             owner[max(ra, rb)] = min(ra, rb)
-    cliques_of: dict[int, set[int]] = {}
     for c in owner:
-        r = owner[c] = find(c)
-        cliques_of.setdefault(r, set()).add(c)
-    mpd = ClusterTree({r: frozenset().union(*map(jt.cluster, cs)) for r, cs in cliques_of.items()}, jt.next_id)
-    for a, b, sep in complete:
-        mpd.add_edge(owner[a], owner[b], sep)
-    return mpd, MpdIndex(cliques_of, owner)
+        owner[c] = find(c)
+    return mps_tree(jt, owner), owner

@@ -33,8 +33,8 @@ def full_recompile(dag: Dag) -> CompiledModel:
     jt, kept = construct_join_tree(gm)
     # through the module, whose binding the benchmark's tracer wraps
     family = pipeline.assign_families(dag, jt, dag.nodes())
-    mpd, index = aggregate_cliques(jt, gm)
-    return CompiledModel(dag, gm, jt, mpd, index, family, UndirectedGraph.from_edges(gm.vertices(), kept))
+    _, owner = aggregate_cliques(jt, gm)
+    return CompiledModel(dag, gm, jt, owner, family, UndirectedGraph.from_edges(gm.vertices(), kept))
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +100,7 @@ def validate(model: CompiledModel) -> ValidityReport:
     then the non-moral pairs inside the clusters, with no scan of them.
     """
     checks: list[Check] = []
-    dag, moral, jt, mpd, index = model.dag, model.moral, model.jt, model.mpd, model.index
+    dag, moral, jt, owner = model.dag, model.moral, model.jt, model.owner
     fill = model.fill.edges()
 
     def check(name: str, passed: bool, detail: str) -> None:
@@ -178,45 +178,23 @@ def validate(model: CompiledModel) -> ValidityReport:
         for v in dag.nodes():
             fam = dag.family(v)
             c = model.family[v]
-            m = index.owner.get(c)
-            if not (c in jt and m in mpd and fam <= jt.cluster(c) and fam <= mpd.cluster(m)):
+            if not (c in jt and fam <= jt.cluster(c)):
                 fam_detail = f"family of {v} is not hosted"
                 break
     check("family_coverage", not fam_detail, fam_detail)
 
-    mpd_tree = mpd.is_tree()
-    check(
-        "mpd_separators",
-        mpd_tree and all(complete(moral, sep) for _, _, sep in mpd.edges()),
-        "an MPS separator is incomplete in the moral graph" if mpd_tree else "the MPS tree is not a tree",
-    )
-
     # re-aggregation needs a junction tree of the triangulation, whose
-    # variables are then all in the moral graph
+    # variables are then all in the moral graph; its owner map names every
+    # MPS by its least clique, so equality also proves that the groups are
+    # connected, cut at complete separators, and that the MPS tree is a tree
     prerequisites = ("triangulation_chordal", "running_intersection", "separator_intersection", "cluster_completeness")
     unmet = [c.name for c in checks if c.name in prerequisites and not c.passed]
     if unmet:
-        check("mpd_multiset", False, f"not checked: {', '.join(unmet)} failed")
+        check("mpd_owner", False, f"not checked: {', '.join(unmet)} failed")
     else:
-        reference, _ = aggregate_cliques(jt, moral)
-        check(
-            "mpd_multiset",
-            reference.cluster_multiset() == mpd.cluster_multiset()
-            and reference.separator_multiset() == mpd.separator_multiset(),
-            "MPS clusters/separators differ from re-aggregating the junction tree",
-        )
-
-    idx_ok = sorted(c for cs in index.cliques_of.values() for c in cs) == jt.cluster_ids()
-    idx_ok = idx_ok and set(index.cliques_of) == set(mpd.cluster_ids())
-    if idx_ok:
-        for m, cs in index.cliques_of.items():
-            union = frozenset().union(*(jt.cluster(c) for c in cs)) if cs else frozenset()
-            if union != mpd.cluster(m) or len(jt.components(cs)) > 1:
-                idx_ok = False
-                break
-    if idx_ok:
-        idx_ok = index.owner == {c: m for m, cs in index.cliques_of.items() for c in cs}
-    check("mpd_index", idx_ok, "clique/MPS index is inconsistent with the trees")
+        _, reference = aggregate_cliques(jt, moral)
+        c = next((c for c in sorted(owner.keys() | reference.keys()) if owner.get(c) != reference.get(c)), None)
+        check("mpd_owner", c is None, f"clique {c} has owner {owner.get(c)}, re-aggregation gives {reference.get(c)}")
 
     return ValidityReport(tuple(checks))
 

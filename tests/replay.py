@@ -8,9 +8,10 @@ through ``incremental_compile`` and writes one JSON line per flush.  The
 line names the flush (stream, case, flush index) and holds a sha256 of
 each output the engine keeps: the junction tree, the MPS tree (with its
 ids, and as cluster and separator multisets alone), the family map, the
-clique owners, the fill (``sorted(model.tri.fill)``) and the
-``BatchTrace``, plus two verdicts: ``validate`` and ``mpd_equal`` against a
-full recompile of the edited dag.
+clique owners, the clique groups (the partition the owners make, as
+sorted lists of clique ids, which no MPS id enters), the fill
+(``sorted(model.tri.fill)``) and the ``BatchTrace``, plus two verdicts:
+``validate`` and ``mpd_equal`` against a full recompile of the edited dag.
 
 The streams are:
 
@@ -76,6 +77,14 @@ def mps_record(tree) -> dict:
     }
 
 
+def groups_record(owner: dict[int, int]) -> list[list[int]]:
+    """The cliques grouped by owner, as sorted lists of clique ids, sorted."""
+    groups: dict[int, list[int]] = {}
+    for c, m in owner.items():
+        groups.setdefault(m, []).append(c)
+    return sorted(sorted(cs) for cs in groups.values())
+
+
 def trace_record(trace: BatchTrace) -> dict:
     """Per modification its links, marked MPSs and rewirings; then the subtrees (thinned or not) and amalgamations."""
     return {
@@ -95,15 +104,17 @@ def trace_record(trace: BatchTrace) -> dict:
 
 def flush_record(stream: str, case: str, flush: int, model, trace: BatchTrace) -> dict:
     """The digests and verdicts of one flushed model."""
+    mpd = model.mpd
     return {
         "stream": stream,
         "case": case,
         "flush": flush,
         "jt": sha256(tree_record(model.jt)),
-        "mpd": sha256(tree_record(model.mpd)),
-        "mps": sha256(mps_record(model.mpd)),
+        "mpd": sha256(tree_record(mpd)),
+        "mps": sha256(mps_record(mpd)),
         "family": sha256(sorted(model.family.items())),
-        "owner": sha256(sorted(model.index.owner.items())),
+        "owner": sha256(sorted(model.owner.items())),
+        "groups": sha256(groups_record(model.owner)),
         "fill": sha256(sorted(sorted(pair) for pair in model.tri.fill)),
         "trace": sha256(
             {
@@ -114,7 +125,7 @@ def flush_record(stream: str, case: str, flush: int, model, trace: BatchTrace) -
             }
         ),
         "valid": validate(model).passed,
-        "mpd_equal": mpd_equal(model.mpd, full_recompile(model.dag.copy()).mpd),
+        "mpd_equal": mpd_equal(mpd, full_recompile(model.dag.copy()).mpd),
     }
 
 
@@ -163,7 +174,7 @@ def diff(a: list[dict], b: list[dict]) -> int:
     if [key(r) for r in a] != [key(r) for r in b]:
         print("the runs cover different flushes")
         return 1
-    parts = ("jt", "mpd", "mps", "family", "owner", "fill", "trace")
+    parts = ("jt", "mpd", "mps", "family", "owner", "groups", "fill", "trace")
     trees = {"jt": "junction trees", "mps": "MPS trees"}
     total, diverged, first = Counter(), Counter(), {}
     for ra, rb in zip(a, b):

@@ -47,10 +47,17 @@ TRACED_LAYERS = [
 # Family hosting, which a full compile runs after the junction tree.
 COMPILE_LAYERS = [("pipeline", "assign_families")]
 # The engine's marking and splice layers, as each kind of flush calls them.
-ADD_ARC_LAYERS = [("engine", "modify_moral_graph"), ("engine", "mark_add_link"), ("engine", "connect")]
+# A rebuild groups its new cliques through the engine's aggregate_cliques.
+ADD_ARC_LAYERS = [
+    ("engine", "modify_moral_graph"),
+    ("engine", "mark_add_link"),
+    ("engine", "aggregate_cliques"),
+    ("engine", "connect"),
+]
 REMOVE_ARC_LAYERS = [
     ("engine", "modify_moral_graph"),
     ("engine", "mark_remove_link"),
+    ("engine", "aggregate_cliques"),
     ("engine", "connect"),
     ("engine", "absorb_non_maximal"),
 ]

@@ -7,7 +7,8 @@ few incremental flushes.  Every set is written as a sorted list and every
 id is an int, so the digest does not depend on the string hash seed.  A
 change that claims identical outputs must leave ``DIGEST`` as it is.
 ``HOST_DIGEST`` pins, for the same models, the MPS hosting each variable's
-family: the owner of its junction-tree host clique.  ``MIN_FILL_600_DIGEST``
+family: the owner of its junction-tree host clique.  An MPS id is the
+least clique id of its group, after a full compile and after a flush.  ``MIN_FILL_600_DIGEST``
 pins min-fill's ``(order, fill)`` on the benchmark's 600-node random
 network, whose eliminations carry the fill counters deepest.
 ``TRACE_DIGEST`` pins the ``BatchTrace`` of every incremental flush above:
@@ -42,12 +43,12 @@ from bnic import (
 
 import replay
 
-DIGEST = "6855ea8540959c3f88b39057bee8aee808655451e3b24da448d0ca1cb26491fd"
-HOST_DIGEST = "cbfa4208672d41b73d79bb4f20cc4911004cd1087cd226802d93a49cc5157231"
-TRACE_DIGEST = "14e0cf9b32d0c9f733d8c95d41e05de8386a7607b4234661850f105d73d4b86d"
+DIGEST = "1b5a8ced3d78e5fab03687a7fbd7287f89a56464a7bc170fc22efe30a3238990"
+HOST_DIGEST = "9f8f82968b2285447228f291f4c25144cbfb4b0bb920f6279d1b2a88a0e85fa4"
+TRACE_DIGEST = "26d9c4e6c1b8178a93fd7634180a5e42616942f686479cd68262e93c11e3df52"
 MIN_FILL_600_DIGEST = "9d7c92b1cad9680afd0f1a93c18a64978e15a2eff99e8b499b06d4cc4b1af9f5"
 MPS_DIGEST = "a26c46b230de28bab2407ba995dbb63a8a3f47e57546545b50a11f343eacf32d"
-REPLAY_DIGEST = "019a6b2c6e139e2816c0cf1bd7088e4d712523bc2f9c329a77efdb5a3f795641"
+REPLAY_DIGEST = "4b525747124996c17c4285adba791821ec42b6cf44b4c58b00557ff42a1d2396"
 
 
 def _banded_dag(n, rng):
@@ -68,7 +69,7 @@ def _model(model):
 
 
 def _mps_hosts(model):
-    return sorted([v, model.index.owner[c]] for v, c in model.family.items())
+    return sorted([v, model.owner[c]] for v, c in model.family.items())
 
 
 def _records():

@@ -41,7 +41,6 @@ from bnic.engine import (
     mark_remove_node,
     modify_moral_graph,
 )
-from bnic.mpd import MpdIndex
 
 from conftest import build_asia, cluster_names, name_set
 
@@ -196,7 +195,7 @@ def test_mark_remove_link_equals_brute_force_closure():
         mod = RemoveArc(p, c)
         apply_modification(m.dag, mod)
         links = modify_moral_graph(m, mod)
-        start = m.index.owner[m.family[c]]
+        start = m.owner[m.family[c]]
         # an arc whose removal deletes no moral link marks nothing
         expected = _closure_marks(m, links, start) if links else set()
         rec = ModTrace(mod=mod, description="x")
@@ -387,12 +386,14 @@ def _tree_path_reference(tree, a, b):
 
 def _mark_add_link_reference(model, parent, child, links, marked):
     # the former marking: for every induced link, the nearest holder of
-    # parent from the child's host, the tree path to it and the rewiring of
-    # the first empty separator on that path; an arc between moral
-    # neighbours that induces no link still marks that path once
-    mpd, jt, index = model.mpd, model.jt, model.index
-    m_y = index.owner[model.family[child]]
+    # parent from the child's host on the MPS tree, the tree path to it and
+    # the rewiring of the first empty separator on that path; an arc
+    # between moral neighbours that induces no link still marks that path
+    # once
+    jt, owner = model.jt, model.owner
+    m_y = owner[model.family[child]]
     for _link in links or [None]:
+        mpd = model.mpd
         m_x = _nearest_containing_reference(mpd, m_y, parent)
         path = _tree_path_reference(mpd, m_x, m_y)
         empty = [
@@ -402,12 +403,13 @@ def _mark_add_link_reference(model, parent, child, links, marked):
         ]
         if empty:
             a, b = empty[0]
-            ca, cb = bnic.engine._crossing_edge(model, a, b)
-            mpd.remove_edge(a, b)
+            # the one junction edge between the two clique groups
+            ((ca, cb),) = [
+                (c, nb) for c in jt.cluster_ids() if owner[c] == a for nb in jt.neighbors(c) if owner[nb] == b
+            ]
             jt.remove_edge(ca, cb)
-            mpd.add_edge(m_x, m_y, {parent})
-            cx = min(c for c in index.cliques_of[m_x] if parent in jt.cluster(c))
-            jt.add_edge(cx, min(index.cliques_of[m_y]), {parent})
+            cx = min(c for c in jt.cluster_ids() if owner[c] == m_x and parent in jt.cluster(c))
+            jt.add_edge(cx, m_y, {parent})
             path = [m_x, m_y]
         for m in path:
             marked.add(m)
@@ -423,12 +425,12 @@ def _phase_one(model, mod, marked, rec, reference):
             add_node(model, model.dag.table.id(name), marked, rec)
         case RemoveNode(node):
             if reference:
-                _mark_remove_node_reference(model, node, model.index.owner[model.family.pop(node)], marked)
+                _mark_remove_node_reference(model, node, model.owner[model.family.pop(node)], marked)
             else:
                 mark_remove_node(model, node, marked, rec)
         case RemoveArc(parent, child):
             if reference:
-                return _mark_remove_link_reference(model, links, model.index.owner[model.family[child]], marked)
+                return _mark_remove_link_reference(model, links, model.owner[model.family[child]], marked)
             mark_remove_link(model, parent, child, links, marked, rec)
         case AddArc(parent, child):
             if reference:
@@ -567,12 +569,10 @@ def test_add_link_walk_breaks_ties_by_lowest_id():
     clusters = {0: frozenset({c, a, b}), 1: frozenset({p, a}), 2: frozenset({p, b})}
     trees = []
     for _ in range(2):
-        jt, mpd = ClusterTree(clusters, next_id=3), ClusterTree(clusters, next_id=3)
-        for tree in (jt, mpd):
-            tree.add_edge(0, 1, {a})
-            tree.add_edge(0, 2, {b})
-        index = MpdIndex({k: {k} for k in clusters}, {k: k for k in clusters})
-        trees.append(CompiledModel(Dag(), UndirectedGraph(), jt, mpd, index, {c: 0}, UndirectedGraph()))
+        jt = ClusterTree(clusters, next_id=3)
+        jt.add_edge(0, 1, {a})
+        jt.add_edge(0, 2, {b})
+        trees.append(CompiledModel(Dag(), UndirectedGraph(), jt, {k: k for k in clusters}, {c: 0}, UndirectedGraph()))
     model, reference = trees
     marked, ref_marked = set(), set()
     mark_add_link(model, p, c, marked)
@@ -730,7 +730,7 @@ def test_a_lone_remove_arc_thins_its_region_without_min_fill(monkeypatch):
     parent, child = next(
         (p, c)
         for p, c in model.dag.arcs()
-        if model.index.owner[model.family[c]] == largest and not model.dag.common_child(p, c)
+        if model.owner[model.family[c]] == largest and not model.dag.common_child(p, c)
     )
     _forbid_min_fill(monkeypatch)
     trace = BatchTrace()
@@ -864,7 +864,7 @@ def test_locality_on_random_edits():
         for m in old.mpd.cluster_ids():
             if m in marked:
                 continue
-            for k in old.index.cliques_of[m]:
+            for k in (k for k, o in old.owner.items() if o == m):
                 assert old.jt.cluster(k) in after
                 survivors += 1
         if len(model.jt):
@@ -1020,7 +1020,7 @@ def test_local_flush_walks_no_whole_tree_and_copies_no_dag(monkeypatch):
         model = full_recompile(dag)
         emptied = isinstance(mods[0], RemoveNode)
         if emptied:
-            assert len(model.mpd.neighbors(model.index.owner[model.family[mods[0].node]])) >= 2
+            assert len(model.mpd.neighbors(model.owner[model.family[mods[0].node]])) >= 2
 
         calls = {"components": 0, "copy": 0}
         components, copy = ClusterTree.components, Dag.copy
@@ -1062,53 +1062,27 @@ def test_junction_cycle_after_a_rebuild_raises(asia_model, monkeypatch):
         incremental_compile(asia_model, [RemoveArc(t.id("A"), t.id("T"))])
 
 
-def test_a_clique_beside_the_marked_subtree_raises(monkeypatch):
-    # a marked MPS that also lists a clique not adjacent to its own makes
-    # the doomed cliques disconnected; that must raise, never splice
-    rebuild = bnic.engine._rebuild_subtree
-    hit = {"flushes": 0}
-
-    def rebuild_with_a_stray_clique(model, comp, *batch):
-        index, jt = model.index, model.jt
-        own = set().union(*(index.cliques_of[m] for m in comp))
-        near = own | {nb for c in own for nb in jt.neighbors(c)}
-        stray = next((c for c in jt.cluster_ids() if c not in near), None)
-        if stray is not None:
-            hit["flushes"] += 1
-            index.cliques_of[comp[0]].add(stray)
-        rebuild(model, comp, *batch)
-
-    monkeypatch.setattr(bnic.engine, "_rebuild_subtree", rebuild_with_a_stray_clique)
+def test_a_clique_owned_apart_from_its_mps_fails_mpd_owner():
+    # an owner naming an MPS whose group the clique does not touch, which
+    # the group walks of a flush would never reach: validate, which
+    # re-aggregates, names that clique
     rng = Random(515)
-    raised = 0
+    flagged = 0
     for _ in range(40):
         model = full_recompile(random_dag(rng.randint(6, 25), rng, edge_prob=rng.choice([0.1, 0.2, 0.3])))
-        mods = random_script(model.dag, rng.randint(1, 6), rng)
-        before = hit["flushes"]
-        try:
-            incremental_compile(model, mods)
-        except InconsistencyError:
-            raised += 1
-        else:
-            assert hit["flushes"] == before
-    assert raised == hit["flushes"] > 10
-
-
-def test_reattachment_outside_the_mps_boundary_raises(asia_model, monkeypatch):
-    # the splice maps reattached cliques to their MPS through the boundary
-    # MPSs only; a record naming any other clique is an inconsistency
-    model = asia_model
-    t = model.dag.table
-    far = next(c for c in model.jt.cluster_ids() if name_set(t, model.jt.cluster(c)) == frozenset("EX"))
-    splice = bnic.engine.connect
-
-    def connect_with_far_record(tree, replacement_ids, doomed):
-        records = splice(tree, replacement_ids, doomed)
-        return records + [(doomed[0], far, frozenset(), records[0][3])]
-
-    monkeypatch.setattr(bnic.engine, "connect", connect_with_far_record)
-    with pytest.raises(InconsistencyError, match="boundaries of the rebuilt subtree disagree"):
-        incremental_compile(model, [RemoveArc(t.id("A"), t.id("T"))])
+        jt, owner = model.jt, model.owner
+        m = owner[model.family[rng.choice(model.dag.nodes())]]
+        group = {c for c, o in owner.items() if o == m}
+        near = group | {nb for c in group for nb in jt.neighbors(c)}
+        stray = next((c for c in jt.cluster_ids() if c not in near), None)
+        if stray is None:
+            continue
+        owner[stray] = m
+        failed = [c for c in validate(model).checks if not c.passed]
+        assert [c.name for c in failed] == ["mpd_owner"]
+        assert failed[0].detail.startswith(f"clique {stray} has owner {m},")
+        flagged += 1
+    assert flagged > 10
 
 
 def _stack_depth() -> int:

@@ -24,13 +24,14 @@ def test_aggregate_asia(asia, asia_model):
         frozenset("EBD"),
         frozenset("EX"),
     }
-    # clique groups partition the junction tree and union to the MPS sets
-    index = asia_model.index
-    all_cliques = sorted(c for cs in index.cliques_of.values() for c in cs)
-    assert all_cliques == asia_model.jt.cluster_ids()
-    for m, cs in index.cliques_of.items():
-        union = frozenset().union(*(asia_model.jt.cluster(c) for c in cs))
-        assert union == asia_model.mpd.cluster(m)
+    # every clique has an owner, and each MPS is the union of its cliques
+    # under the least id among them
+    owner = asia_model.owner
+    assert sorted(owner) == asia_model.jt.cluster_ids()
+    for m in asia_model.mpd.cluster_ids():
+        cs = [c for c, o in owner.items() if o == m]
+        assert min(cs) == m
+        assert frozenset().union(*(asia_model.jt.cluster(c) for c in cs)) == asia_model.mpd.cluster(m)
 
 
 def test_aggregate_is_identity_when_all_separators_complete(asia):
@@ -41,10 +42,10 @@ def test_aggregate_is_identity_when_all_separators_complete(asia):
     gm.remove_edge(t.id("T"), t.id("L"))
     sub = gm.induced({t.id(n) for n in "TLEBS"})
     tree, _ = construct_join_tree(sub)
-    mpd, index = aggregate_cliques(tree, sub)
+    mpd, owner = aggregate_cliques(tree, sub)
     assert mpd.cluster_multiset() == tree.cluster_multiset()
     assert mpd.separator_multiset() == tree.separator_multiset()
-    assert all(cs and len(cs) == 1 for cs in index.cliques_of.values())
+    assert all(m == c for c, m in owner.items())
 
 
 def _aggregate_by_restart_scan(jt, gm, family, rng):
@@ -70,14 +71,14 @@ def test_aggregate_result_is_merge_order_independent():
         gm = moralize(dag)
         tree, _ = construct_join_tree(gm)
         family = assign_families(dag, tree, dag.nodes())
-        one_pass, index = aggregate_cliques(tree, gm)
+        one_pass, owner = aggregate_cliques(tree, gm)
         assert len(tree) - len(one_pass) >= 5
         clusters = {c: one_pass.cluster(c) for c in one_pass.cluster_ids()}
         for shuffle_seed in range(20):
             scanned, scanned_family = _aggregate_by_restart_scan(tree, gm, family, Random(shuffle_seed))
             assert {c: scanned.cluster(c) for c in scanned.cluster_ids()} == clusters
             assert scanned.edges() == one_pass.edges()
-            assert scanned_family == {v: index.owner[c] for v, c in family.items()}
+            assert scanned_family == {v: owner[c] for v, c in family.items()}
 
 
 def test_mpd_separators_complete_and_rip(asia_model):
@@ -142,15 +143,15 @@ def _aggregate_by_copy_and_components(jt, gm):
     mpd = edited(mpd, {r: frozenset().union(*(jt.cluster(c) for c in comp)) for r, comp in groups.items()})
     for a, b, sep in complete:
         mpd.add_edge(root[a], root[b], sep)
-    return mpd, groups, root
+    return mpd, root
 
 
 def _assert_aggregates_like_the_reference(jt, gm):
-    mpd, index = aggregate_cliques(jt, gm)
-    ref, groups, root = _aggregate_by_copy_and_components(jt, gm)
+    mpd, owner = aggregate_cliques(jt, gm)
+    ref, root = _aggregate_by_copy_and_components(jt, gm)
     assert {c: mpd.cluster(c) for c in mpd.cluster_ids()} == {c: ref.cluster(c) for c in ref.cluster_ids()}
     assert mpd.edges() == ref.edges() and mpd.edge_count() == ref.edge_count()
-    assert index.cliques_of == groups and index.owner == root
+    assert owner == root
     # fresh ids continue where the reference's do
     assert mpd.add_cluster(()) == ref.add_cluster(())
     return len(jt) - len(mpd)

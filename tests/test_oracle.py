@@ -67,8 +67,8 @@ def _with_fill(dag, fill):
         gt.add_edge(u, v)
     tree = build_join_tree(extract_cliques(gt))
     family = assign_families(dag, tree, dag.nodes())
-    mpd, index = aggregate_cliques(tree, gm)
-    return CompiledModel(dag, gm, tree, mpd, index, family, fill)
+    _, owner = aggregate_cliques(tree, gm)
+    return CompiledModel(dag, gm, tree, owner, family, fill)
 
 
 def _asia_with_both_diagonals(asia):
@@ -99,20 +99,25 @@ def test_validate_names_the_missing_chord(asia):
         "triangulation_minimal": "not checked: triangulation is not chordal",
         "cluster_completeness": "a cluster is incomplete in the triangulated graph",
         "cluster_maximality": "not checked: triangulation is not chordal",
-        "mpd_multiset": "not checked: triangulation_chordal, cluster_completeness failed",
+        "mpd_owner": "not checked: triangulation_chordal, cluster_completeness failed",
     }
 
 
 def test_mps_checks_say_what_they_checked(asia):
-    # one MPS edge gone: the separator check names the broken tree, and the
-    # multiset check, whose prerequisites all hold, re-aggregates and differs
+    # the owner check, whose prerequisites all hold, re-aggregates and names
+    # the first clique whose owner differs; a broken junction tree leaves
+    # it unchecked
     model = full_recompile(asia)
-    a, b, _ = model.mpd.edges()[0]
-    model.mpd.remove_edge(a, b)
+    k = max(model.owner)
+    model.owner[k] = min(model.owner)
+    failing = {c["name"]: c["detail"] for c in validate(model).to_dict()["checks"] if not c["passed"]}
+    assert failing == {"mpd_owner": f"clique {k} has owner {min(model.owner)}, re-aggregation gives {k}"}
+    a, b, _ = model.jt.edges()[0]
+    model.jt.remove_edge(a, b)
     failing = {c["name"]: c["detail"] for c in validate(model).to_dict()["checks"] if not c["passed"]}
     assert failing == {
-        "mpd_separators": "the MPS tree is not a tree",
-        "mpd_multiset": "MPS clusters/separators differ from re-aggregating the junction tree",
+        "running_intersection": "the junction tree is not a tree",
+        "mpd_owner": "not checked: running_intersection failed",
     }
 
 
@@ -153,9 +158,7 @@ CHECK_NAMES = [
     "cluster_completeness",
     "cluster_maximality",
     "family_coverage",
-    "mpd_separators",
-    "mpd_multiset",
-    "mpd_index",
+    "mpd_owner",
 ]
 
 
@@ -236,30 +239,46 @@ def _failed(model):
     return [c.name for c in validate(model).checks if not c.passed]
 
 
-def test_mpd_index_flags_a_remapped_owner(asia_model):
-    owner = asia_model.index.owner
+def test_mpd_owner_flags_a_remapped_owner(asia_model):
+    owner = asia_model.owner
     c = min(owner)
-    owner[c] = next(m for m in asia_model.mpd.cluster_ids() if m != owner[c])
-    assert "mpd_index" in _failed(asia_model)
+    owner[c] = next(m for m in set(owner.values()) if m != owner[c])
+    assert _failed(asia_model) == ["mpd_owner"]
+
+
+def test_mpd_owner_flags_a_grouping_under_a_non_root_id(asia_model):
+    # a two-clique MPS renamed after its larger clique: the grouping is
+    # right, but an MPS id is the least clique of its group
+    owner = asia_model.owner
+    m = next(m for m in set(owner.values()) if sum(o == m for o in owner.values()) > 1)
+    other = max(c for c, o in owner.items() if o == m)
+    for c, o in owner.items():
+        if o == m:
+            owner[c] = other
+    assert len(asia_model.mpd) == 5
+    assert _failed(asia_model) == ["mpd_owner"]
 
 
 def test_a_missing_owner_entry_fails_a_check_without_raising(asia_model):
-    del asia_model.index.owner[asia_model.family[asia_model.dag.table.id("D")]]
-    assert {"family_coverage", "mpd_index"} <= set(_failed(asia_model))
+    del asia_model.owner[asia_model.family[asia_model.dag.table.id("D")]]
+    assert _failed(asia_model) == ["mpd_owner"]
 
 
 def _with_stray_id(where, derived):
-    # a model one of whose vertex sets holds id 999, which no structure knows
+    # a model one of whose vertex sets, or a clique's owner, holds id 999,
+    # which no structure knows
     model = full_recompile(random_dag(10, Random(3), edge_prob=0.4))
-    attr = "mpd" if where == "mps separator" else "jt"
-    tree = getattr(model, attr)
+    tree = model.jt
+    if where == "owner":
+        model.owner[tree.cluster_ids()[0]] = 999
+        return model
     if where == "cluster":
         c = tree.cluster_ids()[0]
         tree = edited(tree, clusters={c: tree.cluster(c) | {999}})
     else:
         a, b, sep = tree.edges()[0]
         tree = edited(tree, separators={(a, b): sep | {999}})
-    setattr(model, attr, tree)
+    model.jt = tree
     if derived:
         # the fill gains the pairs that complete the grown cluster
         model.fill.add_vertex(999)
@@ -274,7 +293,7 @@ def _with_stray_id(where, derived):
         ("cluster", False, "running_intersection"),
         ("cluster", True, "triangulation_chordal"),
         ("junction separator", False, "separator_intersection"),
-        ("mps separator", False, "mpd_separators"),
+        ("owner", False, "mpd_owner"),
     ],
 )
 def test_an_unknown_id_fails_a_check_without_raising(where, derived, failing):
@@ -286,7 +305,7 @@ def test_an_unknown_id_fails_a_check_without_raising(where, derived, failing):
         details = {c["name"]: c["detail"] for c in report["checks"]}
         for name in ("triangulation_chordal", "cluster_completeness", "cluster_maximality"):
             assert details[name].startswith("not checked: unknown vertex")
-        assert details["mpd_multiset"].startswith("not checked: triangulation_chordal")
+        assert details["mpd_owner"].startswith("not checked: triangulation_chordal")
 
 
 @pytest.mark.parametrize("case", ["moral-pair-added", "kept-pair-removed", "unheld-pair-added", "unknown-vertex"])
@@ -377,8 +396,9 @@ def test_oracle_checks_validity_then_the_expected_dag(asia, asia_model):
     incremental_compile(edited, [RemoveArc(t.id("L"), t.id("E"))])
     assert oracle(edited, edited.dag) is None
     assert oracle(edited, asia_model.dag) == "mpd_equality_vs_full_recompile"
-    edited.index.owner[edited.jt.cluster_ids()[0]] = -1
-    assert oracle(edited, edited.dag) == "family_coverage: family of 0 is not hosted"
+    c = edited.jt.cluster_ids()[0]
+    edited.owner[c] = -1
+    assert oracle(edited, edited.dag) == f"mpd_owner: clique {c} has owner -1, re-aggregation gives {c}"
 
 
 def test_stability_bounds(asia_model):
