@@ -48,6 +48,14 @@ class ClusterTree:
         self._edges -= len(self._adj.pop(cid))
         del self._clusters[cid]
 
+    def shrink(self, cid: int, drop: Iterable[int]) -> None:
+        """Remove the vertices drop from cluster cid and from every separator at it."""
+        drop = frozenset(drop)
+        self._clusters[cid] -= drop
+        adj = self._adj
+        for nb, sep in adj[cid].items():
+            adj[nb][cid] = adj[cid][nb] = sep - drop
+
     def cluster(self, cid: int) -> frozenset[int]:
         return self._clusters[cid]
 

@@ -4,11 +4,12 @@ A batch of modifications is processed in two phases.  Phase one applies each
 edit to the dag, patches the moral graph, and marks the MPSs whose internal
 structure may have changed; the marks are a set owned by the batch, and no
 existing cluster's vertex set changes before phase two.
-Phase two rebuilds the cliques of each connected marked region, by thinning
-their own junction subtree when its triangulation still covers the batch's
-edits and else from the region's induced moral subgraph, and splices the
-fresh junction subtree into the tree, leaving every unmarked clique
-untouched.
+Phase two rebuilds the cliques of each connected marked region.  When the
+region's triangulation still covers the batch's edits, its own junction
+subtree is thinned in place, and only the cliques a dropped fill edge
+splits change; otherwise the region is re-triangulated from its induced
+moral subgraph and the fresh junction subtree is spliced into the tree.
+Either way no unmarked clique's vertex set changes.
 
 The engine keeps one tree, the junction tree, and an owner map from each
 clique to its MPS (see :class:`CompiledModel`).  The MPSs are connected
@@ -122,9 +123,10 @@ class CompiledModel:
 
     Every MPS id is the least clique of its group, and that clique belongs
     to the group: a full compile takes each union-find root, the minimum; a
-    rebuild maps its local roots through increasing fresh ids; a new node's
-    clique owns itself; and an amalgamated clique is the only one of its
-    group.  Groups change in no other way, so the cliques of MPS m are a
+    re-triangulated region maps its local roots through increasing fresh
+    ids, and a thinned one through its cliques in ascending id order; a new
+    node's clique owns itself; and an amalgamated clique is the only one of
+    its group.  Groups change in no other way, so the cliques of MPS m are a
     walk from clique m over the cliques m owns (:func:`_group`).
     """
 
@@ -176,8 +178,10 @@ class ModTrace:
 class SubtreeTrace:
     """One connected marked subtree rebuilt during the splice phase.
 
-    ``thinned`` says whether its own junction subtree was thinned, rather
-    than its region re-triangulated by min-fill.
+    ``thinned`` says whether its own junction subtree was thinned in place,
+    rather than its region re-triangulated by min-fill.  ``new_cliques``
+    lists the region's cliques after the rebuild: for a thinned region,
+    those it kept and those its splits made.
     """
 
     mps_ids: tuple[int, ...]
@@ -188,7 +192,12 @@ class SubtreeTrace:
 
 @dataclass
 class BatchTrace:
-    """Record of a whole incremental-compilation batch."""
+    """Record of a whole incremental-compilation batch.
+
+    ``absorbed`` lists each piece of a rebuilt region merged into an
+    unmarked clique, as (piece, clique); ``new_jt_ids`` the cliques the
+    rebuilds created; ``new_mpd_ids`` the MPSs of the rebuilt regions.
+    """
 
     mods: list[ModTrace] = field(default_factory=list)
     subtrees: list[SubtreeTrace] = field(default_factory=list)
@@ -338,7 +347,7 @@ def add_node(model: CompiledModel, x: int, marked: set[int], rec: ModTrace | Non
     separator.  Its MPS is marked for rebuild.
     """
     jt = model.jt
-    anchor = min(jt.cluster_ids()) if len(jt) else None
+    anchor = min(model.owner, default=None)  # every clique is an owner key
     c = jt.add_cluster({x})
     if anchor is not None:
         jt.add_edge(c, anchor, frozenset())
@@ -455,24 +464,30 @@ def connect(
     return records
 
 
-def absorb_non_maximal(tree: ClusterTree) -> ClusterTree:
-    """Merge every cluster contained in an adjacent neighbour into it.
+def absorb_non_maximal(tree: ClusterTree, ids: list[int] | None = None) -> list[tuple[frozenset[int], int]]:
+    """Merge every cluster of ``ids`` (default: all) contained in an adjacent neighbour into it.
 
-    Scans in ascending id order and restarts after each merge.  Returns the
-    tree.
+    Scans the live ones in ascending id order and restarts after each
+    merge.  A cluster inside another lies inside the neighbour on its tree
+    path to it, by running intersection, so none is left.  Returns the
+    merges as (merged vertex set, absorbing cluster).
     """
+    ids = tree.cluster_ids() if ids is None else sorted(ids)
+    merges: list[tuple[frozenset[int], int]] = []
     changed = True
     while changed:
         changed = False
-        for cid in tree.cluster_ids():
-            for nb in tree.neighbors(cid):
-                if tree.cluster(cid) <= tree.cluster(nb):
-                    tree.merge_into(cid, nb)
-                    changed = True
-                    break
-            if changed:
+        for cid in ids:
+            if cid not in tree:
+                continue
+            vs = tree.cluster(cid)
+            nb = next((nb for nb in tree.neighbors(cid) if vs <= tree.cluster(nb)), None)
+            if nb is not None:
+                tree.merge_into(cid, nb)
+                merges.append((vs, nb))
+                changed = True
                 break
-    return tree
+    return merges
 
 
 def _amalgamate(model: CompiledModel, src: int, dst: int, trace: BatchTrace | None) -> None:
@@ -498,33 +513,13 @@ def _amalgamate(model: CompiledModel, src: int, dst: int, trace: BatchTrace | No
     model.jt.merge_into(src, dst)
 
 
-def _doomed_tree(jt: ClusterTree, doomed: list[int], variables: set[int]) -> ClusterTree:
-    """The doomed cliques cut to variables and the junction edges among them, under local ids 0, 1, ….
-
-    Each separator is the intersection of its two ends, so a separator
-    rewired by the batch, whose ends share nothing, becomes empty.  A
-    cluster that lost removed variables can lie inside a neighbour, and
-    :func:`absorb_non_maximal` contracts it: the result is a junction tree.
-    """
-    local = {c: i for i, c in enumerate(doomed)}
-    t = ClusterTree({i: jt.cluster(c) & variables for c, i in local.items()}, len(doomed))
-    for c, i in local.items():
-        for nb in jt.neighbors(c):
-            j = local.get(nb)
-            if j is not None and i < j:
-                t.add_edge(i, j, t.cluster(i) & t.cluster(j))
-    if t.edge_count() != len(t) - 1:
-        raise InconsistencyError("the doomed cliques do not form a subtree")
-    return absorb_non_maximal(t)
-
-
 def _rebuild_subtree(
     model: CompiledModel,
     doomed: list[int],
     links: dict[tuple[int, int], bool],
     trace: BatchTrace | None,
 ) -> None:
-    """Rebuild the doomed cliques and splice their replacements into the junction tree.
+    """Rebuild the doomed cliques, in place when their triangulation still covers the batch.
 
     ``doomed`` lists, ascending, the cliques of a connected set of marked
     MPSs.  ``links`` holds the batch's net moral link changes, each pair
@@ -533,47 +528,27 @@ def _rebuild_subtree(
     fill is the triangulation before the batch.  Every holder of a removed
     variable is marked, so no boundary separator holds one.
 
-    When every link the batch added inside R is already a fill pair, the
-    doomed cliques' own junction subtree is thinned, and min-fill does not
-    run:
-
-    - H restricted to R is chordal, as an induced subgraph of a chordal
-      graph, and contains the new moral graph on R: an added link was
-      fill, a deleted one becomes fill.
-    - The doomed subtree cut to R (:func:`_doomed_tree`) is a junction tree
-      of that restriction: an outside clique meets R only inside a
-      boundary separator, which a doomed clique holds.
-    - The pending pairs are the fill pairs inside R less the added links,
-      plus the links deleted inside R.  Thinning them leaves a minimal
-      triangulation (see :func:`thin_join_tree`).
-    - A boundary separator is complete in the moral graph, so it holds no
-      pending pair, and each split keeps it inside one half: some new
-      cluster still covers it for :func:`connect`.
-
-    Otherwise min-fill re-triangulates the region's induced moral graph.
-    Either way the fill drops its pairs inside R and gains the region's
-    kept pairs.  The dropped pairs are the doomed cliques' fill: an outside
-    clique meets R only inside one boundary MPS separator, complete in the
-    moral graph, and an edit changes moral links only inside the marked
-    region.
+    When every link the batch added inside R is already a fill pair, H
+    restricted to R still contains the new moral graph on R (an added link
+    was fill, a deleted one becomes fill), and :func:`_thin_region` thins
+    it in place.  Otherwise min-fill re-triangulates the region's induced
+    moral graph, :func:`connect` splices the new cliques in, and the fill
+    drops its pairs inside R for the region's kept pairs.  The dropped
+    pairs are the doomed cliques' fill: an outside clique meets R only
+    inside one boundary MPS separator, complete in the moral graph, and an
+    edit changes moral links only inside the marked region.
     """
     jt, owner = model.jt, model.owner
     variables = {v for c in doomed for v in jt.cluster(c) if model.moral.has_vertex(v)}
-    g_sub = model.moral.induced(variables)
     inside = {pair: a for pair, a in links.items() if variables.issuperset(pair)}
-    added = {pair for pair, a in inside.items() if a}
     # an emptied region keeps no cluster, so it takes the (empty) min-fill path
-    thinned = bool(variables) and all(model.fill.has_edge(*pair) for pair in added)
-    if thinned:
-        t = _doomed_tree(jt, doomed, variables)
-        fill = {(u, w) for u in variables for w in model.fill.neighbors(u) if u < w and w in variables}
-        kept = thin_join_tree(t, sorted(fill.union(inside) - added))
-    else:
-        t, kept = construct_join_tree(g_sub)
-    _, t_owner = aggregate_cliques(t, g_sub)
+    if variables and all(model.fill.has_edge(*pair) for pair, a in inside.items() if a):
+        _thin_region(model, doomed, variables, inside, trace)
+        return
+    g_sub = model.moral.induced(variables)
     model.fill.remove_induced(variables)
-    for u, v in kept:
-        model.fill.add_edge(u, v)
+    t = construct_join_tree(g_sub, model.fill)
+    _, t_owner = aggregate_cliques(t, g_sub)
 
     jt_map = {lid: jt.add_cluster(t.cluster(lid)) for lid in t.cluster_ids()}
     for a, b, sep in t.edges():
@@ -587,7 +562,7 @@ def _rebuild_subtree(
         trace.new_mpd_ids |= {jt_map[m] for m in t_owner.values()}
         mps_ids = tuple(sorted({owner[c] for c in doomed}))
         trace.subtrees.append(
-            SubtreeTrace(mps_ids, frozenset(variables), tuple(t.cluster(l) for l in t.cluster_ids()), thinned)
+            SubtreeTrace(mps_ids, frozenset(variables), tuple(t.cluster(l) for l in t.cluster_ids()), False)
         )
 
     records = connect(jt, set(jt_map.values()), doomed)
@@ -607,6 +582,113 @@ def _rebuild_subtree(
     for _k, c_k, sep, target in records:
         if target in jt and jt.cluster(target) == sep:
             _amalgamate(model, target, c_k, trace)
+
+
+def _thin_region(
+    model: CompiledModel,
+    doomed: list[int],
+    variables: set[int],
+    inside: dict[tuple[int, int], bool],
+    trace: BatchTrace | None,
+) -> None:
+    """Thin the doomed cliques' own junction subtree to a minimal triangulation of the region, in place.
+
+    Only the cliques a drop splits change; every other clique keeps its id,
+    its vertex set and its edges, and no splice runs.
+
+    - The batch's links inside R move between the moral graph and the
+      fill: an added link was a fill pair and changes no clique, a deleted
+      one joins the fill.
+    - Each separator between two doomed cliques becomes the intersection
+      of its ends: :func:`mark_add_link` may have rewired an empty one into
+      {parent}.
+    - The removed variables leave their holders, all doomed, and the
+      separators between them, and a cut clique inside a neighbour merges
+      into it (:func:`absorb_non_maximal` on the cut cliques).  The doomed
+      subtree is then a junction tree of H restricted to R, which is
+      chordal and contains the new moral graph on R.
+    - Seeds: H was minimal, so every old fill pair lies in two or more
+      maximal cliques; only a deleted link, or a pair inside a merged cut
+      clique, which lost a holder, can lie in one.  Any other pair becomes
+      droppable only inside a clique a drop splits, which
+      :func:`thin_join_tree` re-checks, so the seeds drop what a scan of
+      all the region's fill would.
+    - An outside clique meets R only inside a boundary separator, complete
+      in the moral graph, so it holds no fill pair and needs no holder bit.
+      A split keeps each boundary separator inside one half, and a half or
+      a cut clique equal to one may be absorbed by the clique beyond it.
+
+    So every separator between the region and the rest stays complete, and
+    regrouping a view of the region's cliques is the whole regroup; its
+    local ids ascend in global id order, so each local root maps to the
+    least clique of its group.  A family moves only when its host is one
+    of the doomed cliques and died or no longer covers it (an added arc
+    grew it), to the smallest covering clique of the region or of the
+    outside cliques that absorbed a piece of it (ties: lower id).  Two
+    doomed components can share variables through unmarked cliques, so
+    only this component's hosts are checked.
+    """
+    jt, owner, fill = model.jt, model.owner, model.fill
+    doomed_set = set(doomed)
+    mps_ids = tuple(sorted({owner[c] for c in doomed})) if trace is not None else ()
+    seeds = []
+    for (u, v), added in inside.items():
+        if added:
+            fill.remove_edge(u, v)
+        else:
+            fill.add_edge(u, v)
+            seeds.append((u, v))
+    cut = []
+    for c in doomed:
+        removed = jt.cluster(c) - variables
+        if removed:
+            jt.shrink(c, removed)
+            cut.append(c)
+        for nb in jt.neighbors(c):
+            if c < nb and nb in doomed_set:
+                sep = jt.cluster(c) & jt.cluster(nb)
+                if sep != jt.separator(c, nb):
+                    jt.remove_edge(c, nb)
+                    jt.add_edge(c, nb, sep)
+    absorbed = absorb_non_maximal(jt, cut) if cut else []
+    for vs, _ in absorbed:
+        seeds += [(u, w) for u in vs for w in fill.neighbors(u) & vs if u < w]
+    start = jt.next_id
+    absorbed += thin_join_tree(jt, sorted(set(seeds)), fill, [c for c in doomed if c in jt])
+    absorbed = [(vs, c) for vs, c in absorbed if c not in doomed_set]
+    region = [c for c in doomed if c in jt] + [c for c in range(start, jt.next_id) if c in jt]
+
+    view = ClusterTree({i: jt.cluster(c) for i, c in enumerate(region)})
+    local = {c: i for i, c in enumerate(region)}
+    for i, c in enumerate(region):
+        for nb in jt.neighbors(c):
+            j = local.get(nb)
+            if j is not None and i < j:
+                view.add_edge(i, j, jt.separator(c, nb))
+    _, t_owner = aggregate_cliques(view, model.moral)
+    for c in doomed:
+        if c not in jt:
+            del owner[c]
+    for i, m in t_owner.items():
+        owner[region[i]] = region[m]
+
+    family, dag = model.family, model.dag
+    orphans = [
+        v
+        for v in sorted(variables)
+        if family.get(v) in doomed_set and (family[v] not in jt or not dag.family(v) <= jt.cluster(family[v]))
+    ]
+    if orphans:
+        hosts = sorted(set(region).union(c for _, c in absorbed))
+        family.update(assign_families(dag, jt, orphans, hosts))
+
+    if trace is not None:
+        trace.absorbed += [(vs, jt.cluster(c)) for vs, c in absorbed]
+        trace.new_jt_ids |= {c for c in region if c >= start}
+        trace.new_mpd_ids |= {owner[c] for c in region}
+        trace.subtrees.append(
+            SubtreeTrace(mps_ids, frozenset(variables), tuple(jt.cluster(c) for c in region), True)
+        )
 
 
 # Unused by the package; kept because the benchmark's tracer binds it.
@@ -635,10 +717,11 @@ def incremental_compile(
 
     The doomed cliques are the groups of the marked MPSs, and each
     connected piece of them is rebuilt apart.  The closing check counts
-    edges.  A splice re-hangs each boundary edge of the doomed cliques on
-    their replacement tree (or, when none, on one boundary cluster), so a
-    connected doomed set leaves the junction tree a tree, and c
-    disconnected pieces leave c - 1 edges too many.
+    edges.  A split in place (:func:`_thin_region`) and a merge each keep
+    a tree a tree.  A splice re-hangs each boundary edge of the doomed
+    cliques on their replacement tree (or, when none, on one boundary
+    cluster), so a connected doomed set leaves the junction tree a tree,
+    and c disconnected pieces leave c - 1 edges too many.
     """
     with model.dag.rollback():
         for mod in mods:

@@ -30,11 +30,12 @@ from .pipeline import construct_join_tree, extract_cliques
 def full_recompile(dag: Dag) -> CompiledModel:
     """Compile the whole model from scratch; deterministic for a fixed dag."""
     gm = moralize(dag)
-    jt, kept = construct_join_tree(gm)
+    fill = UndirectedGraph(gm.vertices())
+    jt = construct_join_tree(gm, fill)
     # through the module, whose binding the benchmark's tracer wraps
     family = pipeline.assign_families(dag, jt, dag.nodes())
     _, owner = aggregate_cliques(jt, gm)
-    return CompiledModel(dag, gm, jt, owner, family, UndirectedGraph.from_edges(gm.vertices(), kept))
+    return CompiledModel(dag, gm, jt, owner, family, fill)
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,14 @@ the MCS order (each clique hangs on the first one holding its overlap with
 those before it, as in Kruskal's maximum-weight tree), recursive thinning
 down to a minimal triangulation, and family assignment.  Thinning works on
 the junction tree: a dropped fill edge splits its one clique in place, so
-MCS runs once.
+MCS runs once, and one worklist serves both a full compile and the
+engine's rebuild of a region in place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Iterable
 
 from . import kernels
@@ -63,49 +65,81 @@ def recursive_thinning(t: Triangulation) -> Triangulation:
     for the removal rule and the scan order.
     """
     tree = build_join_tree(extract_cliques(t.graph()))
-    kept = thin_join_tree(tree, t.fill_graph.edges())
-    return Triangulation(t.base, UndirectedGraph.from_edges(t.base.vertices(), kept))
+    fill = UndirectedGraph.from_edges(t.base.vertices(), t.fill_graph.edges())
+    thin_join_tree(tree, fill.edges(), fill)
+    return Triangulation(t.base, fill)
 
 
-def thin_join_tree(tree: ClusterTree, pending: list[tuple[int, int]]) -> list[tuple[int, int]]:
+def thin_join_tree(
+    tree: ClusterTree, pending: list[tuple[int, int]], fill: UndirectedGraph, ids: list[int] | None = None
+) -> list[tuple[frozenset[int], int]]:
     """Thin a chordal graph, given by its junction tree, to a minimal triangulation.
 
-    ``pending`` lists the graph's fill pairs in ascending order; the rest of
-    its edges are the base graph's.  Returns ``pending``, thinned in place,
-    and leaves ``tree`` a junction tree of the thinned graph.  Each vertex
-    gets an int mask of the clusters holding it, bit c for cluster c.  In a
-    chordal graph an edge {u, v} can be dropped, keeping the graph chordal,
-    iff exactly one maximal clique holds it (Rose, Tarjan & Lueker 1976),
-    i.e. iff ``cm[u] & cm[v]`` has one bit.  The pairs are scanned in order
-    and the scan restarts after every removal, which :func:`_split` makes on
-    the tree.  When no pair is left that one clique alone holds, no single
-    fill edge can go, so the triangulation is minimal.
+    The graph's fill pairs are the edges of ``fill``, a graph over (at
+    least) the tree's vertices; the rest of its edges are the base graph's.
+    In a chordal graph an edge {u, v} can be dropped, keeping the graph
+    chordal, iff exactly one maximal clique holds it (Rose, Tarjan & Lueker
+    1976): iff the AND of its ends' holder masks, bit i for cluster
+    ``ids[i]`` (default: all), has one bit.  A drop leaves ``fill`` and
+    splits its clique C into C−v and C−u in place (:func:`_split`).  A new
+    half takes C's place for the pairs inside it, and the pairs inside
+    C−{u, v} are then held by both halves' cliques, so only a pair joining
+    u (or v) to the rest of a half that a neighbour absorbs can become
+    droppable.
+
+    ``pending`` lists, ascending, every pair that may be droppable now.  It
+    is scanned once with a pointer beside a heap of re-checks, taking the
+    lesser head each time and dropping it if it still is droppable.  After
+    a split, each pair that became droppable goes on the heap wherever it
+    lies: the pointer may have passed it while a lesser pair waited on the
+    heap, and it need not be pending.  So each drop is the least droppable
+    pair, the one a scan restarting after every drop would take (Blair,
+    Heggernes & Telle, "A practical algorithm for making filled graphs
+    minimal", TCS 2001), and when both heads run out the triangulation is
+    minimal.
+
+    Clusters outside ``ids`` get no bit, so none may hold a fill pair; the
+    halves they absorb are returned as (half, cluster).  ``tree`` ends a
+    junction tree of the thinned graph.
     """
-    cm: dict[int, int] = {}
-    for c in tree.cluster_ids():
-        bit = 1 << c
-        for w in tree.cluster(c):
-            cm[w] = cm.get(w, 0) | bit
-    changed = True
+    ids = tree.cluster_ids() if ids is None else list(ids)
+    pos = {c: i for i, c in enumerate(ids)}
+    cm = tree.holder_masks(ids)
+    absorbed: list[tuple[frozenset[int], int]] = []
+    heap: list[tuple[int, int]] = []
+    i, n = 0, len(pending)
     try:
-        while changed:
-            changed = False
-            for i, (u, v) in enumerate(pending):
-                shared = cm[u] & cm[v]
-                if shared & (shared - 1):
-                    continue  # two or more cliques hold {u, v}
-                if not shared:
-                    raise InconsistencyError(f"no cluster holds the fill pair ({u}, {v})")
-                _split(tree, shared.bit_length() - 1, u, v, cm)
-                del pending[i]
-                changed = True
+        while True:
+            if heap and (i == n or heap[0] < pending[i]):
+                u, v = heappop(heap)
+            elif i < n:
+                u, v = pending[i]
+                i += 1
+            else:
                 break
+            shared = cm[u] & cm[v]
+            if shared & (shared - 1):
+                continue  # two or more cliques hold {u, v}
+            if not shared:
+                if fill.has_edge(u, v):
+                    raise InconsistencyError(f"no cluster holds the fill pair ({u}, {v})")
+                continue  # dropped since it was queued
+            fill.remove_edge(u, v)
+            for w, half, end in _split(tree, ids[shared.bit_length() - 1], u, v, cm, ids, pos):
+                if end not in pos:
+                    absorbed.append((half, end))
+                for x in fill.neighbors(w) & half:
+                    shared = cm[w] & cm[x]
+                    if not shared & (shared - 1):
+                        heappush(heap, (w, x) if w < x else (x, w))
     except KeyError as e:
         raise InconsistencyError(f"no cluster holds vertex {e.args[0]}") from None
-    return pending
+    return absorbed
 
 
-def _split(tree: ClusterTree, c: int, u: int, v: int, cm: dict[int, int]) -> None:
+def _split(
+    tree: ClusterTree, c: int, u: int, v: int, cm: dict[int, int], ids: list[int], pos: dict[int, int]
+) -> list[tuple[int, frozenset[int], int]]:
     """Drop the edge {u, v} from cluster c, the one clique holding it.
 
     Without the edge, c's place goes to the cliques c−v and c−u (Ibarra,
@@ -114,27 +148,35 @@ def _split(tree: ClusterTree, c: int, u: int, v: int, cm: dict[int, int]) -> Non
     has a neighbour of c on its path whose separator equals the half.  The
     two halves join by c − {u, v}.  Every other neighbour hangs on the half
     holding its separator, the one without v when both do; no separator
-    holds both u and v, which no other clique holds.  ``cm`` follows.
+    holds both u and v, which no other clique holds.  ``cm`` follows, a new
+    cluster taking the next bit position in ``ids`` and ``pos``.  Returns
+    the absorbed halves as (the end of {u, v} it holds, half, absorbing
+    cluster).
     """
     vs = tree.cluster(c)
-    bit = 1 << c
+    bit = 1 << pos[c]
     for w in vs:
         cm[w] ^= bit
     neighbours = [(nb, tree.separator(c, nb)) for nb in tree.neighbors(c)]
     tree.remove_cluster(c)
-    ends = []
-    for half in (vs - {v}, vs - {u}):
+    ends, absorbed = [], []
+    for w, half in ((u, vs - {v}), (v, vs - {u})):
         end = next((nb for nb, sep in neighbours if sep == half), None)
         if end is None:
             end = tree.add_cluster(half)
-            bit = 1 << end
-            for w in half:
-                cm[w] |= bit
+            pos[end] = len(ids)
+            ids.append(end)
+            bit = 1 << pos[end]
+            for x in half:
+                cm[x] |= bit
+        else:
+            absorbed.append((w, half, end))
         ends.append(end)
     tree.add_edge(ends[0], ends[1], vs - {u, v})
     for nb, sep in neighbours:
         if nb not in ends:
             tree.add_edge(ends[v in sep], nb, sep)
+    return absorbed
 
 
 # Unused by the package; kept because the benchmark's tracer binds it.
@@ -201,13 +243,13 @@ def build_join_tree(cliques: list[frozenset[int]]) -> ClusterTree:
     return tree
 
 
-def assign_families(dag: Dag, tree: ClusterTree, variables: Iterable[int]) -> dict[int, int]:
-    """Map each given variable to the smallest cluster covering its family.
+def assign_families(dag: Dag, tree: ClusterTree, variables: Iterable[int], ids: list[int] | None = None) -> dict[int, int]:
+    """Map each given variable to the smallest of the clusters ``ids`` (default: all) covering its family.
 
-    Ties go to the smaller cluster id.  The clusters covering a family are
-    the common bits of its vertices' holder masks.
+    Ties go to the smaller cluster id; ``ids`` is ascending.  The clusters
+    covering a family are the common bits of its vertices' holder masks.
     """
-    ids = tree.cluster_ids()
+    ids = tree.cluster_ids() if ids is None else ids
     holders = tree.holder_masks(ids)
     family: dict[int, int] = {}
     for vid in variables:
@@ -220,16 +262,20 @@ def assign_families(dag: Dag, tree: ClusterTree, variables: Iterable[int]) -> di
     return family
 
 
-def construct_join_tree(gm: UndirectedGraph) -> tuple[ClusterTree, list[tuple[int, int]]]:
+def construct_join_tree(gm: UndirectedGraph, fill: UndirectedGraph) -> ClusterTree:
     """Full pipeline from an undirected graph to a junction tree.
 
     Min-fill, then one MCS of the triangulation (the chordality guard and
     the cliques), the join tree of those cliques, and thinning on the tree.
-    Returns the tree and the kept fill of ``gm``, as sorted ``(u, v)``,
-    ``u < v``.  Family hosting is the caller's: see :func:`assign_families`.
+    Returns the tree; ``fill``, a graph over (at least) ``gm``'s vertices,
+    gains the kept fill pairs.  Family hosting is the caller's: see
+    :func:`assign_families`.
     """
-    fill = triangulate_min_fill(gm)
+    pairs = triangulate_min_fill(gm)
     gt = gm.copy()
-    gt.add_edges(fill)
+    gt.add_edges(pairs)
     tree = build_join_tree(extract_cliques(gt))
-    return tree, thin_join_tree(tree, fill)
+    del gt  # freed before the fill grows, which bounds a compile's peak memory
+    fill.add_edges(pairs)
+    thin_join_tree(tree, pairs, fill)
+    return tree

@@ -6,8 +6,9 @@
 A run compiles each seeded model, flushes its edit batches one at a time
 through ``incremental_compile`` and writes one JSON line per flush.  The
 line names the flush (stream, case, flush index) and holds a sha256 of
-each output the engine keeps: the junction tree, the MPS tree (with its
-ids, and as cluster and separator multisets alone), the family map, the
+each output the engine keeps: the junction tree (with its ids, and as its
+cluster multiset alone), the MPS tree (with its ids, and as cluster and
+separator multisets alone), the family map, the
 clique owners, the clique groups (the partition the owners make, as
 sorted lists of clique ids, which no MPS id enters), the fill
 (``sorted(model.tri.fill)``) and the ``BatchTrace``, plus two verdicts:
@@ -25,8 +26,9 @@ That is 3,600 flushes.  ``--diff`` compares two runs line by line: it
 prints, per stream, the flushes compared and how many diverge, the first
 diverging flush and which of its digests differ, the count of diverging
 flushes per digest, most first, then apart the count and first divergence
-of the junction trees and of the MPS multisets (the part that any minimal
-triangulation shares), and every flush whose verdicts fail.  It exits 1
+of the junction trees, of the MPS multisets (the part that any minimal
+triangulation shares) and of the junction cliques (the triangulation,
+whatever the ids and the tree shape), and every flush whose verdicts fail.  It exits 1
 if anything diverged or failed.  The package is imported from this
 checkout's ``src``, so a run at another commit is the same command in that
 commit's checkout.
@@ -69,10 +71,15 @@ def tree_record(tree) -> dict:
     }
 
 
+def cliques_record(tree) -> list[list[int]]:
+    """A tree's cluster multiset, without ids: a sorted list of sorted lists."""
+    return sorted(sorted(tree.cluster(c)) for c in tree.cluster_ids())
+
+
 def mps_record(tree) -> dict:
     """A tree's cluster and separator multisets, without ids: sorted lists of sorted lists."""
     return {
-        "clusters": sorted(sorted(tree.cluster(c)) for c in tree.cluster_ids()),
+        "clusters": cliques_record(tree),
         "separators": sorted(sorted(sep) for _, _, sep in tree.edges()),
     }
 
@@ -112,6 +119,7 @@ def flush_record(stream: str, case: str, flush: int, model, trace: BatchTrace) -
         "jt": sha256(tree_record(model.jt)),
         "mpd": sha256(tree_record(mpd)),
         "mps": sha256(mps_record(mpd)),
+        "cliques": sha256(cliques_record(model.jt)),
         "family": sha256(sorted(model.family.items())),
         "owner": sha256(sorted(model.owner.items())),
         "groups": sha256(groups_record(model.owner)),
@@ -174,8 +182,8 @@ def diff(a: list[dict], b: list[dict]) -> int:
     if [key(r) for r in a] != [key(r) for r in b]:
         print("the runs cover different flushes")
         return 1
-    parts = ("jt", "mpd", "mps", "family", "owner", "groups", "fill", "trace")
-    trees = {"jt": "junction trees", "mps": "MPS trees"}
+    parts = ("jt", "mpd", "mps", "cliques", "family", "owner", "groups", "fill", "trace")
+    trees = {"jt": "junction trees", "mps": "MPS trees", "cliques": "junction cliques"}
     total, diverged, first = Counter(), Counter(), {}
     for ra, rb in zip(a, b):
         stream = ra["stream"]

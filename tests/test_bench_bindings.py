@@ -47,7 +47,9 @@ TRACED_LAYERS = [
 # Family hosting, which a full compile runs after the junction tree.
 COMPILE_LAYERS = [("pipeline", "assign_families")]
 # The engine's marking and splice layers, as each kind of flush calls them.
-# A rebuild groups its new cliques through the engine's aggregate_cliques.
+# A rebuild groups its cliques through the engine's aggregate_cliques; only
+# a re-triangulated region is spliced in by connect, and only a thinned
+# region that lost a removed variable calls absorb_non_maximal.
 ADD_ARC_LAYERS = [
     ("engine", "modify_moral_graph"),
     ("engine", "mark_add_link"),
@@ -58,10 +60,8 @@ REMOVE_ARC_LAYERS = [
     ("engine", "modify_moral_graph"),
     ("engine", "mark_remove_link"),
     ("engine", "aggregate_cliques"),
-    ("engine", "connect"),
-    ("engine", "absorb_non_maximal"),
 ]
-REMOVE_NODE_LAYERS = REMOVE_ARC_LAYERS + [("engine", "mark_remove_node")]
+REMOVE_NODE_LAYERS = REMOVE_ARC_LAYERS + [("engine", "mark_remove_node"), ("engine", "absorb_non_maximal")]
 
 
 def test_compile_and_rebuild_call_every_traced_layer(monkeypatch):
@@ -89,8 +89,8 @@ def test_compile_and_rebuild_call_every_traced_layer(monkeypatch):
     model = full_recompile(dag)
     assert uncalled(TRACED_LAYERS + COMPILE_LAYERS) == []
 
-    # a removal thins its region's own junction subtree, which
-    # absorb_non_maximal contracts: no min-fill
+    # a removal thins its region's own junction subtree in place: no
+    # min-fill and no splice
     parent, child = dag.arcs()[0]
     incremental_compile(model, [RemoveArc(parent, child)])
     assert uncalled(REMOVE_ARC_LAYERS) == []

@@ -72,7 +72,7 @@ def test_apply_trace_says_how_each_region_was_rebuilt(tmp_path, capsys):
     script.write_text("remove-arc L E\ncompile\nadd-arc A X\n")
     code, out, _ = run(capsys, "apply", str(DATA / "asia.bn"), str(script), "--trace")
     assert code == 0
-    assert "  thinned over {S T L B E} -> 4 clique(s)" in out
+    assert "  thinned over {S T L B E} -> 3 clique(s)" in out
     assert "  re-triangulated over {A T E X} -> 2 clique(s)" in out
 
 

@@ -22,8 +22,10 @@ separator multisets alone: every minimal triangulation of a moral graph
 has the same maximal prime subgraphs, so these stay fixed when a change
 only moves how a region is triangulated or which ids its clusters get.
 The other digests do move then: a flush may thin a region's own junction
-subtree instead of re-running min-fill, so after a flush the junction
-tree depends on the edit history and not on the dag alone.
+subtree in place instead of re-running min-fill, so after a flush the
+junction tree depends on the edit history and not on the dag alone.
+``COMPILE_DIGEST`` pins the records of the full compiles alone, which
+depend on the dag alone.
 """
 
 from random import Random
@@ -43,12 +45,14 @@ from bnic import (
 
 import replay
 
-DIGEST = "1b5a8ced3d78e5fab03687a7fbd7287f89a56464a7bc170fc22efe30a3238990"
-HOST_DIGEST = "9f8f82968b2285447228f291f4c25144cbfb4b0bb920f6279d1b2a88a0e85fa4"
-TRACE_DIGEST = "26d9c4e6c1b8178a93fd7634180a5e42616942f686479cd68262e93c11e3df52"
+DIGEST = "a481dca571d7711ae1b38d0ff223add64abccff5ea829dfcdd764a1b0ce18ea9"
+HOST_DIGEST = "eba9b1b01dc881bac999c8fc8fb8e3a0bca8656207cbdf21e72f666154d798f2"
+TRACE_DIGEST = "abebe417f4a1e33d339b4491863361fa51e62fbbda158902bcb6d6ce64fb3a45"
+COMPILE_DIGEST = "a73477334e637c28b2762886f5c7e8f8bc2e7ecb2854ef8e03e2189bc59a8624"
 MIN_FILL_600_DIGEST = "9d7c92b1cad9680afd0f1a93c18a64978e15a2eff99e8b499b06d4cc4b1af9f5"
 MPS_DIGEST = "a26c46b230de28bab2407ba995dbb63a8a3f47e57546545b50a11f343eacf32d"
-REPLAY_DIGEST = "4b525747124996c17c4285adba791821ec42b6cf44b4c58b00557ff42a1d2396"
+REPLAY_DIGEST = "ab825f8d266a3bf58d4944c181df38c10b53d4a42ea6b5c522a6287fb3eb59b3"
+COMPILES = 8  # the first records, one per dag compiled from scratch
 
 
 def _banded_dag(n, rng):
@@ -117,6 +121,7 @@ def test_pipeline_outputs_match_the_committed_digest():
     records, hosts, _mps, _traces = _records()
     assert replay.sha256(records) == DIGEST
     assert replay.sha256(hosts) == HOST_DIGEST
+    assert replay.sha256(records[:COMPILES]) == COMPILE_DIGEST
 
 
 def test_flush_traces_match_the_committed_digest():
@@ -129,7 +134,7 @@ def test_flush_traces_match_the_committed_digest():
         sum(isinstance(rec.mod, RemoveArc) and len(rec.links) > 1 for rec in mods),
         sum(bool(rec.rewired) for rec in mods),
         sum(len(trace.absorbed) for trace in traces),
-    ) == (20, 21, 5, 9)
+    ) == (20, 21, 5, 10)
     assert replay.sha256([replay.trace_record(trace) for trace in traces]) == TRACE_DIGEST
 
 
@@ -149,14 +154,15 @@ def test_replay_of_twenty_models_matches_the_committed_digest():
 def test_replay_diff_names_the_first_diverging_flush(capsys):
     a = list(replay.random_records(2))
     b = [dict(r) for r in a]
-    b[3]["fill"] = b[7]["jt"] = b[8]["mps"] = "0" * 64
+    b[3]["fill"] = b[7]["jt"] = b[8]["mps"] = b[9]["cliques"] = "0" * 64
     assert replay.diff(a, a) == 0
     capsys.readouterr()
     assert replay.diff(a, b) == 1
     assert capsys.readouterr().out == (
-        "random: 3 of 10 flushes diverge\n"
+        "random: 4 of 10 flushes diverge\n"
         "  first: case 0 flush 3 (fill)\n"
-        "  by field: jt 1, mps 1, fill 1\n"
+        "  by field: jt 1, mps 1, cliques 1, fill 1\n"
         "  junction trees: 1 diverge, the first at case 1 flush 2\n"
         "  MPS trees: 1 diverge, the first at case 1 flush 3\n"
+        "  junction cliques: 1 diverge, the first at case 1 flush 4\n"
     )

@@ -42,6 +42,7 @@ from bnic.engine import (
     modify_moral_graph,
 )
 
+import replay
 from conftest import build_asia, cluster_names, name_set
 
 
@@ -770,8 +771,8 @@ def test_arcs_whose_links_are_all_fill_keep_every_cluster(monkeypatch):
 def test_a_rewired_separator_in_the_region_is_thinned(monkeypatch):
     # seed 22 of test_property_sweep_small: AddArc(1, 4) rewired an empty
     # separator into {1} inside the region, and the batch's net link
-    # changes cancel; the doomed subtree, cut to the region, gives that
-    # separator the empty intersection of its ends, so the region thins
+    # changes cancel; the rebuild resets that separator to the empty
+    # intersection of its ends, so the region thins
     rng = Random(22)
     dag = random_dag(rng.randint(1, 20), rng, edge_prob=rng.choice([0.1, 0.25, 0.4]))
     model = full_recompile(dag.copy())
@@ -786,6 +787,72 @@ def test_a_rewired_separator_in_the_region_is_thinned(monkeypatch):
     assert trace.mods[2].rewired and all(sub.thinned for sub in trace.subtrees)
     assert validate(model).passed
     assert mpd_equal(model.mpd, full_recompile(model.dag.copy()).mpd)
+
+
+def test_a_thinned_remove_arc_changes_only_the_cliques_it_splits(monkeypatch):
+    # single-arc removals inside the benchmark's random-120 network: every
+    # clique that survives keeps its vertex set and its edges to the other
+    # survivors, only a clique holding a dropped pair goes, the new ids are
+    # the new cliques', and neither the splice nor min-fill runs
+    model = full_recompile(random_dag(120, Random(42), edge_prob=3 / 119))
+
+    def forbidden(*args):
+        raise AssertionError("a thinned region ran the splice or min-fill")
+
+    rng = Random(9)
+    split = 0
+    for _ in range(40):
+        parent, child = rng.choice(model.dag.arcs())
+        jt = model.jt
+        clusters = {c: jt.cluster(c) for c in jt.cluster_ids()}
+        edges = {(a, b): sep for a, b, sep in jt.edges()}
+        fill = model.fill.edge_set() | {frozenset((parent, w)) for w in model.moral.neighbors(parent)}
+        monkeypatch.setattr(bnic.engine, "connect", forbidden)
+        monkeypatch.setattr(bnic.engine, "construct_join_tree", forbidden)
+        trace = BatchTrace()
+        incremental_compile(model, [RemoveArc(parent, child)], trace)
+        monkeypatch.undo()
+        assert all(sub.thinned for sub in trace.subtrees)
+        dropped = fill - model.fill.edge_set() - model.moral.edge_set()
+        gone = clusters.keys() - set(jt.cluster_ids())
+        assert all(any(pair <= clusters[c] for pair in dropped) for c in gone)
+        assert all(jt.cluster(c) == vs for c, vs in clusters.items() if c not in gone)
+        kept = {(a, b): sep for (a, b), sep in edges.items() if a not in gone and b not in gone}
+        assert all(jt.has_edge(a, b) and jt.separator(a, b) == sep for (a, b), sep in kept.items())
+        assert trace.new_jt_ids == set(jt.cluster_ids()) - clusters.keys()
+        assert validate(model).passed
+        split += len(gone)
+    assert split > 0
+    assert mpd_equal(model.mpd, full_recompile(model.dag.copy()).mpd)
+
+
+def _flush_of_random_case(case, flush):
+    # the model of the replay's random stream for this case, flushed up to
+    # the given flush; returns it and that flush's batch
+    rng = Random(case)
+    model = full_recompile(random_dag(rng.randint(1, 30), rng, edge_prob=replay.EDGE_ODDS[case % 3]))
+    for _ in range(flush):
+        incremental_compile(model, random_script(model.dag, rng.randint(1, 8), rng))
+    return model, random_script(model.dag, rng.randint(1, 8), rng)
+
+
+def test_a_batch_adding_and_removing_one_arc_resets_the_rewired_separator():
+    # the added arc rewires an empty separator into {parent}, whose ends
+    # share nothing; removing the arc again cancels its links, so the region
+    # thins without splitting those ends, and the separator must become the
+    # intersection of its ends before the thinning
+    for case, flush, batch in [
+        (0, 3, [AddNode("r30"), AddArc(1, 19), RemoveArc(1, 19)]),
+        (6, 2, [AddArc(13, 4), RemoveArc(13, 4)]),
+    ]:
+        model, mods = _flush_of_random_case(case, flush)
+        assert mods == batch
+        trace = BatchTrace()
+        incremental_compile(model, mods, trace)
+        assert any(rec.rewired for rec in trace.mods) and all(sub.thinned for sub in trace.subtrees)
+        jt = model.jt
+        assert all(sep == jt.cluster(a) & jt.cluster(b) for a, b, sep in jt.edges())
+        assert validate(model).passed
 
 
 def test_phase_one_leaves_every_cluster_as_it_was():
@@ -835,7 +902,8 @@ def test_remove_node_scenario_absorbs_nonmaximal_cluster(asia_model):
     incremental_compile(m, expand_remove_node(m.dag, t.id("D")), trace)
     (sub,) = trace.subtrees
     assert name_set(t, sub.variables) == frozenset("EBLS")
-    assert frozenset("LE") in {name_set(t, c) for c in sub.new_cliques}
+    # the split of LEB hands its half LE to the outside clique TLE in place
+    assert {name_set(t, c) for c in sub.new_cliques} == {frozenset("SL"), frozenset("SB")}
     assert (frozenset("LE"), frozenset("TLE")) in {
         (name_set(t, a), name_set(t, b)) for a, b in trace.absorbed
     }
@@ -1180,8 +1248,8 @@ def test_derived_fill_matches_copy_and_diff_reference():
             assert model.fill.vertex_set() == model.moral.vertex_set()
             assert model.fill.edge_set() == _derive_fill_reference(model.moral, model.jt)
             assert model.copy().fill == model.fill
-            # the splice leaves no cluster inside a neighbour for a scan to absorb
-            assert len(absorb_non_maximal(model.jt.copy())) == len(model.jt)
+            # a rebuild leaves no cluster inside a neighbour for a scan to absorb
+            assert absorb_non_maximal(model.jt.copy()) == []
             fills += model.fill.edge_count() > 0
     assert removals > 0 and multi > 0 and fills > 0
 

@@ -277,9 +277,9 @@ def test_min_fill_matches_adjacency_set_kernel_on_rebuilt_regions(monkeypatch):
     regions = []
     construct = bnic.engine.construct_join_tree
 
-    def capture(g):
+    def capture(g, fill):
         regions.append(g.copy())
-        return construct(g)
+        return construct(g, fill)
 
     monkeypatch.setattr(bnic.engine, "construct_join_tree", capture)
     node_edits = 0

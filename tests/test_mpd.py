@@ -2,6 +2,7 @@ from collections import Counter
 from random import Random
 
 from bnic import (
+    UndirectedGraph,
     full_recompile,
     incremental_compile,
     is_chordal,
@@ -41,7 +42,7 @@ def test_aggregate_is_identity_when_all_separators_complete(asia):
     gm.remove_edge(t.id("L"), t.id("E"))
     gm.remove_edge(t.id("T"), t.id("L"))
     sub = gm.induced({t.id(n) for n in "TLEBS"})
-    tree, _ = construct_join_tree(sub)
+    tree = construct_join_tree(sub, UndirectedGraph(sub.vertices()))
     mpd, owner = aggregate_cliques(tree, sub)
     assert mpd.cluster_multiset() == tree.cluster_multiset()
     assert mpd.separator_multiset() == tree.separator_multiset()
@@ -69,7 +70,7 @@ def test_aggregate_result_is_merge_order_independent():
     for seed in (11, 12, 13):
         dag = random_dag(24, Random(seed), edge_prob=0.25)
         gm = moralize(dag)
-        tree, _ = construct_join_tree(gm)
+        tree = construct_join_tree(gm, UndirectedGraph(gm.vertices()))
         family = assign_families(dag, tree, dag.nodes())
         one_pass, owner = aggregate_cliques(tree, gm)
         assert len(tree) - len(one_pass) >= 5

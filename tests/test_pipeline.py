@@ -4,7 +4,9 @@ from random import Random
 
 import pytest
 
+import bnic.engine
 from bnic import (
+    BatchTrace,
     ClusterTree,
     InconsistencyError,
     NotChordalError,
@@ -20,6 +22,7 @@ from bnic import (
 )
 from bnic.pipeline import (
     Triangulation,
+    _split,
     assign_families,
     build_join_tree,
     construct_join_tree,
@@ -131,6 +134,41 @@ def _thinning_reference(t):
     return _tri(t.base, fill)
 
 
+def _restart_scan(tree, pending, ids=None):
+    # The former tree thinning: the pending pairs scanned in ascending
+    # order, the scan restarting from the first pair after every drop, each
+    # drop splitting its one clique of ids (default: all) by _split.
+    # Returns the kept pairs.
+    ids = tree.cluster_ids() if ids is None else list(ids)
+    pos = {c: i for i, c in enumerate(ids)}
+    cm = tree.holder_masks(ids)
+    pending = list(pending)
+    changed = True
+    while changed:
+        changed = False
+        for i, (u, v) in enumerate(pending):
+            shared = cm[u] & cm[v]
+            if shared & (shared - 1):
+                continue
+            _split(tree, ids[shared.bit_length() - 1], u, v, cm, ids, pos)
+            del pending[i]
+            changed = True
+            break
+    return pending
+
+
+def _construct(gm):
+    # construct_join_tree with a fresh fill graph; returns the tree
+    return construct_join_tree(gm, UndirectedGraph(gm.vertices()))
+
+
+def _thinned(tree, pairs):
+    # thin_join_tree over the graph of the pairs; returns the kept pairs
+    fill = UndirectedGraph.from_edges(tree.vertices(), pairs)
+    thin_join_tree(tree, pairs, fill)
+    return fill.edges()
+
+
 def _banded_moral(n, rng, ids):
     # node j takes each of the 5 nodes before it as a parent with odds 0.3
     g = UndirectedGraph(ids)
@@ -230,15 +268,19 @@ def test_thinning_matches_set_based_loop():
     removed = {"banded": 0, "injected": 0}
 
     def check(kind, t):
-        # the tree thinning against the reference loop: the same fill, and
-        # a junction tree of the thinned graph
+        # the worklist against the reference loop: the same fill, and a
+        # junction tree of the thinned graph; and against the restart scan
+        # on the same tree: the same pairs, clique ids and edges
         fill = sorted(tuple(sorted(pair)) for pair in t.fill)
         tree = build_join_tree(extract_cliques(t.graph()))
-        kept = thin_join_tree(tree, list(fill))
+        restarted = tree.copy()
+        kept = _thinned(tree, fill)
         reference = _thinning_reference(t)
         assert kept == [p for p in fill if frozenset(p) in reference.fill]
         assert reference.fill == recursive_thinning(t).fill
         _assert_junction_tree(tree, extract_cliques(reference.graph()))
+        assert _restart_scan(restarted, fill) == kept
+        _assert_same_tree(tree, restarted)
         removed[kind] += len(fill) - len(kept)
 
     for k, n in enumerate([300, 100, 60, 200]):
@@ -287,12 +329,58 @@ def test_tree_thinning_matches_the_former_clique_list_thinning():
             rng.shuffle(order)
             fill = _elimination_fill(gm, order)
         tree = build_join_tree(extract_cliques(_plus(gm, fill)))
-        kept = thin_join_tree(tree, list(fill))
+        restarted = tree.copy()
+        kept = _thinned(tree, fill)
         reference_kept, reference_cliques = _thin_reference(gm, list(fill))
+        if k % 5 == 0:  # the restart scan costs a pass per drop; one graph in five
+            assert _restart_scan(restarted, fill) == kept
+            _assert_same_tree(tree, restarted)
         assert kept == reference_kept
         _assert_junction_tree(tree, reference_cliques)
         removed += len(fill) - len(kept)
     assert removed > 3000
+
+
+def test_seeded_region_thinning_keeps_what_a_scan_of_all_its_fill_keeps(monkeypatch):
+    # every region that seeded random_script flushes thin in place, taken
+    # as the engine calls thin_join_tree: the worklist from the seeds
+    # drops what the restart scan drops over all of the region's fill
+    # pairs, so it keeps the same pairs and leaves the same tree
+    real = bnic.engine.thin_join_tree
+    absorb = bnic.engine.absorb_non_maximal
+    seen = Counter()
+
+    def checked(tree, pending, fill, ids):
+        inside = set().union(*map(tree.cluster, ids))
+        pairs = sorted((u, w) for u in inside for w in fill.neighbors(u) & inside if u < w)
+        restarted = tree.copy()
+        kept = _restart_scan(restarted, pairs, ids)
+        absorbed = real(tree, pending, fill, ids)
+        assert [p for p in pairs if fill.has_edge(*p)] == kept
+        _assert_same_tree(tree, restarted)
+        seen["regions"] += 1
+        seen["dropped"] += len(pairs) - len(kept)
+        seen["unseeded"] += bool(set(pairs) - set(pending) - set(kept))
+        return absorbed
+
+    def counted_absorb(tree, ids=None):
+        seen["cut"] += 1
+        return absorb(tree, ids)
+
+    monkeypatch.setattr(bnic.engine, "thin_join_tree", checked)
+    monkeypatch.setattr(bnic.engine, "absorb_non_maximal", counted_absorb)
+    rng = Random(606)
+    for k in range(150):
+        model = full_recompile(random_dag(rng.randint(1, 30), rng, edge_prob=(0.05, 0.15, 0.3)[k % 3]))
+        for _ in range(5):
+            trace = BatchTrace()
+            regions = seen["regions"]
+            incremental_compile(model, random_script(model.dag, rng.randint(1, 8), rng), trace)
+            if any(rec.rewired for rec in trace.mods):
+                seen["rewired"] += seen["regions"] - regions
+    # drops of pairs no seed named, in regions that lost a removed
+    # variable and in regions with a rewired separator
+    assert min(seen[k] for k in ("dropped", "unseeded", "cut", "rewired")) > 0
 
 
 def test_thinned_triangulations_pass_single_edge_removal_probe():
@@ -416,7 +504,7 @@ def test_join_tree_rip_on_random_graphs():
 
 
 def test_assign_families_asia(asia):
-    tree, _ = construct_join_tree(moralize(asia))
+    tree = _construct(moralize(asia))
     family = assign_families(asia, tree, asia.nodes())
     t = asia.table
     d_host = tree.cluster(family[t.id("D")])
@@ -432,7 +520,7 @@ def test_assign_families_asia(asia):
 def test_assign_families_contain_families_on_random_dags():
     rng = Random(8)
     dag = random_dag(8, rng, edge_prob=0.35)
-    tree, _ = construct_join_tree(moralize(dag))
+    tree = _construct(moralize(dag))
     family = assign_families(dag, tree, dag.nodes())
     for v in dag.nodes():
         assert dag.family(v) <= tree.cluster(family[v])
@@ -567,8 +655,9 @@ def test_join_tree_matches_kruskal_on_forests_gapped_ids_and_thinned_cliques():
         if k % 2:
             gm = _relabeled(gm, {v: 1000 * (v % 3) + 7 * v + 5 for v in gm.vertices()})
             seen["gapped"] += 1
-        tree, kept = construct_join_tree(gm)
-        assert kept == sorted(kept)
+        fill = UndirectedGraph(gm.vertices())
+        tree = construct_join_tree(gm, fill)
+        kept = fill.edges()
         for u, v in kept:
             assert u < v and not gm.has_edge(u, v)
         cliques = extract_cliques(_plus(gm, kept))
@@ -586,8 +675,9 @@ def test_join_tree_matches_kruskal_on_forests_gapped_ids_and_thinned_cliques():
         kept, cliques = _thin_reference(gm, list(fill))
         seen["thinned"] += len(kept) < len(fill)
         _assert_same_tree(build_join_tree(cliques), _build_join_tree_reference(cliques))
-        tree, tree_kept = construct_join_tree(gm)
-        assert tree_kept == kept
+        tree_fill = UndirectedGraph(gm.vertices())
+        tree = construct_join_tree(gm, tree_fill)
+        assert tree_fill.edges() == kept
         _assert_junction_tree(tree, cliques)
     assert seen["empty"] > 0 and seen["gapped"] > 0 and seen["thinned"] > 0
 
@@ -607,8 +697,9 @@ def test_construct_on_projection_graph(asia):
     gm.remove_edge(t.id("L"), t.id("E"))
     gm.remove_edge(t.id("T"), t.id("L"))
     sub = gm.induced({t.id(n) for n in "TLEBS"})
-    tree, kept = construct_join_tree(sub)
-    assert kept == []
+    fill = UndirectedGraph(sub.vertices())
+    tree = construct_join_tree(sub, fill)
+    assert fill.edges() == []
     assert set(cluster_names(tree, t)) == {
         frozenset("TE"),
         frozenset("EB"),
@@ -623,16 +714,19 @@ def test_construct_on_projection_graph(asia):
 
 
 def test_construct_empty_graph():
-    tree, kept = construct_join_tree(UndirectedGraph())
+    fill = UndirectedGraph()
+    tree = construct_join_tree(UndirectedGraph(), fill)
     assert len(tree) == 0
-    assert kept == []
+    assert len(fill) == 0
 
 
 def test_construct_asia_covers_families_and_rip(asia):
-    tree, kept = construct_join_tree(moralize(asia))
+    gm = moralize(asia)
+    fill = UndirectedGraph(gm.vertices())
+    tree = construct_join_tree(gm, fill)
     family = assign_families(asia, tree, asia.nodes())
     assert _rip_holds(tree)
-    assert len(kept) == 1
+    assert fill.edge_count() == 1
     for v in asia.nodes():
         assert asia.family(v) <= tree.cluster(family[v])
 
@@ -642,8 +736,9 @@ def test_construction_is_deterministic():
     for _ in range(10):
         dag = random_dag(rng.randint(1, 14), rng, edge_prob=0.3)
         gm = moralize(dag)
-        first_tree, first_kept = construct_join_tree(gm.copy())
-        second_tree, second_kept = construct_join_tree(gm.copy())
+        first_kept, second_kept = UndirectedGraph(gm.vertices()), UndirectedGraph(gm.vertices())
+        first_tree = construct_join_tree(gm.copy(), first_kept)
+        second_tree = construct_join_tree(gm.copy(), second_kept)
         assert first_kept == second_kept
         assert {c: first_tree.cluster(c) for c in first_tree.cluster_ids()} == {
             c: second_tree.cluster(c) for c in second_tree.cluster_ids()
