@@ -158,12 +158,8 @@ def _cmd_apply(args) -> int:
             _write_dot(
                 args.dot,
                 {
-                    f"step{i:03d}_junction.dot": tree_dot(
-                        model.jt, table, name="junction", highlight=trace.new_jt_ids & set(model.jt.cluster_ids())
-                    ),
-                    f"step{i:03d}_mpd.dot": tree_dot(
-                        mpd, table, name="mpd", highlight=trace.new_mpd_ids & set(mpd.cluster_ids())
-                    ),
+                    f"step{i:03d}_junction.dot": tree_dot(model.jt, table, name="junction", highlight=trace.new_jt_ids),
+                    f"step{i:03d}_mpd.dot": tree_dot(mpd, table, name="mpd", highlight=trace.new_mpd_ids),
                 },
             )
         if args.verify:

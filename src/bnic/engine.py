@@ -9,7 +9,10 @@ region's triangulation still covers the batch's edits, its own junction
 subtree is thinned in place, and only the cliques a dropped fill edge
 splits change; otherwise the region is re-triangulated from its induced
 moral subgraph and the fresh junction subtree is spliced into the tree.
-Either way no unmarked clique's vertex set changes.
+Either way no unmarked clique's vertex set changes, and one tail finishes
+the region: it regroups the region's cliques, maps their owners, re-hosts
+the families whose clique died or stopped covering them, and records the
+trace.
 
 The engine keeps one tree, the junction tree, and an owner map from each
 clique to its MPS (see :class:`CompiledModel`).  The MPSs are connected
@@ -125,9 +128,11 @@ class CompiledModel:
     to the group: a full compile takes each union-find root, the minimum; a
     re-triangulated region maps its local roots through increasing fresh
     ids, and a thinned one through its cliques in ascending id order; a new
-    node's clique owns itself; and an amalgamated clique is the only one of
-    its group.  Groups change in no other way, so the cliques of MPS m are a
-    walk from clique m over the cliques m owns (:func:`_group`).
+    node's clique owns itself; and a piece of a region that an outside
+    clique absorbs is complete in the moral graph, so it is the only clique
+    of its group, and the group goes with it.  Groups change in no other
+    way, so the cliques of MPS m are a walk from clique m over the cliques m
+    owns (:func:`_group`).
     """
 
     def __init__(
@@ -180,8 +185,9 @@ class SubtreeTrace:
 
     ``thinned`` says whether its own junction subtree was thinned in place,
     rather than its region re-triangulated by min-fill.  ``new_cliques``
-    lists the region's cliques after the rebuild: for a thinned region,
-    those it kept and those its splits made.
+    lists the region's cliques alive after the rebuild: for a thinned
+    region, those it kept and those its splits made; a piece an outside
+    clique absorbed is not among them.
     """
 
     mps_ids: tuple[int, ...]
@@ -194,9 +200,11 @@ class SubtreeTrace:
 class BatchTrace:
     """Record of a whole incremental-compilation batch.
 
-    ``absorbed`` lists each piece of a rebuilt region merged into an
-    unmarked clique, as (piece, clique); ``new_jt_ids`` the cliques the
-    rebuilds created; ``new_mpd_ids`` the MPSs of the rebuilt regions.
+    ``absorbed`` lists each piece of a rebuilt region, thinned or
+    re-triangulated, merged into an unmarked clique, as (piece, clique);
+    ``new_jt_ids`` the cliques the rebuilds created; ``new_mpd_ids`` the
+    MPSs of the rebuilt regions.  Both id sets name only cliques and MPSs
+    alive after the batch: an absorbed piece is in neither.
     """
 
     mods: list[ModTrace] = field(default_factory=list)
@@ -438,7 +446,8 @@ def connect(
     cannot rank them.  With no replacements (an emptied subtree, whose
     separators must all be empty) every C_k hangs on the first record's
     C_k, which itself gets no edge.  Returns the records (C_i, C_k, S,
-    target); one whose target equals S flags a later amalgamation.
+    target); a target equal to S is a new clique that
+    :func:`absorb_non_maximal` then merges into an outside clique.
     """
     ids = sorted(replacement_ids)
     holders = tree.holder_masks(ids)
@@ -490,29 +499,6 @@ def absorb_non_maximal(tree: ClusterTree, ids: list[int] | None = None) -> list[
     return merges
 
 
-def _amalgamate(model: CompiledModel, src: int, dst: int, trace: BatchTrace | None) -> None:
-    """Merge the new clique src, equal to its boundary separator, into dst.
-
-    :func:`connect` hung the boundary separator S of the unmarked cluster dst
-    on the new clique src, with src ⊇ S.  Running intersection on the old
-    tree gives src ∩ dst = S, so src ⊆ dst iff src = S: this is the only
-    place a rebuild leaves a non-maximal cluster, since the new cliques are
-    maximal among themselves and unmarked clusters keep their vertex sets.
-    S is complete in the moral graph, so src is the only clique of its new
-    MPS, which goes with it; the families src hosted move to dst.
-    """
-    owner = model.owner
-    if trace is not None:
-        trace.absorbed.append((model.jt.cluster(src), model.jt.cluster(dst)))
-    if _group(model.jt, owner, owner[src]) != {src}:
-        raise InconsistencyError(f"absorbed cluster {src} is not the only clique of its MPS {owner[src]}")
-    del owner[src]
-    for v in model.jt.cluster(src):
-        if model.family.get(v) == src:
-            model.family[v] = dst
-    model.jt.merge_into(src, dst)
-
-
 def _rebuild_subtree(
     model: CompiledModel,
     doomed: list[int],
@@ -536,52 +522,89 @@ def _rebuild_subtree(
     drops its pairs inside R for the region's kept pairs.  The dropped
     pairs are the doomed cliques' fill: an outside clique meets R only
     inside one boundary MPS separator, complete in the moral graph, and an
-    edit changes moral links only inside the marked region.
+    edit changes moral links only inside the marked region.  The new
+    cliques are maximal among themselves and an outside clique keeps its
+    vertex set, so a new clique inside another equals the boundary
+    separator it hangs on, and :func:`absorb_non_maximal` merges it into
+    the outside clique beyond.
+
+    Either way the region's live cliques are then finished alike:
+
+    - Every piece an outside clique absorbed must be complete in the moral
+      graph, as the boundary separator it equals is; so all its separators
+      are complete and it was the only clique of its group.
+    - The region is regrouped: a thinned one through a view of its cliques
+      under local ids that ascend in global id order, a re-triangulated
+      one through its fresh tree, whose ids map to increasing global ones.
+      Either way each local root maps to the least clique of its group.
+      Every separator between the region and the rest stays complete, so
+      this is the whole regroup.
+    - A family moves only when its host is one of the doomed cliques and
+      died or no longer covers it (an added arc grew it), to the smallest
+      covering clique of the region or of the outside cliques that
+      absorbed a piece of it (ties: lower id).  Two doomed components can
+      share variables through unmarked cliques, so only this component's
+      hosts are checked.
     """
-    jt, owner = model.jt, model.owner
+    jt, owner, family, dag = model.jt, model.owner, model.family, model.dag
     variables = {v for c in doomed for v in jt.cluster(c) if model.moral.has_vertex(v)}
     inside = {pair: a for pair, a in links.items() if variables.issuperset(pair)}
+    mps_ids = tuple(sorted({owner[c] for c in doomed})) if trace is not None else ()
+    start = jt.next_id
     # an emptied region keeps no cluster, so it takes the (empty) min-fill path
-    if variables and all(model.fill.has_edge(*pair) for pair, a in inside.items() if a):
-        _thin_region(model, doomed, variables, inside, trace)
-        return
-    g_sub = model.moral.induced(variables)
-    model.fill.remove_induced(variables)
-    t = construct_join_tree(g_sub, model.fill)
-    _, t_owner = aggregate_cliques(t, g_sub)
+    thinned = bool(variables) and all(model.fill.has_edge(*pair) for pair, a in inside.items() if a)
+    if thinned:
+        absorbed = _thin_region(model, doomed, variables, inside)
+        region = [c for c in doomed if c in jt] + [c for c in range(start, jt.next_id) if c in jt]
+        grouped = ClusterTree({i: jt.cluster(c) for i, c in enumerate(region)})
+        jt_map = region
+        local = {c: i for i, c in enumerate(region)}
+        for i, c in enumerate(region):
+            for nb in jt.neighbors(c):
+                j = local.get(nb)
+                if j is not None and i < j:
+                    grouped.add_edge(i, j, jt.separator(c, nb))
+    else:
+        g_sub = model.moral.induced(variables)
+        model.fill.remove_induced(variables)
+        grouped = construct_join_tree(g_sub, model.fill)
+        jt_map = {lid: jt.add_cluster(grouped.cluster(lid)) for lid in grouped.cluster_ids()}
+        for a, b, sep in grouped.edges():
+            jt.add_edge(jt_map[a], jt_map[b], sep)
+        records = connect(jt, set(jt_map.values()), doomed)
+        for k in doomed:
+            jt.remove_cluster(k)
+        absorbed = absorb_non_maximal(jt, [c for _, _, sep, c in records if jt.cluster(c) == sep])
+        region = [c for c in range(start, jt.next_id) if c in jt]
 
-    jt_map = {lid: jt.add_cluster(t.cluster(lid)) for lid in t.cluster_ids()}
-    for a, b, sep in t.edges():
-        jt.add_edge(jt_map[a], jt_map[b], sep)
-    # jt_map is increasing, so each local root, the least clique of its
-    # group, maps to the least clique of the group it becomes
-    for c, m_local in t_owner.items():
-        owner[jt_map[c]] = jt_map[m_local]
+    for vs, c in absorbed:
+        if not model.moral.is_complete(vs):
+            raise InconsistencyError(f"absorbed piece {sorted(vs)} is not complete in the moral graph")
+    _, local_owner = aggregate_cliques(grouped, model.moral)
+    for c in doomed:
+        if c not in jt:
+            del owner[c]
+    for c, m in local_owner.items():
+        if jt_map[c] in jt:
+            owner[jt_map[c]] = jt_map[m]
+
+    doomed_set = set(doomed)
+    orphans = [
+        v
+        for v in sorted(variables)
+        if family.get(v) in doomed_set and (family[v] not in jt or not dag.family(v) <= jt.cluster(family[v]))
+    ]
+    if orphans:
+        hosts = sorted(set(region).union(c for _, c in absorbed))
+        family.update(assign_families(dag, jt, orphans, hosts))
+
     if trace is not None:
-        trace.new_jt_ids |= set(jt_map.values())
-        trace.new_mpd_ids |= {jt_map[m] for m in t_owner.values()}
-        mps_ids = tuple(sorted({owner[c] for c in doomed}))
+        trace.absorbed += [(vs, jt.cluster(c)) for vs, c in absorbed]
+        trace.new_jt_ids |= {c for c in region if c >= start}
+        trace.new_mpd_ids |= {owner[c] for c in region}
         trace.subtrees.append(
-            SubtreeTrace(mps_ids, frozenset(variables), tuple(t.cluster(l) for l in t.cluster_ids()), False)
+            SubtreeTrace(mps_ids, frozenset(variables), tuple(jt.cluster(c) for c in region), thinned)
         )
-
-    records = connect(jt, set(jt_map.values()), doomed)
-
-    # re-host families whose clique died; a dead host is a doomed clique,
-    # which holds its variable, so only the region's variables can need
-    # it.  The local (size, id) choice is the global one.
-    dead = set(doomed)
-    orphans = [v for v in sorted(variables) if model.family.get(v) in dead]
-    for v, c in assign_families(model.dag, t, orphans).items():
-        model.family[v] = jt_map[c]
-
-    for k in doomed:
-        jt.remove_cluster(k)
-        del owner[k]
-
-    for _k, c_k, sep, target in records:
-        if target in jt and jt.cluster(target) == sep:
-            _amalgamate(model, target, c_k, trace)
 
 
 def _thin_region(
@@ -589,8 +612,7 @@ def _thin_region(
     doomed: list[int],
     variables: set[int],
     inside: dict[tuple[int, int], bool],
-    trace: BatchTrace | None,
-) -> None:
+) -> list[tuple[frozenset[int], int]]:
     """Thin the doomed cliques' own junction subtree to a minimal triangulation of the region, in place.
 
     Only the cliques a drop splits change; every other clique keeps its id,
@@ -618,19 +640,10 @@ def _thin_region(
       A split keeps each boundary separator inside one half, and a half or
       a cut clique equal to one may be absorbed by the clique beyond it.
 
-    So every separator between the region and the rest stays complete, and
-    regrouping a view of the region's cliques is the whole regroup; its
-    local ids ascend in global id order, so each local root maps to the
-    least clique of its group.  A family moves only when its host is one
-    of the doomed cliques and died or no longer covers it (an added arc
-    grew it), to the smallest covering clique of the region or of the
-    outside cliques that absorbed a piece of it (ties: lower id).  Two
-    doomed components can share variables through unmarked cliques, so
-    only this component's hosts are checked.
+    Returns those absorbed pieces as (piece, outside clique).
     """
-    jt, owner, fill = model.jt, model.owner, model.fill
+    jt, fill = model.jt, model.fill
     doomed_set = set(doomed)
-    mps_ids = tuple(sorted({owner[c] for c in doomed})) if trace is not None else ()
     seeds = []
     for (u, v), added in inside.items():
         if added:
@@ -653,42 +666,8 @@ def _thin_region(
     absorbed = absorb_non_maximal(jt, cut) if cut else []
     for vs, _ in absorbed:
         seeds += [(u, w) for u in vs for w in fill.neighbors(u) & vs if u < w]
-    start = jt.next_id
     absorbed += thin_join_tree(jt, sorted(set(seeds)), fill, [c for c in doomed if c in jt])
-    absorbed = [(vs, c) for vs, c in absorbed if c not in doomed_set]
-    region = [c for c in doomed if c in jt] + [c for c in range(start, jt.next_id) if c in jt]
-
-    view = ClusterTree({i: jt.cluster(c) for i, c in enumerate(region)})
-    local = {c: i for i, c in enumerate(region)}
-    for i, c in enumerate(region):
-        for nb in jt.neighbors(c):
-            j = local.get(nb)
-            if j is not None and i < j:
-                view.add_edge(i, j, jt.separator(c, nb))
-    _, t_owner = aggregate_cliques(view, model.moral)
-    for c in doomed:
-        if c not in jt:
-            del owner[c]
-    for i, m in t_owner.items():
-        owner[region[i]] = region[m]
-
-    family, dag = model.family, model.dag
-    orphans = [
-        v
-        for v in sorted(variables)
-        if family.get(v) in doomed_set and (family[v] not in jt or not dag.family(v) <= jt.cluster(family[v]))
-    ]
-    if orphans:
-        hosts = sorted(set(region).union(c for _, c in absorbed))
-        family.update(assign_families(dag, jt, orphans, hosts))
-
-    if trace is not None:
-        trace.absorbed += [(vs, jt.cluster(c)) for vs, c in absorbed]
-        trace.new_jt_ids |= {c for c in region if c >= start}
-        trace.new_mpd_ids |= {owner[c] for c in region}
-        trace.subtrees.append(
-            SubtreeTrace(mps_ids, frozenset(variables), tuple(jt.cluster(c) for c in region), True)
-        )
+    return [(vs, c) for vs, c in absorbed if c not in doomed_set]
 
 
 # Unused by the package; kept because the benchmark's tracer binds it.
@@ -717,8 +696,8 @@ def incremental_compile(
 
     The doomed cliques are the groups of the marked MPSs, and each
     connected piece of them is rebuilt apart.  The closing check counts
-    edges.  A split in place (:func:`_thin_region`) and a merge each keep
-    a tree a tree.  A splice re-hangs each boundary edge of the doomed
+    edges.  A split in place (:func:`_thin_region`) and an absorption
+    (:func:`absorb_non_maximal`) each keep a tree a tree.  A splice re-hangs each boundary edge of the doomed
     cliques on their replacement tree (or, when none, on one boundary
     cluster), so a connected doomed set leaves the junction tree a tree,
     and c disconnected pieces leave c - 1 edges too many.

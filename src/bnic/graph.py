@@ -321,9 +321,9 @@ class UndirectedGraph:
     def induced(self, vs: Iterable[int]) -> "UndirectedGraph":
         """The subgraph induced by the vertex set vs."""
         vs = set(vs)
-        missing = vs - self._adj.keys()
-        if missing:
-            raise UnknownVariableError(f"unknown vertices {sorted(missing)}")
+        for v in vs:  # a membership loop: a set difference would walk the whole graph
+            if v not in self._adj:
+                raise UnknownVariableError(f"unknown vertices {sorted(vs - self._adj.keys())}")
         g = UndirectedGraph()
         g._adj = {v: self._adj[v] & vs for v in vs}
         return g

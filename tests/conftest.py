@@ -24,6 +24,23 @@ def build_asia() -> Dag:
     return dag
 
 
+def banded_dag(n, rng, dag=None) -> Dag:
+    """Nodes b0 … b{n-1} added to dag (default: a new one); returns the dag.
+
+    Node j takes each of the 5 nodes before it as a parent with odds 0.3,
+    one ``rng.random()`` draw per candidate.  The chain falls apart into
+    several components, and min-fill leaves redundant fill on it, so
+    thinning has work to do.
+    """
+    dag = Dag() if dag is None else dag
+    ids = [dag.add_node(f"b{j}") for j in range(n)]
+    for j in range(n):
+        for i in range(max(0, j - 5), j):
+            if rng.random() < 0.3:
+                dag.add_arc(ids[i], ids[j])
+    return dag
+
+
 def name_set(table, vertices) -> frozenset:
     return frozenset(table.name(v) for v in vertices)
 

@@ -93,7 +93,7 @@ def groups_record(owner: dict[int, int]) -> list[list[int]]:
 
 
 def trace_record(trace: BatchTrace) -> dict:
-    """Per modification its links, marked MPSs and rewirings; then the subtrees (thinned or not) and amalgamations."""
+    """Per modification its links, marked MPSs and rewirings; then the subtrees (thinned or not) and absorbed pieces."""
     return {
         "mods": [
             [
@@ -137,15 +137,24 @@ def flush_record(stream: str, case: str, flush: int, model, trace: BatchTrace) -
     }
 
 
-def random_records(models: int = RANDOM_MODELS):
-    """The ``random`` stream: model k is drawn from ``Random(k)``."""
+def random_flushes(models: int = RANDOM_MODELS):
+    """The ``random`` stream's flushes as (case, flush, model, trace): model k is drawn from ``Random(k)``.
+
+    Each model is flushed in place, so read it before taking the next flush.
+    """
     for k in range(models):
         rng = Random(k)
         model = full_recompile(random_dag(rng.randint(1, 30), rng, edge_prob=EDGE_ODDS[k % 3]))
         for f in range(FLUSHES):
             trace = BatchTrace()
             incremental_compile(model, random_script(model.dag, rng.randint(1, 8), rng), trace)
-            yield flush_record("random", str(k), f, model, trace)
+            yield k, f, model, trace
+
+
+def random_records(models: int = RANDOM_MODELS):
+    """The ``random`` stream's flush records."""
+    for k, f, model, trace in random_flushes(models):
+        yield flush_record("random", str(k), f, model, trace)
 
 
 def bench_records():

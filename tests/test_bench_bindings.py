@@ -48,8 +48,10 @@ TRACED_LAYERS = [
 COMPILE_LAYERS = [("pipeline", "assign_families")]
 # The engine's marking and splice layers, as each kind of flush calls them.
 # A rebuild groups its cliques through the engine's aggregate_cliques; only
-# a re-triangulated region is spliced in by connect, and only a thinned
-# region that lost a removed variable calls absorb_non_maximal.
+# a re-triangulated region is spliced in by connect.  absorb_non_maximal
+# runs after every splice, on the new cliques equal to the separator they
+# hang by, and in a thinned region that lost a removed variable, on its cut
+# cliques; a thinned removal of an arc alone does not call it.
 ADD_ARC_LAYERS = [
     ("engine", "modify_moral_graph"),
     ("engine", "mark_add_link"),

@@ -14,7 +14,8 @@ network, whose eliminations carry the fill counters deepest.
 ``TRACE_DIGEST`` pins the ``BatchTrace`` of every incremental flush above:
 per modification its links, the marked MPS ids with their vertex sets in
 marking order and the rewirings, then the rebuilt subtrees, each thinned
-or re-triangulated, and the amalgamations.  ``REPLAY_DIGEST`` pins the
+or re-triangulated, and the pieces of either kind of region that an
+outside clique absorbed.  ``REPLAY_DIGEST`` pins the
 per-flush records that ``tests/replay.py`` writes for its first 20 random
 models, 100 flushes.
 ``MPS_DIGEST`` pins, for every model above, the MPS tree's cluster and
@@ -33,7 +34,6 @@ from random import Random
 from bnic import (
     AddArc,
     BatchTrace,
-    Dag,
     RemoveArc,
     full_recompile,
     incremental_compile,
@@ -44,27 +44,16 @@ from bnic import (
 )
 
 import replay
+from conftest import banded_dag
 
-DIGEST = "a481dca571d7711ae1b38d0ff223add64abccff5ea829dfcdd764a1b0ce18ea9"
-HOST_DIGEST = "eba9b1b01dc881bac999c8fc8fb8e3a0bca8656207cbdf21e72f666154d798f2"
-TRACE_DIGEST = "abebe417f4a1e33d339b4491863361fa51e62fbbda158902bcb6d6ce64fb3a45"
+DIGEST = "ff9ce3e654c878639e11e51e0d82b8ce908e3b3b2ae8e8b574e5ce1d0dec55c3"
+HOST_DIGEST = "a691946f4a76c737f4365bbce072126cc3d21c00bd2ecd3a3cbd5d3caafd94d5"
+TRACE_DIGEST = "4e9c6bc445b14ad888764df162faaf3cdb6dd096564f6fb6dae062d5908f7dcf"
 COMPILE_DIGEST = "a73477334e637c28b2762886f5c7e8f8bc2e7ecb2854ef8e03e2189bc59a8624"
 MIN_FILL_600_DIGEST = "9d7c92b1cad9680afd0f1a93c18a64978e15a2eff99e8b499b06d4cc4b1af9f5"
 MPS_DIGEST = "a26c46b230de28bab2407ba995dbb63a8a3f47e57546545b50a11f343eacf32d"
-REPLAY_DIGEST = "ab825f8d266a3bf58d4944c181df38c10b53d4a42ea6b5c522a6287fb3eb59b3"
+REPLAY_DIGEST = "f81ac28b66325c46312f35c8007d240756983b71bbfb36963260ab724db34964"
 COMPILES = 8  # the first records, one per dag compiled from scratch
-
-
-def _banded_dag(n, rng):
-    # node j takes each of the 5 nodes before it as a parent with odds 0.3;
-    # min-fill leaves redundant fill on these, so thinning has work to do
-    dag = Dag()
-    ids = [dag.add_node(f"b{j}") for j in range(n)]
-    for j in range(n):
-        for i in range(max(0, j - 5), j):
-            if rng.random() < 0.3:
-                dag.add_arc(ids[i], ids[j])
-    return dag
 
 
 def _model(model):
@@ -84,7 +73,7 @@ def _records():
         random_dag(n, Random(seed), edge_prob=p)
         for seed, n, p in [(1, 12, 0.3), (2, 30, 0.2), (3, 60, 0.1), (4, 90, 0.06), (5, 120, 0.025), (6, 40, 0.35)]
     ]
-    dags += [_banded_dag(n, Random(seed)) for seed, n in [(7, 100), (8, 300)]]
+    dags += [banded_dag(n, Random(seed)) for seed, n in [(7, 100), (8, 300)]]
     for dag in dags:
         gm = moralize(dag)
         order, fill = kernels.min_fill(gm)
@@ -100,7 +89,7 @@ def _records():
         mps.append(replay.mps_record(model.mpd))
     for seed in range(5):
         rng = Random(100 + seed)
-        dag = _banded_dag(80, rng) if seed == 4 else random_dag(rng.randint(15, 40), rng, edge_prob=0.15)
+        dag = banded_dag(80, rng) if seed == 4 else random_dag(rng.randint(15, 40), rng, edge_prob=0.15)
         model = full_recompile(dag)
         for _ in range(3):
             trace = BatchTrace()
@@ -128,7 +117,7 @@ def test_flush_traces_match_the_committed_digest():
     *_, traces = _records()
     mods = [rec for trace in traces for rec in trace.mods]
     # the flushes reach every marking case: arcs inducing several links,
-    # empty separators rewired, and new cliques amalgamated
+    # empty separators rewired, and pieces absorbed by outside cliques
     assert (
         sum(isinstance(rec.mod, AddArc) and len(rec.links) > 1 for rec in mods),
         sum(isinstance(rec.mod, RemoveArc) and len(rec.links) > 1 for rec in mods),

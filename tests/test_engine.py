@@ -43,7 +43,7 @@ from bnic.engine import (
 )
 
 import replay
-from conftest import build_asia, cluster_names, name_set
+from conftest import banded_dag, build_asia, cluster_names, name_set
 
 
 def _link_names(table, links):
@@ -592,7 +592,7 @@ def test_connect_reattaches_boundary_to_best_cover():
     fresh = [tree.add_cluster(vs) for vs in ({1, 2}, {2, 3}, {3, 4})]
     ((_, ck, sep, target),) = connect(tree, set(fresh), [doomed])
     assert (ck, sep) == (outside, frozenset({2, 3}))
-    assert tree.cluster(target) == frozenset({2, 3})  # = S: amalgamation case
+    assert tree.cluster(target) == frozenset({2, 3})  # = S: the outside clique absorbs it
     assert tree.has_edge(target, outside)
 
 
@@ -826,6 +826,81 @@ def test_a_thinned_remove_arc_changes_only_the_cliques_it_splits(monkeypatch):
     assert mpd_equal(model.mpd, full_recompile(model.dag.copy()).mpd)
 
 
+# -- the shared rebuild tail ----------------------------------------------------
+
+
+def test_trace_ids_name_live_cliques_and_mpss():
+    # the first 1,500 flushes of the replay's random stream
+    flushes = 0
+    for _, _, model, trace in replay.random_flushes(300):
+        assert trace.new_jt_ids <= set(model.jt.cluster_ids())
+        assert trace.new_mpd_ids <= set(model.owner.values())
+        flushes += 1
+    assert flushes == 1500
+
+
+def test_rebuilt_regions_rehost_families_by_the_shared_rule(monkeypatch):
+    # every rebuild of the replay's first 1,500 random flushes: a family
+    # whose host died or stopped covering it sits on the smallest clique
+    # covering it, of the region's live cliques and the outside cliques that
+    # absorbed a piece (ties: lower id), by a scan of them all; every other
+    # family stays; every absorbed piece is complete in the moral graph.
+    # Each flush with a re-triangulated region that absorbed a piece must
+    # pass validate and match a full recompile.
+    rebuild = bnic.engine._rebuild_subtree
+    absorbing = []
+
+    def checked(model, doomed, links, trace):
+        jt, dag = model.jt, model.dag
+        start, before, first = jt.next_id, dict(model.family), len(trace.absorbed)
+        rebuild(model, doomed, links, trace)
+        pieces = trace.absorbed[first:]
+        assert all(model.moral.is_complete(piece) for piece, _ in pieces)
+        by_cluster = {jt.cluster(c): c for c in jt.cluster_ids()}
+        hosts = sorted({c for c in jt.cluster_ids() if c in doomed or c >= start} | {by_cluster[b] for _, b in pieces})
+        for v, host in before.items():
+            if host in doomed and (host not in jt or not dag.family(v) <= jt.cluster(host)):
+                covers = [c for c in hosts if dag.family(v) <= jt.cluster(c)]
+                assert model.family[v] == min(covers, key=lambda c: (len(jt.cluster(c)), c))
+            else:
+                assert model.family[v] == host
+        absorbing.append(bool(pieces) and not trace.subtrees[-1].thinned)
+
+    monkeypatch.setattr(bnic.engine, "_rebuild_subtree", checked)
+    flushes = 0
+    for _, _, model, _ in replay.random_flushes(300):
+        if any(absorbing):
+            assert validate(model).passed
+            assert mpd_equal(model.mpd, full_recompile(model.dag.copy()).mpd)
+            flushes += 1
+        absorbing.clear()
+    assert flushes > 80
+
+
+@pytest.mark.parametrize("edit", ["add-arc A X", "remove-node D"])
+def test_an_absorbed_piece_incomplete_in_the_moral_graph_raises(asia_model, monkeypatch, edit):
+    # the re-triangulated region of A -> X splices and absorbs; the thinned
+    # region of D's removal absorbs its cut cliques; both report a piece
+    # {S X}, whose ends the moral graph does not join, into an unmarked clique
+    t = asia_model.dag.table
+    kind, *names = edit.split()
+    ids = [t.id(n) for n in names]
+    mods = [AddArc(*ids)] if kind == "add-arc" else expand_remove_node(asia_model.dag, ids[0])
+    probe = asia_model.copy()
+    trace = BatchTrace()
+    incremental_compile(probe, mods, trace)
+    assert trace.subtrees[0].thinned == (kind == "remove-node")
+    outside = next(c for c, m in asia_model.owner.items() if m not in trace.marked_ids())
+    real = bnic.engine.absorb_non_maximal
+
+    def reporting(tree, ids=None):
+        return real(tree, ids) + [(frozenset({t.id("S"), t.id("X")}), outside)]
+
+    monkeypatch.setattr(bnic.engine, "absorb_non_maximal", reporting)
+    with pytest.raises(InconsistencyError, match="not complete in the moral graph"):
+        incremental_compile(asia_model, mods)
+
+
 def _flush_of_random_case(case, flush):
     # the model of the replay's random stream for this case, flushed up to
     # the given flush; returns it and that flush's batch
@@ -1053,23 +1128,10 @@ def test_rejected_batch_restores_ids_and_arc_order():
     assert model.dag.add_node("F") == 4
 
 
-def _banded(dag, n):
-    # each node takes each of the 5 nodes before it as a parent with odds
-    # 0.3; the chain falls apart into several components
-    v = [dag.add_node(f"b{j}") for j in range(n)]
-    rng = Random(3)
-    for j in range(n):
-        for i in range(max(0, j - 5), j):
-            if rng.random() < 0.3:
-                dag.add_arc(v[i], v[j])
-    return v
-
-
 def _two_local_arc_edits():
-    dag = Dag()
-    v = _banded(dag, 2000)
+    dag = banded_dag(2000, Random(3))  # a new dag, so node b{i} has id i
     p, c = next((p, c) for p, c in dag.arcs() if p > 1000)
-    u, w = next((v[i], v[i + 2]) for i in range(1500, 2000) if not dag.has_arc(v[i], v[i + 2]))
+    u, w = next((i, i + 2) for i in range(1500, 2000) if not dag.has_arc(i, i + 2))
     return dag, [RemoveArc(p, c), AddArc(u, w)]
 
 
@@ -1078,7 +1140,7 @@ def _isolated_hub_removal():
     # star of empty separators, one per component; removing h empties it
     dag = Dag()
     h = dag.add_node("h")
-    _banded(dag, 2000)
+    banded_dag(2000, Random(3), dag)
     return dag, [RemoveNode(h)]
 
 

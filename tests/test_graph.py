@@ -177,6 +177,12 @@ def test_induced_empty_and_identity(asia):
         gm.induced({999})
 
 
+def test_induced_names_every_unknown_vertex(asia):
+    gm = moralize(asia)
+    with pytest.raises(UnknownVariableError, match=r"unknown vertices \[998, 999\]"):
+        gm.induced({999, asia.table.id("A"), 998})
+
+
 def test_remove_induced_keeps_the_edges_leaving_the_set(asia):
     gm = moralize(asia)
     vs = {asia.table.id(n) for n in "TLEBS"}
