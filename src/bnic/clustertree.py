@@ -117,7 +117,11 @@ class ClusterTree:
         return sorted(self._adj[cid])
 
     def edges(self) -> list[tuple[int, int, frozenset[int]]]:
-        return sorted((a, b, sep) for a in self._adj for b, sep in self._adj[a].items() if a < b)
+        return sorted(self.edge_items())
+
+    def edge_items(self) -> list[tuple[int, int, frozenset[int]]]:
+        """Every edge once, as (a, b, separator) with a < b, unsorted: one walk of the adjacency."""
+        return [(a, b, sep) for a, nbrs in self._adj.items() for b, sep in nbrs.items() if a < b]
 
     def edge_count(self) -> int:
         return self._edges
@@ -180,7 +184,33 @@ class ClusterTree:
         return Counter(self._clusters.values())
 
     def separator_multiset(self) -> Counter:
-        return Counter(sep for _, _, sep in self.edges())
+        """The separators' multiset, counted in one walk of the adjacency."""
+        return Counter(sep for a, nbrs in self._adj.items() for b, sep in nbrs.items() if a < b)
+
+    def quotient(self, owner: dict[int, int]) -> "ClusterTree":
+        """The tree of the groups that owner (cluster → group id) makes of this tree.
+
+        Group m's cluster is the union of its members' clusters, and every
+        edge between members of two groups becomes a group edge with the same
+        separator; fresh ids continue after this tree's.  One walk of the
+        adjacency writes both directions of each group edge, with no sort and
+        no add_edge checks, so the groups must be connected subtrees: two
+        edges between the same two groups would become one.
+        """
+        members: dict[int, list[int]] = {}
+        for c, m in owner.items():
+            members.setdefault(m, []).append(c)
+        get = self._clusters.__getitem__
+        # most groups are one cluster, whose vertex set needs no copy
+        clusters = {m: get(cs[0]) if len(cs) == 1 else frozenset().union(*map(get, cs)) for m, cs in members.items()}
+        t = ClusterTree(clusters, self._next)
+        for a, nbrs in self._adj.items():
+            m, out = owner[a], t._adj[owner[a]]
+            for b, sep in nbrs.items():
+                if owner[b] != m:
+                    out[owner[b]] = sep
+        t._edges = sum(map(len, t._adj.values())) // 2
+        return t
 
     def copy(self) -> "ClusterTree":
         t = ClusterTree()

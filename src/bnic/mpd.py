@@ -11,31 +11,21 @@ def mps_tree(jt: ClusterTree, owner: dict[int, int]) -> ClusterTree:
 
     Each MPS is the union of its cliques under its own id, and every
     junction edge between cliques of two MPSs becomes an MPS edge with the
-    same separator.  Fresh ids continue after the junction tree's.
+    same separator.  Fresh ids continue after the junction tree's.  Built in
+    one walk of the junction adjacency (:meth:`ClusterTree.quotient`), which
+    needs each MPS's cliques connected, as :func:`group_owners` makes them.
     """
-    members: dict[int, list[int]] = {}
-    for c, m in owner.items():
-        members.setdefault(m, []).append(c)
-    # most MPSs are one clique, whose vertex set needs no copy
-    clusters = {
-        m: jt.cluster(cs[0]) if len(cs) == 1 else frozenset().union(*map(jt.cluster, cs)) for m, cs in members.items()
-    }
-    mpd = ClusterTree(clusters, jt.next_id)
-    for a, b, sep in jt.edges():
-        m_a, m_b = owner[a], owner[b]
-        if m_a != m_b:
-            mpd.add_edge(m_a, m_b, sep)
-    return mpd
+    return jt.quotient(owner)
 
 
-def aggregate_cliques(jt: ClusterTree, gm: UndirectedGraph) -> tuple[ClusterTree, dict[int, int]]:
-    """Merge adjacent clusters across separators incomplete in the moral graph.
+def group_owners(jt: ClusterTree, gm: UndirectedGraph) -> dict[int, int]:
+    """Map every clique to its MPS: the least clique of its group.
 
     The maximal prime subgraphs are the connected components of the junction
     tree cut down to its incomplete separators (Olesen & Madsen, IEEE SMC-B
-    2002).  One union-find over those separators finds every group and maps
-    each clique to the smallest id of its group, the root of its set.
-    Returns the MPS tree (see :func:`mps_tree`) and that owner map.
+    2002).  One union-find over those separators, in one unsorted walk of
+    the junction edges, finds every group; a union keeps the smaller root,
+    so each root is its group's least clique whatever the edge order.
     Requires a junction tree built from a minimal triangulation of gm.
     """
     owner = {c: c for c in jt.cluster_ids()}
@@ -45,10 +35,21 @@ def aggregate_cliques(jt: ClusterTree, gm: UndirectedGraph) -> tuple[ClusterTree
             owner[c] = c = owner[owner[c]]
         return c
 
-    for a, b, sep in jt.edges():
+    for a, b, sep in jt.edge_items():
         if not gm.is_complete(sep):
             ra, rb = find(a), find(b)
             owner[max(ra, rb)] = min(ra, rb)
     for c in owner:
         owner[c] = find(c)
+    return owner
+
+
+def aggregate_cliques(jt: ClusterTree, gm: UndirectedGraph) -> tuple[ClusterTree, dict[int, int]]:
+    """The MPS tree and owner map of a junction tree: :func:`mps_tree` of :func:`group_owners`.
+
+    Only a rebuild calls it, for its owner map: the benchmark's tracer reads
+    the tree of each call for its merge and largest-MPS counts.  Callers
+    that need the owner map alone call :func:`group_owners`.
+    """
+    owner = group_owners(jt, gm)
     return mps_tree(jt, owner), owner

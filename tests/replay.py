@@ -137,17 +137,32 @@ def flush_record(stream: str, case: str, flush: int, model, trace: BatchTrace) -
     }
 
 
+def random_case(k: int):
+    """Model k of the ``random`` stream and an endless iterator of its batches.
+
+    ``Random(k)`` draws the dag, then each batch when it is taken, from the
+    model's dag at that time: flush a batch before taking the next.
+    """
+    rng = Random(k)
+    model = full_recompile(random_dag(rng.randint(1, 30), rng, edge_prob=EDGE_ODDS[k % 3]))
+
+    def batches():
+        while True:
+            yield random_script(model.dag, rng.randint(1, 8), rng)
+
+    return model, batches()
+
+
 def random_flushes(models: int = RANDOM_MODELS):
-    """The ``random`` stream's flushes as (case, flush, model, trace): model k is drawn from ``Random(k)``.
+    """The ``random`` stream's flushes as (case, flush, model, trace), from :func:`random_case`.
 
     Each model is flushed in place, so read it before taking the next flush.
     """
     for k in range(models):
-        rng = Random(k)
-        model = full_recompile(random_dag(rng.randint(1, 30), rng, edge_prob=EDGE_ODDS[k % 3]))
+        model, batches = random_case(k)
         for f in range(FLUSHES):
             trace = BatchTrace()
-            incremental_compile(model, random_script(model.dag, rng.randint(1, 8), rng), trace)
+            incremental_compile(model, next(batches), trace)
             yield k, f, model, trace
 
 

@@ -14,7 +14,8 @@ from random import Random
 import bnic.engine
 import bnic.kernels
 import bnic.pipeline
-from bnic import AddArc, RemoveArc, expand_remove_node, full_recompile, incremental_compile, random_dag
+import bnic.oracle
+from bnic import AddArc, BatchTrace, RemoveArc, expand_remove_node, full_recompile, incremental_compile, random_dag
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -107,3 +108,39 @@ def test_compile_and_rebuild_call_every_traced_layer(monkeypatch):
 
     incremental_compile(model, expand_remove_node(model.dag, parent))
     assert uncalled(REMOVE_NODE_LAYERS) == []
+
+
+def test_the_tracer_hooks_read_what_the_package_returns():
+    # the tracer's work counters read the results of the names they wrap
+    # (the aggregation hook reads the MPS tree of aggregate_cliques); run
+    # them over a compile, a re-triangulating and a thinned flush and a
+    # validate, called through the module bindings the tracer wraps, as the
+    # benchmark calls them; then check that restore() puts every binding back
+    spans = _load_spans()
+    originals = [owner.__dict__[attr] for owner, attr, _, _ in spans.BINDINGS]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        dag = random_dag(30, Random(5), edge_prob=0.15)
+        model = bnic.oracle.full_recompile(dag)
+        h = model.tri.graph()
+        u, v = next(
+            (u, v)
+            for u in dag.nodes()
+            for v in dag.nodes()
+            if u != v and not h.has_edge(u, v) and not dag.has_path(v, u)
+        )
+        kinds = []
+        for mods in ([AddArc(u, v)], [RemoveArc(*dag.arcs()[0])]):
+            trace = BatchTrace()
+            bnic.engine.incremental_compile(model, mods, trace)
+            kinds += [sub.thinned for sub in trace.subtrees]
+        assert bnic.oracle.validate(model).passed
+    finally:
+        tracer.restore()
+    assert [owner.__dict__[attr] for owner, attr, _, _ in spans.BINDINGS] == originals
+    assert False in kinds and True in kinds
+    in_engine = tracer.within("engine.incremental_compile")
+    aggregations = [i for i, span in enumerate(tracer.spans) if span[0] == "mpd.aggregate_cliques"]
+    assert aggregations and all(in_engine[i] for i in aggregations)
+    assert "mpd.aggregate_cliques.merges" in tracer.counts and tracer.maxima["mpd.largest_mps"] > 0

@@ -904,11 +904,10 @@ def test_an_absorbed_piece_incomplete_in_the_moral_graph_raises(asia_model, monk
 def _flush_of_random_case(case, flush):
     # the model of the replay's random stream for this case, flushed up to
     # the given flush; returns it and that flush's batch
-    rng = Random(case)
-    model = full_recompile(random_dag(rng.randint(1, 30), rng, edge_prob=replay.EDGE_ODDS[case % 3]))
+    model, batches = replay.random_case(case)
     for _ in range(flush):
-        incremental_compile(model, random_script(model.dag, rng.randint(1, 8), rng))
-    return model, random_script(model.dag, rng.randint(1, 8), rng)
+        incremental_compile(model, next(batches))
+    return model, next(batches)
 
 
 def test_a_batch_adding_and_removing_one_arc_resets_the_rewired_separator():

@@ -2,6 +2,9 @@ from collections import Counter
 from random import Random
 
 from bnic import (
+    BatchTrace,
+    ClusterTree,
+    Dag,
     UndirectedGraph,
     full_recompile,
     incremental_compile,
@@ -10,10 +13,10 @@ from bnic import (
     random_dag,
     random_script,
 )
-from bnic.mpd import aggregate_cliques
+from bnic.mpd import aggregate_cliques, group_owners, mps_tree
 from bnic.pipeline import assign_families, build_join_tree, construct_join_tree, extract_cliques
 
-from conftest import cluster_names, edited, holders_of, name_set
+from conftest import banded_dag, cluster_names, edited, holders_of, name_set
 
 
 def test_aggregate_asia(asia, asia_model):
@@ -170,3 +173,65 @@ def test_aggregate_matches_the_copy_and_components_reference():
             merges += _assert_aggregates_like_the_reference(model.jt, model.moral)
             spliced += 1
     assert merges > 100 and spliced == 120
+
+
+def _owners_by_sorted_union_find(jt, gm):
+    # Reference: the union-find over the sorted edges() list, each union
+    # keeping the smaller root.
+    owner = {c: c for c in jt.cluster_ids()}
+
+    def find(c):
+        while owner[c] != c:
+            c = owner[c]
+        return c
+
+    for a, b, sep in jt.edges():
+        if not gm.is_complete(sep):
+            ra, rb = find(a), find(b)
+            owner[max(ra, rb)] = min(ra, rb)
+    return {c: find(c) for c in owner}
+
+
+def _mps_tree_by_add_edge(jt, owner):
+    # Reference: the group unions, joined by add_edge over the sorted edges() list.
+    members = {}
+    for c, m in owner.items():
+        members.setdefault(m, []).append(jt.cluster(c))
+    tree = ClusterTree({m: frozenset().union(*vss) for m, vss in members.items()}, jt.next_id)
+    for a, b, sep in jt.edges():
+        if owner[a] != owner[b]:
+            tree.add_edge(owner[a], owner[b], sep)
+    return tree
+
+
+def _assert_one_walk_matches_the_sorted_references(jt, gm):
+    owner = group_owners(jt, gm)
+    assert list(owner.items()) == list(_owners_by_sorted_union_find(jt, gm).items())
+    mpd, ref = mps_tree(jt, owner), _mps_tree_by_add_edge(jt, owner)
+    assert [(c, mpd.cluster(c)) for c in mpd.cluster_ids()] == [(c, ref.cluster(c)) for c in ref.cluster_ids()]
+    assert mpd.edges() == ref.edges() and mpd.edge_count() == ref.edge_count()
+    assert mpd.next_id == ref.next_id == jt.next_id
+    for tree in (jt, mpd):
+        assert tree.separator_multiset() == Counter(sep for _, _, sep in tree.edges())
+    return len(jt) - len(mpd)
+
+
+def test_owner_map_and_mps_tree_match_the_sorted_edge_references():
+    # seeded random and banded models, compiled and then flushed; the
+    # flushes must include rewired separators and absorbed pieces
+    merges = rewired = absorbed = 0
+    models = [random_dag(Random(seed).randint(5, 40), Random(seed), edge_prob=0.15) for seed in range(20)]
+    models += [banded_dag(n, Random(n)) for n in (30, 60, 120)]
+    for k, dag in enumerate(models):
+        rng = Random(100 + k)
+        model = full_recompile(dag)
+        merges += _assert_one_walk_matches_the_sorted_references(model.jt, model.moral)
+        for _ in range(4):
+            trace = BatchTrace()
+            incremental_compile(model, random_script(model.dag, rng.randint(1, 8), rng), trace)
+            merges += _assert_one_walk_matches_the_sorted_references(model.jt, model.moral)
+            rewired += sum(len(rec.rewired) for rec in trace.mods)
+            absorbed += len(trace.absorbed)
+    assert merges > 100 and rewired > 0 and absorbed > 0
+    empty = full_recompile(Dag())
+    assert _assert_one_walk_matches_the_sorted_references(empty.jt, empty.moral) == 0

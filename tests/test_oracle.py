@@ -331,6 +331,37 @@ def test_a_corrupted_fill_fails_a_named_check(case):
         assert details["triangulation_minimal"] == f"not checked: fill pair {moral} is a moral edge"
 
 
+@pytest.mark.parametrize("case", ["grown-cluster", "unheld-pair-added"])
+def test_completeness_is_scanned_when_maximality_fails(case):
+    # validate takes completeness from a passing maximality, as maximal
+    # cliques of H are complete in H; a failed maximality must still scan.
+    # H stays chordal in both cases: a cluster grown by a vertex that misses
+    # one of its members in H is incomplete, while a fill pair that no
+    # cluster holds leaves every cluster complete
+    model = full_recompile(random_dag(40, Random(8), edge_prob=0.12))
+    jt, h = model.jt, model.tri.graph()
+    if case == "grown-cluster":
+        c, x = next(
+            (c, x)
+            for c in jt.cluster_ids()
+            for x in sorted(h.vertices())
+            if x not in jt.cluster(c) and not jt.cluster(c) <= h.neighbors(x)
+        )
+        model.jt = edited(jt, clusters={c: jt.cluster(c) | {x}})
+    else:
+        model.fill.add_edge(*_redundant_extra_edge(model))
+    assert is_chordal(model.tri.graph())[0]
+    checks = {c.name: c for c in validate(model).checks}
+    maximality, completeness = checks["cluster_maximality"], checks["cluster_completeness"]
+    assert not maximality.passed
+    assert maximality.detail == "clusters are not exactly the maximal cliques of the triangulated graph"
+    if case == "grown-cluster":
+        assert not completeness.passed
+        assert completeness.detail == "a cluster is incomplete in the triangulated graph"
+    else:
+        assert completeness.passed and completeness.detail == ""
+
+
 def test_report_to_dict_is_json_ready(asia):
     report = validate(_asia_with_both_diagonals(asia))
     d = json.loads(json.dumps(report.to_dict()))

@@ -31,7 +31,7 @@ from bnic.pipeline import (
     thin_join_tree,
     triangulate_min_fill,
 )
-from conftest import cluster_names, holders_of, name_set, separator_names
+from conftest import banded_dag, cluster_names, holders_of, name_set, separator_names
 
 
 def _tri(base, pairs):
@@ -170,15 +170,10 @@ def _thinned(tree, pairs):
 
 
 def _banded_moral(n, rng, ids):
-    # node j takes each of the 5 nodes before it as a parent with odds 0.3
-    g = UndirectedGraph(ids)
-    for j in range(n):
-        parents = [i for i in range(max(0, j - 5), j) if rng.random() < 0.3]
-        for k, i in enumerate(parents):
-            g.add_edge(ids[i], ids[j])
-            for h in parents[k + 1 :]:
-                g.add_edge(ids[i], ids[h])
-    return g
+    # the moral graph of conftest's banded dag, node b{j} relabelled ids[j]
+    dag = banded_dag(n, rng)
+    label = dict(zip(dag.nodes(), ids))
+    return UndirectedGraph.from_edges(ids, [(label[u], label[v]) for u, v in moralize(dag).edges()])
 
 
 def _with_redundant_fill(t, rng, extra):
