@@ -12,17 +12,24 @@ from typing import Iterable
 from .errors import InconsistencyError
 
 
-def covering(holders: dict[int, int], ids: list[int], vs: Iterable[int]) -> list[int]:
-    """The ids, in the order of ``ids``, whose clusters contain vs, given their holder masks."""
+def smallest_cover(tree: "ClusterTree", holders: dict[int, int], ids: list[int], vs: Iterable[int]) -> int | None:
+    """The smallest of the clusters ``ids`` containing vs, or None if none does.
+
+    ``ids`` is ascending and ``holders`` their holder masks
+    (:meth:`ClusterTree.holder_masks`); ties go to the lower id.
+    """
     common = (1 << len(ids)) - 1
     for v in vs:
         common &= holders.get(v, 0)
-    out = []
+    best, size = None, 0
     while common:
         low = common & -common
         common ^= low
-        out.append(ids[low.bit_length() - 1])
-    return out
+        c = ids[low.bit_length() - 1]
+        n = len(tree.cluster(c))
+        if best is None or n < size:
+            best, size = c, n
+    return best
 
 
 class ClusterTree:
@@ -128,6 +135,18 @@ class ClusterTree:
 
     # -- structure --------------------------------------------------------
 
+    def reach(self, start: int, keep) -> set[int]:
+        """The clusters reached from start over neighbours for which keep holds."""
+        found = {start}
+        stack = [start]
+        adj = self._adj
+        while stack:
+            for nb in adj[stack.pop()]:
+                if nb not in found and keep(nb):
+                    found.add(nb)
+                    stack.append(nb)
+        return found
+
     def components(self, ids: Iterable[int] | None = None) -> list[set[int]]:
         """The components of the forest induced by ids (default: every cluster).
 
@@ -137,18 +156,9 @@ class ClusterTree:
         seen: set[int] = set()
         comps: list[set[int]] = []
         for start in sorted(members):
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                c = stack.pop()
-                for nb in self._adj[c]:
-                    if nb in members and nb not in comp:
-                        comp.add(nb)
-                        stack.append(nb)
-            seen |= comp
-            comps.append(comp)
+            if start not in seen:
+                comps.append(self.reach(start, members.__contains__))
+                seen |= comps[-1]
         return comps
 
     def is_tree(self) -> bool:
@@ -209,6 +219,19 @@ class ClusterTree:
             for b, sep in nbrs.items():
                 if owner[b] != m:
                     out[owner[b]] = sep
+        t._edges = sum(map(len, t._adj.values())) // 2
+        return t
+
+    def induced(self, ids: Iterable[int]) -> "ClusterTree":
+        """The clusters ids under their own ids, with the edges among them.
+
+        Edges that leave ids are dropped, so the view may be a forest; fresh
+        ids continue after this tree's, which is left unchanged.
+        """
+        t = ClusterTree()
+        t._clusters = keep = {c: self._clusters[c] for c in ids}
+        t._adj = {c: {nb: sep for nb, sep in self._adj[c].items() if nb in keep} for c in keep}
+        t._next = self._next
         t._edges = sum(map(len, t._adj.values())) // 2
         return t
 

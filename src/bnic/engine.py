@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Sequence
 
-from .clustertree import ClusterTree, covering
+from .clustertree import ClusterTree, smallest_cover
 from .errors import InconsistencyError, InvalidEditError
 from .graph import Dag, Link, UndirectedGraph
 from .mpd import aggregate_cliques, mps_tree
@@ -125,14 +125,13 @@ class CompiledModel:
     ``mpd`` derives the MPS tree from ``jt`` and ``owner`` on every read.
 
     Every MPS id is the least clique of its group, and that clique belongs
-    to the group: a full compile takes each union-find root, the minimum; a
-    re-triangulated region maps its local roots through increasing fresh
-    ids, and a thinned one through its cliques in ascending id order; a new
-    node's clique owns itself; and a piece of a region that an outside
-    clique absorbs is complete in the moral graph, so it is the only clique
-    of its group, and the group goes with it.  Groups change in no other
-    way, so the cliques of MPS m are a walk from clique m over the cliques m
-    owns (:func:`_group`).
+    to the group.  One rule names them: a full compile and a rebuilt region
+    alike group junction cliques under their own ids and take each group's
+    least.  A new node's clique owns itself, and a piece of a region that an
+    outside clique absorbs is complete in the moral graph, so it is the
+    only clique of its group, and the group goes with it.  Groups change in
+    no other way, so the cliques of MPS m are a walk from clique m over the
+    cliques m owns (:func:`_group`).
     """
 
     def __init__(
@@ -316,18 +315,6 @@ def mark_remove_node(model: CompiledModel, x: int, marked: set[int], rec: ModTra
         _mark(marked, model, m, rec)
 
 
-def _walk(jt: ClusterTree, start: int, keep) -> set[int]:
-    """The cliques reached from start over neighbours for which keep holds."""
-    found = {start}
-    stack = [start]
-    while stack:
-        for nb in jt.neighbors(stack.pop()):
-            if nb not in found and keep(nb):
-                found.add(nb)
-                stack.append(nb)
-    return found
-
-
 def _holders(jt: ClusterTree, start: int, x: int) -> set[int]:
     """The cliques holding x, walked from start, which holds x.
 
@@ -336,7 +323,7 @@ def _holders(jt: ClusterTree, start: int, x: int) -> set[int]:
     cuts empty separators, whose ends share nothing (as do the ends it
     joins).
     """
-    return _walk(jt, start, lambda c: x in jt.cluster(c))
+    return jt.reach(start, lambda c: x in jt.cluster(c))
 
 
 def _group(jt: ClusterTree, owner: dict[int, int], m: int) -> set[int]:
@@ -345,7 +332,7 @@ def _group(jt: ClusterTree, owner: dict[int, int], m: int) -> set[int]:
     A group is connected, and a batch keeps it so: rewiring cuts and adds
     only edges between two groups.
     """
-    return _walk(jt, m, lambda c: owner[c] == m)
+    return jt.reach(m, lambda c: owner[c] == m)
 
 
 def add_node(model: CompiledModel, x: int, marked: set[int], rec: ModTrace | None = None) -> None:
@@ -440,14 +427,15 @@ def connect(
 
     Scans the doomed clusters C_i and their neighbours in ascending order.
     Every separator S leading to a cluster C_k outside them is re-hung onto
-    the smallest replacement cluster covering S (ties: lower id), found
-    from the replacements' holder masks.  Every cover meets C_k in exactly
-    S, since C_k meets the rebuilt region only in S, so overlap with C_k
-    cannot rank them.  With no replacements (an emptied subtree, whose
-    separators must all be empty) every C_k hangs on the first record's
-    C_k, which itself gets no edge.  Returns the records (C_i, C_k, S,
-    target); a target equal to S is a new clique that
-    :func:`absorb_non_maximal` then merges into an outside clique.
+    the replacements' :func:`~bnic.clustertree.smallest_cover` of S (the
+    smallest cluster covering it, ties: lower id; families are hosted by
+    the same rule).  Every cover meets C_k in exactly S, since C_k meets
+    the rebuilt region only in S, so overlap with C_k cannot rank them.
+    With no replacements (an emptied subtree, whose separators must all be
+    empty) every C_k hangs on the first record's C_k, which itself gets no
+    edge.  Returns the records (C_i, C_k, S, target); a target equal to S
+    is a new clique that :func:`absorb_non_maximal` then merges into an
+    outside clique.
     """
     ids = sorted(replacement_ids)
     holders = tree.holder_masks(ids)
@@ -459,10 +447,9 @@ def connect(
                 continue
             sep = tree.separator(ci, ck)
             if ids:
-                covers = covering(holders, ids, sep)
-                if not covers:
+                target = smallest_cover(tree, holders, ids, sep)
+                if target is None:
                     raise InconsistencyError(f"no replacement cluster covers boundary separator {sorted(sep)}")
-                target = min(covers, key=lambda c: len(tree.cluster(c)))
             elif sep:
                 raise InconsistencyError("emptied subtree has a non-empty boundary separator")
             else:
@@ -473,15 +460,15 @@ def connect(
     return records
 
 
-def absorb_non_maximal(tree: ClusterTree, ids: list[int] | None = None) -> list[tuple[frozenset[int], int]]:
-    """Merge every cluster of ``ids`` (default: all) contained in an adjacent neighbour into it.
+def absorb_non_maximal(tree: ClusterTree, ids: list[int]) -> list[tuple[frozenset[int], int]]:
+    """Merge every cluster of ``ids`` contained in an adjacent neighbour into it.
 
     Scans the live ones in ascending id order and restarts after each
     merge.  A cluster inside another lies inside the neighbour on its tree
     path to it, by running intersection, so none is left.  Returns the
     merges as (merged vertex set, absorbing cluster).
     """
-    ids = tree.cluster_ids() if ids is None else sorted(ids)
+    ids = sorted(ids)
     merges: list[tuple[frozenset[int], int]] = []
     changed = True
     while changed:
@@ -533,12 +520,10 @@ def _rebuild_subtree(
     - Every piece an outside clique absorbed must be complete in the moral
       graph, as the boundary separator it equals is; so all its separators
       are complete and it was the only clique of its group.
-    - The region is regrouped: a thinned one through a view of its cliques
-      under local ids that ascend in global id order, a re-triangulated
-      one through its fresh tree, whose ids map to increasing global ones.
-      Either way each local root maps to the least clique of its group.
-      Every separator between the region and the rest stays complete, so
-      this is the whole regroup.
+    - The region is regrouped through one view of its live cliques under
+      their own ids (:meth:`ClusterTree.induced`, a forest at times), so
+      each group is named by its least clique.  Every separator between the
+      region and the rest stays complete, so this is the whole regroup.
     - A family moves only when its host is one of the doomed cliques and
       died or no longer covers it (an added arc grew it), to the smallest
       covering clique of the region or of the outside cliques that
@@ -555,44 +540,33 @@ def _rebuild_subtree(
     thinned = bool(variables) and all(model.fill.has_edge(*pair) for pair, a in inside.items() if a)
     if thinned:
         absorbed = _thin_region(model, doomed, variables, inside)
-        region = [c for c in doomed if c in jt] + [c for c in range(start, jt.next_id) if c in jt]
-        grouped = ClusterTree({i: jt.cluster(c) for i, c in enumerate(region)})
-        jt_map = region
-        local = {c: i for i, c in enumerate(region)}
-        for i, c in enumerate(region):
-            for nb in jt.neighbors(c):
-                j = local.get(nb)
-                if j is not None and i < j:
-                    grouped.add_edge(i, j, jt.separator(c, nb))
     else:
         g_sub = model.moral.induced(variables)
         model.fill.remove_induced(variables)
-        grouped = construct_join_tree(g_sub, model.fill)
-        jt_map = {lid: jt.add_cluster(grouped.cluster(lid)) for lid in grouped.cluster_ids()}
-        for a, b, sep in grouped.edges():
+        t = construct_join_tree(g_sub, model.fill)
+        jt_map = {lid: jt.add_cluster(t.cluster(lid)) for lid in t.cluster_ids()}
+        for a, b, sep in t.edges():
             jt.add_edge(jt_map[a], jt_map[b], sep)
         records = connect(jt, set(jt_map.values()), doomed)
         for k in doomed:
             jt.remove_cluster(k)
         absorbed = absorb_non_maximal(jt, [c for _, _, sep, c in records if jt.cluster(c) == sep])
-        region = [c for c in range(start, jt.next_id) if c in jt]
+    region = [c for c in doomed if c in jt] + [c for c in range(start, jt.next_id) if c in jt]
 
     for vs, c in absorbed:
         if not model.moral.is_complete(vs):
             raise InconsistencyError(f"absorbed piece {sorted(vs)} is not complete in the moral graph")
-    _, local_owner = aggregate_cliques(grouped, model.moral)
     for c in doomed:
         if c not in jt:
             del owner[c]
-    for c, m in local_owner.items():
-        if jt_map[c] in jt:
-            owner[jt_map[c]] = jt_map[m]
+    owner.update(aggregate_cliques(jt.induced(region), model.moral)[1])
 
     doomed_set = set(doomed)
     orphans = [
         v
         for v in sorted(variables)
-        if family.get(v) in doomed_set and (family[v] not in jt or not dag.family(v) <= jt.cluster(family[v]))
+        if family.get(v) in doomed_set
+        and not (family[v] in jt and v in (host := jt.cluster(family[v])) and host.issuperset(dag.parents(v)))
     ]
     if orphans:
         hosts = sorted(set(region).union(c for _, c in absorbed))

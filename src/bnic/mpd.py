@@ -47,9 +47,10 @@ def group_owners(jt: ClusterTree, gm: UndirectedGraph) -> dict[int, int]:
 def aggregate_cliques(jt: ClusterTree, gm: UndirectedGraph) -> tuple[ClusterTree, dict[int, int]]:
     """The MPS tree and owner map of a junction tree: :func:`mps_tree` of :func:`group_owners`.
 
-    Only a rebuild calls it, for its owner map: the benchmark's tracer reads
-    the tree of each call for its merge and largest-MPS counts.  Callers
-    that need the owner map alone call :func:`group_owners`.
+    Only a rebuild calls it, on a view of its region's cliques under their
+    junction ids (a forest at times), for the owner map; the benchmark's
+    tracer reads each call's tree for its merge and largest-MPS counts.
+    Callers that need the owner map alone call :func:`group_owners`.
     """
     owner = group_owners(jt, gm)
     return mps_tree(jt, owner), owner

@@ -192,9 +192,8 @@ def validate(model: CompiledModel) -> ValidityReport:
         fam_detail = f"family map variables differ from the dag's: missing {unhosted}, unknown {extra}"
     else:
         for v in dag.nodes():
-            fam = dag.family(v)
             c = model.family[v]
-            if not (c in jt and fam <= jt.cluster(c)):
+            if not (c in jt and v in (host := jt.cluster(c)) and host.issuperset(dag.parents(v))):
                 fam_detail = f"family of {v} is not hosted"
                 break
     check("family_coverage", not fam_detail, fam_detail)

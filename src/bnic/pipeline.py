@@ -17,7 +17,7 @@ from heapq import heappop, heappush
 from typing import Iterable
 
 from . import kernels
-from .clustertree import ClusterTree, covering
+from .clustertree import ClusterTree, smallest_cover
 from .errors import InconsistencyError, NotChordalError
 from .graph import Dag, UndirectedGraph
 
@@ -246,19 +246,20 @@ def build_join_tree(cliques: list[frozenset[int]]) -> ClusterTree:
 def assign_families(dag: Dag, tree: ClusterTree, variables: Iterable[int], ids: list[int] | None = None) -> dict[int, int]:
     """Map each given variable to the smallest of the clusters ``ids`` (default: all) covering its family.
 
-    Ties go to the smaller cluster id; ``ids`` is ascending.  The clusters
-    covering a family are the common bits of its vertices' holder masks.
+    Ties go to the smaller cluster id; ``ids`` is ascending.  Each host is
+    :func:`~bnic.clustertree.smallest_cover` of the family, the rule
+    :func:`~bnic.engine.connect` also hangs separators by.
     """
     ids = tree.cluster_ids() if ids is None else ids
     holders = tree.holder_masks(ids)
     family: dict[int, int] = {}
     for vid in variables:
-        hosts = covering(holders, ids, dag.family(vid))
-        if not hosts:
+        host = smallest_cover(tree, holders, ids, dag.family(vid))
+        if host is None:
             raise InconsistencyError(
                 f"no cluster contains the family of variable {vid}: triangulation bug"
             )
-        family[vid] = hosts[0] if len(hosts) == 1 else min(hosts, key=lambda c: len(tree.cluster(c)))
+        family[vid] = host
     return family
 
 

@@ -1,6 +1,7 @@
 from random import Random
 
 from bnic import ClusterTree
+from bnic.clustertree import smallest_cover
 
 
 def _recount(tree):
@@ -13,7 +14,7 @@ def _can_merge(tree, src, dst):
 
 
 def test_edge_count_matches_a_recount_under_random_edits():
-    ops = {"add": 0, "remove": 0, "drop": 0, "merge": 0, "copy": 0}
+    ops = {"add": 0, "remove": 0, "drop": 0, "merge": 0, "copy": 0, "induced": 0}
     for seed in range(20):
         rng = Random(seed)
         tree = ClusterTree()
@@ -21,7 +22,7 @@ def test_edge_count_matches_a_recount_under_random_edits():
             tree.add_cluster({rng.randrange(10)})
         for _ in range(120):
             ids = tree.cluster_ids()
-            kind = rng.choice(["cluster", "add", "add", "remove", "drop", "merge", "copy"])
+            kind = rng.choice(["cluster", "add", "add", "remove", "drop", "merge", "copy", "induced"])
             if kind == "cluster" or len(ids) < 2:
                 tree.add_cluster(rng.sample(range(10), 2))
                 continue
@@ -36,9 +37,55 @@ def test_edge_count_matches_a_recount_under_random_edits():
                 tree.merge_into(a, b)
             elif kind == "copy":
                 tree = tree.copy()
+            elif kind == "induced":
+                tree = tree.induced([c for c in ids if c != a and rng.random() < 0.9])
             else:
                 continue
             ops[kind] += 1
             assert tree.edge_count() == _recount(tree) == len(tree.edges())
     assert min(ops.values()) > 50
 
+
+def _path_tree():
+    # 0 - 1 - 2 - 3, with a fifth cluster hanging off 1
+    tree = ClusterTree()
+    for vs in ({0, 1}, {1, 2}, {2, 3}, {3, 4}, {1, 5}):
+        tree.add_cluster(vs)
+    for a, b in ((0, 1), (1, 2), (2, 3), (1, 4)):
+        tree.add_edge(a, b, tree.cluster(a) & tree.cluster(b))
+    return tree
+
+
+def test_induced_keeps_the_ids_and_drops_the_edges_that_leave_them():
+    tree = _path_tree()
+    before = tree.copy()
+    view = tree.induced([0, 2, 3])
+    # the same ids, clusters and next id; only the edge 2-3 stays inside
+    assert view.cluster_ids() == [0, 2, 3]
+    assert all(view.cluster(c) == tree.cluster(c) for c in view.cluster_ids())
+    assert view.next_id == tree.next_id
+    assert view.edges() == [(2, 3, tree.separator(2, 3))] and view.edge_count() == 1
+    # a forest: 0 lost its one neighbour inside the view
+    assert view.components() == [{0}, {2, 3}] and not view.is_tree()
+    # the source is untouched, and the view is a tree of its own
+    assert tree.edges() == before.edges() and tree.cluster_multiset() == before.cluster_multiset()
+    view.add_edge(0, 2, set())
+    assert len(tree.neighbors(0)) == 1 and view.is_tree()
+
+
+def test_smallest_cover_takes_the_smallest_then_the_lower_id():
+    tree = ClusterTree()
+    tree.add_cluster({0, 1, 2, 3})
+    small = tree.add_cluster({0, 1, 2})
+    tree.add_cluster({0, 1, 4})
+    ids = tree.cluster_ids()
+    holders = tree.holder_masks(ids)
+    # a smaller cover with a higher id beats a larger one with a lower id
+    assert smallest_cover(tree, holders, ids, {1, 2}) == small
+    # equal sizes ({0, 1, 2} and {0, 1, 4}) go to the lower id
+    assert smallest_cover(tree, holders, ids, {0, 1}) == small
+    # no cover
+    assert smallest_cover(tree, holders, ids, {3, 4}) is None
+    assert smallest_cover(tree, holders, ids, {7}) is None
+    # an empty set is covered by every cluster: the smallest of all ids
+    assert smallest_cover(tree, holders, ids, set()) == small

@@ -701,14 +701,14 @@ def test_absorb_collapses_subset_chain():
     bc = tree.add_cluster({1, 2})
     tree.add_edge(ab, mid, {1})
     tree.add_edge(mid, bc, {1})
-    absorb_non_maximal(tree)
+    absorb_non_maximal(tree, tree.cluster_ids())
     assert sorted(tree.cluster(c) for c in tree.cluster_ids()) == [{0, 1}, {1, 2}]
     assert tree.separator(ab, bc) == frozenset({1})
 
 
 def test_absorb_leaves_maximal_trees_alone(asia_model):
     before = asia_model.jt.cluster_multiset()
-    absorb_non_maximal(asia_model.jt)
+    absorb_non_maximal(asia_model.jt, asia_model.jt.cluster_ids())
     assert asia_model.jt.cluster_multiset() == before
 
 
@@ -1310,7 +1310,7 @@ def test_derived_fill_matches_copy_and_diff_reference():
             assert model.fill.edge_set() == _derive_fill_reference(model.moral, model.jt)
             assert model.copy().fill == model.fill
             # a rebuild leaves no cluster inside a neighbour for a scan to absorb
-            assert absorb_non_maximal(model.jt.copy()) == []
+            assert absorb_non_maximal(model.jt.copy(), model.jt.cluster_ids()) == []
             fills += model.fill.edge_count() > 0
     assert removals > 0 and multi > 0 and fills > 0
 
