@@ -15,30 +15,46 @@ from .errors import InconsistencyError
 def smallest_cover(tree: "ClusterTree", holders: dict[int, int], ids: list[int], vs: Iterable[int]) -> int | None:
     """The smallest of the clusters ``ids`` containing vs, or None if none does.
 
-    ``ids`` is ascending and ``holders`` their holder masks
-    (:meth:`ClusterTree.holder_masks`); ties go to the lower id.
+    ``holders`` are their holder masks (:meth:`ClusterTree.holder_masks`);
+    ties go to the lower id.  Positions need not follow id order, and a
+    position may name a cluster the tree no longer has (one split or merged
+    away): it is passed over.
     """
     common = (1 << len(ids)) - 1
     for v in vs:
         common &= holders.get(v, 0)
+    clusters = tree._clusters
     best, size = None, 0
     while common:
         low = common & -common
         common ^= low
         c = ids[low.bit_length() - 1]
-        n = len(tree.cluster(c))
-        if best is None or n < size:
-            best, size = c, n
+        if c in clusters:
+            n = len(clusters[c])
+            if best is None or n < size or n == size and c < best:
+                best, size = c, n
     return best
 
 
 class ClusterTree:
-    def __init__(self, clusters: dict[int, frozenset[int]] | None = None, next_id: int = 0):
-        """An edgeless tree of the given clusters under their ids; fresh ids start at next_id."""
+    def __init__(
+        self,
+        clusters: dict[int, frozenset[int]] | None = None,
+        next_id: int = 0,
+        edges: Iterable[tuple[int, int, frozenset[int]]] = (),
+    ):
+        """A tree of the given clusters under their ids; fresh ids start at next_id.
+
+        The edges (a, b, separator) are written without :meth:`add_edge`'s
+        checks, so they must join distinct given clusters, each pair once.
+        """
         self._clusters: dict[int, frozenset[int]] = dict(clusters or {})
         self._adj: dict[int, dict[int, frozenset[int]]] = {c: {} for c in self._clusters}
         self._next = next_id
         self._edges = 0
+        for a, b, sep in edges:
+            self._adj[a][b] = self._adj[b][a] = sep
+            self._edges += 1
 
     # -- clusters ---------------------------------------------------------
 

@@ -421,7 +421,7 @@ def mark_add_link(
 
 
 def connect(
-    tree: ClusterTree, replacement_ids: set[int], doomed: list[int]
+    tree: ClusterTree, ids: list[int], holders: dict[int, int], doomed: list[int]
 ) -> list[tuple[int, int, frozenset[int], int]]:
     """Reattach the boundary of the doomed clusters to new clusters.
 
@@ -429,16 +429,16 @@ def connect(
     Every separator S leading to a cluster C_k outside them is re-hung onto
     the replacements' :func:`~bnic.clustertree.smallest_cover` of S (the
     smallest cluster covering it, ties: lower id; families are hosted by
-    the same rule).  Every cover meets C_k in exactly S, since C_k meets
-    the rebuilt region only in S, so overlap with C_k cannot rank them.
-    With no replacements (an emptied subtree, whose separators must all be
-    empty) every C_k hangs on the first record's C_k, which itself gets no
-    edge.  Returns the records (C_i, C_k, S, target); a target equal to S
-    is a new clique that :func:`absorb_non_maximal` then merges into an
-    outside clique.
+    the same rule).  The replacements are the clusters ``ids``, and
+    ``holders`` their holder masks (:meth:`ClusterTree.holder_masks`); a
+    position may name a cluster the tree lacks, which gets no separator.
+    Every cover meets C_k in exactly S, since C_k meets the rebuilt region
+    only in S, so overlap with C_k cannot rank them.  With no replacements
+    (an emptied subtree, whose separators must all be empty) every C_k
+    hangs on the first record's C_k, which itself gets no edge.  Returns
+    the records (C_i, C_k, S, target); a target equal to S is a new clique
+    that :func:`absorb_non_maximal` then merges into an outside clique.
     """
-    ids = sorted(replacement_ids)
-    holders = tree.holder_masks(ids)
     inside = set(doomed)
     records: list[tuple[int, int, frozenset[int], int]] = []
     for ci in sorted(inside):
@@ -529,7 +529,10 @@ def _rebuild_subtree(
       covering clique of the region or of the outside cliques that
       absorbed a piece of it (ties: lower id).  Two doomed components can
       share variables through unmarked cliques, so only this component's
-      hosts are checked.
+      hosts are checked.  The covers are read off the holder masks of the
+      region that either branch hands on (the fresh tree's, mapped to
+      junction ids, or those the thinning kept), widened by the absorbing
+      outside cliques; none is built again.
     """
     jt, owner, family, dag = model.jt, model.owner, model.family, model.dag
     variables = {v for c in doomed for v in jt.cluster(c) if model.moral.has_vertex(v)}
@@ -539,15 +542,20 @@ def _rebuild_subtree(
     # an emptied region keeps no cluster, so it takes the (empty) min-fill path
     thinned = bool(variables) and all(model.fill.has_edge(*pair) for pair, a in inside.items() if a)
     if thinned:
-        absorbed = _thin_region(model, doomed, variables, inside)
+        absorbed, ids, masks = _thin_region(model, doomed, variables, inside)
     else:
         g_sub = model.moral.induced(variables)
         model.fill.remove_induced(variables)
-        t = construct_join_tree(g_sub, model.fill)
+        kept = UndirectedGraph(variables)
+        t, t_ids, masks = construct_join_tree(g_sub, kept)
+        model.fill.update(kept)
         jt_map = {lid: jt.add_cluster(t.cluster(lid)) for lid in t.cluster_ids()}
         for a, b, sep in t.edges():
             jt.add_edge(jt_map[a], jt_map[b], sep)
-        records = connect(jt, set(jt_map.values()), doomed)
+        # the region tree's holder index, each position mapped to its new
+        # clique; a cluster the thinning split keeps its position, with no bit
+        ids = [jt_map.get(c, -1) for c in t_ids]
+        records = connect(jt, ids, masks, doomed)
         for k in doomed:
             jt.remove_cluster(k)
         absorbed = absorb_non_maximal(jt, [c for _, _, sep, c in records if jt.cluster(c) == sep])
@@ -569,8 +577,14 @@ def _rebuild_subtree(
         and not (family[v] in jt and v in (host := jt.cluster(family[v])) and host.issuperset(dag.parents(v)))
     ]
     if orphans:
-        hosts = sorted(set(region).union(c for _, c in absorbed))
-        family.update(assign_families(dag, jt, orphans, hosts))
+        # a piece merged away keeps its bits, but the clique that absorbed it
+        # holds it and is added here, so a cover never names the piece alone
+        for c in {c for _, c in absorbed}:
+            bit = 1 << len(ids)
+            ids.append(c)
+            for v in jt.cluster(c):
+                masks[v] = masks.get(v, 0) | bit
+        family.update(assign_families(dag, jt, orphans, ids, masks))
 
     if trace is not None:
         trace.absorbed += [(vs, jt.cluster(c)) for vs, c in absorbed]
@@ -586,7 +600,7 @@ def _thin_region(
     doomed: list[int],
     variables: set[int],
     inside: dict[tuple[int, int], bool],
-) -> list[tuple[frozenset[int], int]]:
+) -> tuple[list[tuple[frozenset[int], int]], list[int], dict[int, int]]:
     """Thin the doomed cliques' own junction subtree to a minimal triangulation of the region, in place.
 
     Only the cliques a drop splits change; every other clique keeps its id,
@@ -614,7 +628,9 @@ def _thin_region(
       A split keeps each boundary separator inside one half, and a half or
       a cut clique equal to one may be absorbed by the clique beyond it.
 
-    Returns those absorbed pieces as (piece, outside clique).
+    Returns those absorbed pieces as (piece, outside clique), and the
+    thinning's holder index over the region's live cliques: their ids and
+    masks (:func:`thin_join_tree`).
     """
     jt, fill = model.jt, model.fill
     doomed_set = set(doomed)
@@ -640,8 +656,10 @@ def _thin_region(
     absorbed = absorb_non_maximal(jt, cut) if cut else []
     for vs, _ in absorbed:
         seeds += [(u, w) for u in vs for w in fill.neighbors(u) & vs if u < w]
-    absorbed += thin_join_tree(jt, sorted(set(seeds)), fill, [c for c in doomed if c in jt])
-    return [(vs, c) for vs, c in absorbed if c not in doomed_set]
+    ids = [c for c in doomed if c in jt]
+    masks = jt.holder_masks(ids)
+    absorbed += thin_join_tree(jt, sorted(set(seeds)), fill, ids, masks)
+    return [(vs, c) for vs, c in absorbed if c not in doomed_set], ids, masks
 
 
 # Unused by the package; kept because the benchmark's tracer binds it.

@@ -289,6 +289,14 @@ class UndirectedGraph:
         self._adj[u].discard(v)
         self._adj[v].discard(u)
 
+    def update(self, other: "UndirectedGraph") -> None:
+        """Add other's edges: one set union per vertex of other; a vertex only other has raises."""
+        adj = self._adj
+        for v, ns in other._adj.items():
+            if v not in adj:
+                raise UnknownVariableError(f"unknown vertex {v}")
+            adj[v] |= ns
+
     def remove_induced(self, vs: set[int]) -> None:
         """Remove every edge with both ends in vs: one set difference per vertex of vs."""
         for v in vs:

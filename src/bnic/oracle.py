@@ -32,9 +32,9 @@ def full_recompile(dag: Dag) -> CompiledModel:
     """Compile the whole model from scratch; deterministic for a fixed dag."""
     gm = moralize(dag)
     fill = UndirectedGraph(gm.vertices())
-    jt = construct_join_tree(gm, fill)
+    jt, ids, masks = construct_join_tree(gm, fill)
     # through the module, whose binding the benchmark's tracer wraps
-    family = pipeline.assign_families(dag, jt, dag.nodes())
+    family = pipeline.assign_families(dag, jt, dag.nodes(), ids, masks)
     owner = group_owners(jt, gm)
     return CompiledModel(dag, gm, jt, owner, family, fill)
 

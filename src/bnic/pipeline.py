@@ -64,14 +64,14 @@ def recursive_thinning(t: Triangulation) -> Triangulation:
     function may be any triangulation record.  See :func:`thin_join_tree`
     for the removal rule and the scan order.
     """
-    tree = build_join_tree(extract_cliques(t.graph()))
+    tree, masks = build_join_tree(extract_cliques(t.graph()))
     fill = UndirectedGraph.from_edges(t.base.vertices(), t.fill_graph.edges())
-    thin_join_tree(tree, fill.edges(), fill)
+    thin_join_tree(tree, fill.edges(), fill, list(range(len(tree))), masks)
     return Triangulation(t.base, fill)
 
 
 def thin_join_tree(
-    tree: ClusterTree, pending: list[tuple[int, int]], fill: UndirectedGraph, ids: list[int] | None = None
+    tree: ClusterTree, pending: list[tuple[int, int]], fill: UndirectedGraph, ids: list[int], masks: dict[int, int]
 ) -> list[tuple[frozenset[int], int]]:
     """Thin a chordal graph, given by its junction tree, to a minimal triangulation.
 
@@ -79,13 +79,13 @@ def thin_join_tree(
     least) the tree's vertices; the rest of its edges are the base graph's.
     In a chordal graph an edge {u, v} can be dropped, keeping the graph
     chordal, iff exactly one maximal clique holds it (Rose, Tarjan & Lueker
-    1976): iff the AND of its ends' holder masks, bit i for cluster
-    ``ids[i]`` (default: all), has one bit.  A drop leaves ``fill`` and
-    splits its clique C into C−v and C−u in place (:func:`_split`).  A new
-    half takes C's place for the pairs inside it, and the pairs inside
-    C−{u, v} are then held by both halves' cliques, so only a pair joining
-    u (or v) to the rest of a half that a neighbour absorbs can become
-    droppable.
+    1976): iff the AND of its ends' holder ``masks``, bit i for cluster
+    ``ids[i]`` (:meth:`ClusterTree.holder_masks`), has one bit.  A drop
+    leaves ``fill`` and splits its clique C into C−v and C−u in place
+    (:func:`_split`).  A new half takes C's place for the pairs inside it,
+    and the pairs inside C−{u, v} are then held by both halves' cliques,
+    so only a pair joining u (or v) to the rest of a half that a neighbour
+    absorbs can become droppable.
 
     ``pending`` lists, ascending, every pair that may be droppable now.  It
     is scanned once with a pointer beside a heap of re-checks, taking the
@@ -100,11 +100,11 @@ def thin_join_tree(
 
     Clusters outside ``ids`` get no bit, so none may hold a fill pair; the
     halves they absorb are returned as (half, cluster).  ``tree`` ends a
-    junction tree of the thinned graph.
+    junction tree of the thinned graph, and ``ids`` and ``masks`` stay its
+    holder index: a new cluster takes the next position, and a split one
+    keeps its position with no bit.
     """
-    ids = tree.cluster_ids() if ids is None else list(ids)
     pos = {c: i for i, c in enumerate(ids)}
-    cm = tree.holder_masks(ids)
     absorbed: list[tuple[frozenset[int], int]] = []
     heap: list[tuple[int, int]] = []
     i, n = 0, len(pending)
@@ -117,7 +117,7 @@ def thin_join_tree(
                 i += 1
             else:
                 break
-            shared = cm[u] & cm[v]
+            shared = masks[u] & masks[v]
             if shared & (shared - 1):
                 continue  # two or more cliques hold {u, v}
             if not shared:
@@ -125,11 +125,11 @@ def thin_join_tree(
                     raise InconsistencyError(f"no cluster holds the fill pair ({u}, {v})")
                 continue  # dropped since it was queued
             fill.remove_edge(u, v)
-            for w, half, end in _split(tree, ids[shared.bit_length() - 1], u, v, cm, ids, pos):
+            for w, half, end in _split(tree, ids[shared.bit_length() - 1], u, v, masks, ids, pos):
                 if end not in pos:
                     absorbed.append((half, end))
                 for x in fill.neighbors(w) & half:
-                    shared = cm[w] & cm[x]
+                    shared = masks[w] & masks[x]
                     if not shared & (shared - 1):
                         heappush(heap, (w, x) if w < x else (x, w))
     except KeyError as e:
@@ -200,8 +200,11 @@ def extract_cliques(g: UndirectedGraph) -> list[frozenset[int]]:
     return cliques
 
 
-def build_join_tree(cliques: list[frozenset[int]]) -> ClusterTree:
+def build_join_tree(cliques: list[frozenset[int]]) -> tuple[ClusterTree, dict[int, int]]:
     """Join cliques, given in :func:`extract_cliques`' order, into a junction tree.
+
+    Returns the tree and its holder masks, bit i for cluster i (as
+    ``holder_masks(range(len(cliques)))``), which the join accumulates.
 
     Cluster i is C_i.  If S_i = C_i ∩ (C_0 ∪ … ∪ C_{i−1}) is not empty, i
     hangs by S_i on p(i), the lowest j < i with S_i ⊆ C_j: the lowest bit of
@@ -221,62 +224,72 @@ def build_join_tree(cliques: list[frozenset[int]]) -> ClusterTree:
     k < b as ids grow away from the root.  MCS finishes a component of the
     graph before it starts the next, so each component's cliques are
     consecutive and hold its root: the hub is cluster 0 and the other
-    anchors are the i with S_i = ∅.
+    anchors are the i with S_i = ∅.  Each edge joins a new cluster to an
+    earlier one, so the tree is written in one go, without
+    :meth:`ClusterTree.add_edge`'s checks.
     """
-    tree = ClusterTree()
     holders: dict[int, int] = {}  # vertex -> mask of the clusters so far holding it
+    edges: list[tuple[int, int, frozenset[int]]] = []
     for i, c in enumerate(cliques):
-        tree.add_cluster(c)
+        bit = 1 << i
         common = -1
         for v in c:
             m = holders.get(v, 0)
             common &= m or -1  # a vertex new in C_i is not in S_i
-            holders[v] = m | (1 << i)
+            holders[v] = m | bit
         if common == -1:
             if i:
-                tree.add_edge(0, i, frozenset())
+                edges.append((0, i, frozenset()))
         elif not common:
             raise InconsistencyError(f"no earlier clique holds the separator of clique {i}")
         else:
             p = (common & -common).bit_length() - 1
-            tree.add_edge(p, i, cliques[p] & c)
-    return tree
+            edges.append((p, i, cliques[p] & c))
+    return ClusterTree(dict(enumerate(cliques)), len(cliques), edges), holders
 
 
-def assign_families(dag: Dag, tree: ClusterTree, variables: Iterable[int], ids: list[int] | None = None) -> dict[int, int]:
-    """Map each given variable to the smallest of the clusters ``ids`` (default: all) covering its family.
+def assign_families(
+    dag: Dag, tree: ClusterTree, variables: Iterable[int], ids: list[int], holders: dict[int, int]
+) -> dict[int, int]:
+    """Map each given variable to the smallest of the clusters ``ids`` covering its family.
 
-    Ties go to the smaller cluster id; ``ids`` is ascending.  Each host is
-    :func:`~bnic.clustertree.smallest_cover` of the family, the rule
-    :func:`~bnic.engine.connect` also hangs separators by.
+    Ties go to the smaller cluster id.  ``holders`` are the clusters'
+    holder masks (:meth:`ClusterTree.holder_masks`); a position may name a
+    cluster the tree no longer has if no family's AND is its bit alone.
+    Each host is the smallest cluster among the bits of the AND of the
+    masks of the variable and its parents, the rule
+    :func:`~bnic.engine.connect` also hangs separators by
+    (:func:`~bnic.clustertree.smallest_cover`).
     """
-    ids = tree.cluster_ids() if ids is None else ids
-    holders = tree.holder_masks(ids)
+    get, parents = holders.get, dag.parents
     family: dict[int, int] = {}
     for vid in variables:
-        host = smallest_cover(tree, holders, ids, dag.family(vid))
-        if host is None:
-            raise InconsistencyError(
-                f"no cluster contains the family of variable {vid}: triangulation bug"
-            )
-        family[vid] = host
+        common = get(vid, 0)
+        for p in parents(vid):
+            common &= get(p, 0)
+        if common & (common - 1):
+            family[vid] = smallest_cover(tree, holders, ids, (vid, *parents(vid)))
+        elif common:
+            family[vid] = ids[common.bit_length() - 1]
+        else:
+            raise InconsistencyError(f"no cluster contains the family of variable {vid}: triangulation bug")
     return family
 
 
-def construct_join_tree(gm: UndirectedGraph, fill: UndirectedGraph) -> ClusterTree:
+def construct_join_tree(gm: UndirectedGraph, fill: UndirectedGraph) -> tuple[ClusterTree, list[int], dict[int, int]]:
     """Full pipeline from an undirected graph to a junction tree.
 
     Min-fill, then one MCS of the triangulation (the chordality guard and
     the cliques), the join tree of those cliques, and thinning on the tree.
-    Returns the tree; ``fill``, a graph over (at least) ``gm``'s vertices,
-    gains the kept fill pairs.  Family hosting is the caller's: see
-    :func:`assign_families`.
+    ``fill``, a graph over ``gm``'s vertices, gains the kept fill pairs.
+    Returns the tree with its holder index, the ``ids`` and ``masks`` that
+    :func:`thin_join_tree` hands out.  Family hosting is the caller's: see
+    :func:`assign_families`, which takes that index.
     """
     pairs = triangulate_min_fill(gm)
-    gt = gm.copy()
-    gt.add_edges(pairs)
-    tree = build_join_tree(extract_cliques(gt))
-    del gt  # freed before the fill grows, which bounds a compile's peak memory
     fill.add_edges(pairs)
-    thin_join_tree(tree, pairs, fill)
-    return tree
+    cliques = extract_cliques(gm.union(fill))
+    tree, masks = build_join_tree(cliques)
+    ids = list(range(len(cliques)))
+    thin_join_tree(tree, pairs, fill, ids, masks)
+    return tree, ids, masks

@@ -1,6 +1,7 @@
 import pytest
 
 from bnic import ClusterTree, Dag, full_recompile
+from bnic.pipeline import assign_families
 
 ASIA_NODES = ["A", "S", "T", "L", "B", "E", "X", "D"]
 ASIA_ARCS = [
@@ -43,6 +44,12 @@ def banded_dag(n, rng, dag=None) -> Dag:
 
 def name_set(table, vertices) -> frozenset:
     return frozenset(table.name(v) for v in vertices)
+
+
+def family_hosts(dag, tree) -> dict:
+    """``assign_families`` of every variable over every cluster, on fresh holder masks."""
+    ids = tree.cluster_ids()
+    return assign_families(dag, tree, dag.nodes(), ids, tree.holder_masks(ids))
 
 
 def holders_of(tree) -> dict:

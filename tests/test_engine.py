@@ -590,7 +590,7 @@ def test_connect_reattaches_boundary_to_best_cover():
     outside = tree.add_cluster({2, 3, 9})
     tree.add_edge(doomed, outside, {2, 3})
     fresh = [tree.add_cluster(vs) for vs in ({1, 2}, {2, 3}, {3, 4})]
-    ((_, ck, sep, target),) = connect(tree, set(fresh), [doomed])
+    ((_, ck, sep, target),) = connect(tree, fresh, tree.holder_masks(fresh), [doomed])
     assert (ck, sep) == (outside, frozenset({2, 3}))
     assert tree.cluster(target) == frozenset({2, 3})  # = S: the outside clique absorbs it
     assert tree.has_edge(target, outside)
@@ -602,7 +602,7 @@ def test_connect_with_everything_marked_makes_no_records():
     b = tree.add_cluster({2, 3})
     tree.add_edge(a, b, {2})
     fresh = tree.add_cluster({1, 2, 3})
-    assert connect(tree, {fresh}, [a, b]) == []
+    assert connect(tree, [fresh], tree.holder_masks([fresh]), [a, b]) == []
 
 
 def test_a_disconnected_doomed_set_leaves_one_surplus_edge_per_extra_piece():
@@ -612,7 +612,7 @@ def test_a_disconnected_doomed_set_leaves_one_surplus_edge_per_extra_piece():
     for a, b in zip(path, path[1:]):
         tree.add_edge(a, b, tree.cluster(a) & tree.cluster(b))
     fresh = tree.add_cluster(range(8))
-    connect(tree, {fresh}, [1, 4])
+    connect(tree, [fresh], tree.holder_masks([fresh]), [1, 4])
     for k in (1, 4):
         tree.remove_cluster(k)
     assert tree.edge_count() - (len(tree) - 1) == 1
@@ -664,14 +664,16 @@ def test_connect_matches_full_scan_reference(monkeypatch):
     real = bnic.engine.connect
     seen = {"records": 0, "empty": 0, "emptied": 0}
 
-    def checked(tree, replacement_ids, doomed):
+    def checked(tree, ids, holders, doomed):
+        # a position of the handed holder index may name a cluster the tree lacks
+        replacement_ids = {c for c in ids if c in tree}
         expected_tree = tree.copy()
         if replacement_ids:
             expected = _connect_reference(expected_tree, replacement_ids, doomed)
         else:
             expected = _emptied_reference(expected_tree, doomed)
             seen["emptied"] += len(expected) > 1
-        got = real(tree, replacement_ids, doomed)
+        got = real(tree, ids, holders, doomed)
         assert Counter(got) == Counter(expected)
         assert tree.edges() == expected_tree.edges()
         seen["records"] += len(got)
@@ -692,6 +694,30 @@ def test_connect_matches_full_scan_reference(monkeypatch):
     dag.add_arc(a, b)
     incremental_compile(full_recompile(dag), [RemoveNode(h)])
     assert seen["records"] > 0 and seen["empty"] > 0 and seen["emptied"] > 0
+
+
+def test_an_empty_boundary_separator_hangs_on_a_live_clique_after_the_region_thinned(monkeypatch):
+    # a re-triangulated region whose thinning split a clique hands connect
+    # holder positions that name no clique; an empty boundary separator,
+    # which every clique covers, must still hang on a live one
+    real = bnic.engine.connect
+    hits = 0
+
+    def checked(tree, ids, holders, doomed):
+        nonlocal hits
+        inside = set(doomed)
+        empty = any(not tree.separator(ci, ck) for ci in doomed for ck in tree.neighbors(ci) if ck not in inside)
+        hits += empty and any(c not in tree for c in ids)
+        return real(tree, ids, holders, doomed)
+
+    monkeypatch.setattr(bnic.engine, "connect", checked)
+    for seed in (103, 156, 321):
+        rng = Random(seed)
+        model = full_recompile(banded_dag(rng.randint(10, 60), rng))
+        for _ in range(5):
+            incremental_compile(model, random_script(model.dag, rng.randint(1, 8), rng))
+            assert validate(model).passed and mpd_equal(model.mpd, full_recompile(model.dag).mpd)
+    assert hits >= 3
 
 
 def test_absorb_collapses_subset_chain():

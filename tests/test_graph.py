@@ -191,6 +191,14 @@ def test_remove_induced_keeps_the_edges_leaving_the_set(asia):
     assert gm.edge_set() == expected and gm.vertex_set() == set(asia.nodes())
 
 
+def test_update_adds_the_other_graphs_edges_and_rejects_an_unknown_vertex():
+    g = UndirectedGraph.from_edges(range(5), [(0, 1), (3, 4)])
+    g.update(UndirectedGraph.from_edges(range(3), [(0, 1), (1, 2), (0, 2)]))
+    assert g == UndirectedGraph.from_edges(range(5), [(0, 1), (1, 2), (0, 2), (3, 4)])
+    with pytest.raises(UnknownVariableError):
+        g.update(UndirectedGraph([7]))
+
+
 def test_add_edges_matches_add_edge_and_rejects_an_unknown_end():
     g = UndirectedGraph(range(4))
     g.add_edges([(0, 1), (1, 2), (0, 1)])

@@ -14,9 +14,9 @@ from bnic import (
     random_script,
 )
 from bnic.mpd import aggregate_cliques, group_owners, mps_tree
-from bnic.pipeline import assign_families, build_join_tree, construct_join_tree, extract_cliques
+from bnic.pipeline import build_join_tree, construct_join_tree, extract_cliques
 
-from conftest import banded_dag, cluster_names, edited, holders_of, name_set
+from conftest import banded_dag, cluster_names, edited, family_hosts, holders_of, name_set
 
 
 def test_aggregate_asia(asia, asia_model):
@@ -45,7 +45,7 @@ def test_aggregate_is_identity_when_all_separators_complete(asia):
     gm.remove_edge(t.id("L"), t.id("E"))
     gm.remove_edge(t.id("T"), t.id("L"))
     sub = gm.induced({t.id(n) for n in "TLEBS"})
-    tree = construct_join_tree(sub, UndirectedGraph(sub.vertices()))
+    tree, _, _ = construct_join_tree(sub, UndirectedGraph(sub.vertices()))
     mpd, owner = aggregate_cliques(tree, sub)
     assert mpd.cluster_multiset() == tree.cluster_multiset()
     assert mpd.separator_multiset() == tree.separator_multiset()
@@ -73,8 +73,8 @@ def test_aggregate_result_is_merge_order_independent():
     for seed in (11, 12, 13):
         dag = random_dag(24, Random(seed), edge_prob=0.25)
         gm = moralize(dag)
-        tree = construct_join_tree(gm, UndirectedGraph(gm.vertices()))
-        family = assign_families(dag, tree, dag.nodes())
+        tree, _, _ = construct_join_tree(gm, UndirectedGraph(gm.vertices()))
+        family = family_hosts(dag, tree)
         one_pass, owner = aggregate_cliques(tree, gm)
         assert len(tree) - len(one_pass) >= 5
         clusters = {c: one_pass.cluster(c) for c in one_pass.cluster_ids()}
@@ -112,7 +112,7 @@ def test_decomposition_invariant_across_minimal_triangulations(asia):
         gt = gm.copy()
         gt.add_edge(t.id(u), t.id(v))
         assert is_chordal(gt) == (True, None)
-        tree = build_join_tree(extract_cliques(gt))
+        tree, _ = build_join_tree(extract_cliques(gt))
         mpd, _ = aggregate_cliques(tree, gm)
         return mpd
 

@@ -21,8 +21,8 @@ from bnic import (
 
 from bnic.mpd import aggregate_cliques
 from bnic.oracle import oracle
-from bnic.pipeline import assign_families, build_join_tree, extract_cliques
-from conftest import cluster_names, edited
+from bnic.pipeline import build_join_tree, extract_cliques
+from conftest import cluster_names, edited, family_hosts
 
 
 def test_full_recompile_asia(asia):
@@ -65,8 +65,8 @@ def _with_fill(dag, fill):
     gt = gm.copy()
     for u, v in fill.edges():
         gt.add_edge(u, v)
-    tree = build_join_tree(extract_cliques(gt))
-    family = assign_families(dag, tree, dag.nodes())
+    tree, _ = build_join_tree(extract_cliques(gt))
+    family = family_hosts(dag, tree)
     _, owner = aggregate_cliques(tree, gm)
     return CompiledModel(dag, gm, tree, owner, family, fill)
 

@@ -31,7 +31,7 @@ from bnic.pipeline import (
     thin_join_tree,
     triangulate_min_fill,
 )
-from conftest import banded_dag, cluster_names, holders_of, name_set, separator_names
+from conftest import banded_dag, cluster_names, family_hosts, holders_of, name_set, separator_names
 
 
 def _tri(base, pairs):
@@ -159,13 +159,14 @@ def _restart_scan(tree, pending, ids=None):
 
 def _construct(gm):
     # construct_join_tree with a fresh fill graph; returns the tree
-    return construct_join_tree(gm, UndirectedGraph(gm.vertices()))
+    return construct_join_tree(gm, UndirectedGraph(gm.vertices()))[0]
 
 
 def _thinned(tree, pairs):
     # thin_join_tree over the graph of the pairs; returns the kept pairs
     fill = UndirectedGraph.from_edges(tree.vertices(), pairs)
-    thin_join_tree(tree, pairs, fill)
+    ids = tree.cluster_ids()
+    thin_join_tree(tree, pairs, fill, ids, tree.holder_masks(ids))
     return fill.edges()
 
 
@@ -267,7 +268,7 @@ def test_thinning_matches_set_based_loop():
         # junction tree of the thinned graph; and against the restart scan
         # on the same tree: the same pairs, clique ids and edges
         fill = sorted(tuple(sorted(pair)) for pair in t.fill)
-        tree = build_join_tree(extract_cliques(t.graph()))
+        tree, _ = build_join_tree(extract_cliques(t.graph()))
         restarted = tree.copy()
         kept = _thinned(tree, fill)
         reference = _thinning_reference(t)
@@ -323,7 +324,7 @@ def test_tree_thinning_matches_the_former_clique_list_thinning():
             order = gm.vertices()
             rng.shuffle(order)
             fill = _elimination_fill(gm, order)
-        tree = build_join_tree(extract_cliques(_plus(gm, fill)))
+        tree, _ = build_join_tree(extract_cliques(_plus(gm, fill)))
         restarted = tree.copy()
         kept = _thinned(tree, fill)
         reference_kept, reference_cliques = _thin_reference(gm, list(fill))
@@ -345,12 +346,12 @@ def test_seeded_region_thinning_keeps_what_a_scan_of_all_its_fill_keeps(monkeypa
     absorb = bnic.engine.absorb_non_maximal
     seen = Counter()
 
-    def checked(tree, pending, fill, ids):
+    def checked(tree, pending, fill, ids, masks):
         inside = set().union(*map(tree.cluster, ids))
         pairs = sorted((u, w) for u in inside for w in fill.neighbors(u) & inside if u < w)
         restarted = tree.copy()
         kept = _restart_scan(restarted, pairs, ids)
-        absorbed = real(tree, pending, fill, ids)
+        absorbed = real(tree, pending, fill, ids, masks)
         assert [p for p in pairs if fill.has_edge(*p)] == kept
         _assert_same_tree(tree, restarted)
         seen["regions"] += 1
@@ -461,7 +462,7 @@ def test_join_tree_asia_separators(asia):
     gm = moralize(asia)
     t = asia.table
     gm.add_edge(t.id("L"), t.id("B"))
-    tree = build_join_tree(extract_cliques(gm))
+    tree, _ = build_join_tree(extract_cliques(gm))
     assert tree.is_tree()
     assert set(separator_names(tree, t)) == {
         frozenset("T"),
@@ -474,12 +475,12 @@ def test_join_tree_asia_separators(asia):
 
 
 def test_join_tree_single_clique():
-    tree = build_join_tree([frozenset({0, 1})])
+    tree, _ = build_join_tree([frozenset({0, 1})])
     assert len(tree) == 1 and tree.edges() == []
 
 
 def test_join_tree_joins_disjoint_cliques_with_empty_separator():
-    tree = build_join_tree([frozenset({0, 1}), frozenset({2, 3})])
+    tree, _ = build_join_tree([frozenset({0, 1}), frozenset({2, 3})])
     assert tree.is_tree()
     assert tree.edges()[0][2] == frozenset()
 
@@ -489,7 +490,7 @@ def test_join_tree_rip_on_random_graphs():
     for _ in range(25):
         gm = moralize(random_dag(rng.randint(1, 12), rng, edge_prob=0.25))
         gt = recursive_thinning(_min_fill(gm)).graph()
-        tree = build_join_tree(extract_cliques(gt))
+        tree, _ = build_join_tree(extract_cliques(gt))
         assert tree.is_tree()
         assert _rip_holds(tree)
         assert all(sep == tree.cluster(a) & tree.cluster(b) for a, b, sep in tree.edges())
@@ -500,7 +501,7 @@ def test_join_tree_rip_on_random_graphs():
 
 def test_assign_families_asia(asia):
     tree = _construct(moralize(asia))
-    family = assign_families(asia, tree, asia.nodes())
+    family = family_hosts(asia, tree)
     t = asia.table
     d_host = tree.cluster(family[t.id("D")])
     assert name_set(t, d_host) == frozenset("EBD")
@@ -516,7 +517,7 @@ def test_assign_families_contain_families_on_random_dags():
     rng = Random(8)
     dag = random_dag(8, rng, edge_prob=0.35)
     tree = _construct(moralize(dag))
-    family = assign_families(dag, tree, dag.nodes())
+    family = family_hosts(dag, tree)
     for v in dag.nodes():
         assert dag.family(v) <= tree.cluster(family[v])
 
@@ -611,10 +612,10 @@ def test_structure_layer_matches_quadratic_references():
     for dag, gt in _chordal_cases(41, 80):
         cliques = extract_cliques(gt)
         assert cliques == _extract_cliques_reference(gt)
-        tree = build_join_tree(cliques)
+        tree, _ = build_join_tree(cliques)
         reference = _build_join_tree_reference(cliques)
         _assert_same_tree(tree, reference)
-        assert assign_families(dag, tree, dag.nodes()) == _family_hosts_reference(dag, reference)
+        assert family_hosts(dag, tree) == _family_hosts_reference(dag, reference)
 
 
 def test_assign_families_matches_the_reference_on_spliced_trees():
@@ -626,9 +627,114 @@ def test_assign_families_matches_the_reference_on_spliced_trees():
         for _ in range(3):
             incremental_compile(model, random_script(model.dag, rng.randint(1, 8), rng))
             tree = model.jt
-            assert assign_families(model.dag, tree, model.dag.nodes()) == _family_hosts_reference(model.dag, tree)
+            assert family_hosts(model.dag, tree) == _family_hosts_reference(model.dag, tree)
             gapped += tree.cluster_ids() != list(range(len(tree)))
     assert gapped > 60
+
+
+def _assert_holder_index(tree, ids, masks):
+    # the index is a fresh holder_masks of the live clusters of ids, each
+    # bit at its cluster's position in ids; a gone cluster's position has no
+    # bit, and a vertex left only in clusters outside ids keeps an empty mask
+    live = [i for i, c in enumerate(ids) if c in tree]
+    fresh = tree.holder_masks([ids[i] for i in live])
+    assert {v: m for v, m in masks.items() if m} == {
+        v: sum(1 << i for j, i in enumerate(live) if m >> j & 1) for v, m in fresh.items()
+    }
+
+
+def test_thinning_hands_out_the_holder_index_of_the_thinned_tree(monkeypatch):
+    # seeded random and banded nets, with redundant fill injected so that
+    # thinning splits cliques and neighbours absorb halves: the masks it
+    # keeps are those of the thinned tree, and hosting families on them
+    # gives the hosts that fresh masks give; then the same for the indexes
+    # the engine hands to connect, to thinning and to family hosting
+    seen = Counter()
+    for k in range(60):
+        rng = Random(900 + k)
+        dag = banded_dag(rng.randint(20, 80), rng) if k % 2 else random_dag(rng.randint(5, 40), rng, edge_prob=0.15)
+        gm = moralize(dag)
+        t = _with_redundant_fill(recursive_thinning(_min_fill(gm)), rng, 4)
+        pairs = sorted(tuple(sorted(pair)) for pair in t.fill)
+        tree, masks = build_join_tree(extract_cliques(t.graph()))
+        assert masks == tree.holder_masks(tree.cluster_ids())
+        ids = list(range(len(tree)))
+        fill = UndirectedGraph.from_edges(gm.vertices(), pairs)
+        assert thin_join_tree(tree, pairs, fill, ids, masks) == []
+        _assert_holder_index(tree, ids, masks)
+        splits = len(pairs) - fill.edge_count()
+        seen["split"] += splits
+        seen["absorbed"] += 2 * splits - (len(ids) - len(extract_cliques(t.graph())))
+        assert assign_families(dag, tree, dag.nodes(), ids, masks) == family_hosts(dag, tree)
+    assert seen["split"] > 0 and seen["absorbed"] > 0
+
+    real_thin, real_connect, real_assign = bnic.engine.thin_join_tree, bnic.engine.connect, bnic.engine.assign_families
+
+    def thin(tree, pending, fill, ids, masks):
+        absorbed = real_thin(tree, pending, fill, ids, masks)
+        _assert_holder_index(tree, ids, masks)
+        seen["thinned"] += 1
+        return absorbed
+
+    def connect(tree, ids, holders, doomed):
+        _assert_holder_index(tree, ids, holders)
+        seen["spliced"] += 1
+        return real_connect(tree, ids, holders, doomed)
+
+    def assign(dag, tree, variables, ids, holders):
+        # widened by outside cliques, the positions no longer follow id order
+        hosts = real_assign(dag, tree, variables, ids, holders)
+        live = sorted({c for c in ids if c in tree})
+        assert hosts == real_assign(dag, tree, variables, live, tree.holder_masks(live))
+        seen["rehosted"] += 1
+        seen["widened"] += ids != sorted(ids)
+        return hosts
+
+    monkeypatch.setattr(bnic.engine, "thin_join_tree", thin)
+    monkeypatch.setattr(bnic.engine, "connect", connect)
+    monkeypatch.setattr(bnic.engine, "assign_families", assign)
+    rng = Random(77)
+    for k in range(60):
+        model = full_recompile(random_dag(rng.randint(2, 35), rng, edge_prob=(0.05, 0.15, 0.3)[k % 3]))
+        for _ in range(4):
+            incremental_compile(model, random_script(model.dag, rng.randint(1, 8), rng))
+    assert min(seen[k] for k in ("thinned", "spliced", "rehosted", "widened")) > 0
+
+
+def test_compile_and_rebuilds_build_each_holder_index_at_most_once(monkeypatch):
+    # a full compile hands build_join_tree's masks down to thinning and
+    # family hosting and copies no graph; a rebuilt region builds its
+    # masks at most once, whichever way it is rebuilt
+    calls = Counter()
+
+    def counted(name, original):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(ClusterTree, "holder_masks", counted("masks", ClusterTree.holder_masks))
+    monkeypatch.setattr(UndirectedGraph, "copy", counted("copy", UndirectedGraph.copy))
+    real = bnic.engine._rebuild_subtree
+    regions = Counter()
+
+    def rebuild(model, doomed, links, trace):
+        before = calls["masks"]
+        real(model, doomed, links, trace)
+        regions[trace.subtrees[-1].thinned, calls["masks"] - before] += 1
+
+    monkeypatch.setattr(bnic.engine, "_rebuild_subtree", rebuild)
+    rng = Random(31)
+    for k in range(40):
+        dag = banded_dag(rng.randint(10, 60), rng) if k % 2 else random_dag(rng.randint(2, 35), rng, edge_prob=0.15)
+        calls.clear()
+        model = full_recompile(dag)
+        assert calls["masks"] == calls["copy"] == 0
+        for _ in range(4):
+            incremental_compile(model, random_script(model.dag, rng.randint(1, 8), rng), BatchTrace())
+    assert all(built <= 1 for _, built in regions)
+    assert {thinned for thinned, _ in regions} == {True, False}
 
 
 def _relabeled(g, ids):
@@ -651,7 +757,7 @@ def test_join_tree_matches_kruskal_on_forests_gapped_ids_and_thinned_cliques():
             gm = _relabeled(gm, {v: 1000 * (v % 3) + 7 * v + 5 for v in gm.vertices()})
             seen["gapped"] += 1
         fill = UndirectedGraph(gm.vertices())
-        tree = construct_join_tree(gm, fill)
+        tree, _, _ = construct_join_tree(gm, fill)
         kept = fill.edges()
         for u, v in kept:
             assert u < v and not gm.has_edge(u, v)
@@ -669,9 +775,9 @@ def test_join_tree_matches_kruskal_on_forests_gapped_ids_and_thinned_cliques():
         assert fill == sorted(fill) and all(u < v for u, v in fill)
         kept, cliques = _thin_reference(gm, list(fill))
         seen["thinned"] += len(kept) < len(fill)
-        _assert_same_tree(build_join_tree(cliques), _build_join_tree_reference(cliques))
+        _assert_same_tree(build_join_tree(cliques)[0], _build_join_tree_reference(cliques))
         tree_fill = UndirectedGraph(gm.vertices())
-        tree = construct_join_tree(gm, tree_fill)
+        tree, _, _ = construct_join_tree(gm, tree_fill)
         assert tree_fill.edges() == kept
         _assert_junction_tree(tree, cliques)
     assert seen["empty"] > 0 and seen["gapped"] > 0 and seen["thinned"] > 0
@@ -693,7 +799,7 @@ def test_construct_on_projection_graph(asia):
     gm.remove_edge(t.id("T"), t.id("L"))
     sub = gm.induced({t.id(n) for n in "TLEBS"})
     fill = UndirectedGraph(sub.vertices())
-    tree = construct_join_tree(sub, fill)
+    tree, _, _ = construct_join_tree(sub, fill)
     assert fill.edges() == []
     assert set(cluster_names(tree, t)) == {
         frozenset("TE"),
@@ -710,7 +816,7 @@ def test_construct_on_projection_graph(asia):
 
 def test_construct_empty_graph():
     fill = UndirectedGraph()
-    tree = construct_join_tree(UndirectedGraph(), fill)
+    tree, _, _ = construct_join_tree(UndirectedGraph(), fill)
     assert len(tree) == 0
     assert len(fill) == 0
 
@@ -718,8 +824,8 @@ def test_construct_empty_graph():
 def test_construct_asia_covers_families_and_rip(asia):
     gm = moralize(asia)
     fill = UndirectedGraph(gm.vertices())
-    tree = construct_join_tree(gm, fill)
-    family = assign_families(asia, tree, asia.nodes())
+    tree, _, _ = construct_join_tree(gm, fill)
+    family = family_hosts(asia, tree)
     assert _rip_holds(tree)
     assert fill.edge_count() == 1
     for v in asia.nodes():
@@ -732,11 +838,11 @@ def test_construction_is_deterministic():
         dag = random_dag(rng.randint(1, 14), rng, edge_prob=0.3)
         gm = moralize(dag)
         first_kept, second_kept = UndirectedGraph(gm.vertices()), UndirectedGraph(gm.vertices())
-        first_tree = construct_join_tree(gm.copy(), first_kept)
-        second_tree = construct_join_tree(gm.copy(), second_kept)
+        first_tree, _, _ = construct_join_tree(gm.copy(), first_kept)
+        second_tree, _, _ = construct_join_tree(gm.copy(), second_kept)
         assert first_kept == second_kept
         assert {c: first_tree.cluster(c) for c in first_tree.cluster_ids()} == {
             c: second_tree.cluster(c) for c in second_tree.cluster_ids()
         }
         assert first_tree.edges() == second_tree.edges()
-        assert assign_families(dag, first_tree, dag.nodes()) == assign_families(dag, second_tree, dag.nodes())
+        assert family_hosts(dag, first_tree) == family_hosts(dag, second_tree)
