@@ -12,17 +12,33 @@ from typing import Iterable
 from .errors import InconsistencyError
 
 
-def smallest_cover(tree: "ClusterTree", holders: dict[int, int], ids: list[int], vs: Iterable[int]) -> int | None:
-    """The smallest of the clusters ``ids`` containing vs, or None if none does.
+def append_holder(ids: list[int], masks: dict[int, int], cid: int, vertices: Iterable[int]) -> int:
+    """Give cluster cid the next position of a holder index; returns it.
 
-    ``holders`` are their holder masks (:meth:`ClusterTree.holder_masks`);
-    ties go to the lower id.  Positions need not follow id order, and a
-    position may name a cluster the tree no longer has (one split or merged
-    away): it is passed over.
+    A holder index is a list ``ids`` of cluster ids and ``masks``, for every
+    vertex, an int whose bit i is set iff cluster ``ids[i]`` holds it
+    (:meth:`ClusterTree.holder_masks`).  Positions are never compacted: a
+    cluster that leaves the tree keeps its position and id (or -1, which
+    no cluster has), with no bit if it was split, or with its bits if it
+    was merged into a cluster that has a position too.  So such a
+    position is never the only bit of the AND over a non-empty vertex set,
+    and :func:`smallest_cover` passes over it.
     """
-    common = (1 << len(ids)) - 1
-    for v in vs:
-        common &= holders.get(v, 0)
+    i = len(ids)
+    bit = 1 << i
+    ids.append(cid)
+    for v in vertices:
+        masks[v] = masks.get(v, 0) | bit
+    return i
+
+
+def smallest_cover(tree: "ClusterTree", ids: list[int], common: int) -> int | None:
+    """The smallest live cluster among the set bits of ``common``, or None if none.
+
+    ``common`` is the AND of a vertex set's holder masks over ``ids``
+    (:func:`append_holder`), or every position for the empty set; ties go
+    to the lower id, so positions need not follow id order.
+    """
     clusters = tree._clusters
     best, size = None, 0
     while common:
@@ -37,24 +53,26 @@ def smallest_cover(tree: "ClusterTree", holders: dict[int, int], ids: list[int],
 
 
 class ClusterTree:
-    def __init__(
-        self,
-        clusters: dict[int, frozenset[int]] | None = None,
-        next_id: int = 0,
-        edges: Iterable[tuple[int, int, frozenset[int]]] = (),
-    ):
-        """A tree of the given clusters under their ids; fresh ids start at next_id.
-
-        The edges (a, b, separator) are written without :meth:`add_edge`'s
-        checks, so they must join distinct given clusters, each pair once.
-        """
+    def __init__(self, clusters: dict[int, frozenset[int]] | None = None, next_id: int = 0):
+        """An edgeless tree of the given clusters under their ids; fresh ids start at next_id."""
         self._clusters: dict[int, frozenset[int]] = dict(clusters or {})
         self._adj: dict[int, dict[int, frozenset[int]]] = {c: {} for c in self._clusters}
         self._next = next_id
         self._edges = 0
+
+    @classmethod
+    def _from_join(cls, cliques: list[frozenset[int]], edges: list[tuple[int, int, frozenset[int]]]) -> "ClusterTree":
+        """Cluster i is cliques[i]; the edges (a, b, separator) are written without :meth:`add_edge`'s checks.
+
+        For :func:`~bnic.pipeline.build_join_tree`, whose edges each join a
+        new clique to an earlier one.
+        """
+        tree = cls(dict(enumerate(cliques)), len(cliques))
+        adj = tree._adj
         for a, b, sep in edges:
-            self._adj[a][b] = self._adj[b][a] = sep
-            self._edges += 1
+            adj[a][b] = adj[b][a] = sep
+        tree._edges = len(edges)
+        return tree
 
     # -- clusters ---------------------------------------------------------
 
@@ -90,13 +108,12 @@ class ClusterTree:
         """The id the next added cluster will receive."""
         return self._next
 
-    def holder_masks(self, ids: list[int]) -> dict[int, int]:
-        """For every vertex of the clusters ``ids``: bit i is set iff ``ids[i]`` holds it."""
+    def holder_masks(self, ids: Iterable[int]) -> dict[int, int]:
+        """The masks of the holder index of the clusters ``ids``, in that order (:func:`append_holder`)."""
+        index: list[int] = []
         masks: dict[int, int] = {}
-        for i, cid in enumerate(ids):
-            bit = 1 << i
-            for v in self._clusters[cid]:
-                masks[v] = masks.get(v, 0) | bit
+        for cid in ids:
+            append_holder(index, masks, cid, self._clusters[cid])
         return masks
 
     def vertices(self) -> set[int]:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Sequence
 
-from .clustertree import ClusterTree, smallest_cover
+from .clustertree import ClusterTree, append_holder, smallest_cover
 from .errors import InconsistencyError, InvalidEditError
 from .graph import Dag, Link, UndirectedGraph
 from .mpd import aggregate_cliques, mps_tree
@@ -429,9 +429,8 @@ def connect(
     Every separator S leading to a cluster C_k outside them is re-hung onto
     the replacements' :func:`~bnic.clustertree.smallest_cover` of S (the
     smallest cluster covering it, ties: lower id; families are hosted by
-    the same rule).  The replacements are the clusters ``ids``, and
-    ``holders`` their holder masks (:meth:`ClusterTree.holder_masks`); a
-    position may name a cluster the tree lacks, which gets no separator.
+    the same rule).  The replacements are the live clusters of the holder
+    index ``ids`` and ``holders`` (:func:`~bnic.clustertree.append_holder`).
     Every cover meets C_k in exactly S, since C_k meets the rebuilt region
     only in S, so overlap with C_k cannot rank them.  With no replacements
     (an emptied subtree, whose separators must all be empty) every C_k
@@ -440,6 +439,7 @@ def connect(
     that :func:`absorb_non_maximal` then merges into an outside clique.
     """
     inside = set(doomed)
+    every = (1 << len(ids)) - 1
     records: list[tuple[int, int, frozenset[int], int]] = []
     for ci in sorted(inside):
         for ck in tree.neighbors(ci):
@@ -447,7 +447,10 @@ def connect(
                 continue
             sep = tree.separator(ci, ck)
             if ids:
-                target = smallest_cover(tree, holders, ids, sep)
+                common = every
+                for v in sep:
+                    common &= holders.get(v, 0)
+                target = smallest_cover(tree, ids, common)
                 if target is None:
                     raise InconsistencyError(f"no replacement cluster covers boundary separator {sorted(sep)}")
             elif sep:
@@ -553,7 +556,7 @@ def _rebuild_subtree(
         for a, b, sep in t.edges():
             jt.add_edge(jt_map[a], jt_map[b], sep)
         # the region tree's holder index, each position mapped to its new
-        # clique; a cluster the thinning split keeps its position, with no bit
+        # clique, or to -1 for a cluster the thinning split
         ids = [jt_map.get(c, -1) for c in t_ids]
         records = connect(jt, ids, masks, doomed)
         for k in doomed:
@@ -577,13 +580,9 @@ def _rebuild_subtree(
         and not (family[v] in jt and v in (host := jt.cluster(family[v])) and host.issuperset(dag.parents(v)))
     ]
     if orphans:
-        # a piece merged away keeps its bits, but the clique that absorbed it
-        # holds it and is added here, so a cover never names the piece alone
+        # widened by the cliques that absorbed pieces, which hold them
         for c in {c for _, c in absorbed}:
-            bit = 1 << len(ids)
-            ids.append(c)
-            for v in jt.cluster(c):
-                masks[v] = masks.get(v, 0) | bit
+            append_holder(ids, masks, c, jt.cluster(c))
         family.update(assign_families(dag, jt, orphans, ids, masks))
 
     if trace is not None:

@@ -290,12 +290,19 @@ class UndirectedGraph:
         self._adj[v].discard(u)
 
     def update(self, other: "UndirectedGraph") -> None:
-        """Add other's edges: one set union per vertex of other; a vertex only other has raises."""
+        """Add other's edges: one set union per vertex of other; a vertex only other has raises, first."""
+        adj = self._adj
+        stray = other._adj.keys() - adj.keys()
+        if stray:
+            raise UnknownVariableError(f"unknown vertex {min(stray)}")
+        for v, ns in other._adj.items():
+            adj[v] |= ns
+
+    def difference_update(self, other: "UndirectedGraph") -> None:
+        """Remove other's edges: one set difference per vertex of other, which must all be this graph's."""
         adj = self._adj
         for v, ns in other._adj.items():
-            if v not in adj:
-                raise UnknownVariableError(f"unknown vertex {v}")
-            adj[v] |= ns
+            adj[v] -= ns
 
     def remove_induced(self, vs: set[int]) -> None:
         """Remove every edge with both ends in vs: one set difference per vertex of vs."""
@@ -337,12 +344,9 @@ class UndirectedGraph:
         return g
 
     def union(self, other: "UndirectedGraph") -> "UndirectedGraph":
-        """This graph plus other's edges, one set union per vertex; a vertex only other has raises."""
-        stray = other._adj.keys() - self._adj.keys()
-        if stray:
-            raise UnknownVariableError(f"unknown vertex {min(stray)}")
-        g = UndirectedGraph()
-        g._adj = {v: ns.union(other._adj.get(v, ())) for v, ns in self._adj.items()}
+        """This graph plus other's edges: a copy, then :meth:`update`."""
+        g = self.copy()
+        g.update(other)
         return g
 
     def is_complete(self, vs: Iterable[int]) -> bool:

@@ -17,7 +17,7 @@ from heapq import heappop, heappush
 from typing import Iterable
 
 from . import kernels
-from .clustertree import ClusterTree, smallest_cover
+from .clustertree import ClusterTree, append_holder, smallest_cover
 from .errors import InconsistencyError, NotChordalError
 from .graph import Dag, UndirectedGraph
 
@@ -79,9 +79,9 @@ def thin_join_tree(
     least) the tree's vertices; the rest of its edges are the base graph's.
     In a chordal graph an edge {u, v} can be dropped, keeping the graph
     chordal, iff exactly one maximal clique holds it (Rose, Tarjan & Lueker
-    1976): iff the AND of its ends' holder ``masks``, bit i for cluster
-    ``ids[i]`` (:meth:`ClusterTree.holder_masks`), has one bit.  A drop
-    leaves ``fill`` and splits its clique C into C−v and C−u in place
+    1976): iff the AND of its ends' masks in the holder index ``ids`` and
+    ``masks`` (:func:`~bnic.clustertree.append_holder`) has one bit.  A
+    drop leaves ``fill`` and splits its clique C into C−v and C−u in place
     (:func:`_split`).  A new half takes C's place for the pairs inside it,
     and the pairs inside C−{u, v} are then held by both halves' cliques,
     so only a pair joining u (or v) to the rest of a half that a neighbour
@@ -101,8 +101,7 @@ def thin_join_tree(
     Clusters outside ``ids`` get no bit, so none may hold a fill pair; the
     halves they absorb are returned as (half, cluster).  ``tree`` ends a
     junction tree of the thinned graph, and ``ids`` and ``masks`` stay its
-    holder index: a new cluster takes the next position, and a split one
-    keeps its position with no bit.
+    holder index.
     """
     pos = {c: i for i, c in enumerate(ids)}
     absorbed: list[tuple[frozenset[int], int]] = []
@@ -149,7 +148,7 @@ def _split(
     two halves join by c − {u, v}.  Every other neighbour hangs on the half
     holding its separator, the one without v when both do; no separator
     holds both u and v, which no other clique holds.  ``cm`` follows, a new
-    cluster taking the next bit position in ``ids`` and ``pos``.  Returns
+    cluster taking the next position in ``ids`` and ``pos``.  Returns
     the absorbed halves as (the end of {u, v} it holds, half, absorbing
     cluster).
     """
@@ -164,11 +163,7 @@ def _split(
         end = next((nb for nb, sep in neighbours if sep == half), None)
         if end is None:
             end = tree.add_cluster(half)
-            pos[end] = len(ids)
-            ids.append(end)
-            bit = 1 << pos[end]
-            for x in half:
-                cm[x] |= bit
+            pos[end] = append_holder(ids, cm, end, half)
         else:
             absorbed.append((w, half, end))
         ends.append(end)
@@ -245,7 +240,7 @@ def build_join_tree(cliques: list[frozenset[int]]) -> tuple[ClusterTree, dict[in
         else:
             p = (common & -common).bit_length() - 1
             edges.append((p, i, cliques[p] & c))
-    return ClusterTree(dict(enumerate(cliques)), len(cliques), edges), holders
+    return ClusterTree._from_join(cliques, edges), holders
 
 
 def assign_families(
@@ -253,13 +248,11 @@ def assign_families(
 ) -> dict[int, int]:
     """Map each given variable to the smallest of the clusters ``ids`` covering its family.
 
-    Ties go to the smaller cluster id.  ``holders`` are the clusters'
-    holder masks (:meth:`ClusterTree.holder_masks`); a position may name a
-    cluster the tree no longer has if no family's AND is its bit alone.
-    Each host is the smallest cluster among the bits of the AND of the
-    masks of the variable and its parents, the rule
-    :func:`~bnic.engine.connect` also hangs separators by
-    (:func:`~bnic.clustertree.smallest_cover`).
+    Ties go to the smaller cluster id.  ``ids`` and ``holders`` are a
+    holder index (:func:`~bnic.clustertree.append_holder`).  Each host is
+    the :func:`~bnic.clustertree.smallest_cover` of the AND of the masks of
+    the variable and its parents, the rule :func:`~bnic.engine.connect`
+    also hangs separators by.
     """
     get, parents = holders.get, dag.parents
     family: dict[int, int] = {}
@@ -267,12 +260,10 @@ def assign_families(
         common = get(vid, 0)
         for p in parents(vid):
             common &= get(p, 0)
-        if common & (common - 1):
-            family[vid] = smallest_cover(tree, holders, ids, (vid, *parents(vid)))
-        elif common:
-            family[vid] = ids[common.bit_length() - 1]
-        else:
+        host = smallest_cover(tree, ids, common)
+        if host is None:
             raise InconsistencyError(f"no cluster contains the family of variable {vid}: triangulation bug")
+        family[vid] = host
     return family
 
 
@@ -281,14 +272,18 @@ def construct_join_tree(gm: UndirectedGraph, fill: UndirectedGraph) -> tuple[Clu
 
     Min-fill, then one MCS of the triangulation (the chordality guard and
     the cliques), the join tree of those cliques, and thinning on the tree.
-    ``fill``, a graph over ``gm``'s vertices, gains the kept fill pairs.
+    ``fill``, an edgeless graph over ``gm``'s vertices, ends with the kept
+    fill pairs; MCS runs on it while it also holds ``gm``'s edges, so no
+    second graph of the triangulation is built beside it.
     Returns the tree with its holder index, the ``ids`` and ``masks`` that
     :func:`thin_join_tree` hands out.  Family hosting is the caller's: see
     :func:`assign_families`, which takes that index.
     """
     pairs = triangulate_min_fill(gm)
     fill.add_edges(pairs)
-    cliques = extract_cliques(gm.union(fill))
+    fill.update(gm)
+    cliques = extract_cliques(fill)
+    fill.difference_update(gm)
     tree, masks = build_join_tree(cliques)
     ids = list(range(len(cliques)))
     thin_join_tree(tree, pairs, fill, ids, masks)

@@ -1,7 +1,7 @@
 from random import Random
 
 from bnic import ClusterTree
-from bnic.clustertree import smallest_cover
+from bnic.clustertree import append_holder, smallest_cover
 
 
 def _recount(tree):
@@ -73,6 +73,13 @@ def test_induced_keeps_the_ids_and_drops_the_edges_that_leave_them():
     assert len(tree.neighbors(0)) == 1 and view.is_tree()
 
 
+def _and(ids, holders, vs):
+    common = (1 << len(ids)) - 1
+    for v in vs:
+        common &= holders.get(v, 0)
+    return common
+
+
 def test_smallest_cover_takes_the_smallest_then_the_lower_id():
     tree = ClusterTree()
     tree.add_cluster({0, 1, 2, 3})
@@ -81,11 +88,32 @@ def test_smallest_cover_takes_the_smallest_then_the_lower_id():
     ids = tree.cluster_ids()
     holders = tree.holder_masks(ids)
     # a smaller cover with a higher id beats a larger one with a lower id
-    assert smallest_cover(tree, holders, ids, {1, 2}) == small
+    assert smallest_cover(tree, ids, _and(ids, holders, {1, 2})) == small
     # equal sizes ({0, 1, 2} and {0, 1, 4}) go to the lower id
-    assert smallest_cover(tree, holders, ids, {0, 1}) == small
+    assert smallest_cover(tree, ids, _and(ids, holders, {0, 1})) == small
     # no cover
-    assert smallest_cover(tree, holders, ids, {3, 4}) is None
-    assert smallest_cover(tree, holders, ids, {7}) is None
+    assert smallest_cover(tree, ids, _and(ids, holders, {3, 4})) is None
+    assert smallest_cover(tree, ids, _and(ids, holders, {7})) is None
     # an empty set is covered by every cluster: the smallest of all ids
-    assert smallest_cover(tree, holders, ids, set()) == small
+    assert smallest_cover(tree, ids, _and(ids, holders, set())) == small
+
+
+def test_holder_index_appends_in_place_and_covers_pass_over_gone_clusters():
+    tree = ClusterTree()
+    a = tree.add_cluster({0, 1, 2})
+    b = tree.add_cluster({1, 2, 3})
+    ids, masks = [], {}
+    assert [append_holder(ids, masks, c, tree.cluster(c)) for c in (b, a)] == [0, 1]
+    assert ids == [b, a] and masks == tree.holder_masks([b, a]) == {0: 2, 1: 3, 2: 3, 3: 1}
+    # positions follow no id order: equal sizes still go to the lower id
+    assert smallest_cover(tree, ids, _and(ids, masks, {1})) == a
+    # a merged cluster keeps its position and bits; the absorber is appended
+    c = tree.add_cluster({0, 1, 2, 3})
+    tree.merge_into(a, c)
+    assert append_holder(ids, masks, c, tree.cluster(c)) == 2
+    assert smallest_cover(tree, ids, _and(ids, masks, {0})) == c
+    # a position named -1 (or by a removed cluster) is never a cover
+    ids.append(-1)
+    tree.remove_cluster(b)
+    assert smallest_cover(tree, ids, _and(ids, masks, set())) == c
+    assert smallest_cover(tree, ids, _and(ids, masks, {3})) == c

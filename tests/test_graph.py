@@ -195,8 +195,18 @@ def test_update_adds_the_other_graphs_edges_and_rejects_an_unknown_vertex():
     g = UndirectedGraph.from_edges(range(5), [(0, 1), (3, 4)])
     g.update(UndirectedGraph.from_edges(range(3), [(0, 1), (1, 2), (0, 2)]))
     assert g == UndirectedGraph.from_edges(range(5), [(0, 1), (1, 2), (0, 2), (3, 4)])
+    before = g.copy()
     with pytest.raises(UnknownVariableError):
-        g.update(UndirectedGraph([7]))
+        g.update(UndirectedGraph.from_edges([0, 1, 7], [(0, 1), (0, 7)]))
+    with pytest.raises(UnknownVariableError):
+        g.union(UndirectedGraph([7]))
+    assert g == before
+    # union is a fresh graph; difference_update takes the other's edges out again
+    h = UndirectedGraph.from_edges(range(5), [(2, 4)])
+    u = g.union(h)
+    assert u == UndirectedGraph.from_edges(range(5), [(0, 1), (1, 2), (0, 2), (3, 4), (2, 4)]) and g == before
+    u.difference_update(h)
+    assert u == g and u._adj[2] is not g._adj[2]
 
 
 def test_add_edges_matches_add_edge_and_rejects_an_unknown_end():
