@@ -18,11 +18,15 @@ The streams are:
 
 - ``random``: 600 ``random_dag`` models (n from 1 to 30, edge odds 0.05,
   0.15 and 0.3 in turn), each given 5 ``random_script`` batches;
+- ``banded``: 600 ``conftest.banded_dag`` models (n from 10 to 120), each
+  given 5 ``random_script`` batches.  Min-fill leaves redundant fill on
+  banded nets, so their re-triangulated regions are the ones whose
+  thinning splits cliques;
 - ``edit-random`` and ``edit-local``: the benchmark's edit streams
   (``perfbench/workload.py``) for seeds 1 to 3, 100 flushes each, every
   segment flushed from a copy of the stream's base model.
 
-That is 3,600 flushes.  ``--diff`` compares two runs line by line: it
+That is 6,600 flushes.  ``--diff`` compares two runs line by line: it
 prints, per stream, the flushes compared and how many diverge, the first
 diverging flush and which of its digests differ, the count of diverging
 flushes per digest, most first, then apart the count and first divergence
@@ -50,8 +54,11 @@ if __name__ == "__main__":  # a script run replays this checkout's package
     sys.path.insert(0, str(ROOT / "src"))
 
 from bnic import BatchTrace, full_recompile, incremental_compile, mpd_equal, random_dag, random_script, validate
+from conftest import banded_dag
 
 RANDOM_MODELS = 600
+BANDED_MODELS = 600
+BANDED_SIZES = (10, 120)
 FLUSHES = 5
 EDGE_ODDS = (0.05, 0.15, 0.3)
 BENCH_SEEDS = (1, 2, 3)
@@ -137,14 +144,18 @@ def flush_record(stream: str, case: str, flush: int, model, trace: BatchTrace) -
     }
 
 
-def random_case(k: int):
-    """Model k of the ``random`` stream and an endless iterator of its batches.
+def random_case(k: int, banded: bool = False):
+    """Model k of the ``random`` (or ``banded``) stream and an endless iterator of its batches.
 
     ``Random(k)`` draws the dag, then each batch when it is taken, from the
     model's dag at that time: flush a batch before taking the next.
     """
     rng = Random(k)
-    model = full_recompile(random_dag(rng.randint(1, 30), rng, edge_prob=EDGE_ODDS[k % 3]))
+    if banded:
+        dag = banded_dag(rng.randint(*BANDED_SIZES), rng)
+    else:
+        dag = random_dag(rng.randint(1, 30), rng, edge_prob=EDGE_ODDS[k % 3])
+    model = full_recompile(dag)
 
     def batches():
         while True:
@@ -153,13 +164,13 @@ def random_case(k: int):
     return model, batches()
 
 
-def random_flushes(models: int = RANDOM_MODELS):
-    """The ``random`` stream's flushes as (case, flush, model, trace), from :func:`random_case`.
+def random_flushes(models: int = RANDOM_MODELS, banded: bool = False):
+    """The ``random`` (or ``banded``) stream's flushes as (case, flush, model, trace), from :func:`random_case`.
 
     Each model is flushed in place, so read it before taking the next flush.
     """
     for k in range(models):
-        model, batches = random_case(k)
+        model, batches = random_case(k, banded)
         for f in range(FLUSHES):
             trace = BatchTrace()
             incremental_compile(model, next(batches), trace)
@@ -170,6 +181,12 @@ def random_records(models: int = RANDOM_MODELS):
     """The ``random`` stream's flush records."""
     for k, f, model, trace in random_flushes(models):
         yield flush_record("random", str(k), f, model, trace)
+
+
+def banded_records(models: int = BANDED_MODELS):
+    """The ``banded`` stream's flush records."""
+    for k, f, model, trace in random_flushes(models, banded=True):
+        yield flush_record("banded", str(k), f, model, trace)
 
 
 def bench_records():
@@ -245,7 +262,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.diff:
         return diff(*map(_load, args.diff))
-    for record in chain(random_records(), bench_records()):
+    for record in chain(random_records(), banded_records(), bench_records()):
         print(json.dumps(record, separators=(",", ":")))
     return 0
 
