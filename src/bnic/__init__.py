@@ -26,6 +26,7 @@ from .errors import (
     NotChordalError,
     ParseError,
     UnknownVariableError,
+    UnwritableNameError,
 )
 from .graph import Dag, Link, UndirectedGraph, VariableTable, is_chordal, moralize
 from .oracle import (
@@ -59,6 +60,7 @@ __all__ = [
     "RemoveNode",
     "UndirectedGraph",
     "UnknownVariableError",
+    "UnwritableNameError",
     "ValidityReport",
     "VariableTable",
     "apply_modification",

@@ -12,44 +12,67 @@ from typing import Iterable
 from .errors import InconsistencyError
 
 
-def append_holder(ids: list[int], masks: dict[int, int], cid: int, vertices: Iterable[int]) -> int:
-    """Give cluster cid the next position of a holder index; returns it.
+class HolderIndex:
+    """Which clusters of ``tree`` hold each vertex, as one bitmask per vertex.
 
-    A holder index is a list ``ids`` of cluster ids and ``masks``, for every
-    vertex, an int whose bit i is set iff cluster ``ids[i]`` holds it
-    (:meth:`ClusterTree.holder_masks`).  Positions are never compacted: a
-    cluster that leaves the tree keeps its position and id (or -1, which
-    no cluster has), with no bit if it was split, or with its bits if it
-    was merged into a cluster that has a position too.  So such a
-    position is never the only bit of the AND over a non-empty vertex set,
-    and :func:`smallest_cover` passes over it.
+    Each indexed cluster has a position: ``ids[i]`` is the cluster at
+    position i and ``pos`` maps it back.  ``masks`` maps every vertex to an
+    int whose bit i is set iff cluster ``ids[i]`` holds it.  Positions are
+    never compacted: a cluster that leaves the tree keeps its position and
+    id, with no bit if it was split (:meth:`drop`), or with its bits if it
+    was merged into a cluster that has a position too.  So such a position
+    is never the only bit of the AND over a non-empty vertex set, and
+    :meth:`cover` passes over it.  Clusters of the tree that were never
+    added have no bit.
     """
-    i = len(ids)
-    bit = 1 << i
-    ids.append(cid)
-    for v in vertices:
-        masks[v] = masks.get(v, 0) | bit
-    return i
 
+    __slots__ = ("tree", "ids", "pos", "masks")
 
-def smallest_cover(tree: "ClusterTree", ids: list[int], common: int) -> int | None:
-    """The smallest live cluster among the set bits of ``common``, or None if none.
+    def __init__(self, tree: "ClusterTree", ids: Iterable[int] = ()):
+        """The index of the clusters ids of tree, in that order."""
+        self.tree = tree
+        self.ids: list[int] = []
+        self.pos: dict[int, int] = {}
+        self.masks: dict[int, int] = {}
+        for cid in ids:
+            self.add(cid)
 
-    ``common`` is the AND of a vertex set's holder masks over ``ids``
-    (:func:`append_holder`), or every position for the empty set; ties go
-    to the lower id, so positions need not follow id order.
-    """
-    clusters = tree._clusters
-    best, size = None, 0
-    while common:
-        low = common & -common
-        common ^= low
-        c = ids[low.bit_length() - 1]
-        if c in clusters:
-            n = len(clusters[c])
-            if best is None or n < size or n == size and c < best:
-                best, size = c, n
-    return best
+    def add(self, cid: int) -> None:
+        """Give cluster cid the next position, with a bit for each of its vertices."""
+        bit = 1 << len(self.ids)
+        self.pos[cid] = len(self.ids)
+        self.ids.append(cid)
+        masks = self.masks
+        for v in self.tree._clusters[cid]:
+            masks[v] = masks.get(v, 0) | bit
+
+    def drop(self, cid: int) -> None:
+        """Clear the bits of cluster cid, which is about to be split; its position stays."""
+        bit = 1 << self.pos[cid]
+        masks = self.masks
+        for v in self.tree._clusters[cid]:
+            masks[v] ^= bit
+
+    def cover(self, vs: Iterable[int]) -> int | None:
+        """The smallest live indexed cluster holding every vertex of vs, or None if none.
+
+        Ties go to the lower id, so positions need not follow id order.  For
+        the empty set it is the smallest live indexed cluster.
+        """
+        masks, clusters, ids = self.masks, self.tree._clusters, self.ids
+        common = (1 << len(ids)) - 1
+        for v in vs:
+            common &= masks.get(v, 0)
+        best, size = None, 0
+        while common:
+            low = common & -common
+            common ^= low
+            c = ids[low.bit_length() - 1]
+            if c in clusters:
+                n = len(clusters[c])
+                if best is None or n < size or n == size and c < best:
+                    best, size = c, n
+        return best
 
 
 class ClusterTree:
@@ -59,20 +82,6 @@ class ClusterTree:
         self._adj: dict[int, dict[int, frozenset[int]]] = {c: {} for c in self._clusters}
         self._next = next_id
         self._edges = 0
-
-    @classmethod
-    def _from_join(cls, cliques: list[frozenset[int]], edges: list[tuple[int, int, frozenset[int]]]) -> "ClusterTree":
-        """Cluster i is cliques[i]; the edges (a, b, separator) are written without :meth:`add_edge`'s checks.
-
-        For :func:`~bnic.pipeline.build_join_tree`, whose edges each join a
-        new clique to an earlier one.
-        """
-        tree = cls(dict(enumerate(cliques)), len(cliques))
-        adj = tree._adj
-        for a, b, sep in edges:
-            adj[a][b] = adj[b][a] = sep
-        tree._edges = len(edges)
-        return tree
 
     # -- clusters ---------------------------------------------------------
 
@@ -107,14 +116,6 @@ class ClusterTree:
     def next_id(self) -> int:
         """The id the next added cluster will receive."""
         return self._next
-
-    def holder_masks(self, ids: Iterable[int]) -> dict[int, int]:
-        """The masks of the holder index of the clusters ``ids``, in that order (:func:`append_holder`)."""
-        index: list[int] = []
-        masks: dict[int, int] = {}
-        for cid in ids:
-            append_holder(index, masks, cid, self._clusters[cid])
-        return masks
 
     def vertices(self) -> set[int]:
         out: set[int] = set()

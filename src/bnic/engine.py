@@ -8,7 +8,7 @@ Phase two rebuilds the cliques of each connected marked region.  When the
 region's triangulation still covers the batch's edits, its own junction
 subtree is thinned in place, and only the cliques a dropped fill edge
 splits change; otherwise the region is re-triangulated from its induced
-moral subgraph and the fresh junction subtree is spliced into the tree.
+moral subgraph into new cliques of the junction tree, which are spliced in.
 Either way no unmarked clique's vertex set changes, and one tail finishes
 the region: it regroups the region's cliques, maps their owners, re-hosts
 the families whose clique died or stopped covering them, and records the
@@ -27,10 +27,10 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Sequence
 
-from .clustertree import ClusterTree, append_holder, smallest_cover
+from .clustertree import ClusterTree, HolderIndex
 from .errors import InconsistencyError, InvalidEditError
 from .graph import Dag, Link, UndirectedGraph
-from .mpd import aggregate_cliques, mps_tree
+from .mpd import aggregate_cliques
 from .pipeline import Triangulation, assign_families, construct_join_tree, thin_join_tree
 
 # Unused by the package; kept because the benchmark's tracer binds it.
@@ -150,13 +150,23 @@ class CompiledModel:
         self.family = family
         self.fill = fill
 
+    # Unused by the package; kept because the benchmark's workload reads it.
     @property
     def tri(self) -> Triangulation:
         return Triangulation(self.moral, self.fill)
 
     @property
     def mpd(self) -> ClusterTree:
-        return mps_tree(self.jt, self.owner)
+        """The MPS tree that the owner map (clique → MPS) makes of the junction tree.
+
+        Each MPS is the union of its cliques under its own id, and every
+        junction edge between cliques of two MPSs becomes an MPS edge with
+        the same separator.  Fresh ids continue after the junction tree's.
+        Derived on every read in one walk of the junction adjacency
+        (:meth:`ClusterTree.quotient`), which needs each MPS's cliques
+        connected, as the owner map keeps them.
+        """
+        return self.jt.quotient(self.owner)
 
     def copy(self) -> "CompiledModel":
         return CompiledModel(
@@ -420,17 +430,14 @@ def mark_add_link(
 # ---------------------------------------------------------------------------
 
 
-def connect(
-    tree: ClusterTree, ids: list[int], holders: dict[int, int], doomed: list[int]
-) -> list[tuple[int, int, frozenset[int], int]]:
+def connect(tree: ClusterTree, index: HolderIndex, doomed: list[int]) -> list[tuple[int, int, frozenset[int], int]]:
     """Reattach the boundary of the doomed clusters to new clusters.
 
     Scans the doomed clusters C_i and their neighbours in ascending order.
     Every separator S leading to a cluster C_k outside them is re-hung onto
-    the replacements' :func:`~bnic.clustertree.smallest_cover` of S (the
+    the replacements' :meth:`~bnic.clustertree.HolderIndex.cover` of S (the
     smallest cluster covering it, ties: lower id; families are hosted by
-    the same rule).  The replacements are the live clusters of the holder
-    index ``ids`` and ``holders`` (:func:`~bnic.clustertree.append_holder`).
+    the same rule).  The replacements are the live clusters of ``index``.
     Every cover meets C_k in exactly S, since C_k meets the rebuilt region
     only in S, so overlap with C_k cannot rank them.  With no replacements
     (an emptied subtree, whose separators must all be empty) every C_k
@@ -439,18 +446,14 @@ def connect(
     that :func:`absorb_non_maximal` then merges into an outside clique.
     """
     inside = set(doomed)
-    every = (1 << len(ids)) - 1
     records: list[tuple[int, int, frozenset[int], int]] = []
     for ci in sorted(inside):
         for ck in tree.neighbors(ci):
             if ck in inside:
                 continue
             sep = tree.separator(ci, ck)
-            if ids:
-                common = every
-                for v in sep:
-                    common &= holders.get(v, 0)
-                target = smallest_cover(tree, ids, common)
+            if index.ids:
+                target = index.cover(sep)
                 if target is None:
                     raise InconsistencyError(f"no replacement cluster covers boundary separator {sorted(sep)}")
             elif sep:
@@ -508,11 +511,12 @@ def _rebuild_subtree(
     restricted to R still contains the new moral graph on R (an added link
     was fill, a deleted one becomes fill), and :func:`_thin_region` thins
     it in place.  Otherwise min-fill re-triangulates the region's induced
-    moral graph, :func:`connect` splices the new cliques in, and the fill
-    drops its pairs inside R for the region's kept pairs.  The dropped
-    pairs are the doomed cliques' fill: an outside clique meets R only
-    inside one boundary MPS separator, complete in the moral graph, and an
-    edit changes moral links only inside the marked region.  The new
+    moral graph into new cliques of the junction tree, joined only to each
+    other until :func:`connect` splices them in, and the fill drops its
+    pairs inside R for the region's kept pairs.  The dropped pairs are the
+    doomed cliques' fill: an outside clique meets R only inside one
+    boundary MPS separator, complete in the moral graph, and an edit
+    changes moral links only inside the marked region.  The new
     cliques are maximal among themselves and an outside clique keeps its
     vertex set, so a new clique inside another equals the boundary
     separator it hangs on, and :func:`absorb_non_maximal` merges it into
@@ -532,10 +536,9 @@ def _rebuild_subtree(
       covering clique of the region or of the outside cliques that
       absorbed a piece of it (ties: lower id).  Two doomed components can
       share variables through unmarked cliques, so only this component's
-      hosts are checked.  The covers are read off the holder masks of the
-      region that either branch hands on (the fresh tree's, mapped to
-      junction ids, or those the thinning kept), widened by the absorbing
-      outside cliques; none is built again.
+      hosts are checked.  The covers are read off the holder index of the
+      region's new or kept cliques that either branch hands on, widened by
+      the absorbing outside cliques; none is built again.
     """
     jt, owner, family, dag = model.jt, model.owner, model.family, model.dag
     variables = {v for c in doomed for v in jt.cluster(c) if model.moral.has_vertex(v)}
@@ -545,20 +548,14 @@ def _rebuild_subtree(
     # an emptied region keeps no cluster, so it takes the (empty) min-fill path
     thinned = bool(variables) and all(model.fill.has_edge(*pair) for pair, a in inside.items() if a)
     if thinned:
-        absorbed, ids, masks = _thin_region(model, doomed, variables, inside)
+        absorbed, index = _thin_region(model, doomed, variables, inside)
     else:
         g_sub = model.moral.induced(variables)
         model.fill.remove_induced(variables)
         kept = UndirectedGraph(variables)
-        t, t_ids, masks = construct_join_tree(g_sub, kept)
+        index = construct_join_tree(g_sub, kept, jt)
         model.fill.update(kept)
-        jt_map = {lid: jt.add_cluster(t.cluster(lid)) for lid in t.cluster_ids()}
-        for a, b, sep in t.edges():
-            jt.add_edge(jt_map[a], jt_map[b], sep)
-        # the region tree's holder index, each position mapped to its new
-        # clique, or to -1 for a cluster the thinning split
-        ids = [jt_map.get(c, -1) for c in t_ids]
-        records = connect(jt, ids, masks, doomed)
+        records = connect(jt, index, doomed)
         for k in doomed:
             jt.remove_cluster(k)
         absorbed = absorb_non_maximal(jt, [c for _, _, sep, c in records if jt.cluster(c) == sep])
@@ -582,8 +579,8 @@ def _rebuild_subtree(
     if orphans:
         # widened by the cliques that absorbed pieces, which hold them
         for c in {c for _, c in absorbed}:
-            append_holder(ids, masks, c, jt.cluster(c))
-        family.update(assign_families(dag, jt, orphans, ids, masks))
+            index.add(c)
+        family.update(assign_families(dag, orphans, index))
 
     if trace is not None:
         trace.absorbed += [(vs, jt.cluster(c)) for vs, c in absorbed]
@@ -599,7 +596,7 @@ def _thin_region(
     doomed: list[int],
     variables: set[int],
     inside: dict[tuple[int, int], bool],
-) -> tuple[list[tuple[frozenset[int], int]], list[int], dict[int, int]]:
+) -> tuple[list[tuple[frozenset[int], int]], HolderIndex]:
     """Thin the doomed cliques' own junction subtree to a minimal triangulation of the region, in place.
 
     Only the cliques a drop splits change; every other clique keeps its id,
@@ -628,8 +625,7 @@ def _thin_region(
       a cut clique equal to one may be absorbed by the clique beyond it.
 
     Returns those absorbed pieces as (piece, outside clique), and the
-    thinning's holder index over the region's live cliques: their ids and
-    masks (:func:`thin_join_tree`).
+    thinning's holder index over the region's live cliques.
     """
     jt, fill = model.jt, model.fill
     doomed_set = set(doomed)
@@ -655,10 +651,9 @@ def _thin_region(
     absorbed = absorb_non_maximal(jt, cut) if cut else []
     for vs, _ in absorbed:
         seeds += [(u, w) for u in vs for w in fill.neighbors(u) & vs if u < w]
-    ids = [c for c in doomed if c in jt]
-    masks = jt.holder_masks(ids)
-    absorbed += thin_join_tree(jt, sorted(set(seeds)), fill, ids, masks)
-    return [(vs, c) for vs, c in absorbed if c not in doomed_set], ids, masks
+    index = HolderIndex(jt, [c for c in doomed if c in jt])
+    absorbed += thin_join_tree(jt, sorted(set(seeds)), fill, index)
+    return [(vs, c) for vs, c in absorbed if c not in doomed_set], index
 
 
 # Unused by the package; kept because the benchmark's tracer binds it.

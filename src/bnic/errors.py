@@ -27,6 +27,10 @@ class InconsistencyError(BnicError):
     """An internal structural invariant broke; never silently repaired."""
 
 
+class UnwritableNameError(BnicError):
+    """A variable name that a text format could not read back."""
+
+
 class ParseError(BnicError):
     """A text input could not be parsed; carries the offending line number."""
 

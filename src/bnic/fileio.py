@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .clustertree import ClusterTree
 from .engine import AddArc, AddNode, Modification, RemoveArc, apply_modification, expand_remove_node
-from .errors import BnicError, ParseError
+from .errors import BnicError, ParseError, UnwritableNameError
 from .graph import Dag, UndirectedGraph, VariableTable
 
 
@@ -41,8 +41,17 @@ def parse_network(text: str) -> Dag:
 
 
 def serialize_network(dag: Dag) -> str:
-    """Render a dag back into the network format (round-trips to an equal dag)."""
-    lines = [f"node {name}" for name in dag.table.names()]
+    """Render a dag back into the network format (round-trips to an equal dag).
+
+    A name is one token without ``#``; the first variable whose name is
+    not raises :class:`UnwritableNameError`, as the parser could not read
+    it back.
+    """
+    names = dag.table.names()
+    bad = next((name for name in names if "#" in name or name.split() != [name]), None)
+    if bad is not None:
+        raise UnwritableNameError(f"variable name {bad!r} is not one token without '#'")
+    lines = [f"node {name}" for name in names]
     lines += [
         f"arc {dag.table.name(p)} {dag.table.name(c)}" for p, c in dag.arcs()
     ]

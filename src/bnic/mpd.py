@@ -6,18 +6,6 @@ from .clustertree import ClusterTree
 from .graph import UndirectedGraph
 
 
-def mps_tree(jt: ClusterTree, owner: dict[int, int]) -> ClusterTree:
-    """The MPS tree that an owner map (clique → MPS) makes of the junction tree.
-
-    Each MPS is the union of its cliques under its own id, and every
-    junction edge between cliques of two MPSs becomes an MPS edge with the
-    same separator.  Fresh ids continue after the junction tree's.  Built in
-    one walk of the junction adjacency (:meth:`ClusterTree.quotient`), which
-    needs each MPS's cliques connected, as :func:`group_owners` makes them.
-    """
-    return jt.quotient(owner)
-
-
 def group_owners(jt: ClusterTree, gm: UndirectedGraph) -> dict[int, int]:
     """Map every clique to its MPS: the least clique of its group.
 
@@ -45,7 +33,7 @@ def group_owners(jt: ClusterTree, gm: UndirectedGraph) -> dict[int, int]:
 
 
 def aggregate_cliques(jt: ClusterTree, gm: UndirectedGraph) -> tuple[ClusterTree, dict[int, int]]:
-    """The MPS tree and owner map of a junction tree: :func:`mps_tree` of :func:`group_owners`.
+    """The MPS tree and owner map of a junction tree: its quotient by :func:`group_owners`.
 
     Only a rebuild calls it, on a view of its region's cliques under their
     junction ids (a forest at times), for the owner map; the benchmark's
@@ -53,4 +41,4 @@ def aggregate_cliques(jt: ClusterTree, gm: UndirectedGraph) -> tuple[ClusterTree
     Callers that need the owner map alone call :func:`group_owners`.
     """
     owner = group_owners(jt, gm)
-    return mps_tree(jt, owner), owner
+    return jt.quotient(owner), owner

@@ -32,11 +32,11 @@ def full_recompile(dag: Dag) -> CompiledModel:
     """Compile the whole model from scratch; deterministic for a fixed dag."""
     gm = moralize(dag)
     fill = UndirectedGraph(gm.vertices())
-    jt, ids, masks = construct_join_tree(gm, fill)
+    index = construct_join_tree(gm, fill, ClusterTree())
     # through the module, whose binding the benchmark's tracer wraps
-    family = pipeline.assign_families(dag, jt, dag.nodes(), ids, masks)
-    owner = group_owners(jt, gm)
-    return CompiledModel(dag, gm, jt, owner, family, fill)
+    family = pipeline.assign_families(dag, dag.nodes(), index)
+    owner = group_owners(index.tree, gm)
+    return CompiledModel(dag, gm, index.tree, owner, family, fill)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +126,7 @@ def validate(model: CompiledModel) -> ValidityReport:
 
     gt, chordal, witness, cliques, stray = None, False, None, [], ""
     try:
-        gt = model.tri.graph()
+        gt = moral.union(model.fill)
         cliques = extract_cliques(gt)
         chordal = True
     except UnknownVariableError as e:  # a fill vertex the moral graph lacks

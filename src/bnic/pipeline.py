@@ -17,7 +17,7 @@ from heapq import heappop, heappush
 from typing import Iterable
 
 from . import kernels
-from .clustertree import ClusterTree, append_holder, smallest_cover
+from .clustertree import ClusterTree, HolderIndex
 from .errors import InconsistencyError, NotChordalError
 from .graph import Dag, UndirectedGraph
 
@@ -64,14 +64,14 @@ def recursive_thinning(t: Triangulation) -> Triangulation:
     function may be any triangulation record.  See :func:`thin_join_tree`
     for the removal rule and the scan order.
     """
-    tree, masks = build_join_tree(extract_cliques(t.graph()))
+    index = build_join_tree(extract_cliques(t.graph()), ClusterTree())
     fill = UndirectedGraph.from_edges(t.base.vertices(), t.fill_graph.edges())
-    thin_join_tree(tree, fill.edges(), fill, list(range(len(tree))), masks)
+    thin_join_tree(index.tree, fill.edges(), fill, index)
     return Triangulation(t.base, fill)
 
 
 def thin_join_tree(
-    tree: ClusterTree, pending: list[tuple[int, int]], fill: UndirectedGraph, ids: list[int], masks: dict[int, int]
+    tree: ClusterTree, pending: list[tuple[int, int]], fill: UndirectedGraph, index: HolderIndex
 ) -> list[tuple[frozenset[int], int]]:
     """Thin a chordal graph, given by its junction tree, to a minimal triangulation.
 
@@ -79,9 +79,9 @@ def thin_join_tree(
     least) the tree's vertices; the rest of its edges are the base graph's.
     In a chordal graph an edge {u, v} can be dropped, keeping the graph
     chordal, iff exactly one maximal clique holds it (Rose, Tarjan & Lueker
-    1976): iff the AND of its ends' masks in the holder index ``ids`` and
-    ``masks`` (:func:`~bnic.clustertree.append_holder`) has one bit.  A
-    drop leaves ``fill`` and splits its clique C into C−v and C−u in place
+    1976): iff the AND of its ends' masks in ``index``, the tree's
+    :class:`~bnic.clustertree.HolderIndex`, has one bit.  A drop leaves
+    ``fill`` and splits its clique C into C−v and C−u in place
     (:func:`_split`).  A new half takes C's place for the pairs inside it,
     and the pairs inside C−{u, v} are then held by both halves' cliques,
     so only a pair joining u (or v) to the rest of a half that a neighbour
@@ -98,12 +98,12 @@ def thin_join_tree(
     minimal", TCS 2001), and when both heads run out the triangulation is
     minimal.
 
-    Clusters outside ``ids`` get no bit, so none may hold a fill pair; the
-    halves they absorb are returned as (half, cluster).  ``tree`` ends a
-    junction tree of the thinned graph, and ``ids`` and ``masks`` stay its
-    holder index.
+    Clusters outside the index get no bit, so none may hold a fill pair;
+    the halves they absorb are returned as (half, cluster).  ``tree`` ends
+    a junction tree of the thinned graph, and ``index`` stays its holder
+    index.
     """
-    pos = {c: i for i, c in enumerate(ids)}
+    ids, pos, masks = index.ids, index.pos, index.masks
     absorbed: list[tuple[frozenset[int], int]] = []
     heap: list[tuple[int, int]] = []
     i, n = 0, len(pending)
@@ -124,7 +124,7 @@ def thin_join_tree(
                     raise InconsistencyError(f"no cluster holds the fill pair ({u}, {v})")
                 continue  # dropped since it was queued
             fill.remove_edge(u, v)
-            for w, half, end in _split(tree, ids[shared.bit_length() - 1], u, v, masks, ids, pos):
+            for w, half, end in _split(tree, ids[shared.bit_length() - 1], u, v, index):
                 if end not in pos:
                     absorbed.append((half, end))
                 for x in fill.neighbors(w) & half:
@@ -136,9 +136,7 @@ def thin_join_tree(
     return absorbed
 
 
-def _split(
-    tree: ClusterTree, c: int, u: int, v: int, cm: dict[int, int], ids: list[int], pos: dict[int, int]
-) -> list[tuple[int, frozenset[int], int]]:
+def _split(tree: ClusterTree, c: int, u: int, v: int, index: HolderIndex) -> list[tuple[int, frozenset[int], int]]:
     """Drop the edge {u, v} from cluster c, the one clique holding it.
 
     Without the edge, c's place goes to the cliques c−v and c−u (Ibarra,
@@ -147,15 +145,12 @@ def _split(
     has a neighbour of c on its path whose separator equals the half.  The
     two halves join by c − {u, v}.  Every other neighbour hangs on the half
     holding its separator, the one without v when both do; no separator
-    holds both u and v, which no other clique holds.  ``cm`` follows, a new
-    cluster taking the next position in ``ids`` and ``pos``.  Returns
-    the absorbed halves as (the end of {u, v} it holds, half, absorbing
-    cluster).
+    holds both u and v, which no other clique holds.  ``index`` follows,
+    a new cluster taking the next position.  Returns the absorbed halves
+    as (the end of {u, v} it holds, half, absorbing cluster).
     """
     vs = tree.cluster(c)
-    bit = 1 << pos[c]
-    for w in vs:
-        cm[w] ^= bit
+    index.drop(c)
     neighbours = [(nb, tree.separator(c, nb)) for nb in tree.neighbors(c)]
     tree.remove_cluster(c)
     ends, absorbed = [], []
@@ -163,7 +158,7 @@ def _split(
         end = next((nb for nb, sep in neighbours if sep == half), None)
         if end is None:
             end = tree.add_cluster(half)
-            pos[end] = append_holder(ids, cm, end, half)
+            index.add(end)
         else:
             absorbed.append((w, half, end))
         ends.append(end)
@@ -195,18 +190,20 @@ def extract_cliques(g: UndirectedGraph) -> list[frozenset[int]]:
     return cliques
 
 
-def build_join_tree(cliques: list[frozenset[int]]) -> tuple[ClusterTree, dict[int, int]]:
-    """Join cliques, given in :func:`extract_cliques`' order, into a junction tree.
+def build_join_tree(cliques: list[frozenset[int]], tree: ClusterTree) -> HolderIndex:
+    """Join cliques, given in :func:`extract_cliques`' order, into a junction tree in ``tree``.
 
-    Returns the tree and its holder masks, bit i for cluster i (as
-    ``holder_masks(range(len(cliques)))``), which the join accumulates.
+    Each clique becomes a new cluster of ``tree``, joined only to the
+    others, and takes the next position of the returned
+    :class:`~bnic.clustertree.HolderIndex`, which the join accumulates.
+    Below, cluster i is the one added for C_i.
 
-    Cluster i is C_i.  If S_i = C_i ∩ (C_0 ∪ … ∪ C_{i−1}) is not empty, i
-    hangs by S_i on p(i), the lowest j < i with S_i ⊆ C_j: the lowest bit of
-    the AND of the earlier holder masks of S_i's vertices.  MCS order has
-    running intersection (Tarjan & Yannakakis 1984; Blair & Peyton 1993),
-    so j exists; if not, :class:`InconsistencyError`.  An i with S_i = ∅
-    starts a component and hangs on cluster 0 by an empty separator.
+    If S_i = C_i ∩ (C_0 ∪ … ∪ C_{i−1}) is not empty, i hangs by S_i on
+    p(i), the lowest j < i with S_i ⊆ C_j: the lowest bit of the AND of the
+    earlier holder masks of S_i's vertices.  MCS order has running
+    intersection (Tarjan & Yannakakis 1984; Blair & Peyton 1993), so j
+    exists; if not, :class:`InconsistencyError`.  An i with S_i = ∅ starts
+    a component and hangs on cluster 0 by an empty separator.
 
     This is the tree of Kruskal over the clique graph with weight
     |C_a ∩ C_b|, ties by ascending pair, whose components are then joined
@@ -219,12 +216,10 @@ def build_join_tree(cliques: list[frozenset[int]]) -> tuple[ClusterTree, dict[in
     k < b as ids grow away from the root.  MCS finishes a component of the
     graph before it starts the next, so each component's cliques are
     consecutive and hold its root: the hub is cluster 0 and the other
-    anchors are the i with S_i = ∅.  Each edge joins a new cluster to an
-    earlier one, so the tree is written in one go, without
-    :meth:`ClusterTree.add_edge`'s checks.
+    anchors are the i with S_i = ∅.
     """
-    holders: dict[int, int] = {}  # vertex -> mask of the clusters so far holding it
-    edges: list[tuple[int, int, frozenset[int]]] = []
+    index = HolderIndex(tree)
+    ids, pos, holders = index.ids, index.pos, index.masks
     for i, c in enumerate(cliques):
         bit = 1 << i
         common = -1
@@ -232,59 +227,54 @@ def build_join_tree(cliques: list[frozenset[int]]) -> tuple[ClusterTree, dict[in
             m = holders.get(v, 0)
             common &= m or -1  # a vertex new in C_i is not in S_i
             holders[v] = m | bit
+        cid = tree.add_cluster(c)
+        pos[cid] = i
+        ids.append(cid)
         if common == -1:
             if i:
-                edges.append((0, i, frozenset()))
+                tree.add_edge(ids[0], cid, frozenset())
         elif not common:
             raise InconsistencyError(f"no earlier clique holds the separator of clique {i}")
         else:
             p = (common & -common).bit_length() - 1
-            edges.append((p, i, cliques[p] & c))
-    return ClusterTree._from_join(cliques, edges), holders
+            tree.add_edge(ids[p], cid, cliques[p] & c)
+    return index
 
 
-def assign_families(
-    dag: Dag, tree: ClusterTree, variables: Iterable[int], ids: list[int], holders: dict[int, int]
-) -> dict[int, int]:
-    """Map each given variable to the smallest of the clusters ``ids`` covering its family.
+def assign_families(dag: Dag, variables: Iterable[int], index: HolderIndex) -> dict[int, int]:
+    """Map each given variable to the smallest cluster of ``index`` covering its family.
 
-    Ties go to the smaller cluster id.  ``ids`` and ``holders`` are a
-    holder index (:func:`~bnic.clustertree.append_holder`).  Each host is
-    the :func:`~bnic.clustertree.smallest_cover` of the AND of the masks of
-    the variable and its parents, the rule :func:`~bnic.engine.connect`
-    also hangs separators by.
+    Ties go to the smaller cluster id: each host is the
+    :meth:`~bnic.clustertree.HolderIndex.cover` of the variable and its
+    parents, the rule :func:`~bnic.engine.connect` also hangs separators by.
     """
-    get, parents = holders.get, dag.parents
+    cover, parents = index.cover, dag.parents
     family: dict[int, int] = {}
     for vid in variables:
-        common = get(vid, 0)
-        for p in parents(vid):
-            common &= get(p, 0)
-        host = smallest_cover(tree, ids, common)
+        host = cover((vid,) + parents(vid))
         if host is None:
             raise InconsistencyError(f"no cluster contains the family of variable {vid}: triangulation bug")
         family[vid] = host
     return family
 
 
-def construct_join_tree(gm: UndirectedGraph, fill: UndirectedGraph) -> tuple[ClusterTree, list[int], dict[int, int]]:
-    """Full pipeline from an undirected graph to a junction tree.
+def construct_join_tree(gm: UndirectedGraph, fill: UndirectedGraph, tree: ClusterTree) -> HolderIndex:
+    """Full pipeline from an undirected graph to a junction tree, built in ``tree``.
 
     Min-fill, then one MCS of the triangulation (the chordality guard and
     the cliques), the join tree of those cliques, and thinning on the tree.
     ``fill``, an edgeless graph over ``gm``'s vertices, ends with the kept
     fill pairs; MCS runs on it while it also holds ``gm``'s edges, so no
-    second graph of the triangulation is built beside it.
-    Returns the tree with its holder index, the ``ids`` and ``masks`` that
-    :func:`thin_join_tree` hands out.  Family hosting is the caller's: see
-    :func:`assign_families`, which takes that index.
+    second graph of the triangulation is built beside it.  The new
+    clusters join only each other.  Returns their holder index, as
+    :func:`thin_join_tree` leaves it.  Family hosting is the caller's:
+    see :func:`assign_families`, which takes that index.
     """
     pairs = triangulate_min_fill(gm)
     fill.add_edges(pairs)
     fill.update(gm)
     cliques = extract_cliques(fill)
     fill.difference_update(gm)
-    tree, masks = build_join_tree(cliques)
-    ids = list(range(len(cliques)))
-    thin_join_tree(tree, pairs, fill, ids, masks)
-    return tree, ids, masks
+    index = build_join_tree(cliques, tree)
+    thin_join_tree(tree, pairs, fill, index)
+    return index

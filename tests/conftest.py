@@ -1,6 +1,7 @@
 import pytest
 
 from bnic import ClusterTree, Dag, full_recompile
+from bnic.clustertree import HolderIndex
 from bnic.pipeline import assign_families
 
 ASIA_NODES = ["A", "S", "T", "L", "B", "E", "X", "D"]
@@ -47,9 +48,8 @@ def name_set(table, vertices) -> frozenset:
 
 
 def family_hosts(dag, tree) -> dict:
-    """``assign_families`` of every variable over every cluster, on fresh holder masks."""
-    ids = tree.cluster_ids()
-    return assign_families(dag, tree, dag.nodes(), ids, tree.holder_masks(ids))
+    """``assign_families`` of every variable over every cluster, on a fresh holder index."""
+    return assign_families(dag, dag.nodes(), HolderIndex(tree, tree.cluster_ids()))
 
 
 def holders_of(tree) -> dict:

@@ -30,6 +30,7 @@ from bnic import (
     stability,
     validate,
 )
+from bnic.clustertree import HolderIndex
 from bnic.engine import (
     ModTrace,
     absorb_non_maximal,
@@ -590,7 +591,7 @@ def test_connect_reattaches_boundary_to_best_cover():
     outside = tree.add_cluster({2, 3, 9})
     tree.add_edge(doomed, outside, {2, 3})
     fresh = [tree.add_cluster(vs) for vs in ({1, 2}, {2, 3}, {3, 4})]
-    ((_, ck, sep, target),) = connect(tree, fresh, tree.holder_masks(fresh), [doomed])
+    ((_, ck, sep, target),) = connect(tree, HolderIndex(tree, fresh), [doomed])
     assert (ck, sep) == (outside, frozenset({2, 3}))
     assert tree.cluster(target) == frozenset({2, 3})  # = S: the outside clique absorbs it
     assert tree.has_edge(target, outside)
@@ -602,7 +603,7 @@ def test_connect_with_everything_marked_makes_no_records():
     b = tree.add_cluster({2, 3})
     tree.add_edge(a, b, {2})
     fresh = tree.add_cluster({1, 2, 3})
-    assert connect(tree, [fresh], tree.holder_masks([fresh]), [a, b]) == []
+    assert connect(tree, HolderIndex(tree, [fresh]), [a, b]) == []
 
 
 def test_a_disconnected_doomed_set_leaves_one_surplus_edge_per_extra_piece():
@@ -612,7 +613,7 @@ def test_a_disconnected_doomed_set_leaves_one_surplus_edge_per_extra_piece():
     for a, b in zip(path, path[1:]):
         tree.add_edge(a, b, tree.cluster(a) & tree.cluster(b))
     fresh = tree.add_cluster(range(8))
-    connect(tree, [fresh], tree.holder_masks([fresh]), [1, 4])
+    connect(tree, HolderIndex(tree, [fresh]), [1, 4])
     for k in (1, 4):
         tree.remove_cluster(k)
     assert tree.edge_count() - (len(tree) - 1) == 1
@@ -664,16 +665,16 @@ def test_connect_matches_full_scan_reference(monkeypatch):
     real = bnic.engine.connect
     seen = {"records": 0, "empty": 0, "emptied": 0}
 
-    def checked(tree, ids, holders, doomed):
+    def checked(tree, index, doomed):
         # a position of the handed holder index may name a cluster the tree lacks
-        replacement_ids = {c for c in ids if c in tree}
+        replacement_ids = {c for c in index.ids if c in tree}
         expected_tree = tree.copy()
         if replacement_ids:
             expected = _connect_reference(expected_tree, replacement_ids, doomed)
         else:
             expected = _emptied_reference(expected_tree, doomed)
             seen["emptied"] += len(expected) > 1
-        got = real(tree, ids, holders, doomed)
+        got = real(tree, index, doomed)
         assert Counter(got) == Counter(expected)
         assert tree.edges() == expected_tree.edges()
         seen["records"] += len(got)
@@ -703,12 +704,12 @@ def test_an_empty_boundary_separator_hangs_on_a_live_clique_after_the_region_thi
     real = bnic.engine.connect
     hits = 0
 
-    def checked(tree, ids, holders, doomed):
+    def checked(tree, index, doomed):
         nonlocal hits
         inside = set(doomed)
         empty = any(not tree.separator(ci, ck) for ci in doomed for ck in tree.neighbors(ci) if ck not in inside)
-        hits += empty and any(c not in tree for c in ids)
-        return real(tree, ids, holders, doomed)
+        hits += empty and any(c not in tree for c in index.ids)
+        return real(tree, index, doomed)
 
     monkeypatch.setattr(bnic.engine, "connect", checked)
     for seed in (103, 156, 321):

@@ -1,6 +1,6 @@
 import pytest
 
-from bnic import AddArc, AddNode, ParseError, RemoveArc, RemoveNode
+from bnic import AddArc, AddNode, Dag, ParseError, RemoveArc, RemoveNode, UnwritableNameError
 from bnic.fileio import (
     dag_dot,
     parse_edits,
@@ -45,6 +45,16 @@ def test_round_trip():
     again = parse_network(serialize_network(dag))
     assert again == dag
     assert parse_network(serialize_network(again)) == again
+
+
+@pytest.mark.parametrize("bad", ["x y", "z#1"])
+def test_serialize_rejects_a_name_the_parser_cannot_read_back(bad):
+    # a space splits the name into two tokens and "#" starts a comment
+    dag = Dag()
+    for name in ("a", bad, "b c"):
+        dag.add_node(name)
+    with pytest.raises(UnwritableNameError, match=repr(bad)):
+        serialize_network(dag)
 
 
 def test_crlf_comments_and_blank_lines():

@@ -277,9 +277,9 @@ def test_min_fill_matches_adjacency_set_kernel_on_rebuilt_regions(monkeypatch):
     regions = []
     construct = bnic.engine.construct_join_tree
 
-    def capture(g, fill):
+    def capture(g, fill, tree):
         regions.append(g.copy())
-        return construct(g, fill)
+        return construct(g, fill, tree)
 
     monkeypatch.setattr(bnic.engine, "construct_join_tree", capture)
     node_edits = 0

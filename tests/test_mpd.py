@@ -13,7 +13,7 @@ from bnic import (
     random_dag,
     random_script,
 )
-from bnic.mpd import aggregate_cliques, group_owners, mps_tree
+from bnic.mpd import aggregate_cliques, group_owners
 from bnic.pipeline import build_join_tree, construct_join_tree, extract_cliques
 
 from conftest import banded_dag, cluster_names, edited, family_hosts, holders_of, name_set
@@ -45,7 +45,7 @@ def test_aggregate_is_identity_when_all_separators_complete(asia):
     gm.remove_edge(t.id("L"), t.id("E"))
     gm.remove_edge(t.id("T"), t.id("L"))
     sub = gm.induced({t.id(n) for n in "TLEBS"})
-    tree, _, _ = construct_join_tree(sub, UndirectedGraph(sub.vertices()))
+    tree = construct_join_tree(sub, UndirectedGraph(sub.vertices()), ClusterTree()).tree
     mpd, owner = aggregate_cliques(tree, sub)
     assert mpd.cluster_multiset() == tree.cluster_multiset()
     assert mpd.separator_multiset() == tree.separator_multiset()
@@ -73,7 +73,7 @@ def test_aggregate_result_is_merge_order_independent():
     for seed in (11, 12, 13):
         dag = random_dag(24, Random(seed), edge_prob=0.25)
         gm = moralize(dag)
-        tree, _, _ = construct_join_tree(gm, UndirectedGraph(gm.vertices()))
+        tree = construct_join_tree(gm, UndirectedGraph(gm.vertices()), ClusterTree()).tree
         family = family_hosts(dag, tree)
         one_pass, owner = aggregate_cliques(tree, gm)
         assert len(tree) - len(one_pass) >= 5
@@ -112,7 +112,7 @@ def test_decomposition_invariant_across_minimal_triangulations(asia):
         gt = gm.copy()
         gt.add_edge(t.id(u), t.id(v))
         assert is_chordal(gt) == (True, None)
-        tree, _ = build_join_tree(extract_cliques(gt))
+        tree = build_join_tree(extract_cliques(gt), ClusterTree()).tree
         mpd, _ = aggregate_cliques(tree, gm)
         return mpd
 
@@ -207,7 +207,7 @@ def _mps_tree_by_add_edge(jt, owner):
 def _assert_one_walk_matches_the_sorted_references(jt, gm):
     owner = group_owners(jt, gm)
     assert list(owner.items()) == list(_owners_by_sorted_union_find(jt, gm).items())
-    mpd, ref = mps_tree(jt, owner), _mps_tree_by_add_edge(jt, owner)
+    mpd, ref = jt.quotient(owner), _mps_tree_by_add_edge(jt, owner)
     assert [(c, mpd.cluster(c)) for c in mpd.cluster_ids()] == [(c, ref.cluster(c)) for c in ref.cluster_ids()]
     assert mpd.edges() == ref.edges() and mpd.edge_count() == ref.edge_count()
     assert mpd.next_id == ref.next_id == jt.next_id

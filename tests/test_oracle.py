@@ -4,6 +4,7 @@ from random import Random
 import pytest
 
 from bnic import (
+    ClusterTree,
     CompiledModel,
     Dag,
     RemoveArc,
@@ -65,7 +66,7 @@ def _with_fill(dag, fill):
     gt = gm.copy()
     for u, v in fill.edges():
         gt.add_edge(u, v)
-    tree, _ = build_join_tree(extract_cliques(gt))
+    tree = build_join_tree(extract_cliques(gt), ClusterTree()).tree
     family = family_hosts(dag, tree)
     _, owner = aggregate_cliques(tree, gm)
     return CompiledModel(dag, gm, tree, owner, family, fill)

@@ -31,6 +31,7 @@ from bnic.pipeline import (
     thin_join_tree,
     triangulate_min_fill,
 )
+from bnic.clustertree import HolderIndex
 from conftest import banded_dag, cluster_names, family_hosts, holders_of, name_set, separator_names
 
 
@@ -139,18 +140,17 @@ def _restart_scan(tree, pending, ids=None):
     # order, the scan restarting from the first pair after every drop, each
     # drop splitting its one clique of ids (default: all) by _split.
     # Returns the kept pairs.
-    ids = tree.cluster_ids() if ids is None else list(ids)
-    pos = {c: i for i, c in enumerate(ids)}
-    cm = tree.holder_masks(ids)
+    index = HolderIndex(tree, tree.cluster_ids() if ids is None else ids)
+    masks = index.masks
     pending = list(pending)
     changed = True
     while changed:
         changed = False
         for i, (u, v) in enumerate(pending):
-            shared = cm[u] & cm[v]
+            shared = masks[u] & masks[v]
             if shared & (shared - 1):
                 continue
-            _split(tree, ids[shared.bit_length() - 1], u, v, cm, ids, pos)
+            _split(tree, index.ids[shared.bit_length() - 1], u, v, index)
             del pending[i]
             changed = True
             break
@@ -159,14 +159,13 @@ def _restart_scan(tree, pending, ids=None):
 
 def _construct(gm):
     # construct_join_tree with a fresh fill graph; returns the tree
-    return construct_join_tree(gm, UndirectedGraph(gm.vertices()))[0]
+    return construct_join_tree(gm, UndirectedGraph(gm.vertices()), ClusterTree()).tree
 
 
 def _thinned(tree, pairs):
     # thin_join_tree over the graph of the pairs; returns the kept pairs
     fill = UndirectedGraph.from_edges(tree.vertices(), pairs)
-    ids = tree.cluster_ids()
-    thin_join_tree(tree, pairs, fill, ids, tree.holder_masks(ids))
+    thin_join_tree(tree, pairs, fill, HolderIndex(tree, tree.cluster_ids()))
     return fill.edges()
 
 
@@ -268,7 +267,7 @@ def test_thinning_matches_set_based_loop():
         # junction tree of the thinned graph; and against the restart scan
         # on the same tree: the same pairs, clique ids and edges
         fill = sorted(tuple(sorted(pair)) for pair in t.fill)
-        tree, _ = build_join_tree(extract_cliques(t.graph()))
+        tree = build_join_tree(extract_cliques(t.graph()), ClusterTree()).tree
         restarted = tree.copy()
         kept = _thinned(tree, fill)
         reference = _thinning_reference(t)
@@ -324,7 +323,7 @@ def test_tree_thinning_matches_the_former_clique_list_thinning():
             order = gm.vertices()
             rng.shuffle(order)
             fill = _elimination_fill(gm, order)
-        tree, _ = build_join_tree(extract_cliques(_plus(gm, fill)))
+        tree = build_join_tree(extract_cliques(_plus(gm, fill)), ClusterTree()).tree
         restarted = tree.copy()
         kept = _thinned(tree, fill)
         reference_kept, reference_cliques = _thin_reference(gm, list(fill))
@@ -346,12 +345,12 @@ def test_seeded_region_thinning_keeps_what_a_scan_of_all_its_fill_keeps(monkeypa
     absorb = bnic.engine.absorb_non_maximal
     seen = Counter()
 
-    def checked(tree, pending, fill, ids, masks):
-        inside = set().union(*map(tree.cluster, ids))
+    def checked(tree, pending, fill, index):
+        inside = set().union(*map(tree.cluster, index.ids))
         pairs = sorted((u, w) for u in inside for w in fill.neighbors(u) & inside if u < w)
         restarted = tree.copy()
-        kept = _restart_scan(restarted, pairs, ids)
-        absorbed = real(tree, pending, fill, ids, masks)
+        kept = _restart_scan(restarted, pairs, index.ids)
+        absorbed = real(tree, pending, fill, index)
         assert [p for p in pairs if fill.has_edge(*p)] == kept
         _assert_same_tree(tree, restarted)
         seen["regions"] += 1
@@ -462,7 +461,7 @@ def test_join_tree_asia_separators(asia):
     gm = moralize(asia)
     t = asia.table
     gm.add_edge(t.id("L"), t.id("B"))
-    tree, _ = build_join_tree(extract_cliques(gm))
+    tree = build_join_tree(extract_cliques(gm), ClusterTree()).tree
     assert tree.is_tree()
     assert set(separator_names(tree, t)) == {
         frozenset("T"),
@@ -475,12 +474,12 @@ def test_join_tree_asia_separators(asia):
 
 
 def test_join_tree_single_clique():
-    tree, _ = build_join_tree([frozenset({0, 1})])
+    tree = build_join_tree([frozenset({0, 1})], ClusterTree()).tree
     assert len(tree) == 1 and tree.edges() == []
 
 
 def test_join_tree_joins_disjoint_cliques_with_empty_separator():
-    tree, _ = build_join_tree([frozenset({0, 1}), frozenset({2, 3})])
+    tree = build_join_tree([frozenset({0, 1}), frozenset({2, 3})], ClusterTree()).tree
     assert tree.is_tree()
     assert tree.edges()[0][2] == frozenset()
 
@@ -490,7 +489,7 @@ def test_join_tree_rip_on_random_graphs():
     for _ in range(25):
         gm = moralize(random_dag(rng.randint(1, 12), rng, edge_prob=0.25))
         gt = recursive_thinning(_min_fill(gm)).graph()
-        tree, _ = build_join_tree(extract_cliques(gt))
+        tree = build_join_tree(extract_cliques(gt), ClusterTree()).tree
         assert tree.is_tree()
         assert _rip_holds(tree)
         assert all(sep == tree.cluster(a) & tree.cluster(b) for a, b, sep in tree.edges())
@@ -612,7 +611,7 @@ def test_structure_layer_matches_quadratic_references():
     for dag, gt in _chordal_cases(41, 80):
         cliques = extract_cliques(gt)
         assert cliques == _extract_cliques_reference(gt)
-        tree, _ = build_join_tree(cliques)
+        tree = build_join_tree(cliques, ClusterTree()).tree
         reference = _build_join_tree_reference(cliques)
         _assert_same_tree(tree, reference)
         assert family_hosts(dag, tree) == _family_hosts_reference(dag, reference)
@@ -632,15 +631,17 @@ def test_assign_families_matches_the_reference_on_spliced_trees():
     assert gapped > 60
 
 
-def _assert_holder_index(tree, ids, masks):
-    # the index is a fresh holder_masks of the live clusters of ids, each
-    # bit at its cluster's position in ids; a gone cluster's position has no
-    # bit, and a vertex left only in clusters outside ids keeps an empty mask
+def _assert_holder_index(index):
+    # the index is a fresh index of its live clusters, each bit at its
+    # cluster's position; a gone cluster's position has no bit, and a vertex
+    # left only in clusters outside the index keeps an empty mask
+    tree, ids = index.tree, index.ids
     live = [i for i, c in enumerate(ids) if c in tree]
-    fresh = tree.holder_masks([ids[i] for i in live])
-    assert {v: m for v, m in masks.items() if m} == {
+    fresh = HolderIndex(tree, [ids[i] for i in live]).masks
+    assert {v: m for v, m in index.masks.items() if m} == {
         v: sum(1 << i for j, i in enumerate(live) if m >> j & 1) for v, m in fresh.items()
     }
+    assert index.pos == {c: i for i, c in enumerate(ids)}
 
 
 def test_thinning_hands_out_the_holder_index_of_the_thinned_tree(monkeypatch):
@@ -656,38 +657,38 @@ def test_thinning_hands_out_the_holder_index_of_the_thinned_tree(monkeypatch):
         gm = moralize(dag)
         t = _with_redundant_fill(recursive_thinning(_min_fill(gm)), rng, 4)
         pairs = sorted(tuple(sorted(pair)) for pair in t.fill)
-        tree, masks = build_join_tree(extract_cliques(t.graph()))
-        assert masks == tree.holder_masks(tree.cluster_ids())
-        ids = list(range(len(tree)))
+        index = build_join_tree(extract_cliques(t.graph()), ClusterTree())
+        tree = index.tree
+        assert index.masks == HolderIndex(tree, tree.cluster_ids()).masks
         fill = UndirectedGraph.from_edges(gm.vertices(), pairs)
-        assert thin_join_tree(tree, pairs, fill, ids, masks) == []
-        _assert_holder_index(tree, ids, masks)
+        assert thin_join_tree(tree, pairs, fill, index) == []
+        _assert_holder_index(index)
         splits = len(pairs) - fill.edge_count()
         seen["split"] += splits
-        seen["absorbed"] += 2 * splits - (len(ids) - len(extract_cliques(t.graph())))
-        assert assign_families(dag, tree, dag.nodes(), ids, masks) == family_hosts(dag, tree)
+        seen["absorbed"] += 2 * splits - (len(index.ids) - len(extract_cliques(t.graph())))
+        assert assign_families(dag, dag.nodes(), index) == family_hosts(dag, tree)
     assert seen["split"] > 0 and seen["absorbed"] > 0
 
     real_thin, real_connect, real_assign = bnic.engine.thin_join_tree, bnic.engine.connect, bnic.engine.assign_families
 
-    def thin(tree, pending, fill, ids, masks):
-        absorbed = real_thin(tree, pending, fill, ids, masks)
-        _assert_holder_index(tree, ids, masks)
+    def thin(tree, pending, fill, index):
+        absorbed = real_thin(tree, pending, fill, index)
+        _assert_holder_index(index)
         seen["thinned"] += 1
         return absorbed
 
-    def connect(tree, ids, holders, doomed):
-        _assert_holder_index(tree, ids, holders)
+    def connect(tree, index, doomed):
+        _assert_holder_index(index)
         seen["spliced"] += 1
-        return real_connect(tree, ids, holders, doomed)
+        return real_connect(tree, index, doomed)
 
-    def assign(dag, tree, variables, ids, holders):
+    def assign(dag, variables, index):
         # widened by outside cliques, the positions no longer follow id order
-        hosts = real_assign(dag, tree, variables, ids, holders)
-        live = sorted({c for c in ids if c in tree})
-        assert hosts == real_assign(dag, tree, variables, live, tree.holder_masks(live))
+        hosts = real_assign(dag, variables, index)
+        live = sorted({c for c in index.ids if c in index.tree})
+        assert hosts == real_assign(dag, variables, HolderIndex(index.tree, live))
         seen["rehosted"] += 1
-        seen["widened"] += ids != sorted(ids)
+        seen["widened"] += index.ids != sorted(index.ids)
         return hosts
 
     monkeypatch.setattr(bnic.engine, "thin_join_tree", thin)
@@ -702,9 +703,9 @@ def test_thinning_hands_out_the_holder_index_of_the_thinned_tree(monkeypatch):
 
 
 def test_compile_and_rebuilds_build_each_holder_index_at_most_once(monkeypatch):
-    # a full compile hands build_join_tree's masks down to thinning and
+    # a full compile hands build_join_tree's index down to thinning and
     # family hosting and copies no graph; a rebuilt region builds its
-    # masks at most once, whichever way it is rebuilt
+    # index once, whichever way it is rebuilt
     calls = Counter()
 
     def counted(name, original):
@@ -714,15 +715,15 @@ def test_compile_and_rebuilds_build_each_holder_index_at_most_once(monkeypatch):
 
         return wrapped
 
-    monkeypatch.setattr(ClusterTree, "holder_masks", counted("masks", ClusterTree.holder_masks))
+    monkeypatch.setattr(HolderIndex, "__init__", counted("index", HolderIndex.__init__))
     monkeypatch.setattr(UndirectedGraph, "copy", counted("copy", UndirectedGraph.copy))
     real = bnic.engine._rebuild_subtree
     regions = Counter()
 
     def rebuild(model, doomed, links, trace):
-        before = calls["masks"]
+        before = calls["index"]
         real(model, doomed, links, trace)
-        regions[trace.subtrees[-1].thinned, calls["masks"] - before] += 1
+        regions[trace.subtrees[-1].thinned, calls["index"] - before] += 1
 
     monkeypatch.setattr(bnic.engine, "_rebuild_subtree", rebuild)
     rng = Random(31)
@@ -730,10 +731,10 @@ def test_compile_and_rebuilds_build_each_holder_index_at_most_once(monkeypatch):
         dag = banded_dag(rng.randint(10, 60), rng) if k % 2 else random_dag(rng.randint(2, 35), rng, edge_prob=0.15)
         calls.clear()
         model = full_recompile(dag)
-        assert calls["masks"] == calls["copy"] == 0
+        assert calls["index"] == 1 and calls["copy"] == 0
         for _ in range(4):
             incremental_compile(model, random_script(model.dag, rng.randint(1, 8), rng), BatchTrace())
-    assert all(built <= 1 for _, built in regions)
+    assert all(built == 1 for _, built in regions)
     assert {thinned for thinned, _ in regions} == {True, False}
 
 
@@ -757,7 +758,7 @@ def test_join_tree_matches_kruskal_on_forests_gapped_ids_and_thinned_cliques():
             gm = _relabeled(gm, {v: 1000 * (v % 3) + 7 * v + 5 for v in gm.vertices()})
             seen["gapped"] += 1
         fill = UndirectedGraph(gm.vertices())
-        tree, _, _ = construct_join_tree(gm, fill)
+        tree = construct_join_tree(gm, fill, ClusterTree()).tree
         kept = fill.edges()
         for u, v in kept:
             assert u < v and not gm.has_edge(u, v)
@@ -775,9 +776,9 @@ def test_join_tree_matches_kruskal_on_forests_gapped_ids_and_thinned_cliques():
         assert fill == sorted(fill) and all(u < v for u, v in fill)
         kept, cliques = _thin_reference(gm, list(fill))
         seen["thinned"] += len(kept) < len(fill)
-        _assert_same_tree(build_join_tree(cliques)[0], _build_join_tree_reference(cliques))
+        _assert_same_tree(build_join_tree(cliques, ClusterTree()).tree, _build_join_tree_reference(cliques))
         tree_fill = UndirectedGraph(gm.vertices())
-        tree, _, _ = construct_join_tree(gm, tree_fill)
+        tree = construct_join_tree(gm, tree_fill, ClusterTree()).tree
         assert tree_fill.edges() == kept
         _assert_junction_tree(tree, cliques)
     assert seen["empty"] > 0 and seen["gapped"] > 0 and seen["thinned"] > 0
@@ -786,7 +787,7 @@ def test_join_tree_matches_kruskal_on_forests_gapped_ids_and_thinned_cliques():
 def test_join_tree_rejects_cliques_out_of_mcs_order():
     # {1, 2} meets the cliques before it in {1, 2}, which no earlier one holds
     with pytest.raises(InconsistencyError):
-        build_join_tree([frozenset({0, 1}), frozenset({2, 3}), frozenset({1, 2})])
+        build_join_tree([frozenset({0, 1}), frozenset({2, 3}), frozenset({1, 2})], ClusterTree())
 
 
 # -- full construction ------------------------------------------------------
@@ -799,7 +800,7 @@ def test_construct_on_projection_graph(asia):
     gm.remove_edge(t.id("T"), t.id("L"))
     sub = gm.induced({t.id(n) for n in "TLEBS"})
     fill = UndirectedGraph(sub.vertices())
-    tree, _, _ = construct_join_tree(sub, fill)
+    tree = construct_join_tree(sub, fill, ClusterTree()).tree
     assert fill.edges() == []
     assert set(cluster_names(tree, t)) == {
         frozenset("TE"),
@@ -816,7 +817,7 @@ def test_construct_on_projection_graph(asia):
 
 def test_construct_empty_graph():
     fill = UndirectedGraph()
-    tree, _, _ = construct_join_tree(UndirectedGraph(), fill)
+    tree = construct_join_tree(UndirectedGraph(), fill, ClusterTree()).tree
     assert len(tree) == 0
     assert len(fill) == 0
 
@@ -824,7 +825,7 @@ def test_construct_empty_graph():
 def test_construct_asia_covers_families_and_rip(asia):
     gm = moralize(asia)
     fill = UndirectedGraph(gm.vertices())
-    tree, _, _ = construct_join_tree(gm, fill)
+    tree = construct_join_tree(gm, fill, ClusterTree()).tree
     family = family_hosts(asia, tree)
     assert _rip_holds(tree)
     assert fill.edge_count() == 1
@@ -838,8 +839,8 @@ def test_construction_is_deterministic():
         dag = random_dag(rng.randint(1, 14), rng, edge_prob=0.3)
         gm = moralize(dag)
         first_kept, second_kept = UndirectedGraph(gm.vertices()), UndirectedGraph(gm.vertices())
-        first_tree, _, _ = construct_join_tree(gm.copy(), first_kept)
-        second_tree, _, _ = construct_join_tree(gm.copy(), second_kept)
+        first_tree = construct_join_tree(gm.copy(), first_kept, ClusterTree()).tree
+        second_tree = construct_join_tree(gm.copy(), second_kept, ClusterTree()).tree
         assert first_kept == second_kept
         assert {c: first_tree.cluster(c) for c in first_tree.cluster_ids()} == {
             c: second_tree.cluster(c) for c in second_tree.cluster_ids()
