@@ -1,7 +1,9 @@
-"""Trees of vertex-set clusters with separator-labelled edges.
+"""Trees of vertex-set clusters; an edge's separator is the intersection of its ends.
 
 One structure serves both the junction tree and the MPS tree: clusters have
-stable integer ids, and edges carry a separator vertex set (possibly empty).
+stable integer ids, and the tree stores only them and its adjacency.  A
+separator, possibly empty, is derived from the two clusters whenever it is
+read (Blair & Peyton 1993), so no edit of a cluster leaves one stale.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ class ClusterTree:
     def __init__(self, clusters: dict[int, frozenset[int]] | None = None, next_id: int = 0):
         """An edgeless tree of the given clusters under their ids; fresh ids start at next_id."""
         self._clusters: dict[int, frozenset[int]] = dict(clusters or {})
-        self._adj: dict[int, dict[int, frozenset[int]]] = {c: {} for c in self._clusters}
+        self._adj: dict[int, set[int]] = {c: set() for c in self._clusters}
         self._next = next_id
         self._edges = 0
 
@@ -89,22 +91,18 @@ class ClusterTree:
         cid = self._next
         self._next += 1
         self._clusters[cid] = frozenset(vertices)
-        self._adj[cid] = {}
+        self._adj[cid] = set()
         return cid
 
     def remove_cluster(self, cid: int) -> None:
         for nb in self._adj[cid]:
-            del self._adj[nb][cid]
+            self._adj[nb].remove(cid)
         self._edges -= len(self._adj.pop(cid))
         del self._clusters[cid]
 
     def shrink(self, cid: int, drop: Iterable[int]) -> None:
-        """Remove the vertices drop from cluster cid and from every separator at it."""
-        drop = frozenset(drop)
-        self._clusters[cid] -= drop
-        adj = self._adj
-        for nb, sep in adj[cid].items():
-            adj[nb][cid] = adj[cid][nb] = sep - drop
+        """Remove the vertices drop from cluster cid; the separators at it follow."""
+        self._clusters[cid] -= frozenset(drop)
 
     def cluster(self, cid: int) -> frozenset[int]:
         return self._clusters[cid]
@@ -131,28 +129,30 @@ class ClusterTree:
 
     # -- edges ------------------------------------------------------------
 
-    def add_edge(self, a: int, b: int, separator: Iterable[int]) -> None:
+    def add_edge(self, a: int, b: int) -> None:
         if a == b:
             raise InconsistencyError("cannot connect a cluster to itself")
         if a not in self._clusters or b not in self._clusters:
             raise KeyError((a, b))
         if b in self._adj[a]:
             raise InconsistencyError(f"clusters {a} and {b} are already connected")
-        sep = frozenset(separator)
-        self._adj[a][b] = sep
-        self._adj[b][a] = sep
+        self._adj[a].add(b)
+        self._adj[b].add(a)
         self._edges += 1
 
     def remove_edge(self, a: int, b: int) -> None:
-        del self._adj[a][b]
-        del self._adj[b][a]
+        self._adj[a].remove(b)
+        self._adj[b].remove(a)
         self._edges -= 1
 
     def has_edge(self, a: int, b: int) -> bool:
         return b in self._adj.get(a, ())
 
     def separator(self, a: int, b: int) -> frozenset[int]:
-        return self._adj[a][b]
+        """The separator of edge (a, b): the intersection of its ends."""
+        if b not in self._adj[a]:
+            raise KeyError((a, b))
+        return self._clusters[a] & self._clusters[b]
 
     def neighbors(self, cid: int) -> list[int]:
         return sorted(self._adj[cid])
@@ -162,7 +162,8 @@ class ClusterTree:
 
     def edge_items(self) -> list[tuple[int, int, frozenset[int]]]:
         """Every edge once, as (a, b, separator) with a < b, unsorted: one walk of the adjacency."""
-        return [(a, b, sep) for a, nbrs in self._adj.items() for b, sep in nbrs.items() if a < b]
+        clusters = self._clusters
+        return [(a, b, clusters[a] & clusters[b]) for a, nbrs in self._adj.items() for b in nbrs if a < b]
 
     def edge_count(self) -> int:
         return self._edges
@@ -204,22 +205,22 @@ class ClusterTree:
     def merge_into(self, src: int, dst: int) -> None:
         """Contract src into an adjacent (or disjoint) dst cluster.
 
-        Edges incident to src move to dst with their separators.  Vertex
-        sets are left to the caller.
+        Edges incident to src move to dst.  Vertex sets are left to the
+        caller.
         """
         if src == dst:
             raise InconsistencyError("cannot merge a cluster into itself")
-        for nb, sep in list(self._adj[src].items()):
-            if nb == dst:
-                continue
-            if nb in self._adj[dst]:
-                raise InconsistencyError(
-                    f"merging {src} into {dst} would create a parallel edge via {nb}"
-                )
-            self._adj[dst][nb] = sep
-            self._adj[nb][dst] = sep
-            del self._adj[nb][src]
-        self._adj[src] = {k: v for k, v in self._adj[src].items() if k == dst}
+        adj = self._adj
+        moved = adj[src] - {dst}
+        if moved & adj[dst]:
+            raise InconsistencyError(
+                f"merging {src} into {dst} would create a parallel edge via {min(moved & adj[dst])}"
+            )
+        for nb in moved:
+            adj[nb].remove(src)
+            adj[nb].add(dst)
+        adj[dst] |= moved
+        adj[src] -= moved
         self.remove_cluster(src)
 
     # -- summaries --------------------------------------------------------
@@ -229,17 +230,19 @@ class ClusterTree:
 
     def separator_multiset(self) -> Counter:
         """The separators' multiset, counted in one walk of the adjacency."""
-        return Counter(sep for a, nbrs in self._adj.items() for b, sep in nbrs.items() if a < b)
+        return Counter(sep for _, _, sep in self.edge_items())
 
     def quotient(self, owner: dict[int, int]) -> "ClusterTree":
         """The tree of the groups that owner (cluster → group id) makes of this tree.
 
         Group m's cluster is the union of its members' clusters, and every
-        edge between members of two groups becomes a group edge with the same
-        separator; fresh ids continue after this tree's.  One walk of the
-        adjacency writes both directions of each group edge, with no sort and
-        no add_edge checks, so the groups must be connected subtrees: two
-        edges between the same two groups would become one.
+        edge between members of two groups becomes a group edge; fresh ids
+        continue after this tree's.  One walk of the adjacency writes both
+        directions of each group edge, with no sort and no add_edge checks,
+        so the groups must be connected subtrees: two edges between the
+        same two groups would become one.  By running intersection a group
+        edge's separator, the intersection of the two unions, is then the
+        separator of the junction edge it stands for.
         """
         members: dict[int, list[int]] = {}
         for c, m in owner.items():
@@ -249,10 +252,9 @@ class ClusterTree:
         clusters = {m: get(cs[0]) if len(cs) == 1 else frozenset().union(*map(get, cs)) for m, cs in members.items()}
         t = ClusterTree(clusters, self._next)
         for a, nbrs in self._adj.items():
-            m, out = owner[a], t._adj[owner[a]]
-            for b, sep in nbrs.items():
-                if owner[b] != m:
-                    out[owner[b]] = sep
+            t._adj[owner[a]].update(map(owner.__getitem__, nbrs))
+        for m, out in t._adj.items():
+            out.discard(m)
         t._edges = sum(map(len, t._adj.values())) // 2
         return t
 
@@ -264,7 +266,7 @@ class ClusterTree:
         """
         t = ClusterTree()
         t._clusters = keep = {c: self._clusters[c] for c in ids}
-        t._adj = {c: {nb: sep for nb, sep in self._adj[c].items() if nb in keep} for c in keep}
+        t._adj = {c: self._adj[c].intersection(keep) for c in keep}
         t._next = self._next
         t._edges = sum(map(len, t._adj.values())) // 2
         return t
@@ -272,7 +274,7 @@ class ClusterTree:
     def copy(self) -> "ClusterTree":
         t = ClusterTree()
         t._clusters = dict(self._clusters)
-        t._adj = {c: dict(ns) for c, ns in self._adj.items()}
+        t._adj = {c: set(ns) for c, ns in self._adj.items()}
         t._next = self._next
         t._edges = self._edges
         return t

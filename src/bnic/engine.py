@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .clustertree import ClusterTree, HolderIndex
 from .errors import InconsistencyError, InvalidEditError
@@ -355,7 +355,7 @@ def add_node(model: CompiledModel, x: int, marked: set[int], rec: ModTrace | Non
     anchor = min(model.owner, default=None)  # every clique is an owner key
     c = jt.add_cluster({x})
     if anchor is not None:
-        jt.add_edge(c, anchor, frozenset())
+        jt.add_edge(c, anchor)
     model.owner[c] = c
     model.family[x] = c
     model.fill.add_vertex(x)
@@ -375,8 +375,10 @@ def mark_add_link(
     host stops at the first layer holding parent and takes its lowest id as
     c_x; the owners along the path [c_x … host] are the MPS path
     [m_x … m_y].  If an empty separator lies on the path, the junction edge
-    carrying it is cut and c_x is joined to clique m_y directly by an
-    artificial separator {parent}, shrinking the region to re-triangulate.
+    carrying it is cut and c_x is joined to clique m_y directly, shrinking
+    the region to re-triangulate.  The trace labels the new link by the
+    separator {parent}; the junction edge itself stays empty until the
+    rebuild, since its ends share nothing.
 
     One path serves every link the arc induces: each joins parent to a
     member w of the child's family.  An old member lies in m_y; a parent
@@ -410,16 +412,17 @@ def mark_add_link(
     empty = [
         (a, b)
         for a, b in zip(path, path[1:])
-        if not jt.separator(a, b) and not (owner[a] in marked and owner[b] in marked)
+        if jt.cluster(a).isdisjoint(jt.cluster(b)) and not (owner[a] in marked and owner[b] in marked)
     ]
     if empty:
         a, b = empty[0]
         m_x, m_y = owner[c_x], owner[host]
         jt.remove_edge(a, b)
-        sep = frozenset({parent})
-        jt.add_edge(c_x, m_y, sep)
+        jt.add_edge(c_x, m_y)
         if rec is not None:
-            rec.rewired.append({"removed": (owner[a], owner[b]), "added": (m_x, m_y), "separator": sep})
+            rec.rewired.append(
+                {"removed": (owner[a], owner[b]), "added": (m_x, m_y), "separator": frozenset({parent})}
+            )
         path = [c_x, m_y]
     for m in dict.fromkeys(owner[c] for c in path):
         _mark(marked, model, m, rec)
@@ -434,12 +437,13 @@ def connect(tree: ClusterTree, index: HolderIndex, doomed: list[int]) -> list[tu
     """Reattach the boundary of the doomed clusters to new clusters.
 
     Scans the doomed clusters C_i and their neighbours in ascending order.
-    Every separator S leading to a cluster C_k outside them is re-hung onto
-    the replacements' :meth:`~bnic.clustertree.HolderIndex.cover` of S (the
-    smallest cluster covering it, ties: lower id; families are hosted by
-    the same rule).  The replacements are the live clusters of ``index``.
-    Every cover meets C_k in exactly S, since C_k meets the rebuilt region
-    only in S, so overlap with C_k cannot rank them.  With no replacements
+    Every edge from C_i to a cluster C_k outside them, with separator S, is
+    re-hung onto the replacements' :meth:`~bnic.clustertree.HolderIndex.cover`
+    of S (the smallest cluster covering it, ties: lower id; families are
+    hosted by the same rule).  The replacements are the live clusters of
+    ``index``.  Every cover meets C_k in exactly S, since C_k meets the
+    rebuilt region only in S, so the new edge's separator is S again and
+    overlap with C_k cannot rank the covers.  With no replacements
     (an emptied subtree, whose separators must all be empty) every C_k
     hangs on the first record's C_k, which itself gets no edge.  Returns
     the records (C_i, C_k, S, target); a target equal to S is a new clique
@@ -461,7 +465,7 @@ def connect(tree: ClusterTree, index: HolderIndex, doomed: list[int]) -> list[tu
             else:
                 target = records[0][1] if records else ck
             if target != ck:
-                tree.add_edge(target, ck, sep)
+                tree.add_edge(target, ck)
             records.append((ci, ck, sep, target))
     return records
 
@@ -469,26 +473,24 @@ def connect(tree: ClusterTree, index: HolderIndex, doomed: list[int]) -> list[tu
 def absorb_non_maximal(tree: ClusterTree, ids: list[int]) -> list[tuple[frozenset[int], int]]:
     """Merge every cluster of ``ids`` contained in an adjacent neighbour into it.
 
-    Scans the live ones in ascending id order and restarts after each
-    merge.  A cluster inside another lies inside the neighbour on its tree
-    path to it, by running intersection, so none is left.  Returns the
-    merges as (merged vertex set, absorbing cluster).
+    One scan in ascending id order.  A cluster inside another lies inside
+    the neighbour on its tree path to it, by running intersection, so only
+    neighbours need a look, and no merge makes a scanned cluster X
+    absorbable.  When src merges into dst, X gains dst as a neighbour only
+    if src was one or X is dst.  In the first case X ⊆ dst would give
+    X ⊆ src, src lying on the path from X to dst; in the second, a new
+    neighbour Y ⊇ dst would give dst ⊆ Y ∩ dst ⊆ src, src lying on the path
+    from dst to Y.  Either way X lay inside a neighbour before the merge,
+    as no scanned, unmerged cluster does.  Returns the merges as (merged
+    vertex set, absorbing cluster).
     """
-    ids = sorted(ids)
     merges: list[tuple[frozenset[int], int]] = []
-    changed = True
-    while changed:
-        changed = False
-        for cid in ids:
-            if cid not in tree:
-                continue
-            vs = tree.cluster(cid)
-            nb = next((nb for nb in tree.neighbors(cid) if vs <= tree.cluster(nb)), None)
-            if nb is not None:
-                tree.merge_into(cid, nb)
-                merges.append((vs, nb))
-                changed = True
-                break
+    for cid in sorted(set(ids)):
+        vs = tree.cluster(cid)
+        nb = next((nb for nb in tree.neighbors(cid) if vs <= tree.cluster(nb)), None)
+        if nb is not None:
+            tree.merge_into(cid, nb)
+            merges.append((vs, nb))
     return merges
 
 
@@ -605,10 +607,7 @@ def _thin_region(
     - The batch's links inside R move between the moral graph and the
       fill: an added link was a fill pair and changes no clique, a deleted
       one joins the fill.
-    - Each separator between two doomed cliques becomes the intersection
-      of its ends: :func:`mark_add_link` may have rewired an empty one into
-      {parent}.
-    - The removed variables leave their holders, all doomed, and the
+    - The removed variables leave their holders, all doomed, and so the
       separators between them, and a cut clique inside a neighbour merges
       into it (:func:`absorb_non_maximal` on the cut cliques).  The doomed
       subtree is then a junction tree of H restricted to R, which is
@@ -642,13 +641,7 @@ def _thin_region(
         if removed:
             jt.shrink(c, removed)
             cut.append(c)
-        for nb in jt.neighbors(c):
-            if c < nb and nb in doomed_set:
-                sep = jt.cluster(c) & jt.cluster(nb)
-                if sep != jt.separator(c, nb):
-                    jt.remove_edge(c, nb)
-                    jt.add_edge(c, nb, sep)
-    absorbed = absorb_non_maximal(jt, cut) if cut else []
+    absorbed = absorb_non_maximal(jt, cut)
     for vs, _ in absorbed:
         seeds += [(u, w) for u in vs for w in fill.neighbors(u) & vs if u < w]
     index = HolderIndex(jt, [c for c in doomed if c in jt])
@@ -669,7 +662,7 @@ def derive_triangulation(moral: UndirectedGraph, jt: ClusterTree) -> Triangulati
 
 def incremental_compile(
     model: CompiledModel,
-    mods: Sequence[Modification],
+    mods: Iterable[Modification],
     trace: BatchTrace | None = None,
 ) -> CompiledModel:
     """Re-establish the compiled structures after a batch of edits.
@@ -688,6 +681,7 @@ def incremental_compile(
     cluster), so a connected doomed set leaves the junction tree a tree,
     and c disconnected pieces leave c - 1 edges too many.
     """
+    mods = list(mods)  # the dry run and phase one each walk the batch
     with model.dag.rollback():
         for mod in mods:
             apply_modification(model.dag, mod)

@@ -105,9 +105,9 @@ def validate(model: CompiledModel) -> ValidityReport:
     that verdict; only when maximality fails are the clusters' pairs
     scanned, so both checks keep their verdicts and details on every input.
 
-    The junction edges and their ends' intersections are listed once, for
-    running intersection and the separator check, and the owner check
-    regroups with :func:`group_owners`, which builds no MPS tree.
+    The junction edges are listed once, with their derived separators, for
+    the running-intersection count, and the owner check regroups with
+    :func:`group_owners`, which builds no MPS tree.
     """
     checks: list[Check] = []
     dag, moral, jt, owner = model.dag, model.moral, model.jt, model.owner
@@ -152,8 +152,6 @@ def validate(model: CompiledModel) -> ValidityReport:
     check("triangulation_minimal", not minimal_detail, minimal_detail)
 
     nodes = set(dag.nodes())
-    # every junction edge once, with the intersection of its ends
-    meets = [(sep, jt.cluster(a) & jt.cluster(b)) for a, b, sep in jt.edge_items()]
     rip_detail = ""
     if not jt.is_tree():
         rip_detail = "the junction tree is not a tree"
@@ -161,14 +159,11 @@ def validate(model: CompiledModel) -> ValidityReport:
         rip_detail = "junction tree variables differ from the dag's"
     else:
         held = Counter(v for c in jt.cluster_ids() for v in jt.cluster(c))
-        linked = Counter(v for _, common in meets for v in common)
+        linked = Counter(v for _, _, sep in jt.edge_items() for v in sep)
         broken = next((v for v in dag.nodes() if held[v] - linked[v] != 1), None)
         if broken is not None:
             rip_detail = f"violated for variable {broken}"
     check("running_intersection", not rip_detail, rip_detail)
-
-    sep_ok = all(sep == common for sep, common in meets)
-    check("separator_intersection", sep_ok, "a junction separator is not the endpoint intersection")
 
     maximal = chordal and Counter(cliques) == jt.cluster_multiset()
     # maximal cliques of H are complete in H: only a failed maximality scans
@@ -202,7 +197,7 @@ def validate(model: CompiledModel) -> ValidityReport:
     # variables are then all in the moral graph; its owner map names every
     # MPS by its least clique, so equality also proves that the groups are
     # connected, cut at complete separators, and that the MPS tree is a tree
-    prerequisites = ("triangulation_chordal", "running_intersection", "separator_intersection", "cluster_completeness")
+    prerequisites = ("triangulation_chordal", "running_intersection", "cluster_completeness")
     unmet = [c.name for c in checks if c.name in prerequisites and not c.passed]
     if unmet:
         check("mpd_owner", False, f"not checked: {', '.join(unmet)} failed")

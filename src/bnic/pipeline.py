@@ -141,31 +141,31 @@ def _split(tree: ClusterTree, c: int, u: int, v: int, index: HolderIndex) -> lis
 
     Without the edge, c's place goes to the cliques c−v and c−u (Ibarra,
     ACM TALG 2008).  A half that another clique contains is absorbed by the
-    lowest such neighbour: by running intersection, a clique containing it
-    has a neighbour of c on its path whose separator equals the half.  The
-    two halves join by c − {u, v}.  Every other neighbour hangs on the half
-    holding its separator, the one without v when both do; no separator
-    holds both u and v, which no other clique holds.  ``index`` follows,
-    a new cluster taking the next position.  Returns the absorbed halves
-    as (the end of {u, v} it holds, half, absorbing cluster).
+    lowest neighbour containing it: by running intersection, a clique
+    containing it has a neighbour of c on its path that does too.  The two
+    halves join, meeting in c − {u, v}.  Every other neighbour hangs on the
+    half holding its separator: c−u if it holds v, else c−v.  No neighbour
+    holds both u and v, which no other clique holds.  ``index`` follows, a
+    new cluster taking the next position.  Returns the absorbed halves as
+    (the end of {u, v} it holds, half, absorbing cluster).
     """
     vs = tree.cluster(c)
     index.drop(c)
-    neighbours = [(nb, tree.separator(c, nb)) for nb in tree.neighbors(c)]
+    neighbours = tree.neighbors(c)
     tree.remove_cluster(c)
     ends, absorbed = [], []
     for w, half in ((u, vs - {v}), (v, vs - {u})):
-        end = next((nb for nb, sep in neighbours if sep == half), None)
+        end = next((nb for nb in neighbours if half <= tree.cluster(nb)), None)
         if end is None:
             end = tree.add_cluster(half)
             index.add(end)
         else:
             absorbed.append((w, half, end))
         ends.append(end)
-    tree.add_edge(ends[0], ends[1], vs - {u, v})
-    for nb, sep in neighbours:
+    tree.add_edge(ends[0], ends[1])
+    for nb in neighbours:
         if nb not in ends:
-            tree.add_edge(ends[v in sep], nb, sep)
+            tree.add_edge(ends[v in tree.cluster(nb)], nb)
     return absorbed
 
 
@@ -232,12 +232,12 @@ def build_join_tree(cliques: list[frozenset[int]], tree: ClusterTree) -> HolderI
         ids.append(cid)
         if common == -1:
             if i:
-                tree.add_edge(ids[0], cid, frozenset())
+                tree.add_edge(ids[0], cid)
         elif not common:
             raise InconsistencyError(f"no earlier clique holds the separator of clique {i}")
         else:
             p = (common & -common).bit_length() - 1
-            tree.add_edge(ids[p], cid, cliques[p] & c)
+            tree.add_edge(ids[p], cid)
     return index
 
 

@@ -61,16 +61,11 @@ def holders_of(tree) -> dict:
     return holders
 
 
-def edited(tree, clusters=None, separators=None) -> ClusterTree:
-    """A copy of tree under the same ids with some vertex sets replaced.
-
-    ``clusters`` maps an id to its new cluster, ``separators`` an edge
-    ``(a, b)``, a < b as :meth:`ClusterTree.edges` lists it, to its new
-    separator.
-    """
+def edited(tree, clusters=None) -> ClusterTree:
+    """A copy of tree under the same ids and edges, with the vertex sets ``clusters`` (id → cluster) replaced."""
     out = ClusterTree({c: tree.cluster(c) for c in tree.cluster_ids()} | dict(clusters or {}), tree.next_id)
-    for a, b, sep in tree.edges():
-        out.add_edge(a, b, (separators or {}).get((a, b), sep))
+    for a, b, _ in tree.edges():
+        out.add_edge(a, b)
     return out
 
 

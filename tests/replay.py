@@ -11,8 +11,10 @@ cluster multiset alone), the MPS tree (with its ids, and as cluster and
 separator multisets alone), the family map, the
 clique owners, the clique groups (the partition the owners make, as
 sorted lists of clique ids, which no MPS id enters), the fill
-(``sorted(model.tri.fill)``) and the ``BatchTrace``, plus two verdicts:
-``validate`` and ``mpd_equal`` against a full recompile of the edited dag.
+(``sorted(model.tri.fill)``), the ``BatchTrace`` and the shape (the
+junction tree, family map and owner map with every clique id replaced by
+its rank among the live ids), plus two verdicts: ``validate`` and
+``mpd_equal`` against a full recompile of the edited dag.
 
 The streams are:
 
@@ -32,10 +34,12 @@ diverging flush and which of its digests differ, the count of diverging
 flushes per digest, most first, then apart the count and first divergence
 of the junction trees, of the MPS multisets (the part that any minimal
 triangulation shares) and of the junction cliques (the triangulation,
-whatever the ids and the tree shape), and every flush whose verdicts fail.  It exits 1
-if anything diverged or failed.  The package is imported from this
-checkout's ``src``, so a run at another commit is the same command in that
-commit's checkout.
+whatever the ids and the tree shape), how many of the diverging junction
+trees are equal in shape (only renamed), and every flush whose verdicts
+fail.  It exits 1 if anything diverged or failed.  A digest that one run
+lacks (a run from before it was added) is not compared.  The package is
+imported from this checkout's ``src``, so a run at another commit is the
+same command in that commit's checkout.
 """
 
 from __future__ import annotations
@@ -63,6 +67,7 @@ FLUSHES = 5
 EDGE_ODDS = (0.05, 0.15, 0.3)
 BENCH_SEEDS = (1, 2, 3)
 PERFBENCH = ROOT / "perfbench"
+PARTS = ("jt", "mpd", "mps", "cliques", "family", "owner", "groups", "fill", "trace", "shape")
 
 
 def sha256(obj) -> str:
@@ -88,6 +93,18 @@ def mps_record(tree) -> dict:
     return {
         "clusters": cliques_record(tree),
         "separators": sorted(sorted(sep) for _, _, sep in tree.edges()),
+    }
+
+
+def shape_record(model) -> dict:
+    """The junction tree, family map and owner map, each clique id replaced by its rank among the live ids."""
+    jt = model.jt
+    rank = {c: r for r, c in enumerate(jt.cluster_ids())}.get
+    return {
+        "clusters": [sorted(jt.cluster(c)) for c in jt.cluster_ids()],
+        "edges": sorted([rank(a), rank(b), sorted(sep)] for a, b, sep in jt.edges()),
+        "family": sorted([v, rank(c)] for v, c in model.family.items()),
+        "owner": sorted([rank(c), rank(m)] for c, m in model.owner.items()),
     }
 
 
@@ -139,6 +156,7 @@ def flush_record(stream: str, case: str, flush: int, model, trace: BatchTrace) -
                 "new_mpd_ids": sorted(trace.new_mpd_ids),
             }
         ),
+        "shape": sha256(shape_record(model)),
         "valid": validate(model).passed,
         "mpd_equal": mpd_equal(mpd, full_recompile(model.dag.copy()).mpd),
     }
@@ -223,13 +241,15 @@ def diff(a: list[dict], b: list[dict]) -> int:
     if [key(r) for r in a] != [key(r) for r in b]:
         print("the runs cover different flushes")
         return 1
-    parts = ("jt", "mpd", "mps", "cliques", "family", "owner", "groups", "fill", "trace")
+    parts = [p for p in PARTS if a and p in a[0] and p in b[0]]
     trees = {"jt": "junction trees", "mps": "MPS trees", "cliques": "junction cliques"}
     total, diverged, first = Counter(), Counter(), {}
     for ra, rb in zip(a, b):
         stream = ra["stream"]
         total[stream] += 1
         differ = [p for p in parts if ra[p] != rb[p]]
+        if "jt" in differ and "shape" in parts and "shape" not in differ:
+            diverged[stream, "renamed"] += 1
         # "any" counts the flushes with some digest apart, the parts their own
         for what in ["any", *differ] if differ else []:
             diverged[stream, what] += 1
@@ -247,6 +267,8 @@ def diff(a: list[dict], b: list[dict]) -> int:
             if (stream, p) in first:
                 case, flush, _ = first[stream, p]
                 print(f"  {label}: {diverged[stream, p]} diverge, the first at case {case} flush {flush}")
+        if (stream, "jt") in first and "shape" in parts:
+            print(f"  renamed only: {diverged[stream, 'renamed']} of the {diverged[stream, 'jt']} junction trees")
     for name, run in (("A", a), ("B", b)):
         for r in run:
             if not (r["valid"] and r["mpd_equal"]):

@@ -28,7 +28,7 @@ def test_edge_count_matches_a_recount_under_random_edits():
                 continue
             a, b = rng.sample(ids, 2)
             if kind == "add" and not tree.has_edge(a, b):
-                tree.add_edge(a, b, tree.cluster(a) & tree.cluster(b))
+                tree.add_edge(a, b)
             elif kind == "remove" and tree.has_edge(a, b):
                 tree.remove_edge(a, b)
             elif kind == "drop":
@@ -52,7 +52,7 @@ def _path_tree():
     for vs in ({0, 1}, {1, 2}, {2, 3}, {3, 4}, {1, 5}):
         tree.add_cluster(vs)
     for a, b in ((0, 1), (1, 2), (2, 3), (1, 4)):
-        tree.add_edge(a, b, tree.cluster(a) & tree.cluster(b))
+        tree.add_edge(a, b)
     return tree
 
 
@@ -69,7 +69,7 @@ def test_induced_keeps_the_ids_and_drops_the_edges_that_leave_them():
     assert view.components() == [{0}, {2, 3}] and not view.is_tree()
     # the source is untouched, and the view is a tree of its own
     assert tree.edges() == before.edges() and tree.cluster_multiset() == before.cluster_multiset()
-    view.add_edge(0, 2, set())
+    view.add_edge(0, 2)
     assert len(tree.neighbors(0)) == 1 and view.is_tree()
 
 

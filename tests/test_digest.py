@@ -17,7 +17,7 @@ marking order and the rewirings, then the rebuilt subtrees, each thinned
 or re-triangulated, and the pieces of either kind of region that an
 outside clique absorbed.  ``REPLAY_DIGEST`` pins the
 per-flush records that ``tests/replay.py`` writes for its first 20 random
-models, 100 flushes.
+models, 100 flushes, each less its ``shape`` digest, which came later.
 ``MPS_DIGEST`` pins, for every model above, the MPS tree's cluster and
 separator multisets alone: every minimal triangulation of a moral graph
 has the same maximal prime subgraphs, so these stay fixed when a change
@@ -34,6 +34,8 @@ from random import Random
 from bnic import (
     AddArc,
     BatchTrace,
+    ClusterTree,
+    CompiledModel,
     RemoveArc,
     full_recompile,
     incremental_compile,
@@ -137,21 +139,37 @@ def test_replay_of_twenty_models_matches_the_committed_digest():
     records = list(replay.random_records(20))
     assert len(records) == 100
     assert all(r["valid"] and r["mpd_equal"] for r in records)
-    assert replay.digest_of(records) == REPLAY_DIGEST
+    assert replay.digest_of({k: v for k, v in r.items() if k != "shape"} for r in records) == REPLAY_DIGEST
+
+
+def _renamed(model):
+    """The model with every clique id raised by one, which keeps each id's rank."""
+    jt = ClusterTree({c + 1: model.jt.cluster(c) for c in model.jt.cluster_ids()}, model.jt.next_id + 1)
+    for a, b, _ in model.jt.edges():
+        jt.add_edge(a + 1, b + 1)
+    owner = {c + 1: m + 1 for c, m in model.owner.items()}
+    family = {v: c + 1 for v, c in model.family.items()}
+    return CompiledModel(model.dag, model.moral, jt, owner, family, model.fill)
 
 
 def test_replay_diff_names_the_first_diverging_flush(capsys):
-    a = list(replay.random_records(2))
+    a = []
+    for k, f, model, trace in replay.random_flushes(2):
+        a.append(replay.flush_record("random", str(k), f, model, trace))
+        if (k, f) == (1, 1):
+            renamed = replay.flush_record("random", str(k), f, _renamed(model), trace)
     b = [dict(r) for r in a]
-    b[3]["fill"] = b[7]["jt"] = b[8]["mps"] = b[9]["cliques"] = "0" * 64
+    b[3]["fill"] = b[7]["jt"] = b[7]["shape"] = b[8]["mps"] = b[9]["cliques"] = "0" * 64
+    b[6] = renamed
     assert replay.diff(a, a) == 0
     capsys.readouterr()
     assert replay.diff(a, b) == 1
     assert capsys.readouterr().out == (
-        "random: 4 of 10 flushes diverge\n"
+        "random: 5 of 10 flushes diverge\n"
         "  first: case 0 flush 3 (fill)\n"
-        "  by field: jt 1, mps 1, cliques 1, fill 1\n"
-        "  junction trees: 1 diverge, the first at case 1 flush 2\n"
+        "  by field: jt 2, mpd 1, mps 1, cliques 1, family 1, owner 1, groups 1, fill 1, shape 1\n"
+        "  junction trees: 2 diverge, the first at case 1 flush 1\n"
         "  MPS trees: 1 diverge, the first at case 1 flush 3\n"
         "  junction cliques: 1 diverge, the first at case 1 flush 4\n"
+        "  renamed only: 1 of the 2 junction trees\n"
     )

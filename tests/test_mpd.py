@@ -16,6 +16,7 @@ from bnic import (
 from bnic.mpd import aggregate_cliques, group_owners
 from bnic.pipeline import build_join_tree, construct_join_tree, extract_cliques
 
+import replay
 from conftest import banded_dag, cluster_names, edited, family_hosts, holders_of, name_set
 
 
@@ -145,8 +146,8 @@ def _aggregate_by_copy_and_components(jt, gm):
         for c in comp - {r}:
             mpd.remove_cluster(c)
     mpd = edited(mpd, {r: frozenset().union(*(jt.cluster(c) for c in comp)) for r, comp in groups.items()})
-    for a, b, sep in complete:
-        mpd.add_edge(root[a], root[b], sep)
+    for a, b, _ in complete:
+        mpd.add_edge(root[a], root[b])
     return mpd, root
 
 
@@ -198,9 +199,9 @@ def _mps_tree_by_add_edge(jt, owner):
     for c, m in owner.items():
         members.setdefault(m, []).append(jt.cluster(c))
     tree = ClusterTree({m: frozenset().union(*vss) for m, vss in members.items()}, jt.next_id)
-    for a, b, sep in jt.edges():
+    for a, b, _ in jt.edges():
         if owner[a] != owner[b]:
-            tree.add_edge(owner[a], owner[b], sep)
+            tree.add_edge(owner[a], owner[b])
     return tree
 
 
@@ -235,3 +236,19 @@ def test_owner_map_and_mps_tree_match_the_sorted_edge_references():
     assert merges > 100 and rewired > 0 and absorbed > 0
     empty = full_recompile(Dag())
     assert _assert_one_walk_matches_the_sorted_references(empty.jt, empty.moral) == 0
+
+
+def test_each_mps_separator_is_the_separator_of_its_junction_edge():
+    # an MPS edge's separator is the intersection of two group unions;
+    # running intersection makes it the separator of the one junction edge
+    # between the two groups, on the replay's random and banded streams
+    edges = 0
+    for banded, models in ((False, 200), (True, 40)):
+        for _, _, model, _ in replay.random_flushes(models, banded):
+            owner = model.owner
+            junction = {
+                tuple(sorted((owner[a], owner[b]))): sep for a, b, sep in model.jt.edges() if owner[a] != owner[b]
+            }
+            assert {(a, b): sep for a, b, sep in model.mpd.edges()} == junction
+            edges += len(junction)
+    assert edges > 1000

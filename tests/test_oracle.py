@@ -155,7 +155,6 @@ CHECK_NAMES = [
     "triangulation_chordal",
     "triangulation_minimal",
     "running_intersection",
-    "separator_intersection",
     "cluster_completeness",
     "cluster_maximality",
     "family_coverage",
@@ -231,7 +230,7 @@ def test_family_coverage_names_the_unhosted_variable(asia):
     model = _asia_with_both_diagonals(asia)
     d = asia.table.id("D")
     del model.family[d]
-    fam = validate(model).checks[7]
+    fam = validate(model).checks[6]
     assert (fam.name, fam.passed) == ("family_coverage", False)
     assert fam.detail == f"family map variables differ from the dag's: missing [{d}], unknown []"
 
@@ -273,13 +272,8 @@ def _with_stray_id(where, derived):
     if where == "owner":
         model.owner[tree.cluster_ids()[0]] = 999
         return model
-    if where == "cluster":
-        c = tree.cluster_ids()[0]
-        tree = edited(tree, clusters={c: tree.cluster(c) | {999}})
-    else:
-        a, b, sep = tree.edges()[0]
-        tree = edited(tree, separators={(a, b): sep | {999}})
-    model.jt = tree
+    c = tree.cluster_ids()[0]
+    model.jt = tree = edited(tree, clusters={c: tree.cluster(c) | {999}})
     if derived:
         # the fill gains the pairs that complete the grown cluster
         model.fill.add_vertex(999)
@@ -293,7 +287,6 @@ def _with_stray_id(where, derived):
     [
         ("cluster", False, "running_intersection"),
         ("cluster", True, "triangulation_chordal"),
-        ("junction separator", False, "separator_intersection"),
         ("owner", False, "mpd_owner"),
     ],
 )

@@ -561,11 +561,11 @@ def _build_join_tree_reference(cliques):
         ra, rb = find(a), find(b)
         if ra != rb:
             comp[ra] = rb
-            tree.add_edge(a, b, tree.cluster(a) & tree.cluster(b))
+            tree.add_edge(a, b)
     roots = sorted({find(c) for c in ids})
     anchors = [min(c for c in ids if find(c) == r) for r in roots]
     for other in anchors[1:]:
-        tree.add_edge(anchors[0], other, frozenset())
+        tree.add_edge(anchors[0], other)
     return tree
 
 
