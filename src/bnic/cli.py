@@ -1,6 +1,6 @@
 """The bnic command line: compile, apply, and bench.
 
-Exit codes: 0 success, 1 usage or parse failure, 2 verification failure.
+Exit codes: 0 success, 1 usage, parse or write failure, 2 verification failure.
 """
 
 from __future__ import annotations
@@ -66,11 +66,18 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc.strerror}")
 
 
+def _write(path: Path, text: str, make_parent: bool = False) -> None:
+    try:
+        if make_parent:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise BnicError(f"cannot write {path}: {exc.strerror}")
+
+
 def _write_dot(directory: str, names_to_text: dict[str, str]) -> None:
-    d = Path(directory)
-    d.mkdir(parents=True, exist_ok=True)
     for name, text in names_to_text.items():
-        (d / name).write_text(text, encoding="utf-8")
+        _write(Path(directory) / name, text, make_parent=True)
 
 
 def _summary(model: CompiledModel) -> str:
@@ -193,9 +200,9 @@ def _cmd_bench(args) -> int:
     report = run_bench(model, edits)
     print(report.to_text())
     if args.csv:
-        Path(args.csv).write_text(report.to_csv(), encoding="utf-8")
+        _write(Path(args.csv), report.to_csv())
     if args.json:
-        Path(args.json).write_text(report.to_json(), encoding="utf-8")
+        _write(Path(args.json), report.to_json())
     if not report.all_verified():
         print("bench verification failed", file=sys.stderr)
         return 2

@@ -12,10 +12,14 @@ holds adjacency as one int bitmask per position; it counts each fill cost
 once and then keeps it exact by deltas from each elimination, summing the
 per-vertex decrements of a whole elimination in bit-sliced counters; its
 lazy heap keeps each live vertex queued at or below its cost, so the first
-current key popped is the minimum.  MCS reads the graph's own adjacency
-sets (copying them into position masks was slower) and keeps its weight
-classes as position masks; it emits the maximal cliques of a chordal graph
-in the same pass.
+current key popped is the minimum.  Two exact shortcuts skip work whose
+outcome is fixed: a vertex of cost 0 is simplicial (its neighbourhood is a
+clique), so its elimination adds no fill and only takes pairs from its
+neighbours; and once the live graph is complete every cost is 0 and stays
+0, so heap order is position order and the rest are appended by position.
+MCS reads the graph's own adjacency sets (copying them into position masks
+was slower) and keeps its weight classes as position masks; it emits the
+maximal cliques of a chordal graph in the same pass.
 """
 
 from __future__ import annotations
@@ -60,6 +64,20 @@ def min_fill(g: "UndirectedGraph") -> tuple[list[int], list[tuple[int, int]]]:
     its cost, and the first popped key equal to its vertex's live cost is
     the ``(cost, position)`` minimum: order and fill are those of an exact
     heap.
+
+    Two shortcuts give the same order and fill with less work:
+
+    * a popped vertex of cost 0 is simplicial: its neighbourhood N has no
+      non-adjacent pair, so it is a clique.  No fill is added and no pair
+      of a third vertex is linked, so each u in N only clears x and loses
+      ``|old[u] & ~N|``, and is re-queued in the same pass;
+    * the live vertex count L and twice the live edge count 2E are kept
+      (an elimination takes ``2|N|``, a fill edge adds 2).  When an
+      elimination leaves ``2E == L(L - 1)`` the live graph is complete:
+      every cost is 0 and, as eliminating from a clique leaves a clique,
+      stays 0, so every later pop is a key ``0 << shift | position`` and
+      the heap would pop the live vertices in position order.  They are
+      appended in that order and the search stops.
     """
     # bit i of a mask stands for ids[i]: ids can be large and far apart
     # after node removals and in a rebuild's induced subgraph
@@ -81,6 +99,8 @@ def min_fill(g: "UndirectedGraph") -> tuple[list[int], list[tuple[int, int]]]:
     heapq.heapify(heap)
     order: list[int] = []
     fill: list[int] = []  # u << shift | v, by position
+    live = len(ids)
+    twice_edges = sum(map(len, neighbours))
     while heap:
         key = heapq.heappop(heap)
         x = key & position
@@ -94,52 +114,78 @@ def min_fill(g: "UndirectedGraph") -> tuple[list[int], list[tuple[int, int]]]:
         cost[x] = -1
         order.append(ids[x])
         nx = masks[x]
-        keep = ~(1 << x)
-        changed = nx  # the vertices whose cost may move, as a mask
-        planes: list[int] = []  # bit k of each vertex's count of pairs linked by fill
+        bit_x = 1 << x
+        live -= 1
+        twice_edges -= 2 * nx.bit_count()
         # set bits lowest first, by inline loops: faster here than a generator
-        rest_u = nx
-        while rest_u:
-            bit_u = rest_u & -rest_u
-            rest_u ^= bit_u
-            u = bit_u.bit_length() - 1
-            ou = masks[u] & keep  # old[u]: a mask changes only at its own turn
-            out_u = ou & ~nx
-            cost[u] -= out_u.bit_count()
-            rest_v = nx & ~ou & -(bit_u << 1)
-            while rest_v:
-                bit_v = rest_v & -rest_v
-                rest_v ^= bit_v
-                v = bit_v.bit_length() - 1
-                fill.append(u << shift | v)
-                ov = masks[v] & keep  # old[v], as v > u
-                carry = ou & ov
-                changed |= carry
-                k = 0
-                while carry:
-                    if k == len(planes):
-                        planes.append(carry)
-                        break
-                    p = planes[k]
-                    planes[k] = p ^ carry
-                    carry &= p
-                    k += 1
-                cost[u] += (out_u & ~ov).bit_count()
-                cost[v] += (ov & ~nx & ~ou).bit_count()
-            masks[u] = ou | (nx ^ bit_u)
-        for k, p in enumerate(planes):
-            step = 1 << k
-            while p:
-                low = p & -p
-                p ^= low
-                cost[low.bit_length() - 1] -= step
-        while changed:
-            low = changed & -changed
-            changed ^= low
-            u = low.bit_length() - 1
-            if cost[u] < queued[u]:
-                queued[u] = cost[u]
-                heapq.heappush(heap, cost[u] << shift | u)
+        if not c:
+            # simplicial: N is a clique, so no fill and each u in N only
+            # loses x and its pairs through x
+            rest_u = nx
+            while rest_u:
+                bit_u = rest_u & -rest_u
+                rest_u ^= bit_u
+                u = bit_u.bit_length() - 1
+                ou = masks[u] ^ bit_x
+                masks[u] = ou
+                cu = cost[u] - (ou & ~nx).bit_count()
+                cost[u] = cu
+                if cu < queued[u]:
+                    queued[u] = cu
+                    heapq.heappush(heap, cu << shift | u)
+        else:
+            keep = ~bit_x
+            changed = nx  # the vertices whose cost may move, as a mask
+            planes: list[int] = []  # bit k of each vertex's count of pairs linked by fill
+            filled = len(fill)
+            rest_u = nx
+            while rest_u:
+                bit_u = rest_u & -rest_u
+                rest_u ^= bit_u
+                u = bit_u.bit_length() - 1
+                ou = masks[u] & keep  # old[u]: a mask changes only at its own turn
+                out_u = ou & ~nx
+                cost[u] -= out_u.bit_count()
+                rest_v = nx & ~ou & -(bit_u << 1)
+                while rest_v:
+                    bit_v = rest_v & -rest_v
+                    rest_v ^= bit_v
+                    v = bit_v.bit_length() - 1
+                    fill.append(u << shift | v)
+                    ov = masks[v] & keep  # old[v], as v > u
+                    carry = ou & ov
+                    changed |= carry
+                    k = 0
+                    while carry:
+                        if k == len(planes):
+                            planes.append(carry)
+                            break
+                        p = planes[k]
+                        planes[k] = p ^ carry
+                        carry &= p
+                        k += 1
+                    cost[u] += (out_u & ~ov).bit_count()
+                    cost[v] += (ov & ~nx & ~ou).bit_count()
+                masks[u] = ou | (nx ^ bit_u)
+            twice_edges += 2 * (len(fill) - filled)
+            for k, p in enumerate(planes):
+                step = 1 << k
+                while p:
+                    low = p & -p
+                    p ^= low
+                    cost[low.bit_length() - 1] -= step
+            while changed:
+                low = changed & -changed
+                changed ^= low
+                u = low.bit_length() - 1
+                if cost[u] < queued[u]:
+                    queued[u] = cost[u]
+                    heapq.heappush(heap, cost[u] << shift | u)
+        if twice_edges == live * (live - 1):
+            # the live graph is complete: every cost is 0 and stays 0, so
+            # the heap would pop the rest by position
+            order.extend(ids[i] for i, ci in enumerate(cost) if ci >= 0)
+            break
     return order, [(ids[f >> shift], ids[f & position]) for f in fill]
 
 

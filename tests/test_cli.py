@@ -53,6 +53,16 @@ def test_compile_writes_dot_files(tmp_path, capsys):
     assert names == {"network.dot", "moral.dot", "junction.dot", "mpd.dot"}
 
 
+def test_compile_dot_onto_an_existing_file_exits_1(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, out, err = run(capsys, "compile", str(DATA / "asia.bn"), "--dot", str(taken))
+    assert code == 1
+    assert "mpd tree" in out
+    assert err.startswith("bnic: cannot write ") and str(taken) in err
+    assert len(err.splitlines()) == 1
+
+
 def test_apply_with_trace_and_verify(tmp_path, capsys):
     script = tmp_path / "edit.script"
     script.write_text("remove-arc L E\ncompile\n")
@@ -184,6 +194,16 @@ def test_bench_json_matches_the_csv_rows(tmp_path, capsys, monkeypatch, verified
     assert report["median_incremental_s"] == statistics.median(r["incremental_s"] for r in report["rows"])
     assert report["median_full_s"] == statistics.median(r["full_s"] for r in report["rows"])
     assert report["median_stability"] == statistics.median(r["stability"] for r in report["rows"])
+
+
+@pytest.mark.parametrize("flag", ["--csv", "--json"])
+def test_bench_output_into_a_missing_directory_exits_1(tmp_path, capsys, flag):
+    target = tmp_path / "missing" / "report"
+    code, _, err = run(capsys, "bench", "--random", "10", "3", flag, str(target))
+    assert code == 1
+    assert err.startswith(f"bnic: cannot write {target}: ")
+    assert len(err.splitlines()) == 1
+    assert not target.parent.exists()
 
 
 def test_bench_empty_script_gives_empty_report(tmp_path, capsys):

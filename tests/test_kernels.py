@@ -1,5 +1,6 @@
 import heapq
 from random import Random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -189,7 +190,13 @@ def _clique_chain(n, k, closed=False):
 def _dense_cases(rng, n):
     # mean degree n/4 and n/2, the complete graph, the complete graph minus
     # a perfect matching, and open and closed chains of overlapping cliques:
-    # graphs where most fill lies inside the eliminated vertex's neighbours
+    # graphs where most fill lies inside the eliminated vertex's neighbours;
+    # then graphs that reach min-fill's shortcuts in different ways: two
+    # interleaved disjoint cliques (never one complete component while both
+    # live), a path run into a clique (simplicial eliminations, then a
+    # clique), and a wheel with its hub first, whose rim eliminations each
+    # cost 1 and leave the hub's higher keys queued until the last four
+    # vertices are a clique
     for degree in (n / 4, n / 2):
         yield _random_adj(rng, n, degree / max(n - 1, 1) / 2)
     complete = ~np.eye(n, dtype=np.bool_)
@@ -200,6 +207,20 @@ def _dense_cases(rng, n):
     yield matched
     yield _clique_chain(n, 4)
     yield _clique_chain(n, 6, closed=True)
+    third = np.arange(n) % 3 == 0
+    yield complete & (third[:, None] == third[None, :])
+    tail = n // 2
+    path = np.zeros((n, n), np.bool_)
+    path[tail:, tail:] = complete[tail:, tail:]
+    for i in range(tail):
+        path[i, i + 1] = path[i + 1, i] = True
+    yield path
+    wheel = np.zeros((n, n), np.bool_)
+    wheel[:1, 1:] = wheel[1:, :1] = True
+    for i in range(1, n):
+        j = 1 + i % (n - 1)
+        wheel[i, j] = wheel[j, i] = i != j
+    yield wheel
 
 
 def _spaced_ids(n):
@@ -298,6 +319,37 @@ def test_min_fill_matches_adjacency_set_kernel_on_rebuilt_regions(monkeypatch):
         assert (order, fill) == _min_fill_sets_reference(g)
         filled += bool(fill)
     assert filled > 0
+
+
+def test_min_fill_matches_adjacency_set_kernel_on_fuzzed_graphs():
+    # seeded graphs of up to 25 vertices, from empty to complete, so that
+    # simplicial eliminations and the stop on a complete live graph come at
+    # every stage of a run
+    rng = Random(11)
+    for _ in range(2000):
+        n = rng.randint(0, 25)
+        p = rng.random()
+        ids = _spaced_ids(n)
+        edges = [(ids[i], ids[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+        g = UndirectedGraph.from_edges(ids, edges)
+        assert kernels.min_fill(g) == _min_fill_sets_reference(g)
+
+
+def test_min_fill_stops_once_the_live_graph_is_complete(monkeypatch):
+    # K_200: the first elimination leaves a complete graph, whose order is
+    # the rest by position, so the heap is popped once
+    popped = []
+
+    def heappop(heap):
+        popped.append(heapq.heappop(heap))
+        return popped[-1]
+
+    counting = SimpleNamespace(heapify=heapq.heapify, heappush=heapq.heappush, heappop=heappop)
+    monkeypatch.setattr(kernels, "heapq", counting)
+    ids = _gapped_ids(200)
+    g = _graph(~np.eye(200, dtype=np.bool_), ids)
+    assert kernels.min_fill(g) == (sorted(ids), [])
+    assert len(popped) == 1
 
 
 def test_min_fill_triangulates():
