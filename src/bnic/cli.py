@@ -22,11 +22,8 @@ DEFAULT_SEED = 42
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's default 2
         self.print_usage(sys.stderr)
-        raise SystemExit(self._print_and_code(message))
-
-    def _print_and_code(self, message):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return 1
+        raise SystemExit(1)
 
 
 def _build_parser() -> _Parser:
@@ -36,6 +33,7 @@ def _build_parser() -> _Parser:
     p_compile = sub.add_parser("compile", help="compile a network from scratch")
     p_compile.add_argument("network", help="network file")
     p_compile.add_argument("--dot", metavar="DIR", help="write DOT files into DIR")
+    p_compile.set_defaults(run=_cmd_compile)
 
     p_apply = sub.add_parser("apply", help="compile, then replay an edit script")
     p_apply.add_argument("network", help="network file")
@@ -43,6 +41,7 @@ def _build_parser() -> _Parser:
     p_apply.add_argument("--verify", action="store_true", help="check against a full recompile after every flush")
     p_apply.add_argument("--trace", action="store_true", help="print marked MPSs per modification")
     p_apply.add_argument("--dot", metavar="DIR", help="write DOT snapshots after each flush")
+    p_apply.set_defaults(run=_cmd_apply)
 
     p_bench = sub.add_parser("bench", help="time incremental vs full recompilation")
     p_bench.add_argument("network", nargs="?", help="network file (omit with --random)")
@@ -56,6 +55,7 @@ def _build_parser() -> _Parser:
     )
     p_bench.add_argument("--csv", metavar="FILE", help="also write the report as CSV")
     p_bench.add_argument("--json", metavar="FILE", help="also write the report and its medians as JSON")
+    p_bench.set_defaults(run=_cmd_bench)
     return parser
 
 
@@ -216,16 +216,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "compile":
-            return _cmd_compile(args)
-        if args.command == "apply":
-            return _cmd_apply(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
+        return args.run(args)
     except BnicError as exc:
         print(f"bnic: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

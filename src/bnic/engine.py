@@ -113,6 +113,7 @@ def expand_remove_node(dag: Dag, node: int) -> list[Modification]:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(eq=False, repr=False)
 class CompiledModel:
     """The mutually consistent bundle of structures kept up to date by edits.
 
@@ -134,21 +135,12 @@ class CompiledModel:
     cliques m owns (:func:`_group`).
     """
 
-    def __init__(
-        self,
-        dag: Dag,
-        moral: UndirectedGraph,
-        jt: ClusterTree,
-        owner: dict[int, int],
-        family: dict[int, int],
-        fill: UndirectedGraph,
-    ):
-        self.dag = dag
-        self.moral = moral
-        self.jt = jt
-        self.owner = owner
-        self.family = family
-        self.fill = fill
+    dag: Dag
+    moral: UndirectedGraph
+    jt: ClusterTree
+    owner: dict[int, int]
+    family: dict[int, int]
+    fill: UndirectedGraph
 
     # Unused by the package; kept because the benchmark's workload reads it.
     @property
@@ -259,8 +251,9 @@ def modify_moral_graph(model: CompiledModel, mod: Modification) -> list[Link]:
             moral.remove_vertex(node)
             return []
         case AddArc(parent, child):
+            # every other pair of the family was already moral
             links = []
-            for u, v in [(parent, child), *combinations(sorted(dag.family(child)), 2)]:
+            for u, v in [(parent, child), *((parent, z) for z in sorted(dag.parents(child)) if z != parent)]:
                 if not moral.has_edge(u, v):
                     moral.add_edge(u, v)
                     links.append(Link(u, v, True))
@@ -372,8 +365,9 @@ def mark_add_link(
     """Mark the MPS path that must host a new arc and its induced moral links.
 
     One breadth-first walk over the junction tree from the child's family
-    host stops at the first layer holding parent and takes its lowest id as
-    c_x; the owners along the path [c_x … host] are the MPS path
+    host stops at the first clique holding parent, c_x: the holders of
+    parent are one subtree (see :func:`_holders`), so the nearest is
+    unique.  The owners along the path [c_x … host] are the MPS path
     [m_x … m_y].  If an empty separator lies on the path, the junction edge
     carrying it is cut and c_x is joined to clique m_y directly, shrinking
     the region to re-triangulate.  The trace labels the new link by the
@@ -389,20 +383,16 @@ def mark_add_link(
     jt, owner = model.jt, model.owner
     host = model.family[child]
     up = {host: host}
-    layer = [host]
-    found = [host] if parent in jt.cluster(host) else []
-    while not found:
-        if not layer:
-            raise InconsistencyError(f"no cluster contains variable {parent}")
-        nxt = []
-        for c in layer:
-            for nb in jt.neighbors(c):
-                if nb not in up:
-                    up[nb] = c
-                    nxt.append(nb)
-        found = [c for c in nxt if parent in jt.cluster(c)]
-        layer = nxt
-    c_x = min(found)
+    queue = [host]
+    for c_x in queue:  # the queue grows as the walk goes
+        if parent in jt.cluster(c_x):
+            break
+        for nb in jt.neighbors(c_x):
+            if nb not in up:
+                up[nb] = c_x
+                queue.append(nb)
+    else:
+        raise InconsistencyError(f"no cluster reachable from the host of {child} contains variable {parent}")
     path = [c_x]
     while path[-1] != host:
         path.append(up[path[-1]])
@@ -433,7 +423,7 @@ def mark_add_link(
 # ---------------------------------------------------------------------------
 
 
-def connect(tree: ClusterTree, index: HolderIndex, doomed: list[int]) -> list[tuple[int, int, frozenset[int], int]]:
+def connect(tree: ClusterTree, index: HolderIndex, doomed: list[int]) -> list[int]:
     """Reattach the boundary of the doomed clusters to new clusters.
 
     Scans the doomed clusters C_i and their neighbours in ascending order.
@@ -445,12 +435,13 @@ def connect(tree: ClusterTree, index: HolderIndex, doomed: list[int]) -> list[tu
     rebuilt region only in S, so the new edge's separator is S again and
     overlap with C_k cannot rank the covers.  With no replacements
     (an emptied subtree, whose separators must all be empty) every C_k
-    hangs on the first record's C_k, which itself gets no edge.  Returns
-    the records (C_i, C_k, S, target); a target equal to S is a new clique
-    that :func:`absorb_non_maximal` then merges into an outside clique.
+    hangs on the first C_k, which itself gets no edge.  Returns, in scan
+    order, the covers equal to their separator: new cliques that
+    :func:`absorb_non_maximal` then merges into the outside clique beyond.
     """
     inside = set(doomed)
-    records: list[tuple[int, int, frozenset[int], int]] = []
+    pieces: list[int] = []
+    hub = None  # with no replacements, the first C_k
     for ci in sorted(inside):
         for ck in tree.neighbors(ci):
             if ck in inside:
@@ -460,14 +451,15 @@ def connect(tree: ClusterTree, index: HolderIndex, doomed: list[int]) -> list[tu
                 target = index.cover(sep)
                 if target is None:
                     raise InconsistencyError(f"no replacement cluster covers boundary separator {sorted(sep)}")
+                if tree.cluster(target) == sep:
+                    pieces.append(target)
             elif sep:
                 raise InconsistencyError("emptied subtree has a non-empty boundary separator")
             else:
-                target = records[0][1] if records else ck
+                hub = target = ck if hub is None else hub
             if target != ck:
                 tree.add_edge(target, ck)
-            records.append((ci, ck, sep, target))
-    return records
+    return pieces
 
 
 def absorb_non_maximal(tree: ClusterTree, ids: list[int]) -> list[tuple[frozenset[int], int]]:
@@ -524,7 +516,9 @@ def _rebuild_subtree(
     separator it hangs on, and :func:`absorb_non_maximal` merges it into
     the outside clique beyond.
 
-    Either way the region's live cliques are then finished alike:
+    Either way the branch hands on the holder index of the region's new or
+    kept cliques, whose live clusters are the region's cliques, and they are
+    then finished alike:
 
     - Every piece an outside clique absorbed must be complete in the moral
       graph, as the boundary separator it equals is; so all its separators
@@ -538,15 +532,13 @@ def _rebuild_subtree(
       covering clique of the region or of the outside cliques that
       absorbed a piece of it (ties: lower id).  Two doomed components can
       share variables through unmarked cliques, so only this component's
-      hosts are checked.  The covers are read off the holder index of the
-      region's new or kept cliques that either branch hands on, widened by
-      the absorbing outside cliques; none is built again.
+      hosts are checked.  The covers are read off the same holder index,
+      widened by the absorbing outside cliques; none is built again.
     """
     jt, owner, family, dag = model.jt, model.owner, model.family, model.dag
     variables = {v for c in doomed for v in jt.cluster(c) if model.moral.has_vertex(v)}
     inside = {pair: a for pair, a in links.items() if variables.issuperset(pair)}
     mps_ids = tuple(sorted({owner[c] for c in doomed})) if trace is not None else ()
-    start = jt.next_id
     # an emptied region keeps no cluster, so it takes the (empty) min-fill path
     thinned = bool(variables) and all(model.fill.has_edge(*pair) for pair, a in inside.items() if a)
     if thinned:
@@ -557,11 +549,11 @@ def _rebuild_subtree(
         kept = UndirectedGraph(variables)
         index = construct_join_tree(g_sub, kept, jt)
         model.fill.update(kept)
-        records = connect(jt, index, doomed)
+        pieces = connect(jt, index, doomed)
         for k in doomed:
             jt.remove_cluster(k)
-        absorbed = absorb_non_maximal(jt, [c for _, _, sep, c in records if jt.cluster(c) == sep])
-    region = [c for c in doomed if c in jt] + [c for c in range(start, jt.next_id) if c in jt]
+        absorbed = absorb_non_maximal(jt, pieces)
+    region = [c for c in index.ids if c in jt]
 
     for vs, c in absorbed:
         if not model.moral.is_complete(vs):
@@ -586,7 +578,7 @@ def _rebuild_subtree(
 
     if trace is not None:
         trace.absorbed += [(vs, jt.cluster(c)) for vs, c in absorbed]
-        trace.new_jt_ids |= {c for c in region if c >= start}
+        trace.new_jt_ids |= set(region) - doomed_set
         trace.new_mpd_ids |= {owner[c] for c in region}
         trace.subtrees.append(
             SubtreeTrace(mps_ids, frozenset(variables), tuple(jt.cluster(c) for c in region), thinned)

@@ -122,8 +122,8 @@ def _label(names) -> str:
     return f'"{text}"'
 
 
-def dag_dot(dag: Dag, name: str = "network") -> str:
-    lines = [f"digraph {name} {{"]
+def dag_dot(dag: Dag) -> str:
+    lines = ["digraph network {"]
     for vid in dag.nodes():
         lines.append(f"  n{vid} [label={_label([dag.table.name(vid)])}];")
     for p, c in dag.arcs():
@@ -132,8 +132,8 @@ def dag_dot(dag: Dag, name: str = "network") -> str:
     return "\n".join(lines) + "\n"
 
 
-def undirected_dot(g: UndirectedGraph, table: VariableTable, name: str = "moral") -> str:
-    lines = [f"graph {name} {{"]
+def undirected_dot(g: UndirectedGraph, table: VariableTable) -> str:
+    lines = ["graph moral {"]
     for vid in g.vertices():
         lines.append(f"  n{vid} [label={_label([table.name(vid)])}];")
     for u, v in g.edges():

@@ -16,7 +16,8 @@ current key popped is the minimum.  Two exact shortcuts skip work whose
 outcome is fixed: a vertex of cost 0 is simplicial (its neighbourhood is a
 clique), so its elimination adds no fill and only takes pairs from its
 neighbours; and once the live graph is complete every cost is 0 and stays
-0, so heap order is position order and the rest are appended by position.
+0, so no later elimination adds fill and the search stops.  Min-fill
+returns only its fill, in ascending order, not the elimination order.
 MCS reads the graph's own adjacency sets (copying them into position masks
 was slower) and keeps its weight classes as position masks; it emits the
 maximal cliques of a chordal graph in the same pass.
@@ -36,12 +37,12 @@ def numba_enabled() -> bool:
     return False
 
 
-def min_fill(g: "UndirectedGraph") -> tuple[list[int], list[tuple[int, int]]]:
-    """Greedy minimum-fill elimination order.
+def min_fill(g: "UndirectedGraph") -> list[tuple[int, int]]:
+    """The fill of the greedy minimum-fill elimination.
 
-    Returns ``(order, fill)`` where ``fill`` lists the added edges ``(u, v)``
-    with ``u < v`` in insertion order: per elimination, by ascending u and
-    then ascending v.  Each vertex's fill cost is counted once and then
+    Returns the added edges ``(u, v)``, ``u < v``, in ascending order: the
+    keys ``u << shift | v`` over positions, sorted and decoded, as
+    positions follow ids.  Each vertex's fill cost is counted once and then
     kept exact by deltas: eliminating x with neighbour mask N, and with
     ``old`` the masks with x cleared but before any fill is added,
 
@@ -62,10 +63,10 @@ def min_fill(g: "UndirectedGraph") -> tuple[list[int], list[tuple[int, int]]]:
     popped stale key is pushed again at the risen live cost only if it was
     ``queued[x]``.  So every live vertex keeps a queued key no larger than
     its cost, and the first popped key equal to its vertex's live cost is
-    the ``(cost, position)`` minimum: order and fill are those of an exact
-    heap.
+    the ``(cost, position)`` minimum: the eliminations, and so the fill,
+    are those of an exact heap.
 
-    Two shortcuts give the same order and fill with less work:
+    Two shortcuts give the same fill with less work:
 
     * a popped vertex of cost 0 is simplicial: its neighbourhood N has no
       non-adjacent pair, so it is a clique.  No fill is added and no pair
@@ -75,9 +76,7 @@ def min_fill(g: "UndirectedGraph") -> tuple[list[int], list[tuple[int, int]]]:
       (an elimination takes ``2|N|``, a fill edge adds 2).  When an
       elimination leaves ``2E == L(L - 1)`` the live graph is complete:
       every cost is 0 and, as eliminating from a clique leaves a clique,
-      stays 0, so every later pop is a key ``0 << shift | position`` and
-      the heap would pop the live vertices in position order.  They are
-      appended in that order and the search stops.
+      stays 0, so no later elimination adds fill and the search stops.
     """
     # bit i of a mask stands for ids[i]: ids can be large and far apart
     # after node removals and in a rebuild's induced subgraph
@@ -97,7 +96,6 @@ def min_fill(g: "UndirectedGraph") -> tuple[list[int], list[tuple[int, int]]]:
     position = (1 << shift) - 1
     heap = [c << shift | i for i, c in enumerate(cost)]
     heapq.heapify(heap)
-    order: list[int] = []
     fill: list[int] = []  # u << shift | v, by position
     live = len(ids)
     twice_edges = sum(map(len, neighbours))
@@ -112,7 +110,6 @@ def min_fill(g: "UndirectedGraph") -> tuple[list[int], list[tuple[int, int]]]:
                 heapq.heappush(heap, cost[x] << shift | x)
             continue
         cost[x] = -1
-        order.append(ids[x])
         nx = masks[x]
         bit_x = 1 << x
         live -= 1
@@ -182,11 +179,9 @@ def min_fill(g: "UndirectedGraph") -> tuple[list[int], list[tuple[int, int]]]:
                     queued[u] = cost[u]
                     heapq.heappush(heap, cost[u] << shift | u)
         if twice_edges == live * (live - 1):
-            # the live graph is complete: every cost is 0 and stays 0, so
-            # the heap would pop the rest by position
-            order.extend(ids[i] for i, ci in enumerate(cost) if ci >= 0)
-            break
-    return order, [(ids[f >> shift], ids[f & position]) for f in fill]
+            break  # the live graph is complete: every cost is 0 and stays 0
+    fill.sort()
+    return [(ids[f >> shift], ids[f & position]) for f in fill]
 
 
 def mcs(g: "UndirectedGraph") -> tuple[list[int], tuple[int, int] | None, list[frozenset[int]]]:

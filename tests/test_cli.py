@@ -86,6 +86,16 @@ def test_apply_trace_says_how_each_region_was_rebuilt(tmp_path, capsys):
     assert "  re-triangulated over {A T E X} -> 2 clique(s)" in out
 
 
+def test_apply_trace_reports_a_rewired_empty_separator(tmp_path, capsys):
+    # Z's singleton clique hangs on the junction tree by an empty separator;
+    # A -> Z cuts it and joins A's clique to Z's directly
+    script = tmp_path / "edit.script"
+    script.write_text("add-node Z\ncompile\nadd-arc A Z\nadd-arc Z X\ncompile\n")
+    code, out, _ = run(capsys, "apply", str(DATA / "asia.bn"), str(script), "--trace")
+    assert code == 0
+    assert "    rewired empty separator to {A}\n" in out
+
+
 def test_apply_remove_node_script(tmp_path, capsys):
     script = tmp_path / "edit.script"
     script.write_text("remove-node D\n")
@@ -240,6 +250,9 @@ def test_bench_usage_errors(capsys):
     assert code == 1
     code, _, err = run(capsys, "bench", "--random", "10")
     assert code == 1
+    code, out, err = run(capsys, "bench", str(DATA / "asia.bn"), "--random", "10", "5")
+    assert (code, out) == (1, "")
+    assert err == "bnic: --random replaces the network and script arguments\n"
 
 
 def test_unknown_subcommand_exits_1(capsys):

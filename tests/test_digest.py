@@ -1,6 +1,6 @@
 """One sha256 over the deterministic outputs of the compile pipeline.
 
-The records cover min-fill's ``(order, fill)``, the thinned fill, the
+The records cover min-fill's fill, the thinned fill, the
 junction tree (clusters, edges, family map) and the MPS tree (clusters,
 edges) of seeded random networks, both after a full compile and after a
 few incremental flushes.  Every set is written as a sorted list and every
@@ -9,7 +9,7 @@ change that claims identical outputs must leave ``DIGEST`` as it is.
 ``HOST_DIGEST`` pins, for the same models, the MPS hosting each variable's
 family: the owner of its junction-tree host clique.  An MPS id is the
 least clique id of its group, after a full compile and after a flush.  ``MIN_FILL_600_DIGEST``
-pins min-fill's ``(order, fill)`` on the benchmark's 600-node random
+pins min-fill's fill on the benchmark's 600-node random
 network, whose eliminations carry the fill counters deepest.
 ``TRACE_DIGEST`` pins the ``BatchTrace`` of every incremental flush above:
 per modification its links, the marked MPS ids with their vertex sets in
@@ -48,11 +48,11 @@ from bnic import (
 import replay
 from conftest import banded_dag
 
-DIGEST = "ff9ce3e654c878639e11e51e0d82b8ce908e3b3b2ae8e8b574e5ce1d0dec55c3"
+DIGEST = "0246b0f3053e4d7e742fbc5cddd791d2a27c46f33fc8ac6ba3b96a1a68155bd3"
 HOST_DIGEST = "a691946f4a76c737f4365bbce072126cc3d21c00bd2ecd3a3cbd5d3caafd94d5"
 TRACE_DIGEST = "4e9c6bc445b14ad888764df162faaf3cdb6dd096564f6fb6dae062d5908f7dcf"
-COMPILE_DIGEST = "a73477334e637c28b2762886f5c7e8f8bc2e7ecb2854ef8e03e2189bc59a8624"
-MIN_FILL_600_DIGEST = "9d7c92b1cad9680afd0f1a93c18a64978e15a2eff99e8b499b06d4cc4b1af9f5"
+COMPILE_DIGEST = "22547055afa09c6b84ef2587a9597e1956be2f35d62f35b6cea467a6d91d097e"
+MIN_FILL_600_DIGEST = "cb6f37737d33756f9a6372b784a51238713e144144b3d212d7105ceb82d43dfa"
 MPS_DIGEST = "a26c46b230de28bab2407ba995dbb63a8a3f47e57546545b50a11f343eacf32d"
 REPLAY_DIGEST = "f81ac28b66325c46312f35c8007d240756983b71bbfb36963260ab724db34964"
 COMPILES = 8  # the first records, one per dag compiled from scratch
@@ -78,11 +78,10 @@ def _records():
     dags += [banded_dag(n, Random(seed)) for seed, n in [(7, 100), (8, 300)]]
     for dag in dags:
         gm = moralize(dag)
-        order, fill = kernels.min_fill(gm)
         model = full_recompile(dag)
         records.append(
             {
-                "min_fill": [order, [list(e) for e in fill]],
+                "min_fill": [list(e) for e in kernels.min_fill(gm)],
                 "thinned": sorted(sorted(pair) for pair in model.tri.fill),
                 **_model(model),
             }
@@ -130,9 +129,9 @@ def test_flush_traces_match_the_committed_digest():
 
 
 def test_min_fill_on_the_600_node_network_matches_the_committed_digest():
-    order, fill = kernels.min_fill(moralize(random_dag(600, Random(42), edge_prob=3 / 599)))
+    fill = kernels.min_fill(moralize(random_dag(600, Random(42), edge_prob=3 / 599)))
     assert len(fill) == 6981
-    assert replay.sha256([order, [list(e) for e in fill]]) == MIN_FILL_600_DIGEST
+    assert replay.sha256([list(e) for e in fill]) == MIN_FILL_600_DIGEST
 
 
 def test_replay_of_twenty_models_matches_the_committed_digest():

@@ -42,6 +42,7 @@ from bnic.engine import (
     mark_remove_node,
     modify_moral_graph,
 )
+from bnic.pipeline import assign_families, thin_join_tree
 
 import replay
 from conftest import banded_dag, build_asia, cluster_names, name_set
@@ -614,10 +615,12 @@ def test_connect_reattaches_boundary_to_best_cover():
     outside = tree.add_cluster({2, 3, 9})
     tree.add_edge(doomed, outside)
     fresh = [tree.add_cluster(vs) for vs in ({1, 2}, {2, 3}, {3, 4})]
-    ((_, ck, sep, target),) = connect(tree, HolderIndex(tree, fresh), [doomed])
-    assert (ck, sep) == (outside, frozenset({2, 3}))
-    assert tree.cluster(target) == frozenset({2, 3})  # = S: the outside clique absorbs it
-    assert tree.has_edge(target, outside)
+    expected_tree = tree.copy()
+    expected = _connect_reference(expected_tree, fresh, [doomed])
+    (piece,) = connect(tree, HolderIndex(tree, fresh), [doomed])
+    assert [piece] == expected and tree.edges() == expected_tree.edges()
+    assert tree.cluster(piece) == frozenset({2, 3})  # = S: the outside clique absorbs it
+    assert tree.has_edge(piece, outside)
 
 
 def test_connect_with_everything_marked_makes_no_records():
@@ -647,7 +650,8 @@ def _connect_reference(tree, replacement_ids, doomed):
     # cluster scanned in ascending id order for each boundary separator and
     # ranked first by its overlap with the outside cluster, which connect
     # leaves out because every cover meets it in the separator alone.
-    records, visited = [], {doomed[0]}
+    # Returns the covers equal to their separator.
+    pieces, visited = [], {doomed[0]}
     stack = [(doomed[0], iter(tree.neighbors(doomed[0])))]
     while stack:
         ci, nbrs = stack[-1]
@@ -667,41 +671,44 @@ def _connect_reference(tree, replacement_ids, doomed):
                     if best is None or key < best[0]:
                         best = (key, cid)
             tree.add_edge(best[1], ck)
-            records.append((ci, ck, sep, best[1]))
-    return records
+            if tree.cluster(best[1]) == sep:
+                pieces.append(best[1])
+    return pieces
 
 
 def _emptied_reference(tree, doomed):
     # An emptied subtree has no replacements: every boundary cluster hangs
-    # by an empty separator on one of them, the first in (C_i, C_k) order.
+    # by an empty separator on one of them, the first in (C_i, C_k) order,
+    # and none of them is a piece to absorb.
     boundary = sorted((ci, ck) for ci in doomed for ck in tree.neighbors(ci) if ck not in doomed)
     assert all(not tree.separator(ci, ck) for ci, ck in boundary)
-    hub = boundary[0][1] if boundary else None
     for _, ck in boundary[1:]:
-        tree.add_edge(hub, ck)
-    return [(ci, ck, frozenset(), hub) for ci, ck in boundary]
+        tree.add_edge(boundary[0][1], ck)
+    return []
 
 
 def test_connect_matches_full_scan_reference(monkeypatch):
     # connect scans in (C_i, C_k) order, the reference depth first, so the
-    # records are compared as multisets; the resulting edges must agree
+    # pieces are compared as multisets; the resulting edges must agree
     real = bnic.engine.connect
-    seen = {"records": 0, "empty": 0, "emptied": 0}
+    seen = {"boundary": 0, "empty": 0, "emptied": 0, "pieces": 0}
 
     def checked(tree, index, doomed):
         # a position of the handed holder index may name a cluster the tree lacks
         replacement_ids = {c for c in index.ids if c in tree}
+        seps = [tree.separator(ci, ck) for ci in doomed for ck in tree.neighbors(ci) if ck not in doomed]
         expected_tree = tree.copy()
         if replacement_ids:
             expected = _connect_reference(expected_tree, replacement_ids, doomed)
         else:
             expected = _emptied_reference(expected_tree, doomed)
-            seen["emptied"] += len(expected) > 1
+            seen["emptied"] += len(seps) > 1
         got = real(tree, index, doomed)
         assert Counter(got) == Counter(expected)
         assert tree.edges() == expected_tree.edges()
-        seen["records"] += len(got)
-        seen["empty"] += sum(not sep for _, _, sep, _ in got)
+        seen["boundary"] += len(seps)
+        seen["empty"] += sum(not sep for sep in seps)
+        seen["pieces"] += len(got)
         return got
 
     monkeypatch.setattr(bnic.engine, "connect", checked)
@@ -717,7 +724,7 @@ def test_connect_matches_full_scan_reference(monkeypatch):
     h, a, b, _, _ = (dag.add_node(x) for x in "habcd")
     dag.add_arc(a, b)
     incremental_compile(full_recompile(dag), [RemoveNode(h)])
-    assert seen["records"] > 0 and seen["empty"] > 0 and seen["emptied"] > 0
+    assert min(seen.values()) > 0
 
 
 def test_an_empty_boundary_separator_hangs_on_a_live_clique_after_the_region_thinned(monkeypatch):
@@ -742,6 +749,75 @@ def test_an_empty_boundary_separator_hangs_on_a_live_clique_after_the_region_thi
             incremental_compile(model, random_script(model.dag, rng.randint(1, 8), rng))
             assert validate(model).passed and mpd_equal(model.mpd, full_recompile(model.dag).mpd)
     assert hits >= 3
+
+
+# -- the InconsistencyError guards ----------------------------------------------
+
+
+def _tree(clusters, edges=()):
+    tree = ClusterTree({c: frozenset(vs) for c, vs in enumerate(clusters)}, len(clusters))
+    for a, b in edges:
+        tree.add_edge(a, b)
+    return tree
+
+
+def _uncovered_boundary_separator():
+    # the new cluster {1, 2} does not cover the boundary separator {2, 3}
+    tree = _tree([{1, 2, 3}, {2, 3, 9}, {1, 2}], [(0, 1)])
+    connect(tree, HolderIndex(tree, [2]), [0])
+
+
+def _emptied_region_with_a_non_empty_separator():
+    tree = _tree([{1, 2}, {2, 3}], [(0, 1)])
+    connect(tree, HolderIndex(tree), [0])
+
+
+def _unhosted_family():
+    # no cluster holds 0 -> 1's family {0, 1}
+    dag = Dag()
+    a, b = dag.add_node("a"), dag.add_node("b")
+    dag.add_arc(a, b)
+    tree = _tree([{a}, {b}], [(0, 1)])
+    assign_families(dag, [b], HolderIndex(tree, [0, 1]))
+
+
+def _unheld_fill_pair():
+    # the fill pair {0, 2} lies in no cluster
+    tree = _tree([{0, 1}, {1, 2}], [(0, 1)])
+    thin_join_tree(tree, [(0, 2)], UndirectedGraph.from_edges(range(3), [(0, 2)]), HolderIndex(tree, [0, 1]))
+
+
+def _fill_pair_without_a_mask():
+    # vertex 5 lies in no cluster, so it has no holder mask
+    tree = _tree([{0, 1}])
+    thin_join_tree(tree, [(0, 5)], UndirectedGraph.from_edges([0, 1, 5], [(0, 5)]), HolderIndex(tree, [0]))
+
+
+def _unreachable_parent():
+    # the parent's clique is cut off from the child's host
+    p, c = 0, 1
+    jt = _tree([{c}, {p}])
+    model = CompiledModel(Dag(), UndirectedGraph(), jt, {0: 0, 1: 1}, {c: 0}, UndirectedGraph())
+    mark_add_link(model, p, c, set())
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        pytest.param(case, message, id=case.__name__.strip("_"))
+        for case, message in [
+            (_uncovered_boundary_separator, "no replacement cluster covers boundary separator"),
+            (_emptied_region_with_a_non_empty_separator, "emptied subtree has a non-empty boundary separator"),
+            (_unhosted_family, "no cluster contains the family of variable"),
+            (_unheld_fill_pair, r"no cluster holds the fill pair \(0, 2\)"),
+            (_fill_pair_without_a_mask, "no cluster holds vertex 5"),
+            (_unreachable_parent, "no cluster reachable from the host of 1 contains variable 0"),
+        ]
+    ],
+)
+def test_an_inconsistent_input_raises(case, message):
+    with pytest.raises(InconsistencyError, match=message):
+        case()
 
 
 def test_absorb_collapses_subset_chain():

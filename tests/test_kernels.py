@@ -23,12 +23,11 @@ from bnic import (
 
 def _min_fill_reference(adj):
     # Greedy minimum-fill elimination over a dense matrix.  Ties broken by
-    # ascending index.  Returns the elimination order and the fill edges
-    # (parallel u/v lists) in insertion order.
+    # ascending index.  Returns the fill edges (parallel u/v lists) in
+    # insertion order.
     n = adj.shape[0]
     work = adj.copy()
     alive = np.ones(n, np.bool_)
-    order = []
     fill_u, fill_v = [], []
     for _ in range(n):
         best = -1
@@ -45,7 +44,6 @@ def _min_fill_reference(adj):
             if best == -1 or cost < best_cost:
                 best = v
                 best_cost = cost
-        order.append(best)
         for i in range(n):
             if alive[i] and work[best, i]:
                 for j in range(i + 1, n):
@@ -55,7 +53,7 @@ def _min_fill_reference(adj):
                         fill_u.append(i)
                         fill_v.append(j)
         alive[best] = False
-    return order, fill_u, fill_v
+    return fill_u, fill_v
 
 
 def _mcs_reference(adj):
@@ -108,16 +106,16 @@ def _fill_cost_sets(adj, v):
 def _min_fill_sets_reference(g):
     # The former adjacency-set kernel: fill costs kept per vertex id, a lazy
     # (cost, id) heap, and set intersections for every cost and decrement.
+    # Returns the fill in insertion order.
     adj = {v: set(g.neighbors(v)) for v in g.vertices()}
     cost = {v: _fill_cost_sets(adj, v) for v in adj}
     heap = [(c, v) for v, c in cost.items()]
     heapq.heapify(heap)
-    order, fill = [], []
+    fill = []
     while heap:
         c, x = heapq.heappop(heap)
         if x not in adj or cost[x] != c:
             continue
-        order.append(x)
         nbrs = adj.pop(x)
         for u in nbrs:
             adj[u].discard(x)
@@ -138,7 +136,7 @@ def _min_fill_sets_reference(g):
                 changed.add(u)
         for u in changed:
             heapq.heappush(heap, (cost[u], u))
-    return order, fill
+    return fill
 
 
 # -- the former clique pass -----------------------------------------------------
@@ -239,14 +237,12 @@ def _gapped_ids(n):
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 12, 20])
 def test_backends_produce_identical_min_fill(n):
-    # the adjacency-set kernel against the dense reference loop
+    # the bitmask kernel's fill, ascending, against the dense reference loop's
     rng = np.random.default_rng(n)
     ids = _spaced_ids(n)
     for adj in [_random_adj(rng, n, 0.3), *_dense_cases(rng, n)]:
-        order, fill = kernels.min_fill(_graph(adj, ids))
-        ref_order, ref_u, ref_v = _min_fill_reference(adj)
-        assert order == [ids[i] for i in ref_order]
-        assert fill == [(ids[u], ids[v]) for u, v in zip(ref_u, ref_v)]
+        ref_u, ref_v = _min_fill_reference(adj)
+        assert kernels.min_fill(_graph(adj, ids)) == sorted((ids[u], ids[v]) for u, v in zip(ref_u, ref_v))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 12, 20, 50, 120, 200])
@@ -261,7 +257,7 @@ def test_backends_produce_identical_mcs(n):
     for adj in cases:
         for ids in (_spaced_ids(n), _gapped_ids(n)):
             g = _graph(adj, ids)
-            _, fill = kernels.min_fill(g)
+            fill = kernels.min_fill(g)
             t = g.copy()
             for u, v in fill:
                 t.add_edge(u, v)
@@ -280,16 +276,17 @@ def test_backends_produce_identical_mcs(n):
 
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 30, 64, 65, 120, 200])
 def test_min_fill_matches_adjacency_set_kernel(n):
-    # the bitmask kernel against the former adjacency-set kernel, on graphs
-    # from mean degree 2 to n/2 whose ids are gapped and out of index order;
-    # the reference's from-scratch costs make dense cases too slow above 65
+    # the bitmask kernel's fill, ascending, against the former adjacency-set
+    # kernel's, on graphs from mean degree 2 to n/2 whose ids are gapped and
+    # out of index order; the reference's from-scratch costs make dense
+    # cases too slow above 65
     rng = np.random.default_rng(300 + n)
     cases = [_random_adj(rng, n, degree / max(n - 1, 1) / 2) for degree in (2, 4, 8)]
     if n <= 65:
         cases += _dense_cases(rng, n)
     for adj in cases:
         g = _graph(adj, _gapped_ids(n))
-        assert kernels.min_fill(g) == _min_fill_sets_reference(g)
+        assert kernels.min_fill(g) == sorted(_min_fill_sets_reference(g))
 
 
 def test_min_fill_matches_adjacency_set_kernel_on_rebuilt_regions(monkeypatch):
@@ -315,8 +312,8 @@ def test_min_fill_matches_adjacency_set_kernel_on_rebuilt_regions(monkeypatch):
     assert any(g.vertices() != list(range(len(g))) for g in regions)
     filled = 0
     for g in regions:
-        order, fill = kernels.min_fill(g)
-        assert (order, fill) == _min_fill_sets_reference(g)
+        fill = kernels.min_fill(g)
+        assert fill == sorted(_min_fill_sets_reference(g))
         filled += bool(fill)
     assert filled > 0
 
@@ -332,12 +329,12 @@ def test_min_fill_matches_adjacency_set_kernel_on_fuzzed_graphs():
         ids = _spaced_ids(n)
         edges = [(ids[i], ids[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
         g = UndirectedGraph.from_edges(ids, edges)
-        assert kernels.min_fill(g) == _min_fill_sets_reference(g)
+        assert kernels.min_fill(g) == sorted(_min_fill_sets_reference(g))
 
 
 def test_min_fill_stops_once_the_live_graph_is_complete(monkeypatch):
-    # K_200: the first elimination leaves a complete graph, whose order is
-    # the rest by position, so the heap is popped once
+    # K_200: the first elimination leaves a complete graph, which adds no
+    # fill, so the heap is popped once
     popped = []
 
     def heappop(heap):
@@ -348,7 +345,7 @@ def test_min_fill_stops_once_the_live_graph_is_complete(monkeypatch):
     monkeypatch.setattr(kernels, "heapq", counting)
     ids = _gapped_ids(200)
     g = _graph(~np.eye(200, dtype=np.bool_), ids)
-    assert kernels.min_fill(g) == (sorted(ids), [])
+    assert kernels.min_fill(g) == []
     assert len(popped) == 1
 
 
@@ -358,8 +355,8 @@ def test_min_fill_triangulates():
         n = int(rng.integers(2, 12))
         adj = _random_adj(rng, n, 0.3)
         g = _graph(adj, list(range(n)))
-        order, fill = kernels.min_fill(g)
-        assert sorted(order) == list(range(n))
+        fill = kernels.min_fill(g)
+        assert fill == sorted(fill)
         for u, v in fill:
             assert u < v and not g.has_edge(u, v)
             g.add_edge(u, v)
@@ -403,7 +400,7 @@ def test_mcs_cliques_match_the_former_clique_pass():
             assert not g.has_edge(*witness) and witness[0] < witness[1]
             seen["not chordal"] += 1
         t = g.copy()
-        for u, v in kernels.min_fill(g)[1]:
+        for u, v in kernels.min_fill(g):
             t.add_edge(u, v)
         _, witness, cliques = kernels.mcs(t)
         assert witness is None

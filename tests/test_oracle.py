@@ -21,7 +21,7 @@ from bnic import (
 )
 
 from bnic.mpd import aggregate_cliques
-from bnic.oracle import oracle
+from bnic.oracle import Check, ValidityReport, oracle
 from bnic.pipeline import build_join_tree, extract_cliques
 from conftest import cluster_names, edited, family_hosts
 
@@ -235,6 +235,16 @@ def test_family_coverage_names_the_unhosted_variable(asia):
     assert fam.detail == f"family map variables differ from the dag's: missing [{d}], unknown []"
 
 
+def test_family_coverage_names_a_host_that_lacks_a_parent(asia_model):
+    # E's family host becomes a live clique that holds E but not both of
+    # its parents; every other check still passes
+    jt, e = asia_model.jt, asia_model.dag.table.id("E")
+    family = asia_model.dag.family(e)
+    asia_model.family[e] = next(c for c in jt.cluster_ids() if e in jt.cluster(c) and not family <= jt.cluster(c))
+    assert _failed(asia_model) == ["family_coverage"]
+    assert validate(asia_model).checks[6].detail == f"family of {e} is not hosted"
+
+
 def _failed(model):
     return [c.name for c in validate(model).checks if not c.passed]
 
@@ -367,6 +377,18 @@ def test_report_to_dict_is_json_ready(asia):
     assert failing[0]["detail"].startswith("fill edge (")
     assert all(c["detail"] == "" for c in d["checks"] if c["passed"])
     assert validate(full_recompile(asia)).to_dict()["passed"] is True
+
+
+def test_report_text_has_a_line_per_check_and_a_verdict():
+    # a passed check's detail is not shown; a failed one's is, when it has one
+    report = ValidityReport((Check("a", True, "unshown"), Check("b", False, "why"), Check("c", False)))
+    assert str(report).splitlines() == [
+        "  PASS  a",
+        "  FAIL  b: why",
+        "  FAIL  c",
+        "  => model is INVALID (first failure: b)",
+    ]
+    assert str(ValidityReport((Check("a", True),))) == "  PASS  a\n  => model is valid"
 
 
 def _chain(n):
