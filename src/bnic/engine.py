@@ -536,7 +536,7 @@ def _rebuild_subtree(
       widened by the absorbing outside cliques; none is built again.
     """
     jt, owner, family, dag = model.jt, model.owner, model.family, model.dag
-    variables = {v for c in doomed for v in jt.cluster(c) if model.moral.has_vertex(v)}
+    variables = set(filter(model.moral.has_vertex, frozenset().union(*map(jt.cluster, doomed))))
     inside = {pair: a for pair, a in links.items() if variables.issuperset(pair)}
     mps_ids = tuple(sorted({owner[c] for c in doomed})) if trace is not None else ()
     # an emptied region keeps no cluster, so it takes the (empty) min-fill path

@@ -10,14 +10,18 @@ Both index vertices by rank, the position of the id among the graph's
 sorted ids, so ties broken by position are ties broken by id.  Min-fill
 holds adjacency as one int bitmask per position; it counts each fill cost
 once and then keeps it exact by deltas from each elimination, summing the
-per-vertex decrements of a whole elimination in bit-sliced counters; its
-lazy heap keeps each live vertex queued at or below its cost, so the first
-current key popped is the minimum.  Two exact shortcuts skip work whose
-outcome is fixed: a vertex of cost 0 is simplicial (its neighbourhood is a
-clique), so its elimination adds no fill and only takes pairs from its
-neighbours; and once the live graph is complete every cost is 0 and stays
-0, so no later elimination adds fill and the search stops.  Min-fill
-returns only its fill, in ascending order, not the elimination order.
+per-vertex decrements of a whole elimination in bit-sliced counters.  Per
+fill pair it does one AND for the pair's common neighbours and one
+popcount of those outside the eliminated neighbourhood, which serves the
+cost updates of both ends; each vertex's per-partner gain is one product
+at its own turn.  Its lazy heap keeps each live vertex queued at or below
+its cost, so the first current key popped is the minimum.  Two exact
+shortcuts skip work whose outcome is fixed: a vertex of cost 0 is
+simplicial (its neighbourhood is a clique), so its elimination adds no
+fill and only takes pairs from its neighbours; and once the live graph is
+complete every cost is 0 and stays 0, so no later elimination adds fill
+and the search stops.  Min-fill returns only its fill, in ascending order,
+not the elimination order.
 MCS reads the graph's own adjacency sets (copying them into position masks
 was slower) and keeps its weight classes as position masks; it emits the
 maximal cliques of a chordal graph in the same pass.
@@ -52,12 +56,23 @@ def min_fill(g: "UndirectedGraph") -> list[tuple[int, int]]:
     * each w loses the number of fill edges {u, v} with u and v both in
       ``old[w]`` (inside N or not), now linked pairs among its neighbours.
 
+    With ``out(u) = old[u] & ~N`` and ``s = |out(u) & old[v]|``, the
+    common old neighbours of u and v outside N, u's term through v is
+    ``|out(u)| - s`` and v's is ``|out(v)| - s``: one popcount per fill
+    edge serves both ends.  u has ``|N & ~old[u]| - 1`` fill partners (the
+    mask holds u itself), so at u's own turn its cost takes the partner
+    terms and the loss through x at once, ``(|N & ~old[u]| - 2) * |out(u)|``,
+    and each fill edge then only takes s from both ends' costs.
+
     The last count is kept for all vertices at once in bit-sliced counters:
     ``planes[k]`` holds bit k of every vertex's count, and each fill edge
-    adds the mask ``old[u] & old[v]`` with a ripple carry.  Once x is
-    eliminated, each set bit w of ``planes[k]`` takes ``2**k`` from w's
-    cost.  A lazy heap of int keys ``cost << shift | position`` picks the
-    next vertex; a live cost is never negative, so the keys sort as the
+    adds the mask ``old[u] & old[v]`` with a ripple carry, which appends a
+    plane when it runs past the top one.  Once x is eliminated, each set bit
+    w of ``planes[k]`` takes ``2**k`` from w's cost, and the union of the
+    planes, with N, is the set of vertices whose cost moved.
+
+    A lazy heap of int keys ``cost << shift | position`` picks the next
+    vertex; a live cost is never negative, so the keys sort as the
     ``(cost, position)`` pairs.  ``queued[x]`` is the smallest cost queued
     for x.  A changed vertex is pushed only if its cost fell below it; a
     popped stale key is pushed again at the risen live cost only if it was
@@ -132,9 +147,7 @@ def min_fill(g: "UndirectedGraph") -> list[tuple[int, int]]:
                     heapq.heappush(heap, cu << shift | u)
         else:
             keep = ~bit_x
-            changed = nx  # the vertices whose cost may move, as a mask
             planes: list[int] = []  # bit k of each vertex's count of pairs linked by fill
-            filled = len(fill)
             rest_u = nx
             while rest_u:
                 bit_u = rest_u & -rest_u
@@ -142,16 +155,19 @@ def min_fill(g: "UndirectedGraph") -> list[tuple[int, int]]:
                 u = bit_u.bit_length() - 1
                 ou = masks[u] & keep  # old[u]: a mask changes only at its own turn
                 out_u = ou & ~nx
-                cost[u] -= out_u.bit_count()
-                rest_v = nx & ~ou & -(bit_u << 1)
+                partners = nx & ~ou  # u and its fill partners
+                # u loses its pairs through x and gains them through each partner
+                cu = cost[u] + (partners.bit_count() - 2) * out_u.bit_count()
+                rest_v = partners & -(bit_u << 1)
                 while rest_v:
                     bit_v = rest_v & -rest_v
                     rest_v ^= bit_v
                     v = bit_v.bit_length() - 1
                     fill.append(u << shift | v)
-                    ov = masks[v] & keep  # old[v], as v > u
-                    carry = ou & ov
-                    changed |= carry
+                    carry = ou & masks[v]  # old[u] & old[v]: v > u keeps its mask, and ou lacks x
+                    shared = (out_u & carry).bit_count()
+                    cu -= shared
+                    cost[v] -= shared
                     k = 0
                     while carry:
                         if k == len(planes):
@@ -161,11 +177,12 @@ def min_fill(g: "UndirectedGraph") -> list[tuple[int, int]]:
                         planes[k] = p ^ carry
                         carry &= p
                         k += 1
-                    cost[u] += (out_u & ~ov).bit_count()
-                    cost[v] += (ov & ~nx & ~ou).bit_count()
+                cost[u] = cu
                 masks[u] = ou | (nx ^ bit_u)
-            twice_edges += 2 * (len(fill) - filled)
+            twice_edges += 2 * c  # the popped cost is the count of fill pairs added
+            changed = nx  # the vertices whose cost may move, as a mask
             for k, p in enumerate(planes):
+                changed |= p
                 step = 1 << k
                 while p:
                     low = p & -p

@@ -6,7 +6,7 @@ independent of the incremental engine's bookkeeping.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from random import Random
 
@@ -89,12 +89,15 @@ def validate(model: CompiledModel) -> ValidityReport:
     Each check's detail is empty when it passes.  Two facts keep the checks
     close to linear.  Removing an edge from a chordal graph keeps it chordal
     iff the edge lies in exactly one maximal clique (Heggernes, "Minimal
-    triangulations of graphs: a survey", Discrete Math. 2006), so
-    minimality counts, per fill edge, the maximal cliques holding both ends.
-    In a tree, the clusters holding a variable induce a forest whose
-    component count is the number of those clusters less the number of tree
-    edges both of whose ends hold it, so running intersection is one count
-    per variable.
+    triangulations of graphs: a survey", Discrete Math. 2006; the
+    single-clique rule of Rose, Tarjan & Lueker 1976).  So minimality gives
+    each vertex an int with bit i set when the i-th maximal clique holds
+    it, and a fill edge {u, v} is redundant iff the AND of its ends' ints
+    has exactly one bit; the fill is scanned in ascending order, so the
+    first redundant edge is the one named.  In a tree, the clusters holding
+    a variable induce a forest whose component count is the number of those
+    clusters less the number of tree edges both of whose ends hold it, so
+    running intersection is one count per variable.
 
     H is the moral graph plus the stored fill.  ``cluster_completeness``
     also requires the fill to share no pair with the moral graph; with the
@@ -143,11 +146,12 @@ def validate(model: CompiledModel) -> ValidityReport:
     elif moral_pair:
         minimal_detail = f"not checked: fill pair {moral_pair} is a moral edge"
     else:
-        holders: dict[int, list[frozenset[int]]] = defaultdict(list)
-        for c in cliques:
+        holders = dict.fromkeys(gt.vertices(), 0)  # bit i: cliques[i] holds the vertex
+        for i, c in enumerate(cliques):
+            b = 1 << i
             for v in c:
-                holders[v].append(c)
-        redundant = next(((u, v) for u, v in fill if sum(v in c for c in holders[u]) == 1), None)
+                holders[v] |= b
+        redundant = next(((u, v) for u, v in fill if (holders[u] & holders[v]).bit_count() == 1), None)
         minimal_detail = f"fill edge {redundant} is redundant" if redundant else ""
     check("triangulation_minimal", not minimal_detail, minimal_detail)
 

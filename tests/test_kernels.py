@@ -1,4 +1,5 @@
 import heapq
+from itertools import combinations
 from random import Random
 from types import SimpleNamespace
 
@@ -232,6 +233,42 @@ def _gapped_ids(n):
     return [1000 * (i % 3) + 7 * i for i in range(n)]
 
 
+def _missing_cliques(t):
+    # t pairs as disjoint cliques over 1, 2, ...: K4s (6 pairs each) while
+    # they fit, then at most one K3 and two K2s
+    pairs, v = [], 1
+    for size, count in ((4, t // 6), (3, t % 6 // 3), (2, t % 3)):
+        for _ in range(count):
+            pairs += combinations(range(v, v + size), 2)
+            v += size
+    return pairs
+
+
+def _hub_gadget(missing, saturated=False):
+    # x = 0 is joined to N = {1, ..., m} and to nothing else; N is complete
+    # but for the missing pairs, disjoint cliques of at most 4 vertices, and
+    # four hubs on a 4-cycle are each joined to all of N.  A vertex of N
+    # then costs |missing| + 6 less the missing pairs of its clique, so at
+    # least x's |missing|, and a hub costs |missing| + 1: x, the lowest id,
+    # goes first.  Its fill is the missing pairs, each hub has all of them
+    # among its neighbours, and a vertex of N has fill partners below and
+    # above it when its missing clique has three or more vertices.  After
+    # x, N is a clique, a vertex of N costs 2 (the cycle's diagonals) and a
+    # hub 1, so a hub goes next and fills one diagonal, then nothing more;
+    # a vertex of N eliminated before the hubs fills both.  With saturated,
+    # one more vertex of N is joined to x and to all of N but to no hub: it
+    # costs |missing|, has no outside neighbour at x's elimination, and is
+    # simplicial after it.
+    m = max(v for pair in missing for v in pair) + saturated
+    inner = range(1, m + 1)
+    hubs = range(m + 1, m + 5)
+    absent = set(missing)
+    edges = [(0, u) for u in inner] + [p for p in combinations(inner, 2) if p not in absent]
+    edges += [(u, h) for u in inner[: m - saturated] for h in hubs]
+    edges += [*zip(hubs, hubs[1:]), (hubs[0], hubs[-1])]
+    return UndirectedGraph.from_edges(range(m + 5), edges)
+
+
 # -- tests ---------------------------------------------------------------------
 
 
@@ -330,6 +367,33 @@ def test_min_fill_matches_adjacency_set_kernel_on_fuzzed_graphs():
         edges = [(ids[i], ids[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
         g = UndirectedGraph.from_edges(ids, edges)
         assert kernels.min_fill(g) == sorted(_min_fill_sets_reference(g))
+
+
+@pytest.mark.parametrize("t", [2**k + d for k in range(3, 7) for d in (-1, 0, 1)])
+def test_min_fill_counts_a_hub_linked_by_every_fill_pair(t):
+    # one elimination links t pairs among each hub's neighbours, so the
+    # bit-sliced counters carry into, up to and just past a new top plane
+    g = _hub_gadget(_missing_cliques(t))
+    fill = kernels.min_fill(g)
+    assert fill == sorted(_min_fill_sets_reference(g))
+    assert len(fill) == t + 1  # x's fill and one diagonal of the hubs' cycle
+
+
+def test_min_fill_updates_a_vertex_with_fill_partners_below_and_above():
+    # 2 is filled to 1 below it and to 3 above it, so its cost moves both
+    # as the lower end of a fill pair and as the upper end
+    g = _hub_gadget([(1, 2), (2, 3)])
+    assert kernels.min_fill(g) == sorted(_min_fill_sets_reference(g)) == [(1, 2), (2, 3), (5, 7)]
+
+
+def test_min_fill_updates_a_vertex_of_n_with_no_outside_neighbour():
+    # a vertex of N with a fill partner always has an outside neighbour (else
+    # it would cost less than x), so the vertex without one is a vertex that
+    # x's fill leaves alone: its cost only loses the pairs the fill links
+    g = _hub_gadget(_missing_cliques(9), saturated=True)
+    fill = kernels.min_fill(g)
+    assert fill == sorted(_min_fill_sets_reference(g))
+    assert len(fill) == 10
 
 
 def test_min_fill_stops_once_the_live_graph_is_complete(monkeypatch):

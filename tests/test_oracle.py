@@ -416,8 +416,8 @@ def _redundant_extra_edge(model):
 
 @pytest.mark.parametrize(
     "dag",
-    [_chain(1500), random_dag(300, Random(42), edge_prob=3 / 299)],
-    ids=["chain-1500", "random-300"],
+    [_chain(1500), random_dag(300, Random(42), edge_prob=3 / 299), random_dag(600, Random(42), edge_prob=3 / 599)],
+    ids=["chain-1500", "random-300", "random-600"],
 )
 def test_validate_at_scale_flags_one_injected_fill_edge(dag):
     model = full_recompile(dag)
@@ -426,6 +426,35 @@ def test_validate_at_scale_flags_one_injected_fill_edge(dag):
     report = validate(_with_fill(dag, set(model.tri.fill) | {frozenset((u, v))}))
     assert report.first_failure == "triangulation_minimal"
     assert report.checks[2].detail == f"fill edge {(u, v)} is redundant"
+
+
+def test_minimality_matches_a_brute_force_count_of_holding_cliques():
+    # seeded random models given 0 to 3 redundant pairs, each joining a
+    # simplicial vertex u to a vertex v adjacent to all of u's neighbours:
+    # the graph stays chordal and every edge at u, fill or not, lies in
+    # one maximal clique only; validate must name the first fill pair that
+    # one maximal clique holds, counted here clique by clique
+    rng = Random(23)
+    flagged = 0
+    for _ in range(60):
+        model = full_recompile(random_dag(rng.randint(2, 40), rng, edge_prob=rng.choice([0.1, 0.2, 0.3])))
+        for _ in range(rng.randint(0, 3)):
+            gt = model.tri.graph()
+            pairs = [
+                (u, v)
+                for u in gt.vertices()
+                if gt.is_complete(gt.neighbors(u))
+                for v in gt.vertices()
+                if v != u and not gt.has_edge(u, v) and gt.neighbors(u) <= gt.neighbors(v)
+            ]
+            if pairs:
+                model.fill.add_edge(*rng.choice(pairs))
+        cliques = extract_cliques(model.tri.graph())
+        redundant = next((e for e in model.fill.edges() if sum(set(e) <= c for c in cliques) == 1), None)
+        minimal = next(c for c in validate(model).checks if c.name == "triangulation_minimal")
+        assert minimal.detail == (f"fill edge {redundant} is redundant" if redundant else "")
+        flagged += redundant is not None
+    assert 20 < flagged < 60
 
 
 def test_mpd_equal_examples(asia, asia_model):
