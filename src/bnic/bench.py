@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import statistics
 import time
@@ -57,19 +55,6 @@ class BenchReport:
                 f"stability {self.median_stability():.3f}"
             )
         return "\n".join(lines)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(
-            ["index", "description", "incremental_s", "full_s", "speedup", "stability", "marked_mps", "verified"]
-        )
-        for r in self.rows:
-            writer.writerow(
-                [r.index, r.description, f"{r.incremental_s:.9f}", f"{r.full_s:.9f}",
-                 f"{r.speedup:.4f}", f"{r.stability:.6f}", r.marked_mps, int(r.verified)]
-            )
-        return buf.getvalue()
 
     def to_json(self) -> str:
         return json.dumps(

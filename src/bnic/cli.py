@@ -13,7 +13,7 @@ from random import Random
 from .bench import run_bench
 from .engine import BatchTrace, CompiledModel, describe, incremental_compile
 from .errors import BnicError, ParseError
-from .fileio import dag_dot, parse_edits, parse_network, parse_script, tree_dot, undirected_dot
+from .fileio import graph_dot, parse_edits, parse_network, parse_script, tree_dot
 from .oracle import full_recompile, oracle, random_arc_edits, random_dag
 
 DEFAULT_SEED = 42
@@ -53,7 +53,6 @@ def _build_parser() -> _Parser:
         metavar="N",
         help="N EDITS [SEED]: random network of N nodes, EDITS single-arc edits",
     )
-    p_bench.add_argument("--csv", metavar="FILE", help="also write the report as CSV")
     p_bench.add_argument("--json", metavar="FILE", help="also write the report and its medians as JSON")
     p_bench.set_defaults(run=_cmd_bench)
     return parser
@@ -78,6 +77,15 @@ def _write(path: Path, text: str, make_parent: bool = False) -> None:
 def _write_dot(directory: str, names_to_text: dict[str, str]) -> None:
     for name, text in names_to_text.items():
         _write(Path(directory) / name, text, make_parent=True)
+
+
+def _tree_dots(model: CompiledModel, prefix: str = "", trace: BatchTrace | None = None) -> dict[str, str]:
+    """The junction and MPS trees' DOT files; the trace's new clusters are filled."""
+    table = model.dag.table
+    return {
+        f"{prefix}junction.dot": tree_dot(model.jt, table, "junction", trace.new_jt_ids if trace else frozenset()),
+        f"{prefix}mpd.dot": tree_dot(model.mpd, table, "mpd", trace.new_mpd_ids if trace else frozenset()),
+    }
 
 
 def _summary(model: CompiledModel) -> str:
@@ -133,10 +141,9 @@ def _cmd_compile(args) -> int:
         _write_dot(
             args.dot,
             {
-                "network.dot": dag_dot(dag),
-                "moral.dot": undirected_dot(model.moral, dag.table),
-                "junction.dot": tree_dot(model.jt, dag.table, name="junction"),
-                "mpd.dot": tree_dot(model.mpd, dag.table, name="mpd"),
+                "network.dot": graph_dot("digraph", "network", dag.table, dag.nodes(), dag.arcs()),
+                "moral.dot": graph_dot("graph", "moral", dag.table, model.moral.vertices(), model.moral.edges()),
+                **_tree_dots(model),
             },
         )
     return 0
@@ -147,28 +154,15 @@ def _cmd_apply(args) -> int:
     batches = parse_script(_read(args.script), dag)
     model = full_recompile(dag)
     if args.dot:
-        _write_dot(
-            args.dot,
-            {
-                "step000_junction.dot": tree_dot(model.jt, model.dag.table, name="junction"),
-                "step000_mpd.dot": tree_dot(model.mpd, model.dag.table, name="mpd"),
-            },
-        )
+        _write_dot(args.dot, _tree_dots(model, "step000_"))
     for i, batch in enumerate(batches, 1):
-        trace = BatchTrace()
+        trace = BatchTrace() if args.trace or args.dot else None  # read by --trace and --dot only
         incremental_compile(model, batch, trace)
         if args.trace:
             print(f"flush {i}:")
             _print_trace(model, trace)
         if args.dot:
-            table, mpd = model.dag.table, model.mpd
-            _write_dot(
-                args.dot,
-                {
-                    f"step{i:03d}_junction.dot": tree_dot(model.jt, table, name="junction", highlight=trace.new_jt_ids),
-                    f"step{i:03d}_mpd.dot": tree_dot(mpd, table, name="mpd", highlight=trace.new_mpd_ids),
-                },
-            )
+            _write_dot(args.dot, _tree_dots(model, f"step{i:03d}_", trace))
         if args.verify:
             failed = oracle(model, model.dag)
             if failed is not None:
@@ -199,8 +193,6 @@ def _cmd_bench(args) -> int:
     model = full_recompile(dag)
     report = run_bench(model, edits)
     print(report.to_text())
-    if args.csv:
-        _write(Path(args.csv), report.to_csv())
     if args.json:
         _write(Path(args.json), report.to_json())
     if not report.all_verified():

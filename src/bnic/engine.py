@@ -133,6 +133,9 @@ class CompiledModel:
     only clique of its group, and the group goes with it.  Groups change in
     no other way, so the cliques of MPS m are a walk from clique m over the
     cliques m owns (:func:`_group`).
+
+    ``owner`` lists its cliques in ascending id order: ids only grow, and a
+    full compile, a new node and a rebuilt region each add theirs in order.
     """
 
     dag: Dag
@@ -345,7 +348,7 @@ def add_node(model: CompiledModel, x: int, marked: set[int], rec: ModTrace | Non
     separator.  Its MPS is marked for rebuild.
     """
     jt = model.jt
-    anchor = min(model.owner, default=None)  # every clique is an owner key
+    anchor = next(iter(model.owner), None)  # the least clique: owner keys ascend
     c = jt.add_cluster({x})
     if anchor is not None:
         jt.add_edge(c, anchor)

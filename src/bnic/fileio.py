@@ -12,31 +12,38 @@ from __future__ import annotations
 from .clustertree import ClusterTree
 from .engine import AddArc, AddNode, Modification, RemoveArc, apply_modification, expand_remove_node
 from .errors import BnicError, ParseError, UnwritableNameError
-from .graph import Dag, UndirectedGraph, VariableTable
+from .graph import Dag, VariableTable
 
 
-def _content_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
+def _parse_lines(text: str, parse_line) -> list:
+    """``(tokens, parse_line(tokens))`` for each line that has tokens.
+
+    ``#`` starts a comment.  A :class:`BnicError` that parse_line raises
+    becomes a :class:`ParseError` naming the line.
+    """
+    out = []
+    try:
+        for lineno, raw in enumerate(text.splitlines(), 1):
+            if tokens := raw.split("#", 1)[0].split():
+                out.append((tokens, parse_line(tokens)))
+    except BnicError as exc:
+        raise ParseError(str(exc), lineno) from exc
+    return out
 
 
 def parse_network(text: str) -> Dag:
     """Parse a network file; unknown names and cycles fail with line numbers."""
     dag = Dag()
-    for lineno, tokens in _content_lines(text):
-        try:
-            if tokens[0] == "node" and len(tokens) == 2:
-                dag.add_node(tokens[1])
-            elif tokens[0] == "arc" and len(tokens) == 3:
-                dag.add_arc(dag.table.id(tokens[1]), dag.table.id(tokens[2]))
-            else:
-                raise ParseError(f"unrecognized line: {' '.join(tokens)!r}", lineno)
-        except ParseError:
-            raise
-        except BnicError as exc:
-            raise ParseError(str(exc), lineno) from exc
+
+    def parse_line(tokens: list[str]) -> None:
+        if tokens[0] == "node" and len(tokens) == 2:
+            dag.add_node(tokens[1])
+        elif tokens[0] == "arc" and len(tokens) == 3:
+            dag.add_arc(dag.table.id(tokens[1]), dag.table.id(tokens[2]))
+        else:
+            raise ParseError(f"unrecognized line: {' '.join(tokens)!r}")
+
+    _parse_lines(text, parse_line)
     return dag
 
 
@@ -58,37 +65,33 @@ def serialize_network(dag: Dag) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _parse_edit(tokens: list[str], scratch: Dag, lineno: int) -> list[Modification]:
+def _parse_edit(tokens: list[str], scratch: Dag) -> list[Modification]:
     op = tokens[0]
-    try:
-        if op == "add-node" and len(tokens) == 2:
-            return [AddNode(tokens[1])]
-        if op == "remove-node" and len(tokens) == 2:
-            return expand_remove_node(scratch, scratch.table.id(tokens[1]))
-        if op == "add-arc" and len(tokens) == 3:
-            return [AddArc(scratch.table.id(tokens[1]), scratch.table.id(tokens[2]))]
-        if op == "remove-arc" and len(tokens) == 3:
-            return [RemoveArc(scratch.table.id(tokens[1]), scratch.table.id(tokens[2]))]
-    except BnicError as exc:
-        raise ParseError(str(exc), lineno) from exc
-    raise ParseError(f"unrecognized edit: {' '.join(tokens)!r}", lineno)
+    if op == "add-node" and len(tokens) == 2:
+        return [AddNode(tokens[1])]
+    if op == "remove-node" and len(tokens) == 2:
+        return expand_remove_node(scratch, scratch.table.id(tokens[1]))
+    if op == "add-arc" and len(tokens) == 3:
+        return [AddArc(scratch.table.id(tokens[1]), scratch.table.id(tokens[2]))]
+    if op == "remove-arc" and len(tokens) == 3:
+        return [RemoveArc(scratch.table.id(tokens[1]), scratch.table.id(tokens[2]))]
+    raise ParseError(f"unrecognized edit: {' '.join(tokens)!r}")
 
 
-def _script_lines(text: str, dag: Dag):
+def _script_lines(text: str, dag: Dag) -> list[tuple[list[str], list[Modification] | None]]:
     # each line's tokens and modifications (None for ``compile``), with names
     # resolved against a scratch copy of the dag replayed line by line
     scratch = dag.copy()
-    for lineno, tokens in _content_lines(text):
+
+    def parse_line(tokens: list[str]) -> list[Modification] | None:
         if tokens == ["compile"]:
-            yield tokens, None
-            continue
-        mods = _parse_edit(tokens, scratch, lineno)
+            return None
+        mods = _parse_edit(tokens, scratch)
         for mod in mods:
-            try:
-                apply_modification(scratch, mod)
-            except BnicError as exc:
-                raise ParseError(str(exc), lineno) from exc
-        yield tokens, mods
+            apply_modification(scratch, mod)
+        return mods
+
+    return _parse_lines(text, parse_line)
 
 
 def parse_script(text: str, dag: Dag) -> list[list[Modification]]:
@@ -122,22 +125,12 @@ def _label(names) -> str:
     return f'"{text}"'
 
 
-def dag_dot(dag: Dag) -> str:
-    lines = ["digraph network {"]
-    for vid in dag.nodes():
-        lines.append(f"  n{vid} [label={_label([dag.table.name(vid)])}];")
-    for p, c in dag.arcs():
-        lines.append(f"  n{p} -> n{c};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def undirected_dot(g: UndirectedGraph, table: VariableTable) -> str:
-    lines = ["graph moral {"]
-    for vid in g.vertices():
-        lines.append(f"  n{vid} [label={_label([table.name(vid)])}];")
-    for u, v in g.edges():
-        lines.append(f"  n{u} -- n{v};")
+def graph_dot(kind: str, name: str, table: VariableTable, vertices, edges) -> str:
+    """A ``digraph`` (arcs ``->``) or a ``graph`` (edges ``--``) in DOT, its vertices labelled by name."""
+    op = "->" if kind == "digraph" else "--"
+    lines = [f"{kind} {name} {{"]
+    lines += [f"  n{v} [label={_label([table.name(v)])}];" for v in vertices]
+    lines += [f"  n{u} {op} n{v};" for u, v in edges]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -388,9 +388,6 @@ class UndirectedGraph:
     def __len__(self) -> int:
         return len(self._adj)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.vertices())
-
 
 @dataclass(frozen=True)
 class Link:

@@ -21,7 +21,7 @@ from .engine import (
     apply_modification,
     expand_remove_node,
 )
-from .errors import NotChordalError, UnknownVariableError
+from .errors import CycleError, InvalidEditError, NotChordalError, UnknownVariableError
 from .graph import Dag, UndirectedGraph, is_chordal, moralize
 # aggregate_cliques is not called here, but the benchmark's tracer wraps this module's binding
 from .mpd import aggregate_cliques, group_owners  # noqa: F401
@@ -93,11 +93,15 @@ def validate(model: CompiledModel) -> ValidityReport:
     single-clique rule of Rose, Tarjan & Lueker 1976).  So minimality gives
     each vertex an int with bit i set when the i-th maximal clique holds
     it, and a fill edge {u, v} is redundant iff the AND of its ends' ints
-    has exactly one bit; the fill is scanned in ascending order, so the
-    first redundant edge is the one named.  In a tree, the clusters holding
-    a variable induce a forest whose component count is the number of those
-    clusters less the number of tree edges both of whose ends hold it, so
-    running intersection is one count per variable.
+    has exactly one bit.  The least redundant edge is the one named, and
+    no fill pair list is built or sorted: the fill's vertices are scanned
+    in ascending order, and the first with a redundant partner is the least
+    edge's lower end (the partner's scan would otherwise have come first);
+    the least fill pair that is a moral edge is found the same way, with
+    one intersection of neighbourhoods per vertex.  In a tree, the
+    clusters holding a variable induce a forest whose component count is
+    the number of those clusters less the number of tree edges both of
+    whose ends hold it, so running intersection is one count per variable.
 
     H is the moral graph plus the stored fill.  ``cluster_completeness``
     also requires the fill to share no pair with the moral graph; with the
@@ -113,8 +117,8 @@ def validate(model: CompiledModel) -> ValidityReport:
     :func:`group_owners`, which builds no MPS tree.
     """
     checks: list[Check] = []
-    dag, moral, jt, owner = model.dag, model.moral, model.jt, model.owner
-    fill = model.fill.edges()
+    dag, moral, jt, owner, fill = model.dag, model.moral, model.jt, model.owner, model.fill
+    ends = [(u, ns) for u in fill.vertices() if (ns := fill.neighbors(u))]  # ascending
 
     def check(name: str, passed: bool, detail: str) -> None:
         checks.append(Check(name, passed, "" if passed else detail))
@@ -140,7 +144,9 @@ def validate(model: CompiledModel) -> ValidityReport:
     check("triangulation_chordal", chordal, stray or f"missing chord at {witness}")
 
     unchecked = stray or "not checked: triangulation is not chordal"
-    moral_pair = next((e for e in fill if moral.has_edge(*e)), None)
+    moral_pair = next(
+        ((u, min(both)) for u, ns in ends if moral.has_vertex(u) and (both := ns & moral.neighbors(u))), None
+    )
     if not chordal:
         minimal_detail = unchecked
     elif moral_pair:
@@ -151,7 +157,10 @@ def validate(model: CompiledModel) -> ValidityReport:
             b = 1 << i
             for v in c:
                 holders[v] |= b
-        redundant = next(((u, v) for u, v in fill if (holders[u] & holders[v]).bit_count() == 1), None)
+        redundant = next(
+            ((u, min(one)) for u, ns in ends if (one := [v for v in ns if (holders[u] & holders[v]).bit_count() == 1])),
+            None,
+        )
         minimal_detail = f"fill edge {redundant} is redundant" if redundant else ""
     check("triangulation_minimal", not minimal_detail, minimal_detail)
 
@@ -246,10 +255,10 @@ def stability(old: ClusterTree, new: ClusterTree) -> float:
 # ---------------------------------------------------------------------------
 
 
-def random_dag(n: int, rng: Random, edge_prob: float = 0.25, prefix: str = "v") -> Dag:
+def random_dag(n: int, rng: Random, edge_prob: float = 0.25) -> Dag:
     """A random dag: forward arcs over a shuffled topological order."""
     dag = Dag()
-    ids = [dag.add_node(f"{prefix}{i}") for i in range(n)]
+    ids = [dag.add_node(f"v{i}") for i in range(n)]
     order = list(ids)
     rng.shuffle(order)
     for i in range(n):
@@ -308,8 +317,9 @@ def random_arc_edits(dag: Dag, n_edits: int, rng: Random) -> list[Modification]:
 def _draw_arc_edit(scratch: Dag, add: bool, rng: Random) -> Modification | None:
     """Draw one valid arc addition or removal and apply it to scratch.
 
-    An addition tries 30 random ordered pairs for one that is neither an arc
-    nor closes a cycle.  Returns None when nothing valid was drawn.
+    An addition tries 30 random ordered pairs on scratch until one is
+    neither an arc nor closes a cycle, which :meth:`Dag.add_arc` checks.
+    Returns None when nothing valid was drawn.
     """
     if add:
         nodes = scratch.nodes()
@@ -317,15 +327,15 @@ def _draw_arc_edit(scratch: Dag, add: bool, rng: Random) -> Modification | None:
             return None
         for _ in range(30):
             u, v = rng.sample(nodes, 2)
-            if not scratch.has_arc(u, v) and not scratch.has_path(v, u):
-                mod: Modification = AddArc(u, v)
-                break
-        else:
-            return None
-    else:
-        arcs = scratch.arcs()
-        if not arcs:
-            return None
-        mod = RemoveArc(*rng.choice(arcs))
+            try:
+                scratch.add_arc(u, v)
+            except (InvalidEditError, CycleError):
+                continue
+            return AddArc(u, v)
+        return None
+    arcs = scratch.arcs()
+    if not arcs:
+        return None
+    mod = RemoveArc(*rng.choice(arcs))
     apply_modification(scratch, mod)
     return mod

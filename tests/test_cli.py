@@ -1,4 +1,3 @@
-import csv
 import json
 import statistics
 from pathlib import Path
@@ -9,6 +8,82 @@ import bnic.cli as cli
 import bnic.oracle
 
 DATA = Path(__file__).parent / "data"
+
+# what `bnic compile --dot` writes for asia, byte for byte
+ASIA_DOT = {
+    "network.dot": """\
+digraph network {
+  n0 [label="A"];
+  n1 [label="S"];
+  n2 [label="T"];
+  n3 [label="L"];
+  n4 [label="B"];
+  n5 [label="E"];
+  n6 [label="X"];
+  n7 [label="D"];
+  n0 -> n2;
+  n1 -> n3;
+  n1 -> n4;
+  n2 -> n5;
+  n3 -> n5;
+  n5 -> n6;
+  n5 -> n7;
+  n4 -> n7;
+}
+""",
+    "moral.dot": """\
+graph moral {
+  n0 [label="A"];
+  n1 [label="S"];
+  n2 [label="T"];
+  n3 [label="L"];
+  n4 [label="B"];
+  n5 [label="E"];
+  n6 [label="X"];
+  n7 [label="D"];
+  n0 -- n2;
+  n1 -- n3;
+  n1 -- n4;
+  n2 -- n3;
+  n2 -- n5;
+  n3 -- n5;
+  n4 -- n5;
+  n4 -- n7;
+  n5 -- n6;
+  n5 -- n7;
+}
+""",
+    "junction.dot": """\
+graph junction {
+  node [shape=ellipse];
+  c0 [label="A T"];
+  c1 [label="T L E"];
+  c2 [label="L B E"];
+  c3 [label="S L B"];
+  c4 [label="B E D"];
+  c5 [label="E X"];
+  c0 -- c1 [label="T"];
+  c1 -- c2 [label="L E"];
+  c1 -- c5 [label="E"];
+  c2 -- c3 [label="L B"];
+  c2 -- c4 [label="B E"];
+}
+""",
+    "mpd.dot": """\
+graph mpd {
+  node [shape=ellipse];
+  c0 [label="A T"];
+  c1 [label="T L E"];
+  c2 [label="S L B E"];
+  c4 [label="B E D"];
+  c5 [label="E X"];
+  c0 -- c1 [label="T"];
+  c1 -- c2 [label="L E"];
+  c1 -- c5 [label="E"];
+  c2 -- c4 [label="B E"];
+}
+""",
+}
 
 
 def run(capsys, *argv):
@@ -49,8 +124,7 @@ def test_compile_empty_file_ok(tmp_path, capsys):
 def test_compile_writes_dot_files(tmp_path, capsys):
     code, _, _ = run(capsys, "compile", str(DATA / "asia.bn"), "--dot", str(tmp_path / "dots"))
     assert code == 0
-    names = {p.name for p in (tmp_path / "dots").iterdir()}
-    assert names == {"network.dot", "moral.dot", "junction.dot", "mpd.dot"}
+    assert {p.name: p.read_text() for p in (tmp_path / "dots").iterdir()} == ASIA_DOT
 
 
 def test_compile_dot_onto_an_existing_file_exits_1(tmp_path, capsys):
@@ -167,46 +241,53 @@ def test_apply_bad_script_exits_1(tmp_path, capsys):
     assert "line 1" in err
 
 
-def test_bench_script_and_csv(tmp_path, capsys):
+def test_bench_script_and_json(tmp_path, capsys):
     script = tmp_path / "edit.script"
     script.write_text("remove-arc L E\nadd-arc A S\n")
-    csv_path = tmp_path / "report.csv"
-    code, out, _ = run(
-        capsys, "bench", str(DATA / "asia.bn"), str(script), "--csv", str(csv_path)
-    )
+    json_path = tmp_path / "report.json"
+    code, out, _ = run(capsys, "bench", str(DATA / "asia.bn"), str(script), "--json", str(json_path))
     assert code == 0
     assert "median:" in out
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0].startswith("index,description")
-    assert len(lines) == 3
+    rows = json.loads(json_path.read_text())["rows"]
+    columns = ["index", "description", "incremental_s", "full_s", "speedup", "stability", "marked_mps", "verified"]
+    assert [list(r) for r in rows] == [columns, columns]
+    assert [(r["index"], r["description"]) for r in rows] == [(1, "remove-arc L E"), (2, "add-arc A S")]
 
 
 @pytest.mark.parametrize("verified", [True, False])
-def test_bench_json_matches_the_csv_rows(tmp_path, capsys, monkeypatch, verified):
+def test_bench_json_matches_the_printed_rows(tmp_path, capsys, monkeypatch, verified):
     if not verified:
         monkeypatch.setattr(bnic.oracle, "mpd_equal", lambda a, b: False)
     script = tmp_path / "edit.script"
     script.write_text("remove-arc L E\nadd-arc A S\nremove-arc E X\n")
-    csv_path, json_path = tmp_path / "report.csv", tmp_path / "report.json"
-    code, _, _ = run(
-        capsys, "bench", str(DATA / "asia.bn"), str(script), "--csv", str(csv_path), "--json", str(json_path)
-    )
+    json_path = tmp_path / "report.json"
+    code, out, _ = run(capsys, "bench", str(DATA / "asia.bn"), str(script), "--json", str(json_path))
     assert code == (0 if verified else 2)
     report = json.loads(json_path.read_text())
-    rows = list(csv.DictReader(csv_path.read_text().splitlines()))
-    assert len(report["rows"]) == len(rows) == 3
-    for got, want in zip(report["rows"], rows):
-        assert got["index"] == int(want["index"]) and got["description"] == want["description"]
-        assert got["marked_mps"] == int(want["marked_mps"]) and got["verified"] == bool(int(want["verified"]))
-        for key, places in (("incremental_s", 9), ("full_s", 9), ("speedup", 4), ("stability", 6)):
-            assert f"{got[key]:.{places}f}" == want[key]
+    printed = out.splitlines()[2:]
+    assert len(report["rows"]) == len(printed) - 1 == 3
+    for got, line in zip(report["rows"], printed):
+        assert line.split() == [
+            str(got["index"]),
+            *got["description"].split(),
+            f"{got['incremental_s'] * 1e3:.3f}",
+            f"{got['full_s'] * 1e3:.3f}",
+            f"{got['speedup']:.2f}",
+            f"{got['stability']:.3f}",
+            str(got["marked_mps"]),
+            "yes" if got["verified"] else "NO",
+        ]
+    assert printed[-1] == (
+        f"median: incremental {report['median_incremental_s'] * 1e3:.3f} ms, "
+        f"full {report['median_full_s'] * 1e3:.3f} ms, stability {report['median_stability']:.3f}"
+    )
     assert report["all_verified"] is verified
     assert report["median_incremental_s"] == statistics.median(r["incremental_s"] for r in report["rows"])
     assert report["median_full_s"] == statistics.median(r["full_s"] for r in report["rows"])
     assert report["median_stability"] == statistics.median(r["stability"] for r in report["rows"])
 
 
-@pytest.mark.parametrize("flag", ["--csv", "--json"])
+@pytest.mark.parametrize("flag", ["--json"])
 def test_bench_output_into_a_missing_directory_exits_1(tmp_path, capsys, flag):
     target = tmp_path / "missing" / "report"
     code, _, err = run(capsys, "bench", "--random", "10", "3", flag, str(target))
@@ -250,6 +331,9 @@ def test_bench_usage_errors(capsys):
     assert code == 1
     code, _, err = run(capsys, "bench", "--random", "10")
     assert code == 1
+    code, _, err = run(capsys, "bench", "--random", "10", "3", "--csv", "report.csv")
+    assert code == 1
+    assert err.endswith("bnic: error: unrecognized arguments: --csv\n")
     code, out, err = run(capsys, "bench", str(DATA / "asia.bn"), "--random", "10", "5")
     assert (code, out) == (1, "")
     assert err == "bnic: --random replaces the network and script arguments\n"

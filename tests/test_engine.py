@@ -517,6 +517,22 @@ def test_two_add_nodes_in_one_batch_stay_one_tree(asia_model):
     assert validate(m).passed
 
 
+def test_owner_keys_ascend_through_streams_that_add_and_remove_nodes():
+    # add_node hangs a new clique on the first owner key, which must be the least clique
+    rng = Random(2718)
+    kinds = Counter()
+    for k in range(60):
+        n = rng.randint(2, 40)
+        dag = banded_dag(n, rng) if k % 2 else random_dag(n, rng, edge_prob=rng.choice([0.1, 0.25]))
+        model = full_recompile(dag)
+        for _ in range(5):
+            script = random_script(model.dag, rng.randint(1, 10), rng)
+            kinds.update(type(mod).__name__ for mod in script)
+            incremental_compile(model, script)
+            assert list(model.owner) == model.jt.cluster_ids()
+    assert kinds["AddNode"] > 50 and kinds["RemoveNode"] > 50
+
+
 # -- adding links -------------------------------------------------------------
 
 

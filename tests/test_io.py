@@ -2,13 +2,12 @@ import pytest
 
 from bnic import AddArc, AddNode, Dag, ParseError, RemoveArc, RemoveNode, UnwritableNameError
 from bnic.fileio import (
-    dag_dot,
+    graph_dot,
     parse_edits,
     parse_network,
     parse_script,
     serialize_network,
     tree_dot,
-    undirected_dot,
 )
 from bnic import full_recompile, moralize
 
@@ -136,9 +135,10 @@ def test_parse_edits_one_entry_per_line():
 def test_dot_outputs():
     dag = build_asia()
     model = full_recompile(dag.copy())
-    d = dag_dot(dag)
+    d = graph_dot("digraph", "network", dag.table, dag.nodes(), dag.arcs())
     assert "digraph" in d and '"A"' in d and "->" in d
-    u = undirected_dot(moralize(dag), dag.table)
+    moral = moralize(dag)
+    u = graph_dot("graph", "moral", dag.table, moral.vertices(), moral.edges())
     assert "graph" in u and "--" in u
     t = tree_dot(model.jt, dag.table, highlight={model.jt.cluster_ids()[0]})
     assert "fillcolor" in t and "--" in t
@@ -147,6 +147,8 @@ def test_dot_outputs():
     # quotes and backslashes in names are escaped inside DOT's quoted labels
     odd = parse_network('node a"b\nnode c\\d\narc a"b c\\d\n')
     odd_model = full_recompile(odd.copy())
-    assert 'label="a\\"b"' in dag_dot(odd) and 'label="c\\\\d"' in dag_dot(odd)
-    assert 'label="a\\"b"' in undirected_dot(odd_model.moral, odd.table)
+    odd_dot = graph_dot("digraph", "network", odd.table, odd.nodes(), odd.arcs())
+    assert 'label="a\\"b"' in odd_dot and 'label="c\\\\d"' in odd_dot
+    moral = odd_model.moral
+    assert 'label="a\\"b"' in graph_dot("graph", "moral", odd.table, moral.vertices(), moral.edges())
     assert 'label="a\\"b c\\\\d"' in tree_dot(odd_model.jt, odd.table)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from random import Random
 
@@ -21,7 +22,7 @@ from bnic import (
 )
 
 from bnic.mpd import aggregate_cliques
-from bnic.oracle import Check, ValidityReport, oracle
+from bnic.oracle import Check, ValidityReport, oracle, random_arc_edits
 from bnic.pipeline import build_join_tree, extract_cliques
 from conftest import cluster_names, edited, family_hosts
 
@@ -499,6 +500,21 @@ def test_random_script_is_replayable():
 
     for mod in script:
         apply_modification(replay, mod)  # raises if invalid at its position
+
+
+def test_the_edit_generators_draw_the_pinned_streams():
+    # a seed draws the same edits and leaves its rng in the same state;
+    # the empty, one-node and complete dags draw no addition
+    streams = []
+    for seed, (n, p) in enumerate([(0, 0.2), (1, 0.2), (2, 1.0), (6, 1.0), (12, 0.2), (25, 0.5), (25, 0.1), (40, 0.05)]):
+        rng = Random(seed)
+        dag = random_dag(n, rng, edge_prob=p)
+        streams.append([repr(mod) for mod in random_arc_edits(dag, 25, rng)])
+        streams.append([repr(mod) for mod in random_script(dag, 25, rng)])
+        streams.append(rng.random())
+    assert hashlib.sha256(repr(streams).encode()).hexdigest() == (
+        "f04b100d13c776f7c79aeffb443baf56f56534b09b69b87471c338c25621ee3a"
+    )
 
 
 def test_property_sweep_small():
