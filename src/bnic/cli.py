@@ -164,7 +164,7 @@ def _cmd_apply(args) -> int:
         if args.dot:
             _write_dot(args.dot, _tree_dots(model, f"step{i:03d}_", trace))
         if args.verify:
-            failed = oracle(model, model.dag)
+            failed = oracle(model, full_recompile(model.dag))
             if failed is not None:
                 print(f"verification failed after flush {i}: {failed}", file=sys.stderr)
                 return 2

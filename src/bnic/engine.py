@@ -10,9 +10,12 @@ subtree is thinned in place, and only the cliques a dropped fill edge
 splits change; otherwise the region is re-triangulated from its induced
 moral subgraph into new cliques of the junction tree, which are spliced in.
 Either way no unmarked clique's vertex set changes, and one tail finishes
-the region: it regroups the region's cliques, maps their owners, re-hosts
-the families whose clique died or stopped covering them, and records the
-trace.
+the region: it regroups the region's cliques, maps their owners and
+re-hosts the families whose clique died or stopped covering them.
+
+Each step returns what it did: a marking function the MPSs it marks, a
+rebuild its region and the pieces absorbed.  Only
+:func:`incremental_compile` writes the trace, from those results.
 
 The engine keeps one tree, the junction tree, and an owner map from each
 clique to its MPS (see :class:`CompiledModel`).  The MPSs are connected
@@ -28,7 +31,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .clustertree import ClusterTree, HolderIndex
-from .errors import InconsistencyError, InvalidEditError
+from .errors import InconsistencyError
 from .graph import Dag, Link, UndirectedGraph
 from .mpd import aggregate_cliques
 from .pipeline import Triangulation, assign_families, construct_join_tree, thin_join_tree
@@ -175,9 +178,9 @@ class ModTrace:
 
     mod: Modification
     description: str
-    links: list[Link] = field(default_factory=list)
-    touched: dict[int, frozenset[int]] = field(default_factory=dict)
-    rewired: list[dict] = field(default_factory=list)
+    links: list[Link]
+    touched: dict[int, frozenset[int]]
+    rewired: list[dict]
 
     def marked_sets(self) -> set[frozenset[int]]:
         return set(self.touched.values())
@@ -224,13 +227,6 @@ class BatchTrace:
         return out
 
 
-def _mark(marked: set[int], model: CompiledModel, m: int, rec: ModTrace | None) -> None:
-    """Mark MPS m; a trace records it with the union of its cliques."""
-    marked.add(m)
-    if rec is not None:
-        rec.touched[m] = frozenset().union(*map(model.jt.cluster, _group(model.jt, model.owner, m)))
-
-
 # ---------------------------------------------------------------------------
 # Phase one: moral-graph maintenance and marking
 # ---------------------------------------------------------------------------
@@ -249,8 +245,9 @@ def modify_moral_graph(model: CompiledModel, mod: Modification) -> list[Link]:
             moral.add_vertex(dag.table.id(name))
             return []
         case RemoveNode(node):
+            # the dry run removed it without arcs, so only a broken moral graph gives it neighbours
             if moral.neighbors(node):
-                raise InvalidEditError(f"node {node} still has moral edges")
+                raise InconsistencyError(f"node {node} still has moral edges")
             moral.remove_vertex(node)
             return []
         case AddArc(parent, child):
@@ -273,15 +270,8 @@ def modify_moral_graph(model: CompiledModel, mod: Modification) -> list[Link]:
     raise TypeError(f"unknown modification {mod!r}")
 
 
-def mark_remove_link(
-    model: CompiledModel,
-    parent: int,
-    child: int,
-    links: Sequence[Link],
-    marked: set[int],
-    rec: ModTrace | None = None,
-) -> None:
-    """Mark the MPSs invalidated by removing the arc parent → child.
+def mark_remove_link(model: CompiledModel, parent: int, child: int, links: Sequence[Link]) -> list[int]:
+    """The MPSs invalidated by removing the arc parent → child, in marking order.
 
     These are the MPS m_y of the child's family host and the owner of every
     clique holding both ends of a deleted moral link.  A boundary separator
@@ -299,17 +289,16 @@ def mark_remove_link(
     batch grew that family, it has already marked its path to the host.
     """
     if not links:
-        return
+        return []
     jt, family, owner = model.jt, model.family, model.owner
-    _mark(marked, model, owner[family[child]], rec)
+    m_y = owner[family[child]]
     partners = {l.u if l.v == parent else l.v for l in links}
     hit = {owner[c] for c in _holders(jt, family[parent], parent) if partners & jt.cluster(c)}
-    for m in sorted(hit):
-        _mark(marked, model, m, rec)
+    return [m_y, *sorted(hit - {m_y})]
 
 
-def mark_remove_node(model: CompiledModel, x: int, marked: set[int], rec: ModTrace | None = None) -> None:
-    """Mark the MPSs holding an isolated variable, and drop it from the family map and the fill.
+def mark_remove_node(model: CompiledModel, x: int) -> list[int]:
+    """The MPSs holding an isolated variable, ascending; drops it from the family map and the fill.
 
     The clusters keep x until the rebuild, which leaves out the variables
     the batch removed; every holder of x is marked, so no boundary
@@ -317,8 +306,7 @@ def mark_remove_node(model: CompiledModel, x: int, marked: set[int], rec: ModTra
     """
     host = model.family.pop(x)
     model.fill.remove_vertex(x)
-    for m in sorted({model.owner[c] for c in _holders(model.jt, host, x)}):
-        _mark(marked, model, m, rec)
+    return sorted({model.owner[c] for c in _holders(model.jt, host, x)})
 
 
 def _holders(jt: ClusterTree, start: int, x: int) -> set[int]:
@@ -341,11 +329,11 @@ def _group(jt: ClusterTree, owner: dict[int, int], m: int) -> set[int]:
     return jt.reach(m, lambda c: owner[c] == m)
 
 
-def add_node(model: CompiledModel, x: int, marked: set[int], rec: ModTrace | None = None) -> None:
+def add_node(model: CompiledModel, x: int) -> list[int]:
     """Host a brand-new isolated variable in a singleton clique, its own MPS.
 
     The clique attaches to the lowest-id existing clique by an empty
-    separator.  Its MPS is marked for rebuild.
+    separator.  Returns its MPS, the one mark.
     """
     jt = model.jt
     anchor = next(iter(model.owner), None)  # the least clique: owner keys ascend
@@ -355,17 +343,11 @@ def add_node(model: CompiledModel, x: int, marked: set[int], rec: ModTrace | Non
     model.owner[c] = c
     model.family[x] = c
     model.fill.add_vertex(x)
-    _mark(marked, model, c, rec)
+    return [c]
 
 
-def mark_add_link(
-    model: CompiledModel,
-    parent: int,
-    child: int,
-    marked: set[int],
-    rec: ModTrace | None = None,
-) -> None:
-    """Mark the MPS path that must host a new arc and its induced moral links.
+def mark_add_link(model: CompiledModel, parent: int, child: int, marked: set[int]) -> tuple[list[int], dict | None]:
+    """The MPS path that must host a new arc and its induced moral links, and the rewiring.
 
     One breadth-first walk over the junction tree from the child's family
     host stops at the first clique holding parent, c_x: the holders of
@@ -373,9 +355,10 @@ def mark_add_link(
     unique.  The owners along the path [c_x … host] are the MPS path
     [m_x … m_y].  If an empty separator lies on the path, the junction edge
     carrying it is cut and c_x is joined to clique m_y directly, shrinking
-    the region to re-triangulate.  The trace labels the new link by the
-    separator {parent}; the junction edge itself stays empty until the
-    rebuild, since its ends share nothing.
+    the region to re-triangulate.  The rewiring, returned with the path's
+    MPSs (the batch's earlier ``marked`` decide only which separators may
+    be cut), labels the new link by the separator {parent}; the junction
+    edge itself stays empty until the rebuild, since its ends share nothing.
 
     One path serves every link the arc induces: each joins parent to a
     member w of the child's family.  An old member lies in m_y; a parent
@@ -407,18 +390,15 @@ def mark_add_link(
         for a, b in zip(path, path[1:])
         if jt.cluster(a).isdisjoint(jt.cluster(b)) and not (owner[a] in marked and owner[b] in marked)
     ]
+    rewiring = None
     if empty:
         a, b = empty[0]
         m_x, m_y = owner[c_x], owner[host]
         jt.remove_edge(a, b)
         jt.add_edge(c_x, m_y)
-        if rec is not None:
-            rec.rewired.append(
-                {"removed": (owner[a], owner[b]), "added": (m_x, m_y), "separator": frozenset({parent})}
-            )
+        rewiring = {"removed": (owner[a], owner[b]), "added": (m_x, m_y), "separator": frozenset({parent})}
         path = [c_x, m_y]
-    for m in dict.fromkeys(owner[c] for c in path):
-        _mark(marked, model, m, rec)
+    return list(dict.fromkeys(owner[c] for c in path)), rewiring
 
 
 # ---------------------------------------------------------------------------
@@ -490,11 +470,8 @@ def absorb_non_maximal(tree: ClusterTree, ids: list[int]) -> list[tuple[frozense
 
 
 def _rebuild_subtree(
-    model: CompiledModel,
-    doomed: list[int],
-    links: dict[tuple[int, int], bool],
-    trace: BatchTrace | None,
-) -> None:
+    model: CompiledModel, doomed: list[int], links: dict[tuple[int, int], bool]
+) -> tuple[set[int], bool, list[tuple[frozenset[int], int]], list[int]]:
     """Rebuild the doomed cliques, in place when their triangulation still covers the batch.
 
     ``doomed`` lists, ascending, the cliques of a connected set of marked
@@ -537,11 +514,13 @@ def _rebuild_subtree(
       share variables through unmarked cliques, so only this component's
       hosts are checked.  The covers are read off the same holder index,
       widened by the absorbing outside cliques; none is built again.
+
+    Returns the region's variables, whether it was thinned, the absorbed
+    pieces as (piece, outside clique) and the region's live cliques.
     """
     jt, owner, family, dag = model.jt, model.owner, model.family, model.dag
     variables = set(filter(model.moral.has_vertex, frozenset().union(*map(jt.cluster, doomed))))
     inside = {pair: a for pair, a in links.items() if variables.issuperset(pair)}
-    mps_ids = tuple(sorted({owner[c] for c in doomed})) if trace is not None else ()
     # an emptied region keeps no cluster, so it takes the (empty) min-fill path
     thinned = bool(variables) and all(model.fill.has_edge(*pair) for pair, a in inside.items() if a)
     if thinned:
@@ -578,14 +557,7 @@ def _rebuild_subtree(
         for c in {c for _, c in absorbed}:
             index.add(c)
         family.update(assign_families(dag, orphans, index))
-
-    if trace is not None:
-        trace.absorbed += [(vs, jt.cluster(c)) for vs, c in absorbed]
-        trace.new_jt_ids |= set(region) - doomed_set
-        trace.new_mpd_ids |= {owner[c] for c in region}
-        trace.subtrees.append(
-            SubtreeTrace(mps_ids, frozenset(variables), tuple(jt.cluster(c) for c in region), thinned)
-        )
+    return variables, thinned, absorbed, region
 
 
 def _thin_region(
@@ -675,6 +647,11 @@ def incremental_compile(
     cliques on their replacement tree (or, when none, on one boundary
     cluster), so a connected doomed set leaves the junction tree a tree,
     and c disconnected pieces leave c - 1 edges too many.
+
+    A trace records each modification's links, the marks its marking
+    function returns, each with the union of its cliques, and its
+    rewiring; then each rebuilt region.  A region's MPSs are its marked
+    ids: every MPS id is a clique of its own group.
     """
     mods = list(mods)  # the dry run and phase one each walk the batch
     with model.dag.rollback():
@@ -682,31 +659,40 @@ def incremental_compile(
             apply_modification(model.dag, mod)
     marked: set[int] = set()
     net: dict[tuple[int, int], bool] = {}  # the batch's moral link changes, pair -> added
+    jt, owner = model.jt, model.owner
     for mod in mods:
-        rec = None if trace is None else ModTrace(mod=mod, description=describe(mod, model.dag))
+        description = None if trace is None else describe(mod, model.dag)  # a removed node loses its name
         apply_modification(model.dag, mod)
         links = modify_moral_graph(model, mod)
         for l in links:  # a link added and deleted again cancels
             if net.pop((l.u, l.v), None) is None:
                 net[l.u, l.v] = l.added
+        rewiring = None
         match mod:
             case AddNode(name):
-                add_node(model, model.dag.table.id(name), marked, rec)
+                marks = add_node(model, model.dag.table.id(name))
             case RemoveNode(node):
-                mark_remove_node(model, node, marked, rec)
+                marks = mark_remove_node(model, node)
             case RemoveArc(parent, child):
-                mark_remove_link(model, parent, child, links, marked, rec)
+                marks = mark_remove_link(model, parent, child, links)
             case AddArc(parent, child):
-                mark_add_link(model, parent, child, marked, rec)
-        if rec is not None:
-            rec.links = list(links)
-            trace.mods.append(rec)
+                marks, rewiring = mark_add_link(model, parent, child, marked)
+        marked.update(marks)
+        if trace is not None:
+            touched = {m: frozenset().union(*map(jt.cluster, _group(jt, owner, m))) for m in marks}
+            trace.mods.append(ModTrace(mod, description, links, touched, [rewiring] if rewiring else []))
 
     if marked:
-        jt = model.jt
-        doomed = set().union(*(_group(jt, model.owner, m) for m in marked))
+        doomed = set().union(*(_group(jt, owner, m) for m in marked))
         for comp in map(sorted, jt.components(doomed)):
-            _rebuild_subtree(model, comp, net, trace)
+            variables, thinned, absorbed, region = _rebuild_subtree(model, comp, net)
+            if trace is not None:
+                trace.absorbed += [(vs, jt.cluster(c)) for vs, c in absorbed]
+                trace.new_jt_ids |= set(region) - doomed
+                trace.new_mpd_ids |= {owner[c] for c in region}
+                mps_ids = tuple(sorted(marked.intersection(comp)))
+                cliques = tuple(jt.cluster(c) for c in region)
+                trace.subtrees.append(SubtreeTrace(mps_ids, frozenset(variables), cliques, thinned))
         if jt and jt.edge_count() != len(jt) - 1:
             raise InconsistencyError(f"rebuild left {jt.edge_count()} edges on {len(jt)} junction clusters")
     return model

@@ -181,10 +181,6 @@ class Dag:
             raise UnknownVariableError(f"unknown variable id {vid}")
         return tuple(self._children[vid])
 
-    def family(self, vid: int) -> frozenset[int]:
-        """The variable together with its parents."""
-        return frozenset((vid,) + self.parents(vid))
-
     def nodes(self) -> list[int]:
         return self.table.ids()
 
@@ -320,9 +316,6 @@ class UndirectedGraph:
 
     def vertices(self) -> list[int]:
         return sorted(self._adj)
-
-    def vertex_set(self) -> set[int]:
-        return set(self._adj)
 
     def edges(self) -> list[tuple[int, int]]:
         return sorted((u, v) for u in self._adj for v in self._adj[u] if u < v)

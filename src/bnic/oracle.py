@@ -230,14 +230,15 @@ def mpd_equal(a: ClusterTree, b: ClusterTree) -> bool:
     )
 
 
-def oracle(model: CompiledModel, dag: Dag) -> str | None:
-    """None when the model passes ``validate`` and its MPS tree equals that of
-    a full recompile of dag; otherwise the name and detail of the failing check."""
+def oracle(model: CompiledModel, reference: CompiledModel) -> str | None:
+    """None when the model passes ``validate`` and its MPS tree equals the
+    reference's, a full recompile of its dag; otherwise the name and detail
+    of the failing check."""
     report = validate(model)
     if not report.passed:
         failed = next(c for c in report.checks if not c.passed)
         return f"{failed.name}: {failed.detail}" if failed.detail else failed.name
-    if not mpd_equal(model.mpd, full_recompile(dag).mpd):
+    if not mpd_equal(model.mpd, reference.mpd):
         return "mpd_equality_vs_full_recompile"
     return None
 

@@ -32,7 +32,6 @@ from bnic import (
 )
 from bnic.clustertree import HolderIndex
 from bnic.engine import (
-    ModTrace,
     absorb_non_maximal,
     add_node,
     connect,
@@ -54,6 +53,11 @@ def _link_names(table, links):
 
 def _marked_names(table, rec):
     return {name_set(table, vs) for vs in rec.marked_sets()}
+
+
+def _mps_names(model, marks):
+    # what a trace records of marks: each MPS as the union of its cliques
+    return {name_set(model.dag.table, model.mpd.cluster(m)) for m in marks}
 
 
 # -- moral graph maintenance --------------------------------------------------
@@ -145,9 +149,8 @@ def test_mark_remove_link_spreads_across_affected_separators(asia_model):
     mod = RemoveArc(t.id("L"), t.id("E"))
     apply_modification(m.dag, mod)
     links = modify_moral_graph(m, mod)
-    rec = ModTrace(mod=mod, description="x")
-    mark_remove_link(m, t.id("L"), t.id("E"), links, set(), rec)
-    assert _marked_names(t, rec) == {frozenset("TLE"), frozenset("SLBE")}
+    marks = mark_remove_link(m, t.id("L"), t.id("E"), links)
+    assert _mps_names(m, marks) == {frozenset("TLE"), frozenset("SLBE")}
 
 
 def test_mark_remove_link_stays_local_without_separator_hits():
@@ -160,9 +163,7 @@ def test_mark_remove_link_stays_local_without_separator_hits():
     mod = RemoveArc(b, c)
     apply_modification(m.dag, mod)
     links = modify_moral_graph(m, mod)
-    rec = ModTrace(mod=mod, description="x")
-    mark_remove_link(m, b, c, links, set(), rec)
-    assert len(rec.touched) == 1
+    assert len(mark_remove_link(m, b, c, links)) == 1
 
 
 def _closure_marks(model, links, start):
@@ -184,8 +185,6 @@ def _closure_marks(model, links, start):
 
 
 def test_mark_remove_link_equals_brute_force_closure():
-    from bnic.engine import ModTrace
-
     rng = Random(41)
     checked = 0
     for _ in range(40):
@@ -201,10 +200,8 @@ def test_mark_remove_link_equals_brute_force_closure():
         start = m.owner[m.family[c]]
         # an arc whose removal deletes no moral link marks nothing
         expected = _closure_marks(m, links, start) if links else set()
-        rec = ModTrace(mod=mod, description="x")
-        marked = set()
-        mark_remove_link(m, p, c, links, marked, rec)
-        assert set(rec.touched) == marked == expected
+        marks = mark_remove_link(m, p, c, links)
+        assert len(marks) == len(set(marks)) and set(marks) == expected
         checked += 1
     assert checked > 20
 
@@ -418,28 +415,38 @@ def _mark_add_link_reference(model, parent, child, links, marked):
             marked.add(m)
 
 
-def _phase_one(model, mod, marked, rec, reference):
+def _phase_one(model, mod, marked):
     # one modification's phase one, as incremental_compile runs it; returns
-    # the number of walks the reference re-seeded
+    # the rewiring of an added arc, or None
+    apply_modification(model.dag, mod)
+    links = modify_moral_graph(model, mod)
+    rewiring = None
+    match mod:
+        case AddNode(name):
+            marks = add_node(model, model.dag.table.id(name))
+        case RemoveNode(node):
+            marks = mark_remove_node(model, node)
+        case RemoveArc(parent, child):
+            marks = mark_remove_link(model, parent, child, links)
+        case AddArc(parent, child):
+            marks, rewiring = mark_add_link(model, parent, child, marked)
+    marked.update(marks)
+    return rewiring
+
+
+def _phase_one_reference(model, mod, marked):
+    # the same by the former walks; returns the number of walks re-seeded
     apply_modification(model.dag, mod)
     links = modify_moral_graph(model, mod)
     match mod:
         case AddNode(name):
-            add_node(model, model.dag.table.id(name), marked, rec)
+            marked.update(add_node(model, model.dag.table.id(name)))
         case RemoveNode(node):
-            if reference:
-                _mark_remove_node_reference(model, node, model.owner[model.family.pop(node)], marked)
-            else:
-                mark_remove_node(model, node, marked, rec)
+            _mark_remove_node_reference(model, node, model.owner[model.family.pop(node)], marked)
         case RemoveArc(parent, child):
-            if reference:
-                return _mark_remove_link_reference(model, links, model.owner[model.family[child]], marked)
-            mark_remove_link(model, parent, child, links, marked, rec)
+            return _mark_remove_link_reference(model, links, model.owner[model.family[child]], marked)
         case AddArc(parent, child):
-            if reference:
-                _mark_add_link_reference(model, parent, child, links, marked)
-            else:
-                mark_add_link(model, parent, child, marked, rec)
+            _mark_add_link_reference(model, parent, child, links, marked)
     return 0
 
 
@@ -470,14 +477,13 @@ def test_batch_marks_match_walk_reference():
         reference = model.copy()
         marked, ref_marked = set(), set()
         for mod in script:
-            rec = ModTrace(mod=mod, description="")
-            _phase_one(model, mod, marked, rec, reference=False)
-            reseeded += _phase_one(reference, mod, ref_marked, None, reference=True)
+            rewiring = _phase_one(model, mod, marked)
+            reseeded += _phase_one_reference(reference, mod, ref_marked)
             assert marked == ref_marked and model.family == reference.family
             for tree, ref_tree in ((model.mpd, reference.mpd), (model.jt, reference.jt)):
                 assert _tree_state(tree) == _tree_state(ref_tree)
             removals += isinstance(mod, RemoveNode)
-            rewired += bool(rec.rewired)
+            rewired += rewiring is not None
     assert removals > 0 and rewired > 0 and reseeded > 0
 
 
@@ -567,11 +573,12 @@ def test_a_rewired_junction_edge_is_empty_until_the_rebuild(asia_model, monkeypa
     a, z = t.id("A"), t.id("Z")
     real, seen = bnic.engine.mark_add_link, []
 
-    def checked(model, parent, child, marked, rec=None):
-        real(model, parent, child, marked, rec)
+    def checked(model, parent, child, marked):
+        result = real(model, parent, child, marked)
         jt = model.jt
         c_x = min(c for c in jt.cluster_ids() if parent in jt.cluster(c))
         seen.append(jt.separator(c_x, model.owner[model.family[child]]))
+        return result
 
     monkeypatch.setattr(bnic.engine, "mark_add_link", checked)
     trace = BatchTrace()
@@ -616,10 +623,10 @@ def test_add_link_walk_breaks_ties_by_lowest_id():
         jt.add_edge(0, 2)
         trees.append(CompiledModel(Dag(), UndirectedGraph(), jt, {k: k for k in clusters}, {c: 0}, UndirectedGraph()))
     model, reference = trees
-    marked, ref_marked = set(), set()
-    mark_add_link(model, p, c, marked)
+    ref_marked = set()
+    marks, _ = mark_add_link(model, p, c, set())
     _mark_add_link_reference(reference, p, c, [Link(p, c, True)], ref_marked)
-    assert marked == ref_marked == {0, 1}
+    assert set(marks) == ref_marked == {0, 1}
 
 
 # -- connect and absorb -------------------------------------------------------
@@ -817,6 +824,17 @@ def _unreachable_parent():
     mark_add_link(model, p, c, set())
 
 
+def _stray_moral_edge_on_a_removed_node():
+    # the dry run accepts removing the arc-free x; only a broken moral
+    # graph can still give it a neighbour
+    dag = Dag()
+    a, b, x = (dag.add_node(n) for n in "abx")
+    dag.add_arc(a, b)
+    model = full_recompile(dag)
+    model.moral.add_edge(x, a)
+    incremental_compile(model, [RemoveNode(x)])
+
+
 @pytest.mark.parametrize(
     "case, message",
     [
@@ -828,6 +846,7 @@ def _unreachable_parent():
             (_unheld_fill_pair, r"no cluster holds the fill pair \(0, 2\)"),
             (_fill_pair_without_a_mask, "no cluster holds vertex 5"),
             (_unreachable_parent, "no cluster reachable from the host of 1 contains variable 0"),
+            (_stray_moral_edge_on_a_removed_node, "node 2 still has moral edges"),
         ]
     ],
 )
@@ -992,21 +1011,22 @@ def test_rebuilt_regions_rehost_families_by_the_shared_rule(monkeypatch):
     rebuild = bnic.engine._rebuild_subtree
     absorbing = []
 
-    def checked(model, doomed, links, trace):
+    def checked(model, doomed, links):
         jt, dag = model.jt, model.dag
-        start, before, first = jt.next_id, dict(model.family), len(trace.absorbed)
-        rebuild(model, doomed, links, trace)
-        pieces = trace.absorbed[first:]
+        start, before = jt.next_id, dict(model.family)
+        result = rebuild(model, doomed, links)
+        _, thinned, pieces, _ = result
         assert all(model.moral.is_complete(piece) for piece, _ in pieces)
-        by_cluster = {jt.cluster(c): c for c in jt.cluster_ids()}
-        hosts = sorted({c for c in jt.cluster_ids() if c in doomed or c >= start} | {by_cluster[b] for _, b in pieces})
+        hosts = sorted({c for c in jt.cluster_ids() if c in doomed or c >= start} | {c for _, c in pieces})
         for v, host in before.items():
-            if host in doomed and (host not in jt or not dag.family(v) <= jt.cluster(host)):
-                covers = [c for c in hosts if dag.family(v) <= jt.cluster(c)]
+            family = frozenset((v, *dag.parents(v)))
+            if host in doomed and (host not in jt or not family <= jt.cluster(host)):
+                covers = [c for c in hosts if family <= jt.cluster(c)]
                 assert model.family[v] == min(covers, key=lambda c: (len(jt.cluster(c)), c))
             else:
                 assert model.family[v] == host
-        absorbing.append(bool(pieces) and not trace.subtrees[-1].thinned)
+        absorbing.append(bool(pieces) and not thinned)
+        return result
 
     monkeypatch.setattr(bnic.engine, "_rebuild_subtree", checked)
     flushes = 0
@@ -1078,10 +1098,9 @@ def test_phase_one_leaves_every_cluster_as_it_was():
     batch = [*expand_remove_node(dag, t.id("D")), AddArc(t.id("A"), z)]
     model = full_recompile(dag.copy())
     before = [{c: tree.cluster(c) for c in tree.cluster_ids()} for tree in (model.jt, model.mpd)]
-    marked, rec = set(), ModTrace(mod=batch[-1], description="")
-    for mod in batch:
-        _phase_one(model, mod, marked, rec, reference=False)
-    assert rec.rewired and t.id("D") in model.mpd.vertices()
+    marked = set()
+    rewirings = [_phase_one(model, mod, marked) for mod in batch]
+    assert any(rewirings) and t.id("D") in model.mpd.vertices()
     assert [{c: tree.cluster(c) for c in tree.cluster_ids()} for tree in (model.jt, model.mpd)] == before
     model = full_recompile(dag.copy())
     incremental_compile(model, batch)
@@ -1327,11 +1346,12 @@ def test_junction_cycle_after_a_rebuild_raises(asia_model, monkeypatch):
     rebuild = bnic.engine._rebuild_subtree
 
     def rebuild_with_extra_edge(model, comp, *batch):
-        rebuild(model, comp, *batch)
+        result = rebuild(model, comp, *batch)
         jt = model.jt
         ids = jt.cluster_ids()
         a, b = next((a, b) for a in ids for b in ids if a < b and not jt.has_edge(a, b))
         jt.add_edge(a, b)
+        return result
 
     monkeypatch.setattr(bnic.engine, "_rebuild_subtree", rebuild_with_extra_edge)
     t = asia_model.dag.table
@@ -1422,6 +1442,36 @@ def test_batch_and_simple_mode_agree():
         assert validate(batch).passed and validate(simple).passed
 
 
+# -- tracing ------------------------------------------------------------------
+
+
+def _model_state(model):
+    jt = model.jt
+    clusters = [(c, jt.cluster(c)) for c in jt.cluster_ids()]
+    return clusters, jt.edges(), list(model.owner.items()), model.family, model.fill, model.moral
+
+
+def test_tracing_only_observes():
+    # each seeded stream is flushed twice, traced and untraced; after every
+    # flush both models agree on the junction tree with its ids, the owner
+    # map in key order, the family map, the fill and the moral graph
+    rng = Random(4242)
+    paths = Counter()
+    for k in range(40):
+        n = rng.randint(2, 40)
+        dag = banded_dag(n, rng) if k % 2 else random_dag(n, rng, edge_prob=rng.choice([0.1, 0.25]))
+        traced, plain = full_recompile(dag.copy()), full_recompile(dag)
+        for _ in range(5):
+            script = random_script(plain.dag, rng.randint(1, 10), rng)
+            trace = BatchTrace()
+            incremental_compile(traced, script, trace)
+            incremental_compile(plain, script)
+            assert _model_state(traced) == _model_state(plain)
+            paths.update(s.thinned for s in trace.subtrees)
+            paths["rewired"] += sum(bool(rec.rewired) for rec in trace.mods)
+    assert min(paths[True], paths[False], paths["rewired"]) > 10
+
+
 # -- the stored fill -----------------------------------------------------------
 
 
@@ -1454,7 +1504,7 @@ def test_derived_fill_matches_copy_and_diff_reference():
             incremental_compile(model, mods, trace)
             removals += any(isinstance(mod, RemoveNode) for mod in mods)
             multi += len(trace.subtrees) > 1
-            assert model.fill.vertex_set() == model.moral.vertex_set()
+            assert set(model.fill.vertices()) == set(model.moral.vertices())
             assert model.fill.edge_set() == _derive_fill_reference(model.moral, model.jt)
             assert model.copy().fill == model.fill
             # a rebuild leaves no cluster inside a neighbour for a scan to absorb

@@ -172,7 +172,7 @@ def test_induced_projection_after_link_removal(asia):
 def test_induced_empty_and_identity(asia):
     gm = moralize(asia)
     assert len(gm.induced(set())) == 0
-    assert gm.induced(gm.vertex_set()) == gm
+    assert gm.induced(set(gm.vertices())) == gm
     with pytest.raises(UnknownVariableError):
         gm.induced({999})
 
@@ -188,7 +188,7 @@ def test_remove_induced_keeps_the_edges_leaving_the_set(asia):
     vs = {asia.table.id(n) for n in "TLEBS"}
     expected = gm.edge_set() - gm.induced(vs).edge_set()
     gm.remove_induced(vs)
-    assert gm.edge_set() == expected and gm.vertex_set() == set(asia.nodes())
+    assert gm.edge_set() == expected and set(gm.vertices()) == set(asia.nodes())
 
 
 def test_update_adds_the_other_graphs_edges_and_rejects_an_unknown_vertex():

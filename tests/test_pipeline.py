@@ -518,7 +518,7 @@ def test_assign_families_contain_families_on_random_dags():
     tree = _construct(moralize(dag))
     family = family_hosts(dag, tree)
     for v in dag.nodes():
-        assert dag.family(v) <= tree.cluster(family[v])
+        assert frozenset((v, *dag.parents(v))) <= tree.cluster(family[v])
 
 
 # -- quadratic reference versions of the structure layer ---------------------
@@ -574,7 +574,7 @@ def _family_hosts_reference(dag, tree):
     # ties by ascending id.
     hosts = {}
     for vid in dag.nodes():
-        fam = dag.family(vid)
+        fam = frozenset((vid, *dag.parents(vid)))
         hosts[vid] = min(
             (len(tree.cluster(c)), c) for c in tree.cluster_ids() if fam <= tree.cluster(c)
         )[1]
@@ -720,10 +720,12 @@ def test_compile_and_rebuilds_build_each_holder_index_at_most_once(monkeypatch):
     real = bnic.engine._rebuild_subtree
     regions = Counter()
 
-    def rebuild(model, doomed, links, trace):
+    def rebuild(model, doomed, links):
         before = calls["index"]
-        real(model, doomed, links, trace)
-        regions[trace.subtrees[-1].thinned, calls["index"] - before] += 1
+        result = real(model, doomed, links)
+        _, thinned, _, _ = result
+        regions[thinned, calls["index"] - before] += 1
+        return result
 
     monkeypatch.setattr(bnic.engine, "_rebuild_subtree", rebuild)
     rng = Random(31)
@@ -830,7 +832,7 @@ def test_construct_asia_covers_families_and_rip(asia):
     assert _rip_holds(tree)
     assert fill.edge_count() == 1
     for v in asia.nodes():
-        assert asia.family(v) <= tree.cluster(family[v])
+        assert frozenset((v, *asia.parents(v))) <= tree.cluster(family[v])
 
 
 def test_construction_is_deterministic():
