@@ -127,8 +127,7 @@ def _print_trace(model: CompiledModel, trace: BatchTrace) -> None:
         for rw in rec.rewired:
             print(f"    rewired empty separator to {names(rw['separator'])}")
     for sub in trace.subtrees:
-        how = "thinned" if sub.thinned else "re-triangulated"
-        print(f"  {how} over {names(sub.variables)} -> {len(sub.new_cliques)} clique(s)")
+        print(f"  {sub.path} over {names(sub.variables)} -> {len(sub.new_cliques)} clique(s)")
     for absorbed, into in trace.absorbed:
         print(f"  absorbed non-maximal {names(absorbed)} into {names(into)}")
 

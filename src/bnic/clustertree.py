@@ -165,6 +165,11 @@ class ClusterTree:
         clusters = self._clusters
         return [(a, b, clusters[a] & clusters[b]) for a, nbrs in self._adj.items() for b in nbrs if a < b]
 
+    def edges_within(self, ids) -> list[tuple[int, int]]:
+        """Every edge with both ends in ids (a set or a dict), once, as (a, b) with a < b, unsorted."""
+        adj = self._adj
+        return [(a, b) for a in ids for b in adj[a] if a < b and b in ids]
+
     def edge_count(self) -> int:
         return self._edges
 
@@ -181,6 +186,31 @@ class ClusterTree:
                     found.add(nb)
                     stack.append(nb)
         return found
+
+    def path(self, start: int, stop, keep=None) -> list[int] | None:
+        """The tree path from the nearest cluster for which stop holds back to start, or None.
+
+        One breadth-first walk from start over the neighbours for which keep
+        holds (default: all), each cluster's in ascending id order; the
+        nearest is the first one reached.  When stop holds on a subtree, as
+        on the holders of a vertex, the nearest is unique; otherwise a tie
+        goes to the cluster the walk reaches first.
+        """
+        up = {start: start}
+        queue = [start]
+        adj = self._adj
+        for c in queue:  # the queue grows as the walk goes
+            if stop(c):
+                path = [c]
+                while c != start:
+                    c = up[c]
+                    path.append(c)
+                return path
+            for nb in sorted(adj[c]):
+                if nb not in up and (keep is None or keep(nb)):
+                    up[nb] = c
+                    queue.append(nb)
+        return None
 
     def components(self, ids: Iterable[int] | None = None) -> list[set[int]]:
         """The components of the forest induced by ids (default: every cluster).

@@ -5,13 +5,16 @@ edit to the dag, patches the moral graph, and marks the MPSs whose internal
 structure may have changed; the marks are a set owned by the batch, and no
 existing cluster's vertex set changes before phase two.
 Phase two rebuilds the cliques of each connected marked region.  When the
-region's triangulation still covers the batch's edits, its own junction
-subtree is thinned in place, and only the cliques a dropped fill edge
-splits change; otherwise the region is re-triangulated from its induced
-moral subgraph into new cliques of the junction tree, which are spliced in.
-Either way no unmarked clique's vertex set changes, and one tail finishes
-the region: it regroups the region's cliques, maps their owners and
-re-hosts the families whose clique died or stopped covering them.
+region's triangulation still covers the batch's edits, or takes each added
+link it lacks as one new clique (Ibarra's insertion), its own junction
+subtree takes those cliques and is thinned in place, and only the cliques
+an insertion or a dropped fill edge touches change; otherwise the region
+is re-triangulated from its induced moral subgraph into new cliques of the
+junction tree, which are spliced in.  Either way no unmarked clique's
+vertex set changes, and one tail finishes the region: it regroups the
+region's cliques, testing only the separators the rebuild may have
+changed, maps their owners and re-hosts the families whose clique died or
+stopped covering them.
 
 Each step returns what it did: a marking function the MPSs it marks, a
 rebuild its region and the pieces absorbed.  Only
@@ -33,10 +36,11 @@ from typing import Iterable, Sequence
 from .clustertree import ClusterTree, HolderIndex
 from .errors import InconsistencyError
 from .graph import Dag, Link, UndirectedGraph
-from .mpd import aggregate_cliques
+from .mpd import union_groups
 from .pipeline import Triangulation, assign_families, construct_join_tree, thin_join_tree
 
-# Unused by the package; kept because the benchmark's tracer binds it.
+# Unused by the package; kept because the benchmark's tracer binds them.
+from .mpd import aggregate_cliques
 from .pipeline import perfect_elimination_order
 
 
@@ -190,17 +194,24 @@ class ModTrace:
 class SubtreeTrace:
     """One connected marked subtree rebuilt during the splice phase.
 
-    ``thinned`` says whether its own junction subtree was thinned in place,
-    rather than its region re-triangulated by min-fill.  ``new_cliques``
-    lists the region's cliques alive after the rebuild: for a thinned
-    region, those it kept and those its splits made; a piece an outside
-    clique absorbed is not among them.
+    ``thinned`` says whether its own junction subtree was rebuilt in place,
+    rather than its region re-triangulated by min-fill, and ``inserted``
+    whether that took links H lacked, each in a new clique.
+    ``new_cliques`` lists the region's cliques alive after the rebuild: for
+    a region rebuilt in place, those it kept and those its insertions and
+    splits made; a piece an outside clique absorbed is not among them.
     """
 
     mps_ids: tuple[int, ...]
     variables: frozenset[int]
     new_cliques: tuple[frozenset[int], ...]
     thinned: bool
+    inserted: bool
+
+    @property
+    def path(self) -> str:
+        """The rebuild path the region took: "inserted", "thinned" or "re-triangulated"."""
+        return "inserted" if self.inserted else "thinned" if self.thinned else "re-triangulated"
 
 
 @dataclass
@@ -350,7 +361,8 @@ def mark_add_link(model: CompiledModel, parent: int, child: int, marked: set[int
     """The MPS path that must host a new arc and its induced moral links, and the rewiring.
 
     One breadth-first walk over the junction tree from the child's family
-    host stops at the first clique holding parent, c_x: the holders of
+    host (:meth:`ClusterTree.path`) stops at the first clique holding
+    parent, c_x: the holders of
     parent are one subtree (see :func:`_holders`), so the nearest is
     unique.  The owners along the path [c_x … host] are the MPS path
     [m_x … m_y].  If an empty separator lies on the path, the junction edge
@@ -368,20 +380,10 @@ def mark_add_link(model: CompiledModel, parent: int, child: int, marked: set[int
     """
     jt, owner = model.jt, model.owner
     host = model.family[child]
-    up = {host: host}
-    queue = [host]
-    for c_x in queue:  # the queue grows as the walk goes
-        if parent in jt.cluster(c_x):
-            break
-        for nb in jt.neighbors(c_x):
-            if nb not in up:
-                up[nb] = c_x
-                queue.append(nb)
-    else:
+    path = jt.path(host, lambda c: parent in jt.cluster(c))
+    if path is None:
         raise InconsistencyError(f"no cluster reachable from the host of {child} contains variable {parent}")
-    path = [c_x]
-    while path[-1] != host:
-        path.append(up[path[-1]])
+    c_x = path[0]
     # an empty separator between two already-marked MPSs must stay:
     # cutting it would sever a pending rebuild obligation (marks are
     # rebuilt together only while they stay connected)
@@ -470,31 +472,34 @@ def absorb_non_maximal(tree: ClusterTree, ids: list[int]) -> list[tuple[frozense
 
 
 def _rebuild_subtree(
-    model: CompiledModel, doomed: list[int], links: dict[tuple[int, int], bool]
-) -> tuple[set[int], bool, list[tuple[frozenset[int], int]], list[int]]:
-    """Rebuild the doomed cliques, in place when their triangulation still covers the batch.
+    model: CompiledModel, doomed: list[int], links: dict[tuple[int, int], bool], grown: set[int]
+) -> tuple[set[int], bool, bool, list[tuple[frozenset[int], int]], list[int]]:
+    """Rebuild the doomed cliques, in place when their triangulation covers the batch or can take its links.
 
     ``doomed`` lists, ascending, the cliques of a connected set of marked
     MPSs.  ``links`` holds the batch's net moral link changes, each pair
-    mapped to whether it was added.  The region R is the union of the
-    doomed cliques less the variables the batch removed, and H = moral +
-    fill is the triangulation before the batch.  Every holder of a removed
-    variable is marked, so no boundary separator holds one.
+    mapped to whether it was added, and ``grown`` the children of its added
+    arcs.  The region R is the union of the doomed cliques less the
+    variables the batch removed, and H = moral + fill is the triangulation
+    before the batch.  Every holder of a removed variable is marked, so no
+    boundary separator holds one.
 
-    When every link the batch added inside R is already a fill pair, H
-    restricted to R still contains the new moral graph on R (an added link
-    was fill, a deleted one becomes fill), and :func:`_thin_region` thins
-    it in place.  Otherwise min-fill re-triangulates the region's induced
-    moral graph into new cliques of the junction tree, joined only to each
-    other until :func:`connect` splices them in, and the fill drops its
-    pairs inside R for the region's kept pairs.  The dropped pairs are the
-    doomed cliques' fill: an outside clique meets R only inside one
-    boundary MPS separator, complete in the moral graph, and an edit
-    changes moral links only inside the marked region.  The new
-    cliques are maximal among themselves and an outside clique keeps its
-    vertex set, so a new clique inside another equals the boundary
-    separator it hangs on, and :func:`absorb_non_maximal` merges it into
-    the outside clique beyond.
+    When every link the batch added inside R is already a fill pair, or the
+    rest can be inserted one by one, in batch order, with H staying chordal
+    (:func:`_insertions`, decided before any edit),
+    :func:`_thin_region` inserts them and thins the subtree in place: H
+    restricted to R then contains the new moral graph on R (an added link
+    was fill or is inserted, a deleted one becomes fill).  Otherwise
+    min-fill re-triangulates the region's induced moral graph into new
+    cliques of the junction tree, joined only to each other until
+    :func:`connect` splices them in, and the fill drops its pairs inside R
+    for the region's kept pairs.  The dropped pairs are the doomed cliques'
+    fill: an outside clique meets R only inside one boundary MPS separator,
+    complete in the moral graph, and an edit changes moral links only
+    inside the marked region.  The new cliques are maximal among themselves
+    and an outside clique keeps its vertex set, so a new clique inside
+    another equals the boundary separator it hangs on, and
+    :func:`absorb_non_maximal` merges it into the outside clique beyond.
 
     Either way the branch hands on the holder index of the region's new or
     kept cliques, whose live clusters are the region's cliques, and they are
@@ -503,30 +508,41 @@ def _rebuild_subtree(
     - Every piece an outside clique absorbed must be complete in the moral
       graph, as the boundary separator it equals is; so all its separators
       are complete and it was the only clique of its group.
-    - The region is regrouped through one view of its live cliques under
-      their own ids (:meth:`ClusterTree.induced`, a forest at times), so
-      each group is named by its least clique.  Every separator between the
-      region and the rest stays complete, so this is the whole regroup.
+    - The region's live cliques are regrouped by one union-find over the
+      edges among them, so each group is named by its least clique.  An
+      edge the rebuild kept, between two cliques that kept their vertex
+      sets and hold no pair the batch moved between the moral graph and
+      the fill, keeps its separator and that separator's completeness, so
+      it joins two groups iff its ends had one owner.  Every other edge is
+      joined iff its separator is incomplete in the moral graph.  Every
+      separator between the region and the rest stays complete, so this is
+      the whole regroup.
     - A family moves only when its host is one of the doomed cliques and
-      died or no longer covers it (an added arc grew it), to the smallest
-      covering clique of the region or of the outside cliques that
-      absorbed a piece of it (ties: lower id).  Two doomed components can
-      share variables through unmarked cliques, so only this component's
-      hosts are checked.  The covers are read off the same holder index,
-      widened by the absorbing outside cliques; none is built again.
+      died or no longer covers it, to the smallest covering clique of the
+      region or of the outside cliques that absorbed a piece of it (ties:
+      lower id).  A kept clique loses only removed variables, so a host
+      that did not die stops covering a family only when an added arc grew
+      it: only the variables of the dead cliques and ``grown`` are checked.
+      The covers are read off the same holder index, widened by the
+      absorbing outside cliques; none is built again.
 
-    Returns the region's variables, whether it was thinned, the absorbed
-    pieces as (piece, outside clique) and the region's live cliques.
+    Returns the region's variables, whether it was rebuilt in place and
+    whether links were inserted, the absorbed pieces as (piece, outside
+    clique) and the region's live cliques.
     """
-    jt, owner, family, dag = model.jt, model.owner, model.family, model.dag
-    variables = set(filter(model.moral.has_vertex, frozenset().union(*map(jt.cluster, doomed))))
+    jt, owner, family, dag, moral = model.jt, model.owner, model.family, model.dag, model.moral
+    before = {c: jt.cluster(c) for c in doomed}
+    old_edges = set(jt.edges_within(before))
+    variables = set(filter(moral.has_vertex, frozenset().union(*before.values())))
     inside = {pair: a for pair, a in links.items() if variables.issuperset(pair)}
+    missing = [pair for pair, a in inside.items() if a and not model.fill.has_edge(*pair)]
+    places = _insertions(jt, doomed, missing) if missing else []
     # an emptied region keeps no cluster, so it takes the (empty) min-fill path
-    thinned = bool(variables) and all(model.fill.has_edge(*pair) for pair, a in inside.items() if a)
+    thinned = bool(variables) and places is not None
     if thinned:
-        absorbed, index = _thin_region(model, doomed, variables, inside)
+        absorbed, index = _thin_region(model, doomed, variables, inside, list(zip(missing, places)))
     else:
-        g_sub = model.moral.induced(variables)
+        g_sub = moral.induced(variables)
         model.fill.remove_induced(variables)
         kept = UndirectedGraph(variables)
         index = construct_join_tree(g_sub, kept, jt)
@@ -538,18 +554,33 @@ def _rebuild_subtree(
     region = [c for c in index.ids if c in jt]
 
     for vs, c in absorbed:
-        if not model.moral.is_complete(vs):
+        if not moral.is_complete(vs):
             raise InconsistencyError(f"absorbed piece {sorted(vs)} is not complete in the moral graph")
     for c in doomed:
         if c not in jt:
             del owner[c]
-    owner.update(aggregate_cliques(jt.induced(region), model.moral)[1])
+    # the cliques whose separators may have changed completeness: new, cut,
+    # or holding a moved pair (read off the index, where every live clique has its bits)
+    fresh = {c for c in region if before.get(c) is not jt.cluster(c)}
+    for u, v in inside:
+        held = index.masks.get(u, 0) & index.masks.get(v, 0)
+        while held:
+            low = held & -held
+            held ^= low
+            fresh.add(index.ids[low.bit_length() - 1])
+    kept_edges = {(a, b) for a, b in old_edges if a not in fresh and b not in fresh}
+    joined = [
+        (a, b)
+        for a, b in jt.edges_within(set(region))
+        if (owner[a] == owner[b] if (a, b) in kept_edges else not moral.is_complete(jt.cluster(a) & jt.cluster(b)))
+    ]
+    owner.update(union_groups(region, joined))
 
-    doomed_set = set(doomed)
+    candidates = grown.union(*(vs for c, vs in before.items() if c not in jt))
     orphans = [
         v
-        for v in sorted(variables)
-        if family.get(v) in doomed_set
+        for v in sorted(candidates)
+        if family.get(v) in before
         and not (family[v] in jt and v in (host := jt.cluster(family[v])) and host.issuperset(dag.parents(v)))
     ]
     if orphans:
@@ -557,7 +588,84 @@ def _rebuild_subtree(
         for c in {c for _, c in absorbed}:
             index.add(c)
         family.update(assign_families(dag, orphans, index))
-    return variables, thinned, absorbed, region
+    return variables, thinned, bool(missing) and thinned, absorbed, region
+
+
+def _insertions(
+    jt: ClusterTree, doomed: list[int], links: list[tuple[int, int]]
+) -> list[tuple[list[int], int]] | None:
+    """Where each link, in order, goes into the doomed cliques' subtree (:func:`_link_path`), or None if one cannot.
+
+    ``jt`` is untouched: a link is placed on it, and when more links follow
+    it is inserted (:func:`_insert_link`) into a view of the doomed cliques
+    (:meth:`ClusterTree.induced`), on which they are placed.  The view's
+    fresh ids continue the tree's, so the same insertions in ``jt`` make
+    the cliques the places name.  A junction path between two doomed
+    cliques stays among them: they are a connected subtree, as the
+    insertions keep them.
+    """
+    tree, region, places = jt, set(doomed), []
+    for i, (u, v) in enumerate(links):
+        place = _link_path(tree, region, u, v)
+        if place is None:
+            return None
+        places.append(place)
+        if i + 1 < len(links):
+            if tree is jt:
+                tree = jt.induced(doomed)
+            _insert_link(tree, region, u, v, place)
+    return places
+
+
+def _link_path(tree: ClusterTree, region: set[int], u: int, v: int) -> tuple[list[int], int] | None:
+    """Where the link {u, v}, which no cluster holds, goes into a junction tree, if its graph stays chordal.
+
+    ``region`` holds the live clusters of a connected subtree of ``tree``
+    holding both u and v.  The junction path C0 … Ck between the clusters
+    holding u and those holding v is found by one breadth-first walk in the
+    region from a holder of v to the nearest holder of u, C0; Ck is the
+    holder of v nearest C0 on the way back.  C0 ∩ Ck is the set of the
+    common neighbours of u and v, and the graph plus uv is chordal iff it
+    equals the separator of some edge on the path (Ibarra, ACM TALG 2008).
+    Returns the place: the path and the index on it of the first such edge
+    from C0; or None.
+    """
+    cluster = tree.cluster
+    start = next((c for c in region if v in cluster(c)), None)
+    path = None if start is None else tree.path(start, lambda c: u in cluster(c), region.__contains__)
+    if path is None:
+        raise InconsistencyError(f"no clusters of the region hold variables {u} and {v}")
+    k = next(i for i, c in enumerate(path) if v in cluster(c))
+    meet = cluster(path[0]) & cluster(path[k])
+    return next(((path[: k + 1], i) for i in range(k) if cluster(path[i]) & cluster(path[i + 1]) == meet), None)
+
+
+def _insert_link(tree: ClusterTree, region: set[int], u: int, v: int, place: tuple[list[int], int]) -> int:
+    """Insert the link {u, v} at the place :func:`_link_path` found for it; returns its clique K.
+
+    The place's edge on the path C0 … Ck is cut, and K = (C0 ∩ Ck) ∪ {u, v},
+    the one new maximal clique, is joined to C0 and to Ck: the tree is a
+    junction tree of the graph plus uv.  K absorbs either end it contains;
+    no other cluster lies inside K, as every other maximal clique stays
+    maximal.  ``region`` follows: K joins it, and an absorbed end leaves.
+    """
+    path, i = place
+    c0, ck = path[0], path[-1]
+    tree.remove_edge(path[i], path[i + 1])
+    k = tree.add_cluster(tree.cluster(c0) & tree.cluster(ck) | {u, v})
+    region.add(k)
+    for end in (c0, ck):
+        tree.add_edge(k, end)
+    for end in (c0, ck):
+        if tree.cluster(end) <= tree.cluster(k):
+            tree.merge_into(end, k)
+            region.remove(end)
+    return k
+
+
+def _fill_pairs(fill: UndirectedGraph, vs: frozenset[int]) -> list[tuple[int, int]]:
+    """The fill pairs inside vs, each as (u, w) with u < w."""
+    return [(u, w) for u in vs for w in fill.neighbors(u) & vs if u < w]
 
 
 def _thin_region(
@@ -565,23 +673,31 @@ def _thin_region(
     doomed: list[int],
     variables: set[int],
     inside: dict[tuple[int, int], bool],
+    insertions: list[tuple[tuple[int, int], tuple[list[int], int]]],
 ) -> tuple[list[tuple[frozenset[int], int]], HolderIndex]:
-    """Thin the doomed cliques' own junction subtree to a minimal triangulation of the region, in place.
+    """Insert the links H lacks and thin the doomed cliques' own junction subtree, in place.
 
-    Only the cliques a drop splits change; every other clique keeps its id,
-    its vertex set and its edges, and no splice runs.
+    The result is a minimal triangulation of the region.  Only the cliques
+    an insertion or a drop touches change; every other clique keeps its
+    id, its vertex set and its edges, and no splice runs.
 
     - The batch's links inside R move between the moral graph and the
       fill: an added link was a fill pair and changes no clique, a deleted
       one joins the fill.
-    - The removed variables leave their holders, all doomed, and so the
-      separators between them, and a cut clique inside a neighbour merges
-      into it (:func:`absorb_non_maximal` on the cut cliques).  The doomed
-      subtree is then a junction tree of H restricted to R, which is
-      chordal and contains the new moral graph on R.
+    - Each link the batch added and H lacks is inserted in batch order by
+      :func:`_insert_link`, at the place :func:`_insertions` found for it
+      as ``insertions`` lists them: ((u, v), place); the link joins the
+      moral graph and its new clique K holds no new fill pair.
+    - The removed variables leave their holders, all doomed or inserted,
+      and so the separators between them, and a cut clique inside a
+      neighbour merges into it (:func:`absorb_non_maximal` on the cut
+      cliques).  The subtree is then a junction tree of H plus the
+      inserted links restricted to R, which is chordal and contains the new
+      moral graph on R.
     - Seeds: H was minimal, so every old fill pair lies in two or more
-      maximal cliques; only a deleted link, or a pair inside a merged cut
-      clique, which lost a holder, can lie in one.  Any other pair becomes
+      maximal cliques; only a deleted link, a pair inside a merged cut
+      clique, which lost a holder, or a fill pair of an inserted clique K
+      can lie in one (Rose, Tarjan & Lueker 1976).  Any other pair becomes
       droppable only inside a clique a drop splits, which
       :func:`thin_join_tree` re-checks, so the seeds drop what a scan of
       all the region's fill would.
@@ -594,26 +710,29 @@ def _thin_region(
     thinning's holder index over the region's live cliques.
     """
     jt, fill = model.jt, model.fill
-    doomed_set = set(doomed)
     seeds = []
     for (u, v), added in inside.items():
         if added:
-            fill.remove_edge(u, v)
+            if fill.has_edge(u, v):  # else H lacks it, and it is inserted below
+                fill.remove_edge(u, v)
         else:
             fill.add_edge(u, v)
             seeds.append((u, v))
-    cut = []
-    for c in doomed:
-        removed = jt.cluster(c) - variables
-        if removed:
-            jt.shrink(c, removed)
-            cut.append(c)
+    region = set(doomed)
+    inserted = [_insert_link(jt, region, u, v, place) for (u, v), place in insertions]
+    cut = [c for c in [*doomed, *inserted] if c in jt and not variables.issuperset(jt.cluster(c))]
+    for c in cut:
+        jt.shrink(c, jt.cluster(c) - variables)
     absorbed = absorb_non_maximal(jt, cut)
     for vs, _ in absorbed:
-        seeds += [(u, w) for u in vs for w in fill.neighbors(u) & vs if u < w]
-    index = HolderIndex(jt, [c for c in doomed if c in jt])
+        seeds += _fill_pairs(fill, vs)
+    for k in inserted:
+        if k in jt:
+            seeds += _fill_pairs(fill, jt.cluster(k))
+    index = HolderIndex(jt, [c for c in [*doomed, *inserted] if c in jt])
     absorbed += thin_join_tree(jt, sorted(set(seeds)), fill, index)
-    return [(vs, c) for vs, c in absorbed if c not in doomed_set], index
+    inner = {*doomed, *inserted}
+    return [(vs, c) for vs, c in absorbed if c not in inner], index
 
 
 # Unused by the package; kept because the benchmark's tracer binds it.
@@ -641,7 +760,9 @@ def incremental_compile(
     InconsistencyError and are never silently repaired.
 
     The doomed cliques are the groups of the marked MPSs, and each
-    connected piece of them is rebuilt apart.  The closing check counts
+    connected piece of them is rebuilt apart; one walk finds the pieces,
+    from each marked id in ascending order over the cliques whose owner is
+    marked.  The closing check counts
     edges.  A split in place (:func:`_thin_region`) and an absorption
     (:func:`absorb_non_maximal`) each keep a tree a tree.  A splice re-hangs each boundary edge of the doomed
     cliques on their replacement tree (or, when none, on one boundary
@@ -683,16 +804,24 @@ def incremental_compile(
             trace.mods.append(ModTrace(mod, description, links, touched, [rewiring] if rewiring else []))
 
     if marked:
-        doomed = set().union(*(_group(jt, owner, m) for m in marked))
-        for comp in map(sorted, jt.components(doomed)):
-            variables, thinned, absorbed, region = _rebuild_subtree(model, comp, net)
+        # one walk over the marked groups: each component starts at its least
+        # marked id, which is its least clique, so they come in ascending order
+        doomed: set[int] = set()
+        comps = []
+        for m in sorted(marked):
+            if m not in doomed:
+                comps.append(jt.reach(m, lambda c: owner[c] in marked))
+                doomed |= comps[-1]
+        grown = {mod.child for mod in mods if isinstance(mod, AddArc)}
+        for comp in map(sorted, comps):
+            variables, thinned, inserted, absorbed, region = _rebuild_subtree(model, comp, net, grown)
             if trace is not None:
                 trace.absorbed += [(vs, jt.cluster(c)) for vs, c in absorbed]
                 trace.new_jt_ids |= set(region) - doomed
                 trace.new_mpd_ids |= {owner[c] for c in region}
                 mps_ids = tuple(sorted(marked.intersection(comp)))
                 cliques = tuple(jt.cluster(c) for c in region)
-                trace.subtrees.append(SubtreeTrace(mps_ids, frozenset(variables), cliques, thinned))
+                trace.subtrees.append(SubtreeTrace(mps_ids, frozenset(variables), cliques, thinned, inserted))
         if jt and jt.edge_count() != len(jt) - 1:
             raise InconsistencyError(f"rebuild left {jt.edge_count()} edges on {len(jt)} junction clusters")
     return model

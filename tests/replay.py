@@ -13,8 +13,11 @@ clique owners, the clique groups (the partition the owners make, as
 sorted lists of clique ids, which no MPS id enters), the fill
 (``sorted(model.tri.fill)``), the ``BatchTrace`` and the shape (the
 junction tree, family map and owner map with every clique id replaced by
-its rank among the live ids), plus two verdicts: ``validate`` and
-``mpd_equal`` against a full recompile of the edited dag.
+its rank among the live ids), three figures: the fill's edge count, the
+clique weight (the sum of 2^|C| over the junction cliques) and the number
+of the flush's regions per rebuild path (``SubtreeTrace.path``), plus two
+verdicts: ``validate`` and ``mpd_equal`` against a full recompile of the
+edited dag.
 
 The streams are:
 
@@ -35,8 +38,10 @@ flushes per digest, most first, then apart the count and first divergence
 of the junction trees, of the MPS multisets (the part that any minimal
 triangulation shares) and of the junction cliques (the triangulation,
 whatever the ids and the tree shape), how many of the diverging junction
-trees are equal in shape (only renamed), and every flush whose verdicts
-fail.  It exits 1 if anything diverged or failed.  A digest that one run
+trees are equal in shape (only renamed), then for each run the stream's
+summed fill edges and clique weight (B's also as a ratio to A's) and its
+regions per rebuild path, so a change that moves triangulations shows its
+quality cost; last, every flush whose verdicts fail.  It exits 1 if anything diverged or failed.  A digest that one run
 lacks (a run from before it was added) is not compared.  The package is
 imported from this checkout's ``src``, so a run at another commit is the
 same command in that commit's checkout.
@@ -47,6 +52,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from collections import Counter
 from itertools import chain
@@ -117,7 +123,7 @@ def groups_record(owner: dict[int, int]) -> list[list[int]]:
 
 
 def trace_record(trace: BatchTrace) -> dict:
-    """Per modification its links, marked MPSs and rewirings; then the subtrees (thinned or not) and absorbed pieces."""
+    """Per modification its links, marked MPSs and rewirings; then the subtrees (thinned, inserted or not) and absorbed pieces."""
     return {
         "mods": [
             [
@@ -128,7 +134,7 @@ def trace_record(trace: BatchTrace) -> dict:
             ]
             for rec in trace.mods
         ],
-        "subtrees": [[list(s.mps_ids), sorted(s.variables), s.thinned] for s in trace.subtrees],
+        "subtrees": [[list(s.mps_ids), sorted(s.variables), s.thinned, s.inserted] for s in trace.subtrees],
         "absorbed": [[sorted(a), sorted(b)] for a, b in trace.absorbed],
     }
 
@@ -157,6 +163,9 @@ def flush_record(stream: str, case: str, flush: int, model, trace: BatchTrace) -
             }
         ),
         "shape": sha256(shape_record(model)),
+        "fill_edges": model.fill.edge_count(),
+        "clique_weight": sum(2 ** len(model.jt.cluster(c)) for c in model.jt.cluster_ids()),
+        "regions": dict(Counter(s.path for s in trace.subtrees)),
         "valid": validate(model).passed,
         "mpd_equal": mpd_equal(mpd, full_recompile(model.dag.copy()).mpd),
     }
@@ -269,6 +278,8 @@ def diff(a: list[dict], b: list[dict]) -> int:
                 print(f"  {label}: {diverged[stream, p]} diverge, the first at case {case} flush {flush}")
         if (stream, "jt") in first and "shape" in parts:
             print(f"  renamed only: {diverged[stream, 'renamed']} of the {diverged[stream, 'jt']} junction trees")
+        for line in _quality_lines(stream, a, b):
+            print("  " + line)
     for name, run in (("A", a), ("B", b)):
         for r in run:
             if not (r["valid"] and r["mpd_equal"]):
@@ -276,6 +287,31 @@ def diff(a: list[dict], b: list[dict]) -> int:
                       f" (valid={r['valid']}, mpd_equal={r['mpd_equal']})")
                 status = 1
     return status
+
+
+def _quality_lines(stream: str, a: list[dict], b: list[dict]) -> list[str]:
+    """Per run, the stream's summed fill edges and clique weight (B's also as a ratio to A's), and its regions per rebuild path."""
+    lines, base = [], None
+    for name, run in (("A", a), ("B", b)):
+        records = [r for r in run if r["stream"] == stream and "fill_edges" in r]
+        if not records:
+            continue  # a run from before these fields were recorded
+        fill = sum(r["fill_edges"] for r in records)
+        weight = sum(r["clique_weight"] for r in records)
+        regions = Counter()
+        for r in records:
+            regions.update(r["regions"])
+        ratios = ("", "")
+        if base is not None:
+            ratios = tuple(f" ({x / y:.4f}x A)" if y else "" for x, y in zip((fill, weight), base))
+        else:
+            base = fill, weight
+        paths = ", ".join(f"{path} {regions[path]}" for path in ("thinned", "inserted", "re-triangulated"))
+        lines.append(
+            f"{name}: fill edges {fill}{ratios[0]}, clique weight 2^{math.log2(weight):.3f}{ratios[1]};"
+            f" regions {paths}"
+        )
+    return lines
 
 
 def main(argv=None) -> int:

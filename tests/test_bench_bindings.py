@@ -48,21 +48,20 @@ TRACED_LAYERS = [
 # Family hosting, which a full compile runs after the junction tree.
 COMPILE_LAYERS = [("pipeline", "assign_families")]
 # The engine's marking and splice layers, as each kind of flush calls them.
-# A rebuild groups its cliques through the engine's aggregate_cliques; only
-# a re-triangulated region is spliced in by connect.  absorb_non_maximal
-# runs after every splice, on the new cliques equal to the separator they
-# hang by, and in a thinned region that lost a removed variable, on its cut
-# cliques; a thinned removal of an arc alone does not call it.
+# Only a re-triangulated region is spliced in by connect.
+# absorb_non_maximal runs after every splice, on the new cliques equal to
+# the separator they hang by, and in a thinned region that lost a removed
+# variable, on its cut cliques; a thinned removal of an arc alone does not
+# call it.  A rebuild regroups its cliques without aggregate_cliques, which
+# the engine keeps only for the tracer (its hook is checked below).
 ADD_ARC_LAYERS = [
     ("engine", "modify_moral_graph"),
     ("engine", "mark_add_link"),
-    ("engine", "aggregate_cliques"),
     ("engine", "connect"),
 ]
 REMOVE_ARC_LAYERS = [
     ("engine", "modify_moral_graph"),
     ("engine", "mark_remove_link"),
-    ("engine", "aggregate_cliques"),
 ]
 REMOVE_NODE_LAYERS = REMOVE_ARC_LAYERS + [("engine", "mark_remove_node"), ("engine", "absorb_non_maximal")]
 
@@ -99,6 +98,8 @@ def test_compile_and_rebuild_call_every_traced_layer(monkeypatch):
     assert uncalled(REMOVE_ARC_LAYERS) == []
 
     # an arc whose moral link the triangulated graph lacks re-triangulates
+    # when the link cannot join it as one new clique, as the first such
+    # arc here cannot (an inserted link would call neither min-fill nor connect)
     h = model.tri.graph()
     u, v = next(
         (u, v) for u in dag.nodes() for v in dag.nodes() if u != v and not h.has_edge(u, v) and not dag.has_path(v, u)
@@ -111,11 +112,12 @@ def test_compile_and_rebuild_call_every_traced_layer(monkeypatch):
 
 
 def test_the_tracer_hooks_read_what_the_package_returns():
-    # the tracer's work counters read the results of the names they wrap
-    # (the aggregation hook reads the MPS tree of aggregate_cliques); run
-    # them over a compile, a re-triangulating and a thinned flush and a
+    # the tracer's work counters read the results of the names they wrap;
+    # run them over a compile, a re-triangulating and a thinned flush and a
     # validate, called through the module bindings the tracer wraps, as the
-    # benchmark calls them; then check that restore() puts every binding back
+    # benchmark calls them, and call the engine's aggregate_cliques binding,
+    # which no package code calls, on the compiled tree (its hook reads the
+    # MPS tree); then check that restore() puts every binding back
     spans = _load_spans()
     originals = [owner.__dict__[attr] for owner, attr, _, _ in spans.BINDINGS]
     tracer = spans.Tracer()
@@ -136,11 +138,10 @@ def test_the_tracer_hooks_read_what_the_package_returns():
             bnic.engine.incremental_compile(model, mods, trace)
             kinds += [sub.thinned for sub in trace.subtrees]
         assert bnic.oracle.validate(model).passed
+        bnic.engine.aggregate_cliques(model.jt, model.moral)
     finally:
         tracer.restore()
     assert [owner.__dict__[attr] for owner, attr, _, _ in spans.BINDINGS] == originals
     assert False in kinds and True in kinds
-    in_engine = tracer.within("engine.incremental_compile")
-    aggregations = [i for i, span in enumerate(tracer.spans) if span[0] == "mpd.aggregate_cliques"]
-    assert aggregations and all(in_engine[i] for i in aggregations)
+    assert [span[0] for span in tracer.spans].count("mpd.aggregate_cliques") == 1
     assert "mpd.aggregate_cliques.merges" in tracer.counts and tracer.maxima["mpd.largest_mps"] > 0

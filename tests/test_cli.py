@@ -150,14 +150,16 @@ def test_apply_with_trace_and_verify(tmp_path, capsys):
 
 def test_apply_trace_says_how_each_region_was_rebuilt(tmp_path, capsys):
     # the removal only deletes links, so its region thins its own junction
-    # subtree; the new arc's link lies outside the triangulation, so min-fill
-    # re-triangulates its region
+    # subtree; the first new arc's link A-X lies outside the triangulation
+    # and cannot join it chordally, so min-fill re-triangulates its region;
+    # the second arc's links T-B and S-T can, each in one new clique
     script = tmp_path / "edit.script"
-    script.write_text("remove-arc L E\ncompile\nadd-arc A X\n")
-    code, out, _ = run(capsys, "apply", str(DATA / "asia.bn"), str(script), "--trace")
+    script.write_text("remove-arc L E\ncompile\nadd-arc A X\ncompile\nadd-arc T B\n")
+    code, out, _ = run(capsys, "apply", str(DATA / "asia.bn"), str(script), "--trace", "--verify")
     assert code == 0
     assert "  thinned over {S T L B E} -> 3 clique(s)" in out
     assert "  re-triangulated over {A T E X} -> 2 clique(s)" in out
+    assert "  inserted over {A S T B E D} -> 4 clique(s)" in out
 
 
 def test_apply_trace_reports_a_rewired_empty_separator(tmp_path, capsys):

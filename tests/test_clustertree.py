@@ -73,6 +73,19 @@ def test_induced_keeps_the_ids_and_drops_the_edges_that_leave_them():
     assert len(tree.neighbors(0)) == 1 and view.is_tree()
 
 
+def test_path_walks_to_the_nearest_stop_and_edges_within_stay_inside():
+    tree = _path_tree()
+    # from 3 the nearest cluster holding 1 is 1, reached through 2
+    assert tree.path(3, lambda c: 1 in tree.cluster(c)) == [1, 2, 3]
+    assert tree.path(3, lambda c: 3 in tree.cluster(c)) == [3]
+    # a walk kept off 2 reaches nothing from 3
+    assert tree.path(3, lambda c: c == 0, lambda c: c != 2) is None
+    # of 0 and 4, both one step from 1, the walk reaches the lower id first
+    assert tree.path(1, lambda c: c in (0, 4)) == [0, 1]
+    assert sorted(tree.edges_within({0, 1, 2, 4})) == [(0, 1), (1, 2), (1, 4)]
+    assert tree.edges_within({0, 2}) == []
+
+
 def test_smallest_cover_takes_the_smallest_then_the_lower_id():
     tree = ClusterTree()
     tree.add_cluster({0, 1, 2, 3})

@@ -13,8 +13,8 @@ pins min-fill's fill on the benchmark's 600-node random
 network, whose eliminations carry the fill counters deepest.
 ``TRACE_DIGEST`` pins the ``BatchTrace`` of every incremental flush above:
 per modification its links, the marked MPS ids with their vertex sets in
-marking order and the rewirings, then the rebuilt subtrees, each thinned
-or re-triangulated, and the pieces of either kind of region that an
+marking order and the rewirings, then the rebuilt subtrees, each thinned,
+inserted or re-triangulated, and the pieces of either kind of region that an
 outside clique absorbed.  ``REPLAY_DIGEST`` pins the
 per-flush records that ``tests/replay.py`` writes for its first 20 random
 models, 100 flushes, each less its ``shape`` digest, which came later.
@@ -48,13 +48,13 @@ from bnic import (
 import replay
 from conftest import banded_dag
 
-DIGEST = "0246b0f3053e4d7e742fbc5cddd791d2a27c46f33fc8ac6ba3b96a1a68155bd3"
-HOST_DIGEST = "a691946f4a76c737f4365bbce072126cc3d21c00bd2ecd3a3cbd5d3caafd94d5"
-TRACE_DIGEST = "4e9c6bc445b14ad888764df162faaf3cdb6dd096564f6fb6dae062d5908f7dcf"
+DIGEST = "a79547c6574fe9b2344b443ff3204cc2671673fcf73c857e5b472a2822554cea"
+HOST_DIGEST = "ffad2d91681bab3b52c1a01151c07eab21090177af05cd11a664cde9264b6003"
+TRACE_DIGEST = "9335bfd347d3a78594a1b0789488fe4e533de6b59f8b571ac4b3372bf602ba0e"
 COMPILE_DIGEST = "22547055afa09c6b84ef2587a9597e1956be2f35d62f35b6cea467a6d91d097e"
 MIN_FILL_600_DIGEST = "cb6f37737d33756f9a6372b784a51238713e144144b3d212d7105ceb82d43dfa"
 MPS_DIGEST = "a26c46b230de28bab2407ba995dbb63a8a3f47e57546545b50a11f343eacf32d"
-REPLAY_DIGEST = "f81ac28b66325c46312f35c8007d240756983b71bbfb36963260ab724db34964"
+REPLAY_DIGEST = "f496205c64540dfdd120aed4fd7c8b15048855c678aaba7aaaedc7d6b177f9db"
 COMPILES = 8  # the first records, one per dag compiled from scratch
 
 
@@ -124,7 +124,7 @@ def test_flush_traces_match_the_committed_digest():
         sum(isinstance(rec.mod, RemoveArc) and len(rec.links) > 1 for rec in mods),
         sum(bool(rec.rewired) for rec in mods),
         sum(len(trace.absorbed) for trace in traces),
-    ) == (20, 21, 5, 10)
+    ) == (20, 21, 5, 11)
     assert replay.sha256([replay.trace_record(trace) for trace in traces]) == TRACE_DIGEST
 
 
@@ -159,6 +159,7 @@ def test_replay_diff_names_the_first_diverging_flush(capsys):
             renamed = replay.flush_record("random", str(k), f, _renamed(model), trace)
     b = [dict(r) for r in a]
     b[3]["fill"] = b[7]["jt"] = b[7]["shape"] = b[8]["mps"] = b[9]["cliques"] = "0" * 64
+    b[3]["fill_edges"] += 9
     b[6] = renamed
     assert replay.diff(a, a) == 0
     capsys.readouterr()
@@ -171,4 +172,7 @@ def test_replay_diff_names_the_first_diverging_flush(capsys):
         "  MPS trees: 1 diverge, the first at case 1 flush 3\n"
         "  junction cliques: 1 diverge, the first at case 1 flush 4\n"
         "  renamed only: 1 of the 2 junction trees\n"
+        "  A: fill edges 9, clique weight 2^9.331; regions thinned 8, inserted 3, re-triangulated 3\n"
+        "  B: fill edges 18 (2.0000x A), clique weight 2^9.331 (1.0000x A); regions thinned 8, inserted 3,"
+        " re-triangulated 3\n"
     )

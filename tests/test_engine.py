@@ -32,6 +32,8 @@ from bnic import (
 )
 from bnic.clustertree import HolderIndex
 from bnic.engine import (
+    _insert_link,
+    _link_path,
     absorb_non_maximal,
     add_node,
     connect,
@@ -41,10 +43,12 @@ from bnic.engine import (
     mark_remove_node,
     modify_moral_graph,
 )
-from bnic.pipeline import assign_families, thin_join_tree
+from bnic.graph import is_chordal
+from bnic.oracle import random_arc_edits
+from bnic.pipeline import assign_families, extract_cliques, thin_join_tree
 
 import replay
-from conftest import banded_dag, build_asia, cluster_names, name_set
+from conftest import banded_dag, build_asia, cluster_names, holders_of, name_set
 
 
 def _link_names(table, links):
@@ -990,6 +994,96 @@ def test_a_thinned_remove_arc_changes_only_the_cliques_it_splits(monkeypatch):
 # -- the shared rebuild tail ----------------------------------------------------
 
 
+@pytest.mark.parametrize("case", [6, 187])
+def test_a_regroup_retests_every_separator_the_rebuild_may_have_changed(case):
+    # banded replay models whose grouping must not be kept where the
+    # rebuild changed a separator: in case 6 a node removal cuts its
+    # variable out of kept cliques, and in case 187 a split's half is
+    # absorbed by a kept clique, which gains an edge to another kept clique
+    # (flushes 4 and 3 split an MPS); every flush must pass validate and
+    # match a full recompile's MPS tree
+    model, batches = replay.random_case(case, banded=True)
+    for f in range(replay.FLUSHES):
+        trace = BatchTrace()
+        incremental_compile(model, next(batches), trace)
+        record = replay.flush_record("banded", str(case), f, model, trace)
+        assert record["valid"] and record["mpd_equal"], f
+
+
+# -- exact link insertion ------------------------------------------------------
+
+
+def test_the_link_path_test_agrees_with_chordality_and_insertion_keeps_a_junction_tree():
+    # on min-fill triangulations of seeded random nets, a non-adjacent pair
+    # is insertable iff H plus the pair is chordal; an insertion leaves a
+    # tree whose clusters are the maximal cliques of H + uv, with running
+    # intersection, and a refused pair leaves the tree as it was
+    rng = Random(2024)
+    inserted = refused = 0
+    for _ in range(60):
+        model = full_recompile(random_dag(rng.randint(4, 30), rng, edge_prob=rng.choice([0.1, 0.2, 0.3])))
+        h = model.moral.union(model.fill)
+        nodes = sorted(h.vertices())
+        pairs = [(u, v) for u in nodes for v in nodes if u < v and not h.has_edge(u, v)]
+        for u, v in rng.sample(pairs, min(6, len(pairs))):
+            tree, region = model.jt.copy(), set(model.jt.cluster_ids())
+            g = h.union(UndirectedGraph.from_edges(nodes, [(u, v)]))
+            found = _link_path(tree, region, u, v)
+            assert (found is not None) == is_chordal(g)[0]
+            if found is None:
+                assert replay.tree_record(tree) == replay.tree_record(model.jt)
+                refused += 1
+                continue
+            k = _insert_link(tree, region, u, v, found)
+            assert tree.cluster(k) >= {u, v} and region == set(tree.cluster_ids())
+            assert tree.is_tree() and tree.cluster_multiset() == Counter(extract_cliques(g))
+            assert all(len(tree.components(cs)) == 1 for cs in holders_of(tree).values())
+            inserted += 1
+    assert inserted > 50 and refused > 50
+
+
+def test_a_region_with_an_insertable_and_a_refused_link_ends_as_min_fill_leaves_it(monkeypatch):
+    # AddArc(11, 3) adds two links that H lacks: the first can be inserted,
+    # the second then cannot, so the region is re-triangulated by min-fill
+    # from the untouched tree and ends as a rebuild that never tries insertion
+    rng = Random(5)
+    model = full_recompile(random_dag(rng.randint(8, 20), rng, edge_prob=0.2))
+    h = model.moral.union(model.fill)
+    reference = model.copy()
+    trace = BatchTrace()
+    incremental_compile(model, [AddArc(11, 3)], trace)
+    missing = [(l.u, l.v) for l in trace.mods[0].links if not h.has_edge(l.u, l.v)]
+    region = set().union(*(bnic.engine._group(reference.jt, reference.owner, m) for m in trace.marked_ids()))
+    assert len(missing) == 2 and _link_path(reference.jt, region, *missing[0]) is not None
+    assert [s.path for s in trace.subtrees] == ["re-triangulated"]
+    monkeypatch.setattr(bnic.engine, "_insertions", lambda jt, doomed, links: None)
+    incremental_compile(reference, [AddArc(11, 3)])
+    assert replay.flush_record("", "", 0, model, trace) == replay.flush_record("", "", 0, reference, trace)
+    assert list(model.owner.items()) == list(reference.owner.items())
+    assert model.jt.next_id == reference.jt.next_id
+
+
+def test_insertion_keeps_the_fill_near_a_full_recompile_over_a_long_arc_stream():
+    # 300 single-arc edits: every flush's MPS tree equals a full
+    # recompile's, and the engine's fill, summed over the flushes and at
+    # the end, stays within 1.05 times the recompiles'
+    dag = random_dag(60, Random(1), edge_prob=0.06)
+    model = full_recompile(dag)
+    paths = Counter()
+    engine_fill = reference_fill = 0
+    for mod in random_arc_edits(dag, 300, Random(1)):
+        trace = BatchTrace()
+        incremental_compile(model, [mod], trace)
+        paths.update(s.path for s in trace.subtrees)
+        reference = full_recompile(model.dag.copy())
+        assert mpd_equal(model.mpd, reference.mpd)
+        engine_fill += model.fill.edge_count()
+        reference_fill += reference.fill.edge_count()
+    assert paths["inserted"] > 20 and paths["re-triangulated"] > 20
+    assert engine_fill <= 1.05 * reference_fill
+    assert model.fill.edge_count() <= 1.05 * reference.fill.edge_count()
+
+
 def test_trace_ids_name_live_cliques_and_mpss():
     # the first 1,500 flushes of the replay's random stream
     flushes = 0
@@ -1006,16 +1100,17 @@ def test_rebuilt_regions_rehost_families_by_the_shared_rule(monkeypatch):
     # covering it, of the region's live cliques and the outside cliques that
     # absorbed a piece (ties: lower id), by a scan of them all; every other
     # family stays; every absorbed piece is complete in the moral graph.
-    # Each flush with a re-triangulated region that absorbed a piece must
-    # pass validate and match a full recompile.
+    # Each flush with a region that absorbed a piece and was re-triangulated
+    # or took inserted links, both of which make new cliques, must pass
+    # validate and match a full recompile.
     rebuild = bnic.engine._rebuild_subtree
     absorbing = []
 
-    def checked(model, doomed, links):
+    def checked(model, doomed, links, grown):
         jt, dag = model.jt, model.dag
         start, before = jt.next_id, dict(model.family)
-        result = rebuild(model, doomed, links)
-        _, thinned, pieces, _ = result
+        result = rebuild(model, doomed, links, grown)
+        _, thinned, inserted, pieces, _ = result
         assert all(model.moral.is_complete(piece) for piece, _ in pieces)
         hosts = sorted({c for c in jt.cluster_ids() if c in doomed or c >= start} | {c for _, c in pieces})
         for v, host in before.items():
@@ -1025,7 +1120,7 @@ def test_rebuilt_regions_rehost_families_by_the_shared_rule(monkeypatch):
                 assert model.family[v] == min(covers, key=lambda c: (len(jt.cluster(c)), c))
             else:
                 assert model.family[v] == host
-        absorbing.append(bool(pieces) and not thinned)
+        absorbing.append(bool(pieces) and (inserted or not thinned))
         return result
 
     monkeypatch.setattr(bnic.engine, "_rebuild_subtree", checked)

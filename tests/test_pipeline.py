@@ -720,10 +720,10 @@ def test_compile_and_rebuilds_build_each_holder_index_at_most_once(monkeypatch):
     real = bnic.engine._rebuild_subtree
     regions = Counter()
 
-    def rebuild(model, doomed, links):
+    def rebuild(model, doomed, links, grown):
         before = calls["index"]
-        result = real(model, doomed, links)
-        _, thinned, _, _ = result
+        result = real(model, doomed, links, grown)
+        _, thinned, _, _, _ = result
         regions[thinned, calls["index"] - before] += 1
         return result
 
