@@ -268,24 +268,29 @@ class ClusterTree:
         Group m's cluster is the union of its members' clusters, and every
         edge between members of two groups becomes a group edge; fresh ids
         continue after this tree's.  One walk of the adjacency writes both
-        directions of each group edge, with no sort and no add_edge checks,
-        so the groups must be connected subtrees: two edges between the
-        same two groups would become one.  By running intersection a group
-        edge's separator, the intersection of the two unions, is then the
-        separator of the junction edge it stands for.
+        directions of each group edge and skips the edges inside a group,
+        with no sort and no add_edge checks, so the groups must be
+        connected subtrees: two edges between the same two groups would
+        become one.  By running intersection a group edge's separator, the
+        intersection of the two unions, is then the separator of the
+        junction edge it stands for.
         """
         members: dict[int, list[int]] = {}
         for c, m in owner.items():
             members.setdefault(m, []).append(c)
         get = self._clusters.__getitem__
+        t = ClusterTree(next_id=self._next)
         # most groups are one cluster, whose vertex set needs no copy
-        clusters = {m: get(cs[0]) if len(cs) == 1 else frozenset().union(*map(get, cs)) for m, cs in members.items()}
-        t = ClusterTree(clusters, self._next)
+        t._clusters = {m: get(cs[0]) if len(cs) == 1 else frozenset().union(*map(get, cs)) for m, cs in members.items()}
+        t._adj = adj = {m: set() for m in members}
         for a, nbrs in self._adj.items():
-            t._adj[owner[a]].update(map(owner.__getitem__, nbrs))
-        for m, out in t._adj.items():
-            out.discard(m)
-        t._edges = sum(map(len, t._adj.values())) // 2
+            m = owner[a]
+            out = adj[m]
+            for b in nbrs:
+                k = owner[b]
+                if k != m:
+                    out.add(k)
+        t._edges = sum(map(len, adj.values())) // 2
         return t
 
     def induced(self, ids: Iterable[int]) -> "ClusterTree":

@@ -532,13 +532,15 @@ def _rebuild_subtree(
     """
     jt, owner, family, dag, moral = model.jt, model.owner, model.family, model.dag, model.moral
     before = {c: jt.cluster(c) for c in doomed}
-    old_edges = set(jt.edges_within(before))
     variables = set(filter(moral.has_vertex, frozenset().union(*before.values())))
     inside = {pair: a for pair, a in links.items() if variables.issuperset(pair)}
     missing = [pair for pair, a in inside.items() if a and not model.fill.has_edge(*pair)]
     places = _insertions(jt, doomed, missing) if missing else []
     # an emptied region keeps no cluster, so it takes the (empty) min-fill path
     thinned = bool(variables) and places is not None
+    # a re-triangulated or emptied region kills every doomed clique, so only
+    # an in-place rebuild has edges to keep
+    old_edges = set(jt.edges_within(before)) if thinned else ()
     if thinned:
         absorbed, index = _thin_region(model, doomed, variables, inside, list(zip(missing, places)))
     else:

@@ -287,12 +287,15 @@ class UndirectedGraph:
 
     def update(self, other: "UndirectedGraph") -> None:
         """Add other's edges: one set union per vertex of other; a vertex only other has raises, first."""
+        self._check_within(other)
         adj = self._adj
-        stray = other._adj.keys() - adj.keys()
-        if stray:
-            raise UnknownVariableError(f"unknown vertex {min(stray)}")
         for v, ns in other._adj.items():
             adj[v] |= ns
+
+    def _check_within(self, other: "UndirectedGraph") -> None:
+        stray = other._adj.keys() - self._adj.keys()
+        if stray:
+            raise UnknownVariableError(f"unknown vertex {min(stray)}")
 
     def difference_update(self, other: "UndirectedGraph") -> None:
         """Remove other's edges: one set difference per vertex of other, which must all be this graph's."""
@@ -337,9 +340,11 @@ class UndirectedGraph:
         return g
 
     def union(self, other: "UndirectedGraph") -> "UndirectedGraph":
-        """This graph plus other's edges: a copy, then :meth:`update`."""
-        g = self.copy()
-        g.update(other)
+        """This graph plus other's edges, one set union per vertex; a vertex only other has raises."""
+        self._check_within(other)
+        get = other._adj.get
+        g = UndirectedGraph()
+        g._adj = {v: ns | get(v, ns) for v, ns in self._adj.items()}
         return g
 
     def is_complete(self, vs: Iterable[int]) -> bool:

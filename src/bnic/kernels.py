@@ -23,8 +23,11 @@ complete every cost is 0 and stays 0, so no later elimination adds fill
 and the search stops.  Min-fill returns only its fill, in ascending order,
 not the elimination order.
 MCS reads the graph's own adjacency sets (copying them into position masks
-was slower) and keeps its weight classes as position masks; it emits the
-maximal cliques of a chordal graph in the same pass.
+was slower), one rank lookup per neighbour.  It keeps each vertex's weight
+and latest-visited neighbour in lists indexed by rank, with -1 as the
+weight of a visited vertex, and its weight classes as position masks; it
+emits the maximal cliques of a chordal graph in the same pass.  Both
+kernels keep O(len(ids)) state per call, never sized by the largest id.
 """
 
 from __future__ import annotations
@@ -211,22 +214,28 @@ def mcs(g: "UndirectedGraph") -> tuple[list[int], tuple[int, int] | None, list[f
     empty.  On a chordal graph ``cliques`` lists its maximal cliques in
     visit order.
 
-    ``buckets[w]`` is an int mask over the id ranks of the unvisited
+    The per-vertex state is held in lists indexed by rank, the position of
+    the id among the sorted ids, so it is O(len(ids)) however large the ids
+    are.  ``buckets[w]`` is an int mask over the ranks of the unvisited
     vertices of weight w; the next vertex is the lowest bit of the top
-    non-empty bucket, so ties go to the lowest id.  Each visited x with its
-    earlier-visited neighbours forms a candidate clique, and every maximal
-    clique is one of them.  Under MCS on a chordal graph x's candidate is
-    maximal iff the next visited vertex's weight is not larger than x's
-    (Blair & Peyton 1993), so it is emitted when that vertex is picked.
+    non-empty bucket, so ties go to the lowest id.  A visited vertex gets
+    weight -1, so the neighbour loop reads one list item to skip it.  Each
+    visited x with its earlier-visited neighbours forms a candidate clique,
+    and every maximal clique is one of them.  Under MCS on a chordal graph
+    x's candidate is maximal iff the next visited vertex's weight is not
+    larger than x's (Blair & Peyton 1993), so it is emitted when that
+    vertex is picked.
     """
     ids = g.vertices()
+    n = len(ids)
     adj = {v: g.neighbors(v) for v in ids}
-    bit = {v: 1 << i for i, v in enumerate(ids)}
-    weight = dict.fromkeys(ids, 0)
-    buckets = [(1 << len(ids)) - 1]
+    rank = {v: i for i, v in enumerate(ids)}
+    bits = [1 << i for i in range(n)]
+    weight = [0] * n  # -1 once visited
+    last: list[int | None] = [None] * n  # the latest-visited neighbour, by rank
+    buckets = [(1 << n) - 1] + [0] * n  # a weight is at most n - 1, so top + 1 is in range
     top = 0  # the highest weight an unvisited vertex may have
     visited: set[int] = set()
-    last: dict[int, int] = {}  # the latest-visited neighbour, per vertex
     order: list[int] = []
     cliques: list[frozenset[int]] = []
     witness = None
@@ -238,14 +247,15 @@ def mcs(g: "UndirectedGraph") -> tuple[list[int], tuple[int, int] | None, list[f
         b = buckets[top]
         low = b & -b
         buckets[top] = b ^ low
-        x = ids[low.bit_length() - 1]
+        i = low.bit_length() - 1
+        x = ids[i]
         order.append(x)
         if witness is None:
             # While every earlier-visited set was a clique, x's is one iff
             # it lies in the closed neighbourhood of its latest-visited member
             # f (whose own earlier-visited set is a clique holding the rest).
             prev = adj[x] & visited
-            f = last.get(x)
+            f = last[i]
             if f is not None and len(prev - adj[f]) > 1:
                 witness = _first_missing_pair(adj, prev)
                 cliques = []
@@ -256,19 +266,18 @@ def mcs(g: "UndirectedGraph") -> tuple[list[int], tuple[int, int] | None, list[f
                 candidate = prev
                 previous_weight = top
         visited.add(x)
+        weight[i] = -1
         for v in adj[x]:
-            if v not in visited:
-                w = weight[v]
-                b = bit[v]
+            j = rank[v]
+            w = weight[j]
+            if w >= 0:
+                b = bits[j]
                 buckets[w] ^= b
                 w += 1
-                weight[v] = w
-                if w == len(buckets):
-                    buckets.append(b)
-                else:
-                    buckets[w] |= b
-                last[v] = x
-        if top + 1 < len(buckets) and buckets[top + 1]:
+                weight[j] = w
+                buckets[w] |= b
+                last[j] = x
+        if buckets[top + 1]:
             top += 1
     if witness is None and candidate:
         cliques.append(frozenset(candidate))

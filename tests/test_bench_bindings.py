@@ -66,6 +66,23 @@ REMOVE_ARC_LAYERS = [
 REMOVE_NODE_LAYERS = REMOVE_ARC_LAYERS + [("engine", "mark_remove_node"), ("engine", "absorb_non_maximal")]
 
 
+def _retriangulating_arc(model) -> tuple[int, int]:
+    """The first arc whose flush re-triangulates a region, found by a trial flush on a copy.
+
+    Only an arc whose moral link the triangulated graph lacks can take that
+    path, and only when the link cannot join it as one new clique.
+    """
+    dag, h = model.dag, model.tri.graph()
+    for u in dag.nodes():
+        for v in dag.nodes():
+            if u != v and not h.has_edge(u, v) and not dag.has_path(v, u):
+                trace = BatchTrace()
+                incremental_compile(model.copy(), [AddArc(u, v)], trace)
+                if any(sub.path == "re-triangulated" for sub in trace.subtrees):
+                    return u, v
+    raise AssertionError("no arc re-triangulates a region")
+
+
 def test_compile_and_rebuild_call_every_traced_layer(monkeypatch):
     # wrap the module attributes, as the tracer does, and count the calls
     # that go through them in a full compile and in one flush per kind of
@@ -97,13 +114,10 @@ def test_compile_and_rebuild_call_every_traced_layer(monkeypatch):
     incremental_compile(model, [RemoveArc(parent, child)])
     assert uncalled(REMOVE_ARC_LAYERS) == []
 
-    # an arc whose moral link the triangulated graph lacks re-triangulates
-    # when the link cannot join it as one new clique, as the first such
-    # arc here cannot (an inserted link would call neither min-fill nor connect)
-    h = model.tri.graph()
-    u, v = next(
-        (u, v) for u in dag.nodes() for v in dag.nodes() if u != v and not h.has_edge(u, v) and not dag.has_path(v, u)
-    )
+    # an arc whose flush re-triangulates a region; the trial flushes that
+    # find it go through the wrappers too, so the counts restart after them
+    u, v = _retriangulating_arc(model)
+    calls.update(dict.fromkeys(calls, 0))
     incremental_compile(model, [AddArc(u, v)])
     assert uncalled(TRACED_LAYERS + ADD_ARC_LAYERS) == []
 
@@ -120,18 +134,13 @@ def test_the_tracer_hooks_read_what_the_package_returns():
     # MPS tree); then check that restore() puts every binding back
     spans = _load_spans()
     originals = [owner.__dict__[attr] for owner, attr, _, _ in spans.BINDINGS]
+    # the arc is found untraced, on a compile of the same dag
+    dag = random_dag(30, Random(5), edge_prob=0.15)
+    u, v = _retriangulating_arc(full_recompile(dag))
     tracer = spans.Tracer()
     tracer.install()
     try:
-        dag = random_dag(30, Random(5), edge_prob=0.15)
         model = bnic.oracle.full_recompile(dag)
-        h = model.tri.graph()
-        u, v = next(
-            (u, v)
-            for u in dag.nodes()
-            for v in dag.nodes()
-            if u != v and not h.has_edge(u, v) and not dag.has_path(v, u)
-        )
         kinds = []
         for mods in ([AddArc(u, v)], [RemoveArc(*dag.arcs()[0])]):
             trace = BatchTrace()

@@ -1,4 +1,5 @@
 import heapq
+import tracemalloc
 from itertools import combinations
 from random import Random
 from types import SimpleNamespace
@@ -470,3 +471,21 @@ def test_mcs_cliques_match_the_former_clique_pass():
         assert witness is None
         assert cliques == _clique_pass_reference(t)
     assert min(seen.values()) > 100
+
+
+@pytest.mark.parametrize("kernel", [kernels.mcs, kernels.min_fill])
+def test_kernel_state_is_sized_by_the_vertex_count_not_the_largest_id(kernel):
+    # after node removals and in a rebuild's induced subgraph the ids can be
+    # large; a kernel's per-call state must stay O(len(ids)), so three
+    # vertices near 10**7 cost a few KB, where lists sized by the largest id
+    # would cost tens of MB
+    big = 10**7
+    g = UndirectedGraph.from_edges([big, big + 3, big + 7], [(big, big + 3), (big + 3, big + 7)])
+    kernel(g)  # the first call's one-off allocations are not the kernel's state
+    tracemalloc.start()
+    try:
+        kernel(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
