@@ -1,9 +1,10 @@
 """Incremental recompilation of a compiled model under structural edits.
 
-A batch of modifications is processed in two phases.  Phase one applies each
-edit to the dag, patches the moral graph, and marks the MPSs whose internal
-structure may have changed; the marks are a set owned by the batch, and no
-existing cluster's vertex set changes before phase two.
+A batch of modifications is processed in two phases.  Phase one applies the
+batch to the dag and the moral graph in one pass, undone whole if an edit
+raises, then walks its record edit by edit and marks the MPSs whose
+internal structure may have changed; the marks are a set owned by the
+batch, and no existing cluster's vertex set changes before phase two.
 Phase two rebuilds the cliques of each connected marked region.  When the
 region's triangulation still covers the batch's edits, or takes each added
 link it lacks as one new clique (Ibarra's insertion), its own junction
@@ -12,9 +13,9 @@ an insertion or a dropped fill edge touches change; otherwise the region
 is re-triangulated from its induced moral subgraph into new cliques of the
 junction tree, which are spliced in.  Either way no unmarked clique's
 vertex set changes, and one tail finishes the region: it regroups the
-region's cliques, testing only the separators the rebuild may have
-changed, maps their owners and re-hosts the families whose clique died or
-stopped covering them.
+region's cliques at their separators incomplete in the moral graph, maps
+their owners and re-hosts the families whose clique died or stopped
+covering them.
 
 Each step returns what it did: a marking function the MPSs it marks, a
 rebuild its region and the pieces absorbed.  Only
@@ -256,7 +257,7 @@ def modify_moral_graph(model: CompiledModel, mod: Modification) -> list[Link]:
             moral.add_vertex(dag.table.id(name))
             return []
         case RemoveNode(node):
-            # the dry run removed it without arcs, so only a broken moral graph gives it neighbours
+            # the dag removed it only without arcs, so only a broken moral graph gives it neighbours
             if moral.neighbors(node):
                 raise InconsistencyError(f"node {node} still has moral edges")
             moral.remove_vertex(node)
@@ -508,15 +509,11 @@ def _rebuild_subtree(
     - Every piece an outside clique absorbed must be complete in the moral
       graph, as the boundary separator it equals is; so all its separators
       are complete and it was the only clique of its group.
-    - The region's live cliques are regrouped by one union-find over the
-      edges among them, so each group is named by its least clique.  An
-      edge the rebuild kept, between two cliques that kept their vertex
-      sets and hold no pair the batch moved between the moral graph and
-      the fill, keeps its separator and that separator's completeness, so
-      it joins two groups iff its ends had one owner.  Every other edge is
-      joined iff its separator is incomplete in the moral graph.  Every
-      separator between the region and the rest stays complete, so this is
-      the whole regroup.
+    - The region's live cliques are regrouped by the rule of a full compile
+      (:func:`~bnic.mpd.group_owners`): one union-find joins the ends of
+      each edge among them with a separator incomplete in the moral graph,
+      and names each group by its least clique.  The separators between the
+      region and the rest stay complete, so this is the whole regroup.
     - A family moves only when its host is one of the doomed cliques and
       died or no longer covers it, to the smallest covering clique of the
       region or of the outside cliques that absorbed a piece of it (ties:
@@ -538,9 +535,6 @@ def _rebuild_subtree(
     places = _insertions(jt, doomed, missing) if missing else []
     # an emptied region keeps no cluster, so it takes the (empty) min-fill path
     thinned = bool(variables) and places is not None
-    # a re-triangulated or emptied region kills every doomed clique, so only
-    # an in-place rebuild has edges to keep
-    old_edges = set(jt.edges_within(before)) if thinned else ()
     if thinned:
         absorbed, index = _thin_region(model, doomed, variables, inside, list(zip(missing, places)))
     else:
@@ -561,21 +555,7 @@ def _rebuild_subtree(
     for c in doomed:
         if c not in jt:
             del owner[c]
-    # the cliques whose separators may have changed completeness: new, cut,
-    # or holding a moved pair (read off the index, where every live clique has its bits)
-    fresh = {c for c in region if before.get(c) is not jt.cluster(c)}
-    for u, v in inside:
-        held = index.masks.get(u, 0) & index.masks.get(v, 0)
-        while held:
-            low = held & -held
-            held ^= low
-            fresh.add(index.ids[low.bit_length() - 1])
-    kept_edges = {(a, b) for a, b in old_edges if a not in fresh and b not in fresh}
-    joined = [
-        (a, b)
-        for a, b in jt.edges_within(set(region))
-        if (owner[a] == owner[b] if (a, b) in kept_edges else not moral.is_complete(jt.cluster(a) & jt.cluster(b)))
-    ]
+    joined = [(a, b) for a, b in jt.edges_within(set(region)) if not moral.is_complete(jt.cluster(a) & jt.cluster(b))]
     owner.update(union_groups(region, joined))
 
     candidates = grown.union(*(vs for c, vs in before.items() if c not in jt))
@@ -756,10 +736,14 @@ def incremental_compile(
     """Re-establish the compiled structures after a batch of edits.
 
     The model is updated in place (and returned); unmarked clusters survive
-    with identical vertex sets.  The whole batch is first replayed on the
-    dag and rolled back (:meth:`Dag.rollback`), so an invalid modification
-    raises before the model is touched; internal inconsistencies raise
-    InconsistencyError and are never silently repaired.
+    with identical vertex sets.  One pass applies each edit to the dag and
+    patches the moral graph, recording the edit's new node id, description
+    and moral links.  An invalid edit, or a stray moral edge on a removed
+    node, leaves both graphs as before the batch: the dag's transaction
+    (:meth:`Dag.transaction`) restores it, and the moral patches are undone
+    from their records, last first.  Marking then walks the records and
+    reads neither graph.  Internal inconsistencies raise InconsistencyError
+    and are never silently repaired.
 
     The doomed cliques are the groups of the marked MPSs, and each
     connected piece of them is rebuilt apart; one walk finds the pieces,
@@ -776,24 +760,36 @@ def incremental_compile(
     rewiring; then each rebuilt region.  A region's MPSs are its marked
     ids: every MPS id is a clique of its own group.
     """
-    mods = list(mods)  # the dry run and phase one each walk the batch
-    with model.dag.rollback():
-        for mod in mods:
-            apply_modification(model.dag, mod)
+    dag, moral, records = model.dag, model.moral, []
+    with dag.transaction():
+        try:
+            for mod in mods:
+                # a removed node loses its name; any other edit raises before it is described
+                description = describe(mod, dag) if trace is not None and isinstance(mod, RemoveNode) else None
+                new = apply_modification(dag, mod)
+                if trace is not None and description is None:
+                    description = describe(mod, dag)
+                records.append((mod, new, description, modify_moral_graph(model, mod)))
+        except BaseException:
+            for mod, new, _, links in reversed(records):
+                for l in reversed(links):
+                    (moral.remove_edge if l.added else moral.add_edge)(l.u, l.v)
+                if isinstance(mod, AddNode):
+                    moral.remove_vertex(new)
+                elif isinstance(mod, RemoveNode):
+                    moral.add_vertex(mod.node)
+            raise
     marked: set[int] = set()
     net: dict[tuple[int, int], bool] = {}  # the batch's moral link changes, pair -> added
     jt, owner = model.jt, model.owner
-    for mod in mods:
-        description = None if trace is None else describe(mod, model.dag)  # a removed node loses its name
-        apply_modification(model.dag, mod)
-        links = modify_moral_graph(model, mod)
+    for mod, new, description, links in records:
         for l in links:  # a link added and deleted again cancels
             if net.pop((l.u, l.v), None) is None:
                 net[l.u, l.v] = l.added
         rewiring = None
         match mod:
-            case AddNode(name):
-                marks = add_node(model, model.dag.table.id(name))
+            case AddNode():
+                marks = add_node(model, new)
             case RemoveNode(node):
                 marks = mark_remove_node(model, node)
             case RemoveArc(parent, child):
@@ -814,7 +810,7 @@ def incremental_compile(
             if m not in doomed:
                 comps.append(jt.reach(m, lambda c: owner[c] in marked))
                 doomed |= comps[-1]
-        grown = {mod.child for mod in mods if isinstance(mod, AddArc)}
+        grown = {mod.child for mod, *_ in records if isinstance(mod, AddArc)}
         for comp in map(sorted, comps):
             variables, thinned, inserted, absorbed, region = _rebuild_subtree(model, comp, net, grown)
             if trace is not None:

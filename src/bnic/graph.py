@@ -96,19 +96,19 @@ class Dag:
         self._journal: dict[int, tuple[str, dict[int, None], dict[int, None]]] | None = None
 
     @contextmanager
-    def rollback(self) -> Iterator[None]:
-        """Undo every edit made inside the block on leaving it, raised or not.
+    def transaction(self) -> Iterator[None]:
+        """Undo every edit made inside the block if it raises, then re-raise.
 
         Each node's name and arc maps are saved before their first change and
-        put back afterwards, insertion order and removed nodes included; added
-        nodes are dropped and their ids unissued.  Costs O(nodes touched).
+        put back on a raise, insertion order and removed nodes included;
+        added nodes are dropped and their ids unissued.  Costs O(nodes
+        touched); a block that returns keeps its edits.
         """
         self._journal = journal = {}
         table, next_id = self.table, self.table.next_id
         try:
             yield
-        finally:
-            self._journal = None
+        except BaseException:
             for v in range(next_id, table.next_id):
                 if v in table:
                     table.remove(v)
@@ -118,6 +118,9 @@ class Dag:
                 if v < next_id:
                     table._name_of[v], table._id_of[name] = name, v
                     self._parents[v], self._children[v] = ps, cs
+            raise
+        finally:
+            self._journal = None
 
     def _save(self, *vs: int) -> None:
         if self._journal is not None:

@@ -14,11 +14,13 @@ prints for ``src/bnic``.  A run at another commit is the same command in
 that commit's checkout (copy this script there if it lacks it).
 
 ``--compare`` prints, for each workload and each end-to-end metric of
-``BENCHMARK.json``, the median of A and of B, the change from A to B and a
-verdict: ``worse`` when B is worse than A by more than the metric's
-relative bound, ``better`` or ``same`` otherwise.  It exits 1 if any pair
-is ``worse``.  Medians over a few seeds, run back to back, show a regression;
-a claimed gain still needs alternating runs.
+``BENCHMARK.json``, the median of A and of B, the change from A to B, the
+seeds' spread and a verdict: ``worse`` when B is worse than A by more than
+the metric's relative bound; ``better`` when B is better by more than the
+spread, the wider of the two files' max - min over the seeds; ``same``
+otherwise.  It exits 1 if any pair is ``worse``.  Medians over a few
+seeds, run back to back, show a regression; a claimed gain still needs
+alternating runs.
 """
 
 from __future__ import annotations
@@ -80,32 +82,44 @@ def bench(out: str) -> dict:
     }
 
 
-def verdict(a: float, b: float, better: str, bound: float) -> tuple[float | None, str]:
-    """The relative change from a to b and whether it is worse than bound."""
+def verdict(a: float, b: float, better: str, bound: float, spread: float) -> tuple[float | None, str]:
+    """The relative change from a to b and its verdict.
+
+    ``worse`` when b loses more than the relative bound against a (any loss
+    when a is 0, which gives no relative change); ``better`` when b gains
+    more than spread, in the metric's own unit; ``same`` otherwise.
+    """
     if a == b:
         return 0.0, "same"
-    if a == 0:  # no relative change: any loss is beyond the bound
-        return None, "better" if (b < 0) == (better == "lower") else "worse"
-    change = (b - a) / abs(a)
-    loss = change if better == "lower" else -change
-    return change, "worse" if loss > bound else "better" if loss < 0 else "same"
+    gain = a - b if better == "lower" else b - a
+    change = None if a == 0 else (b - a) / abs(a)
+    if gain < 0 and (change is None or -gain / abs(a) > bound):
+        return change, "worse"
+    return change, "better" if gain > spread else "same"
+
+
+def seed_spread(data: dict, workload: str, name: str) -> float:
+    """Max - min of one metric over a BENCH file's runs of one workload."""
+    values = [r["metrics"][name] for r in data["runs"] if r["workload"] == workload]
+    return max(values) - min(values)
 
 
 def compare(path_a: str, path_b: str) -> int:
     a, b = (json.loads(Path(p).read_text(encoding="utf-8")) for p in (path_a, path_b))
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     worse = 0
-    print(f"{'workload':<12} {'metric':<20} {'A':>12} {'B':>12} {'change':>8}  verdict (bound)")
+    print(f"{'workload':<12} {'metric':<20} {'A':>12} {'B':>12} {'change':>8} {'spread':>10}  verdict (bound)")
     for workload in WORKLOADS:
         if workload not in a["medians"] or workload not in b["medians"]:
             continue
         for m in spec["end_to_end"]:
             name = m["name"]
             va, vb = a["medians"][workload][name], b["medians"][workload][name]
-            change, word = verdict(va, vb, m["better"], m["bound"])
+            spread = max(seed_spread(a, workload, name), seed_spread(b, workload, name))
+            change, word = verdict(va, vb, m["better"], m["bound"], spread)
             worse += word == "worse"
             shown = "n/a" if change is None else f"{100 * change:+.1f}%"
-            print(f"{workload:<12} {name:<20} {va:>12.4g} {vb:>12.4g} {shown:>8}  {word} ({m['bound']:g})")
+            print(f"{workload:<12} {name:<20} {va:>12.4g} {vb:>12.4g} {shown:>8} {spread:>10.4g}  {word} ({m['bound']:g})")
     print(f"loc: {a['loc']['lines']} -> {b['loc']['lines']} lines, {a['loc']['code']} -> {b['loc']['code']} code")
     return 1 if worse else 0
 

@@ -829,8 +829,8 @@ def _unreachable_parent():
 
 
 def _stray_moral_edge_on_a_removed_node():
-    # the dry run accepts removing the arc-free x; only a broken moral
-    # graph can still give it a neighbour
+    # the dag accepts removing the arc-free x; only a broken moral graph
+    # can still give it a neighbour
     dag = Dag()
     a, b, x = (dag.add_node(n) for n in "abx")
     dag.add_arc(a, b)
@@ -1288,8 +1288,8 @@ def test_invalid_modifications_are_rejected(asia_model):
 
 
 def test_a_batch_given_as_a_generator_is_applied():
-    # the dry run and phase one both walk the batch, so a one-shot iterable
-    # must not be used up by the first of them
+    # the batch is walked once, by the pass that applies it, and its
+    # records serve the marking after it
     model = incremental_compile(full_recompile(Dag()), (m for m in [AddNode("a"), AddNode("b")]))
     assert sorted(model.dag.table.name(v) for v in model.dag.nodes()) == ["a", "b"]
     assert len(model.jt) == 2 and validate(model).passed
@@ -1346,15 +1346,17 @@ def test_rejected_batch_leaves_the_model_untouched():
         dag.add_arc(p, ch)
     model = full_recompile(dag.copy())
     clusters = model.jt.cluster_multiset()
+    moral = model.moral.copy()
     with pytest.raises(CycleError):
         incremental_compile(model, [RemoveArc(a, d), AddArc(c, b)])
     assert model.dag == dag
+    assert model.moral == moral
     assert model.jt.cluster_multiset() == clusters
     assert validate(model).passed
 
 
 def _dag_state(dag):
-    # everything a rollback must restore, insertion orders included
+    # everything a failed transaction must restore, insertion orders included
     t = dag.table
     return (
         t.next_id,
@@ -1366,13 +1368,14 @@ def _dag_state(dag):
 
 
 def test_rejected_batch_restores_ids_and_arc_order():
-    # the dry run replays the batch on the model's own dag and rolls it back
+    # the batch reaches the model's own dag, and a raise puts it back
     dag = Dag()
     a, b, c, d = (dag.add_node(name) for name in "ABCD")
     for p, ch in [(d, b), (a, b), (b, c), (a, c), (d, c)]:
         dag.add_arc(p, ch)
     model = full_recompile(dag.copy())
     before = _dag_state(model.dag)
+    moral = model.moral.copy()
     order = {v: expand_remove_node(model.dag, v) for v in (a, b, d)}
     batches = [
         [AddNode("E"), RemoveArc(a, b), AddArc(c, a)],
@@ -1384,9 +1387,48 @@ def test_rejected_batch_restores_ids_and_arc_order():
         with pytest.raises(CycleError):
             incremental_compile(model, mods)
         assert _dag_state(model.dag) == before
+        assert model.moral == moral
         assert {v: expand_remove_node(model.dag, v) for v in (a, b, d)} == order
         assert model.dag == dag and validate(model).passed
     assert model.dag.add_node("F") == 4
+
+
+def test_an_inconsistent_moral_graph_rejects_the_whole_batch():
+    # the stray moral edge on x shows only at the last edit, after the
+    # earlier ones changed the dag and the moral graph
+    dag = Dag()
+    a, b, x = (dag.add_node(n) for n in "abx")
+    dag.add_arc(a, b)
+    model = full_recompile(dag)
+    model.moral.add_edge(x, a)
+    before, moral = _dag_state(model.dag), model.moral.copy()
+    with pytest.raises(InconsistencyError, match="node 2 still has moral edges"):
+        incremental_compile(model, [AddNode("c"), AddArc(3, b), RemoveArc(a, b), RemoveNode(x)])
+    assert _dag_state(model.dag) == before
+    assert model.moral == moral
+
+
+def test_each_edit_reaches_the_dag_once(asia_model, monkeypatch):
+    # one pass applies the batch: no edit is replayed, and an added arc
+    # searches for a cycle once
+    calls = Counter()
+    apply, has_path = bnic.engine.apply_modification, Dag.has_path
+
+    def counted_apply(dag, mod):
+        calls["apply"] += 1
+        return apply(dag, mod)
+
+    def counted_has_path(dag, src, dst):
+        calls["has_path"] += 1
+        return has_path(dag, src, dst)
+
+    monkeypatch.setattr(bnic.engine, "apply_modification", counted_apply)
+    monkeypatch.setattr(Dag, "has_path", counted_has_path)
+    t = asia_model.dag.table
+    mods = [AddNode("Z"), AddArc(t.id("A"), t.id("E")), AddArc(t.id("S"), t.id("X")), RemoveArc(t.id("S"), t.id("L"))]
+    incremental_compile(asia_model, mods, BatchTrace())
+    assert calls == {"apply": 4, "has_path": 2}
+    assert validate(asia_model).passed
 
 
 def _two_local_arc_edits():

@@ -115,7 +115,7 @@ def test_moralize_matches_pairwise_scan_on_random_dag():
     gm = moralize(dag)
     assert gm.edge_set() == _brute_force_moral(dag)
     # ids gapped by node removals, arcs re-added in shuffled order so parent
-    # order is not id order, and nodes a rollback put back after the rest
+    # order is not id order, and nodes a failed transaction put back after the rest
     gapped = unordered = 0
     for seed in range(30):
         rng = Random(seed)
@@ -128,8 +128,9 @@ def test_moralize_matches_pairwise_scan_on_random_dag():
             dag.add_arc(*a)
         for v in rng.sample(dag.nodes(), len(dag) // 3):
             _strip(dag, v)
-        with dag.rollback():
+        with pytest.raises(RuntimeError), dag.transaction():
             _strip(dag, dag.nodes()[0])
+            raise RuntimeError
         gm = moralize(dag)
         assert gm.vertices() == dag.nodes()
         assert gm.edge_set() == _brute_force_moral(dag)
