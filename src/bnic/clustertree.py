@@ -293,19 +293,6 @@ class ClusterTree:
         t._edges = sum(map(len, adj.values())) // 2
         return t
 
-    def induced(self, ids: Iterable[int]) -> "ClusterTree":
-        """The clusters ids under their own ids, with the edges among them.
-
-        Edges that leave ids are dropped, so the view may be a forest; fresh
-        ids continue after this tree's, which is left unchanged.
-        """
-        t = ClusterTree()
-        t._clusters = keep = {c: self._clusters[c] for c in ids}
-        t._adj = {c: self._adj[c].intersection(keep) for c in keep}
-        t._next = self._next
-        t._edges = sum(map(len, t._adj.values())) // 2
-        return t
-
     def copy(self) -> "ClusterTree":
         t = ClusterTree()
         t._clusters = dict(self._clusters)

@@ -5,17 +5,18 @@ batch to the dag and the moral graph in one pass, undone whole if an edit
 raises, then walks its record edit by edit and marks the MPSs whose
 internal structure may have changed; the marks are a set owned by the
 batch, and no existing cluster's vertex set changes before phase two.
-Phase two rebuilds the cliques of each connected marked region.  When the
-region's triangulation still covers the batch's edits, or takes each added
-link it lacks as one new clique (Ibarra's insertion), its own junction
-subtree takes those cliques and is thinned in place, and only the cliques
-an insertion or a dropped fill edge touches change; otherwise the region
-is re-triangulated from its induced moral subgraph into new cliques of the
-junction tree, which are spliced in.  Either way no unmarked clique's
-vertex set changes, and one tail finishes the region: it regroups the
-region's cliques at their separators incomplete in the moral graph, maps
-their owners and re-hosts the families whose clique died or stopped
-covering them.
+Phase two rebuilds the cliques of each connected marked region.  Each
+added link that the region's triangulation lacks goes straight into its
+junction subtree as one new clique while Ibarra's rule allows it.  When
+all go in, the subtree is thinned in place, and only the cliques an
+insertion or a dropped fill edge touches change; at the first link
+refused, the region is re-triangulated from its induced moral subgraph
+into new cliques of the junction tree, spliced in for its live cliques,
+the inserted ones included.  Either way no unmarked clique's vertex set
+changes, and one tail finishes the region: it regroups the region's
+cliques at their separators incomplete in the moral graph, maps their
+owners and re-hosts the families whose clique died or stopped covering
+them.
 
 Each step returns what it did: a marking function the MPSs it marks, a
 rebuild its region and the pieces absorbed.  Only
@@ -263,6 +264,9 @@ def modify_moral_graph(model: CompiledModel, mod: Modification) -> list[Link]:
             moral.remove_vertex(node)
             return []
         case AddArc(parent, child):
+            # checked before the first link goes in, so a raise leaves nothing to undo
+            if not all(map(moral.has_vertex, (child, *dag.parents(child)))):
+                raise InconsistencyError(f"the moral graph lacks a vertex of the family of {child}")
             # every other pair of the family was already moral
             links = []
             for u, v in [(parent, child), *((parent, z) for z in sorted(dag.parents(child)) if z != parent)]:
@@ -485,21 +489,23 @@ def _rebuild_subtree(
     before the batch.  Every holder of a removed variable is marked, so no
     boundary separator holds one.
 
-    When every link the batch added inside R is already a fill pair, or the
-    rest can be inserted one by one, in batch order, with H staying chordal
-    (:func:`_insertions`, decided before any edit),
-    :func:`_thin_region` inserts them and thins the subtree in place: H
+    Each link the batch added inside R that H lacks is placed by
+    :func:`_link_path` and inserted by :func:`_insert_link` straight into
+    the junction tree, in batch order, over the region's live cliques: the
+    doomed ones less the ends an inserted clique K absorbed, plus the Ks.
+    When all go in, :func:`_thin_region` thins the subtree in place: H
     restricted to R then contains the new moral graph on R (an added link
-    was fill or is inserted, a deleted one becomes fill).  Otherwise
-    min-fill re-triangulates the region's induced moral graph into new
-    cliques of the junction tree, joined only to each other until
-    :func:`connect` splices them in, and the fill drops its pairs inside R
-    for the region's kept pairs.  The dropped pairs are the doomed cliques'
-    fill: an outside clique meets R only inside one boundary MPS separator,
-    complete in the moral graph, and an edit changes moral links only
-    inside the marked region.  The new cliques are maximal among themselves
-    and an outside clique keeps its vertex set, so a new clique inside
-    another equals the boundary separator it hangs on, and
+    was fill or is inserted, a deleted one becomes fill).  At the first
+    link refused, min-fill re-triangulates the region's induced moral
+    graph into new cliques of the junction tree, joined only to each other
+    until :func:`connect` splices them in for the live cliques, and the
+    fill drops its pairs inside R for the region's kept pairs.  The Ks add
+    no fill, so the dropped pairs are the doomed cliques' fill: an outside
+    clique meets R only inside one boundary MPS separator, complete in the
+    moral graph, and an edit changes moral links only inside the marked
+    region.  The new cliques are maximal among themselves and an outside
+    clique keeps its vertex set, so a new clique inside another equals the
+    boundary separator it hangs on, and
     :func:`absorb_non_maximal` merges it into the outside clique beyond.
 
     Either way the branch hands on the holder index of the region's new or
@@ -532,19 +538,24 @@ def _rebuild_subtree(
     variables = set(filter(moral.has_vertex, frozenset().union(*before.values())))
     inside = {pair: a for pair, a in links.items() if variables.issuperset(pair)}
     missing = [pair for pair, a in inside.items() if a and not model.fill.has_edge(*pair)]
-    places = _insertions(jt, doomed, missing) if missing else []
+    live, inserted = set(doomed), []
+    for u, v in missing:
+        place = _link_path(jt, live, u, v)
+        if place is None:
+            break
+        inserted.append(_insert_link(jt, live, u, v, place))
     # an emptied region keeps no cluster, so it takes the (empty) min-fill path
-    thinned = bool(variables) and places is not None
+    thinned = bool(variables) and len(inserted) == len(missing)
     if thinned:
-        absorbed, index = _thin_region(model, doomed, variables, inside, list(zip(missing, places)))
+        absorbed, index = _thin_region(model, doomed, variables, inside, inserted)
     else:
         g_sub = moral.induced(variables)
         model.fill.remove_induced(variables)
         kept = UndirectedGraph(variables)
         index = construct_join_tree(g_sub, kept, jt)
         model.fill.update(kept)
-        pieces = connect(jt, index, doomed)
-        for k in doomed:
+        pieces = connect(jt, index, sorted(live))
+        for k in live:
             jt.remove_cluster(k)
         absorbed = absorb_non_maximal(jt, pieces)
     region = [c for c in index.ids if c in jt]
@@ -571,32 +582,6 @@ def _rebuild_subtree(
             index.add(c)
         family.update(assign_families(dag, orphans, index))
     return variables, thinned, bool(missing) and thinned, absorbed, region
-
-
-def _insertions(
-    jt: ClusterTree, doomed: list[int], links: list[tuple[int, int]]
-) -> list[tuple[list[int], int]] | None:
-    """Where each link, in order, goes into the doomed cliques' subtree (:func:`_link_path`), or None if one cannot.
-
-    ``jt`` is untouched: a link is placed on it, and when more links follow
-    it is inserted (:func:`_insert_link`) into a view of the doomed cliques
-    (:meth:`ClusterTree.induced`), on which they are placed.  The view's
-    fresh ids continue the tree's, so the same insertions in ``jt`` make
-    the cliques the places name.  A junction path between two doomed
-    cliques stays among them: they are a connected subtree, as the
-    insertions keep them.
-    """
-    tree, region, places = jt, set(doomed), []
-    for i, (u, v) in enumerate(links):
-        place = _link_path(tree, region, u, v)
-        if place is None:
-            return None
-        places.append(place)
-        if i + 1 < len(links):
-            if tree is jt:
-                tree = jt.induced(doomed)
-            _insert_link(tree, region, u, v, place)
-    return places
 
 
 def _link_path(tree: ClusterTree, region: set[int], u: int, v: int) -> tuple[list[int], int] | None:
@@ -655,9 +640,9 @@ def _thin_region(
     doomed: list[int],
     variables: set[int],
     inside: dict[tuple[int, int], bool],
-    insertions: list[tuple[tuple[int, int], tuple[list[int], int]]],
+    inserted: list[int],
 ) -> tuple[list[tuple[frozenset[int], int]], HolderIndex]:
-    """Insert the links H lacks and thin the doomed cliques' own junction subtree, in place.
+    """Thin the doomed cliques' own junction subtree, with the cliques ``inserted``, in place.
 
     The result is a minimal triangulation of the region.  Only the cliques
     an insertion or a drop touches change; every other clique keeps its
@@ -666,10 +651,10 @@ def _thin_region(
     - The batch's links inside R move between the moral graph and the
       fill: an added link was a fill pair and changes no clique, a deleted
       one joins the fill.
-    - Each link the batch added and H lacks is inserted in batch order by
-      :func:`_insert_link`, at the place :func:`_insertions` found for it
-      as ``insertions`` lists them: ((u, v), place); the link joins the
-      moral graph and its new clique K holds no new fill pair.
+    - Each link the batch added and H lacks is already in the tree:
+      :func:`_rebuild_subtree` inserted it, and ``inserted`` lists the new
+      cliques K in batch order.  The link joins the moral graph and its K
+      holds no new fill pair.
     - The removed variables leave their holders, all doomed or inserted,
       and so the separators between them, and a cut clique inside a
       neighbour merges into it (:func:`absorb_non_maximal` on the cut
@@ -695,13 +680,11 @@ def _thin_region(
     seeds = []
     for (u, v), added in inside.items():
         if added:
-            if fill.has_edge(u, v):  # else H lacks it, and it is inserted below
+            if fill.has_edge(u, v):  # else H lacked it, and it was inserted
                 fill.remove_edge(u, v)
         else:
             fill.add_edge(u, v)
             seeds.append((u, v))
-    region = set(doomed)
-    inserted = [_insert_link(jt, region, u, v, place) for (u, v), place in insertions]
     cut = [c for c in [*doomed, *inserted] if c in jt and not variables.issuperset(jt.cluster(c))]
     for c in cut:
         jt.shrink(c, jt.cluster(c) - variables)
@@ -748,12 +731,12 @@ def incremental_compile(
     The doomed cliques are the groups of the marked MPSs, and each
     connected piece of them is rebuilt apart; one walk finds the pieces,
     from each marked id in ascending order over the cliques whose owner is
-    marked.  The closing check counts
-    edges.  A split in place (:func:`_thin_region`) and an absorption
-    (:func:`absorb_non_maximal`) each keep a tree a tree.  A splice re-hangs each boundary edge of the doomed
-    cliques on their replacement tree (or, when none, on one boundary
-    cluster), so a connected doomed set leaves the junction tree a tree,
-    and c disconnected pieces leave c - 1 edges too many.
+    marked.  The closing check counts edges.  An insertion, a split in
+    place (:func:`_thin_region`) and an absorption (:func:`absorb_non_maximal`)
+    each keep a tree a tree.  A splice re-hangs each boundary edge of the
+    region's live cliques on their replacement tree (or, when none, on one
+    boundary cluster), so a connected doomed set leaves the junction tree a
+    tree, and c disconnected pieces leave c - 1 edges too many.
 
     A trace records each modification's links, the marks its marking
     function returns, each with the union of its cliques, and its

@@ -14,7 +14,7 @@ def _can_merge(tree, src, dst):
 
 
 def test_edge_count_matches_a_recount_under_random_edits():
-    ops = {"add": 0, "remove": 0, "drop": 0, "merge": 0, "copy": 0, "induced": 0}
+    ops = {"add": 0, "remove": 0, "drop": 0, "merge": 0, "copy": 0}
     for seed in range(20):
         rng = Random(seed)
         tree = ClusterTree()
@@ -22,7 +22,7 @@ def test_edge_count_matches_a_recount_under_random_edits():
             tree.add_cluster({rng.randrange(10)})
         for _ in range(120):
             ids = tree.cluster_ids()
-            kind = rng.choice(["cluster", "add", "add", "remove", "drop", "merge", "copy", "induced"])
+            kind = rng.choice(["cluster", "add", "add", "remove", "drop", "merge", "copy"])
             if kind == "cluster" or len(ids) < 2:
                 tree.add_cluster(rng.sample(range(10), 2))
                 continue
@@ -37,8 +37,6 @@ def test_edge_count_matches_a_recount_under_random_edits():
                 tree.merge_into(a, b)
             elif kind == "copy":
                 tree = tree.copy()
-            elif kind == "induced":
-                tree = tree.induced([c for c in ids if c != a and rng.random() < 0.9])
             else:
                 continue
             ops[kind] += 1
@@ -54,23 +52,6 @@ def _path_tree():
     for a, b in ((0, 1), (1, 2), (2, 3), (1, 4)):
         tree.add_edge(a, b)
     return tree
-
-
-def test_induced_keeps_the_ids_and_drops_the_edges_that_leave_them():
-    tree = _path_tree()
-    before = tree.copy()
-    view = tree.induced([0, 2, 3])
-    # the same ids, clusters and next id; only the edge 2-3 stays inside
-    assert view.cluster_ids() == [0, 2, 3]
-    assert all(view.cluster(c) == tree.cluster(c) for c in view.cluster_ids())
-    assert view.next_id == tree.next_id
-    assert view.edges() == [(2, 3, tree.separator(2, 3))] and view.edge_count() == 1
-    # a forest: 0 lost its one neighbour inside the view
-    assert view.components() == [{0}, {2, 3}] and not view.is_tree()
-    # the source is untouched, and the view is a tree of its own
-    assert tree.edges() == before.edges() and tree.cluster_multiset() == before.cluster_multiset()
-    view.add_edge(0, 2)
-    assert len(tree.neighbors(0)) == 1 and view.is_tree()
 
 
 def test_path_walks_to_the_nearest_stop_and_edges_within_stay_inside():

@@ -48,13 +48,14 @@ from bnic import (
 import replay
 from conftest import banded_dag
 
-DIGEST = "a79547c6574fe9b2344b443ff3204cc2671673fcf73c857e5b472a2822554cea"
-HOST_DIGEST = "ffad2d91681bab3b52c1a01151c07eab21090177af05cd11a664cde9264b6003"
-TRACE_DIGEST = "9335bfd347d3a78594a1b0789488fe4e533de6b59f8b571ac4b3372bf602ba0e"
+# the four digests with clique ids count the ids of links inserted before a refused one
+DIGEST = "dcf7dc74007e11c975453e72ad700615692f39881b0265c1310901c4b5d1ea9d"
+HOST_DIGEST = "bdcbe5f8c65e9e62b47e01b85430111e4636652bc790240f3a67f54970911fc3"
+TRACE_DIGEST = "8d7806e80ef36dfdbfb379bc9a5e400a487ba338a988e7b7007160626c210e1d"
 COMPILE_DIGEST = "22547055afa09c6b84ef2587a9597e1956be2f35d62f35b6cea467a6d91d097e"
 MIN_FILL_600_DIGEST = "cb6f37737d33756f9a6372b784a51238713e144144b3d212d7105ceb82d43dfa"
 MPS_DIGEST = "a26c46b230de28bab2407ba995dbb63a8a3f47e57546545b50a11f343eacf32d"
-REPLAY_DIGEST = "f496205c64540dfdd120aed4fd7c8b15048855c678aaba7aaaedc7d6b177f9db"
+REPLAY_DIGEST = "d8d2d2f4982e401524d2a73cc32bc48be13b27392824391d39529b1b230868eb"
 COMPILES = 8  # the first records, one per dag compiled from scratch
 
 

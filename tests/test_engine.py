@@ -1043,9 +1043,10 @@ def test_the_link_path_test_agrees_with_chordality_and_insertion_keeps_a_junctio
 
 
 def test_a_region_with_an_insertable_and_a_refused_link_ends_as_min_fill_leaves_it(monkeypatch):
-    # AddArc(11, 3) adds two links that H lacks: the first can be inserted,
-    # the second then cannot, so the region is re-triangulated by min-fill
-    # from the untouched tree and ends as a rebuild that never tries insertion
+    # AddArc(11, 3) adds two links that H lacks: the first is inserted, the
+    # second then cannot be, so the region is re-triangulated by min-fill
+    # and ends as a rebuild that places no link, but for the ids: the
+    # min-fill cliques' fresh ids come after the clique the first link made
     rng = Random(5)
     model = full_recompile(random_dag(rng.randint(8, 20), rng, edge_prob=0.2))
     h = model.moral.union(model.fill)
@@ -1056,11 +1057,46 @@ def test_a_region_with_an_insertable_and_a_refused_link_ends_as_min_fill_leaves_
     region = set().union(*(bnic.engine._group(reference.jt, reference.owner, m) for m in trace.marked_ids()))
     assert len(missing) == 2 and _link_path(reference.jt, region, *missing[0]) is not None
     assert [s.path for s in trace.subtrees] == ["re-triangulated"]
-    monkeypatch.setattr(bnic.engine, "_insertions", lambda jt, doomed, links: None)
-    incremental_compile(reference, [AddArc(11, 3)])
-    assert replay.flush_record("", "", 0, model, trace) == replay.flush_record("", "", 0, reference, trace)
-    assert list(model.owner.items()) == list(reference.owner.items())
-    assert model.jt.next_id == reference.jt.next_id
+    monkeypatch.setattr(bnic.engine, "_link_path", lambda tree, region, u, v: None)
+    reference_trace = BatchTrace()
+    incremental_compile(reference, [AddArc(11, 3)], reference_trace)
+    a, b = (replay.flush_record("", "", 0, m, t) for m, t in ((model, trace), (reference, reference_trace)))
+    assert all(a[k] == b[k] for k in ("cliques", "mps", "shape", "fill"))
+    assert [s.path for s in trace.subtrees] == [s.path for s in reference_trace.subtrees]
+    assert model.jt.next_id == reference.jt.next_id + 1
+
+
+def _arc_inserting_two_links(model):
+    """The first arc whose trial flush, on a copy, inserts two links H lacks into one region."""
+    dag, h = model.dag, model.moral.union(model.fill)
+    for u in dag.nodes():
+        for v in dag.nodes():
+            if u != v and not dag.has_arc(u, v) and not dag.has_path(v, u):
+                trace = BatchTrace()
+                incremental_compile(model.copy(), [AddArc(u, v)], trace)
+                lacked = [l for l in trace.mods[0].links if not h.has_edge(l.u, l.v)]
+                if len(lacked) == 2 and [s.path for s in trace.subtrees] == ["inserted"]:
+                    return u, v
+    raise AssertionError("no arc inserts two links into one region")
+
+
+def test_each_link_a_region_takes_is_inserted_once(monkeypatch):
+    # a region that takes two links H lacks inserts each once, straight
+    # into the junction tree
+    model = full_recompile(random_dag(20, Random(5), edge_prob=0.2))
+    u, v = _arc_inserting_two_links(model)
+    calls = Counter()
+    insert = bnic.engine._insert_link
+
+    def counted_insert(*args):
+        calls["insert"] += 1
+        return insert(*args)
+
+    monkeypatch.setattr(bnic.engine, "_insert_link", counted_insert)
+    trace = BatchTrace()
+    incremental_compile(model, [AddArc(u, v)], trace)
+    assert calls == {"insert": 2} and [s.path for s in trace.subtrees] == ["inserted"]
+    assert validate(model).passed
 
 
 def test_insertion_keeps_the_fill_near_a_full_recompile_over_a_long_arc_stream():
@@ -1404,6 +1440,21 @@ def test_an_inconsistent_moral_graph_rejects_the_whole_batch():
     before, moral = _dag_state(model.dag), model.moral.copy()
     with pytest.raises(InconsistencyError, match="node 2 still has moral edges"):
         incremental_compile(model, [AddNode("c"), AddArc(3, b), RemoveArc(a, b), RemoveNode(x)])
+    assert _dag_state(model.dag) == before
+    assert model.moral == moral
+
+
+def test_a_moral_graph_lacking_a_family_vertex_rejects_the_added_arc_whole():
+    # z -> b with z gone from the moral graph: adding a -> b raises before
+    # its first moral link goes in, so the undo has no link to miss
+    dag = Dag()
+    a, b, z = (dag.add_node(n) for n in "abz")
+    dag.add_arc(z, b)
+    model = full_recompile(dag)
+    model.moral.remove_vertex(z)
+    before, moral = _dag_state(model.dag), model.moral.copy()
+    with pytest.raises(InconsistencyError, match="lacks a vertex of the family of 1"):
+        incremental_compile(model, [AddArc(a, b)])
     assert _dag_state(model.dag) == before
     assert model.moral == moral
 
