@@ -62,7 +62,9 @@ class HolderIndex:
         the empty set it is the smallest live indexed cluster.
         """
         masks, clusters, ids = self.masks, self.tree._clusters, self.ids
-        common = (1 << len(ids)) - 1
+        vs = iter(vs)
+        first = next(vs, None)
+        common = (1 << len(ids)) - 1 if first is None else masks.get(first, 0)
         for v in vs:
             common &= masks.get(v, 0)
         best, size = None, 0
@@ -165,10 +167,10 @@ class ClusterTree:
         clusters = self._clusters
         return [(a, b, clusters[a] & clusters[b]) for a, nbrs in self._adj.items() for b in nbrs if a < b]
 
-    def edges_within(self, ids) -> list[tuple[int, int]]:
-        """Every edge with both ends in ids (a set or a dict), once, as (a, b) with a < b, unsorted."""
-        adj = self._adj
-        return [(a, b) for a in ids for b in adj[a] if a < b and b in ids]
+    def edges_within(self, ids) -> list[tuple[int, int, frozenset[int]]]:
+        """Every edge with both ends in ids (a set or a dict), once, as (a, b, separator) with a < b, unsorted."""
+        adj, clusters = self._adj, self._clusters
+        return [(a, b, clusters[a] & clusters[b]) for a in ids for b in adj[a] if a < b and b in ids]
 
     def edge_count(self) -> int:
         return self._edges

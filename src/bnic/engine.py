@@ -14,9 +14,9 @@ refused, the region is re-triangulated from its induced moral subgraph
 into new cliques of the junction tree, spliced in for its live cliques,
 the inserted ones included.  Either way no unmarked clique's vertex set
 changes, and one tail finishes the region: it regroups the region's
-cliques at their separators incomplete in the moral graph, maps their
-owners and re-hosts the families whose clique died or stopped covering
-them.
+cliques at their separators that hold a fill pair, which are those
+incomplete in the moral graph, maps their owners and re-hosts the
+families whose clique died or stopped covering them.
 
 Each step returns what it did: a marking function the MPSs it marks, a
 rebuild its region and the pieces absorbed.  Only
@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 from .clustertree import ClusterTree, HolderIndex
 from .errors import InconsistencyError
 from .graph import Dag, Link, UndirectedGraph
-from .mpd import union_groups
+from .mpd import inner_edges, union_groups
 from .pipeline import Triangulation, assign_families, construct_join_tree, thin_join_tree
 
 # Unused by the package; kept because the benchmark's tracer binds them.
@@ -258,7 +258,9 @@ def modify_moral_graph(model: CompiledModel, mod: Modification) -> list[Link]:
             moral.add_vertex(dag.table.id(name))
             return []
         case RemoveNode(node):
-            # the dag removed it only without arcs, so only a broken moral graph gives it neighbours
+            # the dag removed it only without arcs, so only a broken moral graph lacks it or gives it neighbours
+            if not moral.has_vertex(node):
+                raise InconsistencyError(f"the moral graph lacks node {node}")
             if moral.neighbors(node):
                 raise InconsistencyError(f"node {node} still has moral edges")
             moral.remove_vertex(node)
@@ -516,10 +518,12 @@ def _rebuild_subtree(
       graph, as the boundary separator it equals is; so all its separators
       are complete and it was the only clique of its group.
     - The region's live cliques are regrouped by the rule of a full compile
-      (:func:`~bnic.mpd.group_owners`): one union-find joins the ends of
-      each edge among them with a separator incomplete in the moral graph,
-      and names each group by its least clique.  The separators between the
-      region and the rest stay complete, so this is the whole regroup.
+      (:func:`~bnic.mpd.inner_edges`): the edges among them whose separator
+      holds a fill pair join their ends, and :func:`~bnic.mpd.union_groups`
+      names each group by its least clique.  The fill is the region's new
+      one by now, and it shares no pair with the moral graph, so those are
+      the separators incomplete in the moral graph.  The separators between
+      the region and the rest stay complete, so this is the whole regroup.
     - A family moves only when its host is one of the doomed cliques and
       died or no longer covers it, to the smallest covering clique of the
       region or of the outside cliques that absorbed a piece of it (ties:
@@ -566,8 +570,7 @@ def _rebuild_subtree(
     for c in doomed:
         if c not in jt:
             del owner[c]
-    joined = [(a, b) for a, b in jt.edges_within(set(region)) if not moral.is_complete(jt.cluster(a) & jt.cluster(b))]
-    owner.update(union_groups(region, joined))
+    owner.update(union_groups(region, inner_edges(jt.edges_within(set(region)), model.fill)))
 
     candidates = grown.union(*(vs for c, vs in before.items() if c not in jt))
     orphans = [

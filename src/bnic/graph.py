@@ -363,6 +363,15 @@ class UndirectedGraph:
                     return False
         return True
 
+    def has_edge_within(self, vs: frozenset[int] | set[int]) -> bool:
+        """True iff some pair of vs is an edge; a vertex the graph lacks has no edges."""
+        adj = self._adj
+        for v in vs:
+            ns = adj.get(v)
+            if ns and not ns.isdisjoint(vs):
+                return True
+        return False
+
     # Unused by the package; kept because the benchmark's tracer binds it.
     def to_dense(self) -> tuple[np.ndarray, list[int]]:
         """Dense boolean adjacency plus the index -> vertex-id mapping."""

@@ -24,7 +24,7 @@ from .engine import (
 from .errors import CycleError, InvalidEditError, NotChordalError, UnknownVariableError
 from .graph import Dag, UndirectedGraph, is_chordal, moralize
 # aggregate_cliques is not called here, but the benchmark's tracer wraps this module's binding
-from .mpd import aggregate_cliques, group_owners  # noqa: F401
+from .mpd import aggregate_cliques, group_owners, inner_edges, union_groups  # noqa: F401
 from .pipeline import construct_join_tree, extract_cliques
 
 
@@ -35,7 +35,7 @@ def full_recompile(dag: Dag) -> CompiledModel:
     index = construct_join_tree(gm, fill, ClusterTree())
     # through the module, whose binding the benchmark's tracer wraps
     family = pipeline.assign_families(dag, dag.nodes(), index)
-    owner = group_owners(index.tree, gm)
+    owner = group_owners(index.tree, fill)
     return CompiledModel(dag, gm, index.tree, owner, family, fill)
 
 
@@ -113,8 +113,10 @@ def validate(model: CompiledModel) -> ValidityReport:
     scanned, so both checks keep their verdicts and details on every input.
 
     The junction edges are listed once, with their derived separators, for
-    the running-intersection count, and the owner check regroups with
-    :func:`group_owners`, which builds no MPS tree.
+    both the running-intersection count and the owner check, which regroups
+    them by the rule of a full compile (:func:`~bnic.mpd.inner_edges`) and
+    builds no MPS tree.  That rule reads the fill, whose pairs are the
+    clusters' non-moral pairs once ``cluster_completeness`` holds.
     """
     checks: list[Check] = []
     dag, moral, jt, owner, fill = model.dag, model.moral, model.jt, model.owner, model.fill
@@ -172,7 +174,8 @@ def validate(model: CompiledModel) -> ValidityReport:
         rip_detail = "junction tree variables differ from the dag's"
     else:
         held = Counter(v for c in jt.cluster_ids() for v in jt.cluster(c))
-        linked = Counter(v for _, _, sep in jt.edge_items() for v in sep)
+        edges = jt.edge_items()
+        linked = Counter(v for _, _, sep in edges for v in sep)
         broken = next((v for v in dag.nodes() if held[v] - linked[v] != 1), None)
         if broken is not None:
             rip_detail = f"violated for variable {broken}"
@@ -206,17 +209,20 @@ def validate(model: CompiledModel) -> ValidityReport:
                 break
     check("family_coverage", not fam_detail, fam_detail)
 
-    # re-aggregation needs a junction tree of the triangulation, whose
-    # variables are then all in the moral graph; its owner map names every
-    # MPS by its least clique, so equality also proves that the groups are
-    # connected, cut at complete separators, and that the MPS tree is a tree
+    # re-aggregation needs a junction tree of the triangulation whose
+    # clusters are complete in it, with a fill that shares no moral pair, so
+    # a separator holds a fill pair iff it is incomplete in the moral graph;
+    # its owner map names every MPS by its least clique, so equality also
+    # proves that the groups are connected, cut at complete separators, and
+    # that the MPS tree is a tree
     prerequisites = ("triangulation_chordal", "running_intersection", "cluster_completeness")
     unmet = [c.name for c in checks if c.name in prerequisites and not c.passed]
     if unmet:
         check("mpd_owner", False, f"not checked: {', '.join(unmet)} failed")
     else:
-        reference = group_owners(jt, moral)
-        c = next((c for c in sorted(owner.keys() | reference.keys()) if owner.get(c) != reference.get(c)), None)
+        reference = union_groups(jt.cluster_ids(), inner_edges(edges, fill))
+        differs = (c for c in sorted(owner.keys() | reference.keys()) if owner.get(c) != reference.get(c))
+        c = None if owner == reference else next(differs)
         check("mpd_owner", c is None, f"clique {c} has owner {owner.get(c)}, re-aggregation gives {reference.get(c)}")
 
     return ValidityReport(tuple(checks))

@@ -147,7 +147,7 @@ def test_the_tracer_hooks_read_what_the_package_returns():
             bnic.engine.incremental_compile(model, mods, trace)
             kinds += [sub.thinned for sub in trace.subtrees]
         assert bnic.oracle.validate(model).passed
-        bnic.engine.aggregate_cliques(model.jt, model.moral)
+        bnic.engine.aggregate_cliques(model.jt, model.fill)
     finally:
         tracer.restore()
     assert [owner.__dict__[attr] for owner, attr, _, _ in spans.BINDINGS] == originals

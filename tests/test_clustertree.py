@@ -63,7 +63,8 @@ def test_path_walks_to_the_nearest_stop_and_edges_within_stay_inside():
     assert tree.path(3, lambda c: c == 0, lambda c: c != 2) is None
     # of 0 and 4, both one step from 1, the walk reaches the lower id first
     assert tree.path(1, lambda c: c in (0, 4)) == [0, 1]
-    assert sorted(tree.edges_within({0, 1, 2, 4})) == [(0, 1), (1, 2), (1, 4)]
+    within = [(a, b, tree.separator(a, b)) for a, b in [(0, 1), (1, 2), (1, 4)]]
+    assert sorted(tree.edges_within({0, 1, 2, 4})) == within
     assert tree.edges_within({0, 2}) == []
 
 

@@ -1459,6 +1459,21 @@ def test_a_moral_graph_lacking_a_family_vertex_rejects_the_added_arc_whole():
     assert model.moral == moral
 
 
+def test_a_moral_graph_lacking_a_removed_node_rejects_the_batch_whole():
+    # b gone from the moral graph: removing it raises InconsistencyError,
+    # not a KeyError from reading its neighbours, and the batch is undone
+    dag = Dag()
+    a, b = (dag.add_node(n) for n in "ab")
+    dag.add_arc(a, b)
+    model = full_recompile(dag)
+    model.moral.remove_vertex(b)
+    before, moral = _dag_state(model.dag), model.moral.copy()
+    with pytest.raises(InconsistencyError, match="the moral graph lacks node 1"):
+        incremental_compile(model, [RemoveArc(a, b), RemoveNode(b)])
+    assert _dag_state(model.dag) == before
+    assert model.moral == moral
+
+
 def test_each_edit_reaches_the_dag_once(asia_model, monkeypatch):
     # one pass applies the batch: no edit is replayed, and an added arc
     # searches for a cycle once

@@ -13,7 +13,7 @@ from bnic import (
     random_dag,
     random_script,
 )
-from bnic.mpd import aggregate_cliques, group_owners
+from bnic.mpd import aggregate_cliques, group_owners, union_groups
 from bnic.pipeline import build_join_tree, construct_join_tree, extract_cliques
 
 import replay
@@ -46,8 +46,9 @@ def test_aggregate_is_identity_when_all_separators_complete(asia):
     gm.remove_edge(t.id("L"), t.id("E"))
     gm.remove_edge(t.id("T"), t.id("L"))
     sub = gm.induced({t.id(n) for n in "TLEBS"})
-    tree = construct_join_tree(sub, UndirectedGraph(sub.vertices()), ClusterTree()).tree
-    mpd, owner = aggregate_cliques(tree, sub)
+    fill = UndirectedGraph(sub.vertices())
+    tree = construct_join_tree(sub, fill, ClusterTree()).tree
+    mpd, owner = aggregate_cliques(tree, fill)
     assert mpd.cluster_multiset() == tree.cluster_multiset()
     assert mpd.separator_multiset() == tree.separator_multiset()
     assert all(m == c for c, m in owner.items())
@@ -74,9 +75,10 @@ def test_aggregate_result_is_merge_order_independent():
     for seed in (11, 12, 13):
         dag = random_dag(24, Random(seed), edge_prob=0.25)
         gm = moralize(dag)
-        tree = construct_join_tree(gm, UndirectedGraph(gm.vertices()), ClusterTree()).tree
+        fill = UndirectedGraph(gm.vertices())
+        tree = construct_join_tree(gm, fill, ClusterTree()).tree
         family = family_hosts(dag, tree)
-        one_pass, owner = aggregate_cliques(tree, gm)
+        one_pass, owner = aggregate_cliques(tree, fill)
         assert len(tree) - len(one_pass) >= 5
         clusters = {c: one_pass.cluster(c) for c in one_pass.cluster_ids()}
         for shuffle_seed in range(20):
@@ -112,9 +114,10 @@ def test_decomposition_invariant_across_minimal_triangulations(asia):
     def mpd_from_fill(u, v):
         gt = gm.copy()
         gt.add_edge(t.id(u), t.id(v))
+        fill = UndirectedGraph.from_edges(gm.vertices(), [(t.id(u), t.id(v))])
         assert is_chordal(gt) == (True, None)
         tree = build_join_tree(extract_cliques(gt), ClusterTree()).tree
-        mpd, _ = aggregate_cliques(tree, gm)
+        mpd, _ = aggregate_cliques(tree, fill)
         return mpd
 
     via_lb = mpd_from_fill("L", "B")
@@ -151,8 +154,8 @@ def _aggregate_by_copy_and_components(jt, gm):
     return mpd, root
 
 
-def _assert_aggregates_like_the_reference(jt, gm):
-    mpd, owner = aggregate_cliques(jt, gm)
+def _assert_aggregates_like_the_reference(jt, gm, fill):
+    mpd, owner = aggregate_cliques(jt, fill)
     ref, root = _aggregate_by_copy_and_components(jt, gm)
     assert {c: mpd.cluster(c) for c in mpd.cluster_ids()} == {c: ref.cluster(c) for c in ref.cluster_ids()}
     assert mpd.edges() == ref.edges() and mpd.edge_count() == ref.edge_count()
@@ -168,10 +171,10 @@ def test_aggregate_matches_the_copy_and_components_reference():
     for _ in range(40):
         dag = random_dag(rng.randint(1, 40), rng, edge_prob=rng.choice([0.05, 0.15, 0.3]))
         model = full_recompile(dag)
-        merges += _assert_aggregates_like_the_reference(model.jt, model.moral)
+        merges += _assert_aggregates_like_the_reference(model.jt, model.moral, model.fill)
         for _ in range(3):
             incremental_compile(model, random_script(model.dag, rng.randint(1, 8), rng))
-            merges += _assert_aggregates_like_the_reference(model.jt, model.moral)
+            merges += _assert_aggregates_like_the_reference(model.jt, model.moral, model.fill)
             spliced += 1
     assert merges > 100 and spliced == 120
 
@@ -205,8 +208,9 @@ def _mps_tree_by_add_edge(jt, owner):
     return tree
 
 
-def _assert_one_walk_matches_the_sorted_references(jt, gm):
-    owner = group_owners(jt, gm)
+def _assert_one_walk_matches_the_sorted_references(jt, gm, fill):
+    # group_owners reads the fill; the reference tests completeness in gm
+    owner = group_owners(jt, fill)
     assert list(owner.items()) == list(_owners_by_sorted_union_find(jt, gm).items())
     mpd, ref = jt.quotient(owner), _mps_tree_by_add_edge(jt, owner)
     assert [(c, mpd.cluster(c)) for c in mpd.cluster_ids()] == [(c, ref.cluster(c)) for c in ref.cluster_ids()]
@@ -219,23 +223,62 @@ def _assert_one_walk_matches_the_sorted_references(jt, gm):
 
 def test_owner_map_and_mps_tree_match_the_sorted_edge_references():
     # seeded random and banded models, compiled and then flushed; the
-    # flushes must include rewired separators and absorbed pieces
+    # flushes must include rewired separators, absorbed pieces and regions
+    # rebuilt in place, with inserted links and by re-triangulation, and
+    # the engine's own regroup must give the reference's owner map
     merges = rewired = absorbed = 0
+    kinds = Counter()  # (thinned, inserted) per rebuilt region
     models = [random_dag(Random(seed).randint(5, 40), Random(seed), edge_prob=0.15) for seed in range(20)]
     models += [banded_dag(n, Random(n)) for n in (30, 60, 120)]
     for k, dag in enumerate(models):
         rng = Random(100 + k)
         model = full_recompile(dag)
-        merges += _assert_one_walk_matches_the_sorted_references(model.jt, model.moral)
+        merges += _assert_one_walk_matches_the_sorted_references(model.jt, model.moral, model.fill)
         for _ in range(4):
             trace = BatchTrace()
             incremental_compile(model, random_script(model.dag, rng.randint(1, 8), rng), trace)
-            merges += _assert_one_walk_matches_the_sorted_references(model.jt, model.moral)
+            merges += _assert_one_walk_matches_the_sorted_references(model.jt, model.moral, model.fill)
+            assert list(model.owner.items()) == list(_owners_by_sorted_union_find(model.jt, model.moral).items())
             rewired += sum(len(rec.rewired) for rec in trace.mods)
             absorbed += len(trace.absorbed)
+            kinds.update((sub.thinned, sub.inserted) for sub in trace.subtrees)
     assert merges > 100 and rewired > 0 and absorbed > 0
+    assert kinds[True, False] > 0 and kinds[True, True] > 0 and kinds[False, False] > 0
     empty = full_recompile(Dag())
-    assert _assert_one_walk_matches_the_sorted_references(empty.jt, empty.moral) == 0
+    assert _assert_one_walk_matches_the_sorted_references(empty.jt, empty.moral, empty.fill) == 0
+
+
+def _groups_by_union_find(ids, joined):
+    # Reference: a plain union-find with no path compression; the root of
+    # each group is then relabelled with the group's least id.
+    parent = {c: c for c in ids}
+
+    def find(c):
+        while parent[c] != c:
+            c = parent[c]
+        return c
+
+    for a, b in joined:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    least = {}
+    for c in ids:
+        least[find(c)] = min(least.get(find(c), c), c)
+    return {c: least[find(c)] for c in ids}
+
+
+def test_union_groups_matches_a_plain_union_find():
+    # random pair lists over unsorted ids, with repeated pairs and cycles
+    cycles = 0
+    for seed in range(300):
+        rng = Random(seed)
+        ids = rng.sample(range(100), rng.randint(0, 30))
+        joined = [tuple(rng.sample(ids, 2)) for _ in range(rng.randint(0, 2 * len(ids)))] if len(ids) > 1 else []
+        owner = union_groups(ids, joined)
+        assert list(owner.items()) == list(_groups_by_union_find(ids, joined).items())
+        cycles += len(joined) > len(ids) - len(set(owner.values()))
+    assert cycles > 100
 
 
 def test_each_mps_separator_is_the_separator_of_its_junction_edge():

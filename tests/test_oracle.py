@@ -69,8 +69,25 @@ def _with_fill(dag, fill):
         gt.add_edge(u, v)
     tree = build_join_tree(extract_cliques(gt), ClusterTree()).tree
     family = family_hosts(dag, tree)
-    _, owner = aggregate_cliques(tree, gm)
+    _, owner = aggregate_cliques(tree, fill)
     return CompiledModel(dag, gm, tree, owner, family, fill)
+
+
+def test_validate_passes_when_the_fill_lacks_a_separator_vertex():
+    # a -> b -> c: the one separator {b} holds no fill pair when the fill
+    # graph lacks b, so the owner check keeps the two cliques apart
+    dag = Dag()
+    a, b, c = (dag.add_node(n) for n in "abc")
+    dag.add_arc(a, b)
+    dag.add_arc(b, c)
+    model = full_recompile(dag)
+    model.fill.remove_vertex(b)
+    report = validate(model)
+    assert report.to_dict() == {
+        "passed": True,
+        "first_failure": None,
+        "checks": [{"name": name, "passed": True, "detail": ""} for name in CHECK_NAMES],
+    }
 
 
 def _asia_with_both_diagonals(asia):
