@@ -214,25 +214,9 @@ class ClusterTree:
                     queue.append(nb)
         return None
 
-    def components(self, ids: Iterable[int] | None = None) -> list[set[int]]:
-        """The components of the forest induced by ids (default: every cluster).
-
-        Components come in ascending order of their least member.
-        """
-        members = self._clusters if ids is None else set(ids)
-        seen: set[int] = set()
-        comps: list[set[int]] = []
-        for start in sorted(members):
-            if start not in seen:
-                comps.append(self.reach(start, members.__contains__))
-                seen |= comps[-1]
-        return comps
-
     def is_tree(self) -> bool:
         n = len(self._clusters)
-        if n == 0:
-            return True
-        return self.edge_count() == n - 1 and len(self.components()) == 1
+        return n == 0 or self.edge_count() == n - 1 and len(self.reach(next(iter(self._clusters)), lambda c: True)) == n
 
     def merge_into(self, src: int, dst: int) -> None:
         """Contract src into an adjacent (or disjoint) dst cluster.

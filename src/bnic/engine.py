@@ -491,10 +491,10 @@ def _rebuild_subtree(
     before the batch.  Every holder of a removed variable is marked, so no
     boundary separator holds one.
 
-    Each link the batch added inside R that H lacks is placed by
-    :func:`_link_path` and inserted by :func:`_insert_link` straight into
-    the junction tree, in batch order, over the region's live cliques: the
-    doomed ones less the ends an inserted clique K absorbed, plus the Ks.
+    Each link the batch added inside R that H lacks is placed and inserted
+    by one call of :func:`_insert_link` straight into the junction tree, in
+    batch order, over the region's live cliques: the doomed ones less the
+    ends an inserted clique K absorbed, plus the Ks.
     When all go in, :func:`_thin_region` thins the subtree in place: H
     restricted to R then contains the new moral graph on R (an added link
     was fill or is inserted, a deleted one becomes fill).  At the first
@@ -544,14 +544,14 @@ def _rebuild_subtree(
     missing = [pair for pair, a in inside.items() if a and not model.fill.has_edge(*pair)]
     live, inserted = set(doomed), []
     for u, v in missing:
-        place = _link_path(jt, live, u, v)
-        if place is None:
+        k = _insert_link(jt, live, u, v)
+        if k is None:
             break
-        inserted.append(_insert_link(jt, live, u, v, place))
+        inserted.append(k)
     # an emptied region keeps no cluster, so it takes the (empty) min-fill path
     thinned = bool(variables) and len(inserted) == len(missing)
     if thinned:
-        absorbed, index = _thin_region(model, doomed, variables, inside, inserted)
+        absorbed, index = _thin_region(model, live, variables, inside, inserted)
     else:
         g_sub = moral.induced(variables)
         model.fill.remove_induced(variables)
@@ -587,8 +587,8 @@ def _rebuild_subtree(
     return variables, thinned, bool(missing) and thinned, absorbed, region
 
 
-def _link_path(tree: ClusterTree, region: set[int], u: int, v: int) -> tuple[list[int], int] | None:
-    """Where the link {u, v}, which no cluster holds, goes into a junction tree, if its graph stays chordal.
+def _insert_link(tree: ClusterTree, region: set[int], u: int, v: int) -> int | None:
+    """Insert the link {u, v}, which no cluster holds, into a junction tree if its graph stays chordal.
 
     ``region`` holds the live clusters of a connected subtree of ``tree``
     holding both u and v.  The junction path C0 … Ck between the clusters
@@ -597,8 +597,12 @@ def _link_path(tree: ClusterTree, region: set[int], u: int, v: int) -> tuple[lis
     holder of v nearest C0 on the way back.  C0 ∩ Ck is the set of the
     common neighbours of u and v, and the graph plus uv is chordal iff it
     equals the separator of some edge on the path (Ibarra, ACM TALG 2008).
-    Returns the place: the path and the index on it of the first such edge
-    from C0; or None.
+    If none does, returns None and changes nothing.  Else the first such
+    edge from C0 is cut, and K = (C0 ∩ Ck) ∪ {u, v}, the one new maximal
+    clique, is joined to C0 and to Ck: the tree is a junction tree of the
+    graph plus uv.  K absorbs either end it contains; no other cluster lies
+    inside K, as every other maximal clique stays maximal.  ``region``
+    follows: K joins it, and an absorbed end leaves.  Returns K.
     """
     cluster = tree.cluster
     start = next((c for c in region if v in cluster(c)), None)
@@ -606,31 +610,21 @@ def _link_path(tree: ClusterTree, region: set[int], u: int, v: int) -> tuple[lis
     if path is None:
         raise InconsistencyError(f"no clusters of the region hold variables {u} and {v}")
     k = next(i for i, c in enumerate(path) if v in cluster(c))
-    meet = cluster(path[0]) & cluster(path[k])
-    return next(((path[: k + 1], i) for i in range(k) if cluster(path[i]) & cluster(path[i + 1]) == meet), None)
-
-
-def _insert_link(tree: ClusterTree, region: set[int], u: int, v: int, place: tuple[list[int], int]) -> int:
-    """Insert the link {u, v} at the place :func:`_link_path` found for it; returns its clique K.
-
-    The place's edge on the path C0 … Ck is cut, and K = (C0 ∩ Ck) ∪ {u, v},
-    the one new maximal clique, is joined to C0 and to Ck: the tree is a
-    junction tree of the graph plus uv.  K absorbs either end it contains;
-    no other cluster lies inside K, as every other maximal clique stays
-    maximal.  ``region`` follows: K joins it, and an absorbed end leaves.
-    """
-    path, i = place
-    c0, ck = path[0], path[-1]
+    ends = path[0], path[k]
+    meet = cluster(ends[0]) & cluster(ends[1])
+    i = next((i for i in range(k) if cluster(path[i]) & cluster(path[i + 1]) == meet), None)
+    if i is None:
+        return None
     tree.remove_edge(path[i], path[i + 1])
-    k = tree.add_cluster(tree.cluster(c0) & tree.cluster(ck) | {u, v})
-    region.add(k)
-    for end in (c0, ck):
-        tree.add_edge(k, end)
-    for end in (c0, ck):
-        if tree.cluster(end) <= tree.cluster(k):
-            tree.merge_into(end, k)
+    new = tree.add_cluster(meet | {u, v})
+    region.add(new)
+    for end in ends:
+        tree.add_edge(new, end)
+    for end in ends:
+        if cluster(end) <= cluster(new):
+            tree.merge_into(end, new)
             region.remove(end)
-    return k
+    return new
 
 
 def _fill_pairs(fill: UndirectedGraph, vs: frozenset[int]) -> list[tuple[int, int]]:
@@ -640,12 +634,12 @@ def _fill_pairs(fill: UndirectedGraph, vs: frozenset[int]) -> list[tuple[int, in
 
 def _thin_region(
     model: CompiledModel,
-    doomed: list[int],
+    live: set[int],
     variables: set[int],
     inside: dict[tuple[int, int], bool],
     inserted: list[int],
 ) -> tuple[list[tuple[frozenset[int], int]], HolderIndex]:
-    """Thin the doomed cliques' own junction subtree, with the cliques ``inserted``, in place.
+    """Thin the region's junction subtree, over its ``live`` cliques, in place.
 
     The result is a minimal triangulation of the region.  Only the cliques
     an insertion or a drop touches change; every other clique keeps its
@@ -656,14 +650,14 @@ def _thin_region(
       one joins the fill.
     - Each link the batch added and H lacks is already in the tree:
       :func:`_rebuild_subtree` inserted it, and ``inserted`` lists the new
-      cliques K in batch order.  The link joins the moral graph and its K
-      holds no new fill pair.
-    - The removed variables leave their holders, all doomed or inserted,
-      and so the separators between them, and a cut clique inside a
-      neighbour merges into it (:func:`absorb_non_maximal` on the cut
-      cliques).  The subtree is then a junction tree of H plus the
-      inserted links restricted to R, which is chordal and contains the new
-      moral graph on R.
+      cliques K in batch order.  ``live`` holds the doomed cliques less the
+      ends a K absorbed, plus the Ks.  The link joins the moral graph and
+      its K holds no new fill pair.
+    - The removed variables leave their holders, all live, and so the
+      separators between them, and a cut clique inside a neighbour merges
+      into it (:func:`absorb_non_maximal` on the cut cliques).  The subtree
+      is then a junction tree of H plus the inserted links restricted to R,
+      which is chordal and contains the new moral graph on R.
     - Seeds: H was minimal, so every old fill pair lies in two or more
       maximal cliques; only a deleted link, a pair inside a merged cut
       clique, which lost a holder, or a fill pair of an inserted clique K
@@ -688,7 +682,7 @@ def _thin_region(
         else:
             fill.add_edge(u, v)
             seeds.append((u, v))
-    cut = [c for c in [*doomed, *inserted] if c in jt and not variables.issuperset(jt.cluster(c))]
+    cut = [c for c in live if not variables.issuperset(jt.cluster(c))]
     for c in cut:
         jt.shrink(c, jt.cluster(c) - variables)
     absorbed = absorb_non_maximal(jt, cut)
@@ -697,10 +691,9 @@ def _thin_region(
     for k in inserted:
         if k in jt:
             seeds += _fill_pairs(fill, jt.cluster(k))
-    index = HolderIndex(jt, [c for c in [*doomed, *inserted] if c in jt])
+    index = HolderIndex(jt, [c for c in sorted(live) if c in jt])
     absorbed += thin_join_tree(jt, sorted(set(seeds)), fill, index)
-    inner = {*doomed, *inserted}
-    return [(vs, c) for vs, c in absorbed if c not in inner], index
+    return [(vs, c) for vs, c in absorbed if c not in live], index
 
 
 # Unused by the package; kept because the benchmark's tracer binds it.

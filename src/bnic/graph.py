@@ -215,10 +215,7 @@ class Dag:
         return False
 
     def common_child(self, u: int, v: int) -> bool:
-        cu, cv = self._children[u], self._children[v]
-        if len(cu) > len(cv):
-            cu, cv = cv, cu
-        return any(c in cv for c in cu)
+        return not self._children[u].keys().isdisjoint(self._children[v].keys())
 
     def moral_condition(self, u: int, v: int) -> bool:
         """True iff {u, v} must be an edge of the moral graph of this dag."""

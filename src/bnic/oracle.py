@@ -167,13 +167,13 @@ def validate(model: CompiledModel) -> ValidityReport:
     check("triangulation_minimal", not minimal_detail, minimal_detail)
 
     nodes = set(dag.nodes())
+    held = Counter(v for c in jt.cluster_ids() for v in jt.cluster(c))
     rip_detail = ""
     if not jt.is_tree():
         rip_detail = "the junction tree is not a tree"
-    elif jt.vertices() != nodes:
+    elif held.keys() != nodes:
         rip_detail = "junction tree variables differ from the dag's"
     else:
-        held = Counter(v for c in jt.cluster_ids() for v in jt.cluster(c))
         edges = jt.edge_items()
         linked = Counter(v for _, _, sep in edges for v in sep)
         broken = next((v for v in dag.nodes() if held[v] - linked[v] != 1), None)

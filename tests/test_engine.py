@@ -33,7 +33,6 @@ from bnic import (
 from bnic.clustertree import HolderIndex
 from bnic.engine import (
     _insert_link,
-    _link_path,
     absorb_non_maximal,
     add_node,
     connect,
@@ -1017,7 +1016,8 @@ def test_the_link_path_test_agrees_with_chordality_and_insertion_keeps_a_junctio
     # on min-fill triangulations of seeded random nets, a non-adjacent pair
     # is insertable iff H plus the pair is chordal; an insertion leaves a
     # tree whose clusters are the maximal cliques of H + uv, with running
-    # intersection, and a refused pair leaves the tree as it was
+    # intersection, and a refused pair leaves the tree and the region as
+    # they were
     rng = Random(2024)
     inserted = refused = 0
     for _ in range(60):
@@ -1028,16 +1028,16 @@ def test_the_link_path_test_agrees_with_chordality_and_insertion_keeps_a_junctio
         for u, v in rng.sample(pairs, min(6, len(pairs))):
             tree, region = model.jt.copy(), set(model.jt.cluster_ids())
             g = h.union(UndirectedGraph.from_edges(nodes, [(u, v)]))
-            found = _link_path(tree, region, u, v)
-            assert (found is not None) == is_chordal(g)[0]
-            if found is None:
+            k = _insert_link(tree, region, u, v)
+            assert (k is not None) == is_chordal(g)[0]
+            if k is None:
                 assert replay.tree_record(tree) == replay.tree_record(model.jt)
+                assert region == set(model.jt.cluster_ids())
                 refused += 1
                 continue
-            k = _insert_link(tree, region, u, v, found)
             assert tree.cluster(k) >= {u, v} and region == set(tree.cluster_ids())
             assert tree.is_tree() and tree.cluster_multiset() == Counter(extract_cliques(g))
-            assert all(len(tree.components(cs)) == 1 for cs in holders_of(tree).values())
+            assert all(tree.reach(min(cs), cs.__contains__) == cs for cs in holders_of(tree).values())
             inserted += 1
     assert inserted > 50 and refused > 50
 
@@ -1055,9 +1055,9 @@ def test_a_region_with_an_insertable_and_a_refused_link_ends_as_min_fill_leaves_
     incremental_compile(model, [AddArc(11, 3)], trace)
     missing = [(l.u, l.v) for l in trace.mods[0].links if not h.has_edge(l.u, l.v)]
     region = set().union(*(bnic.engine._group(reference.jt, reference.owner, m) for m in trace.marked_ids()))
-    assert len(missing) == 2 and _link_path(reference.jt, region, *missing[0]) is not None
+    assert len(missing) == 2 and _insert_link(reference.jt.copy(), set(region), *missing[0]) is not None
     assert [s.path for s in trace.subtrees] == ["re-triangulated"]
-    monkeypatch.setattr(bnic.engine, "_link_path", lambda tree, region, u, v: None)
+    monkeypatch.setattr(bnic.engine, "_insert_link", lambda tree, region, u, v: None)
     reference_trace = BatchTrace()
     incremental_compile(reference, [AddArc(11, 3)], reference_trace)
     a, b = (replay.flush_record("", "", 0, m, t) for m, t in ((model, trace), (reference, reference_trace)))
@@ -1521,22 +1521,23 @@ def test_local_flush_walks_no_whole_tree_and_copies_no_dag(monkeypatch):
         if emptied:
             assert len(model.mpd.neighbors(model.owner[model.family[mods[0].node]])) >= 2
 
-        calls = {"components": 0, "copy": 0}
-        components, copy = ClusterTree.components, Dag.copy
+        calls = {"whole-tree reach": 0, "copy": 0}
+        reach, copy = ClusterTree.reach, Dag.copy
 
-        def counted_components(self, ids=None):
-            calls["components"] += ids is None
-            return components(self, ids)
+        def counted_reach(self, start, keep):
+            found = reach(self, start, keep)
+            calls["whole-tree reach"] += len(found) == len(self)
+            return found
 
         def counted_copy(self):
             calls["copy"] += 1
             return copy(self)
 
-        monkeypatch.setattr(ClusterTree, "components", counted_components)
+        monkeypatch.setattr(ClusterTree, "reach", counted_reach)
         monkeypatch.setattr(Dag, "copy", counted_copy)
         trace = BatchTrace()
         incremental_compile(model, mods, trace)
-        assert calls == {"components": 0, "copy": 0}
+        assert calls == {"whole-tree reach": 0, "copy": 0}
         assert trace.subtrees and all(bool(s.variables) != emptied for s in trace.subtrees)
         monkeypatch.undo()
         assert model.jt.is_tree() and model.mpd.is_tree()

@@ -143,7 +143,11 @@ def _aggregate_by_copy_and_components(jt, gm):
     complete = [(a, b, sep) for a, b, sep in jt.edges() if gm.is_complete(sep)]
     for a, b, _ in complete:
         mpd.remove_edge(a, b)
-    groups = {min(comp): comp for comp in mpd.components()}
+    groups, seen = {}, set()
+    for c in mpd.cluster_ids():  # ascending, so each group is named by its least id
+        if c not in seen:
+            groups[c] = mpd.reach(c, lambda _: True)
+            seen |= groups[c]
     root = {c: r for r, comp in groups.items() for c in comp}
     for r, comp in groups.items():
         for c in comp - {r}:
