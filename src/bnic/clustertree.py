@@ -117,12 +117,6 @@ class ClusterTree:
         """The id the next added cluster will receive."""
         return self._next
 
-    def vertices(self) -> set[int]:
-        out: set[int] = set()
-        for vs in self._clusters.values():
-            out |= vs
-        return out
-
     def __contains__(self, cid: int) -> bool:
         return cid in self._clusters
 

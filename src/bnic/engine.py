@@ -37,7 +37,7 @@ from typing import Iterable, Sequence
 
 from .clustertree import ClusterTree, HolderIndex
 from .errors import InconsistencyError
-from .graph import Dag, Link, UndirectedGraph
+from .graph import Dag, Link, UndirectedGraph, moral_simplicial
 from .mpd import inner_edges, union_groups
 from .pipeline import Triangulation, assign_families, construct_join_tree, thin_join_tree
 
@@ -556,7 +556,8 @@ def _rebuild_subtree(
         g_sub = moral.induced(variables)
         model.fill.remove_induced(variables)
         kept = UndirectedGraph(variables)
-        index = construct_join_tree(g_sub, kept, jt)
+        # a subset of a clique is a clique, so the dag's simplicial rule holds in g_sub
+        index = construct_join_tree(g_sub, kept, jt, moral_simplicial(dag, variables))
         model.fill.update(kept)
         pieces = connect(jt, index, sorted(live))
         for k in live:

@@ -431,6 +431,23 @@ def moralize(dag: Dag) -> UndirectedGraph:
     return g
 
 
+def moral_simplicial(dag: Dag, variables: Iterable[int]) -> set[int]:
+    """The given variables that the dag alone proves simplicial in ``moralize(dag)``.
+
+    In the moral graph each family is a clique.  A variable with no
+    children has its parents as its neighbours, and one with a single child
+    c whose parents include all of its own has its neighbours in c's
+    family; either way its neighbourhood is a clique.  So is any subset of
+    it, so the variable stays simplicial in every induced subgraph holding it.
+    """
+    parents, children = dag._parents, dag._children
+    return {
+        v
+        for v in variables
+        if not (cs := children[v]) or len(cs) == 1 and parents[next(iter(cs))].keys() >= parents[v].keys()
+    }
+
+
 def is_chordal(g: UndirectedGraph) -> tuple[bool, tuple[int, int] | None]:
     """Chordality test via maximum cardinality search.
 

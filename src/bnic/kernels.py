@@ -20,8 +20,12 @@ shortcuts skip work whose outcome is fixed: a vertex of cost 0 is
 simplicial (its neighbourhood is a clique), so its elimination adds no
 fill and only takes pairs from its neighbours; and once the live graph is
 complete every cost is 0 and stays 0, so no later elimination adds fill
-and the search stops.  Min-fill returns only its fill, in ascending order,
-not the elimination order.
+and the search stops.  The caller may name vertices it knows to be
+simplicial, such as the childless variables of a moral graph: min-fill
+would eliminate them, with no fill, before any vertex of positive cost,
+and eliminating one keeps the others simplicial, so the search starts
+without them and its fill is the same.  Min-fill returns only its fill,
+in ascending order, not the elimination order.
 MCS reads the graph's own adjacency sets (copying them into position masks
 was slower), one rank lookup per neighbour.  It keeps each vertex's weight
 and latest-visited neighbour in lists indexed by rank, with -1 as the
@@ -33,7 +37,7 @@ kernels keep O(len(ids)) state per call, never sized by the largest id.
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, AbstractSet
 
 if TYPE_CHECKING:
     from .graph import UndirectedGraph
@@ -44,7 +48,7 @@ def numba_enabled() -> bool:
     return False
 
 
-def min_fill(g: "UndirectedGraph") -> list[tuple[int, int]]:
+def min_fill(g: "UndirectedGraph", simplicial: AbstractSet[int] = frozenset()) -> list[tuple[int, int]]:
     """The fill of the greedy minimum-fill elimination.
 
     Returns the added edges ``(u, v)``, ``u < v``, in ascending order: the
@@ -95,12 +99,28 @@ def min_fill(g: "UndirectedGraph") -> list[tuple[int, int]]:
       elimination leaves ``2E == L(L - 1)`` the live graph is complete:
       every cost is 0 and, as eliminating from a clique leaves a clique,
       stays 0, so no later elimination adds fill and the search stops.
+
+    ``simplicial`` names vertices known to be simplicial in ``g``.  The
+    search starts without them: they leave the ids and every neighbour set
+    before the masks, costs and heap are built, and the fill is the same.
+    The heap pops every cost-0 vertex before any of positive cost.
+    Eliminating a simplicial vertex adds no fill and keeps every other
+    simplicial vertex simplicial, as a subset of a clique is a clique, so
+    every run of such eliminations that leaves no simplicial vertex removes
+    the same vertices: a run starting with the named ones reaches the graph
+    the search without them reaches before its first fill pair.  From there
+    both see one graph, ties still broken by id, and the stop on a complete
+    live graph is a property of that graph.
     """
     # bit i of a mask stands for ids[i]: ids can be large and far apart
     # after node removals and in a rebuild's induced subgraph
     ids = g.vertices()
+    if simplicial:
+        ids = [v for v in ids if v not in simplicial]
+        neighbours = [g.neighbors(v) - simplicial for v in ids]
+    else:
+        neighbours = list(map(g.neighbors, ids))
     bit = {v: 1 << i for i, v in enumerate(ids)}
-    neighbours = list(map(g.neighbors, ids))
     masks = [sum(map(bit.__getitem__, nb)) for nb in neighbours]
     mask_of = dict(zip(ids, masks)).__getitem__
 

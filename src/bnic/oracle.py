@@ -22,7 +22,7 @@ from .engine import (
     expand_remove_node,
 )
 from .errors import CycleError, InvalidEditError, NotChordalError, UnknownVariableError
-from .graph import Dag, UndirectedGraph, is_chordal, moralize
+from .graph import Dag, UndirectedGraph, is_chordal, moral_simplicial, moralize
 # aggregate_cliques is not called here, but the benchmark's tracer wraps this module's binding
 from .mpd import aggregate_cliques, group_owners, inner_edges, union_groups  # noqa: F401
 from .pipeline import construct_join_tree, extract_cliques
@@ -32,7 +32,7 @@ def full_recompile(dag: Dag) -> CompiledModel:
     """Compile the whole model from scratch; deterministic for a fixed dag."""
     gm = moralize(dag)
     fill = UndirectedGraph(gm.vertices())
-    index = construct_join_tree(gm, fill, ClusterTree())
+    index = construct_join_tree(gm, fill, ClusterTree(), moral_simplicial(dag, dag.nodes()))
     # through the module, whose binding the benchmark's tracer wraps
     family = pipeline.assign_families(dag, dag.nodes(), index)
     owner = group_owners(index.tree, fill)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Iterable
+from typing import AbstractSet, Iterable
 
 from . import kernels
 from .clustertree import ClusterTree, HolderIndex
@@ -46,15 +46,16 @@ class Triangulation:
         return self.base.union(self.fill_graph)
 
 
-def triangulate_min_fill(g: UndirectedGraph) -> list[tuple[int, int]]:
+def triangulate_min_fill(g: UndirectedGraph, simplicial: AbstractSet[int] = frozenset()) -> list[tuple[int, int]]:
     """Triangulate by greedily eliminating the vertex adding fewest fill edges.
 
     Ties are broken by ascending vertex id, so the result is deterministic.
     Returns the fill as :func:`kernels.min_fill` gives it: ascending
-    ``(u, v)``, ``u < v``.  Kept apart from the kernel because the
-    benchmark's tracer binds it.
+    ``(u, v)``, ``u < v``.  The search starts without the vertices of
+    ``simplicial``, known to be simplicial in ``g``, with the same fill.
+    Kept apart from the kernel because the benchmark's tracer binds it.
     """
-    return kernels.min_fill(g)
+    return kernels.min_fill(g, simplicial)
 
 
 def recursive_thinning(t: Triangulation) -> Triangulation:
@@ -259,10 +260,14 @@ def assign_families(dag: Dag, variables: Iterable[int], index: HolderIndex) -> d
     return family
 
 
-def construct_join_tree(gm: UndirectedGraph, fill: UndirectedGraph, tree: ClusterTree) -> HolderIndex:
+def construct_join_tree(
+    gm: UndirectedGraph, fill: UndirectedGraph, tree: ClusterTree, simplicial: AbstractSet[int] = frozenset()
+) -> HolderIndex:
     """Full pipeline from an undirected graph to a junction tree, built in ``tree``.
 
-    Min-fill, then one MCS of the triangulation (the chordality guard and
+    Min-fill, starting without ``simplicial`` (vertices known to be
+    simplicial in ``gm``, such as :func:`~bnic.graph.moral_simplicial`
+    names), then one MCS of the triangulation (the chordality guard and
     the cliques), the join tree of those cliques, and thinning on the tree.
     ``fill``, an edgeless graph over ``gm``'s vertices, ends with the kept
     fill pairs; MCS runs on it while it also holds ``gm``'s edges, so no
@@ -271,7 +276,7 @@ def construct_join_tree(gm: UndirectedGraph, fill: UndirectedGraph, tree: Cluste
     :func:`thin_join_tree` leaves it.  Family hosting is the caller's:
     see :func:`assign_families`, which takes that index.
     """
-    pairs = triangulate_min_fill(gm)
+    pairs = triangulate_min_fill(gm, simplicial)
     fill.add_edges(pairs)
     fill.update(gm)
     cliques = extract_cliques(fill)

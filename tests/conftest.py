@@ -1,6 +1,8 @@
+from random import Random
+
 import pytest
 
-from bnic import ClusterTree, Dag, full_recompile
+from bnic import ClusterTree, Dag, RemoveNode, full_recompile, incremental_compile, random_dag, random_script
 from bnic.clustertree import HolderIndex
 from bnic.pipeline import assign_families
 
@@ -41,6 +43,31 @@ def banded_dag(n, rng, dag=None) -> Dag:
             if rng.random() < 0.3:
                 dag.add_arc(ids[i], ids[j])
     return dag
+
+
+def seeded_dags() -> list[Dag]:
+    """Dags of every shape the moral-graph tests need, the same on each call.
+
+    Criterion 5's seeded ``random_dag``s (1 to 25 nodes, four densities),
+    banded dags, and the dags that ``random_script`` flushes leave, with
+    ids gapped by node removals.
+    """
+    dags = []
+    for seed in range(60):
+        rng = Random(seed)
+        dags.append(random_dag(rng.randint(1, 25), rng, edge_prob=rng.choice([0.08, 0.15, 0.25, 0.4])))
+    dags += [banded_dag(n, Random(n)) for n in (10, 40, 100)]
+    removed = 0
+    for seed in range(20):
+        rng = Random(seed)
+        model = full_recompile(random_dag(rng.randint(10, 30), rng, edge_prob=0.2))
+        for _ in range(3):
+            script = random_script(model.dag, 12, rng)
+            removed += sum(isinstance(m, RemoveNode) for m in script)
+            incremental_compile(model, script)
+        dags.append(model.dag)
+    assert removed > 0
+    return dags
 
 
 def name_set(table, vertices) -> frozenset:

@@ -49,3 +49,28 @@ def test_compare_takes_the_wider_spread_of_the_two_files(tmp_path, capsys):
         row = next(line for line in capsys.readouterr().out.splitlines() if "edit_ms.p50" in line)
         verdicts.append(row.split()[-2])
     assert verdicts == ["same", "better"]
+
+
+def test_compare_prints_the_layers_both_files_hold_without_a_verdict(tmp_path, capsys):
+    names = [m["name"] for m in json.loads((benchfile.ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    ones = dict.fromkeys(names, 1.0)
+    same = {"medians": {"compile": ones}, "runs": [{"workload": "compile", "metrics": ones}], "loc": {"lines": 1, "code": 1}}
+    a = same | {"traced": {"compile": {"kernels.min_fill.ms": 166.0, "kernels.mcs.ms": 0.0, "only.in.a": 1.0}}}
+    b = same | {"traced": {"compile": {"kernels.min_fill.ms": 113.0, "kernels.mcs.ms": 2.0},
+                           "edit-local": {"engine.rebuild.ms": 5.0}}}
+    paths = [tmp_path / "a.json", tmp_path / "b.json", tmp_path / "untraced.json"]
+    for path, data in zip(paths, (a, b, same)):
+        path.write_text(json.dumps(data))
+    # a layer more than three times slower is still no verdict and no exit code
+    assert benchfile.compare(str(paths[1]), str(paths[0])) == 0
+    assert benchfile.compare(str(paths[0]), str(paths[1])) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    layers = [row for row in rows if len(row) == 5 and "." in row[1] and row[0] in benchfile.WORKLOADS]
+    assert layers[-2:] == [
+        ["compile", "kernels.min_fill.ms", "166", "113", "-31.9%"],
+        ["compile", "kernels.mcs.ms", "0", "2", "n/a"],
+    ]
+    assert len(layers) == 4  # the layers only one side holds are not shown
+    # a file from before the traced run shows no layer row
+    assert benchfile.compare(str(paths[2]), str(paths[0])) == 0
+    assert not any(line.startswith("compile ") and "kernels" in line for line in capsys.readouterr().out.splitlines())

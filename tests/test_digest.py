@@ -46,6 +46,7 @@ from bnic import (
 )
 
 import replay
+from bnic.graph import moral_simplicial
 from conftest import banded_dag
 
 # the four digests with clique ids count the ids of links inserted before a refused one
@@ -130,9 +131,13 @@ def test_flush_traces_match_the_committed_digest():
 
 
 def test_min_fill_on_the_600_node_network_matches_the_committed_digest():
-    fill = kernels.min_fill(moralize(random_dag(600, Random(42), edge_prob=3 / 599)))
-    assert len(fill) == 6981
-    assert replay.sha256([list(e) for e in fill]) == MIN_FILL_600_DIGEST
+    # with and without the simplicial vertices the dag names
+    dag = random_dag(600, Random(42), edge_prob=3 / 599)
+    gm = moralize(dag)
+    for simplicial in (frozenset(), moral_simplicial(dag, dag.nodes())):
+        fill = kernels.min_fill(gm, simplicial)
+        assert len(fill) == 6981
+        assert replay.sha256([list(e) for e in fill]) == MIN_FILL_600_DIGEST
 
 
 def test_replay_of_twenty_models_matches_the_committed_digest():

@@ -18,7 +18,8 @@ from bnic import (
     random_dag,
 )
 
-from conftest import name_set
+from bnic.graph import moral_simplicial
+from conftest import name_set, seeded_dags
 
 
 # -- variable table ---------------------------------------------------------
@@ -151,6 +152,28 @@ def test_moralize_is_a_fixpoint():
             if u < v and dag.moral_condition(u, v)
         )
         assert {frozenset((p, c)) for p, c in dag.arcs()} <= gm.edge_set()
+
+
+def test_moral_simplicial_names_only_vertices_whose_neighbourhood_is_a_clique():
+    # in the moral graph and in its subgraphs induced by random variable
+    # sets, as a rebuild's region takes them; the rule also names every
+    # childless variable and some with one child, and ids are gapped after
+    # the flushes' removals
+    rng = Random(3)
+    named = one_child = gapped = 0
+    for dag in seeded_dags():
+        gm = moralize(dag)
+        simplicial = moral_simplicial(dag, dag.nodes())
+        assert all(gm.is_complete(gm.neighbors(v)) for v in simplicial)
+        assert {v for v in dag.nodes() if not dag.children(v)} <= simplicial
+        vs = set(rng.sample(dag.nodes(), rng.randint(0, len(dag))))
+        sub = gm.induced(vs)
+        assert moral_simplicial(dag, vs) == simplicial & vs
+        assert all(sub.is_complete(sub.neighbors(v)) for v in simplicial & vs)
+        named += len(simplicial)
+        one_child += sum(bool(dag.children(v)) for v in simplicial)
+        gapped += dag.nodes() != list(range(len(dag)))
+    assert named > 500 and one_child > 50 and gapped > 10
 
 
 # -- induced subgraphs ------------------------------------------------------

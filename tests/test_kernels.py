@@ -16,8 +16,11 @@ from bnic import (
     incremental_compile,
     kernels,
     random_dag,
+    moralize,
     random_script,
 )
+from bnic.graph import moral_simplicial
+from conftest import seeded_dags
 
 
 # -- dense scalar reference loops --------------------------------------------
@@ -329,13 +332,14 @@ def test_min_fill_matches_adjacency_set_kernel(n):
 
 def test_min_fill_matches_adjacency_set_kernel_on_rebuilt_regions(monkeypatch):
     # the induced moral subgraphs that real rebuilds triangulate, over ids
-    # left gapped by node additions and removals
+    # left gapped by node additions and removals, with and without the
+    # simplicial vertices the engine names
     regions = []
     construct = bnic.engine.construct_join_tree
 
-    def capture(g, fill, tree):
-        regions.append(g.copy())
-        return construct(g, fill, tree)
+    def capture(g, fill, tree, simplicial):
+        regions.append((g.copy(), simplicial))
+        return construct(g, fill, tree, simplicial)
 
     monkeypatch.setattr(bnic.engine, "construct_join_tree", capture)
     node_edits = 0
@@ -347,27 +351,45 @@ def test_min_fill_matches_adjacency_set_kernel_on_rebuilt_regions(monkeypatch):
             node_edits += sum(isinstance(m, (AddNode, RemoveNode)) for m in mods)
             incremental_compile(model, mods)
     assert node_edits > 0
-    assert any(g.vertices() != list(range(len(g))) for g in regions)
-    filled = 0
-    for g in regions:
+    assert any(g.vertices() != list(range(len(g))) for g, _ in regions)
+    filled = hinted = 0
+    for g, simplicial in regions:
         fill = kernels.min_fill(g)
-        assert fill == sorted(_min_fill_sets_reference(g))
+        assert fill == kernels.min_fill(g, simplicial) == sorted(_min_fill_sets_reference(g))
         filled += bool(fill)
-    assert filled > 0
+        hinted += bool(simplicial)
+    assert filled > 0 and hinted > 0
 
 
 def test_min_fill_matches_adjacency_set_kernel_on_fuzzed_graphs():
     # seeded graphs of up to 25 vertices, from empty to complete, so that
     # simplicial eliminations and the stop on a complete live graph come at
-    # every stage of a run
-    rng = Random(11)
+    # every stage of a run; a random subset of the simplicial vertices, as
+    # a hint drawn by a second generator, leaves the fill as it is
+    rng, pick = Random(11), Random(12)
+    hinted = 0
     for _ in range(2000):
         n = rng.randint(0, 25)
         p = rng.random()
         ids = _spaced_ids(n)
         edges = [(ids[i], ids[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
         g = UndirectedGraph.from_edges(ids, edges)
-        assert kernels.min_fill(g) == sorted(_min_fill_sets_reference(g))
+        simplicial = [v for v in ids if g.is_complete(g.neighbors(v))]
+        hint = set(pick.sample(simplicial, pick.randint(0, len(simplicial))))
+        fill = sorted(_min_fill_sets_reference(g))
+        assert kernels.min_fill(g) == kernels.min_fill(g, hint) == fill
+        hinted += bool(hint) and bool(fill)
+    assert hinted > 200
+
+
+def test_min_fill_starting_without_the_dag_simplicial_vertices_keeps_the_fill():
+    filled = 0
+    for dag in seeded_dags():
+        g = moralize(dag)
+        fill = kernels.min_fill(g)
+        assert kernels.min_fill(g, moral_simplicial(dag, dag.nodes())) == fill
+        filled += bool(fill)
+    assert filled > 30
 
 
 @pytest.mark.parametrize("t", [2**k + d for k in range(3, 7) for d in (-1, 0, 1)])

@@ -164,7 +164,7 @@ def _construct(gm):
 
 def _thinned(tree, pairs):
     # thin_join_tree over the graph of the pairs; returns the kept pairs
-    fill = UndirectedGraph.from_edges(tree.vertices(), pairs)
+    fill = UndirectedGraph.from_edges(frozenset().union(*map(tree.cluster, tree.cluster_ids())), pairs)
     thin_join_tree(tree, pairs, fill, HolderIndex(tree, tree.cluster_ids()))
     return fill.edges()
 
