@@ -14,6 +14,7 @@ from .bench import run_bench
 from .engine import BatchTrace, CompiledModel, describe, incremental_compile
 from .errors import BnicError, ParseError
 from .fileio import graph_dot, parse_edits, parse_network, parse_script, tree_dot
+from .graph import UndirectedGraph, moralize
 from .oracle import full_recompile, oracle, random_arc_edits, random_dag
 
 DEFAULT_SEED = 42
@@ -88,11 +89,11 @@ def _tree_dots(model: CompiledModel, prefix: str = "", trace: BatchTrace | None 
     }
 
 
-def _summary(model: CompiledModel) -> str:
+def _summary(model: CompiledModel, moral: UndirectedGraph) -> str:
     table = model.dag.table
     lines = [
         f"network: {len(model.dag)} variable(s), {model.dag.arc_count()} arc(s)",
-        f"moral graph: {model.moral.edge_count()} edge(s)",
+        f"moral graph: {moral.edge_count()} edge(s)",
         f"triangulation: {model.fill.edge_count()} fill edge(s)",
     ]
 
@@ -134,14 +135,14 @@ def _print_trace(model: CompiledModel, trace: BatchTrace) -> None:
 
 def _cmd_compile(args) -> int:
     dag = parse_network(_read(args.network))
-    model = full_recompile(dag)
-    print(_summary(model))
+    model, moral = full_recompile(dag), moralize(dag)
+    print(_summary(model, moral))
     if args.dot:
         _write_dot(
             args.dot,
             {
                 "network.dot": graph_dot("digraph", "network", dag.table, dag.nodes(), dag.arcs()),
-                "moral.dot": graph_dot("graph", "moral", dag.table, model.moral.vertices(), model.moral.edges()),
+                "moral.dot": graph_dot("graph", "moral", dag.table, moral.vertices(), moral.edges()),
                 **_tree_dots(model),
             },
         )
@@ -167,7 +168,7 @@ def _cmd_apply(args) -> int:
             if failed is not None:
                 print(f"verification failed after flush {i}: {failed}", file=sys.stderr)
                 return 2
-    print(_summary(model))
+    print(_summary(model, moralize(model.dag)))
     return 0
 
 

@@ -1,22 +1,26 @@
 """Incremental recompilation of a compiled model under structural edits.
 
 A batch of modifications is processed in two phases.  Phase one applies the
-batch to the dag and the moral graph in one pass, undone whole if an edit
-raises, then walks its record edit by edit and marks the MPSs whose
-internal structure may have changed; the marks are a set owned by the
-batch, and no existing cluster's vertex set changes before phase two.
+batch to the dag in one pass, undone whole if an edit raises, reading off
+each edit the moral links it changed, then walks its record edit by edit
+and marks the MPSs whose internal structure may have changed; the marks
+are a set owned by the batch, and no existing cluster's vertex set changes
+before phase two.  The dag is the one record of moral adjacency: {u, v} is
+moral iff an arc joins u and v or they share a child
+(:meth:`~bnic.graph.Dag.moral_condition`), and no moral graph is stored.
 Phase two rebuilds the cliques of each connected marked region.  Each
 added link that the region's triangulation lacks goes straight into its
 junction subtree as one new clique while Ibarra's rule allows it.  When
 all go in, the subtree is thinned in place, and only the cliques an
 insertion or a dropped fill edge touches change; at the first link
-refused, the region is re-triangulated from its induced moral subgraph
-into new cliques of the junction tree, spliced in for its live cliques,
-the inserted ones included.  Either way no unmarked clique's vertex set
-changes, and one tail finishes the region: it regroups the region's
-cliques at their separators that hold a fill pair, which are those
-incomplete in the moral graph, maps their owners and re-hosts the
-families whose clique died or stopped covering them.
+refused, the region is re-triangulated from its moral subgraph, read off
+the dag (:func:`~bnic.graph.moral_subgraph`), into new cliques of the
+junction tree, spliced in for its live cliques, the inserted ones
+included.  Either way no unmarked clique's vertex set changes, and one
+tail finishes the region: it regroups the region's cliques at their
+separators that hold a fill pair, which are those incomplete in the moral
+graph, maps their owners and re-hosts the families whose clique died or
+stopped covering them.
 
 Each step returns what it did: a marking function the MPSs it marks, a
 rebuild its region and the pieces absorbed.  Only
@@ -37,7 +41,7 @@ from typing import Iterable, Sequence
 
 from .clustertree import ClusterTree, HolderIndex
 from .errors import InconsistencyError
-from .graph import Dag, Link, UndirectedGraph, moral_simplicial
+from .graph import Dag, Link, UndirectedGraph, moral_subgraph, moralize
 from .mpd import inner_edges, union_groups
 from .pipeline import Triangulation, assign_families, construct_join_tree, thin_join_tree
 
@@ -127,12 +131,14 @@ class CompiledModel:
     """The mutually consistent bundle of structures kept up to date by edits.
 
     Each hosting fact is kept once: ``family`` maps a variable to the clique
-    hosting its family, and ``owner`` maps every clique to its MPS.
-    ``fill`` is the triangulation's fill, a graph over the moral graph's
-    vertices: the moral graph plus ``fill`` is the triangulated graph H,
-    whose maximal cliques are the junction clusters.  Edits keep it (see
-    :func:`_rebuild_subtree`); ``tri`` is a view of both graphs, and
-    ``mpd`` derives the MPS tree from ``jt`` and ``owner`` on every read.
+    hosting its family, and ``owner`` maps every clique to its MPS.  The
+    moral graph is not kept: the dag is its one record (see
+    :func:`~bnic.graph.moralize`).  ``fill`` is the triangulation's fill, a
+    graph over the dag's variables: the moral graph plus ``fill`` is the
+    triangulated graph H, whose maximal cliques are the junction clusters.
+    Edits keep it (see :func:`_rebuild_subtree`); ``moral`` and ``tri``
+    moralize the dag on every read, and ``mpd`` derives the MPS tree from
+    ``jt`` and ``owner`` on every read.
 
     Every MPS id is the least clique of its group, and that clique belongs
     to the group.  One rule names them: a full compile and a rebuilt region
@@ -148,13 +154,16 @@ class CompiledModel:
     """
 
     dag: Dag
-    moral: UndirectedGraph
     jt: ClusterTree
     owner: dict[int, int]
     family: dict[int, int]
     fill: UndirectedGraph
 
-    # Unused by the package; kept because the benchmark's workload reads it.
+    # Unused by the package; kept because the benchmark's workload reads them.
+    @property
+    def moral(self) -> UndirectedGraph:
+        return moralize(self.dag)
+
     @property
     def tri(self) -> Triangulation:
         return Triangulation(self.moral, self.fill)
@@ -173,9 +182,7 @@ class CompiledModel:
         return self.jt.quotient(self.owner)
 
     def copy(self) -> "CompiledModel":
-        return CompiledModel(
-            self.dag.copy(), self.moral.copy(), self.jt.copy(), dict(self.owner), dict(self.family), self.fill.copy()
-        )
+        return CompiledModel(self.dag.copy(), self.jt.copy(), dict(self.owner), dict(self.family), self.fill.copy())
 
 
 @dataclass
@@ -241,50 +248,38 @@ class BatchTrace:
 
 
 # ---------------------------------------------------------------------------
-# Phase one: moral-graph maintenance and marking
+# Phase one: moral links and marking
 # ---------------------------------------------------------------------------
 
 
 def modify_moral_graph(model: CompiledModel, mod: Modification) -> list[Link]:
-    """Patch the moral graph after the dag already reflects the edit.
+    """The moral links an edit added or deleted, read off the dag after the edit.
 
-    Returns the list of moral links added or deleted.  All membership tests
-    run against the invariant: {u, v} is a moral edge iff u and v are joined
-    by an arc or share a child in the updated dag.
+    {u, v} is moral iff an arc joins u and v or they share a child
+    (:meth:`Dag.moral_condition`).  An arc p → c can change only the pairs
+    {p, c} and {p, z}, z another parent of c; every other pair of the
+    family keeps its common child c.  An added arc lists {p, c} unless p
+    and c share a child, and {p, z} unless an arc joins p and z or they
+    share a child other than c.  A removed arc lists each of those pairs
+    that is no longer moral: all were moral before.  A node is added and
+    removed without arcs, so it changes no link.
     """
-    dag, moral = model.dag, model.moral
+    dag = model.dag
     match mod:
-        case AddNode(name):
-            moral.add_vertex(dag.table.id(name))
-            return []
-        case RemoveNode(node):
-            # the dag removed it only without arcs, so only a broken moral graph lacks it or gives it neighbours
-            if not moral.has_vertex(node):
-                raise InconsistencyError(f"the moral graph lacks node {node}")
-            if moral.neighbors(node):
-                raise InconsistencyError(f"node {node} still has moral edges")
-            moral.remove_vertex(node)
+        case AddNode() | RemoveNode():
             return []
         case AddArc(parent, child):
-            # checked before the first link goes in, so a raise leaves nothing to undo
-            if not all(map(moral.has_vertex, (child, *dag.parents(child)))):
-                raise InconsistencyError(f"the moral graph lacks a vertex of the family of {child}")
-            # every other pair of the family was already moral
-            links = []
-            for u, v in [(parent, child), *((parent, z) for z in sorted(dag.parents(child)) if z != parent)]:
-                if not moral.has_edge(u, v):
-                    moral.add_edge(u, v)
-                    links.append(Link(u, v, True))
+            links = [] if dag.common_child(parent, child) else [Link(parent, child, True)]
+            kids = set(dag.children(parent))  # child among them
+            for z in sorted(dag.parents(child)):
+                if z != parent and not (
+                    dag.has_arc(parent, z) or dag.has_arc(z, parent) or len(kids.intersection(dag.children(z))) > 1
+                ):
+                    links.append(Link(parent, z, True))
             return links
         case RemoveArc(parent, child):
-            candidates = [(parent, child)]
-            candidates += [(parent, z) for z in dag.parents(child) if z != parent]
-            links = []
-            for u, v in candidates:
-                if moral.has_edge(u, v) and not dag.moral_condition(u, v):
-                    moral.remove_edge(u, v)
-                    links.append(Link(u, v, False))
-            return links
+            candidates = [(parent, child), *((parent, z) for z in dag.parents(child) if z != parent)]
+            return [Link(u, v, False) for u, v in candidates if not dag.moral_condition(u, v)]
     raise TypeError(f"unknown modification {mod!r}")
 
 
@@ -487,9 +482,9 @@ def _rebuild_subtree(
     MPSs.  ``links`` holds the batch's net moral link changes, each pair
     mapped to whether it was added, and ``grown`` the children of its added
     arcs.  The region R is the union of the doomed cliques less the
-    variables the batch removed, and H = moral + fill is the triangulation
-    before the batch.  Every holder of a removed variable is marked, so no
-    boundary separator holds one.
+    variables the batch removed (those the dag's table lost), and
+    H = moral + fill is the triangulation before the batch.  Every holder
+    of a removed variable is marked, so no boundary separator holds one.
 
     Each link the batch added inside R that H lacks is placed and inserted
     by one call of :func:`_insert_link` straight into the junction tree, in
@@ -498,9 +493,10 @@ def _rebuild_subtree(
     When all go in, :func:`_thin_region` thins the subtree in place: H
     restricted to R then contains the new moral graph on R (an added link
     was fill or is inserted, a deleted one becomes fill).  At the first
-    link refused, min-fill re-triangulates the region's induced moral
-    graph into new cliques of the junction tree, joined only to each other
-    until :func:`connect` splices them in for the live cliques, and the
+    link refused, min-fill re-triangulates the region's moral subgraph,
+    read off the dag (:func:`~bnic.graph.moral_subgraph`), into new cliques
+    of the junction tree, joined only to each other until :func:`connect`
+    splices them in for the live cliques, and the
     fill drops its pairs inside R for the region's kept pairs.  The Ks add
     no fill, so the dropped pairs are the doomed cliques' fill: an outside
     clique meets R only inside one boundary MPS separator, complete in the
@@ -515,8 +511,9 @@ def _rebuild_subtree(
     then finished alike:
 
     - Every piece an outside clique absorbed must be complete in the moral
-      graph, as the boundary separator it equals is; so all its separators
-      are complete and it was the only clique of its group.
+      graph, as the boundary separator it equals is, which each of its pairs
+      checks on the dag; so all its separators are complete and it was the
+      only clique of its group.
     - The region's live cliques are regrouped by the rule of a full compile
       (:func:`~bnic.mpd.inner_edges`): the edges among them whose separator
       holds a fill pair join their ends, and :func:`~bnic.mpd.union_groups`
@@ -537,9 +534,9 @@ def _rebuild_subtree(
     whether links were inserted, the absorbed pieces as (piece, outside
     clique) and the region's live cliques.
     """
-    jt, owner, family, dag, moral = model.jt, model.owner, model.family, model.dag, model.moral
+    jt, owner, family, dag = model.jt, model.owner, model.family, model.dag
     before = {c: jt.cluster(c) for c in doomed}
-    variables = set(filter(moral.has_vertex, frozenset().union(*before.values())))
+    variables = set(filter(dag.table.__contains__, frozenset().union(*before.values())))
     inside = {pair: a for pair, a in links.items() if variables.issuperset(pair)}
     missing = [pair for pair, a in inside.items() if a and not model.fill.has_edge(*pair)]
     live, inserted = set(doomed), []
@@ -553,11 +550,10 @@ def _rebuild_subtree(
     if thinned:
         absorbed, index = _thin_region(model, live, variables, inside, inserted)
     else:
-        g_sub = moral.induced(variables)
+        g_sub = moral_subgraph(dag, variables)
         model.fill.remove_induced(variables)
         kept = UndirectedGraph(variables)
-        # a subset of a clique is a clique, so the dag's simplicial rule holds in g_sub
-        index = construct_join_tree(g_sub, kept, jt, moral_simplicial(dag, variables))
+        index = construct_join_tree(g_sub, kept, jt)
         model.fill.update(kept)
         pieces = connect(jt, index, sorted(live))
         for k in live:
@@ -566,7 +562,7 @@ def _rebuild_subtree(
     region = [c for c in index.ids if c in jt]
 
     for vs, c in absorbed:
-        if not moral.is_complete(vs):
+        if not all(dag.moral_condition(u, w) for u, w in combinations(vs, 2)):
             raise InconsistencyError(f"absorbed piece {sorted(vs)} is not complete in the moral graph")
     for c in doomed:
         if c not in jt:
@@ -717,13 +713,12 @@ def incremental_compile(
 
     The model is updated in place (and returned); unmarked clusters survive
     with identical vertex sets.  One pass applies each edit to the dag and
-    patches the moral graph, recording the edit's new node id, description
-    and moral links.  An invalid edit, or a stray moral edge on a removed
-    node, leaves both graphs as before the batch: the dag's transaction
-    (:meth:`Dag.transaction`) restores it, and the moral patches are undone
-    from their records, last first.  Marking then walks the records and
-    reads neither graph.  Internal inconsistencies raise InconsistencyError
-    and are never silently repaired.
+    records the edit's new node id, description and the moral links it
+    changed (:func:`modify_moral_graph`).  An invalid edit leaves the dag as
+    before the batch: its transaction (:meth:`Dag.transaction`) restores
+    it, and the model stores nothing else that phase one changes.  Marking
+    then walks the records and reads no graph.  Internal inconsistencies
+    raise InconsistencyError and are never silently repaired.
 
     The doomed cliques are the groups of the marked MPSs, and each
     connected piece of them is rebuilt apart; one walk finds the pieces,
@@ -740,25 +735,15 @@ def incremental_compile(
     rewiring; then each rebuilt region.  A region's MPSs are its marked
     ids: every MPS id is a clique of its own group.
     """
-    dag, moral, records = model.dag, model.moral, []
+    dag, records = model.dag, []
     with dag.transaction():
-        try:
-            for mod in mods:
-                # a removed node loses its name; any other edit raises before it is described
-                description = describe(mod, dag) if trace is not None and isinstance(mod, RemoveNode) else None
-                new = apply_modification(dag, mod)
-                if trace is not None and description is None:
-                    description = describe(mod, dag)
-                records.append((mod, new, description, modify_moral_graph(model, mod)))
-        except BaseException:
-            for mod, new, _, links in reversed(records):
-                for l in reversed(links):
-                    (moral.remove_edge if l.added else moral.add_edge)(l.u, l.v)
-                if isinstance(mod, AddNode):
-                    moral.remove_vertex(new)
-                elif isinstance(mod, RemoveNode):
-                    moral.add_vertex(mod.node)
-            raise
+        for mod in mods:
+            # a removed node loses its name; any other edit raises before it is described
+            description = describe(mod, dag) if trace is not None and isinstance(mod, RemoveNode) else None
+            new = apply_modification(dag, mod)
+            if trace is not None and description is None:
+                description = describe(mod, dag)
+            records.append((mod, new, description, modify_moral_graph(model, mod)))
     marked: set[int] = set()
     net: dict[tuple[int, int], bool] = {}  # the batch's moral link changes, pair -> added
     jt, owner = model.jt, model.owner

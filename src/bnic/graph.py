@@ -431,6 +431,36 @@ def moralize(dag: Dag) -> UndirectedGraph:
     return g
 
 
+def moral_subgraph(dag: Dag, variables: Iterable[int]) -> UndirectedGraph:
+    """``moralize(dag).induced(variables)``, read off the families that meet the variables.
+
+    Two variables are moral neighbours iff they lie in one family: that of
+    one of them, or that of a common child.  So each variable's family is
+    completed on its members among the variables, and so is the family of
+    each child outside them; no other family holds two of them.  The cost
+    is that of the walked families, not of the dag.
+    """
+    vs = set(variables)
+    parents, children = dag._parents, dag._children
+    adj: dict[int, set[int]] = {v: set() for v in vs}
+    outside: set[int] = set()
+    for c in vs:
+        family = vs.intersection(parents[c])
+        family.add(c)
+        for p in family:
+            adj[p] |= family
+        outside.update(children[c])
+    for c in outside - vs:
+        family = vs.intersection(parents[c])
+        for p in family:
+            adj[p] |= family
+    for v, ns in adj.items():
+        ns.discard(v)
+    g = UndirectedGraph()
+    g._adj = adj
+    return g
+
+
 def moral_simplicial(dag: Dag, variables: Iterable[int]) -> set[int]:
     """The given variables that the dag alone proves simplicial in ``moralize(dag)``.
 

@@ -36,7 +36,7 @@ def full_recompile(dag: Dag) -> CompiledModel:
     # through the module, whose binding the benchmark's tracer wraps
     family = pipeline.assign_families(dag, dag.nodes(), index)
     owner = group_owners(index.tree, fill)
-    return CompiledModel(dag, gm, index.tree, owner, family, fill)
+    return CompiledModel(dag, index.tree, owner, family, fill)
 
 
 # ---------------------------------------------------------------------------
@@ -103,10 +103,11 @@ def validate(model: CompiledModel) -> ValidityReport:
     the number of those clusters less the number of tree edges both of
     whose ends hold it, so running intersection is one count per variable.
 
-    H is the moral graph plus the stored fill.  ``cluster_completeness``
-    also requires the fill to share no pair with the moral graph; with the
-    clusters complete in H and exactly its maximal cliques, the fill is
-    then the non-moral pairs inside the clusters, with no scan of them.
+    H is the moral graph, ``moralize(dag)`` computed once here, plus the
+    stored fill.  ``cluster_completeness`` also requires the fill to share
+    no pair with the moral graph; with the clusters complete in H and
+    exactly its maximal cliques, the fill is then the non-moral pairs
+    inside the clusters, with no scan of them.
     A maximal clique of H is complete in H, so when ``cluster_maximality``
     holds, the clusters are complete and ``cluster_completeness`` takes
     that verdict; only when maximality fails are the clusters' pairs
@@ -119,7 +120,8 @@ def validate(model: CompiledModel) -> ValidityReport:
     clusters' non-moral pairs once ``cluster_completeness`` holds.
     """
     checks: list[Check] = []
-    dag, moral, jt, owner, fill = model.dag, model.moral, model.jt, model.owner, model.fill
+    dag, jt, owner, fill = model.dag, model.jt, model.owner, model.fill
+    moral = moralize(dag)
     ends = [(u, ns) for u in fill.vertices() if (ns := fill.neighbors(u))]  # ascending
 
     def check(name: str, passed: bool, detail: str) -> None:
@@ -131,11 +133,9 @@ def validate(model: CompiledModel) -> ValidityReport:
         except UnknownVariableError:  # a vertex g lacks makes vs incomplete
             return False
 
-    check("moral_graph", moral == moralize(dag), "stored moral graph differs from moralize(dag)")
-
     gt, chordal, witness, cliques, stray = None, False, None, [], ""
     try:
-        gt = moral.union(model.fill)
+        gt = moral.union(fill)
         cliques = extract_cliques(gt)
         chordal = True
     except UnknownVariableError as e:  # a fill vertex the moral graph lacks

@@ -30,8 +30,8 @@ class Triangulation:
     """A base graph plus a fill graph over its vertices; ``base + fill`` is chordal.
 
     After thinning no single fill edge can be dropped without breaking
-    chordality.  ``CompiledModel.tri`` wraps the model's moral graph and its
-    stored fill this way, copying neither.
+    chordality.  ``CompiledModel.tri`` wraps the moral graph of the model's
+    dag, moralized on each read, and its stored fill this way.
     """
 
     base: UndirectedGraph

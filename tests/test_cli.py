@@ -218,7 +218,7 @@ def test_apply_verification_failure_prints_the_detail(tmp_path, capsys, monkeypa
 
     failing = Check("family_coverage", False, "family of 3 is not hosted")
     monkeypatch.setattr(
-        bnic.oracle, "validate", lambda model: ValidityReport((Check("moral_graph", True), failing))
+        bnic.oracle, "validate", lambda model: ValidityReport((Check("triangulation_chordal", True), failing))
     )
     script = tmp_path / "edit.script"
     script.write_text("remove-arc L E\n")

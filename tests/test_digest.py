@@ -154,7 +154,7 @@ def _renamed(model):
         jt.add_edge(a + 1, b + 1)
     owner = {c + 1: m + 1 for c, m in model.owner.items()}
     family = {v: c + 1 for v, c in model.family.items()}
-    return CompiledModel(model.dag, model.moral, jt, owner, family, model.fill)
+    return CompiledModel(model.dag, jt, owner, family, model.fill)
 
 
 def test_replay_diff_names_the_first_diverging_flush(capsys):

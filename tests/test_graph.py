@@ -18,7 +18,7 @@ from bnic import (
     random_dag,
 )
 
-from bnic.graph import moral_simplicial
+from bnic.graph import moral_simplicial, moral_subgraph
 from conftest import name_set, seeded_dags
 
 
@@ -174,6 +174,24 @@ def test_moral_simplicial_names_only_vertices_whose_neighbourhood_is_a_clique():
         one_child += sum(bool(dag.children(v)) for v in simplicial)
         gapped += dag.nodes() != list(range(len(dag)))
     assert named > 500 and one_child > 50 and gapped > 10
+
+
+def test_moral_subgraph_is_the_induced_moral_graph():
+    # on random variable sets of every seeded dag, the whole and the empty
+    # set, and the parents of each child with two or more, which share that
+    # child outside the set; ids are gapped after the flushes' removals
+    rng = Random(4)
+    shared_outside = gapped = 0
+    for dag in seeded_dags():
+        gm, nodes = moralize(dag), dag.nodes()
+        subsets = [set(nodes), set()]
+        subsets += [set(rng.sample(nodes, rng.randint(0, len(nodes)))) for _ in range(5)]
+        subsets += [set(dag.parents(c)) for c in nodes if len(dag.parents(c)) > 1]
+        for vs in subsets:
+            assert moral_subgraph(dag, vs) == gm.induced(vs)
+            shared_outside += any(c not in vs and len(vs.intersection(dag.parents(c))) > 1 for c in nodes)
+        gapped += nodes != list(range(len(dag)))
+    assert shared_outside > 500 and gapped > 10
 
 
 # -- induced subgraphs ------------------------------------------------------

@@ -333,12 +333,12 @@ def test_min_fill_matches_adjacency_set_kernel(n):
 def test_min_fill_matches_adjacency_set_kernel_on_rebuilt_regions(monkeypatch):
     # the induced moral subgraphs that real rebuilds triangulate, over ids
     # left gapped by node additions and removals, with and without the
-    # simplicial vertices the engine names
+    # simplicial vertices the dag names among the region's
     regions = []
     construct = bnic.engine.construct_join_tree
 
-    def capture(g, fill, tree, simplicial):
-        regions.append((g.copy(), simplicial))
+    def capture(g, fill, tree, simplicial=frozenset()):
+        regions.append((g.copy(), moral_simplicial(model.dag, g.vertices())))
         return construct(g, fill, tree, simplicial)
 
     monkeypatch.setattr(bnic.engine, "construct_join_tree", capture)
