@@ -227,6 +227,64 @@ def test_add_and_remove_node_touch_only_the_vertex(asia_model):
     assert not m.moral.has_vertex(q)
 
 
+def test_an_arc_lists_only_the_pairs_no_other_arc_or_child_keeps_moral():
+    # p -> c joins a family of four other parents: z is joined to p by an
+    # arc, w shares the child x with p, y is married to p only through c,
+    # and p and c already share the child k
+    dag = Dag()
+    p, c, z, w, y, k, x = (dag.add_node(n) for n in "pczwykx")
+    for u, v in [(p, k), (c, k), (z, c), (z, p), (w, c), (w, x), (p, x), (y, c)]:
+        dag.add_arc(u, v)
+    model = full_recompile(dag)
+    for mod, added in [(AddArc(p, c), True), (RemoveArc(p, c), False)]:
+        before = model.dag.copy()
+        apply_modification(model.dag, mod)
+        links = modify_moral_graph(model, mod)
+        assert links == [Link(p, y, added)]
+        assert _moral_change(before, model.dag) == {frozenset((p, y))}
+
+
+def test_moral_and_tri_are_read_off_the_current_dag(asia_model):
+    # the model stores no moral graph: each read moralizes the dag as it is
+    # now into a graph of its own, and neither view can be assigned
+    m = asia_model
+    t = m.dag.table
+    z, a = t.next_id, t.id("A")  # the id the batch's new node takes
+    incremental_compile(m, [RemoveArc(t.id("L"), t.id("E")), AddNode("Z"), AddArc(z, t.id("X"))])
+    assert t.id("Z") == z
+    first = m.moral
+    assert first == moralize(m.dag) and not first.has_edge(z, a)
+    first.add_edge(z, a)
+    assert m.moral == moralize(m.dag) and not m.moral.has_edge(z, a)
+    assert m.tri.base == moralize(m.dag) and m.tri.fill == m.fill.edge_set()
+    assert m.tri.graph() == moralize(m.dag).union(m.fill)
+    with pytest.raises(AttributeError):
+        m.moral = first
+    with pytest.raises(AttributeError):
+        m.tri = m.tri
+    assert validate(m).passed
+
+
+def test_a_copy_shares_no_structure_with_its_model(asia_model):
+    # the dag, the junction tree, the owner and family maps and the fill
+    # are all a copy holds; an edit of either side leaves the other as it was
+    def state(model):
+        return (model.dag.copy(), model.jt.cluster_multiset(), model.jt.edges(), dict(model.owner), dict(model.family), model.fill.copy())
+
+    m = asia_model
+    t = m.dag.table
+    other = m.copy()
+    assert state(other) == state(m)
+    kept = state(m)
+    incremental_compile(other, [RemoveArc(t.id("L"), t.id("E")), AddNode("Z"), AddArc(t.next_id, t.id("X"))])
+    assert state(m) == kept and state(other) != kept
+    assert "Z" not in t._id_of
+    kept = state(other)
+    incremental_compile(m, [RemoveArc(t.id("S"), t.id("B"))])
+    assert state(other) == kept
+    assert validate(m).passed and validate(other).passed
+
+
 # -- marking: link removal ----------------------------------------------------
 
 
